@@ -5,6 +5,12 @@ structure-constant vectors.  The constructors check (or inherit) the
 three structural requirements: associativity, non-degenerate product,
 and idempotency (A*A = A).  Multipliers are pairs of action maps; for a
 unital algebra they reify to ordinary elements.
+
+``TensorSquare`` holds the only leg-wise product code, for A (x) A and
+for B (x) C alike.  ``CoproductSlices`` is the one slice object: it
+multiplies a pair of coproduct families by basis covers, caches every
+slice per (kind, a, b), and assembles the canonical maps T_1..T_4 from
+those slices.
 """
 
 from __future__ import annotations
@@ -136,21 +142,6 @@ class FiniteAlgebra:
         self._unit = solve(system, rhs)
         self._unit_known = True
         return self._unit
-
-    def has_local_units(self) -> bool:
-        return self.unit() is not None
-
-    def is_commutative(self) -> bool:
-        return all(self.mul_basis(i, j) == self.mul_basis(j, i)
-                   for i in range(self.dim) for j in range(self.dim))
-
-    def structure_tensor(self) -> dict[tuple[int, int, int], Fraction]:
-        out = {}
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k, c in self.mul_basis(i, j).items():
-                    out[i, j, k] = c
-        return out
 
     def __repr__(self):
         return f"FiniteAlgebra(dim {self.dim})"
@@ -419,105 +410,85 @@ def multiplier_algebra(a: FiniteAlgebra) -> tuple[FiniteAlgebra, LinMap]:
     return m_alg, embedding
 
 
-# -- tensor-square helpers used throughout the Hopf machinery ----------
+
+
+# -- tensor products and slices used throughout the Hopf machinery -------
 
 class TensorSquare:
-    """A (x) A with leg-wise products; index (i, j) -> i*dim + j."""
+    """A (x) B with leg-wise products; index (i, j) -> i*dim + j.
 
-    def __init__(self, algebra: FiniteAlgebra):
+    B defaults to A: coproducts live in A (x) A, the separability
+    idempotent in B (x) C.  ``dim`` is the dimension of the second
+    factor, the stride of the index.
+    """
+
+    def __init__(self, algebra: FiniteAlgebra, second: FiniteAlgebra | None = None):
         self.algebra = algebra
-        self.dim = algebra.dim
-        self.size = algebra.dim ** 2
-
-    def index(self, i: int, j: int) -> int:
-        return i * self.dim + j
-
-    def split(self, idx: int) -> tuple[int, int]:
-        return divmod(idx, self.dim)
+        self.second = algebra if second is None else second
+        self.dim = self.second.dim
+        self.size = algebra.dim * self.dim
 
     def tensor(self, x: Vec, y: Vec) -> Vec:
         return vtensor(x, y, self.dim)
 
     def mul(self, x: Vec, y: Vec) -> Vec:
-        """Componentwise product of elements of A (x) A."""
-        alg = self.algebra
+        """Componentwise product of elements of A (x) B."""
+        first, second = self.algebra, self.second
         d = self.dim
         out: Vec = {}
         for p, c in x.items():
             p1, p2 = divmod(p, d)
             for q, e in y.items():
                 q1, q2 = divmod(q, d)
-                left = alg.mul_basis(p1, q1)
+                left = first.mul_basis(p1, q1)
                 if not left:
                     continue
-                right = alg.mul_basis(p2, q2)
+                right = second.mul_basis(p2, q2)
                 if not right:
                     continue
                 vaxpy(out, c * e, vtensor(left, right, d))
         return out
 
+    def _on_leg(self, x: Vec, leg: int, image: Callable[[int], Vec]) -> Vec:
+        """x with the basis vector e_k in the given leg of every term
+        replaced by image(k); the one kernel behind the leg products."""
+        d = self.dim
+        out: Vec = {}
+        for p, c in x.items():
+            p1, p2 = divmod(p, d)
+            if leg == 1:
+                for k, e in image(p1).items():
+                    vaxpy(out, c * e, {k * d + p2: Fraction(1)})
+            else:
+                for k, e in image(p2).items():
+                    vaxpy(out, c * e, {p1 * d + k: Fraction(1)})
+        return out
+
     def mul_left_leg1(self, w: Vec, x: Vec) -> Vec:
         """(w (x) 1) * x for w in A (or a reified multiplier)."""
-        alg, d = self.algebra, self.dim
-        out: Vec = {}
-        for p, c in x.items():
-            p1, p2 = divmod(p, d)
-            prod = alg.mul(w, unit_vec(p1))
-            for k, e in prod.items():
-                vaxpy(out, c * e, {k * d + p2: Fraction(1)})
-        return out
+        return self._on_leg(x, 1, lambda k: self.algebra.mul(w, unit_vec(k)))
 
     def mul_right_leg1(self, x: Vec, w: Vec) -> Vec:
-        alg, d = self.algebra, self.dim
-        out: Vec = {}
-        for p, c in x.items():
-            p1, p2 = divmod(p, d)
-            prod = alg.mul(unit_vec(p1), w)
-            for k, e in prod.items():
-                vaxpy(out, c * e, {k * d + p2: Fraction(1)})
-        return out
+        """x * (w (x) 1)."""
+        return self._on_leg(x, 1, lambda k: self.algebra.mul(unit_vec(k), w))
 
     def mul_left_leg2(self, w: Vec, x: Vec) -> Vec:
-        alg, d = self.algebra, self.dim
-        out: Vec = {}
-        for p, c in x.items():
-            p1, p2 = divmod(p, d)
-            prod = alg.mul(w, unit_vec(p2))
-            for k, e in prod.items():
-                vaxpy(out, c * e, {p1 * d + k: Fraction(1)})
-        return out
+        """(1 (x) w) * x."""
+        return self._on_leg(x, 2, lambda k: self.second.mul(w, unit_vec(k)))
 
     def mul_right_leg2(self, x: Vec, w: Vec) -> Vec:
-        alg, d = self.algebra, self.dim
-        out: Vec = {}
-        for p, c in x.items():
-            p1, p2 = divmod(p, d)
-            prod = alg.mul(unit_vec(p2), w)
-            for k, e in prod.items():
-                vaxpy(out, c * e, {p1 * d + k: Fraction(1)})
-        return out
+        """x * (1 (x) w)."""
+        return self._on_leg(x, 2, lambda k: self.second.mul(unit_vec(k), w))
 
     def sandwich(self, a: Vec, mid: Vec, b: Vec) -> Vec:
         """(a (x) 1) * mid * (1 (x) b)."""
         return self.mul_right_leg2(self.mul_left_leg1(a, mid), b)
 
     def map_leg1(self, m: LinMap, x: Vec) -> Vec:
-        d = self.dim
-        out: Vec = {}
-        for p, c in x.items():
-            p1, p2 = divmod(p, d)
-            for k, e in m.apply(unit_vec(p1)).items():
-                vaxpy(out, c * e, {k * d + p2: Fraction(1)})
-        return out
+        return self._on_leg(x, 1, lambda k: m.apply(unit_vec(k)))
 
     def map_leg2(self, m: LinMap, x: Vec) -> Vec:
-        d = self.dim
-        out: Vec = {}
-        for p, c in x.items():
-            p1, p2 = divmod(p, d)
-            for k, e in m.apply(unit_vec(p2)).items():
-                vaxpy(out, c * e, {p1 * d + k: Fraction(1)})
-        return out
+        return self._on_leg(x, 2, lambda k: m.apply(unit_vec(k)))
 
     def flip(self, x: Vec) -> Vec:
         d = self.dim
@@ -544,6 +515,7 @@ class TensorSquare:
         return out
 
     def functional_leg2(self, phi: Vec, x: Vec) -> Vec:
+        """(id (x) phi) applied to an element; phi is a row vector on B."""
         d = self.dim
         out: Vec = {}
         for p, c in x.items():
@@ -553,11 +525,130 @@ class TensorSquare:
                 vaxpy(out, c * w, {p1: Fraction(1)})
         return out
 
+    def expand_leg1(self, x: Vec, f: Callable[[int], Vec]) -> Vec:
+        """sum x[u, v] f(u) (x) e_v in A (x) A (x) A, for f(u) in A (x) A."""
+        d = self.dim
+        out: Vec = {}
+        for p, c in x.items():
+            u, v = divmod(p, d)
+            vaxpy(out, c, vtensor(f(u), unit_vec(v), d))
+        return out
+
+    def expand_leg2(self, x: Vec, g: Callable[[int], Vec]) -> Vec:
+        """sum x[u, v] e_u (x) g(v) in A (x) A (x) A, for g(v) in A (x) A."""
+        d = self.dim
+        out: Vec = {}
+        for p, c in x.items():
+            u, v = divmod(p, d)
+            vaxpy(out, c, vtensor(unit_vec(u), g(v), d * d))
+        return out
+
+    def twisted_projector(self, f: Vec, which: int) -> LinMap:
+        """The map whose column (a, b) is (e_a (x) 1) F (1 (x) e_b) for
+        F = F_1, F_2 and (1 (x) e_b) F (e_a (x) 1) for F = F_3, F_4,
+        where f is F_which."""
+        d = self.dim
+        cols = []
+        for a in range(d):
+            ea = unit_vec(a)
+            for b in range(d):
+                eb = unit_vec(b)
+                if which in (1, 2):
+                    cols.append(self.sandwich(ea, f, eb))
+                else:
+                    cols.append(self.mul_left_leg2(eb, self.mul_right_leg1(f, ea)))
+        return LinMap(self.size, self.size, cols)
+
     def left_mult_map(self, x: Vec) -> LinMap:
-        """y -> x*y on A (x) A."""
+        """y -> x*y on A (x) B."""
         return LinMap(self.size, self.size,
                       [self.mul(x, unit_vec(j)) for j in range(self.size)])
 
     def right_mult_map(self, x: Vec) -> LinMap:
         return LinMap(self.size, self.size,
                       [self.mul(unit_vec(j), x) for j in range(self.size)])
+
+
+class CoproductSlices:
+    """Slices of a left family Delta(e_a) and a right family Delta'(e_a)
+    in A (x) A by basis covers e_b, e_c:
+
+        r1(a, c) = Delta(e_a)(e_c (x) 1)    l1(a, c) = (e_c (x) 1)Delta'(e_a)
+        r2(a, b) = Delta(e_a)(1 (x) e_b)    l2(a, b) = (1 (x) e_b)Delta'(e_a)
+
+    Each slice is computed once and cached per (kind, a, b), because the
+    triple-indexed checks revisit them constantly; the canonical maps
+    T_1..T_4 are assembled from the cached slices once.  Cached values
+    are shared, so callers must not mutate them.  A bundle slices (Delta,
+    Delta), an algebroid (Delta_B, Delta_C), reconstruction the rebuilt
+    (E Delta_B, Delta_C E).
+    """
+
+    def __init__(self, t2: TensorSquare, left: list[Vec], right: list[Vec]):
+        self.t2 = t2
+        self.left = left
+        self.right = right
+        self._slices: dict[tuple[str, int, int], Vec] = {}
+        self._maps: dict[int, LinMap] = {}
+
+    def r1(self, a: int, c: int) -> Vec:
+        return self._slice("r1", a, c)
+
+    def r2(self, a: int, b: int) -> Vec:
+        return self._slice("r2", a, b)
+
+    def l1(self, a: int, c: int) -> Vec:
+        return self._slice("l1", a, c)
+
+    def l2(self, a: int, b: int) -> Vec:
+        return self._slice("l2", a, b)
+
+    def _slice(self, kind: str, a: int, b: int) -> Vec:
+        key = (kind, a, b)
+        got = self._slices.get(key)
+        if got is None:
+            t2, cover = self.t2, unit_vec(b)
+            if kind == "r1":
+                got = t2.mul_right_leg1(self.left[a], cover)
+            elif kind == "r2":
+                got = t2.mul_right_leg2(self.left[a], cover)
+            elif kind == "l1":
+                got = t2.mul_left_leg1(cover, self.right[a])
+            else:
+                got = t2.mul_left_leg2(cover, self.right[a])
+            self._slices[key] = got
+        return got
+
+    def canonical_map(self, which: int) -> LinMap:
+        """T_1..T_4 on A (x) A; column (a, b) is r2(a, b), l1(b, a),
+        l2(a, b) resp. r1(b, a)."""
+        if which not in (1, 2, 3, 4):
+            raise ValueError(which)
+        m = self._maps.get(which)
+        if m is None:
+            d = self.t2.dim
+            column = {1: lambda a, b: self.r2(a, b), 2: lambda a, b: self.l1(b, a),
+                      3: lambda a, b: self.l2(a, b), 4: lambda a, b: self.r1(b, a)}[which]
+            m = self._maps[which] = LinMap(self.t2.size, self.t2.size,
+                                           [column(a, b) for a in range(d) for b in range(d)])
+        return m
+
+    def first_coassociativity_failure(self, equations) -> tuple[int, int, int, int] | None:
+        """The first (a, b, c, k), looping over a, b, c and then k, at
+        which equation k fails; None when all hold.
+
+        Equation k is (outer, inner, same), two slice methods and a
+        comparison.  It compares sum outer(a, b)[u, v] inner(u, c) (x) e_v
+        with sum inner(a, c)[u, v] e_u (x) outer(v, b), the two covered
+        forms of coassociativity.
+        """
+        t2, d = self.t2, self.t2.dim
+        for a in range(d):
+            for b in range(d):
+                for c in range(d):
+                    for k, (outer, inner, same) in enumerate(equations):
+                        lhs = t2.expand_leg1(outer(a, b), lambda u: inner(u, c))
+                        rhs = t2.expand_leg2(inner(a, c), lambda v: outer(v, b))
+                        if not same(lhs, rhs):
+                            return a, b, c, k
+        return None

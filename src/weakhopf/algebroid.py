@@ -7,15 +7,18 @@ single representative element of A (x) A (the ambient algebra is
 unital); its products with covering elements are formed first and
 compared modulo the balanced relations.  For bundles arriving through
 the forward construction the representatives are the original coproduct
-values, which are already section images.
+values, which are already section images.  The basis-covered products
+come from one ``algebra.CoproductSlices`` over (Delta_B, Delta_C), which
+caches each slice once; the canonical maps between balanced quotients
+are its maps T_1..T_4 followed by the quotient map of the codomain.
 """
 
 from __future__ import annotations
 
-from .algebra import AlgebraError, FiniteAlgebra, TensorSquare
+from .algebra import AlgebraError, CoproductSlices, FiniteAlgebra, TensorSquare
 from .balanced import BalancedTensorSpace, TripleQuotient, build_balanced
 from .base_algebras import SubalgebraView, run_base_suite
-from .linalg import LinMap, Subspace, Vec, unit_vec, vaxpy, vtensor
+from .linalg import LinMap, Subspace, Vec, lincomb, unit_vec, vaxpy, vtensor
 from .reporting import CheckRecord, Report, failed, passed
 from .wmha import WeakMultiplierHopfAlgebra
 
@@ -174,56 +177,12 @@ class MultiplierHopfAlgebroid:
         self.eps_c = eps_c
         self.antipode = antipode
         self.source_bundle = source_bundle
-        self._slice_cache: dict[tuple[str, int, int], Vec] = {}
+        # representative slices: r* of Delta_B, l* of Delta_C
+        self.slices = CoproductSlices(self.t2, self.delta_b, self.delta_c)
 
     @property
     def dim(self) -> int:
         return self.algebra.dim
-
-    def delta_b_of(self, x: Vec) -> Vec:
-        out: Vec = {}
-        for i, c in x.items():
-            vaxpy(out, c, self.delta_b[i])
-        return out
-
-    def delta_c_of(self, x: Vec) -> Vec:
-        out: Vec = {}
-        for i, c in x.items():
-            vaxpy(out, c, self.delta_c[i])
-        return out
-
-    # representative slice products; basis covers are cached because the
-    # triple-indexed checks revisit them constantly
-    def db_r2(self, a: int, b: Vec) -> Vec:
-        """Delta_B(e_a)(1 (x) b), representative."""
-        return self._sliced("dbr2", a, b,
-                            lambda: self.t2.mul_right_leg2(self.delta_b[a], b))
-
-    def db_r1(self, a: int, c: Vec) -> Vec:
-        """Delta_B(e_a)(c (x) 1), representative."""
-        return self._sliced("dbr1", a, c,
-                            lambda: self.t2.mul_right_leg1(self.delta_b[a], c))
-
-    def dc_l1(self, a: int, c: Vec) -> Vec:
-        """(c (x) 1) Delta_C(e_a), representative."""
-        return self._sliced("dcl1", a, c,
-                            lambda: self.t2.mul_left_leg1(c, self.delta_c[a]))
-
-    def dc_l2(self, a: int, b: Vec) -> Vec:
-        """(1 (x) b) Delta_C(e_a), representative."""
-        return self._sliced("dcl2", a, b,
-                            lambda: self.t2.mul_left_leg2(b, self.delta_c[a]))
-
-    def _sliced(self, tag: str, a: int, cover: Vec, compute) -> Vec:
-        if len(cover) == 1:
-            (idx, coeff), = cover.items()
-            if coeff == 1:
-                key = (tag, a, idx)
-                got = self._slice_cache.get(key)
-                if got is None:
-                    got = self._slice_cache[key] = compute()
-                return got
-        return compute()
 
 
 def forward_construct(bundle: WeakMultiplierHopfAlgebra,
@@ -282,12 +241,12 @@ def check_algebroid_homomorphism(alg: MultiplierHopfAlgebroid) -> CheckRecord:
     for i in range(d):
         for j in range(d):
             prod = alg.algebra.mul_basis(i, j)
-            lhs = alg.delta_b_of(prod)
+            lhs = lincomb(prod, alg.delta_b)
             rhs = t2.mul(alg.delta_b[i], alg.delta_b[j])
             if not bal_l.equivalent(lhs, rhs):
                 return failed("left-coproduct-homomorphism",
                               {"pair": [alg.algebra.labels[i], alg.algebra.labels[j]]})
-            lhs = alg.delta_c_of(prod)
+            lhs = lincomb(prod, alg.delta_c)
             rhs = t2.mul(alg.delta_c[i], alg.delta_c[j])
             if not bal_r.equivalent(lhs, rhs):
                 return failed("right-coproduct-homomorphism",
@@ -305,23 +264,23 @@ def check_base_behavior(alg: MultiplierHopfAlgebroid) -> CheckRecord:
     for a in range(d):
         ea = unit_vec(a)
         for x in graph.b_elements():
-            lhs = alg.delta_b_of(alg_a.mul(x, ea))
+            lhs = lincomb(alg_a.mul(x, ea), alg.delta_b)
             rhs = t2.mul_left_leg2(x, alg.delta_b[a])
             if not bal_l.equivalent(lhs, rhs):
                 return failed("left-coproduct-base-behavior",
                               {"basis": alg_a.labels[a], "side": "B"})
-            lhs = alg.delta_c_of(alg_a.mul(ea, x))
+            lhs = lincomb(alg_a.mul(ea, x), alg.delta_c)
             rhs = t2.mul_right_leg2(alg.delta_c[a], x)
             if not bal_r.equivalent(lhs, rhs):
                 return failed("right-coproduct-base-behavior",
                               {"basis": alg_a.labels[a], "side": "B"})
         for y in graph.c_elements():
-            lhs = alg.delta_b_of(alg_a.mul(y, ea))
+            lhs = lincomb(alg_a.mul(y, ea), alg.delta_b)
             rhs = t2.mul_left_leg1(y, alg.delta_b[a])
             if not bal_l.equivalent(lhs, rhs):
                 return failed("left-coproduct-base-behavior",
                               {"basis": alg_a.labels[a], "side": "C"})
-            lhs = alg.delta_c_of(alg_a.mul(ea, y))
+            lhs = lincomb(alg_a.mul(ea, y), alg.delta_c)
             rhs = t2.mul_right_leg1(alg.delta_c[a], y)
             if not bal_r.equivalent(lhs, rhs):
                 return failed("right-coproduct-base-behavior",
@@ -332,106 +291,32 @@ def check_base_behavior(alg: MultiplierHopfAlgebroid) -> CheckRecord:
 def check_algebroid_coassociativity(alg: MultiplierHopfAlgebroid) -> CheckRecord:
     """Each coproduct is coassociative after projection to the triple
     balanced space of its own kind."""
-    graph, d = alg.graph, alg.dim
-    tq_ll = graph.triple("l", "l")
-    tq_rr = graph.triple("r", "r")
-    for a in range(d):
-        for b in range(d):
-            eb = unit_vec(b)
-            x = alg.db_r2(a, eb)
-            y_cache = {}
-            for c in range(d):
-                ec = unit_vec(c)
-                lhs: Vec = {}
-                for p, coeff in x.items():
-                    u, v = divmod(p, d)
-                    vaxpy(lhs, coeff, vtensor(alg.db_r1(u, ec), unit_vec(v), d))
-                y = y_cache.get(c)
-                if y is None:
-                    y = y_cache[c] = alg.db_r1(a, ec)
-                rhs: Vec = {}
-                for p, coeff in y.items():
-                    u, v = divmod(p, d)
-                    vaxpy(rhs, coeff, _t122(unit_vec(u), alg.db_r2(v, eb), d))
-                if not tq_ll.equivalent(lhs, rhs):
-                    return failed("left-coproduct-coassociativity",
-                                  {"triple": [alg.algebra.labels[a],
-                                              alg.algebra.labels[b],
-                                              alg.algebra.labels[c]]})
-                x2 = alg.dc_l1(a, ec)
-                lhs2: Vec = {}
-                for p, coeff in x2.items():
-                    u, v = divmod(p, d)
-                    vaxpy(lhs2, coeff, _t122(unit_vec(u), alg.dc_l2(v, eb), d))
-                y2 = alg.dc_l2(a, eb)
-                rhs2: Vec = {}
-                for p, coeff in y2.items():
-                    u, v = divmod(p, d)
-                    vaxpy(rhs2, coeff, vtensor(alg.dc_l1(u, ec), unit_vec(v), d))
-                if not tq_rr.equivalent(lhs2, rhs2):
-                    return failed("right-coproduct-coassociativity",
-                                  {"triple": [alg.algebra.labels[a],
-                                              alg.algebra.labels[b],
-                                              alg.algebra.labels[c]]})
-    return passed("coproduct-coassociativity")
+    graph, sl = alg.graph, alg.slices
+    bad = sl.first_coassociativity_failure(
+        [(sl.r2, sl.r1, graph.triple("l", "l").equivalent),
+         (sl.l2, sl.l1, graph.triple("r", "r").equivalent)])
+    if bad is None:
+        return passed("coproduct-coassociativity")
+    a, b, c, k = bad
+    return failed(("left-coproduct-coassociativity", "right-coproduct-coassociativity")[k],
+                  {"triple": [alg.algebra.labels[i] for i in (a, b, c)]})
 
 
 def check_compatibility(alg: MultiplierHopfAlgebroid) -> CheckRecord:
     """Joint coassociativity of the left and right coproducts in the
-    mixed triple balanced spaces."""
-    graph, d = alg.graph, alg.dim
-    tq_rl = graph.triple("r", "l")
-    tq_lr = graph.triple("l", "r")
-    for a in range(d):
-        for b in range(d):
-            eb = unit_vec(b)
-            x = alg.db_r2(a, eb)      # Delta_B(a)(1 (x) b)
-            w = alg.dc_l2(a, eb)      # (1 (x) b) Delta_C(a)
-            for c in range(d):
-                ec = unit_vec(c)
-                # (c x 1 x 1)(Delta_C x id)(Delta_B(a)(1 x b))
-                lhs: Vec = {}
-                for p, coeff in x.items():
-                    u, v = divmod(p, d)
-                    vaxpy(lhs, coeff, vtensor(alg.dc_l1(u, ec), unit_vec(v), d))
-                # (id x Delta_B)((c x 1)Delta_C(a))(1 x 1 x b)
-                y = alg.dc_l1(a, ec)
-                rhs: Vec = {}
-                for p, coeff in y.items():
-                    u, v = divmod(p, d)
-                    vaxpy(rhs, coeff, _t122(unit_vec(u), alg.db_r2(v, eb), d))
-                if not tq_rl.equivalent(lhs, rhs):
-                    return failed("joint-coassociativity-first",
-                                  {"triple": [alg.algebra.labels[a],
-                                              alg.algebra.labels[b],
-                                              alg.algebra.labels[c]]})
-                # (Delta_B x id)((1 x b)Delta_C(a))(c x 1 x 1)
-                lhs2: Vec = {}
-                for p, coeff in w.items():
-                    u, v = divmod(p, d)
-                    vaxpy(lhs2, coeff, vtensor(alg.db_r1(u, ec), unit_vec(v), d))
-                # (1 x 1 x b)(id x Delta_C)(Delta_B(a)(c x 1))
-                z = alg.db_r1(a, ec)
-                rhs2: Vec = {}
-                for p, coeff in z.items():
-                    u, v = divmod(p, d)
-                    vaxpy(rhs2, coeff, _t122(unit_vec(u), alg.dc_l2(v, eb), d))
-                if not tq_lr.equivalent(lhs2, rhs2):
-                    return failed("joint-coassociativity-second",
-                                  {"triple": [alg.algebra.labels[a],
-                                              alg.algebra.labels[b],
-                                              alg.algebra.labels[c]]})
-    return passed("joint-coassociativity")
-
-
-def _t122(x1: Vec, x23: Vec, d: int) -> Vec:
-    out: Vec = {}
-    dd = d * d
-    for i, c in x1.items():
-        base = i * dd
-        for p, e in x23.items():
-            out[base + p] = c * e
-    return out
+    mixed triple balanced spaces: (c x 1 x 1)(Delta_C x id)(Delta_B(a)(1 x b))
+    against (id x Delta_B)((c x 1)Delta_C(a))(1 x 1 x b), then
+    (Delta_B x id)((1 x b)Delta_C(a))(c x 1 x 1) against
+    (1 x 1 x b)(id x Delta_C)(Delta_B(a)(c x 1))."""
+    graph, sl = alg.graph, alg.slices
+    bad = sl.first_coassociativity_failure(
+        [(sl.r2, sl.l1, graph.triple("r", "l").equivalent),
+         (sl.l2, sl.r1, graph.triple("l", "r").equivalent)])
+    if bad is None:
+        return passed("joint-coassociativity")
+    a, b, c, k = bad
+    return failed(("joint-coassociativity-first", "joint-coassociativity-second")[k],
+                  {"triple": [alg.algebra.labels[i] for i in (a, b, c)]})
 
 
 def algebroid_canonical_maps(alg: MultiplierHopfAlgebroid) -> dict[str, LinMap]:
@@ -439,23 +324,19 @@ def algebroid_canonical_maps(alg: MultiplierHopfAlgebroid) -> dict[str, LinMap]:
 
     Raises NotBijective with a kernel witness when one is singular.
     """
-    graph, d = alg.graph, alg.dim
+    graph = alg.graph
     bal_l = graph.balanced("l")
     bal_r = graph.balanced("r")
     specs = {
-        "T_lambda": ("t-up", bal_l, lambda a, b: alg.db_r1(b, unit_vec(a))),
-        "T_rho": ("s", bal_l, lambda a, b: alg.db_r2(a, unit_vec(b))),
-        "lambda_T": ("t", bal_r, lambda a, b: alg.dc_l1(b, unit_vec(a))),
-        "rho_T": ("s-up", bal_r, lambda a, b: alg.dc_l2(a, unit_vec(b))),
+        "T_lambda": ("t-up", bal_l, 4),
+        "T_rho": ("s", bal_l, 1),
+        "lambda_T": ("t", bal_r, 2),
+        "rho_T": ("s-up", bal_r, 3),
     }
     out = {}
-    for name, (dom_kind, codomain, slice_fn) in specs.items():
+    for name, (dom_kind, codomain, which) in specs.items():
         dom = graph.balanced(dom_kind)
-        full_cols = []
-        for a in range(d):
-            for b in range(d):
-                full_cols.append(codomain.project(slice_fn(a, b)))
-        full = LinMap(codomain.q_dim, d * d, full_cols)
+        full = codomain.pi @ alg.slices.canonical_map(which)
         for rel in dom.relations.rows:
             if full.apply(rel):
                 raise NotBijective(f"{name} is not well-defined on its quotient")
@@ -540,8 +421,7 @@ def check_counital_maps(alg: MultiplierHopfAlgebroid) -> CheckRecord:
                                "law": "eps_C(a S_C(y))=y eps_C(a)"})
     for a in range(d):
         for b in range(d):
-            eb = unit_vec(b)
-            x = alg.db_r2(a, eb)
+            x = alg.slices.r2(a, b)
             acc: Vec = {}
             for p, coeff in x.items():
                 u, v = divmod(p, d)
@@ -553,7 +433,7 @@ def check_counital_maps(alg: MultiplierHopfAlgebroid) -> CheckRecord:
                 return failed("left-counit-diagram",
                               {"pair": [alg_a.labels[a], alg_a.labels[b]],
                                "lhs": acc, "rhs": want})
-            w = alg.dc_l2(a, eb)
+            w = alg.slices.l2(a, b)
             acc2: Vec = {}
             for p, coeff in w.items():
                 u, v = divmod(p, d)
@@ -575,7 +455,7 @@ def check_antipode_diagrams(alg: MultiplierHopfAlgebroid) -> CheckRecord:
     for a in range(d):
         for b in range(d):
             eb = unit_vec(b)
-            x = alg.db_r2(a, eb)
+            x = alg.slices.r2(a, b)
             acc: Vec = {}
             for p, coeff in x.items():
                 u, v = divmod(p, d)
@@ -585,7 +465,7 @@ def check_antipode_diagrams(alg: MultiplierHopfAlgebroid) -> CheckRecord:
                 return failed("antipode-diagram-left",
                               {"pair": [alg_a.labels[a], alg_a.labels[b]],
                                "lhs": acc, "rhs": want})
-            y = alg.dc_l1(b, unit_vec(a))
+            y = alg.slices.l1(b, a)
             acc2: Vec = {}
             for p, coeff in y.items():
                 u, v = divmod(p, d)

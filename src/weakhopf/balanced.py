@@ -79,17 +79,6 @@ class BalancedTensorSpace:
         """Coordinates of the class of x in the quotient."""
         return self.pi.apply(x)
 
-    def section(self, q: Vec) -> Vec:
-        if self.theta is None:
-            raise BalancedTensorError(f"no section available for {self.kind}")
-        return self.theta.apply(q)
-
-    def canonical_image(self, x: Vec) -> Vec:
-        """Section of the class of x (the stored representative)."""
-        if self.projector is None:
-            raise BalancedTensorError(f"no section available for {self.kind}")
-        return self.projector.apply(x)
-
     def equivalent(self, x: Vec, y: Vec) -> bool:
         d = vsub(x, y)
         if not d:
@@ -157,26 +146,13 @@ def section_projector(kind: str, graph) -> LinMap | None:
     if getattr(graph, "e_element", None) is None:
         return None
     t2 = graph.t2
-    d = graph.algebra.dim
     e = graph.e_element
-    cols = []
     if kind == "l":
-        for j in range(d * d):
-            cols.append(t2.mul(e, unit_vec(j)))
-    elif kind == "r":
-        for j in range(d * d):
-            cols.append(t2.mul(unit_vec(j), e))
-    else:
-        f = graph.f_element({"s": 1, "t": 2, "s-up": 3, "t-up": 4}[kind])
-        for a in range(d):
-            ea = unit_vec(a)
-            for b in range(d):
-                eb = unit_vec(b)
-                if kind in ("s", "t"):
-                    cols.append(t2.sandwich(ea, f, eb))
-                else:
-                    cols.append(t2.mul_left_leg2(eb, t2.mul_right_leg1(f, ea)))
-    return LinMap(d * d, d * d, cols)
+        return t2.left_mult_map(e)
+    if kind == "r":
+        return t2.right_mult_map(e)
+    which = {"s": 1, "t": 2, "s-up": 3, "t-up": 4}[kind]
+    return t2.twisted_projector(graph.f_element(which), which)
 
 
 def build_balanced(kind: str, graph) -> BalancedTensorSpace:

@@ -3,7 +3,9 @@
 Commands load definition files, run the relevant suites and emit
 deterministic reports (text or JSON).  Exit codes: 0 when every check
 passes, 1 when a check fails or an obstruction is found, 2 when the
-input cannot be parsed or violates the schema.
+input cannot be parsed or violates the schema.  A reconstruction that
+breaks down after its preconditions held is reported as a failed
+``internal-inconsistency`` record (exit 1), never as a traceback.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from .algebroid import MultiplierHopfAlgebroid, check_algebroid_axioms, forward_
 from .base_algebras import run_base_suite
 from .groupoids import Groupoid, as_wmha
 from .lazy import check_lazy_groupoid, lazy_pair_groupoid
-from .reconstruction import ObstructionReport, PipelineResult, reconstruction_pipeline
+from .reconstruction import (ObstructionReport, PipelineResult, ReconstructionError,
+                             reconstruction_pipeline)
 from .reporting import Report, failed, jsonable, passed
 from .wmha import WeakMultiplierHopfAlgebra, run_suite
 from .witnesses import revalidate
@@ -260,6 +263,11 @@ def main(argv=None) -> int:
     except (io.ParseError, io.SchemaError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
+    except ReconstructionError as exc:
+        report = Report(args.command)
+        report.add(failed("internal-inconsistency", {"error": str(exc)}))
+        _emit(report, args.format)
+        return 1
 
 
 if __name__ == "__main__":

@@ -79,9 +79,6 @@ class Groupoid:
             if comp.get((inv, i)) != self.source[i]:
                 raise GroupoidError(f"inverse * {self.arrows[i]} is not the source unit")
 
-    def composable_pairs(self):
-        return self.compose.items()
-
     def is_unit(self, i: int) -> bool:
         return i in self.units
 

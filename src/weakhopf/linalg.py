@@ -85,6 +85,14 @@ def vdot(u: Vec, v: Vec) -> Fraction:
     return total
 
 
+def lincomb(x: Vec, table) -> Vec:
+    """sum_i x_i * table[i]: a linear map given by its basis images."""
+    out: Vec = {}
+    for i, c in x.items():
+        vaxpy(out, c, table[i])
+    return out
+
+
 def vtensor(u: Vec, v: Vec, dim2: int) -> Vec:
     """Tensor of coordinate vectors; pair (i, j) lives at index i*dim2 + j."""
     out: Vec = {}
@@ -260,14 +268,6 @@ class LinMap:
             cols.append(combo)
         return LinMap(self.nrows, self.ncols, cols)
 
-    def restrict_rows(self, indices: list[int]) -> "LinMap":
-        """Keep only the given row coordinates, reindexed in list order."""
-        lookup = {r: k for k, r in enumerate(indices)}
-        cols = []
-        for col in self.cols:
-            cols.append({lookup[i]: c for i, c in col.items() if i in lookup})
-        return LinMap(len(indices), self.ncols, cols)
-
     def __repr__(self):
         return f"LinMap({self.nrows}x{self.ncols})"
 
@@ -288,10 +288,6 @@ class Subspace:
         for v in vectors:
             sub.insert(v)
         return sub
-
-    @classmethod
-    def full(cls, ambient: int) -> "Subspace":
-        return cls.from_vectors(ambient, [unit_vec(i) for i in range(ambient)])
 
     @property
     def dim(self) -> int:
@@ -331,18 +327,12 @@ class Subspace:
     def contains(self, v: Vec) -> bool:
         return not self.reduce(v)
 
-    def contains_all(self, vectors: Iterable[Vec]) -> bool:
-        return all(self.contains(v) for v in vectors)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace) and self.ambient == other.ambient
                 and self.pivots == other.pivots and self.rows == other.rows)
 
     def __hash__(self):
         raise TypeError("Subspace is not hashable")
-
-    def __le__(self, other: "Subspace") -> bool:
-        return other.contains_all(self.rows)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)
@@ -380,10 +370,6 @@ class Subspace:
             r = self.reduce(unit_vec(j))
             cols.append({lookup[i]: c for i, c in r.items()})
         return LinMap(len(free), self.ambient, cols)
-
-    def basis_map(self) -> LinMap:
-        """Inclusion Q^dim -> Q^ambient sending e_k to the k-th basis row."""
-        return LinMap(self.ambient, self.dim, [dict(r) for r in self.rows])
 
     def _same_ambient(self, other: "Subspace") -> None:
         if self.ambient != other.ambient:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import FiniteAlgebra, opposite_algebra
-from .linalg import LinMap, Subspace, Vec, solve, unit_vec, vaxpy, vtensor
+from .algebra import FiniteAlgebra, TensorSquare, opposite_algebra
+from .linalg import LinMap, Subspace, Vec, solve, unit_vec, vaxpy, vdot, vtensor
 
 
 class SeparabilityError(ValueError):
@@ -44,23 +44,10 @@ def pairing_matrix(b: FiniteAlgebra, phi: Vec) -> LinMap:
     entries = {}
     for j in range(n):
         for k in range(n):
-            val = _apply(phi, b.mul_basis(j, k))
+            val = vdot(phi, b.mul_basis(j, k))
             if val:
                 entries[(j, k)] = val
     return LinMap.from_entries(n, n, entries)
-
-
-def _apply(phi: Vec, x: Vec) -> Fraction:
-    total = Fraction(0)
-    for i, c in x.items():
-        w = phi.get(i)
-        if w:
-            total += c * w
-    return total
-
-
-def is_faithful(b: FiniteAlgebra, phi: Vec) -> bool:
-    return pairing_matrix(b, phi).is_bijective()
 
 
 def modular_automorphism(b: FiniteAlgebra, phi: Vec) -> LinMap:
@@ -76,7 +63,7 @@ def modular_automorphism(b: FiniteAlgebra, phi: Vec) -> LinMap:
     n = b.dim
     cols = []
     for i in range(n):
-        target = {j: _apply(phi, b.mul_basis(i, j)) for j in range(n)}
+        target = {j: vdot(phi, b.mul_basis(i, j)) for j in range(n)}
         target = {j: c for j, c in target.items() if c}
         cols.append(pinv.apply(target))
     sigma = LinMap(n, n, cols)
@@ -89,7 +76,7 @@ def modular_automorphism(b: FiniteAlgebra, phi: Vec) -> LinMap:
             if lhs != rhs:
                 raise NoModularAutomorphism("solved map is not multiplicative")
     for i in range(n):
-        if _apply(phi, sigma.apply(unit_vec(i))) != phi.get(i, Fraction(0)):
+        if vdot(phi, sigma.apply(unit_vec(i))) != phi.get(i, Fraction(0)):
             raise NoModularAutomorphism("phi is not invariant under sigma")
     return sigma
 
@@ -107,7 +94,8 @@ class SeparabilityIdempotent:
     """E in B (x) C with antipodal maps and integrals.
 
     The tensor is stored in coordinates over the bases of the abstract
-    algebras B and C; index (alpha, beta) sits at alpha * dim C + beta.
+    algebras B and C; index (alpha, beta) sits at alpha * dim C + beta,
+    the index of ``bc``, the TensorSquare of B and C.
     """
 
     def __init__(self, b: FiniteAlgebra, c: FiniteAlgebra, e: Vec,
@@ -122,107 +110,35 @@ class SeparabilityIdempotent:
         self.phi_c = phi_c
         self.sigma_b = sigma_b
         self.sigma_c = sigma_c
-
-    def mul_bc(self, x: Vec, y: Vec) -> Vec:
-        """Product in B (x) C."""
-        nb, nc = self.b.dim, self.c.dim
-        out: Vec = {}
-        for p, cf in x.items():
-            p1, p2 = divmod(p, nc)
-            for q, df in y.items():
-                q1, q2 = divmod(q, nc)
-                left = self.b.mul_basis(p1, q1)
-                if not left:
-                    continue
-                right = self.c.mul_basis(p2, q2)
-                if not right:
-                    continue
-                vaxpy(out, cf * df, vtensor(left, right, nc))
-        return out
+        self.bc = TensorSquare(b, c)
 
     def check_invariants(self) -> list[str]:
         """Names of violated defining identities (empty when sound)."""
         bad = []
-        if self.mul_bc(self.e, self.e) != self.e:
+        bc = self.bc
+        if bc.mul(self.e, self.e) != self.e:
             bad.append("idempotency")
-        nb, nc = self.b.dim, self.c.dim
-        for x in range(nb):
-            lhs = self._right_mul_leg1(self.e, unit_vec(x))
-            rhs = self._right_mul_leg2(self.e, self.s_b.apply(unit_vec(x)))
+        for x in range(self.b.dim):
+            lhs = bc.mul_right_leg1(self.e, unit_vec(x))
+            rhs = bc.mul_right_leg2(self.e, self.s_b.apply(unit_vec(x)))
             if lhs != rhs:
                 bad.append("antipodal-B")
                 break
-        for y in range(nc):
-            lhs = self._left_mul_leg2(unit_vec(y), self.e)
-            rhs = self._left_mul_leg1(self.s_c.apply(unit_vec(y)), self.e)
+        for y in range(self.c.dim):
+            lhs = bc.mul_left_leg2(unit_vec(y), self.e)
+            rhs = bc.mul_left_leg1(self.s_c.apply(unit_vec(y)), self.e)
             if lhs != rhs:
                 bad.append("antipodal-C")
                 break
-        if self._slice1(self.phi_b, self.e) != self.c.unit():
+        if bc.functional_leg1(self.phi_b, self.e) != self.c.unit():
             bad.append("integral-B")
-        if self._slice2(self.phi_c, self.e) != self.b.unit():
+        if bc.functional_leg2(self.phi_c, self.e) != self.b.unit():
             bad.append("integral-C")
         if self.s_c != self.sigma_b.inverse() @ self.s_b.inverse():
             bad.append("S_C-formula")
         if self.sigma_c != self.s_b @ self.s_c:
             bad.append("sigma_C-formula")
         return bad
-
-    def _right_mul_leg1(self, e: Vec, x: Vec) -> Vec:
-        nc = self.c.dim
-        out: Vec = {}
-        for p, cf in e.items():
-            p1, p2 = divmod(p, nc)
-            for k, df in self.b.mul(unit_vec(p1), x).items():
-                vaxpy(out, cf * df, {k * nc + p2: Fraction(1)})
-        return out
-
-    def _right_mul_leg2(self, e: Vec, y: Vec) -> Vec:
-        nc = self.c.dim
-        out: Vec = {}
-        for p, cf in e.items():
-            p1, p2 = divmod(p, nc)
-            for k, df in self.c.mul(unit_vec(p2), y).items():
-                vaxpy(out, cf * df, {p1 * nc + k: Fraction(1)})
-        return out
-
-    def _left_mul_leg1(self, x: Vec, e: Vec) -> Vec:
-        nc = self.c.dim
-        out: Vec = {}
-        for p, cf in e.items():
-            p1, p2 = divmod(p, nc)
-            for k, df in self.b.mul(x, unit_vec(p1)).items():
-                vaxpy(out, cf * df, {k * nc + p2: Fraction(1)})
-        return out
-
-    def _left_mul_leg2(self, y: Vec, e: Vec) -> Vec:
-        nc = self.c.dim
-        out: Vec = {}
-        for p, cf in e.items():
-            p1, p2 = divmod(p, nc)
-            for k, df in self.c.mul(y, unit_vec(p2)).items():
-                vaxpy(out, cf * df, {p1 * nc + k: Fraction(1)})
-        return out
-
-    def _slice1(self, phi: Vec, e: Vec) -> Vec:
-        nc = self.c.dim
-        out: Vec = {}
-        for p, cf in e.items():
-            p1, p2 = divmod(p, nc)
-            w = phi.get(p1)
-            if w:
-                vaxpy(out, cf * w, {p2: Fraction(1)})
-        return out
-
-    def _slice2(self, phi: Vec, e: Vec) -> Vec:
-        nc = self.c.dim
-        out: Vec = {}
-        for p, cf in e.items():
-            p1, p2 = divmod(p, nc)
-            w = phi.get(p2)
-            if w:
-                vaxpy(out, cf * w, {p1: Fraction(1)})
-        return out
 
 
 def build_E_from_functional(b: FiniteAlgebra, phi: Vec,
@@ -250,7 +166,7 @@ def build_E_from_functional(b: FiniteAlgebra, phi: Vec,
     sigma_c = s_b @ s_c
     idem = SeparabilityIdempotent(b, c, e, s_b, s_c, phi_b=dict(phi),
                                   phi_c=phi_c, sigma_b=sigma_b, sigma_c=sigma_c)
-    ee = idem.mul_bc(e, e)
+    ee = idem.bc.mul(e, e)
     if ee != e:
         defect = dict(ee)
         vaxpy(defect, Fraction(-1), e)
@@ -263,7 +179,7 @@ def _pushforward(phi: Vec, s_b: LinMap) -> Vec:
     inv = s_b.inverse()
     out: Vec = {}
     for j in range(inv.ncols):
-        val = _apply(phi, inv.apply(unit_vec(j)))
+        val = vdot(phi, inv.apply(unit_vec(j)))
         if val:
             out[j] = val
     return out
@@ -272,24 +188,13 @@ def _pushforward(phi: Vec, s_b: LinMap) -> Vec:
 def slice_property_holds(idem: SeparabilityIdempotent) -> bool:
     """(phi(. x) (x) id)E = S_B(x) on the basis of B, plus the derived
     right-handed law (id (x) phi_C(y .))E = S_C(y) on the basis of C."""
-    b, c = idem.b, idem.c
-    nc = c.dim
-    for x in range(b.dim):
-        acc: Vec = {}
-        for p, cf in idem.e.items():
-            p1, p2 = divmod(p, nc)
-            w = _apply(idem.phi_b, b.mul(unit_vec(p1), unit_vec(x)))
-            if w:
-                vaxpy(acc, cf * w, {p2: Fraction(1)})
+    bc = idem.bc
+    for x in range(idem.b.dim):
+        acc = bc.functional_leg1(idem.phi_b, bc.mul_right_leg1(idem.e, unit_vec(x)))
         if acc != idem.s_b.apply(unit_vec(x)):
             return False
-    for y in range(c.dim):
-        acc2: Vec = {}
-        for p, cf in idem.e.items():
-            p1, p2 = divmod(p, nc)
-            w = _apply(idem.phi_c, c.mul(unit_vec(y), unit_vec(p2)))
-            if w:
-                vaxpy(acc2, cf * w, {p1: Fraction(1)})
+    for y in range(idem.c.dim):
+        acc2 = bc.functional_leg2(idem.phi_c, bc.mul_left_leg2(unit_vec(y), idem.e))
         if acc2 != idem.s_c.apply(unit_vec(y)):
             return False
     return True

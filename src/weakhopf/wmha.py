@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import AlgebraError, FiniteAlgebra, TensorSquare
-from .linalg import LinMap, Subspace, Vec, solve, unit_vec, vaxpy, vsub, vtensor
+from .algebra import AlgebraError, CoproductSlices, FiniteAlgebra, TensorSquare
+from .linalg import (LinMap, Subspace, Vec, lincomb, solve, unit_vec, vaxpy, vdot,
+                     vtensor)
 from .reporting import SKIP, CheckRecord, Report, failed, passed
 
 
@@ -40,6 +41,7 @@ class WeakMultiplierHopfAlgebra:
             raise AlgebraError("coproduct needs one element per basis vector")
         if algebra.unit() is None:
             raise AlgebraError("finite engine requires a unital algebra")
+        self.slices = CoproductSlices(self.t2, self.delta, self.delta)
         self._antipode_inv: LinMap | None = None
         self._cache: dict = {}
 
@@ -57,35 +59,10 @@ class WeakMultiplierHopfAlgebra:
         return self._antipode_inv
 
     def delta_of(self, x: Vec) -> Vec:
-        out: Vec = {}
-        for i, c in x.items():
-            vaxpy(out, c, self.delta[i])
-        return out
+        return lincomb(x, self.delta)
 
     def eps(self, x: Vec) -> Fraction:
-        total = Fraction(0)
-        for i, c in x.items():
-            w = self.counit.get(i)
-            if w:
-                total += c * w
-        return total
-
-    # slice products of Delta(e_a) with covering elements
-    def slice_r2(self, a: int, b: Vec) -> Vec:
-        """Delta(e_a)(1 (x) b)."""
-        return self.t2.mul_right_leg2(self.delta[a], b)
-
-    def slice_l2(self, a: int, b: Vec) -> Vec:
-        """(1 (x) b) Delta(e_a)."""
-        return self.t2.mul_left_leg2(b, self.delta[a])
-
-    def slice_r1(self, a: int, c: Vec) -> Vec:
-        """Delta(e_a)(c (x) 1)."""
-        return self.t2.mul_right_leg1(self.delta[a], c)
-
-    def slice_l1(self, a: int, c: Vec) -> Vec:
-        """(c (x) 1) Delta(e_a)."""
-        return self.t2.mul_left_leg1(c, self.delta[a])
+        return vdot(x, self.counit)
 
     # reified source/target values mu(S (x) id)Delta resp. mu(id (x) S)Delta
     def source_value(self, a: int) -> Vec:
@@ -98,27 +75,7 @@ class WeakMultiplierHopfAlgebra:
 
     def canonical_map(self, which: int) -> LinMap:
         """T_1..T_4 on the tensor square, assembled from slices."""
-        key = ("T", which)
-        if key in self._cache:
-            return self._cache[key]
-        d = self.dim
-        cols = []
-        for a in range(d):
-            for b in range(d):
-                ea, eb = unit_vec(a), unit_vec(b)
-                if which == 1:
-                    cols.append(self.slice_r2(a, eb))
-                elif which == 2:
-                    cols.append(self.slice_l1(b, ea))
-                elif which == 3:
-                    cols.append(self.slice_l2(a, eb))
-                elif which == 4:
-                    cols.append(self.slice_r1(b, ea))
-                else:
-                    raise ValueError(which)
-        m = LinMap(d * d, d * d, cols)
-        self._cache[key] = m
-        return m
+        return self.slices.canonical_map(which)
 
     def generalized_inverse(self, which: int) -> LinMap:
         """R_1..R_4, realized as slice compositions with S."""
@@ -195,24 +152,16 @@ def check_homomorphism(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
 def check_coassociativity(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
     """Covered form: (a(x)1(x)1)(Delta(x)id)(Delta(b)(1(x)c)) equals
     (id(x)Delta)((a(x)1)Delta(b))(1(x)1(x)c) on all basis triples."""
-    alg, d = bundle.algebra, bundle.dim
+    alg, t2, d = bundle.algebra, bundle.t2, bundle.dim
+    sl = bundle.slices
     for b in range(d):
         for c in range(d):
-            x = bundle.slice_r2(b, unit_vec(c))
+            x = sl.r2(b, c)
             if not x:
                 continue
             for a in range(d):
-                ea = unit_vec(a)
-                lhs: Vec = {}
-                for p, coeff in x.items():
-                    u, v = divmod(p, d)
-                    vaxpy(lhs, coeff, vtensor(bundle.slice_l1(u, ea), unit_vec(v), d))
-                y = bundle.slice_l1(b, ea)
-                rhs: Vec = {}
-                for p, coeff in y.items():
-                    u, v = divmod(p, d)
-                    vaxpy(rhs, coeff,
-                          _tensor_1_22(unit_vec(u), bundle.slice_r2(v, unit_vec(c)), d))
+                lhs = t2.expand_leg1(x, lambda u: sl.l1(u, a))
+                rhs = t2.expand_leg2(sl.l1(b, a), lambda v: sl.r2(v, c))
                 if lhs != rhs:
                     return failed("coproduct-coassociativity",
                                   {"triple": [alg.labels[a], alg.labels[b], alg.labels[c]]})
@@ -225,10 +174,10 @@ def check_fullness(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
     right = Subspace(d)
     for a in range(d):
         for b in range(d):
-            x = bundle.slice_r2(a, unit_vec(b))
+            x = bundle.slices.r2(a, b)
             for leg2, vec1 in _split_leg2(x, d).items():
                 left.insert(vec1)
-            y = bundle.slice_l1(b, unit_vec(a))
+            y = bundle.slices.l1(b, a)
             for leg1, vec2 in _split_leg1(y, d).items():
                 right.insert(vec2)
         if left.dim == d and right.dim == d:
@@ -261,13 +210,13 @@ def check_counit(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
     alg, t2, d = bundle.algebra, bundle.t2, bundle.dim
     for a in range(d):
         for b in range(d):
-            lhs = t2.functional_leg1(bundle.counit, bundle.slice_r2(a, unit_vec(b)))
+            lhs = t2.functional_leg1(bundle.counit, bundle.slices.r2(a, b))
             ab = alg.mul_basis(a, b)
             if lhs != ab:
                 return failed("counit-left-law",
                               {"pair": [alg.labels[a], alg.labels[b]],
                                "lhs": lhs, "rhs": ab})
-            rhs = t2.functional_leg2(bundle.counit, bundle.slice_l1(b, unit_vec(a)))
+            rhs = t2.functional_leg2(bundle.counit, bundle.slices.l1(b, a))
             if rhs != ab:
                 return failed("counit-right-law",
                               {"pair": [alg.labels[a], alg.labels[b]],
@@ -292,14 +241,14 @@ def check_counit_uniqueness(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
     for a in range(d):
         for b in range(d):
             ab = alg.mul_basis(a, b)
-            x = bundle.slice_r2(a, unit_vec(b))
+            x = bundle.slices.r2(a, b)
             # (f (x) id)(x) = ab: for each output coord k, sum_j x[j,k] f_j
             by_k: dict[int, Vec] = {}
             for p, c in x.items():
                 j, k = divmod(p, d)
                 by_k.setdefault(k, {})[j] = c
             emit(by_k, ab)
-            y = bundle.slice_l1(b, unit_vec(a))
+            y = bundle.slices.l1(b, a)
             by_j: dict[int, Vec] = {}
             for p, c in y.items():
                 j, k = divmod(p, d)
@@ -361,7 +310,7 @@ def _check_E_comultiplicative(bundle, e: Vec, delta_of) -> CheckRecord | None:
                         continue
                     block = t2.mul(delta_of(unit_vec(k)), vtensor(unit_vec(v), ew, d))
                     if block:
-                        vaxpy(mid, c, _tensor_1_22(prod, block, d))
+                        vaxpy(mid, c, vtensor(prod, block, d * d))
                 inner = t2.mul(e, vtensor(unit_vec(v), ew, d))
                 rhs: Vec = {}
                 for p, c in inner.items():
@@ -378,17 +327,6 @@ def _check_E_comultiplicative(bundle, e: Vec, delta_of) -> CheckRecord | None:
                                   {"triple": [alg.labels[u], alg.labels[v], alg.labels[w]],
                                    "side": "delta-leg2"})
     return None
-
-
-def _tensor_1_22(x1: Vec, x23: Vec, d: int) -> Vec:
-    """x1 (x) x23 with x23 already a tensor-square element."""
-    out: Vec = {}
-    dd = d * d
-    for i, c in x1.items():
-        base = i * dd
-        for p, e in x23.items():
-            out[base + p] = c * e
-    return out
 
 
 def check_range_conditions(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
@@ -418,7 +356,7 @@ def check_antipode_identities(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
     for a in range(d):
         for b in range(d):
             eb = unit_vec(b)
-            x = bundle.slice_r2(a, eb)
+            x = bundle.slices.r2(a, b)
             acc: Vec = {}
             for p, c in x.items():
                 j, k = divmod(p, d)
@@ -428,7 +366,7 @@ def check_antipode_identities(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
                 return failed("antipode-triple-product-first",
                               {"pair": [alg.labels[a], alg.labels[b]],
                                "lhs": acc, "rhs": ab})
-            y = bundle.slice_l2(a, si.apply(eb))
+            y = t2.mul_left_leg2(si.apply(eb), bundle.delta[a])
             acc2: Vec = {}
             for p, c in y.items():
                 j, k = divmod(p, d)
@@ -485,38 +423,22 @@ def check_projection_formulas(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
         if got != want:
             return failed("projection-formula-TR", {"map": f"T{i}R{i}"})
     for i in (1, 2, 3, 4):
-        f = bundle.kernel_idempotent(i)
         rt = bundle.generalized_inverse(i) @ bundle.canonical_map(i)
-        for a in range(d):
-            for b in range(d):
-                ea, eb = unit_vec(a), unit_vec(b)
-                if i in (1, 2):
-                    want_vec = t2.sandwich(ea, f, eb)
-                else:
-                    want_vec = t2.mul_left_leg2(eb, t2.mul_right_leg1(f, ea))
-                got_vec = rt.apply(vtensor(ea, eb, d))
-                if got_vec != want_vec:
-                    return failed("projection-formula-RT",
-                                  {"map": f"R{i}T{i}",
-                                   "pair": [bundle.algebra.labels[a],
-                                            bundle.algebra.labels[b]]})
+        want = t2.twisted_projector(bundle.kernel_idempotent(i), i)
+        if rt != want:
+            j = next(j for j in range(t2.size) if rt.cols[j] != want.cols[j])
+            a, b = divmod(j, d)
+            return failed("projection-formula-RT",
+                          {"map": f"R{i}T{i}",
+                           "pair": [bundle.algebra.labels[a], bundle.algebra.labels[b]]})
     return passed("projection-formulas")
 
 
 def check_kernel_subspaces(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
-    t2, d = bundle.t2, bundle.dim
+    t2 = bundle.t2
     for i in (1, 2, 3, 4):
-        f = bundle.kernel_idempotent(i)
-        gens = []
-        for a in range(d):
-            for b in range(d):
-                ea, eb = unit_vec(a), unit_vec(b)
-                plain = vtensor(ea, eb, d)
-                if i in (1, 2):
-                    gens.append(vsub(plain, t2.sandwich(ea, f, eb)))
-                else:
-                    gens.append(vsub(plain, t2.mul_left_leg2(eb, t2.mul_right_leg1(f, ea))))
-        described = Subspace.from_vectors(d * d, gens)
+        projector = t2.twisted_projector(bundle.kernel_idempotent(i), i)
+        described = (LinMap.identity(t2.size) - projector).image()
         kernel = bundle.canonical_map(i).kernel()
         if described != kernel:
             return failed("kernel-subspaces",
@@ -536,15 +458,8 @@ def compute_E(algebra: FiniteAlgebra, delta: list[Vec],
     """
     t2 = TensorSquare(algebra)
     unit = algebra.unit()
-
-    def delta_of(x: Vec) -> Vec:
-        out: Vec = {}
-        for i, c in x.items():
-            vaxpy(out, c, delta[i])
-        return out
-
     if unit is not None and not force_generic:
-        e = delta_of(unit)
+        e = lincomb(unit, delta)
         if t2.mul(e, e) != e:
             raise NoSuchIdempotent("coproduct value at the unit is not idempotent")
         return e

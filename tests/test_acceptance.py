@@ -83,7 +83,7 @@ def test_criterion_2_separability():
     idem = build_E_from_functional(m2, {0: Fraction(2), 3: Fraction(2)})
     assert idem.check_invariants() == []
     # (phi_B x id)E = 1 exactly
-    assert idem._slice1(idem.phi_b, idem.e) == idem.c.unit()
+    assert idem.bc.functional_leg1(idem.phi_b, idem.e) == idem.c.unit()
     from weakhopf.algebra import make_algebra
     dual = make_algebra(["1", "x"], {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1})
     with pytest.raises(NotIdempotentE) as info:

@@ -147,6 +147,25 @@ def test_tensor_square_mul_is_componentwise():
     assert t2.mul(b, a) == t2.tensor(unit_vec(3), unit_vec(3))
 
 
+def test_tensor_product_of_different_algebras():
+    # B = Q + Q (orthogonal idempotents e0, e1), C = M_2 (0=e11 1=e12 2=e21 3=e22);
+    # (alpha, beta) sits at alpha * dim C + beta
+    bc = TensorSquare(direct_sum(field_algebra(), field_algebra()), matrix_algebra(2))
+    assert (bc.dim, bc.size) == (4, 8)
+    assert bc.tensor(unit_vec(1), unit_vec(1)) == {5: 1}
+    x = {1 * 4 + 1: Fraction(1), 0 * 4 + 3: Fraction(2)}  # e1 (x) e12 + 2 e0 (x) e22
+    assert bc.mul(x, x) == {3: 4}
+    assert bc.mul_left_leg1(unit_vec(1), x) == {5: 1}
+    assert bc.mul_right_leg1(x, unit_vec(0)) == {3: 2}
+    # e21 e12 = e22 and e21 e22 = 0
+    assert bc.mul_left_leg2(unit_vec(2), x) == {1 * 4 + 3: 1}
+    # e12 e21 = e11 and e22 e21 = e21
+    assert bc.mul_right_leg2(x, unit_vec(2)) == {1 * 4 + 0: 1, 0 * 4 + 2: 2}
+    assert bc.functional_leg1({1: Fraction(3)}, x) == {1: 3}
+    trace = {0: Fraction(1), 3: Fraction(1)}
+    assert bc.functional_leg2(trace, x) == {0: 2}
+
+
 def test_tensor_of_function_algebras_counts_arrow_pairs():
     from weakhopf.groupoids import function_algebra, pair_groupoid
     g = pair_groupoid(2)

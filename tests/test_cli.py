@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from weakhopf import cli
 from weakhopf.cli import main
 
 
@@ -129,3 +132,23 @@ def test_weighted_base_example(tmp_path, capsys):
         "--out", str(path))
     code, _ = run(capsys, "check-wmha", str(path))
     assert code == 0
+
+
+@pytest.mark.parametrize("command, example", [("algebroid-to-wmha", "obstructed"),
+                                              ("roundtrip", "pair-groupoid")])
+def test_reconstruction_error_is_a_report(tmp_path, capsys, monkeypatch, command, example):
+    path = tmp_path / "input.json"
+    run(capsys, "gen-example", example, "--out", str(path))
+
+    def broken(*args, **kwargs):
+        raise cli.ReconstructionError("rebuilt coproducts do not merge")
+
+    monkeypatch.setattr(cli, "reconstruction_pipeline", broken)
+    code = main(["--format", "json", command, str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    records = {r["check"]: r for r in json.loads(captured.out)["checks"]}
+    record = records["internal-inconsistency"]
+    assert record["status"] == "fail"
+    assert record["witness"] == {"error": "rebuilt coproducts do not merge"}

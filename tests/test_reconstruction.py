@@ -9,10 +9,12 @@ from weakhopf.examples import (identity_twist, mixed_algebroid,
                                swap_crossed_setup, weighted_m2_twist_setup)
 from weakhopf.groupoids import (action_groupoid, as_wmha, cyclic_group,
                                 group_groupoid, pair_groupoid)
+from weakhopf.linalg import unit_vec
 from weakhopf.reconstruction import (ObstructionReport, PipelineResult,
                                      STAGE_COUNITS_DIFFER,
                                      STAGE_MODULAR_MISMATCH,
-                                     STAGE_NOT_SEPARABLE, reconstruction_pipeline)
+                                     STAGE_NOT_SEPARABLE, rebuilt_coproducts,
+                                     reconstruction_pipeline)
 from weakhopf.separability import build_E_from_functional
 
 
@@ -135,3 +137,27 @@ def test_meta_identity_recorded_on_every_run():
         rec = next(r for r in report.records
                    if r.name == "counit-antipode-invariance-meta")
         assert rec.ok
+
+
+def test_cached_slices_match_leg_products():
+    """Every cached slice of the bundle, its forward algebroid and the
+    rebuilt coproducts equals the uncached leg product."""
+    idem = build_E_from_functional(matrix_algebra(2), {0: Fraction(3, 2), 3: Fraction(3)})
+    bundle = scalar_extension_wmha(idem)
+    alg, report = forward_construct(bundle)
+    assert report.ok
+    t2, d = bundle.t2, bundle.dim
+    sides_differ = False
+    for slices in (bundle.slices, alg.slices, rebuilt_coproducts(alg, bundle.E)):
+        for a in range(d):
+            for b in range(d):
+                eb = unit_vec(b)
+                r1 = t2.mul_right_leg1(slices.left[a], eb)
+                l1 = t2.mul_left_leg1(eb, slices.right[a])
+                assert slices.r1(a, b) == r1
+                assert slices.r2(a, b) == t2.mul_right_leg2(slices.left[a], eb)
+                assert slices.l1(a, b) == l1
+                assert slices.l2(a, b) == t2.mul_left_leg2(eb, slices.right[a])
+                sides_differ = sides_differ or r1 != t2.mul_left_leg1(eb, slices.left[a])
+    # the algebra is noncommutative, so the side of the cover matters
+    assert sides_differ

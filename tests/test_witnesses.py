@@ -10,7 +10,7 @@ from weakhopf.reconstruction import (ObstructionReport, RebuiltCoproducts,
                                      STAGE_KERNELS, STAGE_RANGES,
                                      check_kernels,
                                      check_ranges_and_fullness,
-                                     reconstruction_pipeline)
+                                     rebuilt_coproducts, reconstruction_pipeline)
 from weakhopf.reporting import Report
 from weakhopf.witnesses import revalidate
 
@@ -63,10 +63,11 @@ def p2_setup():
 def test_synthetic_range_failure_revalidates(p2_setup):
     bundle, alg = p2_setup
     report = Report("synthetic")
-    cops = RebuiltCoproducts(alg, bundle.E)
+    honest = rebuilt_coproducts(alg, bundle.E)
     # corrupt one rebuilt coproduct value so the range shrinks
-    cops.delta_elt[0] = {}
-    cops._cache.clear()
+    left = list(honest.left)
+    left[0] = {}
+    cops = RebuiltCoproducts(alg.t2, left, honest.right)
     got = check_ranges_and_fullness(alg, cops, bundle.E, report)
     assert got is None
     witness = report.records[-1].witness
@@ -90,7 +91,7 @@ def test_synthetic_kernel_failure_revalidates(p2_setup):
     bundle, alg = p2_setup
     bad = _corrupted(alg, 0)
     report = Report("synthetic")
-    cops = RebuiltCoproducts(bad, bundle.E)
+    cops = rebuilt_coproducts(bad, bundle.E)
     ok = check_kernels(bad, cops, report)
     assert not ok
     witness = report.records[-1].witness

@@ -96,7 +96,7 @@ def test_counit_failure_witness(p2):
     # the pair ((2,2), (2,2)) is among the violations: its coproduct
     # slice is d_{(2,2)} (x) d_{(2,2)} which the functional sends to zero
     a = p2.index["(2,2)"]
-    lhs = bad.t2.functional_leg1(bad.counit, bad.slice_r2(a, unit_vec(a)))
+    lhs = bad.t2.functional_leg1(bad.counit, bad.slices.r2(a, a))
     assert lhs == {} != bad.algebra.mul_basis(a, a)
 
 
