@@ -3,8 +3,9 @@
 An algebra lives on Q^dim with basis products e_i * e_j given by sparse
 structure-constant vectors.  The constructors check (or inherit) the
 three structural requirements: associativity, non-degenerate product,
-and idempotency (A*A = A).  Multipliers are pairs of action maps; for a
-unital algebra they reify to ordinary elements.
+and idempotency (A*A = A).  The engine works with unital algebras only,
+where the multiplier algebra M(A) is A itself, so every multiplier the
+theory needs is an element.
 
 ``TensorSquare`` holds the only leg-wise product code, for A (x) A and
 for B (x) C alike.  ``CoproductSlices`` is the one slice object: it
@@ -18,8 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from .linalg import (LinMap, Span, Subspace, Vec, rat, solve, unit_vec,
-                     vaxpy, vtensor)
+from .linalg import LinMap, Subspace, Vec, rat, solve, unit_vec, vaxpy, vtensor
 
 
 class AlgebraError(ValueError):
@@ -225,193 +225,6 @@ def opposite_algebra(a: FiniteAlgebra) -> FiniteAlgebra:
                          validated=True)
 
 
-class Multiplier:
-    """Element of M(A) given by its two action maps on A.
-
-    left(b) = m*b and right(b) = b*m.  The compatibility laws
-    left(ab) = left(a)b, right(ab) = a right(b), right(a)b = a left(b)
-    are what make the pair a genuine multiplier.
-    """
-
-    __slots__ = ("algebra", "left", "right")
-
-    def __init__(self, algebra: FiniteAlgebra, left: LinMap, right: LinMap):
-        self.algebra = algebra
-        self.left = left
-        self.right = right
-
-    @classmethod
-    def from_element(cls, algebra: FiniteAlgebra, x: Vec) -> "Multiplier":
-        return cls(algebra, algebra.left_mult(x), algebra.right_mult(x))
-
-    @classmethod
-    def one(cls, algebra: FiniteAlgebra) -> "Multiplier":
-        ident = LinMap.identity(algebra.dim)
-        return cls(algebra, ident, ident)
-
-    def is_compatible(self) -> tuple[bool, tuple | None]:
-        alg = self.algebra
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                ab = alg.mul_basis(i, j)
-                a, b = unit_vec(i), unit_vec(j)
-                if self.left.apply(ab) != alg.mul(self.left.apply(a), b):
-                    return False, ("left", i, j)
-                if self.right.apply(ab) != alg.mul(a, self.right.apply(b)):
-                    return False, ("right", i, j)
-                if alg.mul(self.right.apply(a), b) != alg.mul(a, self.left.apply(b)):
-                    return False, ("mixed", i, j)
-        return True, None
-
-    def __mul__(self, other: "Multiplier") -> "Multiplier":
-        return Multiplier(self.algebra, self.left @ other.left,
-                          other.right @ self.right)
-
-    def __add__(self, other: "Multiplier") -> "Multiplier":
-        return Multiplier(self.algebra, self.left + other.left,
-                          self.right + other.right)
-
-    def __sub__(self, other: "Multiplier") -> "Multiplier":
-        return Multiplier(self.algebra, self.left - other.left,
-                          self.right - other.right)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Multiplier)
-                and self.left == other.left and self.right == other.right)
-
-    def __hash__(self):
-        raise TypeError("Multiplier is not hashable")
-
-    def reify(self) -> Vec:
-        """The element m*1 when the algebra has a unit."""
-        e = self.algebra.unit()
-        if e is None:
-            raise AlgebraError("algebra has no unit; multiplier is not an element")
-        return self.left.apply(e)
-
-    def __repr__(self):
-        return f"Multiplier(dim {self.algebra.dim})"
-
-
-def multiplier_algebra(a: FiniteAlgebra) -> tuple[FiniteAlgebra, LinMap]:
-    """M(A) as a structure-constants algebra plus the embedding A -> M(A).
-
-    Solved as the space of compatible (left, right) pairs: first the
-    left-multiplier and right-multiplier laws separately, then the
-    mixed law coupling the two.
-    """
-    n = a.dim
-    nn = n * n
-
-    def col_index(j, i):
-        return j * n + i  # entry (i, j) of an action matrix
-
-    def law_rows(which: str) -> LinMap:
-        rows = []
-        for i in range(n):
-            for j in range(n):
-                ab = a.mul_basis(i, j)
-                for r in range(n):
-                    row: Vec = {}
-                    # L(ab)_r  -  (L(e_i) e_j)_r  resp. right-side variant
-                    if which == "left":
-                        for k, c in ab.items():
-                            vaxpy(row, c, {col_index(k, r): Fraction(1)})
-                        for s in range(n):
-                            prod = a.mul_basis(s, j)
-                            c = prod.get(r)
-                            if c:
-                                vaxpy(row, -c, {col_index(i, s): Fraction(1)})
-                    else:
-                        for k, c in ab.items():
-                            vaxpy(row, c, {col_index(k, r): Fraction(1)})
-                        for s in range(n):
-                            prod = a.mul_basis(i, s)
-                            c = prod.get(r)
-                            if c:
-                                vaxpy(row, -c, {col_index(j, s): Fraction(1)})
-                    rows.append(row)
-        return LinMap.from_rows(nn, rows)
-
-    left_space = law_rows("left").kernel()
-    right_space = law_rows("right").kernel()
-
-    def as_map(v: Vec) -> LinMap:
-        m = LinMap(n, n)
-        for idx, c in v.items():
-            j, i = divmod(idx, n)
-            m.cols[j][i] = c
-        return m
-
-    lmaps = [as_map(v) for v in left_space.rows]
-    rmaps = [as_map(v) for v in right_space.rows]
-
-    # mixed law: R(e_i) e_j = e_i L(e_j) over the product of the two spaces
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            for r in range(n):
-                row: Vec = {}
-                for t, lm in enumerate(lmaps):
-                    c = a.mul(unit_vec(i), lm.apply(unit_vec(j))).get(r)
-                    if c:
-                        row[t] = -c
-                for t, rm in enumerate(rmaps):
-                    c = a.mul(rm.apply(unit_vec(i)), unit_vec(j)).get(r)
-                    if c:
-                        vaxpy(row, Fraction(1), {len(lmaps) + t: c})
-                rows.append(row)
-    pairs = LinMap.from_rows(len(lmaps) + len(rmaps), rows).kernel()
-
-    basis: list[tuple[LinMap, LinMap]] = []
-    for combo in pairs.rows:
-        lm = LinMap(n, n)
-        rm = LinMap(n, n)
-        for t, c in combo.items():
-            if t < len(lmaps):
-                lm = lm + lmaps[t].scale(c)
-            else:
-                rm = rm + rmaps[t - len(lmaps)].scale(c)
-        basis.append((lm, rm))
-
-    dim_m = len(basis)
-    # coordinates: flatten (left, right) pair into one tracking span
-    span = Span(2 * nn)
-
-    def flatten(lm: LinMap, rm: LinMap) -> Vec:
-        v: Vec = {}
-        for j in range(n):
-            for i, c in lm.cols[j].items():
-                v[col_index(j, i)] = c
-            for i, c in rm.cols[j].items():
-                v[nn + col_index(j, i)] = c
-        return v
-
-    for lm, rm in basis:
-        span.add(flatten(lm, rm))
-
-    def coords(lm: LinMap, rm: LinMap) -> Vec:
-        combo = span.express(flatten(lm, rm))
-        if combo is None:
-            raise AlgebraError("product left the multiplier space")
-        return combo
-
-    def mul(i: int, j: int) -> Vec:
-        li, ri = basis[i]
-        lj, rj = basis[j]
-        return coords(li @ lj, rj @ ri)
-
-    m_alg = FiniteAlgebra([f"m{t}" for t in range(dim_m)], mul, validated=True)
-    embed_cols = []
-    for i in range(n):
-        x = unit_vec(i)
-        embed_cols.append(coords(a.left_mult(x), a.right_mult(x)))
-    embedding = LinMap(dim_m, n, embed_cols)
-    return m_alg, embedding
-
-
-
-
 # -- tensor products and slices used throughout the Hopf machinery -------
 
 class TensorSquare:
@@ -523,6 +336,21 @@ class TensorSquare:
             w = phi.get(p2)
             if w:
                 vaxpy(out, c * w, {p1: Fraction(1)})
+        return out
+
+    def leg_vectors(self, x: Vec, leg: int) -> dict[int, Vec]:
+        """x grouped by its other leg: for leg 1 the first-leg vectors
+        sum_u x[u, v] e_u keyed by the second-leg index v, for leg 2 the
+        second-leg vectors sum_v x[u, v] e_v keyed by u.  The values span
+        the leg span of x on that leg."""
+        d = self.dim
+        out: dict[int, Vec] = {}
+        for p, c in x.items():
+            u, v = divmod(p, d)
+            if leg == 1:
+                out.setdefault(v, {})[u] = c
+            else:
+                out.setdefault(u, {})[v] = c
         return out
 
     def expand_leg1(self, x: Vec, f: Callable[[int], Vec]) -> Vec:

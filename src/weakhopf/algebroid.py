@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from .algebra import AlgebraError, CoproductSlices, FiniteAlgebra, TensorSquare
 from .balanced import BalancedTensorSpace, TripleQuotient, build_balanced
-from .base_algebras import SubalgebraView, run_base_suite
-from .linalg import LinMap, Subspace, Vec, lincomb, unit_vec, vaxpy, vtensor
+from .base_algebras import (SubalgebraView, action_span_dim, first_noncommuting_pair,
+                            is_anti_homomorphism, run_base_suite)
+from .linalg import LinMap, Subspace, Vec, lincomb, unit_vec, vtensor
 from .reporting import CheckRecord, Report, failed, passed
 from .wmha import WeakMultiplierHopfAlgebra
 
@@ -79,32 +80,15 @@ class QuantumGraphPair:
         anti-isomorphism, realized in A (x) A."""
         if self.e_coords is None:
             raise AlgebraError("no separability idempotent on this graph pair")
-        if which in self._f_cache:
-            return self._f_cache[which]
-        d = self.algebra.dim
-        nb, nc = self.b_view.dim, self.c_view.dim
-        sb_inv = self.s_b.inverse()
-        sc_inv = self.s_c.inverse()
-        out: Vec = {}
-        for p, coeff in self.e_coords.items():
-            alpha, beta = divmod(p, nc)
-            if which == 1:
-                left = self.b_view.basis[alpha]
-                right = self.b_view.from_coords(self.s_c.apply(unit_vec(beta)))
-            elif which == 2:
-                left = self.c_view.from_coords(self.s_b.apply(unit_vec(alpha)))
-                right = self.c_view.basis[beta]
-            elif which == 3:
-                left = self.b_view.basis[alpha]
-                right = self.b_view.from_coords(sb_inv.apply(unit_vec(beta)))
-            elif which == 4:
-                left = self.c_view.from_coords(sc_inv.apply(unit_vec(alpha)))
-                right = self.c_view.basis[beta]
-            else:
-                raise ValueError(which)
-            vaxpy(out, coeff, vtensor(left, right, d))
-        self._f_cache[which] = out
-        return out
+        if which not in (1, 2, 3, 4):
+            raise ValueError(which)
+        if which not in self._f_cache:
+            b, c = self.b_view.basis_map, self.c_view.basis_map
+            left, right = {1: (b, b @ self.s_c), 2: (c @ self.s_b, c),
+                           3: (b, b @ self.s_b.inverse()),
+                           4: (c @ self.s_c.inverse(), c)}[which]
+            self._f_cache[which] = left.tensor(right).apply(self.e_coords)
+        return self._f_cache[which]
 
     def balanced(self, kind: str) -> BalancedTensorSpace:
         if kind not in self._bal_cache:
@@ -126,37 +110,19 @@ class QuantumGraphPair:
             report.add(failed("ambient-local-units", {}))
             return report
         report.add(passed("ambient-local-units"))
-        commute = all(alg.mul(b, c) == alg.mul(c, b)
-                      for b in self.b_view.basis for c in self.c_view.basis)
+        commute = first_noncommuting_pair(alg, self.b_view, self.c_view) is None
         report.add(passed("bases-commute") if commute else
                    failed("bases-commute", {}))
         for view, label in ((self.b_view, "B"), (self.c_view, "C")):
-            span = Subspace(d)
-            for x in view.basis:
-                for j in range(d):
-                    span.insert(alg.mul(x, unit_vec(j)))
-                    span.insert(alg.mul(unit_vec(j), x))
-            if span.dim != d:
-                report.add(failed("bases-act-fully", {"algebra": label,
-                                                      "span": span.dim}))
+            span = action_span_dim(alg, view)
+            if span != d:
+                report.add(failed("bases-act-fully", {"algebra": label, "span": span}))
                 return report
         report.add(passed("bases-act-fully"))
-        ok = self.s_b.is_bijective() and self.s_c.is_bijective()
-        if ok:
-            for i in range(self.b_view.dim):
-                for j in range(self.b_view.dim):
-                    lhs = self.s_b.apply(self.b_view.algebra.mul_basis(i, j))
-                    rhs = self.c_view.algebra.mul(self.s_b.apply(unit_vec(j)),
-                                                  self.s_b.apply(unit_vec(i)))
-                    if lhs != rhs:
-                        ok = False
-            for i in range(self.c_view.dim):
-                for j in range(self.c_view.dim):
-                    lhs = self.s_c.apply(self.c_view.algebra.mul_basis(i, j))
-                    rhs = self.b_view.algebra.mul(self.s_c.apply(unit_vec(j)),
-                                                  self.s_c.apply(unit_vec(i)))
-                    if lhs != rhs:
-                        ok = False
+        b, c = self.b_view.algebra, self.c_view.algebra
+        ok = (self.s_b.is_bijective() and self.s_c.is_bijective()
+              and is_anti_homomorphism(self.s_b, b, c)
+              and is_anti_homomorphism(self.s_c, c, b))
         report.add(passed("base-anti-isomorphisms") if ok else
                    failed("base-anti-isomorphisms", {}))
         return report
@@ -419,25 +385,17 @@ def check_counital_maps(alg: MultiplierHopfAlgebroid) -> CheckRecord:
                 return failed("right-counital-module-law",
                               {"basis": alg_a.labels[a],
                                "law": "eps_C(a S_C(y))=y eps_C(a)"})
+    s_b_eps_b = LinMap(d, d, [graph.apply_s_b(col) for col in alg.eps_b.cols])
     for a in range(d):
         for b in range(d):
-            x = alg.slices.r2(a, b)
-            acc: Vec = {}
-            for p, coeff in x.items():
-                u, v = divmod(p, d)
-                acc_term = alg_a.mul(graph.apply_s_b(alg.eps_b.apply(unit_vec(u))),
-                                     unit_vec(v))
-                vaxpy(acc, coeff, acc_term)
+            acc = t2.mul_map(t2.map_leg1(s_b_eps_b, alg.slices.r2(a, b)))
             want = alg_a.mul_basis(a, b)
             if acc != want:
                 return failed("left-counit-diagram",
                               {"pair": [alg_a.labels[a], alg_a.labels[b]],
                                "lhs": acc, "rhs": want})
-            w = alg.slices.l2(a, b)
-            acc2: Vec = {}
-            for p, coeff in w.items():
-                u, v = divmod(p, d)
-                vaxpy(acc2, coeff, alg_a.mul(unit_vec(v), alg.eps_c.apply(unit_vec(u))))
+            # sum e_v eps_C(e_u) over the terms e_u (x) e_v of the slice
+            acc2 = t2.mul_map(t2.flip(t2.map_leg1(alg.eps_c, alg.slices.l2(a, b))))
             want2 = alg_a.mul_basis(b, a)
             if acc2 != want2:
                 return failed("right-counit-diagram",
@@ -449,27 +407,19 @@ def check_counital_maps(alg: MultiplierHopfAlgebroid) -> CheckRecord:
 def check_antipode_diagrams(alg: MultiplierHopfAlgebroid) -> CheckRecord:
     """mu(S (x) id)T_rho(a (x) b) = S_C(eps_C(a)) b and
     mu(id (x) S) lambda_T(a (x) b) = a S_B(eps_B(b))."""
-    graph, d = alg.graph, alg.dim
+    graph, t2, d = alg.graph, alg.t2, alg.dim
     alg_a = alg.algebra
     s = alg.antipode
     for a in range(d):
         for b in range(d):
             eb = unit_vec(b)
-            x = alg.slices.r2(a, b)
-            acc: Vec = {}
-            for p, coeff in x.items():
-                u, v = divmod(p, d)
-                vaxpy(acc, coeff, alg_a.mul(s.apply(unit_vec(u)), unit_vec(v)))
+            acc = t2.mul_map(t2.map_leg1(s, alg.slices.r2(a, b)))
             want = alg_a.mul(graph.apply_s_c(alg.eps_c.apply(unit_vec(a))), eb)
             if acc != want:
                 return failed("antipode-diagram-left",
                               {"pair": [alg_a.labels[a], alg_a.labels[b]],
                                "lhs": acc, "rhs": want})
-            y = alg.slices.l1(b, a)
-            acc2: Vec = {}
-            for p, coeff in y.items():
-                u, v = divmod(p, d)
-                vaxpy(acc2, coeff, alg_a.mul(unit_vec(u), s.apply(unit_vec(v))))
+            acc2 = t2.mul_map(t2.map_leg2(s, alg.slices.l1(b, a)))
             want2 = alg_a.mul(unit_vec(a), graph.apply_s_b(alg.eps_b.apply(eb)))
             if acc2 != want2:
                 return failed("antipode-diagram-right",

@@ -87,12 +87,6 @@ class BalancedTensorSpace:
             return not self.projector.apply(d)
         return self.relations.contains(d)
 
-    def section_splits_quotient(self) -> bool:
-        """pi o theta = identity on the quotient."""
-        if self.theta is None:
-            return False
-        return self.pi @ self.theta == LinMap.identity(self.q_dim)
-
     def __repr__(self):
         return f"BalancedTensorSpace({self.kind}, dim {self.q_dim})"
 
@@ -162,15 +156,6 @@ def build_balanced(kind: str, graph) -> BalancedTensorSpace:
     relations = Subspace.from_vectors(t2.size, relation_generators(kind, graph))
     projector = section_projector(kind, graph)
     return BalancedTensorSpace(kind, t2, relations, projector)
-
-
-def ranges_of_sections(space: BalancedTensorSpace):
-    """The subspace of A (x) A realized by the section: multiplication
-    by the idempotent for the one-sided kinds, the sandwich images for
-    the others."""
-    if space.image is None:
-        raise BalancedTensorError(f"no section available for {space.kind}")
-    return space.image
 
 
 class TripleQuotient:

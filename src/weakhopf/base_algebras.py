@@ -1,15 +1,18 @@
 """Source and target maps and the base algebras they generate.
 
 The source value of a is mu(S (x) id)Delta(a), the target value is
-mu(id (x) S)Delta(a); both are multipliers computed through slice-map
-compositions.  Their images span the base algebras B and C inside M(A),
-which carry the restricted antipode and the unique functionals that
-slice the canonical idempotent to the unit.
+mu(id (x) S)Delta(a); both are elements of the unital algebra A (which
+is its own multiplier algebra), computed through slice-map
+compositions.  Their images span the base algebras B and C, which carry
+the restricted antipode and the unique functionals that slice the
+canonical idempotent to the unit.  The structural checks on a base pair
+(commuting, acting fully, anti-homomorphic antipodal maps) live here
+once and serve the base suite and the algebroid's graph-pair axioms.
 """
 
 from __future__ import annotations
 
-from .algebra import AlgebraError, FiniteAlgebra, Multiplier
+from .algebra import AlgebraError, FiniteAlgebra
 from .linalg import LinMap, Span, Subspace, Vec, lincomb, solve, unit_vec, vaxpy, vsub, vtensor
 from .reporting import CheckRecord, Report, failed, passed
 from .wmha import WeakMultiplierHopfAlgebra
@@ -28,6 +31,8 @@ class SubalgebraView:
         self.name = name
         self.subspace = Subspace.from_vectors(parent.dim, generators)
         self.basis = [dict(r) for r in self.subspace.rows]
+        # d x dim: coordinates -> elements of the parent, basis as columns
+        self.basis_map = LinMap(parent.dim, len(self.basis), self.basis)
         self._span = Span(parent.dim)
         for b in self.basis:
             self._span.add(b)
@@ -50,10 +55,7 @@ class SubalgebraView:
         return self._span.express(x)
 
     def from_coords(self, v: Vec) -> Vec:
-        out: Vec = {}
-        for i, c in v.items():
-            vaxpy(out, c, self.basis[i])
-        return out
+        return self.basis_map.apply(v)
 
     def restrict(self, m: LinMap, target: "SubalgebraView") -> LinMap | None:
         """m as a map self -> target in coordinates; None if it escapes."""
@@ -64,6 +66,33 @@ class SubalgebraView:
                 return None
             cols.append(c)
         return LinMap(target.dim, self.dim, cols)
+
+
+def first_noncommuting_pair(alg: FiniteAlgebra, b_view: SubalgebraView,
+                            c_view: SubalgebraView) -> tuple[Vec, Vec] | None:
+    """The first basis pair (b, c) with bc != cb; None when B and C commute."""
+    for bi in b_view.basis:
+        for cj in c_view.basis:
+            if alg.mul(bi, cj) != alg.mul(cj, bi):
+                return bi, cj
+    return None
+
+
+def action_span_dim(alg: FiniteAlgebra, view: SubalgebraView) -> int:
+    """dim(XA + AX) for the base X; it acts fully when this is dim A."""
+    span = Subspace(alg.dim)
+    for x in view.basis:
+        for j in range(alg.dim):
+            span.insert(alg.mul(x, unit_vec(j)))
+            span.insert(alg.mul(unit_vec(j), x))
+    return span.dim
+
+
+def is_anti_homomorphism(s: LinMap, source: FiniteAlgebra, target: FiniteAlgebra) -> bool:
+    """s(xy) = s(y)s(x) on the basis, for s from source to target coordinates."""
+    return all(s.apply(source.mul_basis(i, j))
+               == target.mul(s.apply(unit_vec(j)), s.apply(unit_vec(i)))
+               for i in range(source.dim) for j in range(source.dim))
 
 
 class BaseAlgebraData:
@@ -81,22 +110,6 @@ class BaseAlgebraData:
         self.phi_b = phi_b    # functional on B-coords
         self.phi_c = phi_c    # functional on C-coords
         self.e_coords = e_coords  # E in the B (x) C coordinate basis
-
-
-def source_map(bundle: WeakMultiplierHopfAlgebra, a: Vec) -> Multiplier:
-    values = [bundle.source_value(i) for i in range(bundle.dim)]
-    return Multiplier.from_element(bundle.algebra, lincomb(a, values))
-
-
-def target_map(bundle: WeakMultiplierHopfAlgebra, a: Vec) -> Multiplier:
-    values = [bundle.target_value(i) for i in range(bundle.dim)]
-    return Multiplier.from_element(bundle.algebra, lincomb(a, values))
-
-
-def extend_antipode(bundle: WeakMultiplierHopfAlgebra, m: Multiplier) -> Multiplier:
-    """S pushed to M(A) by conjugating the action maps."""
-    s, si = bundle.antipode, bundle.antipode_inv()
-    return Multiplier(bundle.algebra, s @ m.right @ si, s @ m.left @ si)
 
 
 def compute_base_algebras(bundle: WeakMultiplierHopfAlgebra,
@@ -127,26 +140,16 @@ def compute_base_algebras(bundle: WeakMultiplierHopfAlgebra,
             return None, report
     report.add(passed("base-algebra-structure"))
 
-    ok = True
-    for bi in b_view.basis:
-        for cj in c_view.basis:
-            if alg.mul(bi, cj) != alg.mul(cj, bi):
-                report.add(failed("base-algebras-commute", {"b": bi, "c": cj}))
-                ok = False
-                break
-        if not ok:
-            break
-    if ok:
+    pair = first_noncommuting_pair(alg, b_view, c_view)
+    if pair is None:
         report.add(passed("base-algebras-commute"))
+    else:
+        report.add(failed("base-algebras-commute", {"b": pair[0], "c": pair[1]}))
 
     for view, label in ((b_view, "B"), (c_view, "C")):
-        prod = Subspace(d)
-        for x in view.basis:
-            for j in range(d):
-                prod.insert(alg.mul(x, unit_vec(j)))
-                prod.insert(alg.mul(unit_vec(j), x))
-        if prod.dim != d:
-            report.add(failed("base-acts-fully", {"algebra": label, "span": prod.dim}))
+        span = action_span_dim(alg, view)
+        if span != d:
+            report.add(failed("base-acts-fully", {"algebra": label, "span": span}))
             return None, report
     report.add(passed("base-acts-fully", detail="BA = AB = A and CA = AC = A"))
 
@@ -156,19 +159,8 @@ def compute_base_algebras(bundle: WeakMultiplierHopfAlgebra,
         report.add(failed("antipode-restricts", {"S(B) in C": s_b is not None,
                                                  "S(C) in B": s_c is not None}))
         return None, report
-    anti_ok = True
-    for i in range(b_view.dim):
-        for j in range(b_view.dim):
-            lhs = s_b.apply(b_view.algebra.mul_basis(i, j))
-            rhs = c_view.algebra.mul(s_b.apply(unit_vec(j)), s_b.apply(unit_vec(i)))
-            if lhs != rhs:
-                anti_ok = False
-    for i in range(c_view.dim):
-        for j in range(c_view.dim):
-            lhs = s_c.apply(c_view.algebra.mul_basis(i, j))
-            rhs = b_view.algebra.mul(s_c.apply(unit_vec(j)), s_c.apply(unit_vec(i)))
-            if lhs != rhs:
-                anti_ok = False
+    anti_ok = (is_anti_homomorphism(s_b, b_view.algebra, c_view.algebra)
+               and is_anti_homomorphism(s_c, c_view.algebra, b_view.algebra))
     report.add(passed("antipode-restricts") if anti_ok else
                failed("antipode-restricts", {"anti_homomorphism": False}))
 
@@ -182,26 +174,19 @@ def compute_base_algebras(bundle: WeakMultiplierHopfAlgebra,
         report.add(failed("canonical-idempotent-in-base-tensor", {"E": bundle.E}))
         return None, report
     products_ok = True
-    bc_sub = Subspace.from_vectors(d * d, [vtensor(bi, cj, d)
-                                           for bi in b_view.basis
-                                           for cj in c_view.basis])
     for bi in b_view.basis:
         for cj in c_view.basis:
             x = vtensor(bi, cj, d)
-            if not bc_sub.contains(t2.mul(bundle.E, x)):
+            if bc.express(t2.mul(bundle.E, x)) is None:
                 products_ok = False
-            if not bc_sub.contains(t2.mul(x, bundle.E)):
+            if bc.express(t2.mul(x, bundle.E)) is None:
                 products_ok = False
     report.add(passed("canonical-idempotent-in-base-tensor") if products_ok else
                failed("canonical-idempotent-in-base-tensor", {"products": False}))
 
     # legs of E span exactly B and C
-    leg1 = Subspace(d)
-    leg2 = Subspace(d)
-    for v_idx, vec1 in _group_leg(bundle.E, d, leg=1).items():
-        leg1.insert(vec1)
-    for u_idx, vec2 in _group_leg(bundle.E, d, leg=2).items():
-        leg2.insert(vec2)
+    leg1 = Subspace.from_vectors(d, t2.leg_vectors(bundle.E, 1).values())
+    leg2 = Subspace.from_vectors(d, t2.leg_vectors(bundle.E, 2).values())
     if leg1 == b_view.subspace and leg2 == c_view.subspace:
         report.add(passed("idempotent-legs-span-bases"))
     else:
@@ -267,17 +252,6 @@ def compute_base_algebras(bundle: WeakMultiplierHopfAlgebra,
     data = BaseAlgebraData(bundle, b_view, c_view, s_b, s_c, phi_b, phi_c,
                            e_coords)
     return data, report
-
-
-def _group_leg(x: Vec, d: int, leg: int) -> dict[int, Vec]:
-    out: dict[int, Vec] = {}
-    for p, c in x.items():
-        u, v = divmod(p, d)
-        if leg == 1:
-            out.setdefault(v, {})[u] = c
-        else:
-            out.setdefault(u, {})[v] = c
-    return out
 
 
 def _slice_functional(bundle, b_view, c_view, e_coords: Vec,

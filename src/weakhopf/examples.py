@@ -19,9 +19,9 @@ from fractions import Fraction
 from .algebra import AlgebraError, FiniteAlgebra, TensorSquare, tensor_algebra
 from .algebroid import MultiplierHopfAlgebroid, QuantumGraphPair, forward_construct
 from .base_algebras import SubalgebraView
-from .linalg import LinMap, Vec, solve, unit_vec, vaxpy, vtensor
+from .linalg import LinMap, Vec, solve, unit_vec, vdot, vtensor
 from .reconstruction import (STAGE_MODULAR_MISMATCH, STAGE_NOT_SEPARABLE,
-                             find_separating_functional)
+                             embed_idempotent, find_separating_functional)
 from .separability import SeparabilityIdempotent, build_E_from_functional
 from .wmha import WeakMultiplierHopfAlgebra
 
@@ -53,13 +53,9 @@ class ScalarExtension:
     def e_in_a(self) -> Vec:
         """E moved from B (x) C coordinates into A (x) A."""
         d = self.algebra.dim
-        out: Vec = {}
-        for p, coeff in self.idem.e.items():
-            alpha, beta = divmod(p, self.nc)
-            vaxpy(out, coeff,
-                  vtensor(self.embed_b(unit_vec(alpha)),
-                          self.embed_c(unit_vec(beta)), d))
-        return out
+        b_map = LinMap(d, self.nb, [self.embed_b(unit_vec(i)) for i in range(self.nb)])
+        c_map = LinMap(d, self.nc, [self.embed_c(unit_vec(j)) for j in range(self.nc)])
+        return b_map.tensor(c_map).apply(self.idem.e)
 
 
 def scalar_extension_wmha(idem: SeparabilityIdempotent) -> WeakMultiplierHopfAlgebra:
@@ -80,12 +76,7 @@ def scalar_extension_wmha(idem: SeparabilityIdempotent) -> WeakMultiplierHopfAlg
             y_a = ext.embed_c(y)
             x_a = ext.embed_b(x)
             delta.append(t2.mul_right_leg2(t2.mul_left_leg1(y_a, e_a), x_a))
-            val = Fraction(0)
-            image = idem.c.mul(y, idem.s_b.apply(x))
-            for k, cf in image.items():
-                w = idem.phi_c.get(k)
-                if w:
-                    val += cf * w
+            val = vdot(idem.c.mul(y, idem.s_b.apply(x)), idem.phi_c)
             if val:
                 counit[beta * nb + alpha] = val
             s_cols.append(vtensor(idem.s_b.apply(x), idem.s_c.apply(y), nb))
@@ -283,12 +274,7 @@ def crossed_scalar_extension_wmha(idem: SeparabilityIdempotent, group,
                                                            alpha.apply(unit_vec(j))):
                     raise AlgebraError(f"action of {h} is not multiplicative")
         for i in range(nb):
-            got = Fraction(0)
-            for k, cf in alpha.apply(unit_vec(i)).items():
-                w = idem.phi_b.get(k)
-                if w:
-                    got += cf * w
-            if got != idem.phi_b.get(i, Fraction(0)):
+            if vdot(alpha.apply(unit_vec(i)), idem.phi_b) != idem.phi_b.get(i, Fraction(0)):
                 raise AlgebraError(f"action of {h} does not preserve the functional")
     for g in elems:
         for h in elems:
@@ -445,12 +431,5 @@ def _attach_idempotent(graph: QuantumGraphPair) -> None:
     if found is None:
         return
     _, idem = found
-    d = graph.algebra.dim
-    nc = graph.c_view.dim
-    e_element: Vec = {}
-    for p, coeff in idem.e.items():
-        alpha, beta = divmod(p, nc)
-        vaxpy(e_element, coeff,
-              vtensor(graph.b_view.basis[alpha], graph.c_view.basis[beta], d))
-    graph.e_element = e_element
+    graph.e_element = embed_idempotent(graph, idem)
     graph.e_coords = dict(idem.e)

@@ -103,19 +103,6 @@ def wmha_from_dict(doc: dict) -> WeakMultiplierHopfAlgebra:
     )
 
 
-def groupoid_to_dict(g: Groupoid) -> dict:
-    return {
-        "schema": SCHEMA,
-        "kind": "groupoid",
-        "arrows": list(g.arrows),
-        "source": [g.arrows[s] for s in g.source],
-        "target": [g.arrows[t] for t in g.target],
-        "inverse": [g.arrows[i] for i in g.inverse],
-        "compose": sorted([g.arrows[p], g.arrows[q], g.arrows[r]]
-                          for (p, q), r in g.compose.items()),
-    }
-
-
 def groupoid_from_dict(doc: dict) -> Groupoid:
     arrows = list(doc["arrows"])
     index = {a: i for i, a in enumerate(arrows)}

@@ -140,10 +140,6 @@ class LinMap:
         return m
 
     @classmethod
-    def from_cols(cls, nrows: int, cols: list[Vec]) -> "LinMap":
-        return cls(nrows, len(cols), [dict(c) for c in cols])
-
-    @classmethod
     def from_rows(cls, ncols: int, rows: list[Vec]) -> "LinMap":
         m = cls(len(rows), ncols)
         for i, row in enumerate(rows):
@@ -206,9 +202,6 @@ class LinMap:
 
     def __hash__(self):
         raise TypeError("LinMap is not hashable")
-
-    def is_zero(self) -> bool:
-        return all(not c for c in self.cols)
 
     def rows(self) -> list[Vec]:
         out: list[Vec] = [{} for _ in range(self.nrows)]
@@ -450,13 +443,3 @@ def solve(m: LinMap, target: Vec) -> Vec | None:
     for j, col in enumerate(m.cols):
         span.add(col, unit_vec(j))
     return span.express(target)
-
-
-def solve_unique(m: LinMap, target: Vec) -> Vec | None:
-    """The solution of m(x) = target if it exists and is unique."""
-    x = solve(m, target)
-    if x is None:
-        return None
-    if m.kernel().dim:
-        return None
-    return x

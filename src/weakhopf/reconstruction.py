@@ -22,7 +22,7 @@ import itertools
 import operator
 from fractions import Fraction
 
-from .algebra import CoproductSlices, FiniteAlgebra, TensorSquare, opposite_algebra
+from .algebra import CoproductSlices, FiniteAlgebra
 from .algebroid import MultiplierHopfAlgebroid, QuantumGraphPair
 from .linalg import (LinMap, Subspace, Vec, lincomb, solve, unit_vec, vaxpy, vdot, vsub,
                      vtensor)
@@ -150,7 +150,7 @@ def find_separating_functional(b: FiniteAlgebra, sigma_target: LinMap,
         try:
             return phi, build_E_from_functional(b, phi, c, s_b)
         except NotIdempotentE as exc:
-            fixed = _central_rescale(b, phi, exc, center, s_b, c)
+            fixed = _central_rescale(exc, center)
             if fixed is not None:
                 return fixed
         except SeparabilityError:
@@ -168,19 +168,14 @@ def find_separating_functional(b: FiniteAlgebra, sigma_target: LinMap,
     return None
 
 
-def _central_rescale(b, phi, exc: NotIdempotentE, center: Subspace,
-                     s_b, c):
+def _central_rescale(exc: NotIdempotentE, center: Subspace):
     """Solve E^2 = (z (x) 1)E over the sigma-fixed center and absorb z
-    into the functional.  exc carries the defect E^2 - E."""
+    into the functional.  exc carries the rejected idempotent E and the
+    defect E^2 - E."""
     if center.dim == 0:
         return None
-    from .separability import dual_basis
-    duals = dual_basis(b, phi)
-    bc = TensorSquare(b, c if c is not None else opposite_algebra(b))
-    ident = s_b if s_b is not None else LinMap.identity(b.dim)
-    e: Vec = {}
-    for i in range(b.dim):
-        vaxpy(e, Fraction(1), bc.tensor(duals[i], ident.apply(unit_vec(i))))
+    idem = exc.idem
+    b, phi, e, bc = idem.b, idem.phi_b, idem.e, idem.bc
     ee = dict(exc.defect)
     vaxpy(ee, Fraction(1), e)  # E^2 = defect + E
     cols = [bc.mul_left_leg1(z, e) for z in center.rows]
@@ -199,7 +194,7 @@ def _central_rescale(b, phi, exc: NotIdempotentE, center: Subspace,
         if val:
             phi_new[i] = val
     try:
-        return phi_new, build_E_from_functional(b, phi_new, c, s_b)
+        return phi_new, build_E_from_functional(b, phi_new, idem.c, idem.s_b)
     except SeparabilityError:
         return None
 
@@ -251,14 +246,8 @@ def check_separability_assumption(alg: MultiplierHopfAlgebroid,
 
 
 def embed_idempotent(graph: QuantumGraphPair, idem: SeparabilityIdempotent) -> Vec:
-    d = graph.algebra.dim
-    nc = idem.c.dim
-    out: Vec = {}
-    for p, coeff in idem.e.items():
-        alpha, beta = divmod(p, nc)
-        vaxpy(out, coeff,
-              vtensor(graph.b_view.basis[alpha], graph.c_view.basis[beta], d))
-    return out
+    """E moved from B (x) C coordinates into A (x) A."""
+    return graph.b_view.basis_map.tensor(graph.c_view.basis_map).apply(idem.e)
 
 
 # The rebuilt coproducts are sliced by the one shared slice class.  The
@@ -386,10 +375,10 @@ def check_ranges_and_fullness(alg: MultiplierHopfAlgebroid, cops: CoproductSlice
     for a in range(d):
         for b in range(d):
             x = cops.r2(a, b)
-            for p, c in x.items():
-                u, v = divmod(p, d)
-                legs1.insert({u: c})
-                legs2.insert({v: c})
+            for vec1 in t2.leg_vectors(x, 1).values():
+                legs1.insert(vec1)
+            for vec2 in t2.leg_vectors(x, 2).values():
+                legs2.insert(vec2)
     if legs1.dim != d or legs2.dim != d:
         report.add(failed("rebuilt-range-conditions",
                           {"space": "fullness", "legs": [legs1.dim, legs2.dim]}))

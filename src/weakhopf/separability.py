@@ -4,8 +4,8 @@ A faithful functional phi on B with modular automorphism sigma
 (phi(xy) = phi(y sigma(x))) determines, through phi-dual bases, an
 element E of B (x) C realizing (phi(. x) (x) id)E = S_B(x).  When that
 E is idempotent, phi is separating and B is separable Frobenius.  Over
-the rationals, semisimplicity is decided by the regular trace form, and
-the regular trace doubles as the canonical separating candidate.
+the rationals, semisimplicity is decided by the regular trace form: a
+nonzero radical rules out every separating functional.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import FiniteAlgebra, TensorSquare, opposite_algebra
-from .linalg import LinMap, Subspace, Vec, solve, unit_vec, vaxpy, vdot, vtensor
+from .linalg import LinMap, Subspace, Vec, unit_vec, vaxpy, vdot, vtensor
 
 
 class SeparabilityError(ValueError):
@@ -29,13 +29,13 @@ class NoModularAutomorphism(SeparabilityError):
 
 
 class NotIdempotentE(SeparabilityError):
-    def __init__(self, defect: Vec):
+    """The dual-basis element was built but is not idempotent; ``idem``
+    is the rejected SeparabilityIdempotent, ``defect`` is E^2 - E."""
+
+    def __init__(self, defect: Vec, idem: "SeparabilityIdempotent"):
         self.defect = defect
+        self.idem = idem
         super().__init__("dual-basis element fails idempotency")
-
-
-class NoSolution(SeparabilityError):
-    pass
 
 
 def pairing_matrix(b: FiniteAlgebra, phi: Vec) -> LinMap:
@@ -147,8 +147,9 @@ def build_E_from_functional(b: FiniteAlgebra, phi: Vec,
     """Dual-basis construction of E = sum d_i (x) S_B(e_i).
 
     The slice property (phi(. x) (x) id)E = S_B(x) holds by construction;
-    idempotency is checked and NotIdempotentE raised with the defect
-    when it fails.  Defaults: C = B^op and S_B the identity map.
+    idempotency is checked and NotIdempotentE raised with the defect and
+    the rejected idempotent when it fails.  Defaults: C = B^op and S_B
+    the identity map.
     """
     if c is None:
         c = opposite_algebra(b)
@@ -170,7 +171,7 @@ def build_E_from_functional(b: FiniteAlgebra, phi: Vec,
     if ee != e:
         defect = dict(ee)
         vaxpy(defect, Fraction(-1), e)
-        raise NotIdempotentE(defect)
+        raise NotIdempotentE(defect, idem)
     return idem
 
 
@@ -218,76 +219,3 @@ def trace_form_radical(b: FiniteAlgebra) -> Subspace:
     """Radical of the regular trace form; over Q this is the Jacobson
     radical, so nonzero radical refutes separability."""
     return pairing_matrix(b, regular_trace(b)).kernel()
-
-
-class SeparabilityCertificate:
-    def __init__(self, phi: Vec, idem: SeparabilityIdempotent):
-        self.phi = phi
-        self.idem = idem
-
-
-class SeparabilityRefutation:
-    def __init__(self, radical_witness: Vec):
-        self.radical_witness = radical_witness
-
-
-class Inconclusive:
-    def __init__(self, tried: int):
-        self.tried = tried
-
-
-def certify_separable_frobenius(b: FiniteAlgebra, candidates: list[Vec] = ()):
-    """Certificate, refutation, or Inconclusive.
-
-    Order: the radical criterion first (a refutation is a proof), then
-    caller candidates, then the regular trace.
-    """
-    rad = trace_form_radical(b)
-    if rad.dim:
-        return SeparabilityRefutation(rad.rows[0])
-    tried = 0
-    for phi in list(candidates) + [regular_trace(b)]:
-        tried += 1
-        try:
-            idem = build_E_from_functional(b, phi)
-        except SeparabilityError:
-            continue
-        return SeparabilityCertificate(phi, idem)
-    return Inconclusive(tried)
-
-
-def derive_right_handed_data(idem: SeparabilityIdempotent) -> SeparabilityIdempotent:
-    """Recompute S_C, phi_C, sigma_C from (B, phi_B, S_B, E) and verify
-    the right-handed slice law; the completed object is returned."""
-    s_c = idem.sigma_b.inverse() @ idem.s_b.inverse()
-    phi_c = _pushforward(idem.phi_b, idem.s_b)
-    sigma_c = idem.s_b @ s_c
-    out = SeparabilityIdempotent(idem.b, idem.c, idem.e, idem.s_b, s_c,
-                                 idem.phi_b, phi_c, idem.sigma_b, sigma_c)
-    if not slice_property_holds(out):
-        raise SeparabilityError("right-handed slice law fails")
-    return out
-
-
-def functional_from_E(b: FiniteAlgebra, c: FiniteAlgebra, e: Vec) -> tuple[Vec, Vec]:
-    """The unique functionals with (phi_B (x) id)E = 1 and
-    (id (x) phi_C)E = 1; NoSolution when E is not a separability
-    idempotent for any pair."""
-    nb, nc = b.dim, c.dim
-    unit_c = c.unit()
-    unit_b = b.unit()
-    if unit_b is None or unit_c is None:
-        raise SeparabilityError("unital algebras required")
-    cols_b: list[Vec] = [{} for _ in range(nb)]
-    cols_c: list[Vec] = [{} for _ in range(nc)]
-    for p, cf in e.items():
-        p1, p2 = divmod(p, nc)
-        vaxpy(cols_b[p1], cf, unit_vec(p2))
-        vaxpy(cols_c[p2], cf, unit_vec(p1))
-    sys_b = LinMap(nc, nb, cols_b)
-    sys_c = LinMap(nb, nc, cols_c)
-    phi_b = solve(sys_b, unit_c)
-    phi_c = solve(sys_c, unit_b)
-    if phi_b is None or sys_b.kernel().dim or phi_c is None or sys_c.kernel().dim:
-        raise NoSolution("no unique slicing functionals for this element")
-    return phi_b, phi_c

@@ -18,10 +18,6 @@ from .linalg import (LinMap, Subspace, Vec, lincomb, solve, unit_vec, vaxpy, vdo
 from .reporting import SKIP, CheckRecord, Report, failed, passed
 
 
-class NoSuchIdempotent(AlgebraError):
-    pass
-
-
 class AntipodeNotBijective(AlgebraError):
     pass
 
@@ -86,20 +82,17 @@ class WeakMultiplierHopfAlgebra:
         si = self.antipode_inv()
         ident = LinMap.identity(self.dim)
         if which == 1:
-            m = self._leg_map(ident, s) @ self.canonical_map(3) @ self._leg_map(ident, si)
+            m = ident.tensor(s) @ self.canonical_map(3) @ ident.tensor(si)
         elif which == 2:
-            m = self._leg_map(s, ident) @ self.canonical_map(4) @ self._leg_map(si, ident)
+            m = s.tensor(ident) @ self.canonical_map(4) @ si.tensor(ident)
         elif which == 3:
-            m = self._leg_map(ident, si) @ self.canonical_map(1) @ self._leg_map(ident, s)
+            m = ident.tensor(si) @ self.canonical_map(1) @ ident.tensor(s)
         elif which == 4:
-            m = self._leg_map(si, ident) @ self.canonical_map(2) @ self._leg_map(s, ident)
+            m = si.tensor(ident) @ self.canonical_map(2) @ s.tensor(ident)
         else:
             raise ValueError(which)
         self._cache[key] = m
         return m
-
-    def _leg_map(self, m1: LinMap, m2: LinMap) -> LinMap:
-        return m1.tensor(m2)
 
     def kernel_idempotent(self, which: int) -> Vec:
         """F_1..F_4: the canonical idempotent with S moved through a leg."""
@@ -169,16 +162,14 @@ def check_coassociativity(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
 
 
 def check_fullness(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
-    d = bundle.dim
+    t2, d = bundle.t2, bundle.dim
     left = Subspace(d)
     right = Subspace(d)
     for a in range(d):
         for b in range(d):
-            x = bundle.slices.r2(a, b)
-            for leg2, vec1 in _split_leg2(x, d).items():
+            for vec1 in t2.leg_vectors(bundle.slices.r2(a, b), 1).values():
                 left.insert(vec1)
-            y = bundle.slices.l1(b, a)
-            for leg1, vec2 in _split_leg1(y, d).items():
+            for vec2 in t2.leg_vectors(bundle.slices.l1(b, a), 2).values():
                 right.insert(vec2)
         if left.dim == d and right.dim == d:
             break
@@ -187,23 +178,6 @@ def check_fullness(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
     if right.dim != d:
         return failed("coproduct-fullness", {"leg": "second", "span_dim": right.dim})
     return passed("coproduct-fullness")
-
-
-def _split_leg2(x: Vec, d: int) -> dict[int, Vec]:
-    """Group an element of the tensor square by its second-leg index."""
-    out: dict[int, Vec] = {}
-    for p, c in x.items():
-        u, v = divmod(p, d)
-        out.setdefault(v, {})[u] = c
-    return out
-
-
-def _split_leg1(x: Vec, d: int) -> dict[int, Vec]:
-    out: dict[int, Vec] = {}
-    for p, c in x.items():
-        u, v = divmod(p, d)
-        out.setdefault(u, {})[v] = c
-    return out
 
 
 def check_counit(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
@@ -227,7 +201,7 @@ def check_counit(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
 def check_counit_uniqueness(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
     """Solve for every functional satisfying both counit laws; fullness
     should force a one-point solution set equal to the stored counit."""
-    alg, d = bundle.algebra, bundle.dim
+    alg, t2, d = bundle.algebra, bundle.t2, bundle.dim
     rows: list[Vec] = []
     rhs: Vec = {}
 
@@ -241,19 +215,9 @@ def check_counit_uniqueness(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
     for a in range(d):
         for b in range(d):
             ab = alg.mul_basis(a, b)
-            x = bundle.slices.r2(a, b)
             # (f (x) id)(x) = ab: for each output coord k, sum_j x[j,k] f_j
-            by_k: dict[int, Vec] = {}
-            for p, c in x.items():
-                j, k = divmod(p, d)
-                by_k.setdefault(k, {})[j] = c
-            emit(by_k, ab)
-            y = bundle.slices.l1(b, a)
-            by_j: dict[int, Vec] = {}
-            for p, c in y.items():
-                j, k = divmod(p, d)
-                by_j.setdefault(j, {})[k] = c
-            emit(by_j, ab)
+            emit(t2.leg_vectors(bundle.slices.r2(a, b), 1), ab)
+            emit(t2.leg_vectors(bundle.slices.l1(b, a), 2), ab)
     system = LinMap.from_rows(d, rows)
     sol = solve(system, rhs)
     if sol is None:
@@ -351,26 +315,19 @@ def check_antipode_identities(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
     alg, t2, d = bundle.algebra, bundle.t2, bundle.dim
     s = bundle.antipode
     si = bundle.antipode_inv()
-    target_elt = [bundle.target_value(j) for j in range(d)]
-    source_elt = [bundle.source_value(j) for j in range(d)]
+    target_map = LinMap(d, d, [bundle.target_value(j) for j in range(d)])
+    source_map = LinMap(d, d, [bundle.source_value(j) for j in range(d)])
     for a in range(d):
         for b in range(d):
             eb = unit_vec(b)
-            x = bundle.slices.r2(a, b)
-            acc: Vec = {}
-            for p, c in x.items():
-                j, k = divmod(p, d)
-                vaxpy(acc, c, alg.mul(target_elt[j], unit_vec(k)))
+            acc = t2.mul_map(t2.map_leg1(target_map, bundle.slices.r2(a, b)))
             ab = alg.mul_basis(a, b)
             if acc != ab:
                 return failed("antipode-triple-product-first",
                               {"pair": [alg.labels[a], alg.labels[b]],
                                "lhs": acc, "rhs": ab})
             y = t2.mul_left_leg2(si.apply(eb), bundle.delta[a])
-            acc2: Vec = {}
-            for p, c in y.items():
-                j, k = divmod(p, d)
-                vaxpy(acc2, c, alg.mul(source_elt[j], s.apply(unit_vec(k))))
+            acc2 = t2.mul_map(t2.map_leg1(source_map, t2.map_leg2(s, y)))
             sab = alg.mul(s.apply(unit_vec(a)), eb)
             if acc2 != sab:
                 return failed("antipode-triple-product-second",
@@ -447,66 +404,6 @@ def check_kernel_subspaces(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
     return passed("kernel-subspaces")
 
 
-def compute_E(algebra: FiniteAlgebra, delta: list[Vec],
-              generic_limit: int = 8, force_generic: bool = False) -> Vec:
-    """The canonical idempotent for a bundle given without one.
-
-    For a unital algebra this is the coproduct value at the unit.  The
-    generic path solves the defining linear constraints (identity on the
-    range of the coproduct products, image inside it, same on the right)
-    and is kept for small dimensions only.
-    """
-    t2 = TensorSquare(algebra)
-    unit = algebra.unit()
-    if unit is not None and not force_generic:
-        e = lincomb(unit, delta)
-        if t2.mul(e, e) != e:
-            raise NoSuchIdempotent("coproduct value at the unit is not idempotent")
-        return e
-    if algebra.dim > generic_limit:
-        raise NoSuchIdempotent(
-            "no unit and dimension too large for the generic solver")
-    d2 = algebra.dim ** 2
-    left_range = Subspace(d2)
-    right_range = Subspace(d2)
-    for a in range(algebra.dim):
-        for w in range(d2):
-            left_range.insert(t2.mul(delta[a], unit_vec(w)))
-            right_range.insert(t2.mul(unit_vec(w), delta[a]))
-    ql = left_range.quotient_map()
-    qr = right_range.quotient_map()
-    rows: list[Vec] = []
-    rhs: Vec = {}
-
-    def add_rows(coeff_rows: list[Vec], targets: Vec | None):
-        for r, row in enumerate(coeff_rows):
-            rows.append(row)
-        if targets:
-            base = len(rows) - len(coeff_rows)
-            for k, c in targets.items():
-                rhs[base + k] = c
-
-    for v in left_range.rows:
-        m = t2.right_mult_map(v)  # X -> X*v as linear map in X
-        add_rows(m.rows(), v)
-    for w in range(d2):
-        m = ql @ t2.right_mult_map(unit_vec(w))
-        add_rows(m.rows(), None)
-    for v in right_range.rows:
-        m = t2.left_mult_map(v)   # X -> v*X
-        add_rows(m.rows(), v)
-    for w in range(d2):
-        m = qr @ t2.left_mult_map(unit_vec(w))
-        add_rows(m.rows(), None)
-    system = LinMap.from_rows(d2, rows)
-    sol = solve(system, rhs)
-    if sol is None or system.kernel().dim:
-        raise NoSuchIdempotent("defining constraints have no unique solution")
-    if t2.mul(sol, sol) != sol:
-        raise NoSuchIdempotent("solved element is not idempotent")
-    return sol
-
-
 def run_suite(bundle: WeakMultiplierHopfAlgebra, title: str = "wmha-suite") -> Report:
     """All core checks in a fixed order."""
     report = Report(title)
@@ -534,15 +431,3 @@ def run_suite(bundle: WeakMultiplierHopfAlgebra, title: str = "wmha-suite") -> R
                            detail="only the identities exercised above are certified"))
     return report
 
-
-def opposite_bundle(bundle: WeakMultiplierHopfAlgebra) -> WeakMultiplierHopfAlgebra:
-    """Same coproduct over the opposite algebra; the antipode inverts."""
-    from .algebra import opposite_algebra
-
-    return WeakMultiplierHopfAlgebra(
-        algebra=opposite_algebra(bundle.algebra),
-        delta=bundle.delta,
-        counit=bundle.counit,
-        antipode=bundle.antipode_inv(),
-        canonical_idempotent=bundle.E,
-    )

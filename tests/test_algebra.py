@@ -2,12 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from weakhopf.algebra import (DegenerateProduct, Multiplier,
-                              NonAssociative, NotIdempotent, TensorSquare,
-                              direct_sum, field_algebra, make_algebra,
-                              matrix_algebra, multiplier_algebra,
-                              opposite_algebra, tensor_algebra)
-from weakhopf.linalg import LinMap, unit_vec
+from weakhopf.algebra import (DegenerateProduct, NonAssociative, NotIdempotent,
+                              TensorSquare, direct_sum, field_algebra, make_algebra,
+                              matrix_algebra, opposite_algebra, tensor_algebra)
+from weakhopf.linalg import LinMap, Subspace, unit_vec
 
 
 def test_field_is_valid():
@@ -88,35 +86,10 @@ def test_commutative_opposite_unchanged():
     assert opposite_algebra(f).mul_basis(0, 0) == f.mul_basis(0, 0)
 
 
-def test_multiplier_compatibility_and_product():
-    m2 = matrix_algebra(2)
-    x = {0: Fraction(2), 3: Fraction(1)}  # diag(2, 1)
-    m = Multiplier.from_element(m2, x)
-    ok, _ = m.is_compatible()
-    assert ok
-    assert (m * m).reify() == m2.mul(x, x)
-    assert m.reify() == x
-
-
-def test_multiplier_algebra_of_unital_is_isomorphic():
-    for alg in (field_algebra(), matrix_algebra(2)):
-        m, embed = multiplier_algebra(alg)
-        assert m.dim == alg.dim
-        assert embed.rank() == alg.dim
-
-
-def test_multiplier_algebra_m2_plus_m3():
+def test_unit_of_direct_sum():
     a = direct_sum(matrix_algebra(2), matrix_algebra(3))
     a.validate()
     assert a.dim == 13
-    m, embed = multiplier_algebra(a)
-    assert m.dim == 13
-    assert embed.rank() == 13
-    m.validate()
-
-
-def test_unit_of_direct_sum():
-    a = direct_sum(matrix_algebra(2), matrix_algebra(3))
     e = a.unit()
     assert e is not None
     for i in range(a.dim):
@@ -136,6 +109,18 @@ def test_tensor_square_leg_operations():
     assert t2.mul_right_leg2(x, unit_vec(0)) == x
     # second leg right product by e22 kills e21
     assert t2.mul_right_leg2(x, unit_vec(3)) == {}
+
+
+def test_leg_vectors_span_legs_not_support():
+    # (e11 + e21) (x) e12 in M_2 has two coordinates but one first-leg vector
+    t2 = TensorSquare(matrix_algebra(2))
+    x = t2.tensor({0: Fraction(1), 2: Fraction(1)}, unit_vec(1))
+    assert len(x) == 2
+    first = t2.leg_vectors(x, 1)
+    assert first == {1: {0: Fraction(1), 2: Fraction(1)}}
+    assert Subspace.from_vectors(4, first.values()).dim == 1
+    assert t2.leg_vectors(x, 2) == {0: {1: Fraction(1)}, 2: {1: Fraction(1)}}
+    assert Subspace.from_vectors(4, t2.leg_vectors(x, 2).values()).dim == 1
 
 
 def test_tensor_square_mul_is_componentwise():
@@ -177,10 +162,3 @@ def test_tensor_of_function_algebras_counts_arrow_pairs():
     assert t.mul(unit_vec(3), unit_vec(3)) == unit_vec(3)
     assert t.mul(unit_vec(3), unit_vec(5)) == {}
 
-
-def test_multiplier_algebra_of_function_algebra():
-    from weakhopf.groupoids import function_algebra, pair_groupoid
-    k = function_algebra(pair_groupoid(2))
-    m, embed = multiplier_algebra(k)
-    assert m.dim == 4
-    assert embed.rank() == 4

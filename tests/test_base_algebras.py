@@ -2,13 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from weakhopf.base_algebras import (check_characterizations, extend_antipode,
-                                    run_base_suite, source_map, target_map)
-from weakhopf.algebra import Multiplier
+from weakhopf.base_algebras import check_characterizations, run_base_suite
 from weakhopf.groupoids import (as_wmha, cyclic_group, group_groupoid,
                                 pair_groupoid, source_indicator,
                                 target_indicator)
-from weakhopf.linalg import Subspace, unit_vec
+from weakhopf.linalg import Subspace
 from weakhopf.wmha import WeakMultiplierHopfAlgebra
 
 
@@ -50,22 +48,6 @@ def test_antipode_restriction_swaps_indicators(p2, p2_bundle, p2_data):
         coords = p2_data.b_view.to_coords(x)
         image = p2_data.c_view.from_coords(p2_data.s_b.apply(coords))
         assert image == target_indicator(p2, u)
-
-
-def test_source_target_multipliers_are_compatible(p2_bundle):
-    m = source_map(p2_bundle, unit_vec(0))
-    ok, _ = m.is_compatible()
-    assert ok
-    t = target_map(p2_bundle, unit_vec(0))
-    ok, _ = t.is_compatible()
-    assert ok
-
-
-def test_extended_antipode_matches_elementwise(p2_bundle):
-    x = {0: Fraction(2), 3: Fraction(-1)}
-    m = Multiplier.from_element(p2_bundle.algebra, x)
-    ext = extend_antipode(p2_bundle, m)
-    assert ext.reify() == p2_bundle.antipode.apply(x)
 
 
 def test_hopf_case_bases_are_scalars():

@@ -2,16 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from weakhopf.algebra import (direct_sum, field_algebra, make_algebra,
-                              matrix_algebra, opposite_algebra)
+from weakhopf.algebra import direct_sum, field_algebra, make_algebra, matrix_algebra
 from weakhopf.linalg import LinMap, unit_vec
 from weakhopf.separability import (NotFaithful, NotIdempotentE,
-                                   SeparabilityCertificate,
-                                   SeparabilityRefutation,
-                                   build_E_from_functional,
-                                   certify_separable_frobenius,
-                                   derive_right_handed_data, dual_basis,
-                                   functional_from_E, modular_automorphism,
+                                   build_E_from_functional, dual_basis,
+                                   modular_automorphism, regular_trace,
                                    slice_property_holds, trace_form_radical)
 
 
@@ -108,22 +103,15 @@ def test_field_case_trivial():
 
 
 def test_certify_m2_plus_m3():
+    # the regular trace separates a semisimple base
     b = direct_sum(matrix_algebra(2), matrix_algebra(3))
-    got = certify_separable_frobenius(b)
-    assert isinstance(got, SeparabilityCertificate)
-    assert got.idem.check_invariants() == []
+    idem = build_E_from_functional(b, regular_trace(b))
+    assert idem.check_invariants() == []
 
 
 def test_certify_refutes_dual_numbers():
-    got = certify_separable_frobenius(dual_numbers())
-    assert isinstance(got, SeparabilityRefutation)
     # the radical witness is the nilpotent direction
-    assert got.radical_witness == {1: Fraction(1)}
-
-
-def test_certify_field():
-    got = certify_separable_frobenius(field_algebra())
-    assert isinstance(got, SeparabilityCertificate)
+    assert trace_form_radical(dual_numbers()).rows[0] == {1: Fraction(1)}
 
 
 def test_radical_of_semisimple_is_zero():
@@ -133,40 +121,21 @@ def test_radical_of_semisimple_is_zero():
 
 def test_derive_right_handed_data_trace_case():
     m2 = matrix_algebra(2)
-    idem = build_E_from_functional(m2, {0: Fraction(2), 3: Fraction(2)})
-    full = derive_right_handed_data(idem)
+    full = build_E_from_functional(m2, {0: Fraction(2), 3: Fraction(2)})
     # tracial case: sigma = id so S_C = S_B^{-1} and sigma_C = id
     assert full.s_c == full.s_b.inverse()
     assert full.sigma_c == LinMap.identity(4)
+    assert slice_property_holds(full)
 
 
 def test_derive_right_handed_weighted_case():
     # the separating normalization of tr(diag(1,2) .) is (3/2) tr(diag(1,2) .)
     m2 = matrix_algebra(2)
-    idem = build_E_from_functional(
+    full = build_E_from_functional(
         m2, trace_functional(2, [Fraction(3, 2), Fraction(3)]))
-    full = derive_right_handed_data(idem)
     assert full.sigma_c != LinMap.identity(4)
     assert full.check_invariants() == []
-
-
-def test_functional_round_trip():
-    m2 = matrix_algebra(2)
-    phi = {0: Fraction(2), 3: Fraction(2)}
-    idem = build_E_from_functional(m2, phi)
-    phi_b, phi_c = functional_from_E(idem.b, idem.c, idem.e)
-    assert phi_b == phi
-    assert phi_c == idem.phi_c
-
-
-def test_functional_from_groupoid_style_E():
-    # commutative split base: indicators with the all-ones functional
-    b = make_algebra(["p", "q"], {(0, 0, 0): 1, (1, 1, 1): 1})
-    c = opposite_algebra(b)
-    e = {0 * 2 + 0: Fraction(1), 1 * 2 + 1: Fraction(1)}
-    phi_b, phi_c = functional_from_E(b, c, e)
-    assert phi_b == {0: Fraction(1), 1: Fraction(1)}
-    assert phi_c == {0: Fraction(1), 1: Fraction(1)}
+    assert slice_property_holds(full)
 
 
 def test_weighted_trace_needs_normalization():

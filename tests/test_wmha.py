@@ -2,13 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from weakhopf.groupoids import (action_groupoid, as_wmha, composability_element,
+from weakhopf.groupoids import (action_groupoid, as_wmha,
                                 cyclic_group, group_groupoid, pair_groupoid)
 from weakhopf.linalg import unit_vec, vtensor
 from weakhopf.wmha import (WeakMultiplierHopfAlgebra,
                            check_counit, check_E_identities,
-                           check_generalized_inverses, compute_E,
-                           opposite_bundle, run_suite)
+                           check_generalized_inverses, run_suite)
 
 
 @pytest.fixture(scope="module")
@@ -100,21 +99,6 @@ def test_counit_failure_witness(p2):
     assert lhs == {} != bad.algebra.mul_basis(a, a)
 
 
-def test_compute_E_matches_groupoid_indicator(p2, p2_bundle):
-    e = compute_E(p2_bundle.algebra, p2_bundle.delta)
-    assert e == composability_element(p2)
-
-
-def test_compute_E_generic_solver_agrees(p2, p2_bundle):
-    e = compute_E(p2_bundle.algebra, p2_bundle.delta, force_generic=True)
-    assert e == composability_element(p2)
-
-
-def test_compute_E_hopf_case(z2_bundle):
-    e = compute_E(z2_bundle.algebra, z2_bundle.delta)
-    assert e == z2_bundle.E
-
-
 def test_corrupted_E_detected(p2_bundle):
     e = dict(p2_bundle.E)
     some = next(iter(e))
@@ -140,16 +124,6 @@ def test_hopf_case_tr_is_identity(z2_bundle):
     r1 = z2_bundle.generalized_inverse(1)
     from weakhopf.linalg import LinMap
     assert t1 @ r1 == LinMap.identity(z2_bundle.dim ** 2)
-
-
-def test_opposite_bundle_passes_and_swaps_maps(p2_bundle):
-    op = opposite_bundle(p2_bundle)
-    report = run_suite(op)
-    assert report.ok, report.to_text()
-    assert op.canonical_map(1) == p2_bundle.canonical_map(3)
-    assert op.canonical_map(2) == p2_bundle.canonical_map(4)
-    assert op.canonical_map(3) == p2_bundle.canonical_map(1)
-    assert op.canonical_map(4) == p2_bundle.canonical_map(2)
 
 
 def test_source_values_match_pointwise_oracle(p2, p2_bundle):
