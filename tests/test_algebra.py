@@ -86,10 +86,20 @@ def test_commutative_opposite_unchanged():
     assert opposite_algebra(f).mul_basis(0, 0) == f.mul_basis(0, 0)
 
 
-def test_unit_of_direct_sum():
+def test_multiplier_algebra_m2_plus_m3():
+    # M2 + M3 is unital, so M(A) = A: the left regular representation
+    # a -> L_a embeds all 13 dimensions faithfully.
     a = direct_sum(matrix_algebra(2), matrix_algebra(3))
     a.validate()
     assert a.dim == 13
+    flat = [{j * a.dim + r: c for j, col in enumerate(a.left_mult(unit_vec(i)).cols)
+             for r, c in col.items()}
+            for i in range(a.dim)]
+    assert LinMap(a.dim * a.dim, a.dim, flat).rank() == 13
+
+
+def test_unit_of_direct_sum():
+    a = direct_sum(matrix_algebra(2), matrix_algebra(3))
     e = a.unit()
     assert e is not None
     for i in range(a.dim):
