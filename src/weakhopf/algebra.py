@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from .linalg import LinMap, Subspace, Vec, rat, solve, unit_vec, vaxpy, vtensor
+from .linalg import LinMap, Subspace, Vec, rat, solve, unit_vec, vaxpy, vsub, vtensor
 
 
 class AlgebraError(ValueError):
@@ -371,6 +371,47 @@ class TensorSquare:
             vaxpy(out, c, vtensor(unit_vec(u), g(v), d * d))
         return out
 
+    def cover(self, z: Vec, leg: int, left: bool, i: int) -> Vec:
+        """z in A (x) A (x) A multiplied by e_i in the given leg, from
+        the left when left is true, else from the right."""
+        alg, d = self.algebra, self.dim
+        stride = d ** (3 - leg)
+        out: Vec = {}
+        for p, c in z.items():
+            x = p // stride % d
+            rest = p - x * stride
+            prod = alg.mul_basis(i, x) if left else alg.mul_basis(x, i)
+            for k, e in prod.items():
+                vaxpy(out, c * e, {rest + k * stride: Fraction(1)})
+        return out
+
+    def first_nonzero_cover(self, diffs) -> tuple[tuple[int, ...], int]:
+        """Witness locator for a failed identity of elements of
+        A (x) A (x) A.  diffs[k] is (X_k - Y_k, covers), where covers[n]
+        = (leg, left) says how the n-th loop index covers the element.
+        Returns the first index tuple in lexicographic order, and then
+        the first k, at which the covered difference is nonzero: where a
+        covered comparison loop over X_k and Y_k would first fail.
+        Covers on distinct legs commute, so a difference that vanishes
+        under the outer covers is dropped with all its inner ones.
+        """
+        def search(prefix, live):
+            n = len(prefix)
+            if n == len(live[0][2]):
+                return prefix, live[0][0]
+            for i in range(self.dim):
+                nxt = [(k, z2, covers) for k, z, covers in live
+                       if (z2 := self.cover(z, *covers[n], i))]
+                found = search(prefix + (i,), nxt) if nxt else None
+                if found:
+                    return found
+            return None
+
+        found = search((), [(k, z, covers) for k, (z, covers) in enumerate(diffs) if z])
+        if found is None:
+            raise AlgebraError("a nonzero element vanishes under every basis cover")
+        return found
+
     def twisted_projector(self, f: Vec, which: int) -> LinMap:
         """The map whose column (a, b) is (e_a (x) 1) F (1 (x) e_b) for
         F = F_1, F_2 and (1 (x) e_b) F (e_a (x) 1) for F = F_3, F_4,
@@ -405,7 +446,7 @@ class CoproductSlices:
         r2(a, b) = Delta(e_a)(1 (x) e_b)    l2(a, b) = (1 (x) e_b)Delta'(e_a)
 
     Each slice is computed once and cached per (kind, a, b), because the
-    triple-indexed checks revisit them constantly; the canonical maps
+    pair- and triple-indexed checks revisit them; the canonical maps
     T_1..T_4 are assembled from the cached slices once.  Cached values
     are shared, so callers must not mutate them.  A bundle slices (Delta,
     Delta), an algebroid (Delta_B, Delta_C), reconstruction the rebuilt
@@ -462,21 +503,30 @@ class CoproductSlices:
         return m
 
     def first_coassociativity_failure(self, equations) -> tuple[int, int, int, int] | None:
-        """The first (a, b, c, k), looping over a, b, c and then k, at
-        which equation k fails; None when all hold.
+        """The first (a, b, c, k), in the order of a covered loop over a,
+        b, c and then k, at which equation k fails; None when all hold.
 
-        Equation k is (outer, inner, same), two slice methods and a
-        comparison.  It compares sum outer(a, b)[u, v] inner(u, c) (x) e_v
-        with sum inner(a, c)[u, v] e_u (x) outer(v, b), the two covered
-        forms of coassociativity.
+        Equation k is a pair of slice kinds (outer, inner), outer "r2" or
+        "l2" and inner "r1" or "l1".  Its covered form compares
+        sum outer(a, b)[u, v] inner(u, c) (x) e_v with
+        sum inner(a, c)[u, v] e_u (x) outer(v, b).  With O and I the
+        coproduct families behind the two kinds, these are
+        (I (x) id)O(e_a) and (id (x) O)I(e_a) in A (x) A (x) A, covered by
+        e_c on the first leg and e_b on the third, each on the side its
+        slice covers.  The families are honest elements and A is unital,
+        so the equation holds for all b, c exactly when the two elements
+        are equal.  That comparison decides; the covers are scanned only
+        to name (b, c) once it has failed.
         """
-        t2, d = self.t2, self.t2.dim
-        for a in range(d):
-            for b in range(d):
-                for c in range(d):
-                    for k, (outer, inner, same) in enumerate(equations):
-                        lhs = t2.expand_leg1(outer(a, b), lambda u: inner(u, c))
-                        rhs = t2.expand_leg2(inner(a, c), lambda v: outer(v, b))
-                        if not same(lhs, rhs):
-                            return a, b, c, k
+        t2 = self.t2
+        outers = {"r2": (self.left, False), "l2": (self.right, True)}
+        inners = {"r1": (self.left, False), "l1": (self.right, True)}
+        families = [(outers[outer], inners[inner]) for outer, inner in equations]
+        for a in range(t2.dim):
+            diffs = [(vsub(t2.expand_leg1(o[a], lambda u: i[u]),
+                           t2.expand_leg2(i[a], lambda v: o[v])), ((3, o_left), (1, i_left)))
+                     for (o, o_left), (i, i_left) in families]
+            if any(z for z, _ in diffs):
+                (b, c), k = t2.first_nonzero_cover(diffs)
+                return a, b, c, k
         return None

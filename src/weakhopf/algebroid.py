@@ -44,7 +44,6 @@ class QuantumGraphPair:
         self.s_c = s_c              # C-coords -> B-coords
         self.e_element = e_element  # in A (x) A
         self.e_coords = e_coords    # in B (x) C coordinates
-        self._f_cache: dict[int, Vec] = {}
         self._bal_cache: dict[str, BalancedTensorSpace] = {}
         self._triple_cache: dict[tuple[str, str], TripleQuotient] = {}
 
@@ -75,20 +74,16 @@ class QuantumGraphPair:
             raise AlgebraError("element is not in C")
         return self.b_view.from_coords(self.s_c.apply(coords))
 
-    def f_element(self, which: int) -> Vec:
-        """The idempotent with one leg twisted by the matching
-        anti-isomorphism, realized in A (x) A."""
-        if self.e_coords is None:
-            raise AlgebraError("no separability idempotent on this graph pair")
+    def f_element(self, which: int, e_coords: Vec) -> Vec:
+        """The idempotent E, given in B (x) C coordinates, with one leg
+        twisted by the matching anti-isomorphism, realized in A (x) A."""
         if which not in (1, 2, 3, 4):
             raise ValueError(which)
-        if which not in self._f_cache:
-            b, c = self.b_view.basis_map, self.c_view.basis_map
-            left, right = {1: (b, b @ self.s_c), 2: (c @ self.s_b, c),
-                           3: (b, b @ self.s_b.inverse()),
-                           4: (c @ self.s_c.inverse(), c)}[which]
-            self._f_cache[which] = left.tensor(right).apply(self.e_coords)
-        return self._f_cache[which]
+        b, c = self.b_view.basis_map, self.c_view.basis_map
+        left, right = {1: (b, b @ self.s_c), 2: (c @ self.s_b, c),
+                       3: (b, b @ self.s_b.inverse()),
+                       4: (c @ self.s_c.inverse(), c)}[which]
+        return left.tensor(right).apply(e_coords)
 
     def balanced(self, kind: str) -> BalancedTensorSpace:
         if kind not in self._bal_cache:
@@ -254,12 +249,31 @@ def check_base_behavior(alg: MultiplierHopfAlgebroid) -> CheckRecord:
     return passed("coproduct-base-behavior")
 
 
+def _first_covered_failure(sl: CoproductSlices, equations) -> tuple[int, int, int, int] | None:
+    """The first (a, b, c, k), looping over a, b, c and then k, at which
+    equation k = (outer, inner, same) fails: sum outer(a, b)[u, v]
+    inner(u, c) (x) e_v against sum inner(a, c)[u, v] e_u (x) outer(v, b)
+    under the triple quotient comparison same.  The scan stays covered:
+    the triple balanced relations are not closed under covering on every
+    leg, so the wmha suite's one comparison per element does not apply."""
+    t2, d = sl.t2, sl.t2.dim
+    for a in range(d):
+        for b in range(d):
+            for c in range(d):
+                for k, (outer, inner, same) in enumerate(equations):
+                    lhs = t2.expand_leg1(outer(a, b), lambda u: inner(u, c))
+                    rhs = t2.expand_leg2(inner(a, c), lambda v: outer(v, b))
+                    if not same(lhs, rhs):
+                        return a, b, c, k
+    return None
+
+
 def check_algebroid_coassociativity(alg: MultiplierHopfAlgebroid) -> CheckRecord:
     """Each coproduct is coassociative after projection to the triple
     balanced space of its own kind."""
     graph, sl = alg.graph, alg.slices
-    bad = sl.first_coassociativity_failure(
-        [(sl.r2, sl.r1, graph.triple("l", "l").equivalent),
+    bad = _first_covered_failure(
+        sl, [(sl.r2, sl.r1, graph.triple("l", "l").equivalent),
          (sl.l2, sl.l1, graph.triple("r", "r").equivalent)])
     if bad is None:
         return passed("coproduct-coassociativity")
@@ -275,8 +289,8 @@ def check_compatibility(alg: MultiplierHopfAlgebroid) -> CheckRecord:
     (Delta_B x id)((1 x b)Delta_C(a))(c x 1 x 1) against
     (1 x 1 x b)(id x Delta_C)(Delta_B(a)(c x 1))."""
     graph, sl = alg.graph, alg.slices
-    bad = sl.first_coassociativity_failure(
-        [(sl.r2, sl.l1, graph.triple("r", "l").equivalent),
+    bad = _first_covered_failure(
+        sl, [(sl.r2, sl.l1, graph.triple("r", "l").equivalent),
          (sl.l2, sl.r1, graph.triple("l", "r").equivalent)])
     if bad is None:
         return passed("joint-coassociativity")

@@ -146,7 +146,7 @@ def section_projector(kind: str, graph) -> LinMap | None:
     if kind == "r":
         return t2.right_mult_map(e)
     which = {"s": 1, "t": 2, "s-up": 3, "t-up": 4}[kind]
-    return t2.twisted_projector(graph.f_element(which), which)
+    return t2.twisted_projector(graph.f_element(which, graph.e_coords), which)
 
 
 def build_balanced(kind: str, graph) -> BalancedTensorSpace:

@@ -37,7 +37,17 @@ def _vec_list(v: Vec, n: int) -> list[str]:
     return [_enc(v.get(i, Fraction(0))) for i in range(n)]
 
 
-def _vec_from_list(xs) -> Vec:
+def _require_shape(xs, *shape: int) -> None:
+    """Nested lists xs must have exactly these lengths, outermost first."""
+    level = [xs]
+    for n in shape:
+        if any(len(x) != n for x in level):
+            raise SchemaError(f"expected a {' x '.join(map(str, shape))} array")
+        level = [y for x in level for y in x]
+
+
+def _vec_from_list(xs, n: int) -> Vec:
+    _require_shape(xs, n)
     return vec_from(enumerate(xs))
 
 
@@ -45,7 +55,8 @@ def _matrix(m: LinMap) -> list[list[str]]:
     return [[_enc(m.entry(i, j)) for j in range(m.ncols)] for i in range(m.nrows)]
 
 
-def _matrix_from(rows) -> LinMap:
+def _matrix_from(rows, nrows: int, ncols: int) -> LinMap:
+    _require_shape(rows, nrows, ncols)
     return LinMap.from_dense(rows)
 
 
@@ -58,6 +69,7 @@ def _square(v: Vec, d: int) -> list[list[str]]:
 
 
 def _square_from(rows, d: int) -> Vec:
+    _require_shape(rows, d, d)
     out: Vec = {}
     for i, row in enumerate(rows):
         for j, x in enumerate(row):
@@ -65,6 +77,11 @@ def _square_from(rows, d: int) -> Vec:
             if c:
                 out[i * d + j] = c
     return out
+
+
+def _squares_from(elements, d: int) -> list[Vec]:
+    _require_shape(elements, d)
+    return [_square_from(rows, d) for rows in elements]
 
 
 def algebra_to_dict(alg: FiniteAlgebra) -> dict:
@@ -75,7 +92,9 @@ def algebra_to_dict(alg: FiniteAlgebra) -> dict:
 
 
 def algebra_from_dict(doc: dict) -> FiniteAlgebra:
-    return make_algebra(list(doc["labels"]), doc["structure"])
+    labels, structure = list(doc["labels"]), doc["structure"]
+    _require_shape(structure, len(labels), len(labels), len(labels))
+    return make_algebra(labels, structure)
 
 
 def wmha_to_dict(bundle: WeakMultiplierHopfAlgebra) -> dict:
@@ -96,9 +115,9 @@ def wmha_from_dict(doc: dict) -> WeakMultiplierHopfAlgebra:
     d = algebra.dim
     return WeakMultiplierHopfAlgebra(
         algebra=algebra,
-        delta=[_square_from(rows, d) for rows in doc["delta"]],
-        counit=_vec_from_list(doc["counit"]),
-        antipode=_matrix_from(doc["antipode"]),
+        delta=_squares_from(doc["delta"], d),
+        counit=_vec_from_list(doc["counit"], d),
+        antipode=_matrix_from(doc["antipode"], d, d),
         canonical_idempotent=_square_from(doc["idempotent"], d),
     )
 
@@ -142,24 +161,25 @@ def algebroid_to_dict(alg: MultiplierHopfAlgebroid,
 def algebroid_from_dict(doc: dict) -> MultiplierHopfAlgebroid:
     algebra = algebra_from_dict(doc["algebra"])
     d = algebra.dim
-    b_view = SubalgebraView(algebra, [_vec_from_list(x) for x in doc["b_basis"]], "B")
-    c_view = SubalgebraView(algebra, [_vec_from_list(y) for y in doc["c_basis"]], "C")
+    b_view = SubalgebraView(algebra, [_vec_from_list(x, d) for x in doc["b_basis"]], "B")
+    c_view = SubalgebraView(algebra, [_vec_from_list(y, d) for y in doc["c_basis"]], "C")
+    nb, nc = len(b_view.basis), len(c_view.basis)
     graph = QuantumGraphPair(algebra, b_view, c_view,
-                             _matrix_from(doc["s_b"]), _matrix_from(doc["s_c"]))
+                             _matrix_from(doc["s_b"], nc, nb), _matrix_from(doc["s_c"], nb, nc))
     return MultiplierHopfAlgebroid(
         graph,
-        delta_b=[_square_from(rows, d) for rows in doc["delta_b"]],
-        delta_c=[_square_from(rows, d) for rows in doc["delta_c"]],
-        eps_b=_matrix_from(doc["eps_b"]),
-        eps_c=_matrix_from(doc["eps_c"]),
-        antipode=_matrix_from(doc["antipode"]),
+        delta_b=_squares_from(doc["delta_b"], d),
+        delta_c=_squares_from(doc["delta_c"], d),
+        eps_b=_matrix_from(doc["eps_b"], d, d),
+        eps_c=_matrix_from(doc["eps_c"], d, d),
+        antipode=_matrix_from(doc["antipode"], d, d),
     )
 
 
 def functionals_from_dict(doc: dict) -> list[Vec]:
     if doc.get("kind") != "functionals":
         raise SchemaError("expected a functionals document")
-    return [_vec_from_list(xs) for xs in doc["functionals"]]
+    return [vec_from(enumerate(xs)) for xs in doc["functionals"]]
 
 
 def load(path: str) -> dict:

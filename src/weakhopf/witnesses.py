@@ -246,7 +246,8 @@ def _revalidate_subspace(obstruction, alg) -> bool:
     # kernel stage: apply the named canonical map densely and compare
     # against the sandwich-generated span
     name = w.get("map")
-    if name is None:
+    e_coords = obstruction.context.get("e_coords")
+    if name is None or e_coords is None:
         return False
     spec, f_idx, style = {
         "T1": (lambda a, b: t2.mul_right_leg2(t2.mul(e_elt, alg.delta_b[a]), unit_vec(b)),
@@ -266,7 +267,7 @@ def _revalidate_subspace(obstruction, alg) -> bool:
             for k2, x in col.items():
                 image[k2] += c * x
     in_kernel = not any(image)
-    f = alg.graph.f_element(f_idx)
+    f = alg.graph.f_element(f_idx, e_coords)
     gens = []
     for a in range(d):
         ea = unit_vec(a)

@@ -54,6 +54,24 @@ def test_malformed_file_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("tensor", ["delta[0][0] row", "delta[0][1] row", "counit"])
+def test_misshapen_tensor_exits_2(tmp_path, capsys, tensor):
+    """A pair-2 file (d = 4) with one vector of 5 entries is malformed
+    input, not a structure to check: the extra entry must not be ignored
+    or alias into the next row."""
+    path = tmp_path / "p2.json"
+    run(capsys, "gen-example", "pair-groupoid", "--n", "2", "--out", str(path))
+    doc = json.loads(path.read_text())
+    row = {"delta[0][0] row": doc["delta"][0][0], "delta[0][1] row": doc["delta"][0][1],
+           "counit": doc["counit"]}[tensor]
+    row.append("0" if tensor == "delta[0][0] row" else "1")
+    path.write_text(json.dumps(doc))
+    code = main(["check-wmha", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("input error: ")
+
+
 def test_forward_and_back_via_cli(tmp_path, capsys):
     wmha_path = tmp_path / "p2.json"
     alg_path = tmp_path / "p2-algebroid.json"

@@ -44,6 +44,7 @@ COMMANDS = [
     ("check-wmha", "lazy-pair", False),
     ("roundtrip", "pair-2", False),
     ("roundtrip", "action-swap", False),
+    ("roundtrip", "base-m2-weighted", False),
     ("wmha-to-algebroid", "pair-2", True),
     ("check-algebroid", "pair-2-algebroid", False),
     ("algebroid-to-wmha", "pair-2-algebroid", True),

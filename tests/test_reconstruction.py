@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from weakhopf import io
 from weakhopf.algebra import matrix_algebra
 from weakhopf.algebroid import forward_construct
 from weakhopf.examples import (identity_twist, mixed_algebroid,
@@ -16,6 +17,7 @@ from weakhopf.reconstruction import (ObstructionReport, PipelineResult,
                                      STAGE_NOT_SEPARABLE, rebuilt_coproducts,
                                      reconstruction_pipeline)
 from weakhopf.separability import build_E_from_functional
+from weakhopf.cli import main
 
 
 def roundtrip(bundle, candidates=()):
@@ -161,3 +163,19 @@ def test_cached_slices_match_leg_products():
                 sides_differ = sides_differ or r1 != t2.mul_left_leg1(eb, slices.left[a])
     # the algebra is noncommutative, so the side of the cover matters
     assert sides_differ
+
+
+def test_pipeline_leaves_its_input_untouched(tmp_path, capsys):
+    """A file-loaded algebroid carries no idempotent; reconstruction finds
+    one but must not write it into the caller's graph pair."""
+    wmha_path, alg_path = tmp_path / "m2.json", tmp_path / "m2-algebroid.json"
+    assert main(["gen-example", "base-m2", "--variant", "weighted",
+                 "--out", str(wmha_path)]) == 0
+    assert main(["wmha-to-algebroid", str(wmha_path), "--out", str(alg_path)]) == 0
+    capsys.readouterr()
+    alg = io.parse_document(io.load(str(alg_path)))
+    assert alg.graph.e_element is None and alg.graph.e_coords is None
+    got = reconstruction_pipeline(alg)
+    assert isinstance(got, PipelineResult)
+    assert alg.graph.e_element is None
+    assert alg.graph.e_coords is None

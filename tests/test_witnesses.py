@@ -92,10 +92,11 @@ def test_synthetic_kernel_failure_revalidates(p2_setup):
     bad = _corrupted(alg, 0)
     report = Report("synthetic")
     cops = rebuilt_coproducts(bad, bundle.E)
-    ok = check_kernels(bad, cops, report)
+    ok = check_kernels(bad, cops, alg.graph.e_coords, report)
     assert not ok
     witness = report.records[-1].witness
     assert "witness_vector" in witness
-    obstruction = ObstructionReport(STAGE_KERNELS, witness, "synthetic",
-                                    report, context={"e_elt": bundle.E})
+    obstruction = ObstructionReport(STAGE_KERNELS, witness, "synthetic", report,
+                                    context={"e_elt": bundle.E,
+                                             "e_coords": alg.graph.e_coords})
     assert revalidate(obstruction, bad)
