@@ -324,11 +324,8 @@ def algebroid_canonical_maps(alg: MultiplierHopfAlgebroid) -> dict[str, LinMap]:
             induced = full @ dom.theta
         else:
             # pick representatives for the quotient coordinates
-            cols = []
-            free = [i for i in range(alg.t2.size)
-                    if i not in set(dom.relations.pivots)]
-            for f in free:
-                cols.append(full.apply(unit_vec(f)))
+            pivots = set(dom.relations.pivots)
+            cols = [full.apply(unit_vec(f)) for f in range(alg.t2.size) if f not in pivots]
             induced = LinMap(codomain.q_dim, dom.q_dim, cols)
         if induced.nrows != induced.ncols or not induced.is_bijective():
             ker = induced.kernel()

@@ -17,11 +17,16 @@ antipodal twists.  Elements of a balanced product are then stored as
 their section images.  Without an idempotent only the quotient map is
 available (echelon-complement coordinates).
 
-Triple quotients appear in coassociativity checks.  Membership of a
-difference vector in the triple relation space is decided through the
-composed leg-pair projectors; the kernel of that composition is
-contained in the relation space unconditionally, so the test can never
-wrongly accept.
+Triple quotients appear in coassociativity checks: a difference x in
+A (x) A (x) A is trivial when it lies in R12 (x) A + A (x) R23, with R12
+and R23 the relation spaces on legs (1,2) and (2,3).  With sections,
+membership is decided through the composed leg-pair projectors; the
+kernel of that composition is contained in the relation space
+unconditionally, so the test can never wrongly accept.  Without them,
+N = pi12 (x) id has kernel exactly R12 (x) A, so x is trivial exactly
+when N(x) lies in W = N(A (x) R23) inside Q12 (x) A.  Only W is
+echelonized, spanned by N(e_i (x) r) for the rows r of R23; nothing of
+dimension d^3 is row-reduced.
 """
 
 from __future__ import annotations
@@ -167,29 +172,25 @@ class TripleQuotient:
         self.d = graph.algebra.dim
         self.kind12 = kind12
         self.kind23 = kind23
-        self.space12 = build_balanced(kind12, graph)
-        self.space23 = build_balanced(kind23, graph)
+        self.space12 = graph.balanced(kind12)
+        self.space23 = graph.balanced(kind23)
         self._small = self.space12.projector is None or self.space23.projector is None
         if self._small:
             self._relations = self._relation_subspace()
 
     def _relation_subspace(self) -> Subspace:
+        """W = (pi12 (x) id)(A (x) R23) inside Q12 (x) A."""
         d = self.d
-        sub = Subspace(d ** 3)
-        for rel in self.space12.relations.rows:
-            for k in range(d):
-                sub.insert(vtensor(rel, unit_vec(k), d))
+        sub = Subspace(self.space12.q_dim * d)
         for rel in self.space23.relations.rows:
             for i in range(d):
-                out: Vec = {}
                 base = i * d * d
-                for p, c in rel.items():
-                    out[base + p] = c
-                sub.insert(out)
+                sub.insert(self._apply12(self.space12.pi,
+                                         {base + p: c for p, c in rel.items()}))
         return sub
 
-    def _apply12(self, x: Vec) -> Vec:
-        """Leg-(1,2) projector applied blockwise over leg 3."""
+    def _apply12(self, m: LinMap, x: Vec) -> Vec:
+        """A map on legs (1,2) applied blockwise over leg 3."""
         d = self.d
         blocks: dict[int, Vec] = {}
         for p, c in x.items():
@@ -197,7 +198,7 @@ class TripleQuotient:
             blocks.setdefault(k, {})[pq] = c
         out: Vec = {}
         for k, block in blocks.items():
-            img = self.space12.projector.apply(block)
+            img = m.apply(block)
             for pq, c in img.items():
                 out[pq * d + k] = c
         return out
@@ -221,14 +222,16 @@ class TripleQuotient:
 
         With sections: the kernel of the composed projectors is always
         inside the relation space, so a True answer is trustworthy in
-        both orders of composition.
+        both orders of composition.  Without: x is in the relation space
+        exactly when (pi12 (x) id)(x) lies in W.
         """
         if not x:
             return True
         if self._small:
-            return self._relations.contains(x)
-        return (not self._apply23(self._apply12(x))
-                and not self._apply12(self._apply23(x)))
+            return self._relations.contains(self._apply12(self.space12.pi, x))
+        p12 = self.space12.projector
+        return (not self._apply23(self._apply12(p12, x))
+                and not self._apply12(p12, self._apply23(x)))
 
     def equivalent(self, x: Vec, y: Vec) -> bool:
         return self.contains(vsub(x, y))

@@ -97,13 +97,16 @@ def cmd_algebroid_to_wmha(args) -> int:
     alg = io.parse_document(doc)
     if not isinstance(alg, MultiplierHopfAlgebroid):
         raise io.SchemaError("file does not describe an algebroid")
+    candidates = []
+    if args.phi:
+        phi_doc = io.load(args.phi)
+        if phi_doc["kind"] != "functionals":
+            raise io.SchemaError("--phi expects a functionals document")
+        candidates = io.parse_document(phi_doc, functional_dim=alg.graph.b_view.algebra.dim)
     precheck = check_algebroid_axioms(alg)
     if not precheck.ok:
         _emit(precheck, args.format)
         return 1
-    candidates = []
-    if args.phi:
-        candidates = io.functionals_from_dict(io.load(args.phi))
     got = reconstruction_pipeline(alg, candidates)
     if isinstance(got, PipelineResult):
         _emit(got.report, args.format)

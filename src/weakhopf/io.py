@@ -176,10 +176,14 @@ def algebroid_from_dict(doc: dict) -> MultiplierHopfAlgebroid:
     )
 
 
-def functionals_from_dict(doc: dict) -> list[Vec]:
+def functionals_from_dict(doc: dict, dim: int | None = None) -> list[Vec]:
+    """Functionals on a base algebra; each has ``dim`` entries if given."""
     if doc.get("kind") != "functionals":
         raise SchemaError("expected a functionals document")
-    return [vec_from(enumerate(xs)) for xs in doc["functionals"]]
+    rows = doc["functionals"]
+    if dim is not None:
+        _require_shape(rows, len(rows), dim)
+    return [vec_from(enumerate(xs)) for xs in rows]
 
 
 def load(path: str) -> dict:
@@ -203,8 +207,9 @@ def dump(doc: dict, path: str) -> None:
         fh.write("\n")
 
 
-def parse_document(doc: dict):
-    """Typed object for a loaded document."""
+def parse_document(doc: dict, functional_dim: int | None = None):
+    """Typed object for a loaded document.  ``functional_dim`` is the
+    length every functional of a functionals document must have."""
     kind = doc.get("kind")
     try:
         if kind == "wmha":
@@ -218,7 +223,7 @@ def parse_document(doc: dict):
         if kind == "algebra":
             return algebra_from_dict(doc)
         if kind == "functionals":
-            return functionals_from_dict(doc)
+            return functionals_from_dict(doc, functional_dim)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         if isinstance(exc, (ParseError, SchemaError)):
             raise

@@ -356,7 +356,8 @@ class Subspace:
         The kernel of the returned map is exactly this subspace, so it
         models the quotient Q^ambient / U with dim = ambient - dim U.
         """
-        free = [i for i in range(self.ambient) if i not in set(self.pivots)]
+        pivots = set(self.pivots)
+        free = [i for i in range(self.ambient) if i not in pivots]
         lookup = {f: k for k, f in enumerate(free)}
         cols = []
         for j in range(self.ambient):

@@ -107,6 +107,13 @@ class WeakMultiplierHopfAlgebra:
             return self.t2.map_leg1(si, self.E)
         raise ValueError(which)
 
+    def kernel_projector(self, which: int) -> LinMap:
+        """The F_which sandwich, expected to equal R_which T_which."""
+        key = ("P", which)
+        if key not in self._cache:
+            self._cache[key] = self.t2.twisted_projector(self.kernel_idempotent(which), which)
+        return self._cache[key]
+
     def E_left_map(self) -> LinMap:
         if "EL" not in self._cache:
             self._cache["EL"] = self.t2.left_mult_map(self.E)
@@ -339,7 +346,7 @@ def check_projection_formulas(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
             return failed("projection-formula-TR", {"map": f"T{i}R{i}"})
     for i in (1, 2, 3, 4):
         rt = bundle.generalized_inverse(i) @ bundle.canonical_map(i)
-        want = t2.twisted_projector(bundle.kernel_idempotent(i), i)
+        want = bundle.kernel_projector(i)
         if rt != want:
             j = next(j for j in range(t2.size) if rt.cols[j] != want.cols[j])
             a, b = divmod(j, d)
@@ -352,7 +359,7 @@ def check_projection_formulas(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
 def check_kernel_subspaces(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
     t2 = bundle.t2
     for i in (1, 2, 3, 4):
-        projector = t2.twisted_projector(bundle.kernel_idempotent(i), i)
+        projector = bundle.kernel_projector(i)
         described = (LinMap.identity(t2.size) - projector).image()
         kernel = bundle.canonical_map(i).kernel()
         if described != kernel:

@@ -1,10 +1,15 @@
+import random
+from fractions import Fraction
+
 import pytest
 
-from weakhopf.algebroid import forward_construct
+from weakhopf import algebroid, balanced, io
+from weakhopf.algebroid import check_algebroid_axioms, forward_construct
 from weakhopf.balanced import KINDS, TripleQuotient, build_balanced
+from weakhopf.examples import mixed_algebroid, swap_crossed_setup
 from weakhopf.groupoids import (as_wmha, cyclic_group, group_groupoid,
                                 pair_groupoid)
-from weakhopf.linalg import LinMap, unit_vec, vtensor
+from weakhopf.linalg import LinMap, Subspace, unit_vec, vtensor
 
 
 @pytest.fixture(scope="module")
@@ -93,3 +98,85 @@ def test_ranges_of_sections_match_idempotent_images(p2_graph):
     assert build_balanced("l", p2_graph).image == left
     assert build_balanced("r", p2_graph).image == right
     assert left.dim == 8 and right.dim == 8
+
+
+def _file_loaded(alg):
+    """The algebroid as read back from its definition file: its graph
+    pair carries no separability idempotent, so no sections."""
+    loaded = io.parse_document(io.algebroid_to_dict(alg))
+    assert loaded.graph.e_element is None
+    return loaded
+
+
+@pytest.fixture(scope="module")
+def loaded_algebroids():
+    p2 = _file_loaded(forward_construct(as_wmha(pair_groupoid(2)))[0])
+    twist = _file_loaded(mixed_algebroid(*swap_crossed_setup()))
+    return {"pair-2": p2, "counit-twist": twist}
+
+
+def _reference_relations(graph, kind12, kind23) -> Subspace:
+    """R12 (x) A + A (x) R23 by direct insertion in A (x) A (x) A."""
+    d = graph.algebra.dim
+    ref = Subspace(d ** 3)
+    for rel in graph.balanced(kind12).relations.rows:
+        for k in range(d):
+            ref.insert(vtensor(rel, unit_vec(k), d))
+    for rel in graph.balanced(kind23).relations.rows:
+        for i in range(d):
+            ref.insert({i * d * d + p: c for p, c in rel.items()})
+    return ref
+
+
+@pytest.mark.parametrize("name", ["pair-2", "counit-twist"])
+@pytest.mark.parametrize("kinds", [("l", "l"), ("r", "r"), ("r", "l"), ("l", "r")])
+def test_triple_membership_matches_reference_without_sections(loaded_algebroids, name, kinds):
+    graph = loaded_algebroids[name].graph
+    d = graph.algebra.dim
+    tq = TripleQuotient(graph, *kinds)
+    assert tq._small
+    ref = _reference_relations(graph, *kinds)
+    generators = [vtensor(rel, unit_vec(k), d)
+                  for rel in tq.space12.relations.rows for k in range(d)]
+    generators += [{i * d * d + p: c for p, c in rel.items()}
+                   for rel in tq.space23.relations.rows for i in range(d)]
+    basis = [unit_vec(j) for j in range(d ** 3)]
+    rng = random.Random(5)
+    combos = []
+    for _ in range(40):
+        v = {rng.randrange(d ** 3): Fraction(rng.randint(-3, 3)) for _ in range(5)}
+        combos.append({p: c for p, c in v.items() if c})
+    # integer sums of generators lie in the space
+    for _ in range(10):
+        v = {}
+        for g in rng.sample(generators, 3):
+            for p, c in g.items():
+                v[p] = v.get(p, 0) + rng.randint(1, 3) * c
+        combos.append({p: c for p, c in v.items() if c})
+    members = 0
+    for x in generators + basis + combos:
+        want = ref.contains(x)
+        assert tq.contains(x) == want, (name, kinds, x)
+        members += want
+    assert 0 < members < len(generators) + len(basis) + len(combos)
+
+
+def test_triple_quotient_reuses_graph_spaces(monkeypatch):
+    alg = _file_loaded(forward_construct(as_wmha(pair_groupoid(2)))[0])
+    graph = alg.graph
+    for k12, k23 in (("l", "l"), ("r", "l")):
+        tq = graph.triple(k12, k23)
+        assert tq.space12 is graph.balanced(k12)
+        assert tq.space23 is graph.balanced(k23)
+    fresh = _file_loaded(alg)
+    calls = []
+    original = balanced.build_balanced
+
+    def counting(kind, graph):
+        calls.append(kind)
+        return original(kind, graph)
+
+    monkeypatch.setattr(balanced, "build_balanced", counting)
+    monkeypatch.setattr(algebroid, "build_balanced", counting)
+    assert check_algebroid_axioms(fresh).ok
+    assert len(calls) <= 6, calls

@@ -170,3 +170,20 @@ def test_reconstruction_error_is_a_report(tmp_path, capsys, monkeypatch, command
     record = records["internal-inconsistency"]
     assert record["status"] == "fail"
     assert record["witness"] == {"error": "rebuilt coproducts do not merge"}
+
+
+@pytest.mark.parametrize("functionals", [None, [["1"]], [["1", "0", "1"]]])
+def test_malformed_phi_exits_2(tmp_path, capsys, functionals):
+    """A --phi document without "functionals", or with a functional whose
+    length is not dim B (2 for the radical scenario), is bad input."""
+    path, phi_path = tmp_path / "radical.json", tmp_path / "phi.json"
+    run(capsys, "gen-example", "obstructed", "--scenario", "radical", "--out", str(path))
+    doc = {"schema": 1, "kind": "functionals"}
+    if functionals is not None:
+        doc["functionals"] = functionals
+    phi_path.write_text(json.dumps(doc))
+    code = main(["algebroid-to-wmha", str(path), "--phi", str(phi_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")
