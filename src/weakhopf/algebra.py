@@ -412,30 +412,54 @@ class TensorSquare:
             raise AlgebraError("a nonzero element vanishes under every basis cover")
         return found
 
+    def _covered_map(self, x: Vec, left1: bool, left2: bool) -> LinMap:
+        """The map on A (x) B whose column (a, b) is x multiplied by e_a
+        in the first leg and by e_b in the second, each from the left
+        when its flag is set, else from the right.  Column (a, b) is
+        sum x[u, v] L(a, u) (x) R(v, b), with L(a, u) = e_a e_u or
+        e_u e_a and R(v, b) = e_b e_v or e_v e_b, read straight off the
+        structure constants; the one kernel behind the twisted
+        projectors and the multiplication maps."""
+        first, second, d = self.algebra, self.second, self.dim
+        # for each first-leg index u of x, sum_v x[u, v] R(v, b) for every b
+        covered = []
+        for u, row in self.leg_vectors(x, 2).items():
+            per_b = []
+            for b in range(d):
+                acc: Vec = {}
+                for v, c in row.items():
+                    vaxpy(acc, c, second.mul_basis(b, v) if left2 else second.mul_basis(v, b))
+                per_b.append(acc)
+            covered.append((u, per_b))
+        cols = []
+        for a in range(first.dim):
+            terms = [(lv, per_b) for u, per_b in covered
+                     if (lv := first.mul_basis(a, u) if left1 else first.mul_basis(u, a))]
+            for b in range(d):
+                col: Vec = {}
+                for lv, per_b in terms:
+                    rv = per_b[b]
+                    if rv:
+                        for k, c in lv.items():
+                            vaxpy(col, c, {k * d + m: e for m, e in rv.items()})
+                cols.append(col)
+        return LinMap(self.size, self.size, cols)
+
     def twisted_projector(self, f: Vec, which: int) -> LinMap:
         """The map whose column (a, b) is (e_a (x) 1) F (1 (x) e_b) for
         F = F_1, F_2 and (1 (x) e_b) F (e_a (x) 1) for F = F_3, F_4,
-        where f is F_which."""
-        d = self.dim
-        cols = []
-        for a in range(d):
-            ea = unit_vec(a)
-            for b in range(d):
-                eb = unit_vec(b)
-                if which in (1, 2):
-                    cols.append(self.sandwich(ea, f, eb))
-                else:
-                    cols.append(self.mul_left_leg2(eb, self.mul_right_leg1(f, ea)))
-        return LinMap(self.size, self.size, cols)
+        where f is F_which: sum F[u, v] (e_a e_u) (x) (e_v e_b) resp.
+        sum F[u, v] (e_u e_a) (x) (e_b e_v), read off the structure
+        constants."""
+        return self._covered_map(f, which in (1, 2), which in (3, 4))
 
     def left_mult_map(self, x: Vec) -> LinMap:
         """y -> x*y on A (x) B."""
-        return LinMap(self.size, self.size,
-                      [self.mul(x, unit_vec(j)) for j in range(self.size)])
+        return self._covered_map(x, False, False)
 
     def right_mult_map(self, x: Vec) -> LinMap:
-        return LinMap(self.size, self.size,
-                      [self.mul(unit_vec(j), x) for j in range(self.size)])
+        """y -> y*x on A (x) B."""
+        return self._covered_map(x, True, True)
 
 
 class CoproductSlices:
@@ -447,10 +471,12 @@ class CoproductSlices:
 
     Each slice is computed once and cached per (kind, a, b), because the
     pair- and triple-indexed checks revisit them; the canonical maps
-    T_1..T_4 are assembled from the cached slices once.  Cached values
-    are shared, so callers must not mutate them.  A bundle slices (Delta,
-    Delta), an algebroid (Delta_B, Delta_C), reconstruction the rebuilt
-    (E Delta_B, Delta_C E).
+    T_1..T_4 are assembled from the cached slices once, and their images
+    and kernels are echelonized once.  Cached values are shared, so
+    callers must not mutate them.  A bundle slices (Delta, Delta), an
+    algebroid (Delta_B, Delta_C), reconstruction the rebuilt
+    (E Delta_B, Delta_C E); a bundle rebuilt by reconstruction keeps the
+    rebuilt slices, since there Delta = Delta'.
     """
 
     def __init__(self, t2: TensorSquare, left: list[Vec], right: list[Vec]):
@@ -459,6 +485,7 @@ class CoproductSlices:
         self.right = right
         self._slices: dict[tuple[str, int, int], Vec] = {}
         self._maps: dict[int, LinMap] = {}
+        self._spaces: dict[tuple[str, int], Subspace] = {}
 
     def r1(self, a: int, c: int) -> Vec:
         return self._slice("r1", a, c)
@@ -501,6 +528,22 @@ class CoproductSlices:
             m = self._maps[which] = LinMap(self.t2.size, self.t2.size,
                                            [column(a, b) for a in range(d) for b in range(d)])
         return m
+
+    def canonical_image(self, which: int) -> Subspace:
+        """im T_which, computed once."""
+        return self._space("image", which)
+
+    def canonical_kernel(self, which: int) -> Subspace:
+        """ker T_which, computed once."""
+        return self._space("kernel", which)
+
+    def _space(self, kind: str, which: int) -> Subspace:
+        key = (kind, which)
+        got = self._spaces.get(key)
+        if got is None:
+            m = self.canonical_map(which)
+            got = self._spaces[key] = m.image() if kind == "image" else m.kernel()
+        return got
 
     def first_coassociativity_failure(self, equations) -> tuple[int, int, int, int] | None:
         """The first (a, b, c, k), in the order of a covered loop over a,

@@ -12,10 +12,11 @@ Six quotients of A (x) A are supported, keyed "l", "r", "s", "t",
 
 When the base carries a separability idempotent, each quotient splits
 concretely inside A (x) A: for "l"/"r" by one-sided multiplication with
-the idempotent, for the other four by the sandwich maps built from its
-antipodal twists.  Elements of a balanced product are then stored as
-their section images.  Without an idempotent only the quotient map is
-available (echelon-complement coordinates).
+the idempotent, for the other four by the twisted projectors of its
+antipodal twists; all six maps are read off the structure constants.
+Elements of a balanced product are then stored as their section images.
+Without an idempotent only the quotient map is available
+(echelon-complement coordinates).
 
 Triple quotients appear in coassociativity checks: a difference x in
 A (x) A (x) A is trivial when it lies in R12 (x) A + A (x) R23, with R12

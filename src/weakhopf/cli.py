@@ -33,6 +33,14 @@ def _emit(report: Report, fmt: str) -> None:
         sys.stdout.write(report.to_text())
 
 
+def _positive(flag: str, value: int | None) -> int | None:
+    """A count flag's value, None when it was not given; a value below 1
+    is an input error."""
+    if value is not None and value < 1:
+        raise io.SchemaError(f"{flag} must be a positive integer, got {value}")
+    return value
+
+
 def _bundle_from_doc(doc, probes: int | None):
     obj = io.parse_document(doc)
     if isinstance(obj, WeakMultiplierHopfAlgebra):
@@ -40,14 +48,14 @@ def _bundle_from_doc(doc, probes: int | None):
     if isinstance(obj, Groupoid):
         return as_wmha(obj), None
     if isinstance(obj, dict) and obj.get("lazy") == "pair":
-        units = probes if probes is not None else int(obj.get("probe_units", 6))
+        units = probes if probes is not None else obj.get("probe_units", io.PROBE_UNITS)
         return None, lazy_pair_groupoid(units)
     raise io.SchemaError("file does not describe a weak multiplier Hopf algebra")
 
 
 def cmd_check_wmha(args) -> int:
     doc = io.load(args.file)
-    bundle, lazy_g = _bundle_from_doc(doc, args.probes)
+    bundle, lazy_g = _bundle_from_doc(doc, _positive("--probes", args.probes))
     if lazy_g is not None:
         report = check_lazy_groupoid(lazy_g)
         _emit(report, args.format)
@@ -169,6 +177,8 @@ def _generate(args):
     from .separability import build_E_from_functional
 
     name = args.name
+    _positive("--n", args.n)
+    _positive("--probes", args.probes)
     if name == "pair-groupoid":
         bundle = as_wmha(pair_groupoid(args.n))
         return io.wmha_to_dict(bundle)
@@ -196,7 +206,7 @@ def _generate(args):
         return io.algebroid_to_dict(alg, expected_verdict="CounitsDiffer")
     if name == "lazy-pair":
         return {"schema": io.SCHEMA, "kind": "groupoid", "lazy": "pair",
-                "probe_units": args.probes if args.probes else 6}
+                "probe_units": io.PROBE_UNITS if args.probes is None else args.probes}
     raise io.SchemaError(f"unknown example {name!r}")
 
 

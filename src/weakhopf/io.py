@@ -19,6 +19,7 @@ from .linalg import LinMap, Vec, rat, vec_from
 from .wmha import WeakMultiplierHopfAlgebra
 
 SCHEMA = 1
+PROBE_UNITS = 6  # probe units of a lazy pair groupoid file that names none
 
 
 class ParseError(ValueError):
@@ -216,6 +217,9 @@ def parse_document(doc: dict, functional_dim: int | None = None):
             return wmha_from_dict(doc)
         if kind == "groupoid":
             if doc.get("lazy"):
+                units = doc.get("probe_units", PROBE_UNITS)
+                if type(units) is not int or units < 1:
+                    raise SchemaError(f"probe_units must be a positive integer, got {units!r}")
                 return doc
             return groupoid_from_dict(doc)
         if kind == "algebroid":

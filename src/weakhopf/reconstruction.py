@@ -354,13 +354,16 @@ def build_counits(alg: MultiplierHopfAlgebroid, idem: SeparabilityIdempotent,
 
 def check_ranges_and_fullness(alg: MultiplierHopfAlgebroid, cops: CoproductSlices,
                               e_elt: Vec, report: Report) -> dict | None:
+    """The slice spans Delta(A)(1 (x) A) = im T_1, Delta(A)(A (x) 1) =
+    im T_4, (1 (x) A)Delta'(A) = im T_3 and (A (x) 1)Delta'(A) = im T_2
+    against the ranges of E, then fullness of the legs.  On success the
+    multiplication maps by e_elt and their ranges are returned."""
     t2, d = alg.t2, alg.dim
-    left_range = t2.left_mult_map(e_elt).image()
-    right_range = t2.right_mult_map(e_elt).image()
-    spans = {name: Subspace.from_vectors(d * d, (kind(a, b) for a in range(d)
-                                                 for b in range(d)))
-             for name, kind in (("Delta(A)(1xA)", cops.r2), ("Delta(A)(Ax1)", cops.r1),
-                                ("(1xA)Delta'(A)", cops.l2), ("(Ax1)Delta'(A)", cops.l1))}
+    left_map, right_map = t2.left_mult_map(e_elt), t2.right_mult_map(e_elt)
+    left_range, right_range = left_map.image(), right_map.image()
+    spans = {name: cops.canonical_image(which)
+             for name, which in (("Delta(A)(1xA)", 1), ("Delta(A)(Ax1)", 4),
+                                 ("(1xA)Delta'(A)", 3), ("(Ax1)Delta'(A)", 2))}
     for name, want in (("Delta(A)(1xA)", left_range), ("Delta(A)(Ax1)", left_range),
                        ("(1xA)Delta'(A)", right_range), ("(Ax1)Delta'(A)", right_range)):
         if spans[name] != want:
@@ -386,7 +389,8 @@ def check_ranges_and_fullness(alg: MultiplierHopfAlgebroid, cops: CoproductSlice
         return None
     report.add(passed("rebuilt-range-conditions",
                       detail=f"ranges dim {left_range.dim}/{right_range.dim}"))
-    return {"left": left_range, "right": right_range}
+    return {"left_map": left_map, "right_map": right_map,
+            "left": left_range, "right": right_range}
 
 
 def check_E_comultiplicativity(alg: MultiplierHopfAlgebroid, cops: CoproductSlices,
@@ -416,15 +420,18 @@ def check_E_comultiplicativity(alg: MultiplierHopfAlgebroid, cops: CoproductSlic
 
 
 def check_kernels(alg: MultiplierHopfAlgebroid, cops: CoproductSlices,
-                  e_coords: Vec, report: Report) -> bool:
+                  e_coords: Vec, report: Report) -> dict | None:
     """ker T_i is the image of id - (twisted F_i projector), with F_i
-    built from the idempotent E, given in B (x) C coordinates."""
+    built from the idempotent E, given in B (x) C coordinates.  On
+    success the certificate {i: (F_i, projector, image)} is returned."""
     t2 = alg.t2
+    certificate = {}
     for i in (1, 2, 3, 4):
         name = f"T{i}"
-        projector = t2.twisted_projector(alg.graph.f_element(i, e_coords), i)
+        f = alg.graph.f_element(i, e_coords)
+        projector = t2.twisted_projector(f, i)
         described = (LinMap.identity(t2.size) - projector).image()
-        kernel = cops.canonical_map(i).kernel()
+        kernel = cops.canonical_kernel(i)
         if described != kernel:
             sep = next((r for r in described.rows if not kernel.contains(r)), None)
             membership = True
@@ -436,9 +443,10 @@ def check_kernels(alg: MultiplierHopfAlgebroid, cops: CoproductSlices,
                                "kernel_dim": kernel.dim,
                                "witness_vector": sep,
                                "described_membership": membership}))
-            return False
+            return None
+        certificate[i] = (f, projector, described)
     report.add(passed("rebuilt-kernel-conditions"))
-    return True
+    return certificate
 
 
 def check_mixed_coassociativity(alg: MultiplierHopfAlgebroid,
@@ -494,14 +502,16 @@ def reconstruction_pipeline(alg: MultiplierHopfAlgebroid, candidates: list[Vec] 
     if built is None:
         raise ReconstructionError(report.to_text())
     eps, eps_prime = built
-    if check_ranges_and_fullness(alg, cops, e_elt, report) is None:
+    ranges = check_ranges_and_fullness(alg, cops, e_elt, report)
+    if ranges is None:
         return ObstructionReport(STAGE_RANGES,
                                  report.records[-1].witness or {},
                                  "a range condition failed", report,
                                  context={"e_elt": e_elt})
     if not check_E_comultiplicativity(alg, cops, e_elt, report):
         raise ReconstructionError(report.to_text())
-    if not check_kernels(alg, cops, idem.e, report):
+    kernels = check_kernels(alg, cops, idem.e, report)
+    if kernels is None:
         return ObstructionReport(STAGE_KERNELS,
                                  report.records[-1].witness or {},
                                  "a kernel condition failed", report,
@@ -526,13 +536,21 @@ def reconstruction_pipeline(alg: MultiplierHopfAlgebroid, candidates: list[Vec] 
     if cops.left != cops.right:
         raise ReconstructionError("counits agree but the coproducts do not merge")
     report.add(passed("coproducts-merge"))
+    # Delta = Delta', so the bundle's slices are those already cut, with
+    # their canonical maps, images and kernels; the E maps and the kernel
+    # descriptions carry over only where the compared elements are equal
     bundle = WeakMultiplierHopfAlgebra(
         algebra=alg.algebra,
         delta=cops.left,
         counit=eps,
         antipode=alg.antipode,
         canonical_idempotent=e_elt,
+        slices=cops,
     )
+    bundle.adopt_E_maps(e_elt, ranges["left_map"], ranges["right_map"],
+                        ranges["left"], ranges["right"])
+    for i, (f, projector, described) in kernels.items():
+        bundle.adopt_kernel_description(i, f, projector, described)
     suite = run_suite(bundle, title=f"{title}/wmha-suite")
     report.extend(suite.records)
     if not suite.ok:

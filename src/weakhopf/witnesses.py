@@ -25,7 +25,6 @@ def _as_dense(vec: dict, n: int) -> list[Fraction]:
 def _eliminate(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     """Row echelon form of a dense matrix, destructive on a copy."""
     m = [list(r) for r in rows]
-    lead = 0
     out = []
     ncols = len(m[0]) if m else 0
     for col in range(ncols):

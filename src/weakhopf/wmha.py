@@ -25,7 +25,8 @@ class WeakMultiplierHopfAlgebra:
     """Bundle (A, Delta, counit, S, E) with cached derived maps."""
 
     def __init__(self, algebra: FiniteAlgebra, delta: list[Vec], counit: Vec,
-                 antipode: LinMap, canonical_idempotent: Vec):
+                 antipode: LinMap, canonical_idempotent: Vec,
+                 slices: CoproductSlices | None = None):
         self.algebra = algebra
         self.t2 = TensorSquare(algebra)
         self.delta = [dict(v) for v in delta]
@@ -36,7 +37,11 @@ class WeakMultiplierHopfAlgebra:
             raise AlgebraError("coproduct needs one element per basis vector")
         if algebra.unit() is None:
             raise AlgebraError("finite engine requires a unital algebra")
-        self.slices = CoproductSlices(self.t2, self.delta, self.delta)
+        if slices is None:
+            slices = CoproductSlices(self.t2, self.delta, self.delta)
+        elif slices.left != self.delta or slices.right != self.delta:
+            raise AlgebraError("shared slices belong to another coproduct")
+        self.slices = slices
         self._antipode_inv: LinMap | None = None
         self._cache: dict = {}
 
@@ -107,22 +112,59 @@ class WeakMultiplierHopfAlgebra:
             return self.t2.map_leg1(si, self.E)
         raise ValueError(which)
 
-    def kernel_projector(self, which: int) -> LinMap:
-        """The F_which sandwich, expected to equal R_which T_which."""
-        key = ("P", which)
+    def _cached(self, key, build):
         if key not in self._cache:
-            self._cache[key] = self.t2.twisted_projector(self.kernel_idempotent(which), which)
+            self._cache[key] = build()
         return self._cache[key]
 
+    def kernel_projector(self, which: int) -> LinMap:
+        """The twisted F_which projector, expected to equal R_which T_which."""
+        return self._cached(("P", which), lambda: self.t2.twisted_projector(
+            self.kernel_idempotent(which), which))
+
+    def kernel_description(self, which: int) -> Subspace:
+        """im(id - P_which), expected to equal ker T_which."""
+        return self._cached(("K", which), lambda: (
+            LinMap.identity(self.t2.size) - self.kernel_projector(which)).image())
+
     def E_left_map(self) -> LinMap:
-        if "EL" not in self._cache:
-            self._cache["EL"] = self.t2.left_mult_map(self.E)
-        return self._cache["EL"]
+        return self._cached("EL", lambda: self.t2.left_mult_map(self.E))
 
     def E_right_map(self) -> LinMap:
-        if "ER" not in self._cache:
-            self._cache["ER"] = self.t2.right_mult_map(self.E)
-        return self._cache["ER"]
+        return self._cached("ER", lambda: self.t2.right_mult_map(self.E))
+
+    def E_left_range(self) -> Subspace:
+        """E(A (x) A)."""
+        return self._cached("EL-image", lambda: self.E_left_map().image())
+
+    def E_right_range(self) -> Subspace:
+        """(A (x) A)E."""
+        return self._cached("ER-image", lambda: self.E_right_map().image())
+
+    # -- certificates computed elsewhere --------------------------------
+
+    def adopt_E_maps(self, e: Vec, left: LinMap, right: LinMap,
+                     left_range: Subspace, right_range: Subspace) -> bool:
+        """Take over the E multiplication maps and their ranges, built
+        elsewhere from e, when e equals E exactly; True when taken."""
+        if e != self.E:
+            return False
+        self._cache.update({"EL": left, "ER": right,
+                            "EL-image": left_range, "ER-image": right_range})
+        return True
+
+    def adopt_kernel_description(self, which: int, f: Vec, projector: LinMap,
+                                 described: Subspace) -> bool:
+        """Take over the twisted projector of f and im(id - projector),
+        built elsewhere, when f equals F_which exactly; True when taken."""
+        try:
+            if f != self.kernel_idempotent(which):
+                return False
+        except AntipodeNotBijective:
+            return False
+        self._cache[("P", which)] = projector
+        self._cache[("K", which)] = described
+        return True
 
 
 # -- individual checks --------------------------------------------------
@@ -259,14 +301,14 @@ def check_E_identities(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
 
 
 def check_range_conditions(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
-    d = bundle.dim
-    left_range = bundle.E_left_map().image()
-    right_range = bundle.E_right_map().image()
+    left_range = bundle.E_left_range()
+    right_range = bundle.E_right_range()
+    images = bundle.slices.canonical_image
     claims = [
-        ("T1", bundle.canonical_map(1).image(), left_range),
-        ("T2", bundle.canonical_map(2).image(), right_range),
-        ("T3", bundle.canonical_map(3).image(), right_range),
-        ("T4", bundle.canonical_map(4).image(), left_range),
+        ("T1", images(1), left_range),
+        ("T2", images(2), right_range),
+        ("T3", images(3), right_range),
+        ("T4", images(4), left_range),
     ]
     for name, got, want in claims:
         if got != want:
@@ -337,7 +379,7 @@ def check_generalized_inverses(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord
 
 def check_projection_formulas(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
     """TR is multiplication by E on the matching side; RT is the
-    F-idempotent sandwich."""
+    twisted F-idempotent projector."""
     el, er = bundle.E_left_map(), bundle.E_right_map()
     t2, d = bundle.t2, bundle.dim
     for i, want in ((1, el), (2, er), (3, er), (4, el)):
@@ -357,11 +399,9 @@ def check_projection_formulas(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
 
 
 def check_kernel_subspaces(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
-    t2 = bundle.t2
     for i in (1, 2, 3, 4):
-        projector = bundle.kernel_projector(i)
-        described = (LinMap.identity(t2.size) - projector).image()
-        kernel = bundle.canonical_map(i).kernel()
+        described = bundle.kernel_description(i)
+        kernel = bundle.slices.canonical_kernel(i)
         if described != kernel:
             return failed("kernel-subspaces",
                           {"map": f"T{i}", "described_dim": described.dim,

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,10 @@ import pytest
 from weakhopf.algebra import (DegenerateProduct, NonAssociative, NotIdempotent,
                               TensorSquare, direct_sum, field_algebra, make_algebra,
                               matrix_algebra, opposite_algebra, tensor_algebra)
+from weakhopf.examples import scalar_extension_wmha, swap_crossed_setup
+from weakhopf.groupoids import as_wmha, pair_groupoid
 from weakhopf.linalg import LinMap, Subspace, unit_vec
+from weakhopf.separability import build_E_from_functional
 
 
 def test_field_is_valid():
@@ -172,3 +176,46 @@ def test_tensor_of_function_algebras_counts_arrow_pairs():
     assert t.mul(unit_vec(3), unit_vec(3)) == unit_vec(3)
     assert t.mul(unit_vec(3), unit_vec(5)) == {}
 
+
+
+def _reference_projector(t2, f, which):
+    """Column by column through the leg products: the F sandwich for
+    F_1, F_2, the wrapped product for F_3, F_4."""
+    cols = []
+    for a in range(t2.dim):
+        for b in range(t2.dim):
+            ea, eb = unit_vec(a), unit_vec(b)
+            if which in (1, 2):
+                cols.append(t2.sandwich(ea, f, eb))
+            else:
+                cols.append(t2.mul_left_leg2(eb, t2.mul_right_leg1(f, ea)))
+    return LinMap(t2.size, t2.size, cols)
+
+
+def _kernel_bundles():
+    weighted = build_E_from_functional(matrix_algebra(2), {0: Fraction(3, 2), 3: Fraction(3)})
+    return [as_wmha(pair_groupoid(3)), swap_crossed_setup()[0],
+            scalar_extension_wmha(weighted)]
+
+
+@pytest.mark.parametrize("bundle", _kernel_bundles(),
+                         ids=["pair-3", "crossed-swap", "base-m2-weighted"])
+def test_structure_constant_maps_match_leg_products(bundle):
+    """The projectors and E-multiplication maps read off the structure
+    constants equal their column-by-column leg-product construction, for
+    every F_i and for a seeded random non-idempotent element."""
+    t2 = bundle.t2
+    rng = random.Random(7)
+    x = {}
+    for _ in range(8):
+        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        if c:
+            x[rng.randrange(t2.size)] = c
+    assert t2.mul(x, x) != x
+    for elt in [bundle.kernel_idempotent(i) for i in (1, 2, 3, 4)] + [bundle.E, x]:
+        for which in (1, 2, 3, 4):
+            assert t2.twisted_projector(elt, which) == _reference_projector(t2, elt, which)
+        assert t2.left_mult_map(elt) == LinMap(
+            t2.size, t2.size, [t2.mul(elt, unit_vec(j)) for j in range(t2.size)])
+        assert t2.right_mult_map(elt) == LinMap(
+            t2.size, t2.size, [t2.mul(unit_vec(j), elt) for j in range(t2.size)])

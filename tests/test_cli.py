@@ -187,3 +187,46 @@ def test_malformed_phi_exits_2(tmp_path, capsys, functionals):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("input error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-example", "pair-groupoid", "--n", "0"],
+    ["gen-example", "pair-groupoid", "--n", "-1"],
+    ["gen-example", "cyclic-group", "--n", "0"],
+    ["gen-example", "lazy-pair", "--probes", "0"],
+])
+def test_non_positive_gen_sizes_exit_2(tmp_path, capsys, argv):
+    """--n and --probes are counts: zero or negative is bad input, never
+    a traceback and never a silently substituted default."""
+    out = tmp_path / "out.json"
+    code = main(argv + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("probes", ["0", "-2"])
+def test_non_positive_check_probes_exit_2(tmp_path, capsys, probes):
+    path = tmp_path / "lazy.json"
+    run(capsys, "gen-example", "lazy-pair", "--out", str(path))
+    code = main(["check-wmha", str(path), "--probes", probes])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")
+
+
+@pytest.mark.parametrize("units", [0, -3, "abc", 2.5, True])
+def test_bad_probe_units_exit_2(tmp_path, capsys, units):
+    """probe_units in a lazy file must be a positive JSON integer; 2.5 is
+    not read as 2."""
+    path = tmp_path / "lazy.json"
+    path.write_text(json.dumps({"schema": 1, "kind": "groupoid", "lazy": "pair",
+                                "probe_units": units}))
+    code = main(["check-wmha", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")

@@ -3,14 +3,14 @@ from fractions import Fraction
 import pytest
 
 from weakhopf import io
-from weakhopf.algebra import matrix_algebra
+from weakhopf.algebra import TensorSquare, matrix_algebra
 from weakhopf.algebroid import forward_construct
 from weakhopf.examples import (identity_twist, mixed_algebroid,
                                obstruction_scenario, scalar_extension_wmha,
                                swap_crossed_setup, weighted_m2_twist_setup)
 from weakhopf.groupoids import (action_groupoid, as_wmha, cyclic_group,
                                 group_groupoid, pair_groupoid)
-from weakhopf.linalg import unit_vec
+from weakhopf.linalg import LinMap, Subspace, unit_vec
 from weakhopf.reconstruction import (ObstructionReport, PipelineResult,
                                      STAGE_COUNITS_DIFFER,
                                      STAGE_MODULAR_MISMATCH,
@@ -179,3 +179,54 @@ def test_pipeline_leaves_its_input_untouched(tmp_path, capsys):
     assert isinstance(got, PipelineResult)
     assert alg.graph.e_element is None
     assert alg.graph.e_coords is None
+
+
+def _counting_projectors(monkeypatch):
+    calls = []
+    original = TensorSquare.twisted_projector
+
+    def counted(self, f, which):
+        calls.append(which)
+        return original(self, f, which)
+
+    monkeypatch.setattr(TensorSquare, "twisted_projector", counted)
+    return calls
+
+
+@pytest.mark.parametrize("make", [lambda: as_wmha(pair_groupoid(3)),
+                                  lambda: swap_crossed_setup()[0]],
+                         ids=["pair-3", "crossed-swap"])
+def test_final_suite_shares_the_kernel_certificate(make, monkeypatch):
+    """A passing pipeline builds each F_i projector once: the kernel stage
+    builds four, and the final suite takes them over after comparing
+    F_i exactly, together with the slices, E-maps and E-ranges."""
+    alg, report = forward_construct(make())
+    assert report.ok
+    calls = _counting_projectors(monkeypatch)
+    got = reconstruction_pipeline(alg)
+    assert isinstance(got, PipelineResult) and got.report.ok
+    assert sorted(calls) == [1, 2, 3, 4]
+    names = [r.name for r in got.report.records]
+    assert "kernel-subspaces" in names and "range-conditions" in names
+
+
+def test_unequal_certificate_is_recomputed(monkeypatch):
+    """A projector or E-map offered for a different element is refused,
+    and the bundle builds its own."""
+    bundle = swap_crossed_setup()[0]
+    fresh = swap_crossed_setup()[0]
+    f1, f2 = bundle.kernel_idempotent(1), bundle.kernel_idempotent(2)
+    assert f1 != f2
+    size = bundle.t2.size
+    decoy, empty = LinMap.identity(size), Subspace(size)
+    assert not bundle.adopt_kernel_description(1, f2, decoy, empty)
+    assert not bundle.adopt_E_maps(f2, decoy, decoy, empty, empty)
+    calls = _counting_projectors(monkeypatch)
+    assert bundle.kernel_projector(1) == fresh.kernel_projector(1) != decoy
+    assert bundle.kernel_description(1) == fresh.kernel_description(1) != empty
+    assert bundle.E_left_map() == fresh.E_left_map() != decoy
+    assert bundle.E_right_range() == fresh.E_right_range() != empty
+    assert calls == [1, 1]
+    # offered for the element it was built from, it is taken over as is
+    assert bundle.adopt_kernel_description(2, f2, decoy, empty)
+    assert bundle.kernel_projector(2) is decoy

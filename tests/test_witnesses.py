@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from weakhopf.algebra import TensorSquare
 from weakhopf.algebroid import forward_construct
 from weakhopf.examples import (mixed_algebroid, obstruction_scenario,
                                swap_crossed_setup)
@@ -99,4 +100,26 @@ def test_synthetic_kernel_failure_revalidates(p2_setup):
     obstruction = ObstructionReport(STAGE_KERNELS, witness, "synthetic", report,
                                     context={"e_elt": bundle.E,
                                              "e_coords": alg.graph.e_coords})
+    assert revalidate(obstruction, bad)
+
+
+def test_kernel_revalidation_is_independent_of_the_projector_kernel(p2_setup, monkeypatch):
+    """The kernel-stage witness re-checks through t2.sandwich and the leg
+    products, never through the structure-constant kernel that built the
+    verdict."""
+    bundle, alg = p2_setup
+    bad = _corrupted(alg, 0)
+    report = Report("synthetic")
+    cops = rebuilt_coproducts(bad, bundle.E)
+    assert check_kernels(bad, cops, alg.graph.e_coords, report) is None
+    witness = report.records[-1].witness
+    obstruction = ObstructionReport(STAGE_KERNELS, witness, "synthetic", report,
+                                    context={"e_elt": bundle.E,
+                                             "e_coords": alg.graph.e_coords})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("re-validation used the verdict's projector kernel")
+
+    monkeypatch.setattr(TensorSquare, "twisted_projector", refuse)
+    monkeypatch.setattr(TensorSquare, "_covered_map", refuse)
     assert revalidate(obstruction, bad)
