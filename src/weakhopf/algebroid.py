@@ -320,13 +320,7 @@ def algebroid_canonical_maps(alg: MultiplierHopfAlgebroid) -> dict[str, LinMap]:
         for rel in dom.relations.rows:
             if full.apply(rel):
                 raise NotBijective(f"{name} is not well-defined on its quotient")
-        if dom.theta is not None:
-            induced = full @ dom.theta
-        else:
-            # pick representatives for the quotient coordinates
-            pivots = set(dom.relations.pivots)
-            cols = [full.apply(unit_vec(f)) for f in range(alg.t2.size) if f not in pivots]
-            induced = LinMap(codomain.q_dim, dom.q_dim, cols)
+        induced = full @ dom.theta
         if induced.nrows != induced.ncols or not induced.is_bijective():
             ker = induced.kernel()
             raise NotBijective(

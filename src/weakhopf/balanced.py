@@ -15,8 +15,9 @@ concretely inside A (x) A: for "l"/"r" by one-sided multiplication with
 the idempotent, for the other four by the twisted projectors of its
 antipodal twists; all six maps are read off the structure constants.
 Elements of a balanced product are then stored as their section images.
-Without an idempotent only the quotient map is available
-(echelon-complement coordinates).
+Without an idempotent the quotient coordinates are the non-pivot
+coordinates of the relation space's echelon form: pi reduces modulo the
+relations and theta picks the unit vectors there.
 
 Triple quotients appear in coassociativity checks: a difference x in
 A (x) A (x) A is trivial when it lies in R12 (x) A + A (x) R23, with R12
@@ -33,9 +34,16 @@ dimension d^3 is row-reduced.
 from __future__ import annotations
 
 from .algebra import TensorSquare
-from .linalg import LinMap, Span, Subspace, Vec, unit_vec, vsub, vtensor
+from .linalg import LinMap, Subspace, Vec, unit_vec, vsub, vtensor
 
-KINDS = ("l", "r", "s", "t", "s-up", "t-up")
+# kind -> (base, left1, left2): the relators and the section are columns
+# of ``TensorSquare._covered_map`` under these flags; column (a, b)
+# multiplies e_a into the first leg from the left when left1 is set, else
+# from the right, and e_b into the second leg likewise under left2
+SIDES = {"l": ("B", False, False), "r": ("C", True, True),
+         "s": ("B", True, False), "t": ("C", True, False),
+         "s-up": ("B", False, True), "t-up": ("C", False, True)}
+KINDS = tuple(SIDES)
 
 
 class BalancedTensorError(ValueError):
@@ -64,21 +72,15 @@ class BalancedTensorSpace:
             if projector @ projector != projector:
                 raise BalancedTensorError(f"section composite not idempotent for {kind}")
             self.image = image
-            self._coords = Span(t2.size)
-            for row in image.rows:
-                self._coords.add(row)
             self.theta = LinMap(t2.size, self.q_dim,
                                 [dict(r) for r in image.rows])
-            pi_cols = []
-            for j in range(t2.size):
-                c = self._coords.express(projector.apply(unit_vec(j)))
-                if c is None:
-                    raise BalancedTensorError("projector image escaped its span")
-                pi_cols.append(c)
-            self.pi = LinMap(self.q_dim, t2.size, pi_cols)
+            self.pi = LinMap(self.q_dim, t2.size,
+                             [image.coords(col) for col in projector.cols])
         else:
             self.image = None
-            self.theta = None
+            pivots = set(relations.pivots)
+            self.theta = LinMap(t2.size, self.q_dim,
+                                [unit_vec(f) for f in range(t2.size) if f not in pivots])
             self.pi = relations.quotient_map()
 
     def project(self, x: Vec) -> Vec:
@@ -100,59 +102,33 @@ class BalancedTensorSpace:
 def relation_generators(kind: str, graph) -> list[Vec]:
     """Spanning relators of the kind's defining relation subspace.
 
-    ``graph`` provides: algebra, t2, b_elements(), c_elements(),
-    s_b_element(i), s_c_element(j).
+    For each w in the kind's base they are the columns of
+    ``t2._covered_map(x (x) 1 - 1 (x) y, left1, left2)`` under the flags
+    of ``SIDES``, with (x, y) = (w, S_B w) for "l", (S_C w, w) for "r"
+    and (w, w) otherwise.  ``graph`` provides: algebra, t2, b_elements(),
+    c_elements(), s_b_element(i), s_c_element(j).
     """
-    alg = graph.algebra
-    t2 = graph.t2
-    d = alg.dim
+    base, left1, left2 = SIDES[kind]
+    t2, d, unit = graph.t2, graph.algebra.dim, graph.algebra.unit()
+    elements = graph.b_elements() if base == "B" else graph.c_elements()
     gens: list[Vec] = []
-    if kind in ("l", "s", "s-up"):
-        outer = [(x, graph.s_b_element(i)) for i, x in enumerate(graph.b_elements())]
-    else:
-        outer = [(y, graph.s_c_element(j)) for j, y in enumerate(graph.c_elements())]
-    for a in range(d):
-        ea = unit_vec(a)
-        for b in range(d):
-            eb = unit_vec(b)
-            plain = vtensor(ea, eb, d)
-            for w, sw in outer:
-                if kind == "l":
-                    lhs = t2.mul_left_leg1(w, plain)
-                    rhs = t2.mul_left_leg2(sw, plain)
-                elif kind == "r":
-                    lhs = t2.mul_right_leg2(plain, w)
-                    rhs = t2.mul_right_leg1(plain, sw)
-                elif kind == "s":
-                    lhs = t2.mul_right_leg1(plain, w)
-                    rhs = t2.mul_left_leg2(w, plain)
-                elif kind == "t":
-                    lhs = t2.mul_left_leg2(w, plain)
-                    rhs = t2.mul_right_leg1(plain, w)
-                elif kind == "s-up":
-                    lhs = t2.mul_left_leg1(w, plain)
-                    rhs = t2.mul_right_leg2(plain, w)
-                elif kind == "t-up":
-                    lhs = t2.mul_right_leg2(plain, w)
-                    rhs = t2.mul_left_leg1(w, plain)
-                else:
-                    raise BalancedTensorError(f"unknown kind {kind}")
-                gens.append(vsub(lhs, rhs))
+    for i, w in enumerate(elements):
+        x = graph.s_c_element(i) if kind == "r" else w
+        y = graph.s_b_element(i) if kind == "l" else w
+        z = vsub(vtensor(x, unit, d), vtensor(unit, y, d))
+        gens.extend(t2._covered_map(z, left1, left2).cols)
     return gens
 
 
 def section_projector(kind: str, graph) -> LinMap | None:
-    """theta o pi on A (x) A, realized by idempotent multiplications."""
+    """theta o pi on A (x) A: multiplication by the idempotent ("l", "r")
+    or by its twist F_which, under the kind's flags of ``SIDES``."""
     if getattr(graph, "e_element", None) is None:
         return None
-    t2 = graph.t2
-    e = graph.e_element
-    if kind == "l":
-        return t2.left_mult_map(e)
-    if kind == "r":
-        return t2.right_mult_map(e)
-    which = {"s": 1, "t": 2, "s-up": 3, "t-up": 4}[kind]
-    return t2.twisted_projector(graph.f_element(which, graph.e_coords), which)
+    _, left1, left2 = SIDES[kind]
+    which = {"s": 1, "t": 2, "s-up": 3, "t-up": 4}.get(kind)
+    f = graph.e_element if which is None else graph.f_element(which, graph.e_coords)
+    return graph.t2._covered_map(f, left1, left2)
 
 
 def build_balanced(kind: str, graph) -> BalancedTensorSpace:

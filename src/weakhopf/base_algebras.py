@@ -13,7 +13,7 @@ once and serve the base suite and the algebroid's graph-pair axioms.
 from __future__ import annotations
 
 from .algebra import AlgebraError, FiniteAlgebra
-from .linalg import LinMap, Span, Subspace, Vec, lincomb, solve, unit_vec, vaxpy, vsub, vtensor
+from .linalg import LinMap, Subspace, Vec, lincomb, solve, unit_vec, vaxpy, vsub, vtensor
 from .reporting import CheckRecord, Report, failed, passed
 from .wmha import WeakMultiplierHopfAlgebra
 
@@ -33,13 +33,10 @@ class SubalgebraView:
         self.basis = [dict(r) for r in self.subspace.rows]
         # d x dim: coordinates -> elements of the parent, basis as columns
         self.basis_map = LinMap(parent.dim, len(self.basis), self.basis)
-        self._span = Span(parent.dim)
-        for b in self.basis:
-            self._span.add(b)
         tables: dict[tuple[int, int], Vec] = {}
         for i, bi in enumerate(self.basis):
             for j, bj in enumerate(self.basis):
-                coords = self._span.express(parent.mul(bi, bj))
+                coords = self.subspace.coords(parent.mul(bi, bj))
                 if coords is None:
                     raise AlgebraError(f"{name} is not closed under the product")
                 tables[(i, j)] = coords
@@ -52,7 +49,7 @@ class SubalgebraView:
         return len(self.basis)
 
     def to_coords(self, x: Vec) -> Vec | None:
-        return self._span.express(x)
+        return self.subspace.coords(x)
 
     def from_coords(self, v: Vec) -> Vec:
         return self.basis_map.apply(v)
@@ -164,23 +161,21 @@ def compute_base_algebras(bundle: WeakMultiplierHopfAlgebra,
     report.add(passed("antipode-restricts") if anti_ok else
                failed("antipode-restricts", {"anti_homomorphism": False}))
 
-    # E lives in B (x) C
-    bc = Span(d * d)
-    for bi in b_view.basis:
-        for cj in c_view.basis:
-            bc.add(vtensor(bi, cj, d))
-    e_coords = bc.express(bundle.E)
+    # E lives in B (x) C; the products of the echelon bases are already
+    # reduced, with pivots in (i, j) order, so E's coordinate on
+    # b_i (x) c_j sits at i * dim C + j
+    bc = Subspace.from_vectors(d * d, [vtensor(bi, cj, d)
+                                       for bi in b_view.basis for cj in c_view.basis])
+    e_coords = bc.coords(bundle.E)
     if e_coords is None:
         report.add(failed("canonical-idempotent-in-base-tensor", {"E": bundle.E}))
         return None, report
     products_ok = True
-    for bi in b_view.basis:
-        for cj in c_view.basis:
-            x = vtensor(bi, cj, d)
-            if bc.express(t2.mul(bundle.E, x)) is None:
-                products_ok = False
-            if bc.express(t2.mul(x, bundle.E)) is None:
-                products_ok = False
+    for x in bc.rows:
+        if not bc.contains(t2.mul(bundle.E, x)):
+            products_ok = False
+        if not bc.contains(t2.mul(x, bundle.E)):
+            products_ok = False
     report.add(passed("canonical-idempotent-in-base-tensor") if products_ok else
                failed("canonical-idempotent-in-base-tensor", {"products": False}))
 

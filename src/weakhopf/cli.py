@@ -3,9 +3,10 @@
 Commands load definition files, run the relevant suites and emit
 deterministic reports (text or JSON).  Exit codes: 0 when every check
 passes, 1 when a check fails or an obstruction is found, 2 when the
-input cannot be parsed or violates the schema.  A reconstruction that
-breaks down after its preconditions held is reported as a failed
-``internal-inconsistency`` record (exit 1), never as a traceback.
+input cannot be parsed or violates the schema, or ``--out`` cannot be
+opened for writing.  A reconstruction that breaks down after its
+preconditions held is reported as a failed ``internal-inconsistency``
+record (exit 1), never as a traceback.
 """
 
 from __future__ import annotations

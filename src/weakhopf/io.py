@@ -203,7 +203,11 @@ def load(path: str) -> dict:
 
 
 def dump(doc: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(str(exc)) from exc
+    with fh:
         json.dump(doc, fh, sort_keys=True, indent=2, separators=(",", ": "))
         fh.write("\n")
 

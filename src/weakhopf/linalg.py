@@ -3,7 +3,10 @@
 Vectors are plain dicts mapping a coordinate index to a nonzero Fraction.
 Linear maps store their columns as such dicts.  Subspaces are kept in
 reduced row-echelon form, so equality of subspaces is equality of their
-stored bases.  Everything is exact: no floats, no tolerances.
+stored bases, and the coordinates of a member over the stored rows are
+its entries at the pivots.  ``solve`` and ``LinMap.inverse`` reduce the
+columns of a map, each tagged with its unit vector, in one such echelon
+form.  Everything is exact: no floats, no tolerances.
 
 The zero-free invariant matters: a dict never holds a zero entry, hence
 ``u == v`` on raw dicts is exact vector equality.
@@ -59,19 +62,8 @@ def vaxpy(acc: Vec, coeff: Fraction, v: Vec) -> Vec:
     return acc
 
 
-def vadd(u: Vec, v: Vec) -> Vec:
-    return vaxpy(dict(u), Fraction(1), v)
-
-
 def vsub(u: Vec, v: Vec) -> Vec:
     return vaxpy(dict(u), Fraction(-1), v)
-
-
-def vscale(coeff, v: Vec) -> Vec:
-    c = rat(coeff)
-    if not c:
-        return {}
-    return {i: c * x for i, x in v.items()}
 
 
 def vdot(u: Vec, v: Vec) -> Fraction:
@@ -103,13 +95,6 @@ def vtensor(u: Vec, v: Vec, dim2: int) -> Vec:
     return out
 
 
-def dense(v: Vec, n: int) -> list[Fraction]:
-    row = [Fraction(0)] * n
-    for i, c in v.items():
-        row[i] = c
-    return row
-
-
 class LinMap:
     """Linear map Q^ncols -> Q^nrows stored column-sparse."""
 
@@ -125,10 +110,6 @@ class LinMap:
     @classmethod
     def identity(cls, n: int) -> "LinMap":
         return cls(n, n, [unit_vec(i) for i in range(n)])
-
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "LinMap":
-        return cls(nrows, ncols)
 
     @classmethod
     def from_entries(cls, nrows: int, ncols: int, entries: Mapping) -> "LinMap":
@@ -179,18 +160,10 @@ class LinMap:
             raise DimensionMismatch("composition shape mismatch")
         return LinMap(self.nrows, other.ncols, [self.apply(c) for c in other.cols])
 
-    def __add__(self, other: "LinMap") -> "LinMap":
-        self._same_shape(other)
-        return LinMap(self.nrows, self.ncols,
-                      [vadd(a, b) for a, b in zip(self.cols, other.cols)])
-
     def __sub__(self, other: "LinMap") -> "LinMap":
         self._same_shape(other)
         return LinMap(self.nrows, self.ncols,
                       [vsub(a, b) for a, b in zip(self.cols, other.cols)])
-
-    def scale(self, coeff) -> "LinMap":
-        return LinMap(self.nrows, self.ncols, [vscale(coeff, c) for c in self.cols])
 
     def _same_shape(self, other: "LinMap") -> None:
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -250,16 +223,13 @@ class LinMap:
     def inverse(self) -> "LinMap":
         if self.nrows != self.ncols:
             raise DimensionMismatch("only square maps invert")
-        span = Span(self.nrows)
-        for j, col in enumerate(self.cols):
-            span.add(col, unit_vec(j))
-        cols = []
-        for i in range(self.nrows):
-            combo = span.express(unit_vec(i))
-            if combo is None:
-                raise ValueError("map is singular")
-            cols.append(combo)
-        return LinMap(self.nrows, self.ncols, cols)
+        n = self.nrows
+        tagged = _tagged_columns(self)
+        if tagged.dim < n:
+            raise ValueError("map is singular")
+        # full rank: row i is e_i followed by column i of the inverse
+        return LinMap(n, n, [{j - n: c for j, c in row.items() if j >= n}
+                             for row in tagged.rows])
 
     def __repr__(self):
         return f"LinMap({self.nrows}x{self.ncols})"
@@ -300,7 +270,10 @@ class Subspace:
         for i in v:
             if i >= self.ambient or i < 0:
                 raise DimensionMismatch("vector outside ambient space")
-        r = self.reduce(v)
+        return self._place(self.reduce(v))
+
+    def _place(self, r: Vec) -> bool:
+        """Add a residual of ``reduce`` as a row, unless it is zero."""
         if not r:
             return False
         p = min(r)
@@ -320,35 +293,20 @@ class Subspace:
     def contains(self, v: Vec) -> bool:
         return not self.reduce(v)
 
+    def coords(self, v: Vec) -> Vec | None:
+        """Coordinates of v over the stored rows, or None when v is not in
+        the subspace.  Each row has 1 at its own pivot and 0 at every
+        other pivot, so the coordinate on row k is v's entry at pivot k."""
+        if self.reduce(v):
+            return None
+        return {k: v[p] for k, p in enumerate(self.pivots) if p in v}
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace) and self.ambient == other.ambient
                 and self.pivots == other.pivots and self.rows == other.rows)
 
     def __hash__(self):
         raise TypeError("Subspace is not hashable")
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._same_ambient(other)
-        out = Subspace.from_vectors(self.ambient, self.rows)
-        for v in other.rows:
-            out.insert(v)
-        return out
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """U cap V via the kernel of the stacked basis map."""
-        self._same_ambient(other)
-        cols = [dict(r) for r in self.rows] + [dict(r) for r in other.rows]
-        if not cols:
-            return Subspace(self.ambient)
-        stacked = LinMap(self.ambient, len(cols), cols)
-        inter = Subspace(self.ambient)
-        for combo in stacked.kernel().rows:
-            v: Vec = {}
-            for j, c in combo.items():
-                if j < len(self.rows):
-                    vaxpy(v, c, self.rows[j])
-            inter.insert(v)
-        return inter
 
     def quotient_map(self) -> LinMap:
         """Projection onto the non-pivot coordinates of the residual.
@@ -365,82 +323,31 @@ class Subspace:
             cols.append({lookup[i]: c for i, c in r.items()})
         return LinMap(len(free), self.ambient, cols)
 
-    def _same_ambient(self, other: "Subspace") -> None:
-        if self.ambient != other.ambient:
-            raise DimensionMismatch("ambient dimensions differ")
-
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient})"
 
 
-class Span:
-    """Echelon basis with expression tracking.
-
-    Every stored row remembers a combination of the inserted generators
-    that produces it, so membership queries also return coordinates.
-    """
-
-    __slots__ = ("ambient", "rows", "pivots", "combos", "count")
-
-    def __init__(self, ambient: int):
-        self.ambient = ambient
-        self.rows: list[Vec] = []
-        self.pivots: list[int] = []
-        self.combos: list[Vec] = []
-        self.count = 0
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def add(self, v: Vec, tag: Vec | None = None) -> bool:
-        """Insert a generator; tag defaults to a fresh unit coordinate."""
-        if tag is None:
-            tag = unit_vec(self.count)
-        self.count += 1
-        r = dict(v)
-        combo = dict(tag)
-        for p, row, cmb in zip(self.pivots, self.rows, self.combos):
-            c = r.get(p)
-            if c:
-                vaxpy(r, -c, row)
-                vaxpy(combo, -c, cmb)
-        if not r:
-            return False
-        p = min(r)
-        inv = Fraction(1) / r[p]
-        r = {i: inv * c for i, c in r.items()}
-        combo = {i: inv * c for i, c in combo.items()}
-        for row, cmb in zip(self.rows, self.combos):
-            c = row.get(p)
-            if c:
-                vaxpy(row, -c, r)
-                vaxpy(cmb, -c, combo)
-        k = 0
-        while k < len(self.pivots) and self.pivots[k] < p:
-            k += 1
-        self.pivots.insert(k, p)
-        self.rows.insert(k, r)
-        self.combos.insert(k, combo)
-        return True
-
-    def express(self, v: Vec) -> Vec | None:
-        """Coordinates of v over the inserted generators, or None."""
-        r = dict(v)
-        combo: Vec = {}
-        for p, row, cmb in zip(self.pivots, self.rows, self.combos):
-            c = r.get(p)
-            if c:
-                vaxpy(r, -c, row)
-                vaxpy(combo, c, cmb)
-        if r:
-            return None
-        return combo
+def _tagged_columns(m: LinMap) -> Subspace:
+    """The columns of m, column j tagged with 1 at coordinate nrows + j,
+    in reduced echelon form.  A column whose residual vanishes on the
+    first nrows coordinates is left out, so every pivot lies there and
+    each row ends in the combination of columns that gives its start."""
+    n = m.nrows
+    tagged = Subspace(n + m.ncols)
+    for j, col in enumerate(m.cols):
+        r = tagged.reduce({**col, n + j: Fraction(1)})
+        if min(r) < n:
+            tagged._place(r)
+    return tagged
 
 
 def solve(m: LinMap, target: Vec) -> Vec | None:
-    """One solution x of m(x) = target, or None if inconsistent."""
-    span = Span(m.nrows)
-    for j, col in enumerate(m.cols):
-        span.add(col, unit_vec(j))
-    return span.express(target)
+    """One solution x of m(x) = target, or None if inconsistent.
+
+    Reducing the target over the tagged columns leaves target - m(x)
+    in the first nrows coordinates and -x after them."""
+    n = m.nrows
+    r = _tagged_columns(m).reduce(target)
+    if r and min(r) < n:
+        return None
+    return {j - n: -c for j, c in r.items()}

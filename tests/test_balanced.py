@@ -5,11 +5,13 @@ import pytest
 
 from weakhopf import algebroid, balanced, io
 from weakhopf.algebroid import check_algebroid_axioms, forward_construct
-from weakhopf.balanced import KINDS, TripleQuotient, build_balanced
-from weakhopf.examples import mixed_algebroid, swap_crossed_setup
+from weakhopf.algebra import matrix_algebra
+from weakhopf.balanced import KINDS, TripleQuotient, build_balanced, relation_generators
+from weakhopf.examples import mixed_algebroid, scalar_extension_wmha, swap_crossed_setup
 from weakhopf.groupoids import (as_wmha, cyclic_group, group_groupoid,
                                 pair_groupoid)
-from weakhopf.linalg import LinMap, Subspace, unit_vec, vtensor
+from weakhopf.linalg import LinMap, Subspace, unit_vec, vsub, vtensor
+from weakhopf.separability import build_E_from_functional
 
 
 @pytest.fixture(scope="module")
@@ -26,11 +28,13 @@ def hopf_graph():
     return alg.graph
 
 
-def test_all_kinds_split_p2(p2_graph):
-    for kind in KINDS:
-        space = build_balanced(kind, p2_graph)
-        assert space.pi @ space.theta == LinMap.identity(space.q_dim), kind
-        assert space.q_dim + space.relations.dim == 16
+def test_all_kinds_split_p2(p2_graph, loaded_algebroids):
+    # with sections, and from the file-loaded pair-2 through its relations
+    for graph in (p2_graph, loaded_algebroids["pair-2"].graph):
+        for kind in KINDS:
+            space = build_balanced(kind, graph)
+            assert space.pi @ space.theta == LinMap.identity(space.q_dim), kind
+            assert space.q_dim + space.relations.dim == 16
 
 
 def test_left_quotient_dimension_is_composable_count(p2_graph):
@@ -180,3 +184,45 @@ def test_triple_quotient_reuses_graph_spaces(monkeypatch):
     monkeypatch.setattr(algebroid, "build_balanced", counting)
     assert check_algebroid_axioms(fresh).ok
     assert len(calls) <= 6, calls
+
+
+def _leg_product_relators(kind, graph):
+    """The relators as the two sides of the defining relation, each a
+    leg product with a basis tensor e_a (x) e_b."""
+    t2, d = graph.t2, graph.algebra.dim
+    if kind in ("l", "s", "s-up"):
+        outer = [(x, graph.s_b_element(i)) for i, x in enumerate(graph.b_elements())]
+    else:
+        outer = [(y, graph.s_c_element(j)) for j, y in enumerate(graph.c_elements())]
+    sides = {
+        "l": lambda w, sw, p: (t2.mul_left_leg1(w, p), t2.mul_left_leg2(sw, p)),
+        "r": lambda w, sw, p: (t2.mul_right_leg2(p, w), t2.mul_right_leg1(p, sw)),
+        "s": lambda w, sw, p: (t2.mul_right_leg1(p, w), t2.mul_left_leg2(w, p)),
+        "t": lambda w, sw, p: (t2.mul_left_leg2(w, p), t2.mul_right_leg1(p, w)),
+        "s-up": lambda w, sw, p: (t2.mul_left_leg1(w, p), t2.mul_right_leg2(p, w)),
+        "t-up": lambda w, sw, p: (t2.mul_right_leg2(p, w), t2.mul_left_leg1(w, p)),
+    }[kind]
+    gens = []
+    for a in range(d):
+        for b in range(d):
+            plain = vtensor(unit_vec(a), unit_vec(b), d)
+            for w, sw in outer:
+                gens.append(vsub(*sides(w, sw, plain)))
+    return gens
+
+
+@pytest.fixture(scope="module")
+def base_m2_graph():
+    idem = build_E_from_functional(matrix_algebra(2), {0: Fraction(3, 2), 3: Fraction(3)})
+    alg, report = forward_construct(scalar_extension_wmha(idem))
+    assert report.ok
+    return alg.graph
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_relators_from_structure_constants_match_leg_products(
+        kind, loaded_algebroids, base_m2_graph):
+    for graph in (loaded_algebroids["counit-twist"].graph, base_m2_graph):
+        size = graph.t2.size
+        assert (Subspace.from_vectors(size, relation_generators(kind, graph))
+                == Subspace.from_vectors(size, _leg_product_relators(kind, graph))), kind

@@ -230,3 +230,24 @@ def test_bad_probe_units_exit_2(tmp_path, capsys, units):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("input error:")
+
+
+@pytest.mark.parametrize("command, example", [("gen-example", None),
+                                              ("wmha-to-algebroid", "pair-groupoid"),
+                                              ("algebroid-to-wmha", "obstructed")])
+def test_unwritable_out_exits_2(tmp_path, capsys, command, example):
+    """An --out path that cannot be opened for writing is bad input: exit
+    2 with an input error, never a traceback."""
+    out = tmp_path / "missing" / "out.json"
+    if example is None:
+        argv = [command, "pair-groupoid", "--out", str(out)]
+    else:
+        path = tmp_path / "input.json"
+        run(capsys, "gen-example", example, "--out", str(path))
+        argv = [command, str(path), "--out", str(out)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("input error:")
+    assert "Traceback" not in captured.err
+    assert not out.exists()

@@ -227,10 +227,9 @@ def test_left_quotient_identification_map(m2_idem, m2_bundle):
 
 
 def test_central_twist_is_trivial(m2_bundle):
-    from weakhopf.linalg import vscale
-
     unit = m2_bundle.algebra.unit()
-    tw = TwistData(m2_bundle, vscale("1/2", unit), vscale(2, unit))
+    tw = TwistData(m2_bundle, {i: Fraction(1, 2) * c for i, c in unit.items()},
+                   {i: 2 * c for i, c in unit.items()})
     twisted = twist_wmha(m2_bundle, tw)
     assert twisted.delta == m2_bundle.delta
     assert twisted.E == m2_bundle.E

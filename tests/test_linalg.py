@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weakhopf.linalg import (DimensionMismatch, LinMap, Span, Subspace, rat,
-                             solve, vadd, vec_from,
-                             vscale, vsub, vtensor)
+from weakhopf.linalg import (DimensionMismatch, LinMap, Subspace, rat, solve,
+                             unit_vec, vaxpy, vec_from, vsub, vtensor)
 
 
 def test_rat_parses_strings():
@@ -18,10 +17,10 @@ def test_rat_parses_strings():
 def test_vec_ops_keep_zero_free_invariant():
     u = vec_from({0: 1, 2: "1/2"})
     v = vec_from({0: -1, 1: 3})
-    w = vadd(u, v)
+    w = vaxpy(dict(u), Fraction(1), v)
     assert 0 not in w and w == {1: Fraction(3), 2: Fraction(1, 2)}
     assert vsub(u, u) == {}
-    assert vscale(0, u) == {}
+    assert vaxpy({}, Fraction(0), u) == {}
 
 
 def test_tensor_indexing():
@@ -45,7 +44,7 @@ def test_linmap_apply_dimension_check():
 
 
 def test_kernel_of_zero_map_is_full_space():
-    z = LinMap.zero(2, 2)
+    z = LinMap(2, 2)
     assert z.kernel().dim == 2
 
 
@@ -53,7 +52,9 @@ def test_rank_one_idempotent_splits():
     # projection onto first coordinate: image cap kernel = 0
     p = LinMap.from_dense([[1, 0], [0, 0]])
     assert p @ p == p
-    assert p.image().intersect(p.kernel()).dim == 0
+    image, kernel = p.image(), p.kernel()
+    both = Subspace.from_vectors(2, image.rows + kernel.rows)
+    assert both.dim == image.dim + kernel.dim
 
 
 def test_quotient_dimension_rank_nullity():
@@ -91,12 +92,10 @@ def test_solve_and_uniqueness():
 
 
 def test_span_expresses_combinations():
-    span = Span(3)
-    span.add({0: Fraction(1), 1: Fraction(1)})
-    span.add({1: Fraction(1)})
-    combo = span.express({0: Fraction(2), 1: Fraction(5)})
+    m = LinMap(3, 2, [{0: Fraction(1), 1: Fraction(1)}, {1: Fraction(1)}])
+    combo = solve(m, {0: Fraction(2), 1: Fraction(5)})
     assert combo == {0: Fraction(2), 1: Fraction(3)}
-    assert span.express({2: Fraction(1)}) is None
+    assert solve(m, {2: Fraction(1)}) is None
 
 
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -105,15 +104,6 @@ small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 def vec_strategy(n):
     return st.lists(small_rationals, min_size=n, max_size=n).map(
         lambda xs: vec_from(enumerate(xs)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(vec_strategy(5), min_size=0, max_size=4),
-       st.lists(vec_strategy(5), min_size=0, max_size=4))
-def test_dimension_formula(us, vs):
-    u = Subspace.from_vectors(5, us)
-    v = Subspace.from_vectors(5, vs)
-    assert u.sum(v).dim + u.intersect(v).dim == u.dim + v.dim
 
 
 @settings(max_examples=40, deadline=None)
@@ -132,3 +122,100 @@ def test_reduce_is_idempotent_and_membership(vectors):
 def test_rank_nullity_for_maps(rows):
     m = LinMap.from_dense(rows)
     assert m.rank() + m.kernel().dim == 3
+
+
+class ReferenceSpan:
+    """An echelon basis that tracks, beside each row, the combination of
+    generators producing it: the reference for solve's particular
+    solutions on rank-deficient systems."""
+
+    def __init__(self):
+        self.rows, self.pivots, self.combos = [], [], []
+
+    def add(self, v, tag):
+        r, combo = dict(v), dict(tag)
+        for p, row, cmb in zip(self.pivots, self.rows, self.combos):
+            c = r.get(p)
+            if c:
+                vaxpy(r, -c, row)
+                vaxpy(combo, -c, cmb)
+        if not r:
+            return
+        p = min(r)
+        inv = Fraction(1) / r[p]
+        r = {i: inv * c for i, c in r.items()}
+        combo = {i: inv * c for i, c in combo.items()}
+        for row, cmb in zip(self.rows, self.combos):
+            c = row.get(p)
+            if c:
+                vaxpy(row, -c, r)
+                vaxpy(cmb, -c, combo)
+        k = 0
+        while k < len(self.pivots) and self.pivots[k] < p:
+            k += 1
+        self.pivots.insert(k, p)
+        self.rows.insert(k, r)
+        self.combos.insert(k, combo)
+
+    def express(self, v):
+        r, combo = dict(v), {}
+        for p, row, cmb in zip(self.pivots, self.rows, self.combos):
+            c = r.get(p)
+            if c:
+                vaxpy(r, -c, row)
+                vaxpy(combo, c, cmb)
+        return None if r else combo
+
+
+def _reference_solve(m, target):
+    span = ReferenceSpan()
+    for j, col in enumerate(m.cols):
+        span.add(col, unit_vec(j))
+    return span.express(target)
+
+
+def small_map(nrows, ncols):
+    return st.lists(vec_strategy(nrows), min_size=ncols, max_size=ncols).map(
+        lambda cols: LinMap(nrows, ncols, cols))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(vec_strategy(5), min_size=0, max_size=4),
+       st.lists(small_rationals, min_size=4, max_size=4), vec_strategy(5))
+def test_coords_are_pivot_entries(vectors, weights, probe):
+    sub = Subspace.from_vectors(5, vectors)
+    c = vec_from(enumerate(weights[:sub.dim]))
+    v = {}
+    for k, x in c.items():
+        vaxpy(v, x, sub.rows[k])
+    assert sub.coords(v) == c
+    if not sub.contains(probe):
+        assert sub.coords(probe) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    small_map(n, 4), vec_strategy(n))))
+def test_solve_matches_image_membership_and_reference(case):
+    m, target = case
+    x = solve(m, target)
+    assert (x is None) == (not m.image().contains(target))
+    if x is not None:
+        assert m.apply(x) == target
+    # the rank-deficient systems keep the particular solution of the
+    # combination-tracking reference, value for value
+    assert x == _reference_solve(m, target)
+    reached = m.apply({0: Fraction(1), 2: Fraction(-2)})
+    assert solve(m, reached) == _reference_solve(m, reached)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_map(3, 3))
+def test_inverse_of_bijective_map(m):
+    if not m.is_bijective():
+        with pytest.raises(ValueError):
+            m.inverse()
+        return
+    inv = m.inverse()
+    assert inv @ m == LinMap.identity(3)
+    assert inv.cols == [_reference_solve(m, unit_vec(i)) for i in range(3)]
