@@ -7,19 +7,25 @@ and idempotency (A*A = A).  The engine works with unital algebras only,
 where the multiplier algebra M(A) is A itself, so every multiplier the
 theory needs is an element.
 
-``TensorSquare`` holds the only leg-wise product code, for A (x) A and
-for B (x) C alike.  ``CoproductSlices`` is the one slice object: it
-multiplies a pair of coproduct families by basis covers, caches every
-slice per (kind, a, b), and assembles the canonical maps T_1..T_4 from
-those slices.
+``first_failure`` is the one witness scan for identities indexed by
+basis tuples: the first tuple in lexicographic order, then the first
+law that fails there.  ``multiplicativity`` states the law
+f(e_i e_j) = f(e_i) f(e_j) (or its anti form) once for every map that
+must respect products.  ``TensorSquare`` holds the only leg-wise
+product code, for A (x) A and for B (x) C alike.  ``CoproductSlices``
+is the one slice object: it multiplies a pair of coproduct families by
+basis covers, caches every slice per (kind, a, b), and assembles the
+canonical maps T_1..T_4 from those slices.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Callable
 
-from .linalg import LinMap, Subspace, Vec, rat, solve, unit_vec, vaxpy, vsub, vtensor
+from .linalg import (LinMap, Subspace, Vec, lincomb, rat, solve, unit_vec, vaxpy, vsub,
+                     vtensor)
 
 
 class AlgebraError(ValueError):
@@ -91,14 +97,11 @@ class FiniteAlgebra:
 
     def validate(self) -> None:
         n = self.dim
-        for i in range(n):
-            for j in range(n):
-                eij = self.mul_basis(i, j)
-                for k in range(n):
-                    left = self.mul(eij, unit_vec(k))
-                    right = self.mul(unit_vec(i), self.mul_basis(j, k))
-                    if left != right:
-                        raise NonAssociative(i, j, k)
+        bad = first_failure((n, n, n), [
+            (lambda i, j, k: self.mul(self.mul_basis(i, j), unit_vec(k)),
+             lambda i, j, k: self.mul(unit_vec(i), self.mul_basis(j, k)))])
+        if bad is not None:
+            raise NonAssociative(*bad[0])
         for side, mats in (("left", [self.left_mult(unit_vec(i)) for i in range(n)]),
                            ("right", [self.right_mult(unit_vec(i)) for i in range(n)])):
             # a annihilates iff sum a_i * (mult map of e_i) = 0
@@ -223,6 +226,38 @@ def opposite_algebra(a: FiniteAlgebra) -> FiniteAlgebra:
     """Same space, reversed product; validity is inherited."""
     return FiniteAlgebra(list(a.labels), lambda i, j: a.mul_basis(j, i),
                          validated=True)
+
+
+# -- witness scans over basis tuples ---------------------------------------
+
+def first_failure(shape: tuple[int, ...], laws) -> tuple[tuple[int, ...], int, object, object] | None:
+    """The witness of a family of basis-indexed identities.
+
+    Walks the index tuples of range(shape[0]) x range(shape[1]) x ... in
+    lexicographic order and tries the laws in order at each tuple.  A
+    law is (lhs, rhs) or (lhs, rhs, same): lhs and rhs take the indices
+    as arguments, and same compares their values (== by default).
+    Returns (index tuple, k, lhs value, rhs value) at the first tuple
+    and then the first law k that fails there; None when all hold.
+    """
+    for index in itertools.product(*map(range, shape)):
+        for k, (lhs, rhs, *same) in enumerate(laws):
+            left, right = lhs(*index), rhs(*index)
+            if not (same[0](left, right) if same else left == right):
+                return index, k, left, right
+    return None
+
+
+def multiplicativity(alg: FiniteAlgebra, images, product, anti: bool = False):
+    """The law f(e_i e_j) = f(e_i) f(e_j), or f(e_j) f(e_i) when anti,
+    as an (lhs, rhs) pair over basis pairs (i, j) of alg.  f is the
+    linear map with f(e_k) = images[k], and product multiplies in its
+    target: a coproduct with the tensor-square product, an antipode or
+    an automorphism with an algebra product."""
+    def rhs(i, j):
+        return product(images[j], images[i]) if anti else product(images[i], images[j])
+
+    return (lambda i, j: lincomb(alg.mul_basis(i, j), images)), rhs
 
 
 # -- tensor products and slices used throughout the Hopf machinery -------

@@ -11,15 +11,21 @@ values, which are already section images.  The basis-covered products
 come from one ``algebra.CoproductSlices`` over (Delta_B, Delta_C), which
 caches each slice once; the canonical maps between balanced quotients
 are its maps T_1..T_4 followed by the quotient map of the codomain.
+Every pair- or triple-indexed check is a list of laws for
+``algebra.first_failure``, whose comparison is the balanced quotient's
+``equivalent`` where the two sides are compared modulo relations; the
+witness is the first basis tuple in lexicographic order, then the first
+law failing there.
 """
 
 from __future__ import annotations
 
-from .algebra import AlgebraError, CoproductSlices, FiniteAlgebra, TensorSquare
+from .algebra import (AlgebraError, CoproductSlices, FiniteAlgebra, TensorSquare,
+                      first_failure, multiplicativity)
 from .balanced import BalancedTensorSpace, TripleQuotient, build_balanced
 from .base_algebras import (SubalgebraView, action_span_dim, first_noncommuting_pair,
                             is_anti_homomorphism, run_base_suite)
-from .linalg import LinMap, Subspace, Vec, lincomb, unit_vec, vtensor
+from .linalg import LinMap, Subspace, Vec, lincomb, unit_vec
 from .reporting import CheckRecord, Report, failed, passed
 from .wmha import WeakMultiplierHopfAlgebra
 
@@ -31,18 +37,18 @@ class NotBijective(AlgebraError):
 class QuantumGraphPair:
     """Commuting base algebras B and C inside M(A) with anti-isomorphisms
     S_B: B -> C and S_C: C -> B, optionally carrying a separability
-    idempotent realized inside A (x) A."""
+    idempotent, given in B (x) C coordinates and realized inside A (x) A
+    as ``e_element``."""
 
     def __init__(self, algebra: FiniteAlgebra, b_view: SubalgebraView,
                  c_view: SubalgebraView, s_b: LinMap, s_c: LinMap,
-                 e_element: Vec | None = None, e_coords: Vec | None = None):
+                 e_coords: Vec | None = None):
         self.algebra = algebra
         self.t2 = TensorSquare(algebra)
         self.b_view = b_view
         self.c_view = c_view
         self.s_b = s_b              # B-coords -> C-coords
         self.s_c = s_c              # C-coords -> B-coords
-        self.e_element = e_element  # in A (x) A
         self.e_coords = e_coords    # in B (x) C coordinates
         self._bal_cache: dict[str, BalancedTensorSpace] = {}
         self._triple_cache: dict[tuple[str, str], TripleQuotient] = {}
@@ -74,6 +80,15 @@ class QuantumGraphPair:
             raise AlgebraError("element is not in C")
         return self.b_view.from_coords(self.s_c.apply(coords))
 
+    def embed(self, e_coords: Vec) -> Vec:
+        """An element of B (x) C, given in coordinates, realized in A (x) A."""
+        return self.b_view.basis_map.tensor(self.c_view.basis_map).apply(e_coords)
+
+    @property
+    def e_element(self) -> Vec | None:
+        """The separability idempotent in A (x) A, or None without one."""
+        return None if self.e_coords is None else self.embed(self.e_coords)
+
     def f_element(self, which: int, e_coords: Vec) -> Vec:
         """The idempotent E, given in B (x) C coordinates, with one leg
         twisted by the matching anti-isomorphism, realized in A (x) A."""
@@ -98,8 +113,8 @@ class QuantumGraphPair:
 
     # -- structural axioms ------------------------------------------------
 
-    def check_axioms(self, title: str = "quantum-graph-pair") -> Report:
-        report = Report(title)
+    def check_axioms(self) -> Report:
+        report = Report("quantum-graph-pair")
         alg, d = self.algebra, self.algebra.dim
         if alg.unit() is None:
             report.add(failed("ambient-local-units", {}))
@@ -146,17 +161,16 @@ class MultiplierHopfAlgebroid:
         return self.algebra.dim
 
 
-def forward_construct(bundle: WeakMultiplierHopfAlgebra,
-                      title: str = "forward-construction") -> tuple[MultiplierHopfAlgebroid | None, Report]:
+def forward_construct(bundle: WeakMultiplierHopfAlgebra) -> tuple[MultiplierHopfAlgebroid | None, Report]:
     """Quotient the coproduct of an accepted bundle into the left and
     right balanced products; counital maps come from the source and
     target maps twisted by the inverse antipode."""
-    data, report = run_base_suite(bundle, title)
+    data, base_report = run_base_suite(bundle)
+    report = Report("forward-construction", base_report.records)
     if data is None or not report.ok:
         return None, report
     graph = QuantumGraphPair(bundle.algebra, data.b_view, data.c_view,
-                             data.s_b, data.s_c,
-                             e_element=dict(bundle.E), e_coords=data.e_coords)
+                             data.s_b, data.s_c, e_coords=data.e_coords)
     si = bundle.antipode_inv()
     d = bundle.dim
     eps_b = LinMap(d, d, [si.apply(bundle.target_value(i)) for i in range(d)])
@@ -196,23 +210,15 @@ def check_regularity(alg: MultiplierHopfAlgebroid) -> CheckRecord:
 
 
 def check_algebroid_homomorphism(alg: MultiplierHopfAlgebroid) -> CheckRecord:
-    graph, t2, d = alg.graph, alg.t2, alg.dim
-    bal_l = graph.balanced("l")
-    bal_r = graph.balanced("r")
-    for i in range(d):
-        for j in range(d):
-            prod = alg.algebra.mul_basis(i, j)
-            lhs = lincomb(prod, alg.delta_b)
-            rhs = t2.mul(alg.delta_b[i], alg.delta_b[j])
-            if not bal_l.equivalent(lhs, rhs):
-                return failed("left-coproduct-homomorphism",
-                              {"pair": [alg.algebra.labels[i], alg.algebra.labels[j]]})
-            lhs = lincomb(prod, alg.delta_c)
-            rhs = t2.mul(alg.delta_c[i], alg.delta_c[j])
-            if not bal_r.equivalent(lhs, rhs):
-                return failed("right-coproduct-homomorphism",
-                              {"pair": [alg.algebra.labels[i], alg.algebra.labels[j]]})
-    return passed("coproduct-homomorphisms")
+    graph, t2, alg_a = alg.graph, alg.t2, alg.algebra
+    bad = first_failure((alg.dim, alg.dim), [
+        (*multiplicativity(alg_a, alg.delta_b, t2.mul), graph.balanced("l").equivalent),
+        (*multiplicativity(alg_a, alg.delta_c, t2.mul), graph.balanced("r").equivalent)])
+    if bad is None:
+        return passed("coproduct-homomorphisms")
+    pair, k, _, _ = bad
+    return failed(("left-coproduct-homomorphism", "right-coproduct-homomorphism")[k],
+                  {"pair": [alg_a.labels[i] for i in pair]})
 
 
 def check_base_behavior(alg: MultiplierHopfAlgebroid) -> CheckRecord:
@@ -249,23 +255,21 @@ def check_base_behavior(alg: MultiplierHopfAlgebroid) -> CheckRecord:
     return passed("coproduct-base-behavior")
 
 
-def _first_covered_failure(sl: CoproductSlices, equations) -> tuple[int, int, int, int] | None:
-    """The first (a, b, c, k), looping over a, b, c and then k, at which
-    equation k = (outer, inner, same) fails: sum outer(a, b)[u, v]
-    inner(u, c) (x) e_v against sum inner(a, c)[u, v] e_u (x) outer(v, b)
-    under the triple quotient comparison same.  The scan stays covered:
-    the triple balanced relations are not closed under covering on every
-    leg, so the wmha suite's one comparison per element does not apply."""
-    t2, d = sl.t2, sl.t2.dim
-    for a in range(d):
-        for b in range(d):
-            for c in range(d):
-                for k, (outer, inner, same) in enumerate(equations):
-                    lhs = t2.expand_leg1(outer(a, b), lambda u: inner(u, c))
-                    rhs = t2.expand_leg2(inner(a, c), lambda v: outer(v, b))
-                    if not same(lhs, rhs):
-                        return a, b, c, k
-    return None
+def _first_covered_failure(sl: CoproductSlices, equations):
+    """The first (a, b, c), then k, at which equation k = (outer, inner,
+    same) fails: sum outer(a, b)[u, v] inner(u, c) (x) e_v against
+    sum inner(a, c)[u, v] e_u (x) outer(v, b) under the triple quotient
+    comparison same; ``first_failure``'s result or None.  The scan stays
+    covered: the triple balanced relations are not closed under covering
+    on every leg, so the wmha suite's one comparison per element does
+    not apply."""
+    t2 = sl.t2
+
+    def covered(outer, inner, same):
+        return (lambda a, b, c: t2.expand_leg1(outer(a, b), lambda u: inner(u, c)),
+                lambda a, b, c: t2.expand_leg2(inner(a, c), lambda v: outer(v, b)), same)
+
+    return first_failure((t2.dim,) * 3, [covered(*eq) for eq in equations])
 
 
 def check_algebroid_coassociativity(alg: MultiplierHopfAlgebroid) -> CheckRecord:
@@ -277,9 +281,9 @@ def check_algebroid_coassociativity(alg: MultiplierHopfAlgebroid) -> CheckRecord
          (sl.l2, sl.l1, graph.triple("r", "r").equivalent)])
     if bad is None:
         return passed("coproduct-coassociativity")
-    a, b, c, k = bad
+    triple, k, _, _ = bad
     return failed(("left-coproduct-coassociativity", "right-coproduct-coassociativity")[k],
-                  {"triple": [alg.algebra.labels[i] for i in (a, b, c)]})
+                  {"triple": [alg.algebra.labels[i] for i in triple]})
 
 
 def check_compatibility(alg: MultiplierHopfAlgebroid) -> CheckRecord:
@@ -294,9 +298,9 @@ def check_compatibility(alg: MultiplierHopfAlgebroid) -> CheckRecord:
          (sl.l2, sl.r1, graph.triple("l", "r").equivalent)])
     if bad is None:
         return passed("joint-coassociativity")
-    a, b, c, k = bad
+    triple, k, _, _ = bad
     return failed(("joint-coassociativity-first", "joint-coassociativity-second")[k],
-                  {"triple": [alg.algebra.labels[i] for i in (a, b, c)]})
+                  {"triple": [alg.algebra.labels[i] for i in triple]})
 
 
 def algebroid_canonical_maps(alg: MultiplierHopfAlgebroid) -> dict[str, LinMap]:
@@ -337,22 +341,16 @@ def check_canonical_maps(alg: MultiplierHopfAlgebroid) -> CheckRecord:
     except NotBijective as exc:
         return failed("algebroid-canonical-maps-bijective", {"error": str(exc)})
     detail = ", ".join(f"{k}: {m.nrows}x{m.ncols}" for k, m in sorted(maps.items()))
-    rec = passed("algebroid-canonical-maps-bijective", detail=detail)
     if alg.source_bundle is not None:
-        bundle = alg.source_bundle
-        graph, d = alg.graph, alg.dim
-        bal_l = graph.balanced("l")
-        bal_s = graph.balanced("s")
-        t_rho = maps["T_rho"]
-        for a in range(d):
-            for b in range(d):
-                via_t1 = bal_l.project(
-                    bundle.canonical_map(1).apply(vtensor(unit_vec(a), unit_vec(b), d)))
-                via_quotient = t_rho.apply(bal_s.project(vtensor(unit_vec(a), unit_vec(b), d)))
-                if via_t1 != via_quotient:
-                    return failed("canonical-map-commuting-square",
-                                  {"pair": [alg.algebra.labels[a], alg.algebra.labels[b]]})
-    return rec
+        t1, d = alg.source_bundle.canonical_map(1), alg.dim
+        bal_l, bal_s = alg.graph.balanced("l"), alg.graph.balanced("s")
+        bad = first_failure((d, d), [
+            (lambda a, b: bal_l.project(t1.apply(unit_vec(a * d + b))),
+             lambda a, b: maps["T_rho"].apply(bal_s.project(unit_vec(a * d + b))))])
+        if bad is not None:
+            return failed("canonical-map-commuting-square",
+                          {"pair": [alg.algebra.labels[i] for i in bad[0]]})
+    return passed("algebroid-canonical-maps-bijective", detail=detail)
 
 
 def check_counital_maps(alg: MultiplierHopfAlgebroid) -> CheckRecord:
@@ -391,21 +389,16 @@ def check_counital_maps(alg: MultiplierHopfAlgebroid) -> CheckRecord:
                               {"basis": alg_a.labels[a],
                                "law": "eps_C(a S_C(y))=y eps_C(a)"})
     s_b_eps_b = LinMap(d, d, [graph.apply_s_b(col) for col in alg.eps_b.cols])
-    for a in range(d):
-        for b in range(d):
-            acc = t2.mul_map(t2.map_leg1(s_b_eps_b, alg.slices.r2(a, b)))
-            want = alg_a.mul_basis(a, b)
-            if acc != want:
-                return failed("left-counit-diagram",
-                              {"pair": [alg_a.labels[a], alg_a.labels[b]],
-                               "lhs": acc, "rhs": want})
-            # sum e_v eps_C(e_u) over the terms e_u (x) e_v of the slice
-            acc2 = t2.mul_map(t2.flip(t2.map_leg1(alg.eps_c, alg.slices.l2(a, b))))
-            want2 = alg_a.mul_basis(b, a)
-            if acc2 != want2:
-                return failed("right-counit-diagram",
-                              {"pair": [alg_a.labels[a], alg_a.labels[b]],
-                               "lhs": acc2, "rhs": want2})
+    bad = first_failure((d, d), [
+        (lambda a, b: t2.mul_map(t2.map_leg1(s_b_eps_b, alg.slices.r2(a, b))),
+         alg_a.mul_basis),
+        # sum e_v eps_C(e_u) over the terms e_u (x) e_v of the slice
+        (lambda a, b: t2.mul_map(t2.flip(t2.map_leg1(alg.eps_c, alg.slices.l2(a, b)))),
+         lambda a, b: alg_a.mul_basis(b, a))])
+    if bad is not None:
+        pair, k, lhs, rhs = bad
+        return failed(("left-counit-diagram", "right-counit-diagram")[k],
+                      {"pair": [alg_a.labels[i] for i in pair], "lhs": lhs, "rhs": rhs})
     return passed("counital-maps")
 
 
@@ -413,23 +406,16 @@ def check_antipode_diagrams(alg: MultiplierHopfAlgebroid) -> CheckRecord:
     """mu(S (x) id)T_rho(a (x) b) = S_C(eps_C(a)) b and
     mu(id (x) S) lambda_T(a (x) b) = a S_B(eps_B(b))."""
     graph, t2, d = alg.graph, alg.t2, alg.dim
-    alg_a = alg.algebra
-    s = alg.antipode
-    for a in range(d):
-        for b in range(d):
-            eb = unit_vec(b)
-            acc = t2.mul_map(t2.map_leg1(s, alg.slices.r2(a, b)))
-            want = alg_a.mul(graph.apply_s_c(alg.eps_c.apply(unit_vec(a))), eb)
-            if acc != want:
-                return failed("antipode-diagram-left",
-                              {"pair": [alg_a.labels[a], alg_a.labels[b]],
-                               "lhs": acc, "rhs": want})
-            acc2 = t2.mul_map(t2.map_leg2(s, alg.slices.l1(b, a)))
-            want2 = alg_a.mul(unit_vec(a), graph.apply_s_b(alg.eps_b.apply(eb)))
-            if acc2 != want2:
-                return failed("antipode-diagram-right",
-                              {"pair": [alg_a.labels[a], alg_a.labels[b]],
-                               "lhs": acc2, "rhs": want2})
+    alg_a, s = alg.algebra, alg.antipode
+    bad = first_failure((d, d), [
+        (lambda a, b: t2.mul_map(t2.map_leg1(s, alg.slices.r2(a, b))),
+         lambda a, b: alg_a.mul(graph.apply_s_c(alg.eps_c.apply(unit_vec(a))), unit_vec(b))),
+        (lambda a, b: t2.mul_map(t2.map_leg2(s, alg.slices.l1(b, a))),
+         lambda a, b: alg_a.mul(unit_vec(a), graph.apply_s_b(alg.eps_b.apply(unit_vec(b)))))])
+    if bad is not None:
+        pair, k, lhs, rhs = bad
+        return failed(("antipode-diagram-left", "antipode-diagram-right")[k],
+                      {"pair": [alg_a.labels[i] for i in pair], "lhs": lhs, "rhs": rhs})
     return passed("antipode-diagrams")
 
 
@@ -439,12 +425,10 @@ def check_antipode_structure(alg: MultiplierHopfAlgebroid) -> CheckRecord:
     alg_a = alg.algebra
     if not s.is_bijective():
         return failed("algebroid-antipode-bijective", {"rank": s.rank()})
-    for i in range(d):
-        for j in range(d):
-            if s.apply(alg_a.mul_basis(i, j)) != alg_a.mul(s.apply(unit_vec(j)),
-                                                           s.apply(unit_vec(i))):
-                return failed("algebroid-antipode-antihomomorphism",
-                              {"pair": [alg_a.labels[i], alg_a.labels[j]]})
+    bad = first_failure((d, d), [multiplicativity(alg_a, s.cols, alg_a.mul, anti=True)])
+    if bad is not None:
+        return failed("algebroid-antipode-antihomomorphism",
+                      {"pair": [alg_a.labels[i] for i in bad[0]]})
     graph = alg.graph
     for i, x in enumerate(graph.b_elements()):
         if s.apply(x) != graph.s_b_element(i):
@@ -455,9 +439,8 @@ def check_antipode_structure(alg: MultiplierHopfAlgebroid) -> CheckRecord:
     return passed("algebroid-antipode-structure")
 
 
-def check_algebroid_axioms(alg: MultiplierHopfAlgebroid,
-                           title: str = "algebroid-suite") -> Report:
-    report = alg.graph.check_axioms(title)
+def check_algebroid_axioms(alg: MultiplierHopfAlgebroid) -> Report:
+    report = Report("algebroid-suite", alg.graph.check_axioms().records)
     if not report.ok:
         return report
     report.add(check_regularity(alg))

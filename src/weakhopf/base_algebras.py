@@ -12,7 +12,7 @@ once and serve the base suite and the algebroid's graph-pair axioms.
 
 from __future__ import annotations
 
-from .algebra import AlgebraError, FiniteAlgebra
+from .algebra import AlgebraError, FiniteAlgebra, first_failure, multiplicativity
 from .linalg import LinMap, Subspace, Vec, lincomb, solve, unit_vec, vaxpy, vsub, vtensor
 from .reporting import CheckRecord, Report, failed, passed
 from .wmha import WeakMultiplierHopfAlgebra
@@ -87,9 +87,8 @@ def action_span_dim(alg: FiniteAlgebra, view: SubalgebraView) -> int:
 
 def is_anti_homomorphism(s: LinMap, source: FiniteAlgebra, target: FiniteAlgebra) -> bool:
     """s(xy) = s(y)s(x) on the basis, for s from source to target coordinates."""
-    return all(s.apply(source.mul_basis(i, j))
-               == target.mul(s.apply(unit_vec(j)), s.apply(unit_vec(i)))
-               for i in range(source.dim) for j in range(source.dim))
+    return first_failure((source.dim, source.dim),
+                         [multiplicativity(source, s.cols, target.mul, anti=True)]) is None
 
 
 class BaseAlgebraData:
@@ -109,10 +108,9 @@ class BaseAlgebraData:
         self.e_coords = e_coords  # E in the B (x) C coordinate basis
 
 
-def compute_base_algebras(bundle: WeakMultiplierHopfAlgebra,
-                          title: str = "base-algebras") -> tuple[BaseAlgebraData | None, Report]:
+def compute_base_algebras(bundle: WeakMultiplierHopfAlgebra) -> tuple[BaseAlgebraData | None, Report]:
     """Spans of the source and target maps with every structural check."""
-    report = Report(title)
+    report = Report("source-target-suite")
     alg, t2, d = bundle.algebra, bundle.t2, bundle.dim
     unit = alg.unit()
     s = bundle.antipode
@@ -300,9 +298,8 @@ def check_characterizations(bundle: WeakMultiplierHopfAlgebra,
     return passed("source-target-characterizations")
 
 
-def run_base_suite(bundle: WeakMultiplierHopfAlgebra,
-                   title: str = "source-target-suite") -> tuple[BaseAlgebraData | None, Report]:
-    data, report = compute_base_algebras(bundle, title)
+def run_base_suite(bundle: WeakMultiplierHopfAlgebra) -> tuple[BaseAlgebraData | None, Report]:
+    data, report = compute_base_algebras(bundle)
     if data is not None:
         report.add(check_characterizations(bundle, data))
     return data, report

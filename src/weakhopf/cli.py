@@ -4,7 +4,8 @@ Commands load definition files, run the relevant suites and emit
 deterministic reports (text or JSON).  Exit codes: 0 when every check
 passes, 1 when a check fails or an obstruction is found, 2 when the
 input cannot be parsed or violates the schema, or ``--out`` cannot be
-opened for writing.  A reconstruction that breaks down after its
+opened for writing; the conversions refuse such an ``--out`` before any
+suite runs.  A reconstruction that breaks down after its
 preconditions held is reported as a failed ``internal-inconsistency``
 record (exit 1), never as a traceback.
 """
@@ -12,6 +13,7 @@ record (exit 1), never as a traceback.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -42,6 +44,17 @@ def _positive(flag: str, value: int | None) -> int | None:
     return value
 
 
+def _check_out(path: str | None) -> None:
+    """Refuse an --out path that cannot be written, without creating it:
+    a directory, or a file whose directory is missing or not writable."""
+    if path is None:
+        return
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(
+            path if os.path.exists(path) else folder, os.W_OK):
+        raise io.ParseError(f"cannot write --out {path}")
+
+
 def _bundle_from_doc(doc, probes: int | None):
     obj = io.parse_document(doc)
     if isinstance(obj, WeakMultiplierHopfAlgebra):
@@ -61,7 +74,7 @@ def cmd_check_wmha(args) -> int:
         report = check_lazy_groupoid(lazy_g)
         _emit(report, args.format)
         return 0 if report.ok else 1
-    report = run_suite(bundle, title="wmha-suite")
+    report = run_suite(bundle)
     _, base_report = run_base_suite(bundle)
     report.extend(base_report.records)
     _emit(report, args.format)
@@ -79,11 +92,12 @@ def cmd_check_algebroid(args) -> int:
 
 
 def cmd_wmha_to_algebroid(args) -> int:
+    _check_out(args.out)
     doc = io.load(args.file)
     bundle, lazy_g = _bundle_from_doc(doc, None)
     if lazy_g is not None:
         raise io.SchemaError("the balanced quotients need a finite groupoid")
-    suite = run_suite(bundle, title="wmha-suite")
+    suite = run_suite(bundle)
     if not suite.ok:
         _emit(suite, args.format)
         return 1
@@ -102,6 +116,7 @@ def cmd_wmha_to_algebroid(args) -> int:
 
 
 def cmd_algebroid_to_wmha(args) -> int:
+    _check_out(args.out)
     doc = io.load(args.file)
     alg = io.parse_document(doc)
     if not isinstance(alg, MultiplierHopfAlgebroid):

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import AlgebraError, FiniteAlgebra, TensorSquare, tensor_algebra
+from .algebra import (AlgebraError, FiniteAlgebra, TensorSquare, first_failure,
+                      multiplicativity, tensor_algebra)
 from .algebroid import MultiplierHopfAlgebroid, QuantumGraphPair, forward_construct
 from .base_algebras import SubalgebraView
 from .linalg import LinMap, Vec, solve, unit_vec, vdot, vtensor
 from .reconstruction import (STAGE_MODULAR_MISMATCH, STAGE_NOT_SEPARABLE,
-                             embed_idempotent, find_separating_functional)
+                             find_separating_functional)
 from .separability import SeparabilityIdempotent, build_E_from_functional
 from .wmha import WeakMultiplierHopfAlgebra
 
@@ -268,11 +269,8 @@ def crossed_scalar_extension_wmha(idem: SeparabilityIdempotent, group,
         alpha = action[h]
         if not alpha.is_bijective():
             raise AlgebraError(f"action of {h} is singular")
-        for i in range(nb):
-            for j in range(nb):
-                if alpha.apply(b.mul_basis(i, j)) != b.mul(alpha.apply(unit_vec(i)),
-                                                           alpha.apply(unit_vec(j))):
-                    raise AlgebraError(f"action of {h} is not multiplicative")
+        if first_failure((nb, nb), [multiplicativity(b, alpha.cols, b.mul)]) is not None:
+            raise AlgebraError(f"action of {h} is not multiplicative")
         for i in range(nb):
             if vdot(alpha.apply(unit_vec(i)), idem.phi_b) != idem.phi_b.get(i, Fraction(0)):
                 raise AlgebraError(f"action of {h} does not preserve the functional")
@@ -404,8 +402,7 @@ def mixed_algebroid(bundle: WeakMultiplierHopfAlgebra,
     alg = bundle.algebra
     d = bundle.dim
     graph = QuantumGraphPair(alg, left.graph.b_view, right.graph.c_view,
-                             left.graph.s_b, right.graph.s_c,
-                             e_element=None, e_coords=None)
+                             left.graph.s_b, right.graph.s_c)
     _attach_idempotent(graph)
     s = bundle.antipode
     u, u_inv = twist.u, twist.u_inv
@@ -431,5 +428,4 @@ def _attach_idempotent(graph: QuantumGraphPair) -> None:
     if found is None:
         return
     _, idem = found
-    graph.e_element = embed_idempotent(graph, idem)
     graph.e_coords = dict(idem.e)

@@ -25,9 +25,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .algebra import CoproductSlices, FiniteAlgebra
+from .algebra import CoproductSlices, FiniteAlgebra, first_failure, multiplicativity
 from .algebroid import MultiplierHopfAlgebroid, QuantumGraphPair
-from .linalg import LinMap, Subspace, Vec, lincomb, solve, unit_vec, vaxpy, vdot, vsub
+from .linalg import LinMap, Subspace, Vec, solve, unit_vec, vaxpy, vdot, vsub
 from .reporting import Report, failed, passed
 from .separability import (NotIdempotentE, SeparabilityError,
                            SeparabilityIdempotent, build_E_from_functional,
@@ -249,7 +249,7 @@ def check_separability_assumption(alg: MultiplierHopfAlgebroid,
 
 def embed_idempotent(graph: QuantumGraphPair, idem: SeparabilityIdempotent) -> Vec:
     """E moved from B (x) C coordinates into A (x) A."""
-    return graph.b_view.basis_map.tensor(graph.c_view.basis_map).apply(idem.e)
+    return graph.embed(idem.e)
 
 
 # The rebuilt coproducts are sliced by the one shared slice class.  The
@@ -273,18 +273,13 @@ def build_delta(alg: MultiplierHopfAlgebroid, e_elt: Vec,
     idempotent absorption and coassociativity verified for each."""
     cops = rebuilt_coproducts(alg, e_elt)
     t2, d = alg.t2, alg.dim
-    alg_a = alg.algebra
-    for i in range(d):
-        for j in range(d):
-            prod = alg_a.mul_basis(i, j)
-            if lincomb(prod, cops.left) != t2.mul(cops.left[i], cops.left[j]):
-                report.add(failed("rebuilt-coproduct-homomorphism",
-                                  {"side": "left", "pair": [i, j]}))
-                return None
-            if lincomb(prod, cops.right) != t2.mul(cops.right[i], cops.right[j]):
-                report.add(failed("rebuilt-coproduct-homomorphism",
-                                  {"side": "right", "pair": [i, j]}))
-                return None
+    bad = first_failure((d, d), [multiplicativity(alg.algebra, cops.left, t2.mul),
+                                 multiplicativity(alg.algebra, cops.right, t2.mul)])
+    if bad is not None:
+        pair, k, _, _ = bad
+        report.add(failed("rebuilt-coproduct-homomorphism",
+                          {"side": ("left", "right")[k], "pair": list(pair)}))
+        return None
     for a in range(d):
         da = cops.left[a]
         dpa = cops.right[a]
@@ -328,26 +323,22 @@ def build_counits(alg: MultiplierHopfAlgebroid, idem: SeparabilityIdempotent,
         if val2:
             eps_prime[a] = val2
     t2 = alg.t2
-    for a in range(d):
-        for b in range(d):
-            if t2.functional_leg1(eps, cops.r2(a, b)) != alg_a.mul_basis(a, b):
-                report.add(failed("rebuilt-counit-laws",
-                                  {"functional": "eps", "law": "left", "pair": [a, b]}))
-                return None
-            if t2.functional_leg2(eps, cops.r1(a, b)) != alg_a.mul_basis(a, b):
-                report.add(failed("rebuilt-counit-laws",
-                                  {"functional": "eps", "law": "right", "pair": [a, b]}))
-                return None
-            if t2.functional_leg2(eps_prime, cops.l1(a, b)) != alg_a.mul_basis(b, a):
-                report.add(failed("rebuilt-counit-laws",
-                                  {"functional": "eps-prime", "law": "right",
-                                   "pair": [a, b]}))
-                return None
-            if t2.functional_leg1(eps_prime, cops.l2(a, b)) != alg_a.mul_basis(b, a):
-                report.add(failed("rebuilt-counit-laws",
-                                  {"functional": "eps-prime", "law": "left",
-                                   "pair": [a, b]}))
-                return None
+
+    def flipped(a, b):
+        return alg_a.mul_basis(b, a)
+
+    bad = first_failure((d, d), [
+        (lambda a, b: t2.functional_leg1(eps, cops.r2(a, b)), alg_a.mul_basis),
+        (lambda a, b: t2.functional_leg2(eps, cops.r1(a, b)), alg_a.mul_basis),
+        (lambda a, b: t2.functional_leg2(eps_prime, cops.l1(a, b)), flipped),
+        (lambda a, b: t2.functional_leg1(eps_prime, cops.l2(a, b)), flipped)])
+    if bad is not None:
+        pair, k, _, _ = bad
+        functional, law = (("eps", "left"), ("eps", "right"),
+                           ("eps-prime", "right"), ("eps-prime", "left"))[k]
+        report.add(failed("rebuilt-counit-laws",
+                          {"functional": functional, "law": law, "pair": list(pair)}))
+        return None
     report.add(passed("rebuilt-counits"))
     return eps, eps_prime
 
@@ -486,10 +477,9 @@ def counit_antipode_meta(alg: MultiplierHopfAlgebroid, eps: Vec, eps_prime: Vec,
     return False
 
 
-def reconstruction_pipeline(alg: MultiplierHopfAlgebroid, candidates: list[Vec] = (),
-                     title: str = "reconstruction"):
+def reconstruction_pipeline(alg: MultiplierHopfAlgebroid, candidates: list[Vec] = ()):
     """Full reconstruction: a certified bundle or the first obstruction."""
-    report = Report(title)
+    report = Report("reconstruction")
     got = check_separability_assumption(alg, candidates, report)
     if isinstance(got, ObstructionReport):
         return got
@@ -551,7 +541,7 @@ def reconstruction_pipeline(alg: MultiplierHopfAlgebroid, candidates: list[Vec] 
                         ranges["left"], ranges["right"])
     for i, (f, projector, described) in kernels.items():
         bundle.adopt_kernel_description(i, f, projector, described)
-    suite = run_suite(bundle, title=f"{title}/wmha-suite")
+    suite = run_suite(bundle)
     report.extend(suite.records)
     if not suite.ok:
         raise ReconstructionError(report.to_text())

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import FiniteAlgebra, TensorSquare, opposite_algebra
+from .algebra import (FiniteAlgebra, TensorSquare, first_failure, multiplicativity,
+                      opposite_algebra)
 from .linalg import LinMap, Subspace, Vec, unit_vec, vaxpy, vdot, vtensor
 
 
@@ -69,12 +70,8 @@ def modular_automorphism(b: FiniteAlgebra, phi: Vec) -> LinMap:
     sigma = LinMap(n, n, cols)
     if not sigma.is_bijective():
         raise NoModularAutomorphism("solved map is singular")
-    for i in range(n):
-        for j in range(n):
-            lhs = sigma.apply(b.mul_basis(i, j))
-            rhs = b.mul(sigma.apply(unit_vec(i)), sigma.apply(unit_vec(j)))
-            if lhs != rhs:
-                raise NoModularAutomorphism("solved map is not multiplicative")
+    if first_failure((n, n), [multiplicativity(b, sigma.cols, b.mul)]) is not None:
+        raise NoModularAutomorphism("solved map is not multiplicative")
     for i in range(n):
         if vdot(phi, sigma.apply(unit_vec(i))) != phi.get(i, Fraction(0)):
             raise NoModularAutomorphism("phi is not invariant under sigma")

@@ -5,14 +5,19 @@ vector (the finite engine requires a unital algebra, where multipliers
 reify to elements), together with counit, antipode and the canonical
 idempotent.  Every defining identity is an executable check returning a
 structured record; leg-notation expressions are realized as compositions
-of slice maps and the antipode, never symbolically.
+of slice maps and the antipode, never symbolically.  Identities indexed
+by basis pairs are stated as laws for ``algebra.first_failure``, which
+names the first pair in lexicographic order and then the first law
+failing there; the multiplicativity of Delta and S is the one law of
+``algebra.multiplicativity``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import AlgebraError, CoproductSlices, FiniteAlgebra, TensorSquare
+from .algebra import (AlgebraError, CoproductSlices, FiniteAlgebra, TensorSquare,
+                      first_failure, multiplicativity)
 from .linalg import LinMap, Subspace, Vec, lincomb, solve, unit_vec, vdot, vsub
 from .reporting import SKIP, CheckRecord, Report, failed, passed
 
@@ -178,15 +183,13 @@ def check_algebra(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
 
 
 def check_homomorphism(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
-    alg, t2 = bundle.algebra, bundle.t2
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            lhs = bundle.delta_of(alg.mul_basis(i, j))
-            rhs = t2.mul(bundle.delta[i], bundle.delta[j])
-            if lhs != rhs:
-                return failed("coproduct-homomorphism",
-                              {"pair": [alg.labels[i], alg.labels[j]],
-                               "lhs": lhs, "rhs": rhs})
+    alg = bundle.algebra
+    bad = first_failure((alg.dim, alg.dim),
+                        [multiplicativity(alg, bundle.delta, bundle.t2.mul)])
+    if bad is not None:
+        pair, _, lhs, rhs = bad
+        return failed("coproduct-homomorphism",
+                      {"pair": [alg.labels[i] for i in pair], "lhs": lhs, "rhs": rhs})
     return passed("coproduct-homomorphism")
 
 
@@ -225,19 +228,14 @@ def check_fullness(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
 
 def check_counit(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
     alg, t2, d = bundle.algebra, bundle.t2, bundle.dim
-    for a in range(d):
-        for b in range(d):
-            lhs = t2.functional_leg1(bundle.counit, bundle.slices.r2(a, b))
-            ab = alg.mul_basis(a, b)
-            if lhs != ab:
-                return failed("counit-left-law",
-                              {"pair": [alg.labels[a], alg.labels[b]],
-                               "lhs": lhs, "rhs": ab})
-            rhs = t2.functional_leg2(bundle.counit, bundle.slices.l1(b, a))
-            if rhs != ab:
-                return failed("counit-right-law",
-                              {"pair": [alg.labels[a], alg.labels[b]],
-                               "lhs": rhs, "rhs": ab})
+    eps, sl = bundle.counit, bundle.slices
+    bad = first_failure((d, d), [
+        (lambda a, b: t2.functional_leg1(eps, sl.r2(a, b)), alg.mul_basis),
+        (lambda a, b: t2.functional_leg2(eps, sl.l1(b, a)), alg.mul_basis)])
+    if bad is not None:
+        pair, k, lhs, rhs = bad
+        return failed(("counit-left-law", "counit-right-law")[k],
+                      {"pair": [alg.labels[i] for i in pair], "lhs": lhs, "rhs": rhs})
     return passed("counit-laws")
 
 
@@ -324,34 +322,29 @@ def check_antipode_identities(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
     si = bundle.antipode_inv()
     target_map = LinMap(d, d, [bundle.target_value(j) for j in range(d)])
     source_map = LinMap(d, d, [bundle.source_value(j) for j in range(d)])
-    for a in range(d):
-        for b in range(d):
-            eb = unit_vec(b)
-            acc = t2.mul_map(t2.map_leg1(target_map, bundle.slices.r2(a, b)))
-            ab = alg.mul_basis(a, b)
-            if acc != ab:
-                return failed("antipode-triple-product-first",
-                              {"pair": [alg.labels[a], alg.labels[b]],
-                               "lhs": acc, "rhs": ab})
-            y = t2.mul_left_leg2(si.apply(eb), bundle.delta[a])
-            acc2 = t2.mul_map(t2.map_leg1(source_map, t2.map_leg2(s, y)))
-            sab = alg.mul(s.apply(unit_vec(a)), eb)
-            if acc2 != sab:
-                return failed("antipode-triple-product-second",
-                              {"pair": [alg.labels[a], alg.labels[b]],
-                               "lhs": acc2, "rhs": sab})
+
+    def second(a, b):
+        y = t2.mul_left_leg2(si.apply(unit_vec(b)), bundle.delta[a])
+        return t2.mul_map(t2.map_leg1(source_map, t2.map_leg2(s, y)))
+
+    bad = first_failure((d, d), [
+        (lambda a, b: t2.mul_map(t2.map_leg1(target_map, bundle.slices.r2(a, b))),
+         alg.mul_basis),
+        (second, lambda a, b: alg.mul(s.apply(unit_vec(a)), unit_vec(b)))])
+    if bad is not None:
+        pair, k, lhs, rhs = bad
+        return failed(("antipode-triple-product-first", "antipode-triple-product-second")[k],
+                      {"pair": [alg.labels[i] for i in pair], "lhs": lhs, "rhs": rhs})
     return passed("antipode-triple-products")
 
 
 def check_antipode_antihom(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
-    alg, d, s = bundle.algebra, bundle.dim, bundle.antipode
-    for i in range(d):
-        for j in range(d):
-            lhs = s.apply(alg.mul_basis(i, j))
-            rhs = alg.mul(s.apply(unit_vec(j)), s.apply(unit_vec(i)))
-            if lhs != rhs:
-                return failed("antipode-antihomomorphism",
-                              {"pair": [alg.labels[i], alg.labels[j]]})
+    alg = bundle.algebra
+    bad = first_failure((alg.dim, alg.dim),
+                        [multiplicativity(alg, bundle.antipode.cols, alg.mul, anti=True)])
+    if bad is not None:
+        return failed("antipode-antihomomorphism",
+                      {"pair": [alg.labels[i] for i in bad[0]]})
     return passed("antipode-antihomomorphism")
 
 
@@ -409,9 +402,9 @@ def check_kernel_subspaces(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
     return passed("kernel-subspaces")
 
 
-def run_suite(bundle: WeakMultiplierHopfAlgebra, title: str = "wmha-suite") -> Report:
+def run_suite(bundle: WeakMultiplierHopfAlgebra) -> Report:
     """All core checks in a fixed order."""
-    report = Report(title)
+    report = Report("wmha-suite")
     report.add(check_algebra(bundle))
     report.add(check_homomorphism(bundle))
     report.add(check_coassociativity(bundle))

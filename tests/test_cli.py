@@ -248,6 +248,28 @@ def test_unwritable_out_exits_2(tmp_path, capsys, command, example):
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
+    assert captured.out == ""
     assert captured.err.startswith("input error:")
     assert "Traceback" not in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, example", [("wmha-to-algebroid", "pair-groupoid"),
+                                              ("algebroid-to-wmha", "obstructed")])
+def test_out_directory_is_refused_before_any_suite(tmp_path, capsys, monkeypatch,
+                                                   command, example):
+    """An --out that names a directory is refused before the input is
+    checked: no suite runs and nothing reaches stdout."""
+    path = tmp_path / "input.json"
+    run(capsys, "gen-example", example, "--out", str(path))
+
+    def no_suite(*args):
+        raise AssertionError("a suite ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_suite", no_suite)
+    monkeypatch.setattr(cli, "check_algebroid_axioms", no_suite)
+    code = main([command, str(path), "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")

@@ -50,3 +50,32 @@ def test_probe_suite_is_deterministic():
     a = check_lazy_groupoid(lazy_pair_groupoid(4)).to_json()
     b = check_lazy_groupoid(lazy_pair_groupoid(4)).to_json()
     assert a == b
+
+
+def _records(g):
+    return {r.name: r for r in check_lazy_groupoid(g).records}
+
+
+def test_identity_inverse_names_the_first_failing_pair():
+    g = lazy_pair_groupoid(2)
+    g.inverse = lambda a: a
+    records = _records(g)
+    assert records["antipode-triple-product"].witness == {"pair": [[(1, 2)], [(1, 2)]]}
+    assert records["counit-laws-on-elements"].witness == {"pair": [[(1, 2)], [(1, 2)]],
+                                                          "law": "left"}
+    assert records["antipode-involution"].status == PASS
+
+
+def test_exact_records_stop_at_the_first_failure():
+    """With S(i, j) = (j, j), the involution and the antihomomorphism fail
+    at several probes; each record names the first in probe order."""
+    g = lazy_pair_groupoid(2)
+    g.inverse = lambda a: (a[1], a[1])
+    masses = [elt({p: 1}) for p in g.probe_arrows]
+    records = _records(g)
+    involution = next(f for f in masses if antipode(g, antipode(g, f)) != f)
+    assert records["antipode-involution"].witness == {"element": list(involution)}
+    pair = next([list(f), list(h)] for f in masses for h in masses
+                if antipode(g, mul(f, h)) != mul(antipode(g, h), antipode(g, f)))
+    assert records["antipode-antihomomorphism"].witness == {"pair": pair}
+    assert pair == [[(1, 1)], [(2, 1)]]
