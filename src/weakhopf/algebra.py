@@ -1,11 +1,18 @@
 """Finite-dimensional algebras presented by structure constants.
 
-An algebra lives on Q^dim with basis products e_i * e_j given by sparse
-structure-constant vectors.  The constructors check (or inherit) the
-three structural requirements: associativity, non-degenerate product,
-and idempotency (A*A = A).  The engine works with unital algebras only,
-where the multiplier algebra M(A) is A itself, so every multiplier the
-theory needs is an element.
+An algebra lives on Q^dim and is its structure-constant table:
+``table[i][j]`` is the basis product e_i e_j = sum_k c_ijk e_k as a
+sparse vector.  The table and its vectors are shared, never copied, so
+nothing may mutate them.  ``FiniteAlgebra`` does not check its table;
+``make_algebra`` is the one constructor that validates the three
+structural requirements: associativity, non-degenerate product, and
+idempotency (A*A = A).  The other constructors build their tables from
+algebras that already hold them and inherit validity: ``direct_sum``,
+``tensor_algebra``, ``opposite_algebra``,
+``groupoids.function_algebra``, ``base_algebras.SubalgebraView`` and
+``examples.crossed_scalar_extension_wmha``.  The engine works with
+unital algebras only, where the multiplier algebra M(A) is A itself,
+so every multiplier the theory needs is an element.
 
 ``first_failure`` is the one witness scan for identities indexed by
 basis tuples: the first tuple in lexicographic order, then the first
@@ -52,29 +59,26 @@ class NotIdempotent(AlgebraError):
 
 
 class FiniteAlgebra:
-    """Structure-constants presentation of an algebra over Q."""
+    """Structure-constant table of an algebra over Q.
 
-    def __init__(self, labels: list[str],
-                 mul_basis: Callable[[int, int], Vec],
-                 validated: bool = False):
+    ``table[i][j]`` is e_i e_j.  The table is shared with the caller and
+    with every vector ``mul_basis`` returns, so it must stay immutable.
+    The constructor does not validate: ``make_algebra`` does, and the
+    constructors listed in the module docstring inherit validity.
+    """
+
+    def __init__(self, labels: list[str], table: list[list[Vec]]):
         self.dim = len(labels)
         self.labels = list(labels)
-        self._mul_basis = mul_basis
-        self._mul_cache: dict[tuple[int, int], Vec] = {}
+        self.table = table
         self._unit: Vec | None = None
         self._unit_known = False
-        if not validated:
-            self.validate()
 
     # -- product ------------------------------------------------------
 
     def mul_basis(self, i: int, j: int) -> Vec:
-        key = (i, j)
-        out = self._mul_cache.get(key)
-        if out is None:
-            out = self._mul_basis(i, j)
-            self._mul_cache[key] = out
-        return out
+        """e_i e_j, shared with the table: callers must not mutate it."""
+        return self.table[i][j]
 
     def mul(self, x: Vec, y: Vec) -> Vec:
         out: Vec = {}
@@ -96,29 +100,24 @@ class FiniteAlgebra:
     # -- structural checks --------------------------------------------
 
     def validate(self) -> None:
-        n = self.dim
+        n, table = self.dim, self.table
         bad = first_failure((n, n, n), [
             (lambda i, j, k: self.mul(self.mul_basis(i, j), unit_vec(k)),
              lambda i, j, k: self.mul(unit_vec(i), self.mul_basis(j, k)))])
         if bad is not None:
             raise NonAssociative(*bad[0])
-        for side, mats in (("left", [self.left_mult(unit_vec(i)) for i in range(n)]),
-                           ("right", [self.right_mult(unit_vec(i)) for i in range(n)])):
-            # a annihilates iff sum a_i * (mult map of e_i) = 0
-            stacked = LinMap(n * n, n)
-            for i, m in enumerate(mats):
-                col: Vec = {}
-                for j, mcol in enumerate(m.cols):
-                    for r, c in mcol.items():
-                        col[j * n + r] = c
-                stacked.cols[i] = col
+        # a annihilates from the left iff sum a_i e_i e_j = 0 for all j:
+        # column i of the stacked structure tensor holds e_i e_j at rows
+        # j*n .. j*n + n-1; from the right it holds e_j e_i there
+        for side, product in (("left", lambda i, j: table[i][j]),
+                              ("right", lambda i, j: table[j][i])):
+            stacked = LinMap(n * n, n, [{j * n + r: c for j in range(n)
+                                         for r, c in product(i, j).items()}
+                                        for i in range(n)])
             ker = stacked.kernel()
             if ker.dim:
                 raise DegenerateProduct(side, ker.rows[0])
-        prod = Subspace(n)
-        for i in range(n):
-            for j in range(n):
-                prod.insert(self.mul_basis(i, j))
+        prod = Subspace.from_vectors(n, (v for row in table for v in row))
         if prod.dim != n:
             raise NotIdempotent(prod.dim)
 
@@ -150,34 +149,21 @@ class FiniteAlgebra:
         return f"FiniteAlgebra(dim {self.dim})"
 
 
-def make_algebra(labels: list[str], structure: dict | list) -> FiniteAlgebra:
-    """Build and fully check an algebra.
+def make_algebra(labels: list[str], structure: dict) -> FiniteAlgebra:
+    """Build and fully check an algebra; the one validating constructor.
 
-    ``structure`` is either a dense nested list c[i][j][k] or a sparse
-    dict {(i, j, k): coeff} with e_i e_j = sum_k c[i][j][k] e_k.
+    ``structure`` is a sparse dict {(i, j, k): coeff} with
+    e_i e_j = sum_k c[i][j][k] e_k.
     """
     n = len(labels)
     table: list[list[Vec]] = [[{} for _ in range(n)] for _ in range(n)]
-    if isinstance(structure, dict):
-        for (i, j, k), x in structure.items():
-            c = rat(x)
-            if c:
-                table[i][j][k] = c
-    else:
-        if len(structure) != n:
-            raise DimensionMismatchError(n, len(structure))
-        for i in range(n):
-            for j in range(n):
-                for k, x in enumerate(structure[i][j]):
-                    c = rat(x)
-                    if c:
-                        table[i][j][k] = c
-    return FiniteAlgebra(labels, lambda i, j: dict(table[i][j]))
-
-
-class DimensionMismatchError(AlgebraError):
-    def __init__(self, expected, got):
-        super().__init__(f"structure tensor has size {got}, expected {expected}")
+    for (i, j, k), x in structure.items():
+        c = rat(x)
+        if c:
+            table[i][j][k] = c
+    alg = FiniteAlgebra(labels, table)
+    alg.validate()
+    return alg
 
 
 def field_algebra() -> FiniteAlgebra:
@@ -199,33 +185,23 @@ def matrix_algebra(n: int) -> FiniteAlgebra:
 def direct_sum(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
     labels = [f"L.{s}" for s in a.labels] + [f"R.{s}" for s in b.labels]
     off = a.dim
-
-    def mul(i: int, j: int) -> Vec:
-        if i < off and j < off:
-            return dict(a.mul_basis(i, j))
-        if i >= off and j >= off:
-            return {k + off: c for k, c in b.mul_basis(i - off, j - off).items()}
-        return {}
-
-    return FiniteAlgebra(labels, mul, validated=True)
+    table = [row + [{} for _ in range(b.dim)] for row in a.table]
+    table += [[{} for _ in range(off)] + [{k + off: c for k, c in v.items()} for v in row]
+              for row in b.table]
+    return FiniteAlgebra(labels, table)
 
 
 def tensor_algebra(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
     """A (x) B with componentwise product; validity is inherited."""
     labels = [f"{p}(x){q}" for p in a.labels for q in b.labels]
-
-    def mul(i: int, j: int) -> Vec:
-        i1, i2 = divmod(i, b.dim)
-        j1, j2 = divmod(j, b.dim)
-        return vtensor(a.mul_basis(i1, j1), b.mul_basis(i2, j2), b.dim)
-
-    return FiniteAlgebra(labels, mul, validated=True)
+    table = [[vtensor(u, v, b.dim) for u in row_a for v in row_b]
+             for row_a in a.table for row_b in b.table]
+    return FiniteAlgebra(labels, table)
 
 
 def opposite_algebra(a: FiniteAlgebra) -> FiniteAlgebra:
-    """Same space, reversed product; validity is inherited."""
-    return FiniteAlgebra(list(a.labels), lambda i, j: a.mul_basis(j, i),
-                         validated=True)
+    """Same space, transposed table; validity is inherited."""
+    return FiniteAlgebra(list(a.labels), [list(col) for col in zip(*a.table)])
 
 
 # -- witness scans over basis tuples ---------------------------------------

@@ -33,16 +33,15 @@ class SubalgebraView:
         self.basis = [dict(r) for r in self.subspace.rows]
         # d x dim: coordinates -> elements of the parent, basis as columns
         self.basis_map = LinMap(parent.dim, len(self.basis), self.basis)
-        tables: dict[tuple[int, int], Vec] = {}
-        for i, bi in enumerate(self.basis):
-            for j, bj in enumerate(self.basis):
+        table: list[list[Vec]] = []
+        for bi in self.basis:
+            table.append([])
+            for bj in self.basis:
                 coords = self.subspace.coords(parent.mul(bi, bj))
                 if coords is None:
                     raise AlgebraError(f"{name} is not closed under the product")
-                tables[(i, j)] = coords
-        self.algebra = FiniteAlgebra(
-            [f"{name}{k}" for k in range(len(self.basis))],
-            lambda i, j: dict(tables[(i, j)]), validated=True)
+                table[-1].append(coords)
+        self.algebra = FiniteAlgebra([f"{name}{k}" for k in range(len(self.basis))], table)
 
     @property
     def dim(self) -> int:
@@ -112,7 +111,6 @@ def compute_base_algebras(bundle: WeakMultiplierHopfAlgebra) -> tuple[BaseAlgebr
     """Spans of the source and target maps with every structural check."""
     report = Report("source-target-suite")
     alg, t2, d = bundle.algebra, bundle.t2, bundle.dim
-    unit = alg.unit()
     s = bundle.antipode
 
     sources = [bundle.source_value(i) for i in range(d)]
@@ -168,12 +166,8 @@ def compute_base_algebras(bundle: WeakMultiplierHopfAlgebra) -> tuple[BaseAlgebr
     if e_coords is None:
         report.add(failed("canonical-idempotent-in-base-tensor", {"E": bundle.E}))
         return None, report
-    products_ok = True
-    for x in bc.rows:
-        if not bc.contains(t2.mul(bundle.E, x)):
-            products_ok = False
-        if not bc.contains(t2.mul(x, bundle.E)):
-            products_ok = False
+    e = bundle.E
+    products_ok = all(bc.contains(t2.mul(e, x)) and bc.contains(t2.mul(x, e)) for x in bc.rows)
     report.add(passed("canonical-idempotent-in-base-tensor") if products_ok else
                failed("canonical-idempotent-in-base-tensor", {"products": False}))
 
@@ -187,51 +181,31 @@ def compute_base_algebras(bundle: WeakMultiplierHopfAlgebra) -> tuple[BaseAlgebr
                           {"leg1_dim": leg1.dim, "B_dim": b_view.dim,
                            "leg2_dim": leg2.dim, "C_dim": c_view.dim}))
 
-    # antipodal identities through E
-    anti = True
-    for bi in b_view.basis:
-        lhs = t2.mul(bundle.E, vtensor(bi, unit, d))
-        rhs = t2.mul(bundle.E, vtensor(unit, s.apply(bi), d))
-        if lhs != rhs:
-            anti = False
-    for cj in c_view.basis:
-        lhs = t2.mul(vtensor(unit, cj, d), bundle.E)
-        rhs = t2.mul(vtensor(s.apply(cj), unit, d), bundle.E)
-        if lhs != rhs:
-            anti = False
+    # antipodal identities through E: E(b (x) 1) = E(1 (x) S(b)),
+    # (1 (x) c)E = (S(c) (x) 1)E
+    anti = (all(t2.mul_right_leg1(e, bi) == t2.mul_right_leg2(e, s.apply(bi))
+                for bi in b_view.basis)
+            and all(t2.mul_left_leg2(cj, e) == t2.mul_left_leg1(s.apply(cj), e)
+                    for cj in c_view.basis))
     report.add(passed("idempotent-antipodal-maps") if anti else
                failed("idempotent-antipodal-maps", {}))
 
     # covered integral identities: mu(S (x) id)(E(1 (x) y)) = y on C,
     # mu(id (x) S)((x (x) 1)E) = x on B
-    cov = True
-    for cj in c_view.basis:
-        z = t2.mul(bundle.E, vtensor(unit, cj, d))
-        if t2.mul_map(t2.map_leg1(s, z)) != cj:
-            cov = False
-    for bi in b_view.basis:
-        z = t2.mul(vtensor(bi, unit, d), bundle.E)
-        if t2.mul_map(t2.map_leg2(s, z)) != bi:
-            cov = False
+    cov = (all(t2.mul_map(t2.map_leg1(s, t2.mul_right_leg2(e, cj))) == cj
+               for cj in c_view.basis)
+           and all(t2.mul_map(t2.map_leg2(s, t2.mul_left_leg1(bi, e))) == bi
+                   for bi in b_view.basis))
     report.add(passed("idempotent-covered-integrals") if cov else
                failed("idempotent-covered-integrals", {}))
 
     # module relations for the source and target maps
-    mod = True
-    for i in range(d):
-        ea = unit_vec(i)
-        es_a = sources[i]
-        et_a = targets[i]
-        for bi in b_view.basis:
-            if lincomb(alg.mul(ea, bi), sources) != alg.mul(es_a, bi):
-                mod = False
-            if lincomb(alg.mul(bi, ea), targets) != alg.mul(et_a, s.apply(bi)):
-                mod = False
-        for cj in c_view.basis:
-            if lincomb(alg.mul(ea, cj), sources) != alg.mul(s.apply(cj), es_a):
-                mod = False
-            if lincomb(alg.mul(cj, ea), targets) != alg.mul(cj, et_a):
-                mod = False
+    mod = (all(lincomb(alg.mul(unit_vec(i), bi), sources) == alg.mul(sources[i], bi)
+               and lincomb(alg.mul(bi, unit_vec(i)), targets) == alg.mul(targets[i], s.apply(bi))
+               for i in range(d) for bi in b_view.basis)
+           and all(lincomb(alg.mul(unit_vec(i), cj), sources) == alg.mul(s.apply(cj), sources[i])
+                   and lincomb(alg.mul(cj, unit_vec(i)), targets) == alg.mul(cj, targets[i])
+                   for i in range(d) for cj in c_view.basis))
     report.add(passed("source-target-module-relations") if mod else
                failed("source-target-module-relations", {}))
 
@@ -275,16 +249,13 @@ def check_characterizations(bundle: WeakMultiplierHopfAlgebra,
     """Solutions of Delta(x) = E(1 (x) x) are exactly B; of
     Delta(y) = (y (x) 1)E exactly C (source and target algebras for a
     unital ambient algebra)."""
-    alg, t2, d = bundle.algebra, bundle.t2, bundle.dim
-    unit = alg.unit()
+    t2, d = bundle.t2, bundle.dim
     cols_s = []
     cols_t = []
     for j in range(d):
         ej = unit_vec(j)
-        cols_s.append(vsub(bundle.delta_of(ej),
-                            t2.mul(bundle.E, vtensor(unit, ej, d))))
-        cols_t.append(vsub(bundle.delta_of(ej),
-                            t2.mul(vtensor(ej, unit, d), bundle.E)))
+        cols_s.append(vsub(bundle.delta_of(ej), t2.mul_right_leg2(bundle.E, ej)))
+        cols_t.append(vsub(bundle.delta_of(ej), t2.mul_left_leg1(ej, bundle.E)))
     a_s = LinMap(d * d, d, cols_s).kernel()
     a_t = LinMap(d * d, d, cols_t).kernel()
     if a_s != data.b_view.subspace:

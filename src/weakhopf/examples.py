@@ -294,14 +294,12 @@ def crossed_scalar_extension_wmha(idem: SeparabilityIdempotent, group,
 
     labels = [f"{ext.algebra.labels[i0]}|{h}" for i0 in range(n0) for h in elems]
 
-    def mul(i: int, j: int) -> Vec:
-        i0, t = divmod(i, nh)
-        j0, s = divmod(j, nh)
-        prod0 = ext.algebra.mul(unit_vec(i0), gamma[elems[t]].apply(unit_vec(j0)))
-        ts = h_index[group.mul[(elems[t], elems[s])]]
-        return {k0 * nh + ts: cf for k0, cf in prod0.items()}
-
-    algebra = FiniteAlgebra(labels, mul, validated=True)
+    # (e_i0 | g)(e_j0 | h) = e_i0 gamma_g(e_j0) | gh
+    algebra = FiniteAlgebra(labels, [
+        [{k0 * nh + h_index[group.mul[(g, h)]]: cf for k0, cf in
+          ext.algebra.mul(unit_vec(i0), gamma[g].apply(unit_vec(j0))).items()}
+         for j0 in range(n0) for h in elems]
+        for i0 in range(n0) for g in elems])
     base = scalar_extension_wmha(idem)
 
     def lift(x0: Vec, t: int) -> Vec:

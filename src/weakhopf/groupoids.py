@@ -181,10 +181,9 @@ def group_groupoid(group: GroupTable) -> Groupoid:
 
 def function_algebra(g: Groupoid) -> FiniteAlgebra:
     """Pointwise algebra on the arrow basis."""
-    alg = FiniteAlgebra(list(g.arrows),
-                        lambda i, j: {i: Fraction(1)} if i == j else {},
-                        validated=True)
-    return alg
+    n = len(g.arrows)
+    return FiniteAlgebra(list(g.arrows), [[{i: Fraction(1)} if i == j else {} for j in range(n)]
+                                          for i in range(n)])
 
 
 def coproduct_element(g: Groupoid, f: Vec) -> Vec:

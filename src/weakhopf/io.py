@@ -95,7 +95,8 @@ def algebra_to_dict(alg: FiniteAlgebra) -> dict:
 def algebra_from_dict(doc: dict) -> FiniteAlgebra:
     labels, structure = list(doc["labels"]), doc["structure"]
     _require_shape(structure, len(labels), len(labels), len(labels))
-    return make_algebra(labels, structure)
+    return make_algebra(labels, {(i, j, k): x for i, plane in enumerate(structure)
+                                 for j, row in enumerate(plane) for k, x in enumerate(row)})
 
 
 def wmha_to_dict(bundle: WeakMultiplierHopfAlgebra) -> dict:

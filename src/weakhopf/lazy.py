@@ -48,7 +48,7 @@ class LazyGroupoid:
         return f.get(r, Fraction(0))
 
 
-def lazy_pair_groupoid(probe_units: int = 6) -> LazyGroupoid:
+def lazy_pair_groupoid(probe_units: int) -> LazyGroupoid:
     """The pair groupoid on the positive integers; arrows are pairs
     (i, j) with target i and source j, probed on the first units."""
 
@@ -202,10 +202,12 @@ def check_lazy_groupoid(g: LazyGroupoid) -> Report:
             lambda i, j: mul(antipode(g, masses[j]), antipode(g, masses[i])))], pair)
     exact("antipode-triple-product", (n, n),
           [(triple_product, lambda i, j: mul(masses[i], masses[j]))], pair)
+    # the source map's mass at u is 1 exactly on the arrows q with q u
+    # defined, read off the composition oracle, not off source itself
     units = [p for p in probes if g.is_unit(p)]
     exact("source-map-values", (len(units), n),
           [(lambda u, q: source_multiplier_value(g, elt({units[u]: 1}), probes[q]),
-            lambda u, q: Fraction(1) if g.source(probes[q]) == units[u] else Fraction(0))],
+            lambda u, q: g.composability(probes[q], units[u]))],
           lambda index, _: {"unit": units[index[0]], "arrow": probes[index[1]]})
 
     # multiplier-level identities: pointwise on probes only

@@ -40,6 +40,7 @@ STAGE_MODULAR_MISMATCH = "ModularAutomorphismMismatch"
 STAGE_COUNITS_DIFFER = "CounitsDiffer"
 STAGE_RANGES = "RangeConditionFailed"
 STAGE_KERNELS = "KernelConditionFailed"
+FUNCTIONAL_BUDGET = 400  # candidates of the small-coefficient functional sweep
 
 
 class ReconstructionError(ValueError):
@@ -110,8 +111,9 @@ def moved_center_witness(b: FiniteAlgebra, sigma: LinMap) -> Vec | None:
     return None
 
 
-def _functional_combinations(space: Subspace, budget: int = 400):
-    """Deterministic small-coefficient sweep over a solution space."""
+def _functional_combinations(space: Subspace):
+    """Deterministic small-coefficient sweep over a solution space, at
+    most FUNCTIONAL_BUDGET candidates."""
     k = space.dim
     if k == 0:
         return
@@ -125,7 +127,7 @@ def _functional_combinations(space: Subspace, budget: int = 400):
             if phi:
                 yield phi
                 seen += 1
-                if seen >= budget:
+                if seen >= FUNCTIONAL_BUDGET:
                     return
 
 

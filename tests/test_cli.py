@@ -273,3 +273,28 @@ def test_out_directory_is_refused_before_any_suite(tmp_path, capsys, monkeypatch
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("input error:")
+
+
+@pytest.mark.parametrize("command, example", [("check-wmha", "pair-groupoid"),
+                                              ("check-algebroid", "obstructed")])
+def test_invalid_file_algebra_exits_2(tmp_path, capsys, command, example):
+    """A file's algebra is validated on load: a non-associative product
+    and a degenerate one (the zero product) are bad input, not a report.
+    The first is pair-2's x y - f(x) f(y) e3 with f = e1* - e2*: it keeps
+    the unit, but (e1 e1) e3 = -e3 while e1 (e1 e3) = 0."""
+    path = tmp_path / "input.json"
+    run(capsys, "gen-example", example, "--out", str(path))
+    doc = json.loads(path.read_text())
+    structure = doc["algebra"]["structure"]
+    if command == "check-wmha":
+        for i, j, c in ((1, 1, "-1"), (1, 2, "1"), (2, 1, "1"), (2, 2, "-1")):
+            structure[i][j][3] = c
+    else:
+        doc["algebra"]["structure"] = [[["0" for _ in row] for row in plane]
+                                       for plane in structure]
+    path.write_text(json.dumps(doc))
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")

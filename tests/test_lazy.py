@@ -79,3 +79,13 @@ def test_exact_records_stop_at_the_first_failure():
                 if antipode(g, mul(f, h)) != mul(antipode(g, h), antipode(g, f)))
     assert records["antipode-antihomomorphism"].witness == {"pair": pair}
     assert pair == [[(1, 1)], [(2, 1)]]
+
+
+def test_source_map_values_use_composition():
+    """With source replaced by target, mass_u(source(q)) disagrees with
+    "q u is defined" first at u = (1, 1), q = (1, 2)."""
+    g = lazy_pair_groupoid(2)
+    g.source = g.target
+    record = _records(g)["source-map-values"]
+    assert record.status != PASS
+    assert record.witness == {"unit": (1, 1), "arrow": (1, 2)}

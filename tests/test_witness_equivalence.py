@@ -28,10 +28,10 @@ from weakhopf.algebroid import (MultiplierHopfAlgebroid, NotBijective, algebroid
                                 check_algebroid_homomorphism, check_antipode_diagrams,
                                 check_antipode_structure, check_canonical_maps,
                                 check_compatibility, check_counital_maps, forward_construct)
-from weakhopf.base_algebras import is_anti_homomorphism
+from weakhopf.base_algebras import SubalgebraView, is_anti_homomorphism, run_base_suite
 from weakhopf.examples import swap_crossed_setup
 from weakhopf.groupoids import as_wmha, pair_groupoid
-from weakhopf.linalg import LinMap, Subspace, lincomb, unit_vec, vdot, vtensor
+from weakhopf.linalg import LinMap, Subspace, lincomb, unit_vec, vdot, vsub, vtensor
 from weakhopf.reconstruction import (RebuiltCoproducts, build_counits, build_delta,
                                      check_E_comultiplicativity, check_mixed_coassociativity,
                                      check_separability_assumption, embed_idempotent,
@@ -445,6 +445,93 @@ def test_pair_comes_before_law():
     assert seen
 
 
+# -- base suite -------------------------------------------------------------
+
+def ref_base_records(bundle) -> dict[str, dict]:
+    """The base suite's E-identity, module-relation and characterization
+    records, computed with the unit-padded products, e.g. E(b (x) 1) as
+    E * (b (x) 1), and loops that scan every pair."""
+    alg, t2, d = bundle.algebra, bundle.t2, bundle.dim
+    unit, s, e = alg.unit(), bundle.antipode, bundle.E
+    sources = [bundle.source_value(i) for i in range(d)]
+    targets = [bundle.target_value(i) for i in range(d)]
+    b_view, c_view = SubalgebraView(alg, sources, "B"), SubalgebraView(alg, targets, "C")
+    anti = True
+    for bi in b_view.basis:
+        if t2.mul(e, vtensor(bi, unit, d)) != t2.mul(e, vtensor(unit, s.apply(bi), d)):
+            anti = False
+    for cj in c_view.basis:
+        if t2.mul(vtensor(unit, cj, d), e) != t2.mul(vtensor(s.apply(cj), unit, d), e):
+            anti = False
+    cov = True
+    for cj in c_view.basis:
+        if t2.mul_map(t2.map_leg1(s, t2.mul(e, vtensor(unit, cj, d)))) != cj:
+            cov = False
+    for bi in b_view.basis:
+        if t2.mul_map(t2.map_leg2(s, t2.mul(vtensor(bi, unit, d), e))) != bi:
+            cov = False
+    mod = True
+    for i in range(d):
+        ea = unit_vec(i)
+        for bi in b_view.basis:
+            if lincomb(alg.mul(ea, bi), sources) != alg.mul(sources[i], bi):
+                mod = False
+            if lincomb(alg.mul(bi, ea), targets) != alg.mul(targets[i], s.apply(bi)):
+                mod = False
+        for cj in c_view.basis:
+            if lincomb(alg.mul(ea, cj), sources) != alg.mul(s.apply(cj), sources[i]):
+                mod = False
+            if lincomb(alg.mul(cj, ea), targets) != alg.mul(cj, targets[i]):
+                mod = False
+    a_s = LinMap(d * d, d, [vsub(bundle.delta_of(unit_vec(j)),
+                                 t2.mul(e, vtensor(unit, unit_vec(j), d)))
+                            for j in range(d)]).kernel()
+    a_t = LinMap(d * d, d, [vsub(bundle.delta_of(unit_vec(j)),
+                                 t2.mul(vtensor(unit_vec(j), unit, d), e))
+                            for j in range(d)]).kernel()
+    if a_s != b_view.subspace:
+        char = failed("source-target-characterizations",
+                      {"algebra": "A_s", "solved_dim": a_s.dim, "B_dim": b_view.dim})
+    elif a_t != c_view.subspace:
+        char = failed("source-target-characterizations",
+                      {"algebra": "A_t", "solved_dim": a_t.dim, "C_dim": c_view.dim})
+    else:
+        char = passed("source-target-characterizations")
+    records = [passed(name) if ok else failed(name, {})
+               for name, ok in (("idempotent-antipodal-maps", anti),
+                                ("idempotent-covered-integrals", cov),
+                                ("source-target-module-relations", mod))]
+    return {r.name: r.to_dict() for r in records + [char]}
+
+
+def _base_mutants(bundle):
+    """Every single-entry +1 / -1 mutant of Delta, S and E."""
+    yield from _delta_mutants(bundle)
+    for s in _map_mutants(bundle.antipode):
+        yield WeakMultiplierHopfAlgebra(bundle.algebra, bundle.delta, bundle.counit, s,
+                                        bundle.E)
+    for p in range(bundle.dim ** 2):
+        for shift in (1, -1):
+            yield WeakMultiplierHopfAlgebra(bundle.algebra, bundle.delta, bundle.counit,
+                                            bundle.antipode, _shifted(bundle.E, p, shift))
+
+
+@pytest.mark.parametrize("name", ["pair-2", "crossed-swap"])
+def test_base_suite_matches_unit_padded_products(name):
+    """The base suite's leg products and early-stopping flags give the
+    record list the unit-padded products and full loops give."""
+    bundle = as_wmha(pair_groupoid(2)) if name == "pair-2" else swap_crossed_setup()[0]
+    failures = Counter()
+    for bad in _base_mutants(bundle):
+        got = [r.to_dict() for r in run_base_suite(bad)[1].records]
+        reference = ref_base_records(bad) if any(
+            r["check"] == "idempotent-antipodal-maps" for r in got) else {}
+        assert got == [reference.get(r["check"], r) for r in got]
+        failures.update(r["check"] for r in got if r["status"] != "pass" and r["check"] in reference)
+    assert {"idempotent-antipodal-maps", "source-target-module-relations",
+            "source-target-characterizations"} <= set(failures)
+
+
 # -- algebroid and reconstruction ------------------------------------------
 
 def ref_algebroid_homomorphism(alg):
@@ -798,14 +885,13 @@ def test_commuting_square_matches_nested_loop(name):
 def _mutated_algebras(alg):
     """Every copy of alg with one structure constant moved by +1 or -1."""
     d = alg.dim
-    table = {(i, j): alg.mul_basis(i, j) for i in range(d) for j in range(d)}
     for i in range(d):
         for j in range(d):
             for k in range(d):
                 for shift in (1, -1):
-                    mutant = {**table, (i, j): _shifted(table[(i, j)], k, shift)}
-                    yield FiniteAlgebra(alg.labels, lambda a, b, m=mutant: m[(a, b)],
-                                        validated=True)
+                    mutant = [list(row) for row in alg.table]
+                    mutant[i][j] = _shifted(alg.table[i][j], k, shift)
+                    yield FiniteAlgebra(alg.labels, mutant)
 
 
 @pytest.mark.parametrize("alg", [matrix_algebra(2), as_wmha(pair_groupoid(2)).algebra],
