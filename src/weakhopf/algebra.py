@@ -31,8 +31,8 @@ import itertools
 from fractions import Fraction
 from typing import Callable
 
-from .linalg import (LinMap, Subspace, Vec, lincomb, rat, solve, unit_vec, vaxpy, vsub,
-                     vtensor)
+from .linalg import (LinMap, Subspace, Vec, lincomb, rat, solve, unit_vec, vadd_at, vaxpy,
+                     vsub, vtensor)
 
 
 class AlgebraError(ValueError):
@@ -275,17 +275,20 @@ class TensorSquare:
 
     def _on_leg(self, x: Vec, leg: int, image: Callable[[int], Vec]) -> Vec:
         """x with the basis vector e_k in the given leg of every term
-        replaced by image(k); the one kernel behind the leg products."""
+        replaced by image(k); the one kernel behind the leg products.
+        image(k) is computed once per distinct leg index k of x."""
         d = self.dim
+        stride = d if leg == 1 else 1
         out: Vec = {}
+        images: dict[int, Vec] = {}
         for p, c in x.items():
             p1, p2 = divmod(p, d)
-            if leg == 1:
-                for k, e in image(p1).items():
-                    vaxpy(out, c * e, {k * d + p2: Fraction(1)})
-            else:
-                for k, e in image(p2).items():
-                    vaxpy(out, c * e, {p1 * d + k: Fraction(1)})
+            j, rest = (p1, p2) if leg == 1 else (p2, p1 * d)
+            img = images.get(j)
+            if img is None:
+                img = images[j] = image(j)
+            for k, e in img.items():
+                vadd_at(out, rest + k * stride, c * e)
         return out
 
     def mul_left_leg1(self, w: Vec, x: Vec) -> Vec:
@@ -335,7 +338,7 @@ class TensorSquare:
             p1, p2 = divmod(p, d)
             w = phi.get(p1)
             if w:
-                vaxpy(out, c * w, {p2: Fraction(1)})
+                vadd_at(out, p2, c * w)
         return out
 
     def functional_leg2(self, phi: Vec, x: Vec) -> Vec:
@@ -346,7 +349,7 @@ class TensorSquare:
             p1, p2 = divmod(p, d)
             w = phi.get(p2)
             if w:
-                vaxpy(out, c * w, {p1: Fraction(1)})
+                vadd_at(out, p1, c * w)
         return out
 
     def leg_vectors(self, x: Vec, leg: int) -> dict[int, Vec]:
@@ -370,7 +373,8 @@ class TensorSquare:
         out: Vec = {}
         for p, c in x.items():
             u, v = divmod(p, d)
-            vaxpy(out, c, vtensor(f(u), unit_vec(v), d))
+            for i, e in f(u).items():
+                vadd_at(out, i * d + v, c * e)
         return out
 
     def expand_leg2(self, x: Vec, g: Callable[[int], Vec]) -> Vec:
@@ -379,7 +383,9 @@ class TensorSquare:
         out: Vec = {}
         for p, c in x.items():
             u, v = divmod(p, d)
-            vaxpy(out, c, vtensor(unit_vec(u), g(v), d * d))
+            base = u * d * d
+            for j, e in g(v).items():
+                vadd_at(out, base + j, c * e)
         return out
 
     def cover(self, z: Vec, leg: int, left: bool, i: int) -> Vec:
@@ -393,7 +399,7 @@ class TensorSquare:
             rest = p - x * stride
             prod = alg.mul_basis(i, x) if left else alg.mul_basis(x, i)
             for k, e in prod.items():
-                vaxpy(out, c * e, {rest + k * stride: Fraction(1)})
+                vadd_at(out, rest + k * stride, c * e)
         return out
 
     def first_nonzero_cover(self, diffs) -> tuple[tuple[int, ...], int]:

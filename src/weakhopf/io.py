@@ -1,6 +1,8 @@
 """Definition files: lossless JSON interchange for every structure.
 
-Rationals are encoded as strings "p/q" so no float ever enters a file;
+Rationals are encoded as strings "p/q" so no float ever enters a file,
+and every entry read back goes through ``_dec``, which also takes JSON
+integers and refuses floats, booleans and zero denominators;
 matrices are dense nested arrays (rows), tensor-square elements are
 dim x dim arrays with the first leg indexing rows.  Every document
 carries schema 1 and a "kind".
@@ -15,7 +17,7 @@ from .algebra import FiniteAlgebra, make_algebra
 from .algebroid import MultiplierHopfAlgebroid, QuantumGraphPair
 from .base_algebras import SubalgebraView
 from .groupoids import Groupoid
-from .linalg import LinMap, Vec, rat, vec_from
+from .linalg import LinMap, Vec, vec_from
 from .wmha import WeakMultiplierHopfAlgebra
 
 SCHEMA = 1
@@ -34,6 +36,20 @@ def _enc(x: Fraction) -> str:
     return str(x)
 
 
+def _dec(x) -> Fraction:
+    """The rational an entry encodes: the inverse of ``_enc``."""
+    if type(x) not in (str, int):
+        raise SchemaError(f"rational entries are strings like \"3/2\", got {x!r}")
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise SchemaError(f"zero denominator in {x!r}") from None
+
+
+def _decoded(xs) -> Vec:
+    return vec_from((i, _dec(x)) for i, x in enumerate(xs))
+
+
 def _vec_list(v: Vec, n: int) -> list[str]:
     return [_enc(v.get(i, Fraction(0))) for i in range(n)]
 
@@ -49,7 +65,7 @@ def _require_shape(xs, *shape: int) -> None:
 
 def _vec_from_list(xs, n: int) -> Vec:
     _require_shape(xs, n)
-    return vec_from(enumerate(xs))
+    return _decoded(xs)
 
 
 def _matrix(m: LinMap) -> list[list[str]]:
@@ -58,7 +74,7 @@ def _matrix(m: LinMap) -> list[list[str]]:
 
 def _matrix_from(rows, nrows: int, ncols: int) -> LinMap:
     _require_shape(rows, nrows, ncols)
-    return LinMap.from_dense(rows)
+    return LinMap.from_dense([[_dec(x) for x in row] for row in rows])
 
 
 def _square(v: Vec, d: int) -> list[list[str]]:
@@ -74,7 +90,7 @@ def _square_from(rows, d: int) -> Vec:
     out: Vec = {}
     for i, row in enumerate(rows):
         for j, x in enumerate(row):
-            c = rat(x)
+            c = _dec(x)
             if c:
                 out[i * d + j] = c
     return out
@@ -95,7 +111,7 @@ def algebra_to_dict(alg: FiniteAlgebra) -> dict:
 def algebra_from_dict(doc: dict) -> FiniteAlgebra:
     labels, structure = list(doc["labels"]), doc["structure"]
     _require_shape(structure, len(labels), len(labels), len(labels))
-    return make_algebra(labels, {(i, j, k): x for i, plane in enumerate(structure)
+    return make_algebra(labels, {(i, j, k): _dec(x) for i, plane in enumerate(structure)
                                  for j, row in enumerate(plane) for k, x in enumerate(row)})
 
 
@@ -185,7 +201,7 @@ def functionals_from_dict(doc: dict, dim: int | None = None) -> list[Vec]:
     rows = doc["functionals"]
     if dim is not None:
         _require_shape(rows, len(rows), dim)
-    return [vec_from(enumerate(xs)) for xs in rows]
+    return [_decoded(xs) for xs in rows]
 
 
 def load(path: str) -> dict:

@@ -4,9 +4,12 @@ Vectors are plain dicts mapping a coordinate index to a nonzero Fraction.
 Linear maps store their columns as such dicts.  Subspaces are kept in
 reduced row-echelon form, so equality of subspaces is equality of their
 stored bases, and the coordinates of a member over the stored rows are
-its entries at the pivots.  ``solve`` and ``LinMap.inverse`` reduce the
-columns of a map, each tagged with its unit vector, in one such echelon
-form.  Everything is exact: no floats, no tolerances.
+its entries at the pivots.  For the same reason reducing a vector reads
+each row's coefficient off the vector's own entry at that row's pivot:
+only the pivots in the vector's support cost any work.  ``solve`` and
+``LinMap.inverse`` reduce the columns of a map, each tagged with its
+unit vector, in one such echelon form.  Everything is exact: no floats,
+no tolerances.
 
 The zero-free invariant matters: a dict never holds a zero entry, hence
 ``u == v`` on raw dicts is exact vector equality.
@@ -14,6 +17,7 @@ The zero-free invariant matters: a dict never holds a zero entry, hence
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -60,6 +64,19 @@ def vaxpy(acc: Vec, coeff: Fraction, v: Vec) -> Vec:
             else:
                 del acc[i]
     return acc
+
+
+def vadd_at(acc: Vec, i: int, c: Fraction) -> None:
+    """In place: acc[i] += c, keeping acc zero-free; c is nonzero."""
+    w = acc.get(i)
+    if w is None:
+        acc[i] = c
+    else:
+        w = w + c
+        if w:
+            acc[i] = w
+        else:
+            del acc[i]
 
 
 def vsub(u: Vec, v: Vec) -> Vec:
@@ -236,14 +253,22 @@ class LinMap:
 
 
 class Subspace:
-    """Subspace of Q^ambient in reduced row-echelon form (canonical)."""
+    """Subspace of Q^ambient in reduced row-echelon form (canonical).
 
-    __slots__ = ("ambient", "rows", "pivots")
+    Each row has 1 at its own pivot and 0 at every other pivot.  Hence
+    subtracting a row never changes the entry at another pivot, and the
+    coefficient of row p in the reduction of v is v[p] itself: reducing
+    v walks only the pivots in v's support, in increasing order.
+    ``_at`` maps each pivot to its row; it shares the row dicts.
+    """
+
+    __slots__ = ("ambient", "rows", "pivots", "_at")
 
     def __init__(self, ambient: int):
         self.ambient = ambient
         self.rows: list[Vec] = []
         self.pivots: list[int] = []
+        self._at: dict[int, Vec] = {}
 
     @classmethod
     def from_vectors(cls, ambient: int, vectors: Iterable[Vec]) -> "Subspace":
@@ -259,10 +284,9 @@ class Subspace:
     def reduce(self, v: Vec) -> Vec:
         """Residual of v modulo the subspace (copy; v untouched)."""
         out = dict(v)
-        for p, row in zip(self.pivots, self.rows):
-            c = out.get(p)
-            if c:
-                vaxpy(out, -c, row)
+        at = self._at
+        for p in sorted(v.keys() & at.keys()):
+            vaxpy(out, -v[p], at[p])
         return out
 
     def insert(self, v: Vec) -> bool:
@@ -273,21 +297,22 @@ class Subspace:
         return self._place(self.reduce(v))
 
     def _place(self, r: Vec) -> bool:
-        """Add a residual of ``reduce`` as a row, unless it is zero."""
+        """Add a residual of ``reduce`` as a row, unless it is zero.  Only
+        the rows before its slot can hold an entry at its pivot: a row
+        has no entry before its own pivot."""
         if not r:
             return False
         p = min(r)
         inv = Fraction(1) / r[p]
         r = {i: inv * c for i, c in r.items()}
-        for row in self.rows:
+        k = bisect_left(self.pivots, p)
+        for row in self.rows[:k]:
             c = row.get(p)
             if c:
                 vaxpy(row, -c, r)
-        k = 0
-        while k < len(self.pivots) and self.pivots[k] < p:
-            k += 1
         self.pivots.insert(k, p)
         self.rows.insert(k, r)
+        self._at[p] = r
         return True
 
     def contains(self, v: Vec) -> bool:

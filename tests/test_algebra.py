@@ -6,10 +6,12 @@ import pytest
 from weakhopf.algebra import (DegenerateProduct, NonAssociative, NotIdempotent,
                               TensorSquare, direct_sum, field_algebra, make_algebra,
                               matrix_algebra, opposite_algebra, tensor_algebra)
+from weakhopf.base_algebras import run_base_suite
 from weakhopf.examples import scalar_extension_wmha, swap_crossed_setup
 from weakhopf.groupoids import as_wmha, pair_groupoid
-from weakhopf.linalg import LinMap, Subspace, unit_vec
+from weakhopf.linalg import LinMap, Subspace, unit_vec, vaxpy, vtensor
 from weakhopf.separability import build_E_from_functional
+from weakhopf.wmha import run_suite
 
 
 def test_field_is_valid():
@@ -219,3 +221,117 @@ def test_structure_constant_maps_match_leg_products(bundle):
             t2.size, t2.size, [t2.mul(elt, unit_vec(j)) for j in range(t2.size)])
         assert t2.right_mult_map(elt) == LinMap(
             t2.size, t2.size, [t2.mul(unit_vec(j), elt) for j in range(t2.size)])
+
+
+def _reference_on_leg(t2, x, leg, image):
+    """The leg kernel written with one-entry unit vectors per term."""
+    d = t2.dim
+    out = {}
+    for p, c in x.items():
+        p1, p2 = divmod(p, d)
+        if leg == 1:
+            for k, e in image(p1).items():
+                vaxpy(out, c * e, {k * d + p2: Fraction(1)})
+        else:
+            for k, e in image(p2).items():
+                vaxpy(out, c * e, {p1 * d + k: Fraction(1)})
+    return out
+
+
+def _reference_cover(t2, z, leg, left, i):
+    alg, d = t2.algebra, t2.dim
+    stride = d ** (3 - leg)
+    out = {}
+    for p, c in z.items():
+        x = p // stride % d
+        rest = p - x * stride
+        prod = alg.mul_basis(i, x) if left else alg.mul_basis(x, i)
+        for k, e in prod.items():
+            vaxpy(out, c * e, {rest + k * stride: Fraction(1)})
+    return out
+
+
+def _reference_functional(t2, phi, x, leg):
+    d = t2.dim
+    out = {}
+    for p, c in x.items():
+        p1, p2 = divmod(p, d)
+        w = phi.get(p1 if leg == 1 else p2)
+        if w:
+            vaxpy(out, c * w, {(p2 if leg == 1 else p1): Fraction(1)})
+    return out
+
+
+def _same(got, ref):
+    """Equal as vectors and in the order their entries were written."""
+    return list(got.items()) == list(ref.items())
+
+
+def _random_vec(rng, size, terms):
+    x = {}
+    for _ in range(terms):
+        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        if c:
+            x[rng.randrange(size)] = c
+    return x
+
+
+@pytest.mark.parametrize("bundle", _kernel_bundles()[1:], ids=["crossed-swap", "base-m2-weighted"])
+def test_leg_kernels_match_unit_vector_formulas(bundle):
+    """Every leg kernel writes the entries the unit-vector formulas write,
+    in the same order, on noncommutative algebras with entries other
+    than 0 and 1."""
+    t2, alg, d = bundle.t2, bundle.algebra, bundle.dim
+    rng = random.Random(11)
+    elements = [bundle.E, *bundle.delta, _random_vec(rng, t2.size, 10)]
+    ws = [_random_vec(rng, d, 3), unit_vec(1)]
+    for x in elements:
+        for w in ws:
+            assert _same(t2.mul_left_leg1(w, x),
+                         _reference_on_leg(t2, x, 1, lambda k: alg.mul(w, unit_vec(k))))
+            assert _same(t2.mul_right_leg1(x, w),
+                         _reference_on_leg(t2, x, 1, lambda k: alg.mul(unit_vec(k), w)))
+            assert _same(t2.mul_left_leg2(w, x),
+                         _reference_on_leg(t2, x, 2, lambda k: alg.mul(w, unit_vec(k))))
+            assert _same(t2.mul_right_leg2(x, w),
+                         _reference_on_leg(t2, x, 2, lambda k: alg.mul(unit_vec(k), w)))
+        m = bundle.antipode
+        assert _same(t2.map_leg1(m, x), _reference_on_leg(t2, x, 1, lambda k: m.apply(unit_vec(k))))
+        assert _same(t2.map_leg2(m, x), _reference_on_leg(t2, x, 2, lambda k: m.apply(unit_vec(k))))
+        for phi in (bundle.counit, ws[0]):
+            assert _same(t2.functional_leg1(phi, x), _reference_functional(t2, phi, x, 1))
+            assert _same(t2.functional_leg2(phi, x), _reference_functional(t2, phi, x, 2))
+        f = bundle.delta.__getitem__
+        ref1, ref2 = {}, {}
+        for p, c in x.items():
+            u, v = divmod(p, d)
+            vaxpy(ref1, c, vtensor(f(u), unit_vec(v), d))
+            vaxpy(ref2, c, vtensor(unit_vec(u), f(v), d * d))
+        z1, z2 = t2.expand_leg1(x, f), t2.expand_leg2(x, f)
+        assert _same(z1, ref1) and _same(z2, ref2)
+        for z in (z1, z2):
+            for leg in (1, 2, 3):
+                for left in (True, False):
+                    for i in range(d):
+                        assert _same(t2.cover(z, leg, left, i),
+                                     _reference_cover(t2, z, leg, left, i))
+
+
+def test_leg_products_compute_each_image_once(monkeypatch):
+    """A leg product computes w e_k (or e_k w, or m(e_k)) once per distinct
+    leg index k of its argument, not once per term."""
+    calls = 0
+    on_leg = TensorSquare._on_leg
+
+    def counting(self, x, leg, image):
+        def counted(k):
+            nonlocal calls
+            calls += 1
+            return image(k)
+        return on_leg(self, x, leg, counted)
+
+    monkeypatch.setattr(TensorSquare, "_on_leg", counting)
+    bundle = as_wmha(pair_groupoid(4))
+    run_suite(bundle)
+    run_base_suite(bundle)
+    assert calls == 7712

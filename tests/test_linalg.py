@@ -219,3 +219,45 @@ def test_inverse_of_bijective_map(m):
     inv = m.inverse()
     assert inv @ m == LinMap.identity(3)
     assert inv.cols == [_reference_solve(m, unit_vec(i)) for i in range(3)]
+
+
+def _reference_reduce(sub, v):
+    """Reduction that walks every stored pivot, reading each coefficient
+    off the running residual."""
+    out = dict(v)
+    for p, row in zip(sub.pivots, sub.rows):
+        c = out.get(p)
+        if c:
+            vaxpy(out, -c, row)
+    return out
+
+
+nonzero_rationals = small_rationals.filter(bool)
+
+
+def sparse_vec(n):
+    return st.dictionaries(st.integers(0, n - 1), nonzero_rationals, max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(sparse_vec(12), min_size=1, max_size=8).flatmap(
+    lambda vs: st.tuples(st.just(vs), st.permutations(vs))),
+       st.lists(sparse_vec(12), max_size=4))
+def test_subspace_echelon_reduction_and_coordinates(case, probes):
+    vectors, shuffled = case
+    sub = Subspace.from_vectors(12, vectors)
+    assert sub.pivots == sorted(set(sub.pivots))
+    for p, row in zip(sub.pivots, sub.rows):
+        assert min(row) == p and row[p] == 1
+        assert all(q == p or q not in row for q in sub.pivots)
+    for v in vectors + probes + list(sub.rows):
+        got, ref = sub.reduce(v), _reference_reduce(sub, v)
+        assert got == ref and list(got.items()) == list(ref.items())
+    assert Subspace.from_vectors(12, shuffled) == sub
+    assert Subspace.from_vectors(12, reversed(vectors)) == sub
+    for v in vectors:
+        c = sub.coords(v)
+        rebuilt = {}
+        for k, x in c.items():
+            vaxpy(rebuilt, x, sub.rows[k])
+        assert rebuilt == v
