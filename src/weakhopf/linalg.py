@@ -3,13 +3,10 @@
 Vectors are plain dicts mapping a coordinate index to a nonzero Fraction.
 Linear maps store their columns as such dicts.  Subspaces are kept in
 reduced row-echelon form, so equality of subspaces is equality of their
-stored bases, and the coordinates of a member over the stored rows are
-its entries at the pivots.  For the same reason reducing a vector reads
-each row's coefficient off the vector's own entry at that row's pivot:
-only the pivots in the vector's support cost any work.  ``solve`` and
-``LinMap.inverse`` reduce the columns of a map, each tagged with its
-unit vector, in one such echelon form.  Everything is exact: no floats,
-no tolerances.
+stored bases; ``Subspace`` says how reduction and coordinates follow
+from that form.  ``solve`` and ``LinMap.inverse`` reduce the columns of a
+map, each tagged with its unit vector, in one such echelon form.
+Everything is exact: no floats, no tolerances.
 
 The zero-free invariant matters: a dict never holds a zero entry, hence
 ``u == v`` on raw dicts is exact vector equality.
@@ -258,7 +255,8 @@ class Subspace:
     Each row has 1 at its own pivot and 0 at every other pivot.  Hence
     subtracting a row never changes the entry at another pivot, and the
     coefficient of row p in the reduction of v is v[p] itself: reducing
-    v walks only the pivots in v's support, in increasing order.
+    v walks only the pivots in v's support, in increasing order, and the
+    coordinates of a member on the rows are its entries at the pivots.
     ``_at`` maps each pivot to its row; it shares the row dicts.
     """
 
@@ -320,8 +318,7 @@ class Subspace:
 
     def coords(self, v: Vec) -> Vec | None:
         """Coordinates of v over the stored rows, or None when v is not in
-        the subspace.  Each row has 1 at its own pivot and 0 at every
-        other pivot, so the coordinate on row k is v's entry at pivot k."""
+        the subspace (see the class docstring)."""
         if self.reduce(v):
             return None
         return {k: v[p] for k, p in enumerate(self.pivots) if p in v}

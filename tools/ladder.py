@@ -1,6 +1,6 @@
 """Time the engine's layers on pair groupoids above the benchmark's ladder.
 
-    python3 tools/ladder.py 5 6 [--repeat 3]
+    python3 tools/ladder.py 5 6
 
 For each n it builds K(pair groupoid on n units), a weak multiplier Hopf
 algebra of dimension n^2, and times in process, in raw seconds:
@@ -11,8 +11,8 @@ algebra of dimension n^2, and times in process, in raw seconds:
 * reconstruction: ``reconstruction.reconstruction_pipeline`` on it.
 
 Every step must pass and the rebuilt bundle must equal the input, else
-the script stops with exit 1.  With ``--repeat`` each step is timed on
-that many fresh bundles and the median is printed.  The engine is
+the script stops with exit 1.  Each step is timed on REPEAT fresh bundles
+and the median is printed.  The engine is
 imported from the ``src/`` next to this script.
 """
 
@@ -32,6 +32,7 @@ from weakhopf.reconstruction import PipelineResult, reconstruction_pipeline  # n
 from weakhopf.wmha import run_suite  # noqa: E402
 
 STEPS = ("wmha", "forward", "algebroid", "reconstruction")
+REPEAT = 3
 
 
 def _timed(fn, *args):
@@ -59,13 +60,12 @@ def one_pass(n: int) -> dict[str, float]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("sizes", nargs="+", type=int, help="numbers of units n >= 1")
-    parser.add_argument("--repeat", type=int, default=1, help="fresh bundles per size")
     args = parser.parse_args(argv)
-    if min(args.sizes) < 1 or args.repeat < 1:
-        parser.error("sizes and --repeat must be positive")
+    if min(args.sizes) < 1:
+        parser.error("sizes must be positive")
     print(f"{'input':<10}{'d':>5}" + "".join(f"{s:>16}" for s in STEPS))
     for n in args.sizes:
-        runs = [one_pass(n) for _ in range(args.repeat)]
+        runs = [one_pass(n) for _ in range(REPEAT)]
         row = [statistics.median(r[s] for r in runs) for s in STEPS]
         print(f"{f'pair-{n}':<10}{n * n:>5}" + "".join(f"{t:>16.2f}" for t in row), flush=True)
     return 0
