@@ -368,24 +368,24 @@ class TensorSquare:
         return out
 
     def expand_leg1(self, x: Vec, f: Callable[[int], Vec]) -> Vec:
-        """sum x[u, v] f(u) (x) e_v in A (x) A (x) A, for f(u) in A (x) A."""
-        d = self.dim
-        out: Vec = {}
-        for p, c in x.items():
-            u, v = divmod(p, d)
-            for i, e in f(u).items():
-                vadd_at(out, i * d + v, c * e)
-        return out
+        """sum x[u, v] f(u) (x) e_v in A (x) A (x) A, for f(u) in A (x) A:
+        the first-leg kernel with images in A (x) A, so f(u) is computed
+        once per distinct u."""
+        return self._on_leg(x, 1, f)
 
     def expand_leg2(self, x: Vec, g: Callable[[int], Vec]) -> Vec:
-        """sum x[u, v] e_u (x) g(v) in A (x) A (x) A, for g(v) in A (x) A."""
+        """sum x[u, v] e_u (x) g(v) in A (x) A (x) A, for g(v) in A (x) A;
+        g(v) is computed once per distinct v."""
         d = self.dim
         out: Vec = {}
+        images: dict[int, Vec] = {}
         for p, c in x.items():
             u, v = divmod(p, d)
-            base = u * d * d
-            for j, e in g(v).items():
-                vadd_at(out, base + j, c * e)
+            img = images.get(v)
+            if img is None:
+                img = images[v] = g(v)
+            for j, e in img.items():
+                vadd_at(out, u * d * d + j, c * e)
         return out
 
     def cover(self, z: Vec, leg: int, left: bool, i: int) -> Vec:
@@ -566,27 +566,44 @@ class CoproductSlices:
         """The first (a, b, c, k), in the order of a covered loop over a,
         b, c and then k, at which equation k fails; None when all hold.
 
-        Equation k is a pair of slice kinds (outer, inner), outer "r2" or
-        "l2" and inner "r1" or "l1".  Its covered form compares
-        sum outer(a, b)[u, v] inner(u, c) (x) e_v with
-        sum inner(a, c)[u, v] e_u (x) outer(v, b).  With O and I the
+        Equation k is (outer, inner[, same]): slice kinds outer "r2" or
+        "l2" and inner "r1" or "l1", and a comparison (== by default).
+        Its covered form compares sum outer(a, b)[u, v] inner(u, c) (x) e_v
+        with sum inner(a, c)[u, v] e_u (x) outer(v, b).  With O and I the
         coproduct families behind the two kinds, these are
         (I (x) id)O(e_a) and (id (x) O)I(e_a) in A (x) A (x) A, covered by
         e_c on the first leg and e_b on the third, each on the side its
-        slice covers.  The families are honest elements and A is unital,
-        so the equation holds for all b, c exactly when the two elements
-        are equal.  That comparison decides; the covers are scanned only
-        to name (b, c) once it has failed.
+        slice covers.  If same is closed under those covers, as == is,
+        comparing the two elements decides every b, c at once: closure
+        carries a pass to each cover, and conversely, A being unital, the
+        covers weighted by the unit's coefficients sum to the elements.
+        Covers are scanned only at the first failing a, to name (b, c)
+        and k: by ``first_nonzero_cover`` under ==, else by the covered
+        comparisons.
         """
-        t2 = self.t2
-        outers = {"r2": (self.left, False), "l2": (self.right, True)}
-        inners = {"r1": (self.left, False), "l1": (self.right, True)}
-        families = [(outers[outer], inners[inner]) for outer, inner in equations]
-        for a in range(t2.dim):
-            diffs = [(vsub(t2.expand_leg1(o[a], lambda u: i[u]),
-                           t2.expand_leg2(i[a], lambda v: o[v])), ((3, o_left), (1, i_left)))
-                     for (o, o_left), (i, i_left) in families]
-            if any(z for z, _ in diffs):
-                (b, c), k = t2.first_nonzero_cover(diffs)
+        t2, d = self.t2, self.t2.dim
+        family = {"r2": self.left, "r1": self.left, "l2": self.right, "l1": self.right}
+        for a in range(d):
+            sides = [(t2.expand_leg1(family[outer][a], family[inner].__getitem__),
+                      t2.expand_leg2(family[inner][a], family[outer].__getitem__))
+                     for outer, inner, *_ in equations]
+            if all(same[0](x, y) if same else x == y
+                   for (x, y), (_, _, *same) in zip(sides, equations)):
+                continue
+            if all(len(eq) == 2 for eq in equations):
+                # an l-kind slice covers from the left, an r-kind from the right
+                (b, c), k = t2.first_nonzero_cover(
+                    [(vsub(x, y), ((3, outer[0] == "l"), (1, inner[0] == "l")))
+                     for (x, y), (outer, inner) in zip(sides, equations)])
                 return a, b, c, k
+            bad = first_failure((d, d), [self._covered(a, *eq) for eq in equations])
+            if bad is None:
+                raise AlgebraError("a failing element passes under every basis cover")
+            return (a, *bad[0], bad[1])
         return None
+
+    def _covered(self, a: int, outer: str, inner: str, *same):
+        """An equation's covered form at a, as a law over (b, c)."""
+        t2, o, i = self.t2, getattr(self, outer), getattr(self, inner)
+        return (lambda b, c: t2.expand_leg1(o(a, b), lambda u: i(u, c)),
+                lambda b, c: t2.expand_leg2(i(a, c), lambda v: o(v, b)), *same)

@@ -11,11 +11,12 @@ values, which are already section images.  The basis-covered products
 come from one ``algebra.CoproductSlices`` over (Delta_B, Delta_C), which
 caches each slice once; the canonical maps between balanced quotients
 are its maps T_1..T_4 followed by the quotient map of the codomain.
-Every pair- or triple-indexed check is a list of laws for
-``algebra.first_failure``, whose comparison is the balanced quotient's
-``equivalent`` where the two sides are compared modulo relations; the
-witness is the first basis tuple in lexicographic order, then the first
-law failing there.
+Every pair-indexed check is a list of laws for ``algebra.first_failure``,
+whose comparison is the balanced quotient's ``equivalent`` where the two
+sides are compared modulo relations; the witness is the first basis
+tuple in lexicographic order, then the first law failing there.  The
+triple-indexed checks compare one element of the triple balanced space
+per basis element and scan covers only to name the witness.
 """
 
 from __future__ import annotations
@@ -255,33 +256,25 @@ def check_base_behavior(alg: MultiplierHopfAlgebroid) -> CheckRecord:
     return passed("coproduct-base-behavior")
 
 
-def _first_covered_failure(sl: CoproductSlices, equations):
-    """The first (a, b, c), then k, at which equation k = (outer, inner,
-    same) fails: sum outer(a, b)[u, v] inner(u, c) (x) e_v against
-    sum inner(a, c)[u, v] e_u (x) outer(v, b) under the triple quotient
-    comparison same; ``first_failure``'s result or None.  The scan stays
-    covered: the triple balanced relations are not closed under covering
-    on every leg, so the wmha suite's one comparison per element does
-    not apply."""
-    t2 = sl.t2
-
-    def covered(outer, inner, same):
-        return (lambda a, b, c: t2.expand_leg1(outer(a, b), lambda u: inner(u, c)),
-                lambda a, b, c: t2.expand_leg2(inner(a, c), lambda v: outer(v, b)), same)
-
-    return first_failure((t2.dim,) * 3, [covered(*eq) for eq in equations])
-
-
 def check_algebroid_coassociativity(alg: MultiplierHopfAlgebroid) -> CheckRecord:
     """Each coproduct is coassociative after projection to the triple
-    balanced space of its own kind."""
-    graph, sl = alg.graph, alg.slices
-    bad = _first_covered_failure(
-        sl, [(sl.r2, sl.r1, graph.triple("l", "l").equivalent),
-         (sl.l2, sl.l1, graph.triple("r", "r").equivalent)])
+    balanced space of its own kind, decided by one comparison per basis
+    element (``CoproductSlices.first_coassociativity_failure``).  That is
+    exact because each triple space is closed under its equation's
+    covers.  R_l is a right ideal of A (x) A, being spanned by left
+    multiples of x (x) 1 - 1 (x) S_B(x), and R_r is a left ideal.  The
+    (l, l) space takes right covers on legs 1 and 3, the (r, r) space
+    left ones, so R12 (x) A + A (x) R23 is closed under them.  On the
+    section path P_l is left and P_r right multiplication by E; each
+    commutes with covers on the opposite side, so ``contains`` is closed
+    under the same covers."""
+    graph = alg.graph
+    bad = alg.slices.first_coassociativity_failure(
+        [("r2", "r1", graph.triple("l", "l").equivalent),
+         ("l2", "l1", graph.triple("r", "r").equivalent)])
     if bad is None:
         return passed("coproduct-coassociativity")
-    triple, k, _, _ = bad
+    *triple, k = bad
     return failed(("left-coproduct-coassociativity", "right-coproduct-coassociativity")[k],
                   {"triple": [alg.algebra.labels[i] for i in triple]})
 
@@ -291,14 +284,17 @@ def check_compatibility(alg: MultiplierHopfAlgebroid) -> CheckRecord:
     mixed triple balanced spaces: (c x 1 x 1)(Delta_C x id)(Delta_B(a)(1 x b))
     against (id x Delta_B)((c x 1)Delta_C(a))(1 x 1 x b), then
     (Delta_B x id)((1 x b)Delta_C(a))(c x 1 x 1) against
-    (1 x 1 x b)(id x Delta_C)(Delta_B(a)(c x 1))."""
-    graph, sl = alg.graph, alg.slices
-    bad = _first_covered_failure(
-        sl, [(sl.r2, sl.l1, graph.triple("r", "l").equivalent),
-         (sl.l2, sl.r1, graph.triple("l", "r").equivalent)])
+    (1 x 1 x b)(id x Delta_C)(Delta_B(a)(c x 1)).  Decided once per basis
+    element as in ``check_algebroid_coassociativity``: the (r, l) space
+    takes a left cover on leg 1 and a right one on leg 3, the (l, r)
+    space the mirror, each on the side its relations are closed under."""
+    graph = alg.graph
+    bad = alg.slices.first_coassociativity_failure(
+        [("r2", "l1", graph.triple("r", "l").equivalent),
+         ("l2", "r1", graph.triple("l", "r").equivalent)])
     if bad is None:
         return passed("joint-coassociativity")
-    triple, k, _, _ = bad
+    *triple, k = bad
     return failed(("joint-coassociativity-first", "joint-coassociativity-second")[k],
                   {"triple": [alg.algebra.labels[i] for i in triple]})
 

@@ -162,36 +162,23 @@ class TripleQuotient:
         for rel in self.space23.relations.rows:
             for i in range(d):
                 base = i * d * d
-                sub.insert(self._apply12(self.space12.pi,
-                                         {base + p: c for p, c in rel.items()}))
+                sub.insert(self._apply(self.space12.pi,
+                                       {base + p: c for p, c in rel.items()}, 12))
         return sub
 
-    def _apply12(self, m: LinMap, x: Vec) -> Vec:
-        """A map on legs (1,2) applied blockwise over leg 3."""
+    def _apply(self, m: LinMap, x: Vec, legs: int) -> Vec:
+        """A map on legs (1,2) applied blockwise over leg 3 (legs 12), or
+        on legs (2,3) blockwise over leg 1 (legs 23)."""
         d = self.d
         blocks: dict[int, Vec] = {}
         for p, c in x.items():
-            pq, k = divmod(p, d)
-            blocks.setdefault(k, {})[pq] = c
+            hi, lo = divmod(p, d if legs == 12 else d * d)
+            pair, other = (hi, lo) if legs == 12 else (lo, hi)
+            blocks.setdefault(other, {})[pair] = c
         out: Vec = {}
-        for k, block in blocks.items():
-            img = m.apply(block)
-            for pq, c in img.items():
-                out[pq * d + k] = c
-        return out
-
-    def _apply23(self, x: Vec) -> Vec:
-        d = self.d
-        blocks: dict[int, Vec] = {}
-        for p, c in x.items():
-            i, qr = divmod(p, d * d)
-            blocks.setdefault(i, {})[qr] = c
-        out: Vec = {}
-        for i, block in blocks.items():
-            img = self.space23.projector.apply(block)
-            base = i * d * d
-            for qr, c in img.items():
-                out[base + qr] = c
+        for other, block in blocks.items():
+            for pair, c in m.apply(block).items():
+                out[pair * d + other if legs == 12 else other * d * d + pair] = c
         return out
 
     def contains(self, x: Vec) -> bool:
@@ -205,10 +192,10 @@ class TripleQuotient:
         if not x:
             return True
         if self._small:
-            return self._relations.contains(self._apply12(self.space12.pi, x))
-        p12 = self.space12.projector
-        return (not self._apply23(self._apply12(p12, x))
-                and not self._apply12(p12, self._apply23(x)))
+            return self._relations.contains(self._apply(self.space12.pi, x, 12))
+        p12, p23 = self.space12.projector, self.space23.projector
+        return (not self._apply(p23, self._apply(p12, x, 12), 23)
+                and not self._apply(p12, self._apply(p23, x, 23), 12))
 
     def equivalent(self, x: Vec, y: Vec) -> bool:
         return self.contains(vsub(x, y))

@@ -6,12 +6,14 @@ import pytest
 from weakhopf.algebra import (DegenerateProduct, NonAssociative, NotIdempotent,
                               TensorSquare, direct_sum, field_algebra, make_algebra,
                               matrix_algebra, opposite_algebra, tensor_algebra)
+from weakhopf.algebroid import forward_construct
 from weakhopf.base_algebras import run_base_suite
 from weakhopf.examples import scalar_extension_wmha, swap_crossed_setup
 from weakhopf.groupoids import as_wmha, pair_groupoid
 from weakhopf.linalg import LinMap, Subspace, unit_vec, vaxpy, vtensor
+from weakhopf.reconstruction import reconstruction_pipeline
 from weakhopf.separability import build_E_from_functional
-from weakhopf.wmha import run_suite
+from weakhopf.wmha import check_E_identities, run_suite
 
 
 def test_field_is_valid():
@@ -340,4 +342,36 @@ def test_leg_products_compute_each_image_once(monkeypatch):
     bundle = as_wmha(pair_groupoid(4))
     run_suite(bundle)
     run_base_suite(bundle)
+    assert calls < terms
+
+
+def test_expansions_compute_each_image_once(monkeypatch):
+    """expand_leg1/2 ask f(u) resp. g(v) once per distinct leg index, so
+    the E identities of the wmha suite and of reconstruction compute
+    each leg product over E once per index, not once per term of E."""
+    calls = terms = 0
+
+    def counting(expand):
+        def wrapped(self, x, f):
+            nonlocal calls, terms
+            asked: list[int] = []
+
+            def counted(k):
+                asked.append(k)
+                return f(k)
+            out = expand(self, x, counted)
+            assert len(asked) == len(set(asked))
+            calls += len(asked)
+            terms += len(x)
+            return out
+        return wrapped
+
+    for name in ("expand_leg1", "expand_leg2"):
+        monkeypatch.setattr(TensorSquare, name, counting(getattr(TensorSquare, name)))
+    bundle = as_wmha(pair_groupoid(4))
+    assert check_E_identities(bundle).ok
+    # three expansions of E, whose 64 terms have 16 distinct indices per leg
+    assert (calls, terms) == (48, 192)
+    alg, _ = forward_construct(bundle)
+    reconstruction_pipeline(alg)
     assert calls < terms

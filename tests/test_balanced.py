@@ -226,3 +226,61 @@ def test_relators_from_structure_constants_match_leg_products(
         size = graph.t2.size
         assert (Subspace.from_vectors(size, relation_generators(kind, graph))
                 == Subspace.from_vectors(size, _leg_product_relators(kind, graph))), kind
+
+
+# covers each triple space must be closed under, as (left on leg 1, left on
+# leg 3): the sides the coassociativity and compatibility equations cover
+EQUATION_SIDES = {("l", "l"): (False, False), ("r", "r"): (True, True),
+                  ("r", "l"): (True, False), ("l", "r"): (False, True)}
+
+
+@pytest.fixture(scope="module", params=["pair-2", "base-m2-weighted", "crossed-swap"])
+def both_paths(request):
+    """A forward-built algebroid (section path) and the same algebroid
+    read back from its file (relation path)."""
+    if request.param == "pair-2":
+        bundle = as_wmha(pair_groupoid(2))
+    elif request.param == "crossed-swap":
+        bundle = swap_crossed_setup()[0]
+    else:
+        idem = build_E_from_functional(matrix_algebra(2), {0: Fraction(3, 2), 3: Fraction(3)})
+        bundle = scalar_extension_wmha(idem)
+    alg, report = forward_construct(bundle)
+    assert report.ok
+    return request.param, alg, _file_loaded(alg)
+
+
+def test_triple_spaces_are_closed_under_equation_covers(both_paths):
+    """Seeded combinations of generators of R12 (x) A and A (x) R23 stay in
+    the triple space under every basis cover on the equation's sides.
+    Covers on the other sides leave it, except over the commutative
+    pair-2, where left and right covers agree."""
+    name, *algs = both_paths
+    escapes = []
+    for alg in algs:
+        graph, t2, d = alg.graph, alg.t2, alg.dim
+        escaped = set()
+        for kinds, (left1, left3) in EQUATION_SIDES.items():
+            tq = graph.triple(*kinds)
+            gens12 = [vtensor(rel, unit_vec(k), d)
+                      for rel in tq.space12.relations.rows for k in range(d)]
+            gens23 = [{i * d * d + p: c for p, c in rel.items()}
+                      for rel in tq.space23.relations.rows for i in range(d)]
+            rng = random.Random(7)
+            for _ in range(8):
+                x = {}
+                for g in rng.sample(gens12, 2) + rng.sample(gens23, 2):
+                    w = rng.choice((-2, -1, 1, 3))
+                    for p, c in g.items():
+                        x[p] = x.get(p, 0) + w * c
+                x = {p: c for p, c in x.items() if c}
+                assert tq.contains(x)
+                for leg, left in ((1, left1), (3, left3)):
+                    for i in range(d):
+                        assert tq.contains(t2.cover(x, leg, left, i)), (name, kinds, leg, i)
+                        if not tq.contains(t2.cover(x, leg, not left, i)):
+                            escaped.add((kinds, leg))
+        escapes.append(escaped)
+    assert escapes[0] == escapes[1]
+    expected = set() if name == "pair-2" else {(k, leg) for k in EQUATION_SIDES for leg in (1, 3)}
+    assert escapes[0] == expected

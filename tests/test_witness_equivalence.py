@@ -1,13 +1,14 @@
 """Every check names the witness a plain nested loop would name.
 
 The wmha and reconstruction suites decide coassociativity and the
-comultiplicativity of E by comparing elements of A (x) A (x) A, and only
-scan basis covers to name the first failing triple.  The reference
-loops below are the covered forms themselves, written out plainly, so
-those tests compare the engine's witness with the first failure a full
-covered loop finds.
+comultiplicativity of E by comparing elements of A (x) A (x) A, and the
+algebroid suite its coassociativity and compatibility by comparing them
+in a triple balanced space; all of them only scan basis covers to name
+the first failing triple.  The reference loops below are the covered
+forms themselves, written out plainly, so those tests compare the
+engine's witness with the first failure a full covered loop finds.
 
-The pair- and triple-indexed checks go through ``first_failure``: the
+The pair-indexed checks go through ``first_failure``: the
 first basis tuple in lexicographic order, then the first law failing
 there.  Their references are the nested loops the checks were written
 as before, and the tests compare whole records over single-entry
@@ -16,6 +17,7 @@ mutants.
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -29,7 +31,8 @@ from weakhopf.algebroid import (MultiplierHopfAlgebroid, NotBijective, algebroid
                                 check_antipode_structure, check_canonical_maps,
                                 check_compatibility, check_counital_maps, forward_construct)
 from weakhopf.base_algebras import SubalgebraView, is_anti_homomorphism, run_base_suite
-from weakhopf.examples import swap_crossed_setup
+from weakhopf.balanced import TripleQuotient
+from weakhopf.examples import scalar_extension_wmha, swap_crossed_setup
 from weakhopf.groupoids import as_wmha, pair_groupoid
 from weakhopf.linalg import LinMap, Subspace, lincomb, unit_vec, vdot, vsub, vtensor
 from weakhopf.reconstruction import (RebuiltCoproducts, build_counits, build_delta,
@@ -37,6 +40,7 @@ from weakhopf.reconstruction import (RebuiltCoproducts, build_counits, build_del
                                      check_separability_assumption, embed_idempotent,
                                      rebuilt_coproducts)
 from weakhopf.reporting import CheckRecord, Report, failed, passed
+from weakhopf.separability import build_E_from_functional
 from weakhopf.wmha import (WeakMultiplierHopfAlgebra, check_antipode_antihom,
                            check_antipode_identities, check_coassociativity, check_counit,
                            check_E_identities, check_homomorphism)
@@ -880,6 +884,75 @@ def test_commuting_square_matches_nested_loop(name):
         assert got == ref_canonical_maps(alg).to_dict()
         seen += got["status"] != "pass"
     assert seen
+
+
+def _base_m2_weighted():
+    idem = build_E_from_functional(matrix_algebra(2), {0: Fraction(3, 2), 3: Fraction(3)})
+    return scalar_extension_wmha(idem)
+
+
+@pytest.fixture(scope="module", params=["base-m2-weighted", "crossed-swap"])
+def noncommutative_paths(request):
+    """A noncommutative forward algebroid (section path) and the same
+    algebroid read back from its file (relation path)."""
+    bundle = _base_m2_weighted() if request.param == "base-m2-weighted" else \
+        swap_crossed_setup()[0]
+    alg, report = forward_construct(bundle)
+    assert report.ok
+    return alg, io.parse_document(io.algebroid_to_dict(alg))
+
+
+def _coproduct_mutants(alg, rng, count):
+    """`count` seeded mutants of Delta_B and of Delta_C each, with one and
+    with two entries moved, over the same graph pair."""
+    d = alg.dim
+    for side in ("delta_b", "delta_c"):
+        for entries in (1, 2):
+            for _ in range(count):
+                family = list(getattr(alg, side))
+                for _ in range(entries):
+                    a = rng.randrange(d)
+                    family[a] = _shifted(family[a], rng.randrange(d * d), rng.choice((1, -1)))
+                delta_b, delta_c = (family, alg.delta_c) if side == "delta_b" else \
+                    (alg.delta_b, family)
+                yield MultiplierHopfAlgebroid(alg.graph, delta_b, delta_c, alg.eps_b,
+                                              alg.eps_c, alg.antipode)
+
+
+def test_triple_checks_match_covered_scans(noncommutative_paths):
+    """One comparison per basis element names the triple and the record
+    that the covered scan over every triple names, on both paths."""
+    failures = Counter()
+    for alg in noncommutative_paths:
+        for bad in _coproduct_mutants(alg, random.Random(3), 4):
+            for check, reference in ((check_algebroid_coassociativity,
+                                      ref_algebroid_coassociativity),
+                                     (check_compatibility, ref_compatibility)):
+                got = _outcome(check, bad)
+                assert got == _outcome(reference, bad)
+                failures[got["check"]] += got["status"] != "pass"
+    assert all(failures[name] for name in (
+        "left-coproduct-coassociativity", "right-coproduct-coassociativity",
+        "joint-coassociativity-first", "joint-coassociativity-second")), failures
+
+
+def test_passing_triple_checks_compare_once_per_element(noncommutative_paths, monkeypatch):
+    """Two equations, one triple-space comparison each per basis element;
+    the covered scan made 2 d^3."""
+    calls = 0
+    original = TripleQuotient.equivalent
+
+    def counting(self, x, y):
+        nonlocal calls
+        calls += 1
+        return original(self, x, y)
+
+    monkeypatch.setattr(TripleQuotient, "equivalent", counting)
+    for alg in noncommutative_paths:
+        for check in (check_algebroid_coassociativity, check_compatibility):
+            calls = 0
+            assert check(alg).ok
+            assert calls <= 2 * alg.dim
 
 
 def _mutated_algebras(alg):

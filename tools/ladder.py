@@ -8,6 +8,10 @@ algebra of dimension n^2, and times in process, in raw seconds:
 * wmha: ``wmha.run_suite`` on the bundle;
 * forward: ``algebroid.forward_construct``;
 * algebroid: ``algebroid.check_algebroid_axioms`` on its algebroid;
+* algebroid-file: the same suite on the algebroid read back from its
+  definition file, ``io.parse_document(io.algebroid_to_dict(alg))``,
+  whose graph pair carries no idempotent, so balanced products go
+  through relation membership (the path of a file-to-file conversion);
 * reconstruction: ``reconstruction.reconstruction_pipeline`` on it.
 
 Every step must pass and the rebuilt bundle must equal the input, else
@@ -26,12 +30,13 @@ from time import perf_counter
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from weakhopf import io  # noqa: E402
 from weakhopf.algebroid import check_algebroid_axioms, forward_construct  # noqa: E402
 from weakhopf.groupoids import as_wmha, pair_groupoid  # noqa: E402
 from weakhopf.reconstruction import PipelineResult, reconstruction_pipeline  # noqa: E402
 from weakhopf.wmha import run_suite  # noqa: E402
 
-STEPS = ("wmha", "forward", "algebroid", "reconstruction")
+STEPS = ("wmha", "forward", "algebroid", "algebroid-file", "reconstruction")
 REPEAT = 3
 
 
@@ -49,12 +54,14 @@ def one_pass(n: int) -> dict[str, float]:
     if not suite.ok or alg is None:
         sys.exit(f"pair-{n}: the wmha suite or the forward construction failed")
     report, t_algebroid = _timed(check_algebroid_axioms, alg)
+    loaded = io.parse_document(io.algebroid_to_dict(alg))
+    file_report, t_file = _timed(check_algebroid_axioms, loaded)
     got, t_rec = _timed(reconstruction_pipeline, alg)
-    if not (report.ok and isinstance(got, PipelineResult) and got.bundle.delta == bundle.delta
-            and got.bundle.counit == bundle.counit and got.bundle.E == bundle.E
-            and got.bundle.antipode == bundle.antipode):
+    if not (report.ok and file_report.ok and isinstance(got, PipelineResult)
+            and got.bundle.delta == bundle.delta and got.bundle.counit == bundle.counit
+            and got.bundle.E == bundle.E and got.bundle.antipode == bundle.antipode):
         sys.exit(f"pair-{n}: the algebroid suite or the round trip failed")
-    return dict(zip(STEPS, (t_wmha, t_forward, t_algebroid, t_rec)))
+    return dict(zip(STEPS, (t_wmha, t_forward, t_algebroid, t_file, t_rec)))
 
 
 def main(argv=None) -> int:
