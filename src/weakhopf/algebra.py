@@ -19,16 +19,20 @@ basis tuples: the first tuple in lexicographic order, then the first
 law that fails there.  ``multiplicativity`` states the law
 f(e_i e_j) = f(e_i) f(e_j) (or its anti form) once for every map that
 must respect products.  ``TensorSquare`` holds the only leg-wise
-product code, for A (x) A and for B (x) C alike.  ``CoproductSlices``
-is the one slice object: it multiplies a pair of coproduct families by
-basis covers, caches every slice per (kind, a, b), and assembles the
-canonical maps T_1..T_4 from those slices.
+product code, for A (x) A and for B (x) C alike; its ``projection``
+is the one memoized home of the six maps that the canonical idempotent
+E and its twists F_1..F_4 cut out of A (x) A (``PROJECTION_FLAGS``).
+``CoproductSlices`` is the one slice object: it multiplies a pair of
+coproduct families by basis covers, caches every slice per (kind, a, b),
+and assembles the canonical maps T_1..T_4 from those slices.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 from .linalg import (LinMap, Subspace, Vec, lincomb, rat, solve, unit_vec, vadd_at, vaxpy,
@@ -238,6 +242,32 @@ def multiplicativity(alg: FiniteAlgebra, images, product, anti: bool = False):
 
 # -- tensor products and slices used throughout the Hopf machinery -------
 
+# The six maps E and its twists F_i cut out of A (x) A, as the flags
+# (left1, left2) of ``TensorSquare._covered_map``: "EL" is y -> Ey, "ER"
+# is y -> yE, and which = 1..4 the twisted projector of F_which, whose
+# column (a, b) is (e_a (x) 1) F (1 (x) e_b) for F_1, F_2 and
+# (1 (x) e_b) F (e_a (x) 1) for F_3, F_4.
+PROJECTION_FLAGS = {"EL": (False, False), "ER": (True, True),
+                    1: (True, False), 2: (True, False), 3: (False, True), 4: (False, True)}
+
+
+class Projection:
+    """A map cut out by an element of A (x) A, with its image and
+    im(id - map), each echelonized on first use; for an idempotent map
+    the latter is its kernel."""
+
+    def __init__(self, m: LinMap):
+        self.map = m
+
+    @cached_property
+    def image(self) -> Subspace:
+        return self.map.image()
+
+    @cached_property
+    def complement(self) -> Subspace:
+        return (LinMap.identity(self.map.nrows) - self.map).image()
+
+
 class TensorSquare:
     """A (x) B with leg-wise products; index (i, j) -> i*dim + j.
 
@@ -251,6 +281,7 @@ class TensorSquare:
         self.second = algebra if second is None else second
         self.dim = self.second.dim
         self.size = algebra.dim * self.dim
+        self._projections: dict[tuple, Projection] = {}
 
     def tensor(self, x: Vec, y: Vec) -> Vec:
         return vtensor(x, y, self.dim)
@@ -404,29 +435,34 @@ class TensorSquare:
 
     def first_nonzero_cover(self, diffs) -> tuple[tuple[int, ...], int]:
         """Witness locator for a failed identity of elements of
-        A (x) A (x) A.  diffs[k] is (X_k - Y_k, covers), where covers[n]
-        = (leg, left) says how the n-th loop index covers the element.
-        Returns the first index tuple in lexicographic order, and then
-        the first k, at which the covered difference is nonzero: where a
-        covered comparison loop over X_k and Y_k would first fail.
-        Covers on distinct legs commute, so a difference that vanishes
-        under the outer covers is dropped with all its inner ones.
+        A (x) A (x) A.  diffs[k] is (X_k - Y_k, covers[, trivial]), where
+        covers[n] = (leg, left) says how the n-th loop index covers the
+        element and trivial, "is zero" by default, says when a covered
+        difference holds.  Returns the first index tuple in lexicographic
+        order, and then the first k, at which the covered difference is
+        not trivial: where a covered comparison loop over X_k and Y_k
+        would first fail.  Covers on distinct legs commute and trivial
+        differences stay trivial under the covers, so a difference that
+        is trivial under the outer covers is dropped with all its inner
+        ones.
         """
         def search(prefix, live):
             n = len(prefix)
-            if n == len(live[0][2]):
+            if n == len(live[0][1]):
                 return prefix, live[0][0]
             for i in range(self.dim):
-                nxt = [(k, z2, covers) for k, z, covers in live
-                       if (z2 := self.cover(z, *covers[n], i))]
+                nxt = [(k, covers, trivial, z2) for k, covers, trivial, z in live
+                       if not trivial(z2 := self.cover(z, *covers[n], i))]
                 found = search(prefix + (i,), nxt) if nxt else None
                 if found:
                     return found
             return None
 
-        found = search((), [(k, z, covers) for k, (z, covers) in enumerate(diffs) if z])
+        live = [(k, covers, trivial[0] if trivial else operator.not_, z)
+                for k, (z, covers, *trivial) in enumerate(diffs)]
+        found = search((), [entry for entry in live if not entry[2](entry[3])])
         if found is None:
-            raise AlgebraError("a nonzero element vanishes under every basis cover")
+            raise AlgebraError("a nontrivial difference is trivial under every basis cover")
         return found
 
     def _covered_map(self, x: Vec, left1: bool, left2: bool) -> LinMap:
@@ -435,8 +471,9 @@ class TensorSquare:
         when its flag is set, else from the right.  Column (a, b) is
         sum x[u, v] L(a, u) (x) R(v, b), with L(a, u) = e_a e_u or
         e_u e_a and R(v, b) = e_b e_v or e_v e_b, read straight off the
-        structure constants; the one kernel behind the twisted
-        projectors and the multiplication maps."""
+        structure constants; the one kernel behind ``projection`` and
+        the balanced relators.  Not memoized: the relators build d * dim B
+        throwaway maps per kind."""
         first, second, d = self.algebra, self.second, self.dim
         # for each first-leg index u of x, sum_v x[u, v] R(v, b) for every b
         covered = []
@@ -462,21 +499,18 @@ class TensorSquare:
                 cols.append(col)
         return LinMap(self.size, self.size, cols)
 
-    def twisted_projector(self, f: Vec, which: int) -> LinMap:
-        """The map whose column (a, b) is (e_a (x) 1) F (1 (x) e_b) for
-        F = F_1, F_2 and (1 (x) e_b) F (e_a (x) 1) for F = F_3, F_4,
-        where f is F_which: sum F[u, v] (e_a e_u) (x) (e_v e_b) resp.
-        sum F[u, v] (e_u e_a) (x) (e_b e_v), read off the structure
-        constants."""
-        return self._covered_map(f, which in (1, 2), which in (3, 4))
-
-    def left_mult_map(self, x: Vec) -> LinMap:
-        """y -> x*y on A (x) B."""
-        return self._covered_map(x, False, False)
-
-    def right_mult_map(self, x: Vec) -> LinMap:
-        """y -> y*x on A (x) B."""
-        return self._covered_map(x, True, True)
+    def projection(self, x: Vec, which) -> Projection:
+        """The map x cuts out under ``PROJECTION_FLAGS[which]``, with its
+        image and im(id - map), built once per flags and exact entries of
+        x: a hit means x equals the element the map was built from.  The
+        bundle, the balanced sections and reconstruction holding one t2
+        share each map this way, so callers must not mutate it."""
+        flags = PROJECTION_FLAGS[which]
+        key = (flags, frozenset(x.items()))
+        got = self._projections.get(key)
+        if got is None:
+            got = self._projections[key] = Projection(self._covered_map(x, *flags))
+        return got
 
 
 class CoproductSlices:
@@ -577,9 +611,10 @@ class CoproductSlices:
         comparing the two elements decides every b, c at once: closure
         carries a pass to each cover, and conversely, A being unital, the
         covers weighted by the unit's coefficients sum to the elements.
-        Covers are scanned only at the first failing a, to name (b, c)
-        and k: by ``first_nonzero_cover`` under ==, else by the covered
-        comparisons.
+        same must be linear, same(x, y) holding as same(x - y, 0) does.
+        Covers are scanned only at the first failing a, to name (b, c) and
+        k, by ``first_nonzero_cover`` with the covered differences trivial
+        under same against zero.
         """
         t2, d = self.t2, self.t2.dim
         family = {"r2": self.left, "r1": self.left, "l2": self.right, "l1": self.right}
@@ -590,20 +625,10 @@ class CoproductSlices:
             if all(same[0](x, y) if same else x == y
                    for (x, y), (_, _, *same) in zip(sides, equations)):
                 continue
-            if all(len(eq) == 2 for eq in equations):
-                # an l-kind slice covers from the left, an r-kind from the right
-                (b, c), k = t2.first_nonzero_cover(
-                    [(vsub(x, y), ((3, outer[0] == "l"), (1, inner[0] == "l")))
-                     for (x, y), (outer, inner) in zip(sides, equations)])
-                return a, b, c, k
-            bad = first_failure((d, d), [self._covered(a, *eq) for eq in equations])
-            if bad is None:
-                raise AlgebraError("a failing element passes under every basis cover")
-            return (a, *bad[0], bad[1])
+            # an l-kind slice covers from the left, an r-kind from the right
+            (b, c), k = t2.first_nonzero_cover(
+                [(vsub(x, y), ((3, outer[0] == "l"), (1, inner[0] == "l")),
+                  *[lambda z, same=f: same(z, {}) for f in same])
+                 for (x, y), (outer, inner, *same) in zip(sides, equations)])
+            return a, b, c, k
         return None
-
-    def _covered(self, a: int, outer: str, inner: str, *same):
-        """An equation's covered form at a, as a law over (b, c)."""
-        t2, o, i = self.t2, getattr(self, outer), getattr(self, inner)
-        return (lambda b, c: t2.expand_leg1(o(a, b), lambda u: i(u, c)),
-                lambda b, c: t2.expand_leg2(i(a, c), lambda v: o(v, b)), *same)

@@ -39,13 +39,14 @@ class QuantumGraphPair:
     """Commuting base algebras B and C inside M(A) with anti-isomorphisms
     S_B: B -> C and S_C: C -> B, optionally carrying a separability
     idempotent, given in B (x) C coordinates and realized inside A (x) A
-    as ``e_element``."""
+    as ``e_element``.  A pair built from a bundle holds the bundle's
+    tensor square ``t2``, and so shares its sections with the bundle."""
 
     def __init__(self, algebra: FiniteAlgebra, b_view: SubalgebraView,
                  c_view: SubalgebraView, s_b: LinMap, s_c: LinMap,
-                 e_coords: Vec | None = None):
+                 e_coords: Vec | None = None, t2: TensorSquare | None = None):
         self.algebra = algebra
-        self.t2 = TensorSquare(algebra)
+        self.t2 = TensorSquare(algebra) if t2 is None else t2
         self.b_view = b_view
         self.c_view = c_view
         self.s_b = s_b              # B-coords -> C-coords
@@ -171,7 +172,7 @@ def forward_construct(bundle: WeakMultiplierHopfAlgebra) -> tuple[MultiplierHopf
     if data is None or not report.ok:
         return None, report
     graph = QuantumGraphPair(bundle.algebra, data.b_view, data.c_view,
-                             data.s_b, data.s_c, e_coords=data.e_coords)
+                             data.s_b, data.s_c, e_coords=data.e_coords, t2=bundle.t2)
     si = bundle.antipode_inv()
     d = bundle.dim
     eps_b = LinMap(d, d, [si.apply(bundle.target_value(i)) for i in range(d)])
@@ -400,18 +401,35 @@ def check_counital_maps(alg: MultiplierHopfAlgebroid) -> CheckRecord:
 
 def check_antipode_diagrams(alg: MultiplierHopfAlgebroid) -> CheckRecord:
     """mu(S (x) id)T_rho(a (x) b) = S_C(eps_C(a)) b and
-    mu(id (x) S) lambda_T(a (x) b) = a S_B(eps_B(b))."""
+    mu(id (x) S) lambda_T(a (x) b) = a S_B(eps_B(b)).  Where eps_C(a) or
+    eps_B(b) leaves its base the right-hand side is undefined, and the
+    diagram fails at the first pair that needs it."""
     graph, t2, d = alg.graph, alg.t2, alg.dim
     alg_a, s = alg.algebra, alg.antipode
+
+    def through(apply, eps):
+        """apply(eps(e_a)) for each a, None where eps(e_a) leaves the base."""
+        out = []
+        for a in range(d):
+            try:
+                out.append(apply(eps.apply(unit_vec(a))))
+            except AlgebraError:
+                out.append(None)
+        return out
+
+    s_c_eps_c = through(graph.apply_s_c, alg.eps_c)
+    s_b_eps_b = through(graph.apply_s_b, alg.eps_b)
     bad = first_failure((d, d), [
         (lambda a, b: t2.mul_map(t2.map_leg1(s, alg.slices.r2(a, b))),
-         lambda a, b: alg_a.mul(graph.apply_s_c(alg.eps_c.apply(unit_vec(a))), unit_vec(b))),
+         lambda a, b: None if s_c_eps_c[a] is None else alg_a.mul(s_c_eps_c[a], unit_vec(b))),
         (lambda a, b: t2.mul_map(t2.map_leg2(s, alg.slices.l1(b, a))),
-         lambda a, b: alg_a.mul(unit_vec(a), graph.apply_s_b(alg.eps_b.apply(unit_vec(b)))))])
+         lambda a, b: None if s_b_eps_b[b] is None else alg_a.mul(unit_vec(a), s_b_eps_b[b]))])
     if bad is not None:
         pair, k, lhs, rhs = bad
+        why = ({"rhs": rhs} if rhs is not None
+               else {"error": ("eps_C(a) is not in C", "eps_B(b) is not in B")[k]})
         return failed(("antipode-diagram-left", "antipode-diagram-right")[k],
-                      {"pair": [alg_a.labels[i] for i in pair], "lhs": lhs, "rhs": rhs})
+                      {"pair": [alg_a.labels[i] for i in pair], "lhs": lhs, **why})
     return passed("antipode-diagrams")
 
 

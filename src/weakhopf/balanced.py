@@ -13,8 +13,10 @@ Six quotients of A (x) A are supported, keyed "l", "r", "s", "t",
 When the base carries a separability idempotent, each quotient splits
 concretely inside A (x) A: for "l"/"r" by one-sided multiplication with
 the idempotent, for the other four by the twisted projectors of its
-antipodal twists; all six maps are read off the structure constants.
-Elements of a balanced product are then stored as their section images.
+antipodal twists.  The six sections and their images come from
+``TensorSquare.projection``, so a graph pair holding the tensor square of
+the bundle it was built from shares that bundle's maps.  Elements of a
+balanced product are then stored as their section images.
 Without an idempotent the quotient coordinates are the non-pivot
 coordinates of the relation space's echelon form: pi reduces modulo the
 relations and theta picks the unit vectors there.
@@ -33,16 +35,14 @@ dimension d^3 is row-reduced.
 
 from __future__ import annotations
 
-from .algebra import TensorSquare
+from .algebra import PROJECTION_FLAGS, Projection, TensorSquare
 from .linalg import LinMap, Subspace, Vec, unit_vec, vsub, vtensor
 
-# kind -> (base, left1, left2): the relators and the section are columns
-# of ``TensorSquare._covered_map`` under these flags; column (a, b)
-# multiplies e_a into the first leg from the left when left1 is set, else
-# from the right, and e_b into the second leg likewise under left2
-SIDES = {"l": ("B", False, False), "r": ("C", True, True),
-         "s": ("B", True, False), "t": ("C", True, False),
-         "s-up": ("B", False, True), "t-up": ("C", False, True)}
+# kind -> (base, which): the relators and the section are columns of
+# ``TensorSquare._covered_map`` under the flags PROJECTION_FLAGS[which];
+# the section is the map E ("EL", "ER") or F_which cuts out
+SIDES = {"l": ("B", "EL"), "r": ("C", "ER"), "s": ("B", 1), "t": ("C", 2),
+         "s-up": ("B", 3), "t-up": ("C", 4)}
 KINDS = tuple(SIDES)
 
 
@@ -54,14 +54,14 @@ class BalancedTensorSpace:
     """One balanced tensor product with quotient map and section."""
 
     def __init__(self, kind: str, t2: TensorSquare, relations: Subspace,
-                 projector: LinMap | None):
+                 section: Projection | None):
         self.kind = kind
         self.t2 = t2
         self.relations = relations
         self.q_dim = t2.size - relations.dim
-        self.projector = projector
-        if projector is not None:
-            image = projector.image()
+        self.projector = projector = None if section is None else section.map
+        if section is not None:
+            image = section.image
             if image.dim != self.q_dim:
                 raise BalancedTensorError(
                     f"section rank {image.dim} != quotient dim {self.q_dim} for {kind}")
@@ -103,12 +103,12 @@ def relation_generators(kind: str, graph) -> list[Vec]:
     """Spanning relators of the kind's defining relation subspace.
 
     For each w in the kind's base they are the columns of
-    ``t2._covered_map(x (x) 1 - 1 (x) y, left1, left2)`` under the flags
-    of ``SIDES``, with (x, y) = (w, S_B w) for "l", (S_C w, w) for "r"
+    ``t2._covered_map(x (x) 1 - 1 (x) y, left1, left2)`` under the kind's
+    flags (``SIDES``), with (x, y) = (w, S_B w) for "l", (S_C w, w) for "r"
     and (w, w) otherwise.  ``graph`` provides: algebra, t2, b_elements(),
     c_elements(), s_b_element(i), s_c_element(j).
     """
-    base, left1, left2 = SIDES[kind]
+    base, which = SIDES[kind]
     t2, d, unit = graph.t2, graph.algebra.dim, graph.algebra.unit()
     elements = graph.b_elements() if base == "B" else graph.c_elements()
     gens: list[Vec] = []
@@ -116,19 +116,18 @@ def relation_generators(kind: str, graph) -> list[Vec]:
         x = graph.s_c_element(i) if kind == "r" else w
         y = graph.s_b_element(i) if kind == "l" else w
         z = vsub(vtensor(x, unit, d), vtensor(unit, y, d))
-        gens.extend(t2._covered_map(z, left1, left2).cols)
+        gens.extend(t2._covered_map(z, *PROJECTION_FLAGS[which]).cols)
     return gens
 
 
-def section_projector(kind: str, graph) -> LinMap | None:
-    """theta o pi on A (x) A: multiplication by the idempotent ("l", "r")
-    or by its twist F_which, under the kind's flags of ``SIDES``."""
+def section_projector(kind: str, graph) -> Projection | None:
+    """theta o pi on A (x) A: the map the idempotent ("l", "r") or its
+    twist F_which cuts out (``SIDES``), or None without an idempotent."""
     if getattr(graph, "e_element", None) is None:
         return None
-    _, left1, left2 = SIDES[kind]
-    which = {"s": 1, "t": 2, "s-up": 3, "t-up": 4}.get(kind)
-    f = graph.e_element if which is None else graph.f_element(which, graph.e_coords)
-    return graph.t2._covered_map(f, left1, left2)
+    which = SIDES[kind][1]
+    f = graph.e_element if which in ("EL", "ER") else graph.f_element(which, graph.e_coords)
+    return graph.t2.projection(f, which)
 
 
 def build_balanced(kind: str, graph) -> BalancedTensorSpace:
@@ -136,16 +135,17 @@ def build_balanced(kind: str, graph) -> BalancedTensorSpace:
         raise BalancedTensorError(f"unknown kind {kind}")
     t2 = graph.t2
     relations = Subspace.from_vectors(t2.size, relation_generators(kind, graph))
-    projector = section_projector(kind, graph)
-    return BalancedTensorSpace(kind, t2, relations, projector)
+    return BalancedTensorSpace(kind, t2, relations, section_projector(kind, graph))
 
 
 class TripleQuotient:
     """A (x) A (x) A modulo one balanced relation on legs (1,2) and one
-    on legs (2,3)."""
+    on legs (2,3).  It keeps no reference to the graph pair, which
+    caches it: without that cycle a dropped pair, with the maps its
+    tensor square holds, is freed at once rather than by the cycle
+    collector."""
 
     def __init__(self, graph, kind12: str, kind23: str):
-        self.graph = graph
         self.d = graph.algebra.dim
         self.kind12 = kind12
         self.kind23 = kind23

@@ -136,7 +136,7 @@ def cmd_algebroid_to_wmha(args) -> int:
         _emit(got.report, args.format)
         expected = doc.get("expected_verdict")
         if expected not in (None, "success"):
-            sys.stdout.write(f"expected verdict {expected!r} but pipeline succeeded\n")
+            sys.stderr.write(f"expected verdict {expected!r} but pipeline succeeded\n")
             return 1
         if args.out:
             io.dump(io.wmha_to_dict(got.bundle), args.out)
@@ -149,7 +149,7 @@ def cmd_algebroid_to_wmha(args) -> int:
     _emit(report, args.format)
     expected = doc.get("expected_verdict")
     if expected is not None and expected != got.stage:
-        sys.stdout.write(f"expected verdict {expected!r} but found {got.stage!r}\n")
+        sys.stderr.write(f"expected verdict {expected!r} but found {got.stage!r}\n")
     if args.out:
         io.dump({"schema": io.SCHEMA, "kind": "obstruction", "stage": got.stage,
                  "narrative": got.narrative, "witness": jsonable(got.witness)},

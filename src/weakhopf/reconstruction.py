@@ -13,7 +13,11 @@ re-validates independently.
 The rebuilt coproducts Delta = E Delta_B and Delta' = Delta_C E are held
 by the shared slice object of ``algebra.CoproductSlices``, which caches
 every basis slice once; the counit, range and kernel stages read those
-cached slices and the canonical maps built from them.  A is unital, so
+cached slices and the canonical maps built from them.  The range and
+kernel stages take the maps E and F_i cut out of A (x) A from
+``TensorSquare.projection`` on the algebroid's tensor square, which the
+rebuilt bundle holds too, so its final suite finds them there whenever
+its E and F_i are exactly equal.  A is unital, so
 Delta(a), Delta'(a) and E are honest elements: coassociativity, the
 comultiplicativity of E and the final merge Delta = Delta' are each
 decided by comparing two elements, and a failure is named by the first
@@ -346,14 +350,13 @@ def build_counits(alg: MultiplierHopfAlgebroid, idem: SeparabilityIdempotent,
 
 
 def check_ranges_and_fullness(alg: MultiplierHopfAlgebroid, cops: CoproductSlices,
-                              e_elt: Vec, report: Report) -> dict | None:
+                              e_elt: Vec, report: Report) -> bool:
     """The slice spans Delta(A)(1 (x) A) = im T_1, Delta(A)(A (x) 1) =
     im T_4, (1 (x) A)Delta'(A) = im T_3 and (A (x) 1)Delta'(A) = im T_2
-    against the ranges of E, then fullness of the legs.  On success the
-    multiplication maps by e_elt and their ranges are returned."""
+    against the ranges of E, then fullness of the legs."""
     t2, d = alg.t2, alg.dim
-    left_map, right_map = t2.left_mult_map(e_elt), t2.right_mult_map(e_elt)
-    left_range, right_range = left_map.image(), right_map.image()
+    left_range = t2.projection(e_elt, "EL").image
+    right_range = t2.projection(e_elt, "ER").image
     spans = {name: cops.canonical_image(which)
              for name, which in (("Delta(A)(1xA)", 1), ("Delta(A)(Ax1)", 4),
                                  ("(1xA)Delta'(A)", 3), ("(Ax1)Delta'(A)", 2))}
@@ -366,7 +369,7 @@ def check_ranges_and_fullness(alg: MultiplierHopfAlgebroid, cops: CoproductSlice
             witness = {"space": name, "dim": spans[name].dim,
                        "expected_dim": want.dim, "witness_vector": sep}
             report.add(failed("rebuilt-range-conditions", witness))
-            return None
+            return False
     legs1 = Subspace(d)
     legs2 = Subspace(d)
     for a in range(d):
@@ -379,11 +382,10 @@ def check_ranges_and_fullness(alg: MultiplierHopfAlgebroid, cops: CoproductSlice
     if legs1.dim != d or legs2.dim != d:
         report.add(failed("rebuilt-range-conditions",
                           {"space": "fullness", "legs": [legs1.dim, legs2.dim]}))
-        return None
+        return False
     report.add(passed("rebuilt-range-conditions",
                       detail=f"ranges dim {left_range.dim}/{right_range.dim}"))
-    return {"left_map": left_map, "right_map": right_map,
-            "left": left_range, "right": right_range}
+    return True
 
 
 def check_E_comultiplicativity(alg: MultiplierHopfAlgebroid, cops: CoproductSlices,
@@ -413,17 +415,12 @@ def check_E_comultiplicativity(alg: MultiplierHopfAlgebroid, cops: CoproductSlic
 
 
 def check_kernels(alg: MultiplierHopfAlgebroid, cops: CoproductSlices,
-                  e_coords: Vec, report: Report) -> dict | None:
+                  e_coords: Vec, report: Report) -> bool:
     """ker T_i is the image of id - (twisted F_i projector), with F_i
-    built from the idempotent E, given in B (x) C coordinates.  On
-    success the certificate {i: (F_i, projector, image)} is returned."""
-    t2 = alg.t2
-    certificate = {}
+    built from the idempotent E, given in B (x) C coordinates."""
     for i in (1, 2, 3, 4):
         name = f"T{i}"
-        f = alg.graph.f_element(i, e_coords)
-        projector = t2.twisted_projector(f, i)
-        described = (LinMap.identity(t2.size) - projector).image()
+        described = alg.t2.projection(alg.graph.f_element(i, e_coords), i).complement
         kernel = cops.canonical_kernel(i)
         if described != kernel:
             sep = next((r for r in described.rows if not kernel.contains(r)), None)
@@ -436,10 +433,9 @@ def check_kernels(alg: MultiplierHopfAlgebroid, cops: CoproductSlices,
                                "kernel_dim": kernel.dim,
                                "witness_vector": sep,
                                "described_membership": membership}))
-            return None
-        certificate[i] = (f, projector, described)
+            return False
     report.add(passed("rebuilt-kernel-conditions"))
-    return certificate
+    return True
 
 
 def check_mixed_coassociativity(alg: MultiplierHopfAlgebroid,
@@ -494,16 +490,14 @@ def reconstruction_pipeline(alg: MultiplierHopfAlgebroid, candidates: list[Vec] 
     if built is None:
         raise ReconstructionError(report.to_text())
     eps, eps_prime = built
-    ranges = check_ranges_and_fullness(alg, cops, e_elt, report)
-    if ranges is None:
+    if not check_ranges_and_fullness(alg, cops, e_elt, report):
         return ObstructionReport(STAGE_RANGES,
                                  report.records[-1].witness or {},
                                  "a range condition failed", report,
                                  context={"e_elt": e_elt})
     if not check_E_comultiplicativity(alg, cops, e_elt, report):
         raise ReconstructionError(report.to_text())
-    kernels = check_kernels(alg, cops, idem.e, report)
-    if kernels is None:
+    if not check_kernels(alg, cops, idem.e, report):
         return ObstructionReport(STAGE_KERNELS,
                                  report.records[-1].witness or {},
                                  "a kernel condition failed", report,
@@ -529,8 +523,8 @@ def reconstruction_pipeline(alg: MultiplierHopfAlgebroid, candidates: list[Vec] 
         raise ReconstructionError("counits agree but the coproducts do not merge")
     report.add(passed("coproducts-merge"))
     # Delta = Delta', so the bundle's slices are those already cut, with
-    # their canonical maps, images and kernels; the E maps and the kernel
-    # descriptions carry over only where the compared elements are equal
+    # their canonical maps, images and kernels, and their tensor square
+    # holds the maps the range and kernel stages cut out by E and F_i
     bundle = WeakMultiplierHopfAlgebra(
         algebra=alg.algebra,
         delta=cops.left,
@@ -539,10 +533,6 @@ def reconstruction_pipeline(alg: MultiplierHopfAlgebroid, candidates: list[Vec] 
         canonical_idempotent=e_elt,
         slices=cops,
     )
-    bundle.adopt_E_maps(e_elt, ranges["left_map"], ranges["right_map"],
-                        ranges["left"], ranges["right"])
-    for i, (f, projector, described) in kernels.items():
-        bundle.adopt_kernel_description(i, f, projector, described)
     suite = run_suite(bundle)
     report.extend(suite.records)
     if not suite.ok:

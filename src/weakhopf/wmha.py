@@ -9,15 +9,20 @@ of slice maps and the antipode, never symbolically.  Identities indexed
 by basis pairs are stated as laws for ``algebra.first_failure``, which
 names the first pair in lexicographic order and then the first law
 failing there; the multiplicativity of Delta and S is the one law of
-``algebra.multiplicativity``.
+``algebra.multiplicativity``.  The maps that E and its twists F_i cut
+out of A (x) A, their images and the kernel descriptions im(id - P_i)
+come from ``bundle.projection``, memoized on the bundle's tensor square;
+whoever holds that square with an equal element (the forward
+construction's sections, reconstruction's range and kernel stages)
+shares the same map.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import (AlgebraError, CoproductSlices, FiniteAlgebra, TensorSquare,
-                      first_failure, multiplicativity)
+from .algebra import (AlgebraError, CoproductSlices, FiniteAlgebra, Projection,
+                      TensorSquare, first_failure, multiplicativity)
 from .linalg import LinMap, Subspace, Vec, lincomb, solve, unit_vec, vdot, vsub
 from .reporting import SKIP, CheckRecord, Report, failed, passed
 
@@ -27,13 +32,14 @@ class AntipodeNotBijective(AlgebraError):
 
 
 class WeakMultiplierHopfAlgebra:
-    """Bundle (A, Delta, counit, S, E) with cached derived maps."""
+    """Bundle (A, Delta, counit, S, E) with cached derived maps.  Shared
+    slices bring their tensor square, and with it every map it holds."""
 
     def __init__(self, algebra: FiniteAlgebra, delta: list[Vec], counit: Vec,
                  antipode: LinMap, canonical_idempotent: Vec,
                  slices: CoproductSlices | None = None):
         self.algebra = algebra
-        self.t2 = TensorSquare(algebra)
+        self.t2 = TensorSquare(algebra) if slices is None else slices.t2
         self.delta = [dict(v) for v in delta]
         self.counit = dict(counit)
         self.antipode = antipode
@@ -44,11 +50,12 @@ class WeakMultiplierHopfAlgebra:
             raise AlgebraError("finite engine requires a unital algebra")
         if slices is None:
             slices = CoproductSlices(self.t2, self.delta, self.delta)
-        elif slices.left != self.delta or slices.right != self.delta:
+        elif (slices.t2.algebra is not algebra
+              or slices.left != self.delta or slices.right != self.delta):
             raise AlgebraError("shared slices belong to another coproduct")
         self.slices = slices
         self._antipode_inv: LinMap | None = None
-        self._cache: dict = {}
+        self._inverses: dict[int, LinMap] = {}
 
     # -- basic derived data --------------------------------------------
 
@@ -84,9 +91,8 @@ class WeakMultiplierHopfAlgebra:
 
     def generalized_inverse(self, which: int) -> LinMap:
         """R_1..R_4, realized as slice compositions with S."""
-        key = ("R", which)
-        if key in self._cache:
-            return self._cache[key]
+        if which in self._inverses:
+            return self._inverses[which]
         s = self.antipode
         si = self.antipode_inv()
         ident = LinMap.identity(self.dim)
@@ -100,7 +106,7 @@ class WeakMultiplierHopfAlgebra:
             m = si.tensor(ident) @ self.canonical_map(2) @ s.tensor(ident)
         else:
             raise ValueError(which)
-        self._cache[key] = m
+        self._inverses[which] = m
         return m
 
     def kernel_idempotent(self, which: int) -> Vec:
@@ -117,59 +123,12 @@ class WeakMultiplierHopfAlgebra:
             return self.t2.map_leg1(si, self.E)
         raise ValueError(which)
 
-    def _cached(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
-
-    def kernel_projector(self, which: int) -> LinMap:
-        """The twisted F_which projector, expected to equal R_which T_which."""
-        return self._cached(("P", which), lambda: self.t2.twisted_projector(
-            self.kernel_idempotent(which), which))
-
-    def kernel_description(self, which: int) -> Subspace:
-        """im(id - P_which), expected to equal ker T_which."""
-        return self._cached(("K", which), lambda: (
-            LinMap.identity(self.t2.size) - self.kernel_projector(which)).image())
-
-    def E_left_map(self) -> LinMap:
-        return self._cached("EL", lambda: self.t2.left_mult_map(self.E))
-
-    def E_right_map(self) -> LinMap:
-        return self._cached("ER", lambda: self.t2.right_mult_map(self.E))
-
-    def E_left_range(self) -> Subspace:
-        """E(A (x) A)."""
-        return self._cached("EL-image", lambda: self.E_left_map().image())
-
-    def E_right_range(self) -> Subspace:
-        """(A (x) A)E."""
-        return self._cached("ER-image", lambda: self.E_right_map().image())
-
-    # -- certificates computed elsewhere --------------------------------
-
-    def adopt_E_maps(self, e: Vec, left: LinMap, right: LinMap,
-                     left_range: Subspace, right_range: Subspace) -> bool:
-        """Take over the E multiplication maps and their ranges, built
-        elsewhere from e, when e equals E exactly; True when taken."""
-        if e != self.E:
-            return False
-        self._cache.update({"EL": left, "ER": right,
-                            "EL-image": left_range, "ER-image": right_range})
-        return True
-
-    def adopt_kernel_description(self, which: int, f: Vec, projector: LinMap,
-                                 described: Subspace) -> bool:
-        """Take over the twisted projector of f and im(id - projector),
-        built elsewhere, when f equals F_which exactly; True when taken."""
-        try:
-            if f != self.kernel_idempotent(which):
-                return False
-        except AntipodeNotBijective:
-            return False
-        self._cache[("P", which)] = projector
-        self._cache[("K", which)] = described
-        return True
+    def projection(self, which) -> Projection:
+        """The map E ("EL", "ER") or F_which (1..4) cuts out of A (x) A,
+        under ``algebra.PROJECTION_FLAGS``: P_which is expected to equal
+        R_which T_which, its complement im(id - P_which) ker T_which."""
+        elt = self.E if which in ("EL", "ER") else self.kernel_idempotent(which)
+        return self.t2.projection(elt, which)
 
 
 # -- individual checks --------------------------------------------------
@@ -299,8 +258,8 @@ def check_E_identities(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
 
 
 def check_range_conditions(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
-    left_range = bundle.E_left_range()
-    right_range = bundle.E_right_range()
+    left_range = bundle.projection("EL").image
+    right_range = bundle.projection("ER").image
     images = bundle.slices.canonical_image
     claims = [
         ("T1", images(1), left_range),
@@ -373,7 +332,7 @@ def check_generalized_inverses(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord
 def check_projection_formulas(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
     """TR is multiplication by E on the matching side; RT is the
     twisted F-idempotent projector."""
-    el, er = bundle.E_left_map(), bundle.E_right_map()
+    el, er = bundle.projection("EL").map, bundle.projection("ER").map
     t2, d = bundle.t2, bundle.dim
     for i, want in ((1, el), (2, er), (3, er), (4, el)):
         got = bundle.canonical_map(i) @ bundle.generalized_inverse(i)
@@ -381,7 +340,7 @@ def check_projection_formulas(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
             return failed("projection-formula-TR", {"map": f"T{i}R{i}"})
     for i in (1, 2, 3, 4):
         rt = bundle.generalized_inverse(i) @ bundle.canonical_map(i)
-        want = bundle.kernel_projector(i)
+        want = bundle.projection(i).map
         if rt != want:
             j = next(j for j in range(t2.size) if rt.cols[j] != want.cols[j])
             a, b = divmod(j, d)
@@ -393,7 +352,7 @@ def check_projection_formulas(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
 
 def check_kernel_subspaces(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
     for i in (1, 2, 3, 4):
-        described = bundle.kernel_description(i)
+        described = bundle.projection(i).complement
         kernel = bundle.slices.canonical_kernel(i)
         if described != kernel:
             return failed("kernel-subspaces",

@@ -69,10 +69,10 @@ def test_criterion_1_groupoid_suites():
         assert base.ok, f"{name}:\n{base.to_text()}"
         # dim B = number of units, dim E(AxA) = number of composable pairs
         assert data.b_view.dim == len(g.units), name
-        assert bundle.E_left_map().rank() == len(g.compose), name
+        assert bundle.projection("EL").map.rank() == len(g.compose), name
         if name == "pair-groupoid-2":
             assert data.b_view.dim == 2
-            assert bundle.E_left_map().rank() == 8
+            assert bundle.projection("EL").map.rank() == 8
     elapsed = time.time() - t0
     _verdict(1, elapsed < 10, f"{elapsed:.2f}s for six bundles, budget 10s")
 

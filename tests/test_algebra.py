@@ -207,8 +207,9 @@ def _kernel_bundles():
 def test_structure_constant_maps_match_leg_products(bundle):
     """The projectors and E-multiplication maps read off the structure
     constants equal their column-by-column leg-product construction, for
-    every F_i and for a seeded random non-idempotent element."""
-    t2 = bundle.t2
+    every F_i and for a seeded random non-idempotent element.  A fresh
+    tensor square builds every map here instead of recalling one."""
+    t2 = TensorSquare(bundle.algebra)
     rng = random.Random(7)
     x = {}
     for _ in range(8):
@@ -218,10 +219,10 @@ def test_structure_constant_maps_match_leg_products(bundle):
     assert t2.mul(x, x) != x
     for elt in [bundle.kernel_idempotent(i) for i in (1, 2, 3, 4)] + [bundle.E, x]:
         for which in (1, 2, 3, 4):
-            assert t2.twisted_projector(elt, which) == _reference_projector(t2, elt, which)
-        assert t2.left_mult_map(elt) == LinMap(
+            assert t2.projection(elt, which).map == _reference_projector(t2, elt, which)
+        assert t2.projection(elt, "EL").map == LinMap(
             t2.size, t2.size, [t2.mul(elt, unit_vec(j)) for j in range(t2.size)])
-        assert t2.right_mult_map(elt) == LinMap(
+        assert t2.projection(elt, "ER").map == LinMap(
             t2.size, t2.size, [t2.mul(unit_vec(j), elt) for j in range(t2.size)])
 
 

@@ -96,9 +96,11 @@ def test_triple_quotient_soundness(p2_graph):
 
 
 def test_ranges_of_sections_match_idempotent_images(p2_graph):
-    t2 = p2_graph.t2
-    left = t2.left_mult_map(p2_graph.e_element).image()
-    right = t2.right_mult_map(p2_graph.e_element).image()
+    """The section images equal E(A (x) A) and (A (x) A)E, spanned here
+    by leg products rather than by the maps the sections are read from."""
+    t2, e = p2_graph.t2, p2_graph.e_element
+    left = Subspace.from_vectors(t2.size, (t2.mul(e, unit_vec(j)) for j in range(t2.size)))
+    right = Subspace.from_vectors(t2.size, (t2.mul(unit_vec(j), e) for j in range(t2.size)))
     assert build_balanced("l", p2_graph).image == left
     assert build_balanced("r", p2_graph).image == right
     assert left.dim == 8 and right.dim == 8

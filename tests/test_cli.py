@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -130,6 +131,58 @@ def test_counit_twist_example_via_cli(tmp_path, capsys):
     assert code == 1
     report = json.loads(out)
     assert any(r["check"] == "obstruction-CounitsDiffer" for r in report["checks"])
+
+
+@pytest.mark.parametrize("counit", ["eps_b", "eps_c"])
+def test_counital_mutants_fail_without_a_traceback(tmp_path, capsys, counit):
+    """Every single-entry (+1) mutant of eps_B or eps_C in the pair-2
+    forward algebroid file fails check-algebroid and algebroid-to-wmha
+    with exit 1 and a failed record carrying a witness.  Such a mutant
+    can leave the base, so S_B(eps_B(b)) or S_C(eps_C(a)) in the antipode
+    diagrams is undefined; that is a failure, not an exception."""
+    wmha_path, alg_path = tmp_path / "p2.json", tmp_path / "p2-algebroid.json"
+    run(capsys, "gen-example", "pair-groupoid", "--n", "2", "--out", str(wmha_path))
+    assert run(capsys, "wmha-to-algebroid", str(wmha_path), "--out", str(alg_path))[0] == 0
+    doc = json.loads(alg_path.read_text())
+    path = tmp_path / "mutant.json"
+    diagram_failures = 0
+    for i, row in enumerate(doc[counit]):
+        for j, entry in enumerate(row):
+            mutant = json.loads(json.dumps(doc))
+            mutant[counit][i][j] = str(Fraction(entry) + 1)
+            path.write_text(json.dumps(mutant))
+            for command in ("check-algebroid", "algebroid-to-wmha"):
+                code, out = run(capsys, "--format", "json", command, str(path))
+                assert code == 1, (i, j, command)
+                bad = [rec for rec in json.loads(out)["checks"] if rec["status"] == "fail"]
+                assert bad and all(rec.get("witness") for rec in bad), (i, j, command)
+                diagram_failures += any("error" in rec["witness"] for rec in bad
+                                        if rec["check"].startswith("antipode-diagram"))
+    assert diagram_failures
+
+
+@pytest.mark.parametrize("example", ["obstructed", "pair-groupoid"])
+def test_unexpected_verdict_note_keeps_json_stdout(tmp_path, capsys, example):
+    """With --format json, stdout is the report alone; the note that the
+    verdict differs from the file's expected_verdict goes to stderr."""
+    path = tmp_path / "in.json"
+    if example == "obstructed":
+        run(capsys, "gen-example", "obstructed", "--scenario", "auto-swap", "--out", str(path))
+        doc = json.loads(path.read_text())
+        note = "but found 'ModularAutomorphismMismatch'"
+    else:
+        wmha_path = tmp_path / "p2.json"
+        run(capsys, "gen-example", "pair-groupoid", "--n", "2", "--out", str(wmha_path))
+        run(capsys, "wmha-to-algebroid", str(wmha_path), "--out", str(path))
+        doc = json.loads(path.read_text())
+        note = "but pipeline succeeded"
+    doc["expected_verdict"] = "CounitsDiffer"
+    path.write_text(json.dumps(doc))
+    code = main(["--format", "json", "algebroid-to-wmha", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out)["checks"]
+    assert captured.err == f"expected verdict 'CounitsDiffer' {note}\n"
 
 
 def test_lazy_pair_probe_statuses(tmp_path, capsys):

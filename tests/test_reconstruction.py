@@ -1,16 +1,17 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from weakhopf import io
-from weakhopf.algebra import TensorSquare, matrix_algebra
+from weakhopf.algebra import PROJECTION_FLAGS, TensorSquare, matrix_algebra
 from weakhopf.algebroid import forward_construct
 from weakhopf.examples import (identity_twist, mixed_algebroid,
                                obstruction_scenario, scalar_extension_wmha,
                                swap_crossed_setup, weighted_m2_twist_setup)
 from weakhopf.groupoids import (action_groupoid, as_wmha, cyclic_group,
                                 group_groupoid, pair_groupoid)
-from weakhopf.linalg import LinMap, Subspace, unit_vec
+from weakhopf.linalg import unit_vec
 from weakhopf.reconstruction import (ObstructionReport, PipelineResult,
                                      STAGE_COUNITS_DIFFER,
                                      STAGE_MODULAR_MISMATCH,
@@ -181,52 +182,85 @@ def test_pipeline_leaves_its_input_untouched(tmp_path, capsys):
     assert alg.graph.e_coords is None
 
 
-def _counting_projectors(monkeypatch):
-    calls = []
-    original = TensorSquare.twisted_projector
+def _counting_builds(monkeypatch):
+    """The `which` of every ``TensorSquare.projection`` call, and the
+    (flags, element) of every covered map built."""
+    asked, built = [], []
+    projection, covered = TensorSquare.projection, TensorSquare._covered_map
 
-    def counted(self, f, which):
-        calls.append(which)
-        return original(self, f, which)
+    def counted_projection(self, x, which):
+        asked.append(which)
+        return projection(self, x, which)
 
-    monkeypatch.setattr(TensorSquare, "twisted_projector", counted)
-    return calls
+    def counted_covered(self, x, left1, left2):
+        built.append(((left1, left2), frozenset(x.items())))
+        return covered(self, x, left1, left2)
+
+    monkeypatch.setattr(TensorSquare, "projection", counted_projection)
+    monkeypatch.setattr(TensorSquare, "_covered_map", counted_covered)
+    return asked, built
+
+
+def _cut_by_e(bundle):
+    """(flags, element) of the six maps E and F_1..F_4 cut out."""
+    return {(PROJECTION_FLAGS[w], frozenset(
+        (bundle.E if w in ("EL", "ER") else bundle.kernel_idempotent(w)).items()))
+            for w in PROJECTION_FLAGS}
 
 
 @pytest.mark.parametrize("make", [lambda: as_wmha(pair_groupoid(3)),
                                   lambda: swap_crossed_setup()[0]],
                          ids=["pair-3", "crossed-swap"])
 def test_final_suite_shares_the_kernel_certificate(make, monkeypatch):
-    """A passing pipeline builds each F_i projector once: the kernel stage
-    builds four, and the final suite takes them over after comparing
-    F_i exactly, together with the slices, E-maps and E-ranges."""
+    """A passing pipeline builds each map E and F_i cut out once: the
+    range and kernel stages build them on the algebroid's tensor square,
+    and the final suite, whose bundle holds that square, asks again for
+    every one of them and finds it."""
     alg, report = forward_construct(make())
     assert report.ok
-    calls = _counting_projectors(monkeypatch)
+    asked, built = _counting_builds(monkeypatch)
     got = reconstruction_pipeline(alg)
     assert isinstance(got, PipelineResult) and got.report.ok
-    assert sorted(calls) == [1, 2, 3, 4]
+    assert got.bundle.t2 is alg.t2
+    assert Counter(asked) == {which: 3 for which in PROJECTION_FLAGS}
+    assert Counter(built) == {b: 1 for b in _cut_by_e(got.bundle)}
     names = [r.name for r in got.report.records]
     assert "kernel-subspaces" in names and "range-conditions" in names
 
 
-def test_unequal_certificate_is_recomputed(monkeypatch):
-    """A projector or E-map offered for a different element is refused,
-    and the bundle builds its own."""
+def test_forward_path_builds_each_cut_map_once(tmp_path, capsys, monkeypatch):
+    """wmha-to-algebroid on base-m2-weighted: the wmha suite builds the
+    six maps E and F_i cut out, and the forward graph pair, holding the
+    bundle's tensor square, takes its l, r, s, t, s-up and t-up sections
+    from them instead of building them again."""
+    path = tmp_path / "m2.json"
+    assert main(["gen-example", "base-m2", "--variant", "weighted", "--out", str(path)]) == 0
+    six = _cut_by_e(io.parse_document(io.load(str(path))))
+    assert len(six) == 6
+    asked, built = _counting_builds(monkeypatch)
+    assert main(["wmha-to-algebroid", str(path)]) == 0
+    capsys.readouterr()
+    assert Counter(b for b in built if b in six) == {b: 1 for b in six}
+    assert Counter(asked)["EL"] > 1 and all(Counter(asked)[w] > 1 for w in (1, 2, 3, 4))
+
+
+def test_projections_are_shared_by_equal_elements_only():
+    """One map per flags and exact element: equal elements passed as
+    distinct dicts share it, with its image and complement; F_1 and F_2,
+    under the same flags, do not, nor do E and E with one entry changed."""
     bundle = swap_crossed_setup()[0]
-    fresh = swap_crossed_setup()[0]
+    t2 = TensorSquare(bundle.algebra)
+    e = bundle.E
+    first, again = t2.projection(dict(e), "EL"), t2.projection(dict(e), "EL")
+    assert first is again
+    assert first.image is again.image and first.complement is again.complement
+    assert bundle.projection("EL") is bundle.t2.projection(dict(e), "EL")
+    assert bundle.projection("EL") is not first  # another tensor square
     f1, f2 = bundle.kernel_idempotent(1), bundle.kernel_idempotent(2)
-    assert f1 != f2
-    size = bundle.t2.size
-    decoy, empty = LinMap.identity(size), Subspace(size)
-    assert not bundle.adopt_kernel_description(1, f2, decoy, empty)
-    assert not bundle.adopt_E_maps(f2, decoy, decoy, empty, empty)
-    calls = _counting_projectors(monkeypatch)
-    assert bundle.kernel_projector(1) == fresh.kernel_projector(1) != decoy
-    assert bundle.kernel_description(1) == fresh.kernel_description(1) != empty
-    assert bundle.E_left_map() == fresh.E_left_map() != decoy
-    assert bundle.E_right_range() == fresh.E_right_range() != empty
-    assert calls == [1, 1]
-    # offered for the element it was built from, it is taken over as is
-    assert bundle.adopt_kernel_description(2, f2, decoy, empty)
-    assert bundle.kernel_projector(2) is decoy
+    assert f1 != f2 and PROJECTION_FLAGS[1] == PROJECTION_FLAGS[2]
+    assert t2.projection(f1, 1).map != t2.projection(f2, 2).map
+    changed = dict(e)
+    p = next(iter(changed))
+    changed[p] += 1
+    assert t2.projection(changed, "EL").map != first.map
+    assert t2.projection(dict(e), "EL") is first

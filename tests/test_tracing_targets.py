@@ -11,6 +11,14 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+from weakhopf import io
+from weakhopf.algebroid import forward_construct
+from weakhopf.balanced import KINDS
+from weakhopf.groupoids import as_wmha, pair_groupoid
+from weakhopf.linalg import unit_vec
+
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
@@ -37,3 +45,29 @@ def test_every_traced_entry_point_resolves():
         elif not callable(getattr(mod, attr, None)):
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+@pytest.mark.parametrize("path", ["section", "relation"])
+def test_tracer_hooks_read_the_balanced_paths(path):
+    """The tracer's outcome hooks read ``BalancedTensorSpace.projector``
+    and ``TripleQuotient._small`` to tell the section path from the
+    relation path.  Both must resolve and name the path taken: sections
+    on the forward-built pair-2 algebroid, relations on its file
+    read-back, whose graph pair carries no idempotent."""
+    alg, report = forward_construct(as_wmha(pair_groupoid(2)))
+    assert report.ok
+    if path == "relation":
+        alg = io.parse_document(io.algebroid_to_dict(alg))
+    tracer = _tracing().Tracer()
+    equivalent = tracer._after("balanced.equivalent")
+    triple_equivalent = tracer._after("balanced.triple_equivalent")
+    x, y = unit_vec(0), unit_vec(1)
+    for kind in KINDS:
+        space = alg.graph.balanced(kind)
+        equivalent((space, x, y), space.equivalent(x, y))
+    pairs = (("l", "l"), ("r", "r"), ("r", "l"), ("l", "r"))
+    for kinds in pairs:
+        quotient = alg.graph.triple(*kinds)
+        triple_equivalent((quotient, x, y), quotient.equivalent(x, y))
+    assert dict(tracer.extra) == {f"balanced.{path}_path": len(KINDS),
+                                  f"balanced.triple_{path}_path": len(pairs)}

@@ -666,7 +666,8 @@ def ref_counital_maps(alg: MultiplierHopfAlgebroid) -> CheckRecord:
 
 def ref_antipode_diagrams(alg: MultiplierHopfAlgebroid) -> CheckRecord:
     """mu(S (x) id)T_rho(a (x) b) = S_C(eps_C(a)) b and
-    mu(id (x) S) lambda_T(a (x) b) = a S_B(eps_B(b))."""
+    mu(id (x) S) lambda_T(a (x) b) = a S_B(eps_B(b)); a counit value
+    outside its base fails the diagram at the first pair that needs it."""
     graph, t2, d = alg.graph, alg.t2, alg.dim
     alg_a = alg.algebra
     s = alg.antipode
@@ -674,13 +675,22 @@ def ref_antipode_diagrams(alg: MultiplierHopfAlgebroid) -> CheckRecord:
         for b in range(d):
             eb = unit_vec(b)
             acc = t2.mul_map(t2.map_leg1(s, alg.slices.r2(a, b)))
-            want = alg_a.mul(graph.apply_s_c(alg.eps_c.apply(unit_vec(a))), eb)
+            pair = [alg_a.labels[a], alg_a.labels[b]]
+            try:
+                want = alg_a.mul(graph.apply_s_c(alg.eps_c.apply(unit_vec(a))), eb)
+            except AlgebraError:
+                return failed("antipode-diagram-left",
+                              {"pair": pair, "lhs": acc, "error": "eps_C(a) is not in C"})
             if acc != want:
                 return failed("antipode-diagram-left",
                               {"pair": [alg_a.labels[a], alg_a.labels[b]],
                                "lhs": acc, "rhs": want})
             acc2 = t2.mul_map(t2.map_leg2(s, alg.slices.l1(b, a)))
-            want2 = alg_a.mul(unit_vec(a), graph.apply_s_b(alg.eps_b.apply(eb)))
+            try:
+                want2 = alg_a.mul(unit_vec(a), graph.apply_s_b(alg.eps_b.apply(eb)))
+            except AlgebraError:
+                return failed("antipode-diagram-right",
+                              {"pair": pair, "lhs": acc2, "error": "eps_B(b) is not in B"})
             if acc2 != want2:
                 return failed("antipode-diagram-right",
                               {"pair": [alg_a.labels[a], alg_a.labels[b]],

@@ -69,8 +69,7 @@ def test_synthetic_range_failure_revalidates(p2_setup):
     left = list(honest.left)
     left[0] = {}
     cops = RebuiltCoproducts(alg.t2, left, honest.right)
-    got = check_ranges_and_fullness(alg, cops, bundle.E, report)
-    assert got is None
+    assert check_ranges_and_fullness(alg, cops, bundle.E, report) is False
     witness = report.records[-1].witness
     assert "witness_vector" in witness
     obstruction = ObstructionReport(STAGE_RANGES, witness, "synthetic",
@@ -93,8 +92,7 @@ def test_synthetic_kernel_failure_revalidates(p2_setup):
     bad = _corrupted(alg, 0)
     report = Report("synthetic")
     cops = rebuilt_coproducts(bad, bundle.E)
-    ok = check_kernels(bad, cops, alg.graph.e_coords, report)
-    assert not ok
+    assert check_kernels(bad, cops, alg.graph.e_coords, report) is False
     witness = report.records[-1].witness
     assert "witness_vector" in witness
     obstruction = ObstructionReport(STAGE_KERNELS, witness, "synthetic", report,
@@ -111,7 +109,7 @@ def test_kernel_revalidation_is_independent_of_the_projector_kernel(p2_setup, mo
     bad = _corrupted(alg, 0)
     report = Report("synthetic")
     cops = rebuilt_coproducts(bad, bundle.E)
-    assert check_kernels(bad, cops, alg.graph.e_coords, report) is None
+    assert check_kernels(bad, cops, alg.graph.e_coords, report) is False
     witness = report.records[-1].witness
     obstruction = ObstructionReport(STAGE_KERNELS, witness, "synthetic", report,
                                     context={"e_elt": bundle.E,
@@ -120,6 +118,6 @@ def test_kernel_revalidation_is_independent_of_the_projector_kernel(p2_setup, mo
     def refuse(*args, **kwargs):
         raise AssertionError("re-validation used the verdict's projector kernel")
 
-    monkeypatch.setattr(TensorSquare, "twisted_projector", refuse)
+    monkeypatch.setattr(TensorSquare, "projection", refuse)
     monkeypatch.setattr(TensorSquare, "_covered_map", refuse)
     assert revalidate(obstruction, bad)
