@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
@@ -143,7 +142,7 @@ class FiniteAlgebra:
                 for r, row in enumerate(m.rows()):
                     rows.append(row)
                     if r == i:
-                        rhs[len(rows) - 1] = Fraction(1)
+                        rhs[len(rows) - 1] = 1
         system = LinMap.from_rows(n, rows)
         self._unit = solve(system, rhs)
         self._unit_known = True

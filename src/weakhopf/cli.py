@@ -208,9 +208,9 @@ def _generate(args):
         return io.wmha_to_dict(as_wmha(action_groupoid(z2, ["1", "2"], act)))
     if name == "base-m2":
         if args.variant == "weighted":
-            phi = {0: Fraction(3, 2), 3: Fraction(3)}
+            phi = {0: Fraction(3, 2), 3: 3}
         else:
-            phi = {0: Fraction(2), 3: Fraction(2)}
+            phi = {0: 2, 3: 2}
         idem = build_E_from_functional(matrix_algebra(2), phi)
         return io.wmha_to_dict(scalar_extension_wmha(idem))
     if name == "obstructed":

@@ -176,8 +176,8 @@ def obstruction_scenario(name: str):
         return pair_base_algebroid(b, sigma=swap), STAGE_MODULAR_MISMATCH
     if name == "auto-weighted":
         b = matrix_algebra(2)
-        d_elt = {0: Fraction(1), 3: Fraction(2)}
-        d_inv = {0: Fraction(1), 3: Fraction(1, 2)}
+        d_elt = {0: 1, 3: 2}
+        d_inv = {0: 1, 3: Fraction(1, 2)}
         cols = [b.mul(d_elt, b.mul(unit_vec(i), d_inv)) for i in range(4)]
         ad = LinMap(4, 4, cols)
         return pair_base_algebroid(b, sigma=ad, with_idempotent=True), None
@@ -272,7 +272,7 @@ def crossed_scalar_extension_wmha(idem: SeparabilityIdempotent, group,
         if first_failure((nb, nb), [multiplicativity(b, alpha.cols, b.mul)]) is not None:
             raise AlgebraError(f"action of {h} is not multiplicative")
         for i in range(nb):
-            if vdot(alpha.apply(unit_vec(i)), idem.phi_b) != idem.phi_b.get(i, Fraction(0)):
+            if vdot(alpha.apply(unit_vec(i)), idem.phi_b) != idem.phi_b.get(i, 0):
                 raise AlgebraError(f"action of {h} does not preserve the functional")
     for g in elems:
         for h in elems:
@@ -349,7 +349,7 @@ def swap_crossed_setup() -> tuple[WeakMultiplierHopfAlgebra, TwistData]:
     from .groupoids import cyclic_group
 
     b = make_algebra(["p1", "p2"], {(0, 0, 0): 1, (1, 1, 1): 1})
-    phi = {0: Fraction(1), 1: Fraction(1)}
+    phi = {0: 1, 1: 1}
     idem = build_E_from_functional(b, phi)
     z2 = cyclic_group(2)
     swap = LinMap.from_entries(2, 2, {(0, 1): 1, (1, 0): 1})
@@ -358,8 +358,8 @@ def swap_crossed_setup() -> tuple[WeakMultiplierHopfAlgebra, TwistData]:
     # embed v = p1 + 2 p2 from B into the crossed product at the unit
     ext = ScalarExtension(idem)
     nh = 2
-    v0 = ext.embed_b({0: Fraction(1), 1: Fraction(2)})
-    u0 = ext.embed_b({0: Fraction(1), 1: Fraction(1, 2)})
+    v0 = ext.embed_b({0: 1, 1: 2})
+    u0 = ext.embed_b({0: 1, 1: Fraction(1, 2)})
     v = {k0 * nh: cf for k0, cf in v0.items()}
     u = {k0 * nh: cf for k0, cf in u0.items()}
     twist = TwistData(bundle, u, v)
@@ -376,12 +376,12 @@ def weighted_m2_twist_setup() -> tuple[WeakMultiplierHopfAlgebra, TwistData]:
     from .algebra import matrix_algebra
 
     m2 = matrix_algebra(2)
-    phi = {0: Fraction(3, 2), 3: Fraction(3)}
+    phi = {0: Fraction(3, 2), 3: 3}
     idem = build_E_from_functional(m2, phi)
     bundle = scalar_extension_wmha(idem)
     ext = ScalarExtension(idem)
-    v_abs = {0: Fraction(1), 1: Fraction(1), 3: Fraction(1)}     # 1 + e12
-    u_abs = {0: Fraction(1), 1: Fraction(-2), 3: Fraction(1)}    # 1 - 2 e12
+    v_abs = {0: 1, 1: 1, 3: 1}     # 1 + e12
+    u_abs = {0: 1, 1: -2, 3: 1}    # 1 - 2 e12
     twist = TwistData(bundle, ext.embed_b(u_abs), ext.embed_b(v_abs))
     return bundle, twist
 

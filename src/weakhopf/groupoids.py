@@ -10,8 +10,6 @@ finite probe set; see :mod:`weakhopf.lazy`.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import FiniteAlgebra
 from .linalg import LinMap, Vec, unit_vec
 
@@ -182,7 +180,7 @@ def group_groupoid(group: GroupTable) -> Groupoid:
 def function_algebra(g: Groupoid) -> FiniteAlgebra:
     """Pointwise algebra on the arrow basis."""
     n = len(g.arrows)
-    return FiniteAlgebra(list(g.arrows), [[{i: Fraction(1)} if i == j else {} for j in range(n)]
+    return FiniteAlgebra(list(g.arrows), [[{i: 1} if i == j else {} for j in range(n)]
                                           for i in range(n)])
 
 
@@ -201,7 +199,7 @@ def coproduct_element(g: Groupoid, f: Vec) -> Vec:
 def composability_element(g: Groupoid) -> Vec:
     """Indicator of composable pairs in K(G) (x) K(G)."""
     n = g.size
-    return {p * n + q: Fraction(1) for (p, q) in g.compose}
+    return {p * n + q: 1 for (p, q) in g.compose}
 
 
 def antipode_map(g: Groupoid) -> LinMap:
@@ -212,16 +210,16 @@ def antipode_map(g: Groupoid) -> LinMap:
 
 def counit_functional(g: Groupoid) -> Vec:
     """Row vector summing a function over the units."""
-    return {u: Fraction(1) for u in g.units}
+    return {u: 1 for u in g.units}
 
 
 def source_indicator(g: Groupoid, u: int) -> Vec:
     """Indicator of arrows whose source is the unit u."""
-    return {p: Fraction(1) for p in range(g.size) if g.source[p] == u}
+    return {p: 1 for p in range(g.size) if g.source[p] == u}
 
 
 def target_indicator(g: Groupoid, u: int) -> Vec:
-    return {p: Fraction(1) for p in range(g.size) if g.target[p] == u}
+    return {p: 1 for p in range(g.size) if g.target[p] == u}
 
 
 def as_wmha(g: Groupoid):

@@ -17,7 +17,7 @@ from .algebra import FiniteAlgebra, make_algebra
 from .algebroid import MultiplierHopfAlgebroid, QuantumGraphPair
 from .base_algebras import SubalgebraView
 from .groupoids import Groupoid
-from .linalg import LinMap, Vec, vec_from
+from .linalg import LinMap, Vec, rat, vec_from
 from .wmha import WeakMultiplierHopfAlgebra
 
 SCHEMA = 1
@@ -32,16 +32,17 @@ class SchemaError(ValueError):
     pass
 
 
-def _enc(x: Fraction) -> str:
+def _enc(x: int | Fraction) -> str:
     return str(x)
 
 
-def _dec(x) -> Fraction:
-    """The rational an entry encodes: the inverse of ``_enc``."""
+def _dec(x) -> int | Fraction:
+    """The rational an entry encodes, the inverse of ``_enc``: an int when
+    it is integral, else a Fraction."""
     if type(x) not in (str, int):
         raise SchemaError(f"rational entries are strings like \"3/2\", got {x!r}")
     try:
-        return Fraction(x)
+        return rat(x)
     except ZeroDivisionError:
         raise SchemaError(f"zero denominator in {x!r}") from None
 
@@ -51,7 +52,7 @@ def _decoded(xs) -> Vec:
 
 
 def _vec_list(v: Vec, n: int) -> list[str]:
-    return [_enc(v.get(i, Fraction(0))) for i in range(n)]
+    return [_enc(v.get(i, 0)) for i in range(n)]
 
 
 def _require_shape(xs, *shape: int) -> None:
@@ -78,7 +79,7 @@ def _matrix_from(rows, nrows: int, ncols: int) -> LinMap:
 
 
 def _square(v: Vec, d: int) -> list[list[str]]:
-    out = [[_enc(Fraction(0))] * d for _ in range(d)]
+    out = [[_enc(0)] * d for _ in range(d)]
     for p, c in v.items():
         i, j = divmod(p, d)
         out[i][j] = _enc(c)
@@ -103,7 +104,7 @@ def _squares_from(elements, d: int) -> list[Vec]:
 
 def algebra_to_dict(alg: FiniteAlgebra) -> dict:
     n = alg.dim
-    structure = [[[_enc(alg.mul_basis(i, j).get(k, Fraction(0)))
+    structure = [[[_enc(alg.mul_basis(i, j).get(k, 0))
                    for k in range(n)] for j in range(n)] for i in range(n)]
     return {"labels": list(alg.labels), "structure": structure}
 

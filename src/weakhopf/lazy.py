@@ -23,7 +23,7 @@ from .linalg import rat
 from .reporting import Report, failed, on_probes, passed
 
 Arrow = Hashable
-FuncElt = dict  # arrow -> nonzero Fraction
+FuncElt = dict  # arrow -> nonzero int or Fraction
 
 
 class LazyGroupoid:
@@ -38,14 +38,14 @@ class LazyGroupoid:
         self.is_unit = is_unit      # arrow -> bool
         self.probe_arrows = list(probe_arrows)
 
-    def composability(self, p: Arrow, q: Arrow) -> Fraction:
-        return Fraction(1) if self.compose(p, q) is not None else Fraction(0)
+    def composability(self, p: Arrow, q: Arrow) -> int:
+        return 1 if self.compose(p, q) is not None else 0
 
-    def coproduct_value(self, f: FuncElt, p: Arrow, q: Arrow) -> Fraction:
+    def coproduct_value(self, f: FuncElt, p: Arrow, q: Arrow) -> int | Fraction:
         r = self.compose(p, q)
         if r is None:
-            return Fraction(0)
-        return f.get(r, Fraction(0))
+            return 0
+        return f.get(r, 0)
 
 
 def lazy_pair_groupoid(probe_units: int) -> LazyGroupoid:
@@ -98,8 +98,8 @@ def antipode(g: LazyGroupoid, f: FuncElt) -> FuncElt:
     return {g.inverse(p): c for p, c in f.items()}
 
 
-def counit(g: LazyGroupoid, f: FuncElt) -> Fraction:
-    total = Fraction(0)
+def counit(g: LazyGroupoid, f: FuncElt) -> int | Fraction:
+    total = 0
     for p, c in f.items():
         if g.is_unit(p):
             total += c
@@ -116,7 +116,7 @@ def slice_r2(g: LazyGroupoid, f: FuncElt, cover: FuncElt) -> dict:
             if p is not None and g.compose(p, q) == r:
                 val = cr * cq
                 if val:
-                    out[(p, q)] = out.get((p, q), Fraction(0)) + val
+                    out[(p, q)] = out.get((p, q), 0) + val
     return {k: v for k, v in out.items() if v}
 
 
@@ -130,7 +130,7 @@ def slice_l1(g: LazyGroupoid, cover: FuncElt, f: FuncElt) -> dict:
             if q is not None and g.compose(p, q) == r:
                 val = cp * cr
                 if val:
-                    out[(p, q)] = out.get((p, q), Fraction(0)) + val
+                    out[(p, q)] = out.get((p, q), 0) + val
     return {k: v for k, v in out.items() if v}
 
 
@@ -139,7 +139,7 @@ def functional_leg1(g: LazyGroupoid, pair_elt: dict) -> FuncElt:
     out: FuncElt = {}
     for (p, q), c in pair_elt.items():
         if g.is_unit(p):
-            out[q] = out.get(q, Fraction(0)) + c
+            out[q] = out.get(q, 0) + c
     return {k: v for k, v in out.items() if v}
 
 
@@ -147,17 +147,17 @@ def functional_leg2(g: LazyGroupoid, pair_elt: dict) -> FuncElt:
     out: FuncElt = {}
     for (p, q), c in pair_elt.items():
         if g.is_unit(q):
-            out[p] = out.get(p, Fraction(0)) + c
+            out[p] = out.get(p, 0) + c
     return {k: v for k, v in out.items() if v}
 
 
-def target_multiplier_value(g: LazyGroupoid, f: FuncElt, r: Arrow) -> Fraction:
+def target_multiplier_value(g: LazyGroupoid, f: FuncElt, r: Arrow) -> int | Fraction:
     """The target-map multiplier of f evaluated at an arrow."""
-    return f.get(g.target(r), Fraction(0))
+    return f.get(g.target(r), 0)
 
 
-def source_multiplier_value(g: LazyGroupoid, f: FuncElt, r: Arrow) -> Fraction:
-    return f.get(g.source(r), Fraction(0))
+def source_multiplier_value(g: LazyGroupoid, f: FuncElt, r: Arrow) -> int | Fraction:
+    return f.get(g.source(r), 0)
 
 
 # -- the probe suite ------------------------------------------------------
@@ -181,7 +181,7 @@ def check_lazy_groupoid(g: LazyGroupoid) -> Report:
         for (p, q), c in slice_r2(g, masses[i], masses[j]).items():
             tv = target_multiplier_value(g, elt({p: 1}), q)
             if tv:
-                acc[q] = acc.get(q, Fraction(0)) + c * tv
+                acc[q] = acc.get(q, 0) + c * tv
         return {k: v for k, v in acc.items() if v}
 
     exact("elements-pointwise-products", (n, n),
@@ -231,7 +231,7 @@ def check_lazy_groupoid(g: LazyGroupoid) -> Report:
     for (p, q), r in composites.items():
         e = g.composability(p, q)
         for f in tests:
-            dv = f.get(r, Fraction(0)) if r is not None else Fraction(0)
+            dv = f.get(r, 0) if r is not None else 0
             if e * dv != dv:
                 ok = False
     report.add(on_probes("idempotent-absorbs-coproduct") if ok else
@@ -242,9 +242,9 @@ def check_lazy_groupoid(g: LazyGroupoid) -> Report:
         for f in tests:
             for h in tests:
                 fh = mul(f, h)
-                lhs = fh.get(r, Fraction(0)) if r is not None else Fraction(0)
-                fv = f.get(r, Fraction(0)) if r is not None else Fraction(0)
-                hv = h.get(r, Fraction(0)) if r is not None else Fraction(0)
+                lhs = fh.get(r, 0) if r is not None else 0
+                fv = f.get(r, 0) if r is not None else 0
+                hv = h.get(r, 0) if r is not None else 0
                 if lhs != fv * hv:
                     ok = False
     report.add(on_probes("coproduct-homomorphism") if ok else
@@ -259,9 +259,9 @@ def check_lazy_groupoid(g: LazyGroupoid) -> Report:
                     pq = g.compose(p, q)
                     qr = g.compose(q, r)
                     lhs = (g.coproduct_value(f, pq, r)
-                           if pq is not None else Fraction(0))
+                           if pq is not None else 0)
                     rhs = (g.coproduct_value(f, p, qr)
-                           if qr is not None else Fraction(0))
+                           if qr is not None else 0)
                     if lhs != rhs:
                         ok = False
     report.add(on_probes("coproduct-coassociativity") if ok else
@@ -272,7 +272,7 @@ def check_lazy_groupoid(g: LazyGroupoid) -> Report:
         for q in sample:
             for r in sample:
                 pq = g.compose(p, q)
-                lhs = (g.composability(pq, r) if pq is not None else Fraction(0))
+                lhs = (g.composability(pq, r) if pq is not None else 0)
                 rhs = g.composability(p, q) * g.composability(q, r)
                 if lhs != rhs:
                     ok = False

@@ -1,11 +1,16 @@
 """Exact sparse linear algebra over the rationals.
 
-Vectors are plain dicts mapping a coordinate index to a nonzero Fraction.
-Linear maps store their columns as such dicts.  Subspaces are kept in
-reduced row-echelon form, so equality of subspaces is equality of their
-stored bases; ``Subspace`` says how reduction and coordinates follow
-from that form.  ``solve`` and ``LinMap.inverse`` reduce the columns of a
-map, each tagged with its unit vector, in one such echelon form.
+Vectors are plain dicts mapping a coordinate index to a nonzero exact
+rational: an ``int`` when it is integral, else a ``Fraction``.  Python's
+int and Fraction arithmetic mix exactly, so one code path serves both,
+and ``1 == Fraction(1)`` with equal hashes keeps every comparison and
+dict key exact.  Only division can leave the rationals for the floats;
+it is always written ``Fraction(1) / x``.  Linear maps store their
+columns as such dicts.  Subspaces are kept in reduced row-echelon form,
+so equality of subspaces is equality of their stored bases; ``Subspace``
+says how reduction and coordinates follow from that form.  ``solve`` and
+``LinMap.inverse`` reduce the columns of a map, each tagged with its unit
+vector, in one such echelon form.
 Everything is exact: no floats, no tolerances.
 
 The zero-free invariant matters: a dict never holds a zero entry, hence
@@ -18,18 +23,22 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-Vec = dict  # index -> nonzero Fraction
+Vec = dict  # index -> nonzero int or Fraction
 
 
 class DimensionMismatch(ValueError):
     pass
 
 
-def rat(x) -> Fraction:
-    """Coerce ints, strings like '2/3' and Fractions to Fraction."""
-    if isinstance(x, Fraction):
+def rat(x) -> int | Fraction:
+    """Coerce ints, strings like '2/3' and Fractions to an exact rational:
+    an int when it is integral, else a Fraction."""
+    if type(x) is int:
         return x
-    return Fraction(x)
+    if type(x) is str and x.isdecimal():  # plain digits: int reads them as Fraction does
+        return int(x)
+    q = x if isinstance(x, Fraction) else Fraction(x)
+    return q.numerator if q.denominator == 1 else q
 
 
 def vec_from(entries: Mapping[int, object] | Iterable[tuple[int, object]]) -> Vec:
@@ -43,10 +52,10 @@ def vec_from(entries: Mapping[int, object] | Iterable[tuple[int, object]]) -> Ve
 
 
 def unit_vec(i: int) -> Vec:
-    return {i: Fraction(1)}
+    return {i: 1}
 
 
-def vaxpy(acc: Vec, coeff: Fraction, v: Vec) -> Vec:
+def vaxpy(acc: Vec, coeff, v: Vec) -> Vec:
     """In place: acc += coeff * v.  Returns acc."""
     if not coeff:
         return acc
@@ -63,7 +72,7 @@ def vaxpy(acc: Vec, coeff: Fraction, v: Vec) -> Vec:
     return acc
 
 
-def vadd_at(acc: Vec, i: int, c: Fraction) -> None:
+def vadd_at(acc: Vec, i: int, c) -> None:
     """In place: acc[i] += c, keeping acc zero-free; c is nonzero."""
     w = acc.get(i)
     if w is None:
@@ -77,13 +86,13 @@ def vadd_at(acc: Vec, i: int, c: Fraction) -> None:
 
 
 def vsub(u: Vec, v: Vec) -> Vec:
-    return vaxpy(dict(u), Fraction(-1), v)
+    return vaxpy(dict(u), -1, v)
 
 
-def vdot(u: Vec, v: Vec) -> Fraction:
+def vdot(u: Vec, v: Vec) -> int | Fraction:
     if len(u) > len(v):
         u, v = v, u
-    total = Fraction(0)
+    total = 0
     for i, c in u.items():
         w = v.get(i)
         if w is not None:
@@ -156,8 +165,8 @@ class LinMap:
                     m.cols[j][i] = c
         return m
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.cols[j].get(i, Fraction(0))
+    def entry(self, i: int, j: int) -> int | Fraction:
+        return self.cols[j].get(i, 0)
 
     def apply(self, v: Vec) -> Vec:
         if self.ncols == 0:
@@ -223,7 +232,7 @@ class LinMap:
         for f in range(self.ncols):
             if f in pivset:
                 continue
-            v = {f: Fraction(1)}
+            v = {f: 1}
             for p, row in zip(rows.pivots, rows.rows):
                 c = row.get(f)
                 if c:
@@ -297,12 +306,18 @@ class Subspace:
     def _place(self, r: Vec) -> bool:
         """Add a residual of ``reduce`` as a row, unless it is zero.  Only
         the rows before its slot can hold an entry at its pivot: a row
-        has no entry before its own pivot."""
+        has no entry before its own pivot.  A residual led by 1 is kept
+        and one led by -1 negated, so integer rows stay ints; any other
+        is scaled by the inverse of its lead."""
         if not r:
             return False
         p = min(r)
-        inv = Fraction(1) / r[p]
-        r = {i: inv * c for i, c in r.items()}
+        lead = r[p]
+        if lead == -1:
+            r = {i: -c for i, c in r.items()}
+        elif lead != 1:
+            inv = Fraction(1) / lead
+            r = {i: inv * c for i, c in r.items()}
         k = bisect_left(self.pivots, p)
         for row in self.rows[:k]:
             c = row.get(p)
@@ -357,7 +372,7 @@ def _tagged_columns(m: LinMap) -> Subspace:
     n = m.nrows
     tagged = Subspace(n + m.ncols)
     for j, col in enumerate(m.cols):
-        r = tagged.reduce({**col, n + j: Fraction(1)})
+        r = tagged.reduce({**col, n + j: 1})
         if min(r) < n:
             tagged._place(r)
     return tagged

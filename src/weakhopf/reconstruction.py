@@ -27,7 +27,6 @@ basis triple (or pair) at which the covered form of the identity fails.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .algebra import CoproductSlices, FiniteAlgebra, first_failure, multiplicativity
 from .algebroid import MultiplierHopfAlgebroid, QuantumGraphPair
@@ -83,7 +82,7 @@ def sigma_constraint_space(b: FiniteAlgebra, sigma: LinMap) -> Subspace:
         si = sigma.apply(unit_vec(i))
         for j in range(n):
             row = dict(b.mul_basis(i, j))
-            vaxpy(row, Fraction(-1), b.mul(unit_vec(j), si))
+            vaxpy(row, -1, b.mul(unit_vec(j), si))
             rows.append(row)
     return LinMap.from_rows(n, rows).kernel()
 
@@ -127,7 +126,7 @@ def _functional_combinations(space: Subspace):
         for combo in itertools.product(coeffs, repeat=k):
             phi: Vec = {}
             for c, row in zip(combo, space.rows):
-                vaxpy(phi, Fraction(c), row)
+                vaxpy(phi, c, row)
             if phi:
                 yield phi
                 seen += 1
@@ -185,7 +184,7 @@ def _central_rescale(exc: NotIdempotentE, center: Subspace):
     idem = exc.idem
     b, phi, e, bc = idem.b, idem.phi_b, idem.e, idem.bc
     ee = dict(exc.defect)
-    vaxpy(ee, Fraction(1), e)  # E^2 = defect + E
+    vaxpy(ee, 1, e)  # E^2 = defect + E
     cols = [bc.mul_left_leg1(z, e) for z in center.rows]
     system = LinMap(bc.size, center.dim, cols)
     combo = solve(system, ee)
@@ -508,11 +507,12 @@ def reconstruction_pipeline(alg: MultiplierHopfAlgebroid, candidates: list[Vec] 
         raise ReconstructionError(report.to_text())
     if eps != eps_prime:
         diff = [a for a in range(alg.dim)
-                if eps.get(a, Fraction(0)) != eps_prime.get(a, Fraction(0))]
+                if eps.get(a, 0) != eps_prime.get(a, 0)]
         a = diff[0]
+        # "eps" and "eps_prime" are coefficients: see reporting.SCALAR_COEFFICIENTS
         witness = {"basis": alg.algebra.labels[a],
-                   "eps": eps.get(a, Fraction(0)),
-                   "eps_prime": eps_prime.get(a, Fraction(0)),
+                   "eps": eps.get(a, 0),
+                   "eps_prime": eps_prime.get(a, 0),
                    "phi_B": idem.phi_b, "phi_C": idem.phi_c}
         report.add(failed("counit-equality", witness))
         return ObstructionReport(STAGE_COUNITS_DIFFER, witness,

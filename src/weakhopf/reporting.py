@@ -18,12 +18,23 @@ SKIP = "skipped-not-applicable"
 PROBES = "verified-on-probes"
 
 
+# witness fields that hold a single scalar coefficient
+SCALAR_COEFFICIENTS = frozenset({"eps", "eps_prime"})
+
+
 def jsonable(x):
-    """Encode Fractions and sparse vectors losslessly for reports."""
+    """Encode witnesses losslessly for reports.
+
+    A coefficient is printed as a string such as "3/2" or "1": every
+    Fraction, every int value of an int-keyed dict (a sparse vector) and
+    every int under a key in ``SCALAR_COEFFICIENTS``.  Any other int, such
+    as a count, a dimension or an index, stays a JSON number.
+    """
     if isinstance(x, Fraction):
         return str(x)
     if isinstance(x, dict):
-        return {str(k): jsonable(v) for k, v in x.items()}
+        return {str(k): str(v) if type(v) is int and (type(k) is int or k in SCALAR_COEFFICIENTS)
+                else jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [jsonable(v) for v in x]
     return x

@@ -10,7 +10,6 @@ nonzero radical rules out every separating functional.
 
 from __future__ import annotations
 
-from fractions import Fraction
 
 from .algebra import (FiniteAlgebra, TensorSquare, first_failure, multiplicativity,
                       opposite_algebra)
@@ -73,7 +72,7 @@ def modular_automorphism(b: FiniteAlgebra, phi: Vec) -> LinMap:
     if first_failure((n, n), [multiplicativity(b, sigma.cols, b.mul)]) is not None:
         raise NoModularAutomorphism("solved map is not multiplicative")
     for i in range(n):
-        if vdot(phi, sigma.apply(unit_vec(i))) != phi.get(i, Fraction(0)):
+        if vdot(phi, sigma.apply(unit_vec(i))) != phi.get(i, 0):
             raise NoModularAutomorphism("phi is not invariant under sigma")
     return sigma
 
@@ -158,7 +157,7 @@ def build_E_from_functional(b: FiniteAlgebra, phi: Vec,
     duals = dual_basis(b, phi)
     e: Vec = {}
     for i in range(b.dim):
-        vaxpy(e, Fraction(1), vtensor(duals[i], s_b.apply(unit_vec(i)), c.dim))
+        vaxpy(e, 1, vtensor(duals[i], s_b.apply(unit_vec(i)), c.dim))
     s_c = sigma_b.inverse() @ s_b.inverse()
     phi_c = _pushforward(phi, s_b)
     sigma_c = s_b @ s_c
@@ -167,7 +166,7 @@ def build_E_from_functional(b: FiniteAlgebra, phi: Vec,
     ee = idem.bc.mul(e, e)
     if ee != e:
         defect = dict(ee)
-        vaxpy(defect, Fraction(-1), e)
+        vaxpy(defect, -1, e)
         raise NotIdempotentE(defect, idem)
     return idem
 
@@ -202,7 +201,7 @@ def regular_trace(b: FiniteAlgebra) -> Vec:
     """x -> trace of left multiplication by x."""
     out: Vec = {}
     for i in range(b.dim):
-        total = Fraction(0)
+        total = 0
         for j in range(b.dim):
             c = b.mul_basis(i, j).get(j)
             if c:

@@ -73,7 +73,7 @@ class WeakMultiplierHopfAlgebra:
     def delta_of(self, x: Vec) -> Vec:
         return lincomb(x, self.delta)
 
-    def eps(self, x: Vec) -> Fraction:
+    def eps(self, x: Vec) -> int | Fraction:
         return vdot(x, self.counit)
 
     # reified source/target values mu(S (x) id)Delta resp. mu(id (x) S)Delta

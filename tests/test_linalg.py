@@ -98,6 +98,45 @@ def test_span_expresses_combinations():
     assert solve(m, {2: Fraction(1)}) is None
 
 
+# leading entries 1, -1 and 2: echelon rows keep the first two as they
+# are (the second negated) and scale only the third
+MIXED_PIVOT_ROWS = [[1, 2, 0, 1], [0, -1, 1, 0], [0, 0, 2, 1]]
+
+
+def _as_fractions(v):
+    return {i: Fraction(c) for i, c in v.items()}
+
+
+def test_unit_pivots_keep_integer_rows():
+    sub = Subspace.from_vectors(4, [{0: 1, 1: 2, 3: -1}, {1: -1, 2: 3}])
+    assert sub.rows == [{0: 1, 2: 6, 3: -1}, {1: 1, 2: -3}]
+    assert all(type(c) is int for row in sub.rows for c in row.values())
+
+
+def test_int_and_fraction_spans_are_equal():
+    vectors = [vec_from(enumerate(row)) for row in MIXED_PIVOT_ROWS]
+    ints = Subspace.from_vectors(4, vectors)
+    fracs = Subspace.from_vectors(4, [_as_fractions(v) for v in vectors])
+    assert ints == fracs and ints.pivots == fracs.pivots == [0, 1, 2]
+    assert ints.rows[2] == {2: 1, 3: Fraction(1, 2)}
+
+
+def test_int_and_fraction_maps_agree():
+    wide = LinMap.from_dense(MIXED_PIVOT_ROWS)
+    square = LinMap.from_dense([row[:3] for row in MIXED_PIVOT_ROWS])
+    for m in (wide, square):
+        assert all(type(c) is int for col in m.cols for c in col.values())
+    as_fracs = [LinMap(m.nrows, m.ncols, [_as_fractions(c) for c in m.cols])
+                for m in (wide, square)]
+    assert wide.kernel() == as_fracs[0].kernel() and wide.kernel().dim == 1
+    assert wide.rank() == as_fracs[0].rank() == 3
+    assert square.inverse() == as_fracs[1].inverse()
+    assert square @ square.inverse() == LinMap.identity(3)
+    target = {0: 3, 1: -2, 2: 4}
+    assert solve(wide, target) == solve(as_fracs[0], _as_fractions(target))
+    assert wide.apply(solve(wide, target)) == target
+
+
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
