@@ -121,17 +121,11 @@ def cmd_algebroid_to_wmha(args) -> int:
     alg = io.parse_document(doc)
     if not isinstance(alg, MultiplierHopfAlgebroid):
         raise io.SchemaError("file does not describe an algebroid")
-    candidates = []
-    if args.phi:
-        phi_doc = io.load(args.phi)
-        if phi_doc["kind"] != "functionals":
-            raise io.SchemaError("--phi expects a functionals document")
-        candidates = io.parse_document(phi_doc, functional_dim=alg.graph.b_view.algebra.dim)
     precheck = check_algebroid_axioms(alg)
     if not precheck.ok:
         _emit(precheck, args.format)
         return 1
-    got = reconstruction_pipeline(alg, candidates)
+    got = reconstruction_pipeline(alg)
     if isinstance(got, PipelineResult):
         _emit(got.report, args.format)
         expected = doc.get("expected_verdict")
@@ -261,8 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("algebroid-to-wmha", help="reconstruction pipeline")
     p.add_argument("file")
-    p.add_argument("--phi", default=None,
-                   help="candidate separating functionals (JSON file)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_algebroid_to_wmha)
 

@@ -47,10 +47,6 @@ def _dec(x) -> int | Fraction:
         raise SchemaError(f"zero denominator in {x!r}") from None
 
 
-def _decoded(xs) -> Vec:
-    return vec_from((i, _dec(x)) for i, x in enumerate(xs))
-
-
 def _vec_list(v: Vec, n: int) -> list[str]:
     return [_enc(v.get(i, 0)) for i in range(n)]
 
@@ -66,7 +62,7 @@ def _require_shape(xs, *shape: int) -> None:
 
 def _vec_from_list(xs, n: int) -> Vec:
     _require_shape(xs, n)
-    return _decoded(xs)
+    return vec_from((i, _dec(x)) for i, x in enumerate(xs))
 
 
 def _matrix(m: LinMap) -> list[list[str]]:
@@ -195,16 +191,6 @@ def algebroid_from_dict(doc: dict) -> MultiplierHopfAlgebroid:
     )
 
 
-def functionals_from_dict(doc: dict, dim: int | None = None) -> list[Vec]:
-    """Functionals on a base algebra; each has ``dim`` entries if given."""
-    if doc.get("kind") != "functionals":
-        raise SchemaError("expected a functionals document")
-    rows = doc["functionals"]
-    if dim is not None:
-        _require_shape(rows, len(rows), dim)
-    return [_decoded(xs) for xs in rows]
-
-
 def load(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -230,9 +216,8 @@ def dump(doc: dict, path: str) -> None:
         fh.write("\n")
 
 
-def parse_document(doc: dict, functional_dim: int | None = None):
-    """Typed object for a loaded document.  ``functional_dim`` is the
-    length every functional of a functionals document must have."""
+def parse_document(doc: dict):
+    """Typed object for a loaded document."""
     kind = doc.get("kind")
     try:
         if kind == "wmha":
@@ -248,8 +233,6 @@ def parse_document(doc: dict, functional_dim: int | None = None):
             return algebroid_from_dict(doc)
         if kind == "algebra":
             return algebra_from_dict(doc)
-        if kind == "functionals":
-            return functionals_from_dict(doc, functional_dim)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         if isinstance(exc, (ParseError, SchemaError)):
             raise

@@ -3,7 +3,10 @@ algebroid with separable Frobenius base.
 
 Stages, in dependency order: find a separating functional on B whose
 modular automorphism is the inverse of S_C S_B and build the
-separability idempotent; push the two coproducts into the tensor
+separability idempotent, decided exactly at the first faithful point of
+a moment curve through the functionals with that automorphism (the
+search is complete, at most k(k-1)+1 points for a k-dimensional space
+of them, and its result unique); push the two coproducts into the tensor
 square through the idempotent sections; derive the two counits; check
 ranges, comultiplicativity of the idempotent, kernels and the mixed
 coassociativity laws; finally test equality of the counits and merge.
@@ -26,11 +29,9 @@ basis triple (or pair) at which the covered form of the identity fails.
 
 from __future__ import annotations
 
-import itertools
-
 from .algebra import CoproductSlices, FiniteAlgebra, first_failure, multiplicativity
 from .algebroid import MultiplierHopfAlgebroid, QuantumGraphPair
-from .linalg import LinMap, Subspace, Vec, solve, unit_vec, vaxpy, vdot, vsub
+from .linalg import LinMap, Subspace, Vec, lincomb, solve, unit_vec, vaxpy, vdot, vsub
 from .reporting import Report, failed, passed
 from .separability import (NotIdempotentE, SeparabilityError,
                            SeparabilityIdempotent, build_E_from_functional,
@@ -43,7 +44,6 @@ STAGE_MODULAR_MISMATCH = "ModularAutomorphismMismatch"
 STAGE_COUNITS_DIFFER = "CounitsDiffer"
 STAGE_RANGES = "RangeConditionFailed"
 STAGE_KERNELS = "KernelConditionFailed"
-FUNCTIONAL_BUDGET = 400  # candidates of the small-coefficient functional sweep
 
 
 class ReconstructionError(ValueError):
@@ -87,92 +87,75 @@ def sigma_constraint_space(b: FiniteAlgebra, sigma: LinMap) -> Subspace:
     return LinMap.from_rows(n, rows).kernel()
 
 
-def central_sigma_fixed_elements(b: FiniteAlgebra, sigma: LinMap) -> Subspace:
+def sigma_center(b: FiniteAlgebra, sigma: LinMap) -> tuple[Subspace, Vec | None]:
+    """The sigma-fixed centre Z^sigma of B, and z - sigma(z) for the
+    first basis element z of the centre that sigma moves (None when sigma
+    fixes the centre).  The moved direction annihilates the pairing of
+    every functional in the constraint space, so none of them is faithful.
+
+    Both come from one commutator system: the centre is the common kernel
+    of x -> e_i x - x e_i, and Z^sigma the kernel of sigma - id on it.
+    """
     n = b.dim
     rows = []
     for i in range(n):
-        centering = b.left_mult(unit_vec(i)) - b.right_mult(unit_vec(i))
-        rows.extend(centering.rows())
-    fix = sigma - LinMap.identity(n)
-    rows.extend(fix.rows())
-    return LinMap.from_rows(n, rows).kernel()
-
-
-def moved_center_witness(b: FiniteAlgebra, sigma: LinMap) -> Vec | None:
-    """A central z with sigma(z) != z; then z - sigma(z) annihilates the
-    pairing of every functional in the constraint space."""
-    n = b.dim
-    rows = []
-    for i in range(n):
-        centering = b.left_mult(unit_vec(i)) - b.right_mult(unit_vec(i))
-        rows.extend(centering.rows())
+        rows.extend((b.left_mult(unit_vec(i)) - b.right_mult(unit_vec(i))).rows())
     center = LinMap.from_rows(n, rows).kernel()
-    for z in center.rows:
-        moved = vsub(z, sigma.apply(z))
-        if moved:
-            return moved
-    return None
-
-
-def _functional_combinations(space: Subspace):
-    """Deterministic small-coefficient sweep over a solution space, at
-    most FUNCTIONAL_BUDGET candidates."""
-    k = space.dim
-    if k == 0:
-        return
-    coeff_sets = [(1,), (1, -1), (1, -1, 2), (1, -1, 2, -2, 3)]
-    seen = 0
-    for coeffs in coeff_sets:
-        for combo in itertools.product(coeffs, repeat=k):
-            phi: Vec = {}
-            for c, row in zip(combo, space.rows):
-                vaxpy(phi, c, row)
-            if phi:
-                yield phi
-                seen += 1
-                if seen >= FUNCTIONAL_BUDGET:
-                    return
+    moved = [vsub(z, sigma.apply(z)) for z in center.rows]
+    fixed = Subspace.from_vectors(n, (lincomb(combo, center.rows) for combo
+                                      in LinMap(n, center.dim, moved).kernel().rows))
+    return fixed, next((m for m in moved if m), None)
 
 
 def find_separating_functional(b: FiniteAlgebra, sigma_target: LinMap,
-                               candidates: list[Vec] = (),
                                s_b: LinMap | None = None,
                                c: FiniteAlgebra | None = None):
-    """A separating functional with the prescribed modular automorphism,
-    together with its idempotent; None when the sweep finds nothing.
+    """The separating functional with the prescribed modular automorphism
+    sigma, together with its idempotent; None when there is none.
 
-    Candidates are tried first, in caller order.  A functional whose
-    idempotent fails only by a central factor is repaired by absorbing
-    that factor into the functional.
+    With v_1..v_k the basis of the constraint space V, the search walks
+    the moment curve phi_t = sum_j t^(j-1) v_j for t = 1..k(k-1)+1, stops
+    at the first faithful point and decides there: its idempotent is
+    returned, or repaired by a central factor, or there is none.  This is
+    exact on a base with zero trace-form radical, which the pipeline
+    checks first:
+
+    1. Fix a faithful phi0 in V and write phi in V as phi0(w .).  The
+       twisted trace law for phi and phi0 and the faithfulness of phi0
+       give w y = y sigma(w) for all y; y = 1 gives sigma(w) = w, so w is
+       central.  Conversely phi0(w .) lies in V for every w in Z^sigma,
+       so V = phi0 Z^sigma.
+    2. Z is reduced, so Z^sigma is a product of m <= k fields.
+       phi0(w .) is faithful exactly when w is invertible, and the
+       non-invertible w are the union of m proper subspaces, one per
+       field whose component of w vanishes.
+    3. Any k points of the moment curve are linearly independent
+       (Vandermonde), so a proper subspace holds at most k - 1 of them:
+       if V has a faithful point, one of the k(k-1)+1 points is one.
+    4. For phi = phi0(w .) the dual bases give E_phi = (w^-1 (x) 1)E_phi0,
+       and E_phi0^2 = (c (x) 1)E_phi0 for one c in Z^sigma, the factor
+       ``_central_rescale`` solves for.  So E_phi is idempotent exactly
+       when w = c: a separating functional exists iff c is invertible,
+       and then it is unique.
+    5. Hence the first faithful point decides, and no other point can
+       change the outcome.  At t = 1 the curve gives sum_j v_j.
     """
     space = sigma_constraint_space(b, sigma_target)
-    center = central_sigma_fixed_elements(b, sigma_target)
-
-    def attempt(phi: Vec):
-        if not pairing_matrix(b, phi).is_bijective():
-            return None
-        sigma = modular_automorphism(b, phi)
-        if sigma != sigma_target:
-            return None
-        try:
-            return phi, build_E_from_functional(b, phi, c, s_b)
-        except NotIdempotentE as exc:
-            fixed = _central_rescale(exc, center)
-            if fixed is not None:
-                return fixed
-        except SeparabilityError:
-            pass
+    k = space.dim
+    for t in range(1, k * (k - 1) + 2):
+        phi = lincomb({j: t ** j for j in range(k)}, space.rows)
+        if pairing_matrix(b, phi).is_bijective():
+            break
+    else:
         return None
-
-    for phi in candidates:
-        got = attempt(dict(phi))
-        if got:
-            return got
-    for phi in _functional_combinations(space):
-        got = attempt(phi)
-        if got:
-            return got
-    return None
+    if modular_automorphism(b, phi) != sigma_target:
+        return None
+    try:
+        return phi, build_E_from_functional(b, phi, c, s_b)
+    except NotIdempotentE as exc:
+        return _central_rescale(exc, sigma_center(b, sigma_target)[0])
+    except SeparabilityError:
+        return None
 
 
 def _central_rescale(exc: NotIdempotentE, center: Subspace):
@@ -207,8 +190,7 @@ def _central_rescale(exc: NotIdempotentE, center: Subspace):
 
 
 def check_separability_assumption(alg: MultiplierHopfAlgebroid,
-                        candidates: list[Vec] = (),
-                        report: Report | None = None):
+                                  report: Report | None = None):
     """Separating functional with sigma = (S_C S_B)^{-1}, its idempotent
     embedded into A (x) A, or the obstruction."""
     report = report if report is not None else Report("reconstruction")
@@ -225,13 +207,12 @@ def check_separability_assumption(alg: MultiplierHopfAlgebroid,
             {"radical_element": rad.rows[0]},
             "the base algebra has nonzero radical, so no separating "
             "functional exists", report)
-    found = find_separating_functional(b, sigma_target, candidates,
-                                       s_b=graph.s_b, c=c)
+    found = find_separating_functional(b, sigma_target, s_b=graph.s_b, c=c)
     if found is None:
         witness = {"sigma_target": _matrix_dump(sigma_target),
                    "reference_modular_automorphism": _matrix_dump(
                        modular_automorphism(b, regular_trace(b)))}
-        moved = moved_center_witness(b, sigma_target)
+        moved = sigma_center(b, sigma_target)[1]
         if moved is not None:
             witness["moved_center_element"] = moved
         report.add(failed("assumption-separable-frobenius", witness))
@@ -474,10 +455,10 @@ def counit_antipode_meta(alg: MultiplierHopfAlgebroid, eps: Vec, eps_prime: Vec,
     return False
 
 
-def reconstruction_pipeline(alg: MultiplierHopfAlgebroid, candidates: list[Vec] = ()):
+def reconstruction_pipeline(alg: MultiplierHopfAlgebroid):
     """Full reconstruction: a certified bundle or the first obstruction."""
     report = Report("reconstruction")
-    got = check_separability_assumption(alg, candidates, report)
+    got = check_separability_assumption(alg, report)
     if isinstance(got, ObstructionReport):
         return got
     idem = got

@@ -225,23 +225,6 @@ def test_reconstruction_error_is_a_report(tmp_path, capsys, monkeypatch, command
     assert record["witness"] == {"error": "rebuilt coproducts do not merge"}
 
 
-@pytest.mark.parametrize("functionals", [None, [["1"]], [["1", "0", "1"]]])
-def test_malformed_phi_exits_2(tmp_path, capsys, functionals):
-    """A --phi document without "functionals", or with a functional whose
-    length is not dim B (2 for the radical scenario), is bad input."""
-    path, phi_path = tmp_path / "radical.json", tmp_path / "phi.json"
-    run(capsys, "gen-example", "obstructed", "--scenario", "radical", "--out", str(path))
-    doc = {"schema": 1, "kind": "functionals"}
-    if functionals is not None:
-        doc["functionals"] = functionals
-    phi_path.write_text(json.dumps(doc))
-    code = main(["algebroid-to-wmha", str(path), "--phi", str(phi_path)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("input error:")
-
-
 @pytest.mark.parametrize("argv", [
     ["gen-example", "pair-groupoid", "--n", "0"],
     ["gen-example", "pair-groupoid", "--n", "-1"],
@@ -354,28 +337,22 @@ def test_invalid_file_algebra_exits_2(tmp_path, capsys, command, example):
 
 
 @pytest.mark.parametrize("entry", ["1/0", 0.5, True])
-@pytest.mark.parametrize("document", ["wmha", "algebroid", "phi"])
+@pytest.mark.parametrize("document", ["wmha", "algebroid"])
 def test_bad_rational_entry_exits_2(tmp_path, capsys, document, entry):
     """Rational entries are strings "p/q" (or JSON integers): a zero
     denominator, a float and a boolean are bad input, never a traceback
     and never read as a number."""
-    path, phi_path = tmp_path / "input.json", tmp_path / "phi.json"
+    path = tmp_path / "input.json"
     if document == "wmha":
         run(capsys, "gen-example", "pair-groupoid", "--n", "3", "--out", str(path))
         doc = json.loads(path.read_text())
         doc["counit"][0] = entry
         argv = ["check-wmha", str(path)]
-    elif document == "algebroid":
+    else:
         run(capsys, "gen-example", "obstructed", "--out", str(path))
         doc = json.loads(path.read_text())
         doc["eps_b"][0][0] = entry
         argv = ["check-algebroid", str(path)]
-    else:
-        run(capsys, "gen-example", "obstructed", "--scenario", "radical", "--out", str(path))
-        doc = json.loads(path.read_text())
-        phi_path.write_text(json.dumps({"schema": 1, "kind": "functionals",
-                                        "functionals": [[entry, "1"]]}))
-        argv = ["algebroid-to-wmha", str(path), "--phi", str(phi_path)]
     path.write_text(json.dumps(doc))
     code = main(argv)
     captured = capsys.readouterr()

@@ -21,10 +21,10 @@ from weakhopf.separability import build_E_from_functional
 from weakhopf.cli import main
 
 
-def roundtrip(bundle, candidates=()):
+def roundtrip(bundle):
     alg, report = forward_construct(bundle)
     assert report.ok, report.to_text()
-    got = reconstruction_pipeline(alg, candidates)
+    got = reconstruction_pipeline(alg)
     assert isinstance(got, PipelineResult), getattr(got, "narrative", "")
     return got
 

@@ -2,13 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from weakhopf.algebra import TensorSquare
-from weakhopf.algebroid import forward_construct
+from weakhopf import io
+from weakhopf.algebra import TensorSquare, matrix_algebra
+from weakhopf.algebroid import check_algebroid_axioms, forward_construct
 from weakhopf.examples import (mixed_algebroid, obstruction_scenario,
-                               swap_crossed_setup)
+                               pair_base_algebroid, swap_crossed_setup)
 from weakhopf.groupoids import as_wmha, pair_groupoid
+from weakhopf.linalg import LinMap, unit_vec
 from weakhopf.reconstruction import (ObstructionReport, RebuiltCoproducts,
-                                     STAGE_KERNELS, STAGE_RANGES,
+                                     STAGE_KERNELS, STAGE_MODULAR_MISMATCH,
+                                     STAGE_RANGES,
                                      check_kernels,
                                      check_ranges_and_fullness,
                                      rebuilt_coproducts, reconstruction_pipeline)
@@ -34,6 +37,27 @@ def test_mismatch_witness_revalidates():
     alg, _ = obstruction_scenario("auto-swap")
     got = reconstruction_pipeline(alg)
     assert isinstance(got, ObstructionReport)
+    assert revalidate(got, alg)
+
+
+@pytest.mark.xfail(strict=True, reason="the normaliser obstruction is reported as a "
+                   "modular mismatch, whose witness cannot re-validate")
+def test_zero_normaliser_witness_revalidates(tmp_path):
+    """sigma = Ad(w), w = diag(1, -1), on the pair-base algebroid of M_2.
+    tr(w .) is faithful with modular automorphism sigma, so the constraint
+    space has a faithful point; what fails is separability, since the
+    normaliser E^2 = (c (x) 1)E is c = tr(w^-1) 1 = 0.  The pipeline still
+    names a modular mismatch, whose witness does not re-validate."""
+    b = matrix_algebra(2)
+    w = {0: 1, 3: -1}
+    ad = LinMap(4, 4, [b.mul(w, b.mul(unit_vec(i), w)) for i in range(4)])
+    path = tmp_path / "ad-sign.json"
+    io.dump(io.algebroid_to_dict(pair_base_algebroid(b, sigma=ad)), str(path))
+    alg = io.parse_document(io.load(str(path)))
+    assert check_algebroid_axioms(alg).ok
+    got = reconstruction_pipeline(alg)
+    assert isinstance(got, ObstructionReport)
+    assert got.stage == STAGE_MODULAR_MISMATCH
     assert revalidate(got, alg)
 
 
