@@ -76,6 +76,7 @@ class FiniteAlgebra:
         self.table = table
         self._unit: Vec | None = None
         self._unit_known = False
+        self._valid = False
 
     # -- product ------------------------------------------------------
 
@@ -103,6 +104,10 @@ class FiniteAlgebra:
     # -- structural checks --------------------------------------------
 
     def validate(self) -> None:
+        """Raise the first structural failure.  A success is remembered
+        (the table is immutable); a failure raises again on every call."""
+        if self._valid:
+            return
         n, table = self.dim, self.table
         bad = first_failure((n, n, n), [
             (lambda i, j, k: self.mul(self.mul_basis(i, j), unit_vec(k)),
@@ -123,6 +128,7 @@ class FiniteAlgebra:
         prod = Subspace.from_vectors(n, (v for row in table for v in row))
         if prod.dim != n:
             raise NotIdempotent(prod.dim)
+        self._valid = True
 
     # -- unit ----------------------------------------------------------
 
@@ -253,7 +259,9 @@ PROJECTION_FLAGS = {"EL": (False, False), "ER": (True, True),
 class Projection:
     """A map cut out by an element of A (x) A, with its image and
     im(id - map), each echelonized on first use; for an idempotent map
-    the latter is its kernel."""
+    the latter is its kernel.  The kernel conditions build im(id - map)
+    only when ``CoproductSlices.kernel_is_complement`` cannot certify
+    it by a trace and two map products."""
 
     def __init__(self, m: LinMap):
         self.map = m
@@ -522,8 +530,9 @@ class CoproductSlices:
     Each slice is computed once and cached per (kind, a, b), because the
     pair- and triple-indexed checks revisit them; the canonical maps
     T_1..T_4 are assembled from the cached slices once, and their images
-    and kernels are echelonized once.  Cached values are shared, so
-    callers must not mutate them.  A bundle slices (Delta, Delta), an
+    and kernels are echelonized once, kernels only when
+    ``kernel_is_complement`` cannot certify them.  Cached values are
+    shared, so callers must not mutate them.  A bundle slices (Delta, Delta), an
     algebroid (Delta_B, Delta_C), reconstruction the rebuilt
     (E Delta_B, Delta_C E); a bundle rebuilt by reconstruction keeps the
     rebuilt slices, since there Delta = Delta'.
@@ -536,6 +545,7 @@ class CoproductSlices:
         self._slices: dict[tuple[str, int, int], Vec] = {}
         self._maps: dict[int, LinMap] = {}
         self._spaces: dict[tuple[str, int], Subspace] = {}
+        self._complements: dict[int, Projection] = {}
 
     def r1(self, a: int, c: int) -> Vec:
         return self._slice("r1", a, c)
@@ -586,6 +596,28 @@ class CoproductSlices:
     def canonical_kernel(self, which: int) -> Subspace:
         """ker T_which, computed once."""
         return self._space("kernel", which)
+
+    def kernel_is_complement(self, which: int, proj: Projection) -> bool:
+        """Whether im(id - P) = ker T for P = proj.map, T = T_which.
+
+        Certified with no new echelon form by (1) tr P = rank T,
+        (2) TP = T and (3) PP = P, cheapest first: by (3) P is
+        idempotent, so im(id - P) = ker P has dimension d^2 - rank P =
+        d^2 - tr P over Q; by (2) T(id - P) = 0, so im(id - P) lies in
+        ker T; by (1) both have dimension d^2 - rank T, so they are
+        equal.  The certificate is sufficient, not necessary (P need not
+        be idempotent), so when it fails the two subspaces are compared.
+        A success is remembered with its projection and served again
+        only for that same object."""
+        if self._complements.get(which) is proj:
+            return True
+        p, t = proj.map, self.canonical_map(which)
+        holds = ((sum(col.get(j, 0) for j, col in enumerate(p.cols))
+                  == self.canonical_image(which).dim and t @ p == t and p @ p == p)
+                 or proj.complement == self.canonical_kernel(which))
+        if holds:
+            self._complements[which] = proj
+        return holds
 
     def _space(self, kind: str, which: int) -> Subspace:
         key = (kind, which)

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from weakhopf.algebra import (DegenerateProduct, NonAssociative, NotIdempotent,
-                              TensorSquare, direct_sum, field_algebra, make_algebra,
-                              matrix_algebra, opposite_algebra, tensor_algebra)
+from weakhopf.algebra import (CoproductSlices, DegenerateProduct, FiniteAlgebra,
+                              NonAssociative, NotIdempotent, Projection, TensorSquare,
+                              direct_sum, field_algebra, make_algebra, matrix_algebra,
+                              opposite_algebra, tensor_algebra)
 from weakhopf.algebroid import forward_construct
 from weakhopf.base_algebras import run_base_suite
 from weakhopf.examples import scalar_extension_wmha, swap_crossed_setup
@@ -45,6 +46,15 @@ def test_nonassociative_detected():
     struct[(0, 1, 1)] = 2  # e0*e1 = 2 e1 while e1*e0 = e1
     with pytest.raises(NonAssociative):
         make_algebra(["u", "x"], struct)
+
+
+def test_failed_validation_is_not_remembered():
+    """A success is remembered on the algebra; a failure raises again."""
+    table = [[{0: 1}, {1: 2}], [{1: 1}, {0: 1, 1: 1}]]  # e0 e1 = 2 e1, e1 e0 = e1
+    bad = FiniteAlgebra(["u", "x"], table)
+    for _ in range(2):
+        with pytest.raises(NonAssociative):
+            bad.validate()
 
 
 def test_not_idempotent_detected():
@@ -376,3 +386,65 @@ def test_expansions_compute_each_image_once(monkeypatch):
     alg, _ = forward_construct(bundle)
     reconstruction_pipeline(alg)
     assert calls < terms
+
+
+# -- the kernel certificate -----------------------------------------------
+
+# On A = Q + Q, T_1 column (a, b) keeps the terms of Delta(e_a) whose
+# second leg is b, so Delta(e_0) = e_0 (x) e_1, Delta(e_1) = e_1 (x) e_1
+# gives T_1 = 0 on the block b = 0 (coordinates 0, 2) and the identity on
+# b = 1 (coordinates 1, 3): rank 2, kernel span(e_0, e_2).  P = id - N,
+# N given by its columns.
+_KERNEL_CASES = {
+    # (1) tr P = rank T, (2) TP = T, (3) PP = P, im(id - P) = ker T
+    "certified": ({0: {0: 1}, 2: {2: 1}}, (True, True, True, True)),
+    "trace": ({}, (False, True, True, False)),
+    "product": ({0: {0: 1}, 1: {1: 1}}, (True, False, True, False)),
+    "idempotent-equal": ({0: {0: 1, 2: -1}, 2: {0: 1, 2: 1}}, (True, True, False, True)),
+    "idempotent-unequal": ({0: {0: 2}}, (True, True, False, False)),
+    "trace-and-idempotent-equal": ({0: {0: 2}, 2: {2: 2}}, (False, True, False, True)),
+}
+
+
+def _t1_slices():
+    q2 = direct_sum(field_algebra(), field_algebra())
+    family = [{1: 1}, {3: 1}]
+    slices = CoproductSlices(TensorSquare(q2), family, family)
+    assert slices.canonical_map(1) == LinMap(4, 4, [{}, {1: 1}, {}, {3: 1}])
+    return slices
+
+
+def _id_minus(n_cols):
+    return LinMap.identity(4) - LinMap(4, 4, [n_cols.get(j, {}) for j in range(4)])
+
+
+@pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+def test_kernel_certificate_agrees_with_echelon_equality(case):
+    """Each condition of the certificate broken in turn, and a P that is
+    not idempotent yet has im(id - P) = ker T: the answer is always the
+    echelon comparison's."""
+    n_cols, expected = _KERNEL_CASES[case]
+    slices, p = _t1_slices(), _id_minus(n_cols)
+    t = slices.canonical_map(1)
+    conditions = (sum(p.entry(j, j) for j in range(4)) == t.rank(), t @ p == t, p @ p == p,
+                  (LinMap.identity(4) - p).image() == t.kernel())
+    assert conditions == expected
+    assert slices.kernel_is_complement(1, Projection(p)) is expected[3]
+
+
+def test_kernel_certificate_is_remembered_per_projection(monkeypatch):
+    """A success is served again only for the Projection it was proved
+    for; an equal map in another Projection is certified afresh."""
+    slices = _t1_slices()
+    p = _id_minus(_KERNEL_CASES["certified"][0])
+    proj = Projection(p)
+    products = []
+    matmul = LinMap.__matmul__
+    monkeypatch.setattr(LinMap, "__matmul__",
+                        lambda self, other: products.append(1) or matmul(self, other))
+    assert slices.kernel_is_complement(1, proj)
+    assert len(products) == 2
+    assert slices.kernel_is_complement(1, proj)
+    assert len(products) == 2
+    assert slices.kernel_is_complement(1, Projection(LinMap(4, 4, [dict(c) for c in p.cols])))
+    assert len(products) == 4

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from weakhopf import cli
+from weakhopf import algebra, cli
 from weakhopf.cli import main
 
 
@@ -22,6 +22,21 @@ def test_gen_and_check_pair_groupoid(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["summary"] == "pass"
+
+
+def test_check_wmha_validates_the_algebra_once(tmp_path, capsys, monkeypatch):
+    """Loading validates the algebra and the suite's algebra check finds
+    that success remembered: one associativity scan over the pair-2
+    algebra (d = 4)."""
+    path = tmp_path / "p2.json"
+    run(capsys, "gen-example", "pair-groupoid", "--n", "2", "--out", str(path))
+    scans = []
+    first_failure = algebra.first_failure
+    monkeypatch.setattr(algebra, "first_failure",
+                        lambda shape, laws: scans.append(shape) or first_failure(shape, laws))
+    code, out = run(capsys, "check-wmha", str(path))
+    assert code == 0 and "algebra-structure" in out
+    assert scans.count((4, 4, 4)) == 1
 
 
 def test_reports_are_byte_identical(tmp_path, capsys):

@@ -3,15 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from weakhopf import io
-from weakhopf.algebra import PROJECTION_FLAGS, TensorSquare, matrix_algebra
+from weakhopf import io, wmha
+from weakhopf.algebra import (PROJECTION_FLAGS, CoproductSlices, Projection, TensorSquare,
+                              matrix_algebra)
 from weakhopf.algebroid import forward_construct
 from weakhopf.examples import (identity_twist, mixed_algebroid,
                                obstruction_scenario, scalar_extension_wmha,
                                swap_crossed_setup, weighted_m2_twist_setup)
 from weakhopf.groupoids import (action_groupoid, as_wmha, cyclic_group,
                                 group_groupoid, pair_groupoid)
-from weakhopf.linalg import unit_vec
+from weakhopf.linalg import LinMap, unit_vec
 from weakhopf.reconstruction import (ObstructionReport, PipelineResult,
                                      STAGE_COUNITS_DIFFER,
                                      STAGE_MODULAR_MISMATCH,
@@ -226,6 +227,47 @@ def test_final_suite_shares_the_kernel_certificate(make, monkeypatch):
     assert Counter(built) == {b: 1 for b in _cut_by_e(got.bundle)}
     names = [r.name for r in got.report.records]
     assert "kernel-subspaces" in names and "range-conditions" in names
+
+
+@pytest.mark.parametrize("make", [lambda: as_wmha(pair_groupoid(3)),
+                                  lambda: swap_crossed_setup()[0]],
+                         ids=["pair-3", "crossed-swap"])
+def test_passing_pipeline_certifies_kernels_without_echelons(make, monkeypatch):
+    """The kernel stage and the final suite decide ker T_i = im(id - P_i)
+    by the certificate: no complement and no kernel of T_i is
+    echelonized, and the final suite's kernel check, finding the
+    certificate the kernel stage proved for the same maps, computes no
+    map product."""
+    alg, report = forward_construct(make())
+    assert report.ok
+    built, products, inside = [], [], []
+    complement = Projection.complement.func
+    kernel, matmul = CoproductSlices.canonical_kernel, LinMap.__matmul__
+    check = wmha.check_kernel_subspaces
+
+    def watched_check(bundle):
+        inside.append(True)
+        try:
+            return check(bundle)
+        finally:
+            inside.pop()
+
+    def counted_matmul(self, other):
+        if inside:
+            products.append((self, other))
+        return matmul(self, other)
+
+    monkeypatch.setattr(Projection, "complement",
+                        property(lambda self: built.append("complement") or complement(self)))
+    monkeypatch.setattr(CoproductSlices, "canonical_kernel",
+                        lambda self, which: built.append(which) or kernel(self, which))
+    monkeypatch.setattr(LinMap, "__matmul__", counted_matmul)
+    monkeypatch.setattr(wmha, "check_kernel_subspaces", watched_check)
+    got = reconstruction_pipeline(alg)
+    assert isinstance(got, PipelineResult) and got.report.ok
+    names = [r.name for r in got.report.records]
+    assert "rebuilt-kernel-conditions" in names and "kernel-subspaces" in names
+    assert built == [] and products == []
 
 
 def test_forward_path_builds_each_cut_map_once(tmp_path, capsys, monkeypatch):

@@ -17,6 +17,7 @@ mutants.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -43,7 +44,7 @@ from weakhopf.reporting import CheckRecord, Report, failed, passed
 from weakhopf.separability import build_E_from_functional
 from weakhopf.wmha import (WeakMultiplierHopfAlgebra, check_antipode_antihom,
                            check_antipode_identities, check_coassociativity, check_counit,
-                           check_E_identities, check_homomorphism)
+                           check_E_identities, check_homomorphism, check_kernel_subspaces)
 
 
 # -- covered reference loops -----------------------------------------------
@@ -506,6 +507,53 @@ def ref_base_records(bundle) -> dict[str, dict]:
                                 ("idempotent-covered-integrals", cov),
                                 ("source-target-module-relations", mod))]
     return {r.name: r.to_dict() for r in records + [char]}
+
+
+def ref_kernel_subspaces(bundle):
+    """im(id - P_i) against ker T_i, both echelonized afresh: the
+    comparison the kernel check made before its certificate."""
+    n = bundle.t2.size
+    for i in (1, 2, 3, 4):
+        described = (LinMap.identity(n) - bundle.projection(i).map).image()
+        kernel = bundle.canonical_map(i).kernel()
+        if described != kernel:
+            return failed("kernel-subspaces",
+                          {"map": f"T{i}", "described_dim": described.dim,
+                           "kernel_dim": kernel.dim})
+    return passed("kernel-subspaces")
+
+
+def _kernel_branch(bundle, i):
+    """Which way ``kernel_is_complement`` decides T_i: by the trace and
+    the two products, or by the echelon comparison, and its answer."""
+    p, t = bundle.projection(i).map, bundle.canonical_map(i)
+    if (sum(p.entry(j, j) for j in range(p.ncols)) == t.rank()
+            and t @ p == t and p @ p == p):
+        return "certified"
+    equal = (LinMap.identity(p.nrows) - p).image() == t.kernel()
+    return "fallback-equal" if equal else "fallback-unequal"
+
+
+@pytest.mark.parametrize("name", ["pair-2", "crossed-swap"])
+def test_kernel_certificate_matches_echelon_comparison(name):
+    """Over every single-entry +1 / -1 mutant of Delta and of E (S kept,
+    so F_1..F_4 exist), the kernel check gives the record of the echelon
+    comparison; the sweep reaches the certificate and both outcomes of
+    its fallback."""
+    bundle = as_wmha(pair_groupoid(2)) if name == "pair-2" else swap_crossed_setup()[0]
+    e_mutants = (WeakMultiplierHopfAlgebra(bundle.algebra, bundle.delta, bundle.counit,
+                                           bundle.antipode, _shifted(bundle.E, p, shift))
+                 for p in range(bundle.dim ** 2) for shift in (1, -1))
+    branches = Counter()
+    for bad in itertools.chain(_delta_mutants(bundle), e_mutants):
+        got = check_kernel_subspaces(bad).to_dict()
+        assert got == ref_kernel_subspaces(bad).to_dict()
+        for i in (1, 2, 3, 4):
+            branch = _kernel_branch(bad, i)
+            branches[branch] += 1
+            if branch == "fallback-unequal":
+                break
+    assert set(branches) == {"certified", "fallback-equal", "fallback-unequal"}
 
 
 def _base_mutants(bundle):
