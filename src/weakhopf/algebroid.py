@@ -21,6 +21,8 @@ per basis element and scan covers only to name the witness.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .algebra import (AlgebraError, CoproductSlices, FiniteAlgebra, TensorSquare,
                       first_failure, multiplicativity)
 from .balanced import BalancedTensorSpace, TripleQuotient, build_balanced
@@ -28,6 +30,7 @@ from .base_algebras import (SubalgebraView, action_span_dim, first_noncommuting_
                             is_anti_homomorphism, run_base_suite)
 from .linalg import LinMap, Subspace, Vec, lincomb, unit_vec
 from .reporting import CheckRecord, Report, failed, passed
+from .separability import SeparabilityIdempotent, find_separating_functional, trace_form_radical
 from .wmha import WeakMultiplierHopfAlgebra
 
 
@@ -37,23 +40,49 @@ class NotBijective(AlgebraError):
 
 class QuantumGraphPair:
     """Commuting base algebras B and C inside M(A) with anti-isomorphisms
-    S_B: B -> C and S_C: C -> B, optionally carrying a separability
-    idempotent, given in B (x) C coordinates and realized inside A (x) A
-    as ``e_element``.  A pair built from a bundle holds the bundle's
-    tensor square ``t2``, and so shares its sections with the bundle."""
+    S_B: B -> C and S_C: C -> B.  The pair finds its own separability
+    idempotent from B, C, S_B and S_C (``separability``), whether it was
+    built in memory or read from a file.  A pair built from a bundle
+    holds the bundle's tensor square ``t2``, and so shares with the
+    bundle the maps its idempotent cuts out."""
 
     def __init__(self, algebra: FiniteAlgebra, b_view: SubalgebraView,
                  c_view: SubalgebraView, s_b: LinMap, s_c: LinMap,
-                 e_coords: Vec | None = None, t2: TensorSquare | None = None):
+                 t2: TensorSquare | None = None):
         self.algebra = algebra
         self.t2 = TensorSquare(algebra) if t2 is None else t2
         self.b_view = b_view
         self.c_view = c_view
         self.s_b = s_b              # B-coords -> C-coords
         self.s_c = s_c              # C-coords -> B-coords
-        self.e_coords = e_coords    # in B (x) C coordinates
         self._bal_cache: dict[str, BalancedTensorSpace] = {}
         self._triple_cache: dict[tuple[str, str], TripleQuotient] = {}
+
+    @cached_property
+    def separability(self) -> tuple[Subspace, tuple[Vec, SeparabilityIdempotent] | None]:
+        """The radical of B's trace form and, when it is zero, the
+        separating functional on B with modular automorphism (S_C S_B)^-1
+        and its idempotent (or None).  Searched once; it never refers to
+        the pair."""
+        b = self.b_view.algebra
+        radical = trace_form_radical(b)
+        if radical.dim:
+            return radical, None
+        sigma = (self.s_c @ self.s_b).inverse()
+        return radical, find_separating_functional(b, sigma, self.s_b, self.c_view.algebra)
+
+    @cached_property
+    def e_coords(self) -> Vec | None:
+        """E in B (x) C coordinates: the idempotent ``separability`` found,
+        if its S_C is the pair's and it passes every invariant; else None."""
+        found = self.separability[1]
+        idem = found and found[1]
+        return idem.e if idem and idem.s_c == self.s_c and not idem.check_invariants() else None
+
+    @cached_property
+    def e_element(self) -> Vec | None:
+        """The separability idempotent in A (x) A, or None without one."""
+        return None if self.e_coords is None else self.embed(self.e_coords)
 
     # -- element access -------------------------------------------------
 
@@ -85,11 +114,6 @@ class QuantumGraphPair:
     def embed(self, e_coords: Vec) -> Vec:
         """An element of B (x) C, given in coordinates, realized in A (x) A."""
         return self.b_view.basis_map.tensor(self.c_view.basis_map).apply(e_coords)
-
-    @property
-    def e_element(self) -> Vec | None:
-        """The separability idempotent in A (x) A, or None without one."""
-        return None if self.e_coords is None else self.embed(self.e_coords)
 
     def f_element(self, which: int, e_coords: Vec) -> Vec:
         """The idempotent E, given in B (x) C coordinates, with one leg
@@ -171,8 +195,8 @@ def forward_construct(bundle: WeakMultiplierHopfAlgebra) -> tuple[MultiplierHopf
     report = Report("forward-construction", base_report.records)
     if data is None or not report.ok:
         return None, report
-    graph = QuantumGraphPair(bundle.algebra, data.b_view, data.c_view,
-                             data.s_b, data.s_c, e_coords=data.e_coords, t2=bundle.t2)
+    graph = QuantumGraphPair(bundle.algebra, data.b_view, data.c_view, data.s_b, data.s_c,
+                             t2=bundle.t2)
     si = bundle.antipode_inv()
     d = bundle.dim
     eps_b = LinMap(d, d, [si.apply(bundle.target_value(i)) for i in range(d)])

@@ -10,23 +10,24 @@ Six quotients of A (x) A are supported, keyed "l", "r", "s", "t",
     s-up:  xa (x) b  =  a (x) bx
     t-up:  a (x) by  =  ya (x) b
 
-When the base carries a separability idempotent, each quotient splits
+When B has a separating functional with modular automorphism
+(S_C S_B)^-1, the graph pair finds its idempotent itself, from a file as
+in memory (``QuantumGraphPair.separability``), and each quotient splits
 concretely inside A (x) A: for "l"/"r" by one-sided multiplication with
 the idempotent, for the other four by the twisted projectors of its
 antipodal twists.  The six sections and their images come from
 ``TensorSquare.projection``, so a graph pair holding the tensor square of
 the bundle it was built from shares that bundle's maps.  Elements of a
-balanced product are then stored as their section images.
-Without an idempotent the quotient coordinates are the non-pivot
+balanced product are then stored as their section images.  Without a
+separating functional the quotient coordinates are the non-pivot
 coordinates of the relation space's echelon form: pi reduces modulo the
 relations and theta picks the unit vectors there.
 
 Triple quotients appear in coassociativity checks: a difference x in
 A (x) A (x) A is trivial when it lies in R12 (x) A + A (x) R23, with R12
 and R23 the relation spaces on legs (1,2) and (2,3).  With sections,
-membership is decided through the composed leg-pair projectors; the
-kernel of that composition is contained in the relation space
-unconditionally, so the test can never wrongly accept.  Without them,
+membership is decided exactly by one composition of the leg-pair
+projectors (``TripleQuotient.contains``).  Without them,
 N = pi12 (x) id has kernel exactly R12 (x) A, so x is trivial exactly
 when N(x) lies in W = N(A (x) R23) inside Q12 (x) A.  Only W is
 echelonized, spanned by N(e_i (x) r) for the rows r of R23; nothing of
@@ -123,7 +124,7 @@ def relation_generators(kind: str, graph) -> list[Vec]:
 def section_projector(kind: str, graph) -> Projection | None:
     """theta o pi on A (x) A: the map the idempotent ("l", "r") or its
     twist F_which cuts out (``SIDES``), or None without an idempotent."""
-    if getattr(graph, "e_element", None) is None:
+    if graph.e_element is None:
         return None
     which = SIDES[kind][1]
     f = graph.e_element if which in ("EL", "ER") else graph.f_element(which, graph.e_coords)
@@ -184,18 +185,22 @@ class TripleQuotient:
     def contains(self, x: Vec) -> bool:
         """Is x in the triple relation space?
 
-        With sections: the kernel of the composed projectors is always
-        inside the relation space, so a True answer is trustworthy in
-        both orders of composition.  Without: x is in the relation space
-        exactly when (pi12 (x) id)(x) lies in W.
+        With sections, P = P12 (x) id and Q = id (x) P23 have kernels
+        R12 (x) A and A (x) R23, and x is trivial exactly when QPx = 0.
+        Sound: x = (x - Px) + Px.  Exact: P and Q commute, so Pu = 0 = Qv
+        gives QP(u + v) = PQv = 0.  Each is left ("l") or right ("r")
+        multiplication by E on its legs; left and right ones commute, and
+        so do two on one side, as (E (x) 1)(1 (x) E) = (1 (x) E)(E (x) 1):
+        E lies in B (x) C, and B and C commute (the algebroid suite's
+        ``bases-commute`` precedes every triple check).  Without
+        sections: x is trivial exactly when (pi12 (x) id)(x) lies in W.
         """
         if not x:
             return True
         if self._small:
             return self._relations.contains(self._apply(self.space12.pi, x, 12))
         p12, p23 = self.space12.projector, self.space23.projector
-        return (not self._apply(p23, self._apply(p12, x, 12), 23)
-                and not self._apply(p12, self._apply(p23, x, 23), 12))
+        return not self._apply(p23, self._apply(p12, x, 12), 23)
 
     def equivalent(self, x: Vec, y: Vec) -> bool:
         return self.contains(vsub(x, y))

@@ -95,8 +95,7 @@ class BaseAlgebraData:
 
     def __init__(self, bundle: WeakMultiplierHopfAlgebra,
                  b_view: SubalgebraView, c_view: SubalgebraView,
-                 s_b: LinMap, s_c: LinMap, phi_b: Vec, phi_c: Vec,
-                 e_coords: Vec):
+                 s_b: LinMap, s_c: LinMap, phi_b: Vec, phi_c: Vec):
         self.bundle = bundle
         self.b_view = b_view
         self.c_view = c_view
@@ -104,7 +103,6 @@ class BaseAlgebraData:
         self.s_c = s_c        # C-coords -> B-coords
         self.phi_b = phi_b    # functional on B-coords
         self.phi_c = phi_c    # functional on C-coords
-        self.e_coords = e_coords  # E in the B (x) C coordinate basis
 
 
 def compute_base_algebras(bundle: WeakMultiplierHopfAlgebra) -> tuple[BaseAlgebraData | None, Report]:
@@ -166,10 +164,10 @@ def compute_base_algebras(bundle: WeakMultiplierHopfAlgebra) -> tuple[BaseAlgebr
     if e_coords is None:
         report.add(failed("canonical-idempotent-in-base-tensor", {"E": bundle.E}))
         return None, report
+    # no scan of E(B (x) C) and (B (x) C)E: B and C are closed under the
+    # product (SubalgebraView), so B (x) C is a subalgebra holding E
+    report.add(passed("canonical-idempotent-in-base-tensor"))
     e = bundle.E
-    products_ok = all(bc.contains(t2.mul(e, x)) and bc.contains(t2.mul(x, e)) for x in bc.rows)
-    report.add(passed("canonical-idempotent-in-base-tensor") if products_ok else
-               failed("canonical-idempotent-in-base-tensor", {"products": False}))
 
     # legs of E span exactly B and C
     leg1 = Subspace.from_vectors(d, t2.leg_vectors(bundle.E, 1).values())
@@ -216,8 +214,7 @@ def compute_base_algebras(bundle: WeakMultiplierHopfAlgebra) -> tuple[BaseAlgebr
         return None, report
     report.add(passed("base-integrals-exist"))
 
-    data = BaseAlgebraData(bundle, b_view, c_view, s_b, s_c, phi_b, phi_c,
-                           e_coords)
+    data = BaseAlgebraData(bundle, b_view, c_view, s_b, s_c, phi_b, phi_c)
     return data, report
 
 

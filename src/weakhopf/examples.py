@@ -21,8 +21,7 @@ from .algebra import (AlgebraError, FiniteAlgebra, TensorSquare, first_failure,
 from .algebroid import MultiplierHopfAlgebroid, QuantumGraphPair, forward_construct
 from .base_algebras import SubalgebraView
 from .linalg import LinMap, Vec, solve, unit_vec, vdot, vtensor
-from .reconstruction import (STAGE_MODULAR_MISMATCH, STAGE_NOT_SEPARABLE,
-                             find_separating_functional)
+from .reconstruction import STAGE_MODULAR_MISMATCH, STAGE_NOT_SEPARABLE
 from .separability import SeparabilityIdempotent, build_E_from_functional
 from .wmha import WeakMultiplierHopfAlgebra
 
@@ -102,8 +101,7 @@ def _translation(view: SubalgebraView, embed) -> LinMap:
     return LinMap(n, n, cols)
 
 
-def pair_base_algebroid(b: FiniteAlgebra, sigma: LinMap | None = None,
-                        with_idempotent: bool = False) -> MultiplierHopfAlgebroid:
+def pair_base_algebroid(b: FiniteAlgebra, sigma: LinMap | None = None) -> MultiplierHopfAlgebroid:
     """Algebroid on A = B^op (x) B with both coproducts y x -> y (x) x.
 
     S_B is the identity onto C = B^op; S_C is sigma^{-1} composed with
@@ -137,8 +135,6 @@ def pair_base_algebroid(b: FiniteAlgebra, sigma: LinMap | None = None,
     s_c = t_b @ s_c_orig @ t_c.inverse()
 
     graph = QuantumGraphPair(a, b_view, c_view, s_b, s_c)
-    if with_idempotent:
-        _attach_idempotent(graph)
     delta = []
     eps_b_cols = []
     eps_c_cols = []
@@ -180,7 +176,7 @@ def obstruction_scenario(name: str):
         d_inv = {0: 1, 3: Fraction(1, 2)}
         cols = [b.mul(d_elt, b.mul(unit_vec(i), d_inv)) for i in range(4)]
         ad = LinMap(4, 4, cols)
-        return pair_base_algebroid(b, sigma=ad, with_idempotent=True), None
+        return pair_base_algebroid(b, sigma=ad), None
     raise ValueError(f"unknown scenario {name}")
 
 
@@ -401,7 +397,6 @@ def mixed_algebroid(bundle: WeakMultiplierHopfAlgebra,
     d = bundle.dim
     graph = QuantumGraphPair(alg, left.graph.b_view, right.graph.c_view,
                              left.graph.s_b, right.graph.s_c)
-    _attach_idempotent(graph)
     s = bundle.antipode
     u, u_inv = twist.u, twist.u_inv
     s_cols = [alg.mul(u, alg.mul(s.apply(unit_vec(a)), u_inv)) for a in range(d)]
@@ -414,16 +409,3 @@ def mixed_algebroid(bundle: WeakMultiplierHopfAlgebra,
         antipode=LinMap(d, d, s_cols),
     )
 
-
-def _attach_idempotent(graph: QuantumGraphPair) -> None:
-    """Equip a graph pair with the separability idempotent demanded by
-    its own anti-isomorphisms, when one exists; quotient sections then
-    become available."""
-    b = graph.b_view.algebra
-    c = graph.c_view.algebra
-    sigma_target = (graph.s_c @ graph.s_b).inverse()
-    found = find_separating_functional(b, sigma_target, s_b=graph.s_b, c=c)
-    if found is None:
-        return
-    _, idem = found
-    graph.e_coords = dict(idem.e)

@@ -1,26 +1,24 @@
 """Rebuilding a weak multiplier Hopf algebra from a multiplier Hopf
 algebroid with separable Frobenius base.
 
-Stages, in dependency order: find a separating functional on B whose
-modular automorphism is the inverse of S_C S_B and build the
-separability idempotent, decided exactly at the first faithful point of
-a moment curve through the functionals with that automorphism (the
-search is complete, at most k(k-1)+1 points for a k-dimensional space
-of them, and its result unique); push the two coproducts into the tensor
-square through the idempotent sections; derive the two counits; check
-ranges, comultiplicativity of the idempotent, kernels and the mixed
-coassociativity laws; finally test equality of the counits and merge.
-The first failing stage produces an obstruction report whose witness
-re-validates independently.
+Stages, in dependency order: take the separating functional on B whose
+modular automorphism is the inverse of S_C S_B, with its idempotent,
+from the graph pair, which searched for it once
+(``QuantumGraphPair.separability``); push the two coproducts into the
+tensor square through the idempotent sections; derive the two counits;
+check ranges, comultiplicativity of the idempotent, kernels and the
+mixed coassociativity laws; finally test equality of the counits and
+merge.  The first failing stage produces an obstruction report whose
+witness re-validates independently.
 
 The rebuilt coproducts Delta = E Delta_B and Delta' = Delta_C E are held
 by the shared slice object of ``algebra.CoproductSlices``, which caches
 every basis slice once; the counit, range and kernel stages read those
 cached slices and the canonical maps built from them.  The range and
 kernel stages take the maps E and F_i cut out of A (x) A from
-``TensorSquare.projection`` on the algebroid's tensor square, which the
-rebuilt bundle holds too, so its final suite finds them there whenever
-its E and F_i are exactly equal.  A is unital, so
+``TensorSquare.projection`` on the algebroid's tensor square, where the
+algebroid suite's sections put them and the rebuilt bundle's final
+suite finds them.  A is unital, so
 Delta(a), Delta'(a) and E are honest elements: coassociativity, the
 comultiplicativity of E and the final merge Delta = Delta' are each
 decided by comparing two elements, and a failure is named by the first
@@ -29,14 +27,14 @@ basis triple (or pair) at which the covered form of the identity fails.
 
 from __future__ import annotations
 
-from .algebra import CoproductSlices, FiniteAlgebra, first_failure, multiplicativity
+from .algebra import CoproductSlices, first_failure, multiplicativity
 from .algebroid import MultiplierHopfAlgebroid, QuantumGraphPair
-from .linalg import LinMap, Subspace, Vec, lincomb, solve, unit_vec, vaxpy, vdot, vsub
+from .linalg import LinMap, Subspace, Vec, unit_vec, vdot, vsub
 from .reporting import Report, failed, passed
-from .separability import (NotIdempotentE, SeparabilityError,
-                           SeparabilityIdempotent, build_E_from_functional,
-                           modular_automorphism, pairing_matrix, regular_trace,
-                           trace_form_radical)
+# find_separating_functional is only bound here: the benchmark's tracer
+# (perfbench/tracing.py) times it as reconstruction.find_separating_functional
+from .separability import (SeparabilityIdempotent, find_separating_functional,  # noqa: F401
+                           modular_automorphism, regular_trace, sigma_center)
 from .wmha import WeakMultiplierHopfAlgebra, run_suite
 
 STAGE_NOT_SEPARABLE = "NotSeparableFrobenius"
@@ -74,163 +72,37 @@ class PipelineResult:
         self.eps_prime = eps_prime
 
 
-def sigma_constraint_space(b: FiniteAlgebra, sigma: LinMap) -> Subspace:
-    """Functionals with phi(x1 x2) = phi(x2 sigma(x1)) for all pairs."""
-    n = b.dim
-    rows = []
-    for i in range(n):
-        si = sigma.apply(unit_vec(i))
-        for j in range(n):
-            row = dict(b.mul_basis(i, j))
-            vaxpy(row, -1, b.mul(unit_vec(j), si))
-            rows.append(row)
-    return LinMap.from_rows(n, rows).kernel()
-
-
-def sigma_center(b: FiniteAlgebra, sigma: LinMap) -> tuple[Subspace, Vec | None]:
-    """The sigma-fixed centre Z^sigma of B, and z - sigma(z) for the
-    first basis element z of the centre that sigma moves (None when sigma
-    fixes the centre).  The moved direction annihilates the pairing of
-    every functional in the constraint space, so none of them is faithful.
-
-    Both come from one commutator system: the centre is the common kernel
-    of x -> e_i x - x e_i, and Z^sigma the kernel of sigma - id on it.
-    """
-    n = b.dim
-    rows = []
-    for i in range(n):
-        rows.extend((b.left_mult(unit_vec(i)) - b.right_mult(unit_vec(i))).rows())
-    center = LinMap.from_rows(n, rows).kernel()
-    moved = [vsub(z, sigma.apply(z)) for z in center.rows]
-    fixed = Subspace.from_vectors(n, (lincomb(combo, center.rows) for combo
-                                      in LinMap(n, center.dim, moved).kernel().rows))
-    return fixed, next((m for m in moved if m), None)
-
-
-def find_separating_functional(b: FiniteAlgebra, sigma_target: LinMap,
-                               s_b: LinMap | None = None,
-                               c: FiniteAlgebra | None = None):
-    """The separating functional with the prescribed modular automorphism
-    sigma, together with its idempotent; None when there is none.
-
-    With v_1..v_k the basis of the constraint space V, the search walks
-    the moment curve phi_t = sum_j t^(j-1) v_j for t = 1..k(k-1)+1, stops
-    at the first faithful point and decides there: its idempotent is
-    returned, or repaired by a central factor, or there is none.  This is
-    exact on a base with zero trace-form radical, which the pipeline
-    checks first:
-
-    1. Fix a faithful phi0 in V and write phi in V as phi0(w .).  The
-       twisted trace law for phi and phi0 and the faithfulness of phi0
-       give w y = y sigma(w) for all y; y = 1 gives sigma(w) = w, so w is
-       central.  Conversely phi0(w .) lies in V for every w in Z^sigma,
-       so V = phi0 Z^sigma.
-    2. Z is reduced, so Z^sigma is a product of m <= k fields.
-       phi0(w .) is faithful exactly when w is invertible, and the
-       non-invertible w are the union of m proper subspaces, one per
-       field whose component of w vanishes.
-    3. Any k points of the moment curve are linearly independent
-       (Vandermonde), so a proper subspace holds at most k - 1 of them:
-       if V has a faithful point, one of the k(k-1)+1 points is one.
-    4. For phi = phi0(w .) the dual bases give E_phi = (w^-1 (x) 1)E_phi0,
-       and E_phi0^2 = (c (x) 1)E_phi0 for one c in Z^sigma, the factor
-       ``_central_rescale`` solves for.  So E_phi is idempotent exactly
-       when w = c: a separating functional exists iff c is invertible,
-       and then it is unique.
-    5. Hence the first faithful point decides, and no other point can
-       change the outcome.  At t = 1 the curve gives sum_j v_j.
-    """
-    space = sigma_constraint_space(b, sigma_target)
-    k = space.dim
-    for t in range(1, k * (k - 1) + 2):
-        phi = lincomb({j: t ** j for j in range(k)}, space.rows)
-        if pairing_matrix(b, phi).is_bijective():
-            break
-    else:
-        return None
-    if modular_automorphism(b, phi) != sigma_target:
-        return None
-    try:
-        return phi, build_E_from_functional(b, phi, c, s_b)
-    except NotIdempotentE as exc:
-        return _central_rescale(exc, sigma_center(b, sigma_target)[0])
-    except SeparabilityError:
-        return None
-
-
-def _central_rescale(exc: NotIdempotentE, center: Subspace):
-    """Solve E^2 = (z (x) 1)E over the sigma-fixed center and absorb z
-    into the functional.  exc carries the rejected idempotent E and the
-    defect E^2 - E."""
-    if center.dim == 0:
-        return None
-    idem = exc.idem
-    b, phi, e, bc = idem.b, idem.phi_b, idem.e, idem.bc
-    ee = dict(exc.defect)
-    vaxpy(ee, 1, e)  # E^2 = defect + E
-    cols = [bc.mul_left_leg1(z, e) for z in center.rows]
-    system = LinMap(bc.size, center.dim, cols)
-    combo = solve(system, ee)
-    if combo is None:
-        return None
-    z: Vec = {}
-    for t, coeff in combo.items():
-        vaxpy(z, coeff, center.rows[t])
-    if not b.left_mult(z).is_bijective():
-        return None
-    phi_new: Vec = {}
-    for i in range(b.dim):
-        val = vdot(b.mul(z, unit_vec(i)), phi)
-        if val:
-            phi_new[i] = val
-    try:
-        return phi_new, build_E_from_functional(b, phi_new, idem.c, idem.s_b)
-    except SeparabilityError:
-        return None
-
-
 def check_separability_assumption(alg: MultiplierHopfAlgebroid,
                                   report: Report | None = None):
-    """Separating functional with sigma = (S_C S_B)^{-1}, its idempotent
-    embedded into A (x) A, or the obstruction."""
+    """The idempotent of the separating functional with sigma =
+    (S_C S_B)^{-1}, as the graph pair found it, or the obstruction."""
     report = report if report is not None else Report("reconstruction")
     graph = alg.graph
     b = graph.b_view.algebra
-    c = graph.c_view.algebra
     sigma_target = (graph.s_c @ graph.s_b).inverse()
-    rad = trace_form_radical(b)
+    rad, found = graph.separability
     if rad.dim:
-        report.add(failed("assumption-separable-frobenius",
-                          {"radical_element": rad.rows[0]}))
-        return ObstructionReport(
-            STAGE_NOT_SEPARABLE,
-            {"radical_element": rad.rows[0]},
-            "the base algebra has nonzero radical, so no separating "
-            "functional exists", report)
-    found = find_separating_functional(b, sigma_target, s_b=graph.s_b, c=c)
-    if found is None:
+        stage, witness = STAGE_NOT_SEPARABLE, {"radical_element": rad.rows[0]}
+        narrative = "the base algebra has nonzero radical, so no separating functional exists"
+    elif found is None:
+        stage = STAGE_MODULAR_MISMATCH
         witness = {"sigma_target": _matrix_dump(sigma_target),
                    "reference_modular_automorphism": _matrix_dump(
                        modular_automorphism(b, regular_trace(b)))}
         moved = sigma_center(b, sigma_target)[1]
         if moved is not None:
             witness["moved_center_element"] = moved
-        report.add(failed("assumption-separable-frobenius", witness))
-        return ObstructionReport(
-            STAGE_MODULAR_MISMATCH, witness,
-            "no faithful functional has the prescribed modular "
-            "automorphism", report)
-    phi, idem = found
-    bad = idem.check_invariants()
-    if idem.s_c != graph.s_c or bad:
-        witness = {"failed": bad or ["S_C-mismatch"],
+        narrative = "no faithful functional has the prescribed modular automorphism"
+    elif graph.e_coords is None:
+        stage = STAGE_MODULAR_MISMATCH
+        witness = {"failed": found[1].check_invariants() or ["S_C-mismatch"],
                    "sigma_target": _matrix_dump(sigma_target)}
-        report.add(failed("assumption-separable-frobenius", witness))
-        return ObstructionReport(STAGE_MODULAR_MISMATCH, witness,
-                                 "the induced antipodal maps do not match "
-                                 "the given ones", report)
-    report.add(passed("assumption-separable-frobenius"))
-    return idem
+        narrative = "the induced antipodal maps do not match the given ones"
+    else:
+        report.add(passed("assumption-separable-frobenius"))
+        return found[1]
+    report.add(failed("assumption-separable-frobenius", witness))
+    return ObstructionReport(stage, witness, narrative, report)
 
 
 def embed_idempotent(graph: QuantumGraphPair, idem: SeparabilityIdempotent) -> Vec:

@@ -7,7 +7,9 @@ from weakhopf import algebroid, balanced, io
 from weakhopf.algebroid import check_algebroid_axioms, forward_construct
 from weakhopf.algebra import matrix_algebra
 from weakhopf.balanced import KINDS, TripleQuotient, build_balanced, relation_generators
-from weakhopf.examples import mixed_algebroid, scalar_extension_wmha, swap_crossed_setup
+from weakhopf.cli import main
+from weakhopf.examples import (mixed_algebroid, obstruction_scenario, pair_base_algebroid,
+                               scalar_extension_wmha, swap_crossed_setup)
 from weakhopf.groupoids import (as_wmha, cyclic_group, group_groupoid,
                                 pair_groupoid)
 from weakhopf.linalg import LinMap, Subspace, unit_vec, vsub, vtensor
@@ -107,10 +109,14 @@ def test_ranges_of_sections_match_idempotent_images(p2_graph):
 
 
 def _file_loaded(alg):
-    """The algebroid as read back from its definition file: its graph
-    pair carries no separability idempotent, so no sections."""
-    loaded = io.parse_document(io.algebroid_to_dict(alg))
-    assert loaded.graph.e_element is None
+    """The algebroid as read back from its definition file, held on the
+    relation path: its graph pair's search for a separating functional is
+    replaced by one that finds nothing, so the pair has no idempotent and
+    its balanced products no sections."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algebroid, "find_separating_functional", lambda *args: None)
+        loaded = io.parse_document(io.algebroid_to_dict(alg))
+        assert loaded.graph.e_element is None
     return loaded
 
 
@@ -286,3 +292,42 @@ def test_triple_spaces_are_closed_under_equation_covers(both_paths):
     assert escapes[0] == escapes[1]
     expected = set() if name == "pair-2" else {(k, leg) for k in EQUATION_SIDES for leg in (1, 3)}
     assert escapes[0] == expected
+
+
+def _path_rule_algebroids():
+    """Name -> (algebroid, whether its base has a separating functional)."""
+    b = matrix_algebra(2)
+    w = {0: 1, 3: -1}
+    ad_sign = LinMap(4, 4, [b.mul(w, b.mul(unit_vec(i), w)) for i in range(4)])
+    idem = build_E_from_functional(b, {0: Fraction(3, 2), 3: Fraction(3)})
+    built = {"pair-2": as_wmha(pair_groupoid(2)),
+             "base-m2-weighted": scalar_extension_wmha(idem),
+             "crossed-swap": swap_crossed_setup()[0]}
+    out = {name: (forward_construct(bundle)[0], True) for name, bundle in built.items()}
+    out["counit-twist"] = mixed_algebroid(*swap_crossed_setup()), True
+    for name in ("radical", "auto-swap"):
+        out[name] = obstruction_scenario(name)[0], False
+    out["zero-normaliser"] = pair_base_algebroid(b, sigma=ad_sign), False
+    return out
+
+
+@pytest.mark.parametrize("name", ["pair-2", "base-m2-weighted", "crossed-swap", "counit-twist",
+                                  "radical", "auto-swap", "zero-normaliser"])
+def test_file_loaded_algebroids_split_exactly_when_the_base_is_separating(
+        name, tmp_path, capsys, monkeypatch):
+    """An algebroid read from its file takes sections for all six kinds
+    whenever its base has a separating functional, and relations
+    otherwise; its check-algebroid report is the same byte for byte as
+    with the relation path forced."""
+    alg, separating = _path_rule_algebroids()[name]
+    path = str(tmp_path / f"{name}.json")
+    io.dump(io.algebroid_to_dict(alg), path)
+    loaded = io.parse_document(io.load(path))
+    assert all((loaded.graph.balanced(kind).projector is not None) == separating
+               for kind in KINDS)
+    code = main(["--format", "json", "check-algebroid", path])
+    sections = capsys.readouterr().out
+    monkeypatch.setattr(algebroid, "find_separating_functional", lambda *args: None)
+    assert io.parse_document(io.load(path)).graph.balanced("l").projector is None
+    assert main(["--format", "json", "check-algebroid", path]) == code == 0
+    assert capsys.readouterr().out == sections

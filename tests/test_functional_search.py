@@ -20,14 +20,14 @@ from unittest import mock
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from weakhopf import reconstruction
+from weakhopf import separability
 from weakhopf.algebra import direct_sum, field_algebra, matrix_algebra
-from weakhopf.linalg import LinMap, unit_vec, vaxpy
-from weakhopf.reconstruction import (_central_rescale, find_separating_functional,
-                                     sigma_center, sigma_constraint_space)
-from weakhopf.separability import (NotIdempotentE, SeparabilityError,
-                                   build_E_from_functional, modular_automorphism,
-                                   pairing_matrix)
+from weakhopf.examples import obstruction_scenario
+from weakhopf.linalg import LinMap, lincomb, unit_vec, vaxpy
+from weakhopf.separability import (NotIdempotentE, SeparabilityError, _central_rescale,
+                                   build_E_from_functional, find_separating_functional,
+                                   modular_automorphism, pairing_matrix, sigma_center,
+                                   sigma_constraint_space)
 
 
 def _reference_fixed_center(b, sigma):
@@ -109,10 +109,19 @@ def semisimple_bases(draw):
 @given(semisimple_bases())
 def test_first_faithful_point_decides(case):
     b, sigma, fixes_center = case
-    k = sigma_constraint_space(b, sigma).dim
-    with mock.patch.object(reconstruction, "pairing_matrix", wraps=pairing_matrix) as built:
+    space = sigma_constraint_space(b, sigma)
+    k = space.dim
+    with mock.patch.object(separability, "pairing_matrix", wraps=pairing_matrix) as built:
         found = find_separating_functional(b, sigma)
-    assert built.call_count <= k * (k - 1) + 1
+    # one pairing matrix per functional: the walked points of the curve,
+    # at most k(k-1)+1, then at most the centrally rescaled functional
+    functionals = [call.args[1] for call in built.call_args_list]
+    curve = [lincomb({j: t ** j for j in range(k)}, space.rows)
+             for t in range(1, k * (k - 1) + 2)]
+    walked = 0
+    while walked < min(len(functionals), len(curve)) and functionals[walked] == curve[walked]:
+        walked += 1
+    assert walked >= 1 and functionals[walked:] in ([], [found and found[0]])
     reference = _reference_sweep(b, sigma)
     if reference is not None:
         assert found is not None
@@ -124,3 +133,28 @@ def test_first_faithful_point_decides(case):
         assert idem.check_invariants() == []
     moved = sigma_center(b, sigma)[1]
     assert (found is None and moved is not None) == (not fixes_center)
+
+
+def test_one_pairing_matrix_per_functional():
+    """auto-weighted is decided at t = 1 through the central rescale: the
+    faithful point and the rescaled functional each get one pairing
+    matrix and one inversion of it, which give both sigma and the dual
+    basis."""
+    graph = obstruction_scenario("auto-weighted")[0].graph
+    b, c = graph.b_view.algebra, graph.c_view.algebra
+    sigma = (graph.s_c @ graph.s_b).inverse()
+    inverted = []
+    invert = LinMap.inverse
+
+    def counted_inverse(self):
+        inverted.append(self)
+        return invert(self)
+
+    with mock.patch.object(separability, "pairing_matrix", wraps=pairing_matrix) as build, \
+            mock.patch.object(LinMap, "inverse", counted_inverse):
+        found = find_separating_functional(b, sigma, graph.s_b, c)
+    built = [(call.args[1], pairing_matrix(*call.args)) for call in build.call_args_list]
+    assert found is not None
+    assert [phi for phi, _ in built] == [sigma_constraint_space(b, sigma).rows[0], found[0]]
+    for _, p in built:
+        assert sum(m == p or m == p.transpose() for m in inverted) == 1

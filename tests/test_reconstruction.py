@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from weakhopf import io, wmha
+from weakhopf import algebroid, io, wmha
 from weakhopf.algebra import (PROJECTION_FLAGS, CoproductSlices, Projection, TensorSquare,
                               matrix_algebra)
-from weakhopf.algebroid import forward_construct
+from weakhopf.algebroid import check_algebroid_axioms, forward_construct
 from weakhopf.examples import (identity_twist, mixed_algebroid,
                                obstruction_scenario, scalar_extension_wmha,
                                swap_crossed_setup, weighted_m2_twist_setup)
@@ -168,19 +168,29 @@ def test_cached_slices_match_leg_products():
 
 
 def test_pipeline_leaves_its_input_untouched(tmp_path, capsys):
-    """A file-loaded algebroid carries no idempotent; reconstruction finds
-    one but must not write it into the caller's graph pair."""
+    """Reconstruction reads the idempotent the graph pair found for itself
+    and writes nothing into the caller's algebroid: its tensors and its
+    algebroid report are the same before and after the pipeline, and the
+    same as for a fresh read of its file."""
+    alg_path = _base_m2_weighted_file(tmp_path, capsys)
+    alg = io.parse_document(io.load(alg_path))
+    tensors = io.algebroid_to_dict(alg)
+    report = check_algebroid_axioms(alg).to_json()
+    got = reconstruction_pipeline(alg)
+    assert isinstance(got, PipelineResult)
+    assert io.algebroid_to_dict(alg) == tensors
+    assert check_algebroid_axioms(alg).to_json() == report
+    assert check_algebroid_axioms(io.parse_document(io.load(alg_path))).to_json() == report
+
+
+def _base_m2_weighted_file(tmp_path, capsys) -> str:
+    """The base-m2-weighted algebroid written by wmha-to-algebroid."""
     wmha_path, alg_path = tmp_path / "m2.json", tmp_path / "m2-algebroid.json"
     assert main(["gen-example", "base-m2", "--variant", "weighted",
                  "--out", str(wmha_path)]) == 0
     assert main(["wmha-to-algebroid", str(wmha_path), "--out", str(alg_path)]) == 0
     capsys.readouterr()
-    alg = io.parse_document(io.load(str(alg_path)))
-    assert alg.graph.e_element is None and alg.graph.e_coords is None
-    got = reconstruction_pipeline(alg)
-    assert isinstance(got, PipelineResult)
-    assert alg.graph.e_element is None
-    assert alg.graph.e_coords is None
+    return str(alg_path)
 
 
 def _counting_builds(monkeypatch):
@@ -306,3 +316,35 @@ def test_projections_are_shared_by_equal_elements_only():
     changed[p] += 1
     assert t2.projection(changed, "EL").map != first.map
     assert t2.projection(dict(e), "EL") is first
+
+
+def test_file_loaded_pipeline_reuses_the_prechecked_maps(tmp_path, capsys, monkeypatch):
+    """algebroid-to-wmha's order on a file: the algebroid suite cuts the
+    six sections out of A (x) A with the idempotent the graph pair found,
+    and reconstruction's range and kernel stages, and its final suite,
+    find every map they ask for there."""
+    alg = io.parse_document(io.load(_base_m2_weighted_file(tmp_path, capsys)))
+    assert check_algebroid_axioms(alg).ok
+    asked, built = _counting_builds(monkeypatch)
+    got = reconstruction_pipeline(alg)
+    assert isinstance(got, PipelineResult) and got.report.ok
+    assert set(asked) == set(PROJECTION_FLAGS)
+    assert built == []
+
+
+def test_mixed_algebroid_searches_its_base_once(monkeypatch):
+    """The graph pair of a mixed algebroid searches for its separating
+    functional once, for the algebroid suite and reconstruction alike."""
+    calls = []
+    search = algebroid.find_separating_functional
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(algebroid, "find_separating_functional", counted)
+    alg = mixed_algebroid(*swap_crossed_setup())
+    assert check_algebroid_axioms(alg).ok
+    got = reconstruction_pipeline(alg)
+    assert isinstance(got, ObstructionReport) and got.stage == STAGE_COUNITS_DIFFER
+    assert len(calls) == 1

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from weakhopf import io
+from weakhopf import algebroid, io
 from weakhopf.algebroid import forward_construct
 from weakhopf.balanced import KINDS
 from weakhopf.groupoids import as_wmha, pair_groupoid
@@ -48,15 +48,17 @@ def test_every_traced_entry_point_resolves():
 
 
 @pytest.mark.parametrize("path", ["section", "relation"])
-def test_tracer_hooks_read_the_balanced_paths(path):
+def test_tracer_hooks_read_the_balanced_paths(path, monkeypatch):
     """The tracer's outcome hooks read ``BalancedTensorSpace.projector``
     and ``TripleQuotient._small`` to tell the section path from the
     relation path.  Both must resolve and name the path taken: sections
     on the forward-built pair-2 algebroid, relations on its file
-    read-back, whose graph pair carries no idempotent."""
+    read-back with its graph pair's search replaced by one that finds
+    nothing."""
     alg, report = forward_construct(as_wmha(pair_groupoid(2)))
     assert report.ok
     if path == "relation":
+        monkeypatch.setattr(algebroid, "find_separating_functional", lambda *args: None)
         alg = io.parse_document(io.algebroid_to_dict(alg))
     tracer = _tracing().Tracer()
     equivalent = tracer._after("balanced.equivalent")

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import pytest
 
-from weakhopf import io
+from weakhopf import algebroid, io
 from weakhopf.algebra import (AlgebraError, FiniteAlgebra, NonAssociative, matrix_algebra)
 from weakhopf.algebroid import (MultiplierHopfAlgebroid, NotBijective, algebroid_canonical_maps,
                                 check_algebroid_coassociativity,
@@ -863,8 +863,8 @@ ALGEBROID_PAIRS = [(check_algebroid_homomorphism, ref_algebroid_homomorphism),
 
 @pytest.fixture(scope="module")
 def loaded_p2():
-    """The pair-2 algebroid read back from its file (no idempotent on
-    the graph), with the idempotent reconstruction finds for it."""
+    """The pair-2 algebroid read back from its file, with the idempotent
+    its graph pair finds for itself."""
     alg = io.parse_document(io.algebroid_to_dict(forward_construct(as_wmha(pair_groupoid(2)))[0]))
     idem = check_separability_assumption(alg)
     return alg, idem, embed_idempotent(alg.graph, idem)
@@ -952,12 +952,17 @@ def _base_m2_weighted():
 @pytest.fixture(scope="module", params=["base-m2-weighted", "crossed-swap"])
 def noncommutative_paths(request):
     """A noncommutative forward algebroid (section path) and the same
-    algebroid read back from its file (relation path)."""
+    algebroid read back from its file, held on the relation path by a
+    graph-pair search that finds nothing."""
     bundle = _base_m2_weighted() if request.param == "base-m2-weighted" else \
         swap_crossed_setup()[0]
     alg, report = forward_construct(bundle)
     assert report.ok
-    return alg, io.parse_document(io.algebroid_to_dict(alg))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algebroid, "find_separating_functional", lambda *args: None)
+        loaded = io.parse_document(io.algebroid_to_dict(alg))
+        assert loaded.graph.e_element is None
+    return alg, loaded
 
 
 def _coproduct_mutants(alg, rng, count):
