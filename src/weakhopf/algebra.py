@@ -479,8 +479,8 @@ class TensorSquare:
         sum x[u, v] L(a, u) (x) R(v, b), with L(a, u) = e_a e_u or
         e_u e_a and R(v, b) = e_b e_v or e_v e_b, read straight off the
         structure constants; the one kernel behind ``projection`` and
-        the balanced relators.  Not memoized: the relators build d * dim B
-        throwaway maps per kind."""
+        the balanced relators.  Not memoized: on the relation path only,
+        the relators build d * dim B throwaway maps per kind."""
         first, second, d = self.algebra, self.second, self.dim
         # for each first-leg index u of x, sum_v x[u, v] R(v, b) for every b
         covered = []

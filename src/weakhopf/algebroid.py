@@ -115,16 +115,16 @@ class QuantumGraphPair:
         """An element of B (x) C, given in coordinates, realized in A (x) A."""
         return self.b_view.basis_map.tensor(self.c_view.basis_map).apply(e_coords)
 
-    def f_element(self, which: int, e_coords: Vec) -> Vec:
-        """The idempotent E, given in B (x) C coordinates, with one leg
-        twisted by the matching anti-isomorphism, realized in A (x) A."""
+    def f_element(self, which: int) -> Vec:
+        """The pair's idempotent E with one leg twisted by the matching
+        anti-isomorphism (F_which), realized in A (x) A."""
         if which not in (1, 2, 3, 4):
             raise ValueError(which)
         b, c = self.b_view.basis_map, self.c_view.basis_map
         left, right = {1: (b, b @ self.s_c), 2: (c @ self.s_b, c),
                        3: (b, b @ self.s_b.inverse()),
                        4: (c @ self.s_c.inverse(), c)}[which]
-        return left.tensor(right).apply(e_coords)
+        return left.tensor(right).apply(self.e_coords)
 
     def balanced(self, kind: str) -> BalancedTensorSpace:
         if kind not in self._bal_cache:
@@ -342,10 +342,10 @@ def algebroid_canonical_maps(alg: MultiplierHopfAlgebroid) -> dict[str, LinMap]:
     for name, (dom_kind, codomain, which) in specs.items():
         dom = graph.balanced(dom_kind)
         full = codomain.pi @ alg.slices.canonical_map(which)
-        for rel in dom.relations.rows:
-            if full.apply(rel):
-                raise NotBijective(f"{name} is not well-defined on its quotient")
         induced = full @ dom.theta
+        # full kills ker dom.pi exactly when it factors through dom.pi
+        if induced @ dom.pi != full:
+            raise NotBijective(f"{name} is not well-defined on its quotient")
         if induced.nrows != induced.ncols or not induced.is_bijective():
             ker = induced.kernel()
             raise NotBijective(

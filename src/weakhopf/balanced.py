@@ -17,11 +17,47 @@ concretely inside A (x) A: for "l"/"r" by one-sided multiplication with
 the idempotent, for the other four by the twisted projectors of its
 antipodal twists.  The six sections and their images come from
 ``TensorSquare.projection``, so a graph pair holding the tensor square of
-the bundle it was built from shares that bundle's maps.  Elements of a
-balanced product are then stored as their section images.  Without a
-separating functional the quotient coordinates are the non-pivot
-coordinates of the relation space's echelon form: pi reduces modulo the
-relations and theta picks the unit vectors there.
+the bundle it was built from shares that bundle's maps.  A balanced
+product is then its section P alone: theta is a basis of im P, pi the
+coordinates of P in it, and the relation space R is never built.
+Without a separating functional the quotient coordinates are the
+non-pivot coordinates of R's echelon form: pi reduces modulo R and
+theta picks the unit vectors there.  On both paths ker pi = R.
+
+Why ker P = R.  Write E = sum f_i (x) g_i in B (x) C.  The pair holds E
+only when every invariant of ``SeparabilityIdempotent.check_invariants``
+holds with the pair's S_C:
+
+    E^2 = E;
+    antipodal-B:  E(x (x) 1) = E(1 (x) S_B x);
+    antipodal-C:  (1 (x) y)E = (S_C y (x) 1)E;
+    integral-B:   (phi_B (x) id)E = 1;
+    integral-C:   (id (x) phi_C)E = 1.
+
+The graph-pair checks ``bases-act-fully`` and ``base-anti-isomorphisms``
+precede every balanced product: 1_B = 1_C = 1_A, and S_B, S_C are
+unital anti-isomorphisms.  Two identities follow:
+
+    UB:  u = sum S_B(f_i) g_i is 1.  By antipodal-B at x = f_i,
+         E = E^2 = E(1 (x) u); slice by phi_B and use integral-B.
+    UC:  v = sum f_i S_C(g_i) is 1.  By antipodal-C at y = g_i,
+         E = E^2 = (v (x) 1)E; slice by phi_C and use integral-C.
+
+Per kind, P kills each relator by one antipodal identity, carried into
+B (x) B or C (x) C by the leg map that builds P, and a (x) b - P(a (x) b)
+is a sum of relators: move the factor of E on one leg across by the
+relation and collapse the sum by UB or UC.
+
+    kind  P from                  P kills R by                im(1-P) in R by
+    l     y -> Ey                 antipodal-B                 UB
+    r     y -> yE                 antipodal-C                 UC
+    s     F_1 = (id (x) S_C)E     antipodal-C through S_C     UC
+    t     F_2 = (S_B (x) id)E     antipodal-B through S_B     UB
+    s-up  F_3 = (id (x) S_B^-1)E  antipodal-B through S_B^-1  S_B^-1 of UB
+    t-up  F_4 = (S_C^-1 (x) id)E  antipodal-C through S_C^-1  S_C^-1 of UC
+
+So y - Py lies in R, which lies in ker P: P^2 = P, im(1-P) = ker P, and
+ker P is contained in R, hence equal to it.
 
 Triple quotients appear in coassociativity checks: a difference x in
 A (x) A (x) A is trivial when it lies in R12 (x) A + A (x) R23, with R12
@@ -52,33 +88,24 @@ class BalancedTensorError(ValueError):
 
 
 class BalancedTensorSpace:
-    """One balanced tensor product with quotient map and section."""
+    """One balanced tensor product with quotient map pi and section theta,
+    read off the section P (``relations`` None) or else the relation
+    space; either way ker pi = R, which ``equivalent`` reads."""
 
-    def __init__(self, kind: str, t2: TensorSquare, relations: Subspace,
+    def __init__(self, kind: str, t2: TensorSquare, relations: Subspace | None,
                  section: Projection | None):
         self.kind = kind
         self.t2 = t2
         self.relations = relations
-        self.q_dim = t2.size - relations.dim
-        self.projector = projector = None if section is None else section.map
         if section is not None:
-            image = section.image
-            if image.dim != self.q_dim:
-                raise BalancedTensorError(
-                    f"section rank {image.dim} != quotient dim {self.q_dim} for {kind}")
-            for r in relations.rows:
-                if projector.apply(r):
-                    raise BalancedTensorError(
-                        f"section projector does not kill the {kind} relations")
-            if projector @ projector != projector:
-                raise BalancedTensorError(f"section composite not idempotent for {kind}")
-            self.image = image
-            self.theta = LinMap(t2.size, self.q_dim,
-                                [dict(r) for r in image.rows])
-            self.pi = LinMap(self.q_dim, t2.size,
-                             [image.coords(col) for col in projector.cols])
+            self.projector = projector = section.map
+            self.image = image = section.image
+            self.q_dim = image.dim
+            self.theta = LinMap(t2.size, self.q_dim, [dict(r) for r in image.rows])
+            self.pi = LinMap(self.q_dim, t2.size, [image.coords(col) for col in projector.cols])
         else:
-            self.image = None
+            self.projector = self.image = None
+            self.q_dim = t2.size - relations.dim
             pivots = set(relations.pivots)
             self.theta = LinMap(t2.size, self.q_dim,
                                 [unit_vec(f) for f in range(t2.size) if f not in pivots])
@@ -89,12 +116,7 @@ class BalancedTensorSpace:
         return self.pi.apply(x)
 
     def equivalent(self, x: Vec, y: Vec) -> bool:
-        d = vsub(x, y)
-        if not d:
-            return True
-        if self.projector is not None:
-            return not self.projector.apply(d)
-        return self.relations.contains(d)
+        return not self.pi.apply(vsub(x, y))
 
     def __repr__(self):
         return f"BalancedTensorSpace({self.kind}, dim {self.q_dim})"
@@ -127,16 +149,21 @@ def section_projector(kind: str, graph) -> Projection | None:
     if graph.e_element is None:
         return None
     which = SIDES[kind][1]
-    f = graph.e_element if which in ("EL", "ER") else graph.f_element(which, graph.e_coords)
+    f = graph.e_element if which in ("EL", "ER") else graph.f_element(which)
     return graph.t2.projection(f, which)
+
+
+def relation_space(kind: str, graph) -> Subspace:
+    """The kind's defining relation subspace R of A (x) A."""
+    return Subspace.from_vectors(graph.t2.size, relation_generators(kind, graph))
 
 
 def build_balanced(kind: str, graph) -> BalancedTensorSpace:
     if kind not in KINDS:
         raise BalancedTensorError(f"unknown kind {kind}")
-    t2 = graph.t2
-    relations = Subspace.from_vectors(t2.size, relation_generators(kind, graph))
-    return BalancedTensorSpace(kind, t2, relations, section_projector(kind, graph))
+    section = section_projector(kind, graph)
+    relations = None if section is not None else relation_space(kind, graph)
+    return BalancedTensorSpace(kind, graph.t2, relations, section)
 
 
 class TripleQuotient:

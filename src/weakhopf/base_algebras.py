@@ -93,10 +93,8 @@ def is_anti_homomorphism(s: LinMap, source: FiniteAlgebra, target: FiniteAlgebra
 class BaseAlgebraData:
     """B, C inside M(A) with restricted antipodes and integrals."""
 
-    def __init__(self, bundle: WeakMultiplierHopfAlgebra,
-                 b_view: SubalgebraView, c_view: SubalgebraView,
+    def __init__(self, b_view: SubalgebraView, c_view: SubalgebraView,
                  s_b: LinMap, s_c: LinMap, phi_b: Vec, phi_c: Vec):
-        self.bundle = bundle
         self.b_view = b_view
         self.c_view = c_view
         self.s_b = s_b        # B-coords -> C-coords
@@ -214,7 +212,7 @@ def compute_base_algebras(bundle: WeakMultiplierHopfAlgebra) -> tuple[BaseAlgebr
         return None, report
     report.add(passed("base-integrals-exist"))
 
-    data = BaseAlgebraData(bundle, b_view, c_view, s_b, s_c, phi_b, phi_c)
+    data = BaseAlgebraData(b_view, c_view, s_b, s_c, phi_b, phi_c)
     return data, report
 
 

@@ -267,14 +267,14 @@ def check_E_comultiplicativity(alg: MultiplierHopfAlgebroid, cops: CoproductSlic
 
 
 def check_kernels(alg: MultiplierHopfAlgebroid, cops: CoproductSlices,
-                  e_coords: Vec, report: Report) -> bool:
+                  report: Report) -> bool:
     """ker T_i is the image of id - (twisted F_i projector), with F_i
-    built from the idempotent E, given in B (x) C coordinates; decided by
+    built from the graph pair's idempotent E; decided by
     ``CoproductSlices.kernel_is_complement``, whose success the final
     suite finds again for the same projector."""
     for i in (1, 2, 3, 4):
         name = f"T{i}"
-        proj = alg.t2.projection(alg.graph.f_element(i, e_coords), i)
+        proj = alg.t2.projection(alg.graph.f_element(i), i)
         if not cops.kernel_is_complement(i, proj):
             described, kernel = proj.complement, cops.canonical_kernel(i)
             sep = next((r for r in described.rows if not kernel.contains(r)), None)
@@ -351,11 +351,11 @@ def reconstruction_pipeline(alg: MultiplierHopfAlgebroid):
                                  context={"e_elt": e_elt})
     if not check_E_comultiplicativity(alg, cops, e_elt, report):
         raise ReconstructionError(report.to_text())
-    if not check_kernels(alg, cops, idem.e, report):
+    if not check_kernels(alg, cops, report):
         return ObstructionReport(STAGE_KERNELS,
                                  report.records[-1].witness or {},
                                  "a kernel condition failed", report,
-                                 context={"e_elt": e_elt, "e_coords": idem.e})
+                                 context={"e_elt": e_elt})
     if not check_mixed_coassociativity(alg, cops, report):
         raise ReconstructionError(report.to_text())
     if not counit_antipode_meta(alg, eps, eps_prime, report):

@@ -104,14 +104,14 @@ def _revalidate_radical(obstruction, alg) -> bool:
         return False
     # trace of left multiplication by r * e_x must vanish for every x
     for x in range(n):
+        # rx = r e_x; total adds the e_i coefficient of rx e_i over i
+        rx = [Fraction(0)] * n
+        for j in range(n):
+            if r[j]:
+                for k in range(n):
+                    rx[k] += r[j] * mul[j][x][k]
         total = Fraction(0)
         for i in range(n):
-            # (r e_x) e_i = sum_k r_j mul[j][x] ... take the e_i coefficient
-            rx = [Fraction(0)] * n
-            for j in range(n):
-                if r[j]:
-                    for k in range(n):
-                        rx[k] += r[j] * mul[j][x][k]
             for j in range(n):
                 if rx[j]:
                     total += rx[j] * mul[j][i][i]
@@ -245,8 +245,7 @@ def _revalidate_subspace(obstruction, alg) -> bool:
     # kernel stage: apply the named canonical map densely and compare
     # against the sandwich-generated span
     name = w.get("map")
-    e_coords = obstruction.context.get("e_coords")
-    if name is None or e_coords is None:
+    if name is None or alg.graph.e_coords is None:
         return False
     spec, f_idx, style = {
         "T1": (lambda a, b: t2.mul_right_leg2(t2.mul(e_elt, alg.delta_b[a]), unit_vec(b)),
@@ -266,7 +265,7 @@ def _revalidate_subspace(obstruction, alg) -> bool:
             for k2, x in col.items():
                 image[k2] += c * x
     in_kernel = not any(image)
-    f = alg.graph.f_element(f_idx, e_coords)
+    f = alg.graph.f_element(f_idx)
     gens = []
     for a in range(d):
         ea = unit_vec(a)

@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from test_functional_search import semisimple_bases
 
 from weakhopf import algebroid, balanced, io
 from weakhopf.algebroid import check_algebroid_axioms, forward_construct
 from weakhopf.algebra import matrix_algebra
-from weakhopf.balanced import KINDS, TripleQuotient, build_balanced, relation_generators
+from weakhopf.balanced import (KINDS, TripleQuotient, build_balanced, relation_generators,
+                               relation_space)
 from weakhopf.cli import main
 from weakhopf.examples import (mixed_algebroid, obstruction_scenario, pair_base_algebroid,
                                scalar_extension_wmha, swap_crossed_setup)
@@ -36,7 +39,7 @@ def test_all_kinds_split_p2(p2_graph, loaded_algebroids):
         for kind in KINDS:
             space = build_balanced(kind, graph)
             assert space.pi @ space.theta == LinMap.identity(space.q_dim), kind
-            assert space.q_dim + space.relations.dim == 16
+            assert space.q_dim + relation_space(kind, graph).dim == 16
 
 
 def test_left_quotient_dimension_is_composable_count(p2_graph):
@@ -58,13 +61,13 @@ def test_right_quotient_image(p2_graph):
 def test_hopf_case_quotients_are_everything(hopf_graph):
     for kind in KINDS:
         space = build_balanced(kind, hopf_graph)
-        assert space.relations.dim == 0
+        assert relation_space(kind, hopf_graph).dim == 0
         assert space.q_dim == 4
 
 
 def test_projector_kills_relations_and_fixes_image(p2_graph):
     space = build_balanced("l", p2_graph)
-    for rel in space.relations.rows:
+    for rel in relation_space("l", p2_graph).rows:
         assert space.projector.apply(rel) == {}
     for img in space.image.rows:
         assert space.projector.apply(img) == img
@@ -87,9 +90,10 @@ def test_triple_quotient_soundness(p2_graph):
     tq = TripleQuotient(p2_graph, "l", "l")
     d = 4
     # genuine relators are recognized
-    for rel in tq.space12.relations.rows:
+    relations = relation_space("l", p2_graph).rows
+    for rel in relations:
         assert tq.contains(vtensor(rel, unit_vec(1), d))
-    for rel in tq.space23.relations.rows:
+    for rel in relations:
         lifted = {1 * d * d + p: c for p, c in rel.items()}
         assert tq.contains(lifted)
     # a random basis vector is not a relator
@@ -271,9 +275,9 @@ def test_triple_spaces_are_closed_under_equation_covers(both_paths):
         for kinds, (left1, left3) in EQUATION_SIDES.items():
             tq = graph.triple(*kinds)
             gens12 = [vtensor(rel, unit_vec(k), d)
-                      for rel in tq.space12.relations.rows for k in range(d)]
+                      for rel in relation_space(kinds[0], graph).rows for k in range(d)]
             gens23 = [{i * d * d + p: c for p, c in rel.items()}
-                      for rel in tq.space23.relations.rows for i in range(d)]
+                      for rel in relation_space(kinds[1], graph).rows for i in range(d)]
             rng = random.Random(7)
             for _ in range(8):
                 x = {}
@@ -331,3 +335,83 @@ def test_file_loaded_algebroids_split_exactly_when_the_base_is_separating(
     assert io.parse_document(io.load(path)).graph.balanced("l").projector is None
     assert main(["--format", "json", "check-algebroid", path]) == code == 0
     assert capsys.readouterr().out == sections
+
+
+def _section_path_algebroids():
+    """Name -> an in-memory algebroid whose base has a separating functional."""
+    b = matrix_algebra(2)
+    u, u_inv = {0: 1, 3: 3}, {0: 1, 3: Fraction(1, 3)}
+    ad_u = LinMap(4, 4, [b.mul(u, b.mul(unit_vec(i), u_inv)) for i in range(4)])
+    idem = build_E_from_functional(b, {0: Fraction(3, 2), 3: Fraction(3)})
+    built = {"pair-2": as_wmha(pair_groupoid(2)), "pair-3": as_wmha(pair_groupoid(3)),
+             "base-m2-weighted": scalar_extension_wmha(idem),
+             "crossed-swap": swap_crossed_setup()[0]}
+    out = {name: forward_construct(bundle)[0] for name, bundle in built.items()}
+    out["counit-twist"] = mixed_algebroid(*swap_crossed_setup())
+    out["auto-weighted"] = obstruction_scenario("auto-weighted")[0]
+    out["m2-ad-diag-1-3"] = pair_base_algebroid(b, sigma=ad_u)
+    return out
+
+
+@pytest.fixture(scope="module")
+def section_path_algebroids(tmp_path_factory):
+    """(name, source) -> algebroid, in memory and read back from its file."""
+    out = {}
+    for name, alg in _section_path_algebroids().items():
+        path = str(tmp_path_factory.mktemp("section") / f"{name}.json")
+        io.dump(io.algebroid_to_dict(alg), path)
+        out[name, "memory"] = alg
+        out[name, "file"] = io.parse_document(io.load(path))
+    return out
+
+
+def _assert_section_is_the_relation_quotient(graph):
+    """The checks the section path no longer runs, as a reference: R is
+    im(1 - P), the quotient has dimension d^2 - dim R, P is idempotent
+    and kills R, and ``equivalent`` decides membership in R."""
+    size = graph.t2.size
+    for kind in KINDS:
+        space, section = graph.balanced(kind), balanced.section_projector(kind, graph)
+        relations, p = relation_space(kind, graph), section.map
+        assert space.relations is None and space.projector is p, kind
+        assert relations == section.complement, kind
+        assert space.q_dim == size - relations.dim, kind
+        assert p @ p == p, kind
+        assert not any(p.apply(rel) for rel in relations.rows), kind
+        assert all(space.equivalent(rel, {}) for rel in relations.rows), kind
+        assert all(space.equivalent(unit_vec(j), {}) == relations.contains(unit_vec(j))
+                   for j in range(size)), kind
+
+
+@pytest.mark.parametrize("source", ["memory", "file"])
+@pytest.mark.parametrize("name", ["pair-2", "pair-3", "base-m2-weighted", "crossed-swap",
+                                  "counit-twist", "auto-weighted", "m2-ad-diag-1-3"])
+def test_section_is_the_relation_quotient(section_path_algebroids, name, source):
+    _assert_section_is_the_relation_quotient(section_path_algebroids[name, source].graph)
+
+
+@settings(max_examples=25, deadline=None)
+@given(semisimple_bases(max_dim=4))
+def test_section_is_the_relation_quotient_over_random_bases(case):
+    """pair_base_algebroid over a random semisimple B with sigma = Ad(u),
+    possibly after a swap of summands, whenever its pair finds an
+    idempotent."""
+    b, sigma, _ = case
+    graph = pair_base_algebroid(b, sigma=sigma).graph
+    assume(graph.e_coords is not None)
+    _assert_section_is_the_relation_quotient(graph)
+
+
+def test_section_path_builds_no_relators(monkeypatch):
+    alg, report = forward_construct(as_wmha(pair_groupoid(3)))
+    assert report.ok
+    calls = []
+    original = balanced.relation_generators
+
+    def counting(kind, graph):
+        calls.append(kind)
+        return original(kind, graph)
+
+    monkeypatch.setattr(balanced, "relation_generators", counting)
+    assert check_algebroid_axioms(alg).ok
+    assert calls == []

@@ -4,6 +4,7 @@ import pytest
 
 from weakhopf.algebra import matrix_algebra
 from weakhopf.algebroid import check_algebroid_axioms, forward_construct
+from weakhopf.balanced import relation_space
 from weakhopf.examples import (ScalarExtension, TwistConditionFailed,
                                TwistData, identity_twist, mixed_algebroid,
                                obstruction_scenario, scalar_extension_wmha,
@@ -217,7 +218,7 @@ def test_left_quotient_identification_map(m2_idem, m2_bundle):
 
     cols = [identify({j: 1}) for j in range(d * d)]
     ident_map = LinMap(nc * d, d * d, cols)
-    assert ident_map.kernel() == alg.graph.balanced("l").relations
+    assert ident_map.kernel() == relation_space("l", alg.graph)
     for beta in range(nc):
         for alpha in range(nb):
             idx = beta * nb + alpha

@@ -76,10 +76,11 @@ def _blocks(sizes):
 
 
 @st.composite
-def semisimple_bases(draw):
-    """(B, sigma, whether sigma fixes the centre)."""
-    sizes = draw(st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=3)
-                 .filter(lambda ns: sum(n * n for n in ns) <= 10))
+def semisimple_bases(draw, max_dim=10):
+    """(B, sigma, whether sigma fixes the centre), with dim B <= max_dim."""
+    blocks = [n for n in (1, 2, 3) if n * n <= max_dim]
+    sizes = draw(st.lists(st.sampled_from(blocks), min_size=1, max_size=3)
+                 .filter(lambda ns: sum(n * n for n in ns) <= max_dim))
     b, offsets = _blocks(sizes)
     u = {}
     for n, off in zip(sizes, offsets):

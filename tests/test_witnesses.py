@@ -116,12 +116,11 @@ def test_synthetic_kernel_failure_revalidates(p2_setup):
     bad = _corrupted(alg, 0)
     report = Report("synthetic")
     cops = rebuilt_coproducts(bad, bundle.E)
-    assert check_kernels(bad, cops, alg.graph.e_coords, report) is False
+    assert check_kernels(bad, cops, report) is False
     witness = report.records[-1].witness
     assert "witness_vector" in witness
     obstruction = ObstructionReport(STAGE_KERNELS, witness, "synthetic", report,
-                                    context={"e_elt": bundle.E,
-                                             "e_coords": alg.graph.e_coords})
+                                    context={"e_elt": bundle.E})
     assert revalidate(obstruction, bad)
 
 
@@ -133,11 +132,10 @@ def test_kernel_revalidation_is_independent_of_the_projector_kernel(p2_setup, mo
     bad = _corrupted(alg, 0)
     report = Report("synthetic")
     cops = rebuilt_coproducts(bad, bundle.E)
-    assert check_kernels(bad, cops, alg.graph.e_coords, report) is False
+    assert check_kernels(bad, cops, report) is False
     witness = report.records[-1].witness
     obstruction = ObstructionReport(STAGE_KERNELS, witness, "synthetic", report,
-                                    context={"e_elt": bundle.E,
-                                             "e_coords": alg.graph.e_coords})
+                                    context={"e_elt": bundle.E})
 
     def refuse(*args, **kwargs):
         raise AssertionError("re-validation used the verdict's projector kernel")
