@@ -336,7 +336,8 @@ class Subspace:
         the subspace (see the class docstring)."""
         if self.reduce(v):
             return None
-        return {k: v[p] for k, p in enumerate(self.pivots) if p in v}
+        pivots = self.pivots
+        return {bisect_left(pivots, p): v[p] for p in sorted(v.keys() & self._at.keys())}
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace) and self.ambient == other.ambient

@@ -231,6 +231,8 @@ def check_ranges_and_fullness(alg: MultiplierHopfAlgebroid, cops: CoproductSlice
                 legs1.insert(vec1)
             for vec2 in t2.leg_vectors(x, 2).values():
                 legs2.insert(vec2)
+        if legs1.dim == d and legs2.dim == d:
+            break
     if legs1.dim != d or legs2.dim != d:
         report.add(failed("rebuilt-range-conditions",
                           {"space": "fullness", "legs": [legs1.dim, legs2.dim]}))

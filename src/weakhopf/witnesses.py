@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebroid import MultiplierHopfAlgebroid
+from .linalg import unit_vec
 from .reconstruction import (ObstructionReport, STAGE_COUNITS_DIFFER,
                              STAGE_KERNELS, STAGE_MODULAR_MISMATCH,
                              STAGE_NOT_SEPARABLE, STAGE_RANGES)
@@ -167,7 +168,6 @@ def _revalidate_counits(obstruction, alg) -> bool:
     except ValueError:
         return False
     n = alg.algebra.dim
-    from .linalg import unit_vec
 
     eb = alg.eps_b.apply(unit_vec(a))
     ec = alg.eps_c.apply(unit_vec(a))
@@ -215,7 +215,6 @@ def _revalidate_subspace(obstruction, alg) -> bool:
     d = alg.algebra.dim
     v = _as_dense(vec, size)
     t2 = alg.t2
-    from .linalg import unit_vec
 
     if obstruction.stage == STAGE_RANGES:
         name = w.get("space", "")

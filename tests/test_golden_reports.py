@@ -34,6 +34,8 @@ CORPUS = {
     "auto-swap": ["obstructed", "--scenario", "auto-swap"],
     "counit-twist": ["counit-twist"],
     "lazy-pair": ["lazy-pair"],
+    "lazy-pair-1": ["lazy-pair", "--probes", "1"],
+    "lazy-pair-8": ["lazy-pair", "--probes", "8"],
 }
 
 # case name -> (command, input file, writes --out); run in both formats,
@@ -42,6 +44,8 @@ COMMANDS = [
     ("check-wmha", "pair-2", False),
     ("check-wmha", "cyclic-6", False),
     ("check-wmha", "lazy-pair", False),
+    ("check-wmha", "lazy-pair-1", False),
+    ("check-wmha", "lazy-pair-8", False),
     ("roundtrip", "pair-2", False),
     ("roundtrip", "action-swap", False),
     ("roundtrip", "base-m2-weighted", False),

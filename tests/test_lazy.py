@@ -1,8 +1,11 @@
 from fractions import Fraction
 
+import pytest
+
+from weakhopf import lazy
 from weakhopf.lazy import (antipode, check_lazy_groupoid, counit, elt,
                            functional_leg1, lazy_pair_groupoid, mul, slice_r2)
-from weakhopf.reporting import PASS, PROBES
+from weakhopf.reporting import FAIL, PASS, PROBES
 
 
 def test_lazy_pair_groupoid_oracles():
@@ -89,3 +92,134 @@ def test_source_map_values_use_composition():
     record = _records(g)["source-map-values"]
     assert record.status != PASS
     assert record.witness == {"unit": (1, 1), "arrow": (1, 2)}
+
+
+MULTIPLIER_LEVEL = ["idempotent-squared", "idempotent-absorbs-coproduct",
+                    "coproduct-homomorphism", "coproduct-coassociativity",
+                    "idempotent-comultiplicative"]
+
+
+def _reference_first_failures(g):
+    """The multiplier-level records as hand-written flag loops over the
+    same probe sets: record name -> the first tuple at which its law
+    fails, in loop order, with the suite's witness keys."""
+    probes = g.probe_arrows
+    masses = [elt({p: 1}) for p in probes]
+    first = {}
+    composites = {(p, q): g.compose(p, q) for p in probes for q in probes}
+    for (p, q) in composites:
+        e = g.composability(p, q)
+        if e * e != e:
+            first.setdefault("idempotent-squared", {"pair": [p, q]})
+    tests = [
+        elt({p: k + 1 for k, p in enumerate(probes)}),
+        elt({p: (-1) ** k for k, p in enumerate(probes)}),
+        elt({probes[0]: "1/2", probes[-1]: "-2/3"}),
+    ]
+    for (p, q), r in composites.items():
+        e = g.composability(p, q)
+        for t, f in enumerate(tests):
+            dv = f.get(r, 0) if r is not None else 0
+            if e * dv != dv:
+                first.setdefault("idempotent-absorbs-coproduct", {"pair": [p, q], "test": t})
+    for (p, q), r in composites.items():
+        for t, f in enumerate(tests):
+            for u, h in enumerate(tests):
+                fh = lazy.mul(f, h)
+                lhs = fh.get(r, 0) if r is not None else 0
+                fv = f.get(r, 0) if r is not None else 0
+                hv = h.get(r, 0) if r is not None else 0
+                if lhs != fv * hv:
+                    first.setdefault("coproduct-homomorphism",
+                                     {"pair": [p, q], "tests": [t, u]})
+    sample = probes[: max(4, len(probes) // 4)]
+    for k, f in enumerate(masses[: len(sample)]):
+        for p in sample:
+            for q in sample:
+                for r in sample:
+                    pq = g.compose(p, q)
+                    qr = g.compose(q, r)
+                    lhs = g.coproduct_value(f, pq, r) if pq is not None else 0
+                    rhs = g.coproduct_value(f, p, qr) if qr is not None else 0
+                    if lhs != rhs:
+                        first.setdefault("coproduct-coassociativity",
+                                         {"triple": [p, q, r], "mass": probes[k]})
+    for p in sample:
+        for q in sample:
+            for r in sample:
+                pq = g.compose(p, q)
+                lhs = g.composability(pq, r) if pq is not None else 0
+                rhs = g.composability(p, q) * g.composability(q, r)
+                if lhs != rhs:
+                    first.setdefault("idempotent-comultiplicative", {"triple": [p, q, r]})
+    return first
+
+
+def _swapped_compose(g):
+    g.compose = lambda p, q: (q[0], p[1]) if p[1] == q[0] else None
+
+
+def _no_loops(g):
+    compose = g.compose
+    g.compose = lambda p, q: None if p == q else compose(p, q)
+
+
+def _doubled_composability(g):
+    compose = g.compose
+    g.composability = lambda p, q: 2 if compose(p, q) is not None else 0
+
+
+def _identity_inverse(g):
+    g.inverse = lambda a: a
+
+
+def _all_units(g):
+    g.is_unit = lambda a: True
+
+
+EDITS = {"swapped-compose": _swapped_compose, "no-loops": _no_loops,
+         "doubled-composability": _doubled_composability,
+         "identity-inverse": _identity_inverse, "all-units": _all_units}
+
+
+@pytest.mark.parametrize("k,edit", [(k, None) for k in range(1, 9)]
+                         + [(k, edit) for k in (1, 2, 3, 5) for edit in EDITS])
+def test_multiplier_records_match_the_flag_loops(k, edit):
+    g = lazy_pair_groupoid(k)
+    if edit is not None:
+        EDITS[edit](g)
+    first = _reference_first_failures(g)
+    records = _records(g)
+    assert [records[name].status for name in MULTIPLIER_LEVEL] == [
+        FAIL if name in first else PROBES for name in MULTIPLIER_LEVEL]
+
+
+@pytest.mark.parametrize("edit", ["swapped-compose", "no-loops", "doubled-composability",
+                                  "negated-products"])
+def test_failing_multiplier_records_name_their_first_probe_tuple(edit, monkeypatch):
+    """Each failing multiplier-level record names the tuple that the
+    nested loops reach first; negated products break mul itself."""
+    g = lazy_pair_groupoid(3)
+    if edit == "negated-products":
+        monkeypatch.setattr(lazy, "mul", lambda f, h: {p: -c for p, c in mul(f, h).items()})
+    else:
+        EDITS[edit](g)
+    first = _reference_first_failures(g)
+    assert first
+    records = _records(g)
+    assert {name: records[name].witness for name in first} == first
+
+
+def test_homomorphism_takes_each_test_product_once(monkeypatch):
+    """The three test functions are the only multi-arrow factors: their
+    nine products are taken once, not once per composite pair."""
+    products = []
+
+    def counted(f, h):
+        if len(f) > 1 and len(h) > 1:
+            products.append((f, h))
+        return mul(f, h)
+
+    monkeypatch.setattr(lazy, "mul", counted)
+    assert check_lazy_groupoid(lazy_pair_groupoid(3)).ok
+    assert len(products) == 9

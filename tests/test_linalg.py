@@ -232,6 +232,15 @@ def test_coords_are_pivot_entries(vectors, weights, probe):
         assert sub.coords(probe) is None
 
 
+def test_coords_of_a_member_on_few_of_many_pivots():
+    """Row k has pivot 2k; a member on rows 90 and 7, written from its
+    highest entry down, has those two coordinates in row order."""
+    sub = Subspace.from_vectors(200, [{2 * k: 1, 2 * k + 1: k} for k in range(100)])
+    v = {181: -180, 180: -2, 15: Fraction(21, 2), 14: Fraction(3, 2)}
+    assert list(sub.coords(v).items()) == [(7, Fraction(3, 2)), (90, -2)]
+    assert sub.coords({181: 1, 180: 1, 14: 1}) is None
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
     small_map(n, 4), vec_strategy(n))))
