@@ -16,7 +16,8 @@ so every multiplier the theory needs is an element.
 
 ``first_failure`` is the one witness scan for identities indexed by
 basis tuples: the first tuple in lexicographic order, then the first
-law that fails there.  ``multiplicativity`` states the law
+law that fails there; ``by_side`` states a law over a side axis (B,
+then C) from one law per side.  ``multiplicativity`` states the law
 f(e_i e_j) = f(e_i) f(e_j) (or its anti form) once for every map that
 must respect products.  ``TensorSquare`` holds the only leg-wise
 product code, for A (x) A and for B (x) C alike; its ``projection``
@@ -231,6 +232,16 @@ def first_failure(shape: tuple[int, ...], laws) -> tuple[tuple[int, ...], int, o
             if not (same[0](left, right) if same else left == right):
                 return index, k, left, right
     return None
+
+
+def by_side(laws, axis: int = 0) -> list:
+    """Laws for ``first_failure`` over index tuples with a side axis of
+    length 2 (0 for B, 1 for C) at position axis: law k at a tuple is
+    laws[side][k], an (lhs, rhs) pair taking the other indices."""
+    def part(k, p):
+        return lambda *index: laws[index[axis]][k][p](*index[:axis], *index[axis + 1:])
+
+    return [(part(k, 0), part(k, 1)) for k in range(len(laws[0]))]
 
 
 def multiplicativity(alg: FiniteAlgebra, images, product, anti: bool = False):

@@ -11,10 +11,12 @@ values, which are already section images.  The basis-covered products
 come from one ``algebra.CoproductSlices`` over (Delta_B, Delta_C), which
 caches each slice once; the canonical maps between balanced quotients
 are its maps T_1..T_4 followed by the quotient map of the codomain.
-Every pair-indexed check is a list of laws for ``algebra.first_failure``,
-whose comparison is the balanced quotient's ``equivalent`` where the two
-sides are compared modulo relations; the witness is the first basis
-tuple in lexicographic order, then the first law failing there.  The
+Every basis-indexed check is a list of laws for ``algebra.first_failure``:
+the witness is the first basis tuple in lexicographic order, then the
+first law failing there.  A check over both bases scans (a, side, i),
+side B then C (``algebra.by_side``); dim B = dim C, as the graph pair's
+``base-anti-isomorphisms`` precedes it.  A law modulo relations compares
+the class of lhs - rhs in its balanced quotient with 0.  The
 triple-indexed checks compare one element of the triple balanced space
 per basis element and scan covers only to name the witness.
 """
@@ -23,12 +25,12 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .algebra import (AlgebraError, CoproductSlices, FiniteAlgebra, TensorSquare,
+from .algebra import (AlgebraError, CoproductSlices, FiniteAlgebra, TensorSquare, by_side,
                       first_failure, multiplicativity)
 from .balanced import BalancedTensorSpace, TripleQuotient, build_balanced
-from .base_algebras import (SubalgebraView, action_span_dim, first_noncommuting_pair,
-                            is_anti_homomorphism, run_base_suite)
-from .linalg import LinMap, Subspace, Vec, lincomb, unit_vec
+from .base_algebras import (SubalgebraView, action_span_dim, first_anti_homomorphism_failure,
+                            first_noncommuting_pair, run_base_suite)
+from .linalg import LinMap, Subspace, Vec, lincomb, unit_vec, vsub
 from .reporting import CheckRecord, Report, failed, passed
 from .separability import SeparabilityIdempotent, find_separating_functional, trace_form_radical
 from .wmha import WeakMultiplierHopfAlgebra
@@ -146,22 +148,33 @@ class QuantumGraphPair:
             report.add(failed("ambient-local-units", {}))
             return report
         report.add(passed("ambient-local-units"))
-        commute = first_noncommuting_pair(alg, self.b_view, self.c_view) is None
-        report.add(passed("bases-commute") if commute else
-                   failed("bases-commute", {}))
+        pair = first_noncommuting_pair(alg, self.b_view, self.c_view)
+        report.add(passed("bases-commute") if pair is None else
+                   failed("bases-commute", {"b": pair[0], "c": pair[1]}))
         for view, label in ((self.b_view, "B"), (self.c_view, "C")):
             span = action_span_dim(alg, view)
             if span != d:
                 report.add(failed("bases-act-fully", {"algebra": label, "span": span}))
                 return report
         report.add(passed("bases-act-fully"))
-        b, c = self.b_view.algebra, self.c_view.algebra
-        ok = (self.s_b.is_bijective() and self.s_c.is_bijective()
-              and is_anti_homomorphism(self.s_b, b, c)
-              and is_anti_homomorphism(self.s_c, c, b))
-        report.add(passed("base-anti-isomorphisms") if ok else
-                   failed("base-anti-isomorphisms", {}))
+        witness = self._anti_isomorphism_failure()
+        report.add(passed("base-anti-isomorphisms") if witness is None else
+                   failed("base-anti-isomorphisms", witness))
         return report
+
+    def _anti_isomorphism_failure(self) -> dict | None:
+        """S_B, then S_C, not bijective (with its rank), else the first
+        basis pair where S_B, then S_C, is not anti-multiplicative."""
+        b, c = self.b_view.algebra, self.c_view.algebra
+        maps = {"S_B": (self.s_b, b, c), "S_C": (self.s_c, c, b)}
+        for name, (m, _, _) in maps.items():
+            if not m.is_bijective():
+                return {"map": name, "rank": m.rank()}
+        for name, (m, source, target) in maps.items():
+            pair = first_anti_homomorphism_failure(m, source, target)
+            if pair is not None:
+                return {"map": name, "pair": [source.labels[i] for i in pair]}
+        return None
 
 
 class MultiplierHopfAlgebroid:
@@ -213,26 +226,26 @@ def forward_construct(bundle: WeakMultiplierHopfAlgebra) -> tuple[MultiplierHopf
 
 # -- checks ---------------------------------------------------------------
 
+def _modulo(bal: BalancedTensorSpace, lhs, rhs):
+    """The law lhs = rhs in a balanced quotient: the class of lhs - rhs against 0."""
+    return (lambda *index: bal.project(vsub(lhs(*index), rhs(*index))), lambda *index: {})
+
+
 def check_regularity(alg: MultiplierHopfAlgebroid) -> CheckRecord:
     """Delta_B(a)(x (x) 1) = Delta_B(a)(1 (x) S_B(x)) in the l-quotient
     and the mirrored condition for Delta_C in the r-quotient."""
-    graph, t2, d = alg.graph, alg.t2, alg.dim
-    bal_l = graph.balanced("l")
-    bal_r = graph.balanced("r")
-    for a in range(d):
-        for i, x in enumerate(graph.b_elements()):
-            lhs = t2.mul_right_leg1(alg.delta_b[a], x)
-            rhs = t2.mul_right_leg2(alg.delta_b[a], graph.s_b_element(i))
-            if not bal_l.equivalent(lhs, rhs):
-                return failed("left-coproduct-regular",
-                              {"basis": alg.algebra.labels[a], "b_index": i})
-        for j, y in enumerate(graph.c_elements()):
-            lhs = t2.mul_left_leg2(y, alg.delta_c[a])
-            rhs = t2.mul_left_leg1(graph.s_c_element(j), alg.delta_c[a])
-            if not bal_r.equivalent(lhs, rhs):
-                return failed("right-coproduct-regular",
-                              {"basis": alg.algebra.labels[a], "c_index": j})
-    return passed("coproducts-regular")
+    graph, t2, db, dc = alg.graph, alg.t2, alg.delta_b, alg.delta_c
+    xs, ys = graph.b_elements(), graph.c_elements()
+    bad = first_failure((alg.dim, 2, len(xs)), by_side([
+        [_modulo(graph.balanced("l"), lambda a, i: t2.mul_right_leg1(db[a], xs[i]),
+                 lambda a, i: t2.mul_right_leg2(db[a], graph.s_b_element(i)))],
+        [_modulo(graph.balanced("r"), lambda a, i: t2.mul_left_leg2(ys[i], dc[a]),
+                 lambda a, i: t2.mul_left_leg1(graph.s_c_element(i), dc[a]))]], axis=1))
+    if bad is None:
+        return passed("coproducts-regular")
+    (a, side, i), _, _, _ = bad
+    return failed(("left-coproduct-regular", "right-coproduct-regular")[side],
+                  {"basis": alg.algebra.labels[a], ("b_index", "c_index")[side]: i})
 
 
 def check_algebroid_homomorphism(alg: MultiplierHopfAlgebroid) -> CheckRecord:
@@ -250,35 +263,23 @@ def check_algebroid_homomorphism(alg: MultiplierHopfAlgebroid) -> CheckRecord:
 def check_base_behavior(alg: MultiplierHopfAlgebroid) -> CheckRecord:
     """Delta_B(xa) = (1 (x) x)Delta_B(a), Delta_B(ya) = (y (x) 1)Delta_B(a),
     and the mirrored laws for Delta_C."""
-    graph, t2, d = alg.graph, alg.t2, alg.dim
-    alg_a = alg.algebra
-    bal_l = graph.balanced("l")
-    bal_r = graph.balanced("r")
-    for a in range(d):
-        ea = unit_vec(a)
-        for x in graph.b_elements():
-            lhs = lincomb(alg_a.mul(x, ea), alg.delta_b)
-            rhs = t2.mul_left_leg2(x, alg.delta_b[a])
-            if not bal_l.equivalent(lhs, rhs):
-                return failed("left-coproduct-base-behavior",
-                              {"basis": alg_a.labels[a], "side": "B"})
-            lhs = lincomb(alg_a.mul(ea, x), alg.delta_c)
-            rhs = t2.mul_right_leg2(alg.delta_c[a], x)
-            if not bal_r.equivalent(lhs, rhs):
-                return failed("right-coproduct-base-behavior",
-                              {"basis": alg_a.labels[a], "side": "B"})
-        for y in graph.c_elements():
-            lhs = lincomb(alg_a.mul(y, ea), alg.delta_b)
-            rhs = t2.mul_left_leg1(y, alg.delta_b[a])
-            if not bal_l.equivalent(lhs, rhs):
-                return failed("left-coproduct-base-behavior",
-                              {"basis": alg_a.labels[a], "side": "C"})
-            lhs = lincomb(alg_a.mul(ea, y), alg.delta_c)
-            rhs = t2.mul_right_leg1(alg.delta_c[a], y)
-            if not bal_r.equivalent(lhs, rhs):
-                return failed("right-coproduct-base-behavior",
-                              {"basis": alg_a.labels[a], "side": "C"})
-    return passed("coproduct-base-behavior")
+    graph, t2, db, dc, mul = alg.graph, alg.t2, alg.delta_b, alg.delta_c, alg.algebra.mul
+    bal_l, bal_r = graph.balanced("l"), graph.balanced("r")
+    xs, ys = graph.b_elements(), graph.c_elements()
+    bad = first_failure((alg.dim, 2, len(xs)), by_side([
+        [_modulo(bal_l, lambda a, i: lincomb(mul(xs[i], unit_vec(a)), db),
+                 lambda a, i: t2.mul_left_leg2(xs[i], db[a])),
+         _modulo(bal_r, lambda a, i: lincomb(mul(unit_vec(a), xs[i]), dc),
+                 lambda a, i: t2.mul_right_leg2(dc[a], xs[i]))],
+        [_modulo(bal_l, lambda a, i: lincomb(mul(ys[i], unit_vec(a)), db),
+                 lambda a, i: t2.mul_left_leg1(ys[i], db[a])),
+         _modulo(bal_r, lambda a, i: lincomb(mul(unit_vec(a), ys[i]), dc),
+                 lambda a, i: t2.mul_right_leg1(dc[a], ys[i]))]], axis=1))
+    if bad is None:
+        return passed("coproduct-base-behavior")
+    (a, side, _), k, _, _ = bad
+    return failed(("left-coproduct-base-behavior", "right-coproduct-base-behavior")[k],
+                  {"basis": alg.algebra.labels[a], "side": "BC"[side]})
 
 
 def check_algebroid_coassociativity(alg: MultiplierHopfAlgebroid) -> CheckRecord:
@@ -380,35 +381,28 @@ def check_counital_maps(alg: MultiplierHopfAlgebroid) -> CheckRecord:
     alg_a = alg.algebra
     b_sub = graph.b_view.subspace
     c_sub = graph.c_view.subspace
-    img_b = Subspace(d)
-    img_c = Subspace(d)
-    for j in range(d):
-        img_b.insert(alg.eps_b.apply(unit_vec(j)))
-        img_c.insert(alg.eps_c.apply(unit_vec(j)))
+    img_b, img_c = (Subspace.from_vectors(d, m.cols) for m in (alg.eps_b, alg.eps_c))
     if img_b != b_sub:
         return failed("left-counital-image", {"dim": img_b.dim, "B_dim": b_sub.dim})
     if img_c != c_sub:
         return failed("right-counital-image", {"dim": img_c.dim, "C_dim": c_sub.dim})
-    for a in range(d):
-        ea = unit_vec(a)
-        for i, x in enumerate(graph.b_elements()):
-            if alg.eps_b.apply(alg_a.mul(x, ea)) != alg_a.mul(x, alg.eps_b.apply(ea)):
-                return failed("left-counital-module-law",
-                              {"basis": alg_a.labels[a], "law": "eps_B(xa)=x eps_B(a)"})
-            sx = graph.s_b_element(i)
-            if alg.eps_b.apply(alg_a.mul(sx, ea)) != alg_a.mul(alg.eps_b.apply(ea), x):
-                return failed("left-counital-module-law",
-                              {"basis": alg_a.labels[a],
-                               "law": "eps_B(S_B(x)a)=eps_B(a)x"})
-        for j, y in enumerate(graph.c_elements()):
-            if alg.eps_c.apply(alg_a.mul(ea, y)) != alg_a.mul(alg.eps_c.apply(ea), y):
-                return failed("right-counital-module-law",
-                              {"basis": alg_a.labels[a], "law": "eps_C(ay)=eps_C(a)y"})
-            sy = graph.s_c_element(j)
-            if alg.eps_c.apply(alg_a.mul(ea, sy)) != alg_a.mul(y, alg.eps_c.apply(ea)):
-                return failed("right-counital-module-law",
-                              {"basis": alg_a.labels[a],
-                               "law": "eps_C(a S_C(y))=y eps_C(a)"})
+    xs, ys, mul = graph.b_elements(), graph.c_elements(), alg_a.mul
+    eps_b, eps_c = alg.eps_b.cols, alg.eps_c.cols
+    bad = first_failure((d, 2, len(xs)), by_side([
+        [(lambda a, i: alg.eps_b.apply(mul(xs[i], unit_vec(a))),
+          lambda a, i: mul(xs[i], eps_b[a])),
+         (lambda a, i: alg.eps_b.apply(mul(graph.s_b_element(i), unit_vec(a))),
+          lambda a, i: mul(eps_b[a], xs[i]))],
+        [(lambda a, i: alg.eps_c.apply(mul(unit_vec(a), ys[i])),
+          lambda a, i: mul(eps_c[a], ys[i])),
+         (lambda a, i: alg.eps_c.apply(mul(unit_vec(a), graph.s_c_element(i))),
+          lambda a, i: mul(ys[i], eps_c[a]))]], axis=1))
+    if bad is not None:
+        (a, side, _), k, _, _ = bad
+        return failed(("left-counital-module-law", "right-counital-module-law")[side],
+                      {"basis": alg_a.labels[a],
+                       "law": (("eps_B(xa)=x eps_B(a)", "eps_B(S_B(x)a)=eps_B(a)x"),
+                               ("eps_C(ay)=eps_C(a)y", "eps_C(a S_C(y))=y eps_C(a)"))[side][k]})
     s_b_eps_b = LinMap(d, d, [graph.apply_s_b(col) for col in alg.eps_b.cols])
     bad = first_failure((d, d), [
         (lambda a, b: t2.mul_map(t2.map_leg1(s_b_eps_b, alg.slices.r2(a, b))),
@@ -468,12 +462,13 @@ def check_antipode_structure(alg: MultiplierHopfAlgebroid) -> CheckRecord:
         return failed("algebroid-antipode-antihomomorphism",
                       {"pair": [alg_a.labels[i] for i in bad[0]]})
     graph = alg.graph
-    for i, x in enumerate(graph.b_elements()):
-        if s.apply(x) != graph.s_b_element(i):
-            return failed("antipode-restriction", {"side": "B", "index": i})
-    for j, y in enumerate(graph.c_elements()):
-        if s.apply(y) != graph.s_c_element(j):
-            return failed("antipode-restriction", {"side": "C", "index": j})
+    xs, ys = graph.b_elements(), graph.c_elements()
+    bad = first_failure((2, len(xs)), by_side([
+        [(lambda i: s.apply(xs[i]), graph.s_b_element)],
+        [(lambda i: s.apply(ys[i]), graph.s_c_element)]]))
+    if bad is not None:
+        (side, i), _, _, _ = bad
+        return failed("antipode-restriction", {"side": "BC"[side], "index": i})
     return passed("algebroid-antipode-structure")
 
 

@@ -8,11 +8,13 @@ the restricted antipode and the unique functionals that slice the
 canonical idempotent to the unit.  The structural checks on a base pair
 (commuting, acting fully, anti-homomorphic antipodal maps) live here
 once and serve the base suite and the algebroid's graph-pair axioms.
+Each basis-indexed check is one ``algebra.first_failure`` scan; one over
+both bases scans a side axis (B, then C) first and names the side.
 """
 
 from __future__ import annotations
 
-from .algebra import AlgebraError, FiniteAlgebra, first_failure, multiplicativity
+from .algebra import AlgebraError, FiniteAlgebra, by_side, first_failure, multiplicativity
 from .linalg import LinMap, Subspace, Vec, lincomb, solve, unit_vec, vaxpy, vsub, vtensor
 from .reporting import CheckRecord, Report, failed, passed
 from .wmha import WeakMultiplierHopfAlgebra
@@ -67,11 +69,10 @@ class SubalgebraView:
 def first_noncommuting_pair(alg: FiniteAlgebra, b_view: SubalgebraView,
                             c_view: SubalgebraView) -> tuple[Vec, Vec] | None:
     """The first basis pair (b, c) with bc != cb; None when B and C commute."""
-    for bi in b_view.basis:
-        for cj in c_view.basis:
-            if alg.mul(bi, cj) != alg.mul(cj, bi):
-                return bi, cj
-    return None
+    b, c = b_view.basis, c_view.basis
+    bad = first_failure((len(b), len(c)), [(lambda i, j: alg.mul(b[i], c[j]),
+                                           lambda i, j: alg.mul(c[j], b[i]))])
+    return None if bad is None else (b[bad[0][0]], c[bad[0][1]])
 
 
 def action_span_dim(alg: FiniteAlgebra, view: SubalgebraView) -> int:
@@ -84,10 +85,14 @@ def action_span_dim(alg: FiniteAlgebra, view: SubalgebraView) -> int:
     return span.dim
 
 
-def is_anti_homomorphism(s: LinMap, source: FiniteAlgebra, target: FiniteAlgebra) -> bool:
-    """s(xy) = s(y)s(x) on the basis, for s from source to target coordinates."""
-    return first_failure((source.dim, source.dim),
-                         [multiplicativity(source, s.cols, target.mul, anti=True)]) is None
+def first_anti_homomorphism_failure(s: LinMap, source: FiniteAlgebra,
+                                    target: FiniteAlgebra) -> tuple[int, int] | None:
+    """The first basis pair (i, j) of source with s(e_i e_j) != s(e_j)s(e_i),
+    for s from source to target coordinates; None when s is an
+    anti-homomorphism."""
+    bad = first_failure((source.dim, source.dim),
+                        [multiplicativity(source, s.cols, target.mul, anti=True)])
+    return None if bad is None else bad[0]
 
 
 class BaseAlgebraData:
@@ -148,8 +153,8 @@ def compute_base_algebras(bundle: WeakMultiplierHopfAlgebra) -> tuple[BaseAlgebr
         report.add(failed("antipode-restricts", {"S(B) in C": s_b is not None,
                                                  "S(C) in B": s_c is not None}))
         return None, report
-    anti_ok = (is_anti_homomorphism(s_b, b_view.algebra, c_view.algebra)
-               and is_anti_homomorphism(s_c, c_view.algebra, b_view.algebra))
+    anti_ok = (first_anti_homomorphism_failure(s_b, b_view.algebra, c_view.algebra) is None
+               and first_anti_homomorphism_failure(s_c, c_view.algebra, b_view.algebra) is None)
     report.add(passed("antipode-restricts") if anti_ok else
                failed("antipode-restricts", {"anti_homomorphism": False}))
 
@@ -177,33 +182,45 @@ def compute_base_algebras(bundle: WeakMultiplierHopfAlgebra) -> tuple[BaseAlgebr
                           {"leg1_dim": leg1.dim, "B_dim": b_view.dim,
                            "leg2_dim": leg2.dim, "C_dim": c_view.dim}))
 
-    # antipodal identities through E: E(b (x) 1) = E(1 (x) S(b)),
-    # (1 (x) c)E = (S(c) (x) 1)E
-    anti = (all(t2.mul_right_leg1(e, bi) == t2.mul_right_leg2(e, s.apply(bi))
-                for bi in b_view.basis)
-            and all(t2.mul_left_leg2(cj, e) == t2.mul_left_leg1(s.apply(cj), e)
-                    for cj in c_view.basis))
-    report.add(passed("idempotent-antipodal-maps") if anti else
-               failed("idempotent-antipodal-maps", {}))
+    # S_B is bijective, so dim B = dim C = n: the scans run over (side, i[, a])
+    # at the i-th basis element xs[i] of B (side 0) or ys[i] of C (side 1)
+    xs, ys, n = b_view.basis, c_view.basis, b_view.dim
 
-    # covered integral identities: mu(S (x) id)(E(1 (x) y)) = y on C,
-    # mu(id (x) S)((x (x) 1)E) = x on B
-    cov = (all(t2.mul_map(t2.map_leg1(s, t2.mul_right_leg2(e, cj))) == cj
-               for cj in c_view.basis)
-           and all(t2.mul_map(t2.map_leg2(s, t2.mul_left_leg1(bi, e))) == bi
-                   for bi in b_view.basis))
-    report.add(passed("idempotent-covered-integrals") if cov else
-               failed("idempotent-covered-integrals", {}))
+    def record(name, laws, shape=(2, n)):
+        bad = first_failure(shape, laws)
+        if bad is None:
+            return passed(name)
+        (side, i, *a), k, _, _ = bad
+        witness = {"side": "BC"[side], "element": (xs, ys)[side][i]}
+        if a:
+            witness.update(basis=alg.labels[a[0]], map=("source", "target")[k])
+        return failed(name, witness)
 
-    # module relations for the source and target maps
-    mod = (all(lincomb(alg.mul(unit_vec(i), bi), sources) == alg.mul(sources[i], bi)
-               and lincomb(alg.mul(bi, unit_vec(i)), targets) == alg.mul(targets[i], s.apply(bi))
-               for i in range(d) for bi in b_view.basis)
-           and all(lincomb(alg.mul(unit_vec(i), cj), sources) == alg.mul(s.apply(cj), sources[i])
-                   and lincomb(alg.mul(cj, unit_vec(i)), targets) == alg.mul(cj, targets[i])
-                   for i in range(d) for cj in c_view.basis))
-    report.add(passed("source-target-module-relations") if mod else
-               failed("source-target-module-relations", {}))
+    # antipodal identities through E: E(x (x) 1) = E(1 (x) S(x)) on B,
+    # (1 (x) y)E = (S(y) (x) 1)E on C
+    report.add(record("idempotent-antipodal-maps", by_side([
+        [(lambda i: t2.mul_right_leg1(e, xs[i]),
+          lambda i: t2.mul_right_leg2(e, s.apply(xs[i])))],
+        [(lambda i: t2.mul_left_leg2(ys[i], e),
+          lambda i: t2.mul_left_leg1(s.apply(ys[i]), e))]])))
+
+    # covered integral identities: mu(id (x) S)((x (x) 1)E) = x on B,
+    # mu(S (x) id)(E(1 (x) y)) = y on C
+    report.add(record("idempotent-covered-integrals", by_side([
+        [(lambda i: t2.mul_map(t2.map_leg2(s, t2.mul_left_leg1(xs[i], e))), xs.__getitem__)],
+        [(lambda i: t2.mul_map(t2.map_leg1(s, t2.mul_right_leg2(e, ys[i]))), ys.__getitem__)]])))
+
+    # module relations of the source map (law 0) and the target map
+    # (law 1) at (side, i, a)
+    report.add(record("source-target-module-relations", by_side([
+        [(lambda i, a: lincomb(alg.mul(unit_vec(a), xs[i]), sources),
+          lambda i, a: alg.mul(sources[a], xs[i])),
+         (lambda i, a: lincomb(alg.mul(xs[i], unit_vec(a)), targets),
+          lambda i, a: alg.mul(targets[a], s.apply(xs[i])))],
+        [(lambda i, a: lincomb(alg.mul(unit_vec(a), ys[i]), sources),
+          lambda i, a: alg.mul(s.apply(ys[i]), sources[a])),
+         (lambda i, a: lincomb(alg.mul(ys[i], unit_vec(a)), targets),
+          lambda i, a: alg.mul(ys[i], targets[a]))]]), (2, n, d)))
 
     phi_b = _slice_functional(bundle, b_view, c_view, e_coords, first_leg=True)
     phi_c = _slice_functional(bundle, b_view, c_view, e_coords, first_leg=False)

@@ -169,12 +169,11 @@ def cmd_roundtrip(args) -> int:
         _emit(report, args.format)
         return 1
     report.extend(got.report.records)
-    same = (got.bundle.delta == bundle.delta
-            and got.bundle.counit == bundle.counit
-            and got.bundle.antipode == bundle.antipode
-            and got.bundle.E == bundle.E)
-    report.add(passed("roundtrip-tensors-identical") if same else
-               failed("roundtrip-tensors-identical", {}))
+    differ = [name for name, attr in (("delta", "delta"), ("counit", "counit"),
+                                      ("antipode", "antipode"), ("idempotent", "E"))
+              if getattr(got.bundle, attr) != getattr(bundle, attr)]
+    report.add(failed("roundtrip-tensors-identical", {"tensors": differ}) if differ else
+               passed("roundtrip-tensors-identical"))
     _emit(report, args.format)
     return 0 if report.ok else 1
 

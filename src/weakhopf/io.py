@@ -32,12 +32,8 @@ class SchemaError(ValueError):
     pass
 
 
-def _enc(x: int | Fraction) -> str:
-    return str(x)
-
-
 def _dec(x) -> int | Fraction:
-    """The rational an entry encodes, the inverse of ``_enc``: an int when
+    """The rational an entry encodes, the inverse of ``str``: an int when
     it is integral, else a Fraction."""
     if type(x) not in (str, int):
         raise SchemaError(f"rational entries are strings like \"3/2\", got {x!r}")
@@ -48,7 +44,7 @@ def _dec(x) -> int | Fraction:
 
 
 def _vec_list(v: Vec, n: int) -> list[str]:
-    return [_enc(v.get(i, 0)) for i in range(n)]
+    return [str(v.get(i, 0)) for i in range(n)]
 
 
 def _require_shape(xs, *shape: int) -> None:
@@ -65,8 +61,8 @@ def _vec_from_list(xs, n: int) -> Vec:
     return vec_from((i, _dec(x)) for i, x in enumerate(xs))
 
 
-def _matrix(m: LinMap) -> list[list[str]]:
-    return [[_enc(m.entry(i, j)) for j in range(m.ncols)] for i in range(m.nrows)]
+def encode_matrix(m: LinMap) -> list[list[str]]:
+    return [[str(m.entry(i, j)) for j in range(m.ncols)] for i in range(m.nrows)]
 
 
 def _matrix_from(rows, nrows: int, ncols: int) -> LinMap:
@@ -75,10 +71,10 @@ def _matrix_from(rows, nrows: int, ncols: int) -> LinMap:
 
 
 def _square(v: Vec, d: int) -> list[list[str]]:
-    out = [[_enc(0)] * d for _ in range(d)]
+    out = [["0"] * d for _ in range(d)]
     for p, c in v.items():
         i, j = divmod(p, d)
-        out[i][j] = _enc(c)
+        out[i][j] = str(c)
     return out
 
 
@@ -100,7 +96,7 @@ def _squares_from(elements, d: int) -> list[Vec]:
 
 def algebra_to_dict(alg: FiniteAlgebra) -> dict:
     n = alg.dim
-    structure = [[[_enc(alg.mul_basis(i, j).get(k, 0))
+    structure = [[[str(alg.mul_basis(i, j).get(k, 0))
                    for k in range(n)] for j in range(n)] for i in range(n)]
     return {"labels": list(alg.labels), "structure": structure}
 
@@ -120,7 +116,7 @@ def wmha_to_dict(bundle: WeakMultiplierHopfAlgebra) -> dict:
         "algebra": algebra_to_dict(bundle.algebra),
         "delta": [_square(v, d) for v in bundle.delta],
         "counit": _vec_list(bundle.counit, d),
-        "antipode": _matrix(bundle.antipode),
+        "antipode": encode_matrix(bundle.antipode),
         "idempotent": _square(bundle.E, d),
     }
 
@@ -160,13 +156,13 @@ def algebroid_to_dict(alg: MultiplierHopfAlgebroid,
         "algebra": algebra_to_dict(alg.algebra),
         "b_basis": [_vec_list(x, d) for x in graph.b_view.basis],
         "c_basis": [_vec_list(y, d) for y in graph.c_view.basis],
-        "s_b": _matrix(graph.s_b),
-        "s_c": _matrix(graph.s_c),
+        "s_b": encode_matrix(graph.s_b),
+        "s_c": encode_matrix(graph.s_c),
         "delta_b": [_square(v, d) for v in alg.delta_b],
         "delta_c": [_square(v, d) for v in alg.delta_c],
-        "eps_b": _matrix(alg.eps_b),
-        "eps_c": _matrix(alg.eps_c),
-        "antipode": _matrix(alg.antipode),
+        "eps_b": encode_matrix(alg.eps_b),
+        "eps_c": encode_matrix(alg.eps_c),
+        "antipode": encode_matrix(alg.antipode),
     }
     if expected_verdict is not None:
         doc["expected_verdict"] = expected_verdict

@@ -29,7 +29,8 @@ from __future__ import annotations
 
 from .algebra import CoproductSlices, first_failure, multiplicativity
 from .algebroid import MultiplierHopfAlgebroid, QuantumGraphPair
-from .linalg import LinMap, Subspace, Vec, unit_vec, vdot, vsub
+from .io import encode_matrix
+from .linalg import Subspace, Vec, unit_vec, vdot, vec_from, vsub
 from .reporting import Report, failed, passed
 # find_separating_functional is only bound here: the benchmark's tracer
 # (perfbench/tracing.py) times it as reconstruction.find_separating_functional
@@ -50,13 +51,11 @@ class ReconstructionError(ValueError):
 
 
 class ObstructionReport:
-    def __init__(self, stage: str, witness: dict, narrative: str, report: Report,
-                 context: dict | None = None):
+    def __init__(self, stage: str, witness: dict, narrative: str, report: Report):
         self.stage = stage
         self.witness = witness
         self.narrative = narrative
         self.report = report
-        self.context = context or {}
 
     def __repr__(self):
         return f"ObstructionReport({self.stage})"
@@ -86,8 +85,8 @@ def check_separability_assumption(alg: MultiplierHopfAlgebroid,
         narrative = "the base algebra has nonzero radical, so no separating functional exists"
     elif found is None:
         stage = STAGE_MODULAR_MISMATCH
-        witness = {"sigma_target": _matrix_dump(sigma_target),
-                   "reference_modular_automorphism": _matrix_dump(
+        witness = {"sigma_target": encode_matrix(sigma_target),
+                   "reference_modular_automorphism": encode_matrix(
                        modular_automorphism(b, regular_trace(b)))}
         moved = sigma_center(b, sigma_target)[1]
         if moved is not None:
@@ -96,7 +95,7 @@ def check_separability_assumption(alg: MultiplierHopfAlgebroid,
     elif graph.e_coords is None:
         stage = STAGE_MODULAR_MISMATCH
         witness = {"failed": found[1].check_invariants() or ["S_C-mismatch"],
-                   "sigma_target": _matrix_dump(sigma_target)}
+                   "sigma_target": encode_matrix(sigma_target)}
         narrative = "the induced antipodal maps do not match the given ones"
     else:
         report.add(passed("assumption-separable-frobenius"))
@@ -138,15 +137,17 @@ def build_delta(alg: MultiplierHopfAlgebroid, e_elt: Vec,
         report.add(failed("rebuilt-coproduct-homomorphism",
                           {"side": ("left", "right")[k], "pair": list(pair)}))
         return None
-    for a in range(d):
-        da = cops.left[a]
-        dpa = cops.right[a]
-        if t2.mul(e_elt, da) != da or t2.mul(da, e_elt) != da:
-            report.add(failed("rebuilt-coproduct-absorption", {"side": "left", "a": a}))
-            return None
-        if t2.mul(e_elt, dpa) != dpa or t2.mul(dpa, e_elt) != dpa:
-            report.add(failed("rebuilt-coproduct-absorption", {"side": "right", "a": a}))
-            return None
+    # E Delta(a) = Delta(a) = Delta(a) E, then the same for Delta'(a)
+    left, right = cops.left, cops.right
+    bad = first_failure((d,), [(lambda a: t2.mul(e_elt, left[a]), left.__getitem__),
+                               (lambda a: t2.mul(left[a], e_elt), left.__getitem__),
+                               (lambda a: t2.mul(e_elt, right[a]), right.__getitem__),
+                               (lambda a: t2.mul(right[a], e_elt), right.__getitem__)])
+    if bad is not None:
+        (a,), k, _, _ = bad
+        report.add(failed("rebuilt-coproduct-absorption",
+                          {"side": ("left", "right")[k // 2], "a": a}))
+        return None
     bad = cops.first_coassociativity_failure([("r2", "r1"), ("l2", "l1")])
     if bad is not None:
         a, b, c, k = bad
@@ -161,26 +162,17 @@ def build_counits(alg: MultiplierHopfAlgebroid, idem: SeparabilityIdempotent,
                   cops: CoproductSlices, report: Report) -> tuple[Vec, Vec] | None:
     """eps = phi_B o eps_B and eps' = phi_C o eps_C, with the one-sided
     counit laws available before the coproducts merge."""
-    graph, d = alg.graph, alg.dim
-    alg_a = alg.algebra
-    eps: Vec = {}
-    eps_prime: Vec = {}
-    for a in range(d):
-        coords = graph.b_view.to_coords(alg.eps_b.apply(unit_vec(a)))
-        if coords is None:
-            report.add(failed("rebuilt-counits", {"reason": "eps_B outside B"}))
-            return None
-        val = vdot(idem.phi_b, coords)
-        if val:
-            eps[a] = val
-        coords_c = graph.c_view.to_coords(alg.eps_c.apply(unit_vec(a)))
-        if coords_c is None:
-            report.add(failed("rebuilt-counits", {"reason": "eps_C outside C"}))
-            return None
-        val2 = vdot(idem.phi_c, coords_c)
-        if val2:
-            eps_prime[a] = val2
-    t2 = alg.t2
+    graph, d, alg_a, t2 = alg.graph, alg.dim, alg.algebra, alg.t2
+    sides = ((graph.b_view, alg.eps_b, idem.phi_b), (graph.c_view, alg.eps_c, idem.phi_c))
+    coords = [[view.to_coords(m.apply(unit_vec(a))) for view, m, _ in sides] for a in range(d)]
+    bad = first_failure((d, 2), [(lambda a, side: coords[a][side] is not None,
+                                  lambda a, side: True)])
+    if bad is not None:
+        report.add(failed("rebuilt-counits",
+                          {"reason": ("eps_B outside B", "eps_C outside C")[bad[0][1]]}))
+        return None
+    eps, eps_prime = (vec_from((a, vdot(phi, coords[a][side])) for a in range(d))
+                      for side, (_, _, phi) in enumerate(sides))
 
     def flipped(a, b):
         return alg_a.mul_basis(b, a)
@@ -347,29 +339,22 @@ def reconstruction_pipeline(alg: MultiplierHopfAlgebroid):
         raise ReconstructionError(report.to_text())
     eps, eps_prime = built
     if not check_ranges_and_fullness(alg, cops, e_elt, report):
-        return ObstructionReport(STAGE_RANGES,
-                                 report.records[-1].witness or {},
-                                 "a range condition failed", report,
-                                 context={"e_elt": e_elt})
+        return ObstructionReport(STAGE_RANGES, report.records[-1].witness,
+                                 "a range condition failed", report)
     if not check_E_comultiplicativity(alg, cops, e_elt, report):
         raise ReconstructionError(report.to_text())
     if not check_kernels(alg, cops, report):
-        return ObstructionReport(STAGE_KERNELS,
-                                 report.records[-1].witness or {},
-                                 "a kernel condition failed", report,
-                                 context={"e_elt": e_elt})
+        return ObstructionReport(STAGE_KERNELS, report.records[-1].witness,
+                                 "a kernel condition failed", report)
     if not check_mixed_coassociativity(alg, cops, report):
         raise ReconstructionError(report.to_text())
     if not counit_antipode_meta(alg, eps, eps_prime, report):
         raise ReconstructionError(report.to_text())
-    if eps != eps_prime:
-        diff = [a for a in range(alg.dim)
-                if eps.get(a, 0) != eps_prime.get(a, 0)]
-        a = diff[0]
+    bad = first_failure((alg.dim,), [(lambda a: eps.get(a, 0), lambda a: eps_prime.get(a, 0))])
+    if bad is not None:
+        (a,), _, value, value_prime = bad
         # "eps" and "eps_prime" are coefficients: see reporting.SCALAR_COEFFICIENTS
-        witness = {"basis": alg.algebra.labels[a],
-                   "eps": eps.get(a, 0),
-                   "eps_prime": eps_prime.get(a, 0),
+        witness = {"basis": alg.algebra.labels[a], "eps": value, "eps_prime": value_prime,
                    "phi_B": idem.phi_b, "phi_C": idem.phi_c}
         report.add(failed("counit-equality", witness))
         return ObstructionReport(STAGE_COUNITS_DIFFER, witness,
@@ -396,6 +381,3 @@ def reconstruction_pipeline(alg: MultiplierHopfAlgebroid):
         raise ReconstructionError(report.to_text())
     return PipelineResult(bundle, report, idem, eps, eps_prime)
 
-
-def _matrix_dump(m: LinMap) -> list[list[str]]:
-    return [[str(m.entry(i, j)) for j in range(m.ncols)] for i in range(m.nrows)]

@@ -11,9 +11,10 @@ nonzero radical rules out every separating functional.
 from __future__ import annotations
 
 
-from .algebra import (FiniteAlgebra, TensorSquare, first_failure, multiplicativity,
+from .algebra import (FiniteAlgebra, TensorSquare, by_side, first_failure, multiplicativity,
                       opposite_algebra)
-from .linalg import LinMap, Subspace, Vec, lincomb, solve, unit_vec, vaxpy, vdot, vsub, vtensor
+from .linalg import (LinMap, Subspace, Vec, lincomb, solve, unit_vec, vaxpy, vdot, vec_from, vsub,
+                     vtensor)
 
 
 class SeparabilityError(ValueError):
@@ -74,9 +75,9 @@ def _modular(b: FiniteAlgebra, phi: Vec, p: LinMap, pinv: LinMap) -> LinMap:
         raise NoModularAutomorphism("solved map is singular")
     if first_failure((n, n), [multiplicativity(b, sigma.cols, b.mul)]) is not None:
         raise NoModularAutomorphism("solved map is not multiplicative")
-    for i in range(n):
-        if vdot(phi, sigma.apply(unit_vec(i))) != phi.get(i, 0):
-            raise NoModularAutomorphism("phi is not invariant under sigma")
+    invariance = (lambda i: vdot(phi, sigma.cols[i]), lambda i: phi.get(i, 0))
+    if first_failure((n,), [invariance]) is not None:
+        raise NoModularAutomorphism("phi is not invariant under sigma")
     return sigma
 
 
@@ -113,18 +114,14 @@ class SeparabilityIdempotent:
         bc = self.bc
         if bc.mul(self.e, self.e) != self.e:
             bad.append("idempotency")
-        for x in range(self.b.dim):
-            lhs = bc.mul_right_leg1(self.e, unit_vec(x))
-            rhs = bc.mul_right_leg2(self.e, self.s_b.apply(unit_vec(x)))
-            if lhs != rhs:
-                bad.append("antipodal-B")
-                break
-        for y in range(self.c.dim):
-            lhs = bc.mul_left_leg2(unit_vec(y), self.e)
-            rhs = bc.mul_left_leg1(self.s_c.apply(unit_vec(y)), self.e)
-            if lhs != rhs:
-                bad.append("antipodal-C")
-                break
+        if first_failure((self.b.dim,), [
+                (lambda x: bc.mul_right_leg1(self.e, unit_vec(x)),
+                 lambda x: bc.mul_right_leg2(self.e, self.s_b.cols[x]))]) is not None:
+            bad.append("antipodal-B")
+        if first_failure((self.c.dim,), [
+                (lambda y: bc.mul_left_leg2(unit_vec(y), self.e),
+                 lambda y: bc.mul_left_leg1(self.s_c.cols[y], self.e))]) is not None:
+            bad.append("antipodal-C")
         if bc.functional_leg1(self.phi_b, self.e) != self.c.unit():
             bad.append("integral-B")
         if bc.functional_leg2(self.phi_c, self.e) != self.b.unit():
@@ -174,28 +171,18 @@ def build_E_from_functional(b: FiniteAlgebra, phi: Vec,
 
 def _pushforward(phi: Vec, s_b: LinMap) -> Vec:
     """phi composed with the inverse of s_b, as a functional on C."""
-    inv = s_b.inverse()
-    out: Vec = {}
-    for j in range(inv.ncols):
-        val = vdot(phi, inv.apply(unit_vec(j)))
-        if val:
-            out[j] = val
-    return out
+    return vec_from((j, vdot(phi, col)) for j, col in enumerate(s_b.inverse().cols))
 
 
 def slice_property_holds(idem: SeparabilityIdempotent) -> bool:
     """(phi(. x) (x) id)E = S_B(x) on the basis of B, plus the derived
     right-handed law (id (x) phi_C(y .))E = S_C(y) on the basis of C."""
-    bc = idem.bc
-    for x in range(idem.b.dim):
-        acc = bc.functional_leg1(idem.phi_b, bc.mul_right_leg1(idem.e, unit_vec(x)))
-        if acc != idem.s_b.apply(unit_vec(x)):
-            return False
-    for y in range(idem.c.dim):
-        acc2 = bc.functional_leg2(idem.phi_c, bc.mul_left_leg2(unit_vec(y), idem.e))
-        if acc2 != idem.s_c.apply(unit_vec(y)):
-            return False
-    return True
+    bc, e = idem.bc, idem.e
+    return first_failure((2, idem.b.dim), by_side([
+        [(lambda x: bc.functional_leg1(idem.phi_b, bc.mul_right_leg1(e, unit_vec(x))),
+          lambda x: idem.s_b.apply(unit_vec(x)))],
+        [(lambda y: bc.functional_leg2(idem.phi_c, bc.mul_left_leg2(unit_vec(y), e)),
+          lambda y: idem.s_c.apply(unit_vec(y)))]])) is None
 
 
 def regular_trace(b: FiniteAlgebra) -> Vec:

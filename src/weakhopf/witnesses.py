@@ -205,10 +205,10 @@ def _revalidate_counits(obstruction, alg) -> bool:
 def _revalidate_subspace(obstruction, alg) -> bool:
     """The witness vector separates the two compared spaces: it belongs
     to exactly one of them, re-checked by dense span membership against
-    generators rebuilt from the algebroid and the obstruction context."""
+    generators rebuilt from the algebroid and its graph pair's E."""
     w = obstruction.witness
     vec = w.get("witness_vector")
-    e_elt = obstruction.context.get("e_elt") if obstruction.context else None
+    e_elt = alg.graph.e_element
     if vec is None or e_elt is None:
         return False
     size = alg.t2.size
@@ -244,7 +244,7 @@ def _revalidate_subspace(obstruction, alg) -> bool:
     # kernel stage: apply the named canonical map densely and compare
     # against the sandwich-generated span
     name = w.get("map")
-    if name is None or alg.graph.e_coords is None:
+    if name is None:
         return False
     spec, f_idx, style = {
         "T1": (lambda a, b: t2.mul_right_leg2(t2.mul(e_elt, alg.delta_b[a]), unit_vec(b)),

@@ -6,15 +6,15 @@ reify to elements), together with counit, antipode and the canonical
 idempotent.  Every defining identity is an executable check returning a
 structured record; leg-notation expressions are realized as compositions
 of slice maps and the antipode, never symbolically.  Identities indexed
-by basis pairs are stated as laws for ``algebra.first_failure``, which
-names the first pair in lexicographic order and then the first law
-failing there; the multiplicativity of Delta and S is the one law of
-``algebra.multiplicativity``.  The maps that E and its twists F_i cut
-out of A (x) A, their images and the kernel descriptions im(id - P_i)
-come from ``bundle.projection``, memoized on the bundle's tensor square;
-whoever holds that square with an equal element (the forward
-construction's sections, reconstruction's range and kernel stages)
-shares the same map.
+by basis elements or pairs are stated as laws for the one scanner,
+``algebra.first_failure``, which names the first tuple in lexicographic
+order and then the first law failing there; the multiplicativity of
+Delta and S is the one law of ``algebra.multiplicativity``.  The maps
+that E and its twists F_i cut out of A (x) A, their images and the
+kernel descriptions im(id - P_i) come from ``bundle.projection``,
+memoized on the bundle's tensor square; whoever holds that square with
+an equal element (the forward construction's sections, reconstruction's
+range and kernel stages) shares the same map.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ class WeakMultiplierHopfAlgebra:
         self.slices = slices
         self._antipode_inv: LinMap | None = None
         self._inverses: dict[int, LinMap] = {}
+        self._composites: dict[tuple[int, str], LinMap] = {}
 
     # -- basic derived data --------------------------------------------
 
@@ -108,6 +109,15 @@ class WeakMultiplierHopfAlgebra:
             raise ValueError(which)
         self._inverses[which] = m
         return m
+
+    def composite(self, which: int, order: str) -> LinMap:
+        """T_which R_which (order "TR") or R_which T_which ("RT"), formed
+        once for the generalized-inverse and projection checks."""
+        key = (which, order)
+        if key not in self._composites:
+            t, r = self.canonical_map(which), self.generalized_inverse(which)
+            self._composites[key] = t @ r if order == "TR" else r @ t
+        return self._composites[key]
 
     def kernel_idempotent(self, which: int) -> Vec:
         """F_1..F_4: the canonical idempotent with S moved through a leg."""
@@ -240,11 +250,12 @@ def check_E_identities(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
     e = bundle.E
     if t2.mul(e, e) != e:
         return failed("canonical-idempotent-squared", {"EE": t2.mul(e, e), "E": e})
-    for a in range(d):
-        da = bundle.delta[a]
-        if t2.mul(e, da) != da or t2.mul(da, e) != da:
-            return failed("canonical-idempotent-absorbs-coproduct",
-                          {"basis": bundle.algebra.labels[a]})
+    delta = bundle.delta
+    bad = first_failure((d,), [(lambda a: t2.mul(e, delta[a]), delta.__getitem__),
+                               (lambda a: t2.mul(delta[a], e), delta.__getitem__)])
+    if bad is not None:
+        return failed("canonical-idempotent-absorbs-coproduct",
+                      {"basis": bundle.algebra.labels[bad[0][0]]})
     twice = t2.expand_leg2(e, lambda k: t2.mul_left_leg1(unit_vec(k), e))
     right = ((1, False), (2, False), (3, False))
     diffs = [(vsub(t2.expand_leg1(e, lambda j: bundle.delta[j]), twice), right),
@@ -308,23 +319,23 @@ def check_antipode_antihom(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
 
 
 def check_antipode_flips_coproduct(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
-    t2, d, s = bundle.t2, bundle.dim, bundle.antipode
-    for a in range(d):
-        lhs = bundle.delta_of(s.apply(unit_vec(a)))
-        rhs = t2.map_leg1(s, t2.map_leg2(s, t2.flip(bundle.delta[a])))
-        if lhs != rhs:
-            return failed("antipode-flips-coproduct",
-                          {"basis": bundle.algebra.labels[a], "lhs": lhs, "rhs": rhs})
+    t2, s = bundle.t2, bundle.antipode
+    bad = first_failure((bundle.dim,), [
+        (lambda a: bundle.delta_of(s.cols[a]),
+         lambda a: t2.map_leg1(s, t2.map_leg2(s, t2.flip(bundle.delta[a]))))])
+    if bad is not None:
+        (a,), _, lhs, rhs = bad
+        return failed("antipode-flips-coproduct",
+                      {"basis": bundle.algebra.labels[a], "lhs": lhs, "rhs": rhs})
     return passed("antipode-flips-coproduct")
 
 
 def check_generalized_inverses(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
     for i in (1, 2, 3, 4):
-        t = bundle.canonical_map(i)
-        r = bundle.generalized_inverse(i)
-        if t @ r @ t != t:
+        t, r = bundle.canonical_map(i), bundle.generalized_inverse(i)
+        if bundle.composite(i, "TR") @ t != t:
             return failed("generalized-inverse-TRT", {"map": f"T{i}"})
-        if r @ t @ r != r:
+        if bundle.composite(i, "RT") @ r != r:
             return failed("generalized-inverse-RTR", {"map": f"R{i}"})
     return passed("generalized-inverses")
 
@@ -333,20 +344,17 @@ def check_projection_formulas(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
     """TR is multiplication by E on the matching side; RT is the
     twisted F-idempotent projector."""
     el, er = bundle.projection("EL").map, bundle.projection("ER").map
-    t2, d = bundle.t2, bundle.dim
+    d = bundle.dim
     for i, want in ((1, el), (2, er), (3, er), (4, el)):
-        got = bundle.canonical_map(i) @ bundle.generalized_inverse(i)
-        if got != want:
+        if bundle.composite(i, "TR") != want:
             return failed("projection-formula-TR", {"map": f"T{i}R{i}"})
     for i in (1, 2, 3, 4):
-        rt = bundle.generalized_inverse(i) @ bundle.canonical_map(i)
-        want = bundle.projection(i).map
-        if rt != want:
-            j = next(j for j in range(t2.size) if rt.cols[j] != want.cols[j])
-            a, b = divmod(j, d)
-            return failed("projection-formula-RT",
-                          {"map": f"R{i}T{i}",
-                           "pair": [bundle.algebra.labels[a], bundle.algebra.labels[b]]})
+        rt, want = bundle.composite(i, "RT"), bundle.projection(i).map
+        bad = first_failure((d, d), [(lambda a, b: rt.cols[a * d + b],
+                                      lambda a, b: want.cols[a * d + b])])
+        if bad is not None:
+            return failed("projection-formula-RT", {
+                "map": f"R{i}T{i}", "pair": [bundle.algebra.labels[a] for a in bad[0]]})
     return passed("projection-formulas")
 
 

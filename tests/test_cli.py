@@ -5,6 +5,7 @@ import pytest
 
 from weakhopf import algebra, cli
 from weakhopf.cli import main
+from weakhopf.wmha import WeakMultiplierHopfAlgebra
 
 
 def run(capsys, *argv):
@@ -115,6 +116,29 @@ def test_roundtrip_command(tmp_path, capsys):
     code, out = run(capsys, "roundtrip", str(path))
     assert code == 0
     assert "roundtrip-tensors-identical" in out
+
+
+def test_roundtrip_names_the_tensors_that_differ(tmp_path, capsys, monkeypatch):
+    """A rebuilt bundle whose counit and idempotent differ from the input's
+    fails the round trip naming exactly those two tensors."""
+    path = tmp_path / "p2.json"
+    run(capsys, "gen-example", "pair-groupoid", "--n", "2", "--out", str(path))
+    pipeline = cli.reconstruction_pipeline
+
+    def altered(alg):
+        got = pipeline(alg)
+        b = got.bundle
+        got.bundle = WeakMultiplierHopfAlgebra(b.algebra, b.delta, {**b.counit, 0: 7},
+                                               b.antipode, {**b.E, 1: 7})
+        return got
+
+    monkeypatch.setattr(cli, "reconstruction_pipeline", altered)
+    code = main(["--format", "json", "roundtrip", str(path)])
+    records = {r["check"]: r for r in json.loads(capsys.readouterr().out)["checks"]}
+    assert code == 1
+    assert records["roundtrip-tensors-identical"] == {
+        "check": "roundtrip-tensors-identical", "status": "fail",
+        "witness": {"tensors": ["counit", "idempotent"]}}
 
 
 def test_obstructed_examples_via_cli(tmp_path, capsys):

@@ -8,15 +8,17 @@ the first failing triple.  The reference loops below are the covered
 forms themselves, written out plainly, so those tests compare the
 engine's witness with the first failure a full covered loop finds.
 
-The pair-indexed checks go through ``first_failure``: the
+The basis-indexed checks go through ``first_failure``: the
 first basis tuple in lexicographic order, then the first law failing
 there.  Their references are the nested loops the checks were written
 as before, and the tests compare whole records over single-entry
-mutants.
+mutants.  Every failed record (but ``ambient-local-units``) names a
+witness, and the law it names fails there when evaluated directly.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import Counter
@@ -26,14 +28,17 @@ import pytest
 
 from weakhopf import algebroid, io
 from weakhopf.algebra import (AlgebraError, FiniteAlgebra, NonAssociative, matrix_algebra)
-from weakhopf.algebroid import (MultiplierHopfAlgebroid, NotBijective, algebroid_canonical_maps,
+from weakhopf.algebroid import (MultiplierHopfAlgebroid, NotBijective, QuantumGraphPair,
+                                algebroid_canonical_maps, check_algebroid_axioms,
                                 check_algebroid_coassociativity,
                                 check_algebroid_homomorphism, check_antipode_diagrams,
-                                check_antipode_structure, check_canonical_maps,
-                                check_compatibility, check_counital_maps, forward_construct)
-from weakhopf.base_algebras import SubalgebraView, is_anti_homomorphism, run_base_suite
-from weakhopf.balanced import TripleQuotient
-from weakhopf.examples import scalar_extension_wmha, swap_crossed_setup
+                                check_antipode_structure, check_base_behavior,
+                                check_canonical_maps, check_compatibility, check_counital_maps,
+                                check_regularity, forward_construct)
+from weakhopf.base_algebras import (SubalgebraView, first_anti_homomorphism_failure,
+                                    run_base_suite)
+from weakhopf.balanced import TripleQuotient, relation_space
+from weakhopf.examples import mixed_algebroid, scalar_extension_wmha, swap_crossed_setup
 from weakhopf.groupoids import as_wmha, pair_groupoid
 from weakhopf.linalg import LinMap, Subspace, lincomb, unit_vec, vdot, vsub, vtensor
 from weakhopf.reconstruction import (RebuiltCoproducts, build_counits, build_delta,
@@ -43,8 +48,9 @@ from weakhopf.reconstruction import (RebuiltCoproducts, build_counits, build_del
 from weakhopf.reporting import CheckRecord, Report, failed, passed
 from weakhopf.separability import build_E_from_functional
 from weakhopf.wmha import (WeakMultiplierHopfAlgebra, check_antipode_antihom,
-                           check_antipode_identities, check_coassociativity, check_counit,
-                           check_E_identities, check_homomorphism, check_kernel_subspaces)
+                           check_antipode_flips_coproduct, check_antipode_identities,
+                           check_coassociativity, check_counit, check_E_identities,
+                           check_homomorphism, check_kernel_subspaces)
 
 
 # -- covered reference loops -----------------------------------------------
@@ -365,6 +371,32 @@ def ref_antipode_antihom(bundle):
     return passed("antipode-antihomomorphism")
 
 
+def ref_antipode_flips_coproduct(bundle):
+    t2, d, s = bundle.t2, bundle.dim, bundle.antipode
+    for a in range(d):
+        lhs = bundle.delta_of(s.apply(unit_vec(a)))
+        rhs = t2.map_leg1(s, t2.map_leg2(s, t2.flip(bundle.delta[a])))
+        if lhs != rhs:
+            return failed("antipode-flips-coproduct",
+                          {"basis": bundle.algebra.labels[a], "lhs": lhs, "rhs": rhs})
+    return passed("antipode-flips-coproduct")
+
+
+def ref_E_absorption(bundle):
+    """The first failure of E^2 = E and of E Delta(a) = Delta(a) =
+    Delta(a) E, which check_E_identities tests before comultiplicativity;
+    None when they hold."""
+    t2, d, e = bundle.t2, bundle.dim, bundle.E
+    if t2.mul(e, e) != e:
+        return failed("canonical-idempotent-squared", {"EE": t2.mul(e, e), "E": e})
+    for a in range(d):
+        da = bundle.delta[a]
+        if t2.mul(e, da) != da or t2.mul(da, e) != da:
+            return failed("canonical-idempotent-absorbs-coproduct",
+                          {"basis": bundle.algebra.labels[a]})
+    return None
+
+
 def _outcome(check, *args):
     """A check's record as a dict, or the exception it raised."""
     try:
@@ -396,6 +428,7 @@ def _bundle_mutants(bundle):
     the checks that read the mutated tensor; the others see the honest
     bundle."""
     reads_delta = [(check_homomorphism, ref_homomorphism), (check_counit, ref_counit),
+                   (check_antipode_flips_coproduct, ref_antipode_flips_coproduct),
                    (check_antipode_identities, ref_antipode_identities)]
     for bad in _delta_mutants(bundle):
         yield bad, reads_delta
@@ -408,6 +441,7 @@ def _bundle_mutants(bundle):
         yield WeakMultiplierHopfAlgebra(bundle.algebra, bundle.delta, bundle.counit, s,
                                         bundle.E), [
             (check_antipode_antihom, ref_antipode_antihom),
+            (check_antipode_flips_coproduct, ref_antipode_flips_coproduct),
             (check_antipode_identities, ref_antipode_identities)]
 
 
@@ -423,7 +457,29 @@ def test_wmha_pair_scans_match_nested_loops(name):
                 failures[got["check"]] += 1
     assert set(failures) == {"coproduct-homomorphism", "counit-left-law", "counit-right-law",
                              "antipode-triple-product-first",
-                             "antipode-triple-product-second", "antipode-antihomomorphism"}
+                             "antipode-triple-product-second", "antipode-antihomomorphism",
+                             "antipode-flips-coproduct"}
+
+
+@pytest.mark.parametrize("name", ["pair-2", "crossed-swap"])
+def test_E_absorption_matches_nested_loop(name):
+    """Over the Delta and E mutants, check_E_identities names the record
+    and basis element the nested loop names, or gets past both tests."""
+    bundle = as_wmha(pair_groupoid(2)) if name == "pair-2" else swap_crossed_setup()[0]
+    e_mutants = (WeakMultiplierHopfAlgebra(bundle.algebra, bundle.delta, bundle.counit,
+                                           bundle.antipode, _shifted(bundle.E, p, shift))
+                 for p in range(bundle.dim ** 2) for shift in (1, -1))
+    failures = Counter()
+    for bad in itertools.chain(_delta_mutants(bundle), e_mutants):
+        got, expected = check_E_identities(bad), ref_E_absorption(bad)
+        if expected is None:
+            assert got.name not in ("canonical-idempotent-squared",
+                                    "canonical-idempotent-absorbs-coproduct")
+        else:
+            assert got.to_dict() == expected.to_dict()
+            failures[got.name] += 1
+    assert set(failures) == {"canonical-idempotent-squared",
+                             "canonical-idempotent-absorbs-coproduct"}
 
 
 def test_pair_comes_before_law():
@@ -455,39 +511,57 @@ def test_pair_comes_before_law():
 def ref_base_records(bundle) -> dict[str, dict]:
     """The base suite's E-identity, module-relation and characterization
     records, computed with the unit-padded products, e.g. E(b (x) 1) as
-    E * (b (x) 1), and loops that scan every pair."""
+    E * (b (x) 1), and nested loops over the side (B, then C), the base
+    element[, the basis element of A] and the law."""
     alg, t2, d = bundle.algebra, bundle.t2, bundle.dim
     unit, s, e = alg.unit(), bundle.antipode, bundle.E
     sources = [bundle.source_value(i) for i in range(d)]
     targets = [bundle.target_value(i) for i in range(d)]
     b_view, c_view = SubalgebraView(alg, sources, "B"), SubalgebraView(alg, targets, "C")
-    anti = True
-    for bi in b_view.basis:
-        if t2.mul(e, vtensor(bi, unit, d)) != t2.mul(e, vtensor(unit, s.apply(bi), d)):
-            anti = False
-    for cj in c_view.basis:
-        if t2.mul(vtensor(unit, cj, d), e) != t2.mul(vtensor(s.apply(cj), unit, d), e):
-            anti = False
-    cov = True
-    for cj in c_view.basis:
-        if t2.mul_map(t2.map_leg1(s, t2.mul(e, vtensor(unit, cj, d)))) != cj:
-            cov = False
-    for bi in b_view.basis:
-        if t2.mul_map(t2.map_leg2(s, t2.mul(vtensor(bi, unit, d), e))) != bi:
-            cov = False
-    mod = True
-    for i in range(d):
-        ea = unit_vec(i)
-        for bi in b_view.basis:
-            if lincomb(alg.mul(ea, bi), sources) != alg.mul(sources[i], bi):
-                mod = False
-            if lincomb(alg.mul(bi, ea), targets) != alg.mul(targets[i], s.apply(bi)):
-                mod = False
-        for cj in c_view.basis:
-            if lincomb(alg.mul(ea, cj), sources) != alg.mul(s.apply(cj), sources[i]):
-                mod = False
-            if lincomb(alg.mul(cj, ea), targets) != alg.mul(cj, targets[i]):
-                mod = False
+
+    def antipodal():
+        for side, elements in enumerate((b_view.basis, c_view.basis)):
+            for x in elements:
+                if side == 0:
+                    holds = (t2.mul(e, vtensor(x, unit, d))
+                             == t2.mul(e, vtensor(unit, s.apply(x), d)))
+                else:
+                    holds = (t2.mul(vtensor(unit, x, d), e)
+                             == t2.mul(vtensor(s.apply(x), unit, d), e))
+                if not holds:
+                    return {"side": "BC"[side], "element": x}
+        return None
+
+    def integrals():
+        for side, elements in enumerate((b_view.basis, c_view.basis)):
+            for x in elements:
+                if side == 0:
+                    got = t2.mul_map(t2.map_leg2(s, t2.mul(vtensor(x, unit, d), e)))
+                else:
+                    got = t2.mul_map(t2.map_leg1(s, t2.mul(e, vtensor(unit, x, d))))
+                if got != x:
+                    return {"side": "BC"[side], "element": x}
+        return None
+
+    def module():
+        for side, elements in enumerate((b_view.basis, c_view.basis)):
+            for x in elements:
+                for a in range(d):
+                    ea = unit_vec(a)
+                    source = lincomb(alg.mul(ea, x), sources)
+                    target = lincomb(alg.mul(x, ea), targets)
+                    if side == 0:
+                        laws = ((source, alg.mul(sources[a], x)),
+                                (target, alg.mul(targets[a], s.apply(x))))
+                    else:
+                        laws = ((source, alg.mul(s.apply(x), sources[a])),
+                                (target, alg.mul(x, targets[a])))
+                    for k, (lhs, rhs) in enumerate(laws):
+                        if lhs != rhs:
+                            return {"side": "BC"[side], "element": x,
+                                    "basis": alg.labels[a], "map": ("source", "target")[k]}
+        return None
+
     a_s = LinMap(d * d, d, [vsub(bundle.delta_of(unit_vec(j)),
                                  t2.mul(e, vtensor(unit, unit_vec(j), d)))
                             for j in range(d)]).kernel()
@@ -502,10 +576,10 @@ def ref_base_records(bundle) -> dict[str, dict]:
                       {"algebra": "A_t", "solved_dim": a_t.dim, "C_dim": c_view.dim})
     else:
         char = passed("source-target-characterizations")
-    records = [passed(name) if ok else failed(name, {})
-               for name, ok in (("idempotent-antipodal-maps", anti),
-                                ("idempotent-covered-integrals", cov),
-                                ("source-target-module-relations", mod))]
+    records = [passed(name) if witness is None else failed(name, witness)
+               for name, witness in (("idempotent-antipodal-maps", antipodal()),
+                                     ("idempotent-covered-integrals", integrals()),
+                                     ("source-target-module-relations", module()))]
     return {r.name: r.to_dict() for r in records + [char]}
 
 
@@ -585,6 +659,62 @@ def test_base_suite_matches_unit_padded_products(name):
 
 
 # -- algebroid and reconstruction ------------------------------------------
+
+def ref_regularity(alg: MultiplierHopfAlgebroid) -> CheckRecord:
+    """Delta_B(a)(x (x) 1) = Delta_B(a)(1 (x) S_B(x)) in the l-quotient
+    and the mirrored condition for Delta_C in the r-quotient."""
+    graph, t2, d = alg.graph, alg.t2, alg.dim
+    bal_l = graph.balanced("l")
+    bal_r = graph.balanced("r")
+    for a in range(d):
+        for i, x in enumerate(graph.b_elements()):
+            lhs = t2.mul_right_leg1(alg.delta_b[a], x)
+            rhs = t2.mul_right_leg2(alg.delta_b[a], graph.s_b_element(i))
+            if not bal_l.equivalent(lhs, rhs):
+                return failed("left-coproduct-regular",
+                              {"basis": alg.algebra.labels[a], "b_index": i})
+        for j, y in enumerate(graph.c_elements()):
+            lhs = t2.mul_left_leg2(y, alg.delta_c[a])
+            rhs = t2.mul_left_leg1(graph.s_c_element(j), alg.delta_c[a])
+            if not bal_r.equivalent(lhs, rhs):
+                return failed("right-coproduct-regular",
+                              {"basis": alg.algebra.labels[a], "c_index": j})
+    return passed("coproducts-regular")
+
+
+def ref_base_behavior(alg: MultiplierHopfAlgebroid) -> CheckRecord:
+    """Delta_B(xa) = (1 (x) x)Delta_B(a), Delta_B(ya) = (y (x) 1)Delta_B(a),
+    and the mirrored laws for Delta_C."""
+    graph, t2, d = alg.graph, alg.t2, alg.dim
+    alg_a = alg.algebra
+    bal_l = graph.balanced("l")
+    bal_r = graph.balanced("r")
+    for a in range(d):
+        ea = unit_vec(a)
+        for x in graph.b_elements():
+            lhs = lincomb(alg_a.mul(x, ea), alg.delta_b)
+            rhs = t2.mul_left_leg2(x, alg.delta_b[a])
+            if not bal_l.equivalent(lhs, rhs):
+                return failed("left-coproduct-base-behavior",
+                              {"basis": alg_a.labels[a], "side": "B"})
+            lhs = lincomb(alg_a.mul(ea, x), alg.delta_c)
+            rhs = t2.mul_right_leg2(alg.delta_c[a], x)
+            if not bal_r.equivalent(lhs, rhs):
+                return failed("right-coproduct-base-behavior",
+                              {"basis": alg_a.labels[a], "side": "B"})
+        for y in graph.c_elements():
+            lhs = lincomb(alg_a.mul(y, ea), alg.delta_b)
+            rhs = t2.mul_left_leg1(y, alg.delta_b[a])
+            if not bal_l.equivalent(lhs, rhs):
+                return failed("left-coproduct-base-behavior",
+                              {"basis": alg_a.labels[a], "side": "C"})
+            lhs = lincomb(alg_a.mul(ea, y), alg.delta_c)
+            rhs = t2.mul_right_leg1(alg.delta_c[a], y)
+            if not bal_r.equivalent(lhs, rhs):
+                return failed("right-coproduct-base-behavior",
+                              {"basis": alg_a.labels[a], "side": "C"})
+    return passed("coproduct-base-behavior")
+
 
 def ref_algebroid_homomorphism(alg):
     graph, t2, d = alg.graph, alg.t2, alg.dim
@@ -853,7 +983,9 @@ def ref_build_counits(alg: MultiplierHopfAlgebroid, idem: SeparabilityIdempotent
     return eps, eps_prime
 
 
-ALGEBROID_PAIRS = [(check_algebroid_homomorphism, ref_algebroid_homomorphism),
+ALGEBROID_PAIRS = [(check_regularity, ref_regularity),
+                   (check_algebroid_homomorphism, ref_algebroid_homomorphism),
+                   (check_base_behavior, ref_base_behavior),
                    (check_algebroid_coassociativity, ref_algebroid_coassociativity),
                    (check_compatibility, ref_compatibility),
                    (check_counital_maps, ref_counital_maps),
@@ -868,6 +1000,13 @@ def loaded_p2():
     alg = io.parse_document(io.algebroid_to_dict(forward_construct(as_wmha(pair_groupoid(2)))[0]))
     idem = check_separability_assumption(alg)
     return alg, idem, embed_idempotent(alg.graph, idem)
+
+
+@pytest.fixture(scope="module")
+def counit_twist():
+    """The counit-twist algebroid read back from its file: A is the
+    noncommutative crossed-swap algebra (d = 8)."""
+    return io.parse_document(io.algebroid_to_dict(mixed_algebroid(*swap_crossed_setup())))
 
 
 def _algebroid_mutants(alg):
@@ -920,12 +1059,31 @@ def test_algebroid_scans_match_nested_loops(loaded_p2):
         assert got.to_dict()["checks"] == expected.to_dict()["checks"]
         failures.update(r.name for r in got.failures())
     assert {"left-coproduct-homomorphism", "right-coproduct-homomorphism",
+            "left-coproduct-base-behavior", "right-coproduct-base-behavior",
+            "left-counital-module-law", "right-counital-module-law",
             "left-coproduct-coassociativity", "right-coproduct-coassociativity",
             "joint-coassociativity-first", "joint-coassociativity-second",
             "left-counit-diagram", "right-counit-diagram",
             "algebroid-antipode-antihomomorphism",
             "antipode-diagram-left", "antipode-diagram-right",
             "rebuilt-coproduct-homomorphism", "rebuilt-counit-laws"} <= set(failures)
+
+
+def test_sided_scans_match_nested_loops(counit_twist):
+    """Regularity and base behavior over seeded coproduct mutants of an
+    algebroid with noncommutative A, where both regularity records fail
+    (over a commutative A right and left covers agree, and regularity
+    holds in every mutant)."""
+    failures = Counter()
+    for bad in _coproduct_mutants(counit_twist, random.Random(5), 8):
+        for check, reference in ((check_regularity, ref_regularity),
+                                 (check_base_behavior, ref_base_behavior)):
+            got = _outcome(check, bad)
+            assert got == _outcome(reference, bad)
+            failures[got["check"]] += got["status"] != "pass"
+    assert all(failures[name] for name in (
+        "left-coproduct-regular", "right-coproduct-regular",
+        "left-coproduct-base-behavior", "right-coproduct-base-behavior")), failures
 
 
 @pytest.mark.parametrize("name", ["pair-2", "crossed-swap"])
@@ -1052,12 +1210,178 @@ def test_nonassociative_names_the_first_triple(alg):
 
 
 def test_is_anti_homomorphism_matches_nested_loop():
+    """first_anti_homomorphism_failure names the pair the nested loop names."""
     bundle = swap_crossed_setup()[0]
     alg = bundle.algebra
-    results = set()
+    failures = 0
     for s in _map_mutants(bundle.antipode):
-        got = is_anti_homomorphism(s, alg, alg)
-        assert got == (_first_antihom_pair(s, alg, alg) is None)
-        results.add(got)
-    assert is_anti_homomorphism(bundle.antipode, alg, alg)
-    assert False in results
+        got = first_anti_homomorphism_failure(s, alg, alg)
+        assert got == _first_antihom_pair(s, alg, alg)
+        failures += got is not None
+    assert first_anti_homomorphism_failure(bundle.antipode, alg, alg) is None
+    assert failures
+
+
+# -- every failure names a tuple at which its law fails -------------------------
+
+@functools.cache
+def _relations(graph, kind):
+    """The kind's relation space, spanned by its relators rather than read
+    off the section that the checks use."""
+    return relation_space(kind, graph)
+
+
+def _balanced_equal(graph, kind, lhs, rhs):
+    return _relations(graph, kind).contains(vsub(lhs, rhs))
+
+
+def _base_law_fails(bundle, name, w):
+    """Whether the base-suite law that the record names fails at its
+    witness, evaluated with unit-padded products; None for a record whose
+    witness names no basis element."""
+    alg, t2, d = bundle.algebra, bundle.t2, bundle.dim
+    unit, s, e = alg.unit(), bundle.antipode, bundle.E
+    if name == "base-algebras-commute":
+        return alg.mul(w["b"], w["c"]) != alg.mul(w["c"], w["b"])
+    x, on_b = w.get("element"), w.get("side") == "B"
+    if name == "idempotent-antipodal-maps":
+        if on_b:
+            return t2.mul(e, vtensor(x, unit, d)) != t2.mul(e, vtensor(unit, s.apply(x), d))
+        return t2.mul(vtensor(unit, x, d), e) != t2.mul(vtensor(s.apply(x), unit, d), e)
+    if name == "idempotent-covered-integrals":
+        if on_b:
+            return t2.mul_map(t2.map_leg2(s, t2.mul(vtensor(x, unit, d), e))) != x
+        return t2.mul_map(t2.map_leg1(s, t2.mul(e, vtensor(unit, x, d)))) != x
+    if name == "source-target-module-relations":
+        a = alg.labels.index(w["basis"])
+        ea, sx = unit_vec(a), s.apply(x)
+        if w["map"] == "source":
+            value = bundle.source_value(a)
+            lhs, rhs = alg.mul(ea, x), alg.mul(value, x) if on_b else alg.mul(sx, value)
+            return lincomb(lhs, [bundle.source_value(j) for j in range(d)]) != rhs
+        value = bundle.target_value(a)
+        lhs, rhs = alg.mul(x, ea), alg.mul(value, sx) if on_b else alg.mul(x, value)
+        return lincomb(lhs, [bundle.target_value(j) for j in range(d)]) != rhs
+    return None
+
+
+def _graph_law_fails(graph, name, w):
+    """As ``_base_law_fails``, for the graph-pair records."""
+    alg = graph.algebra
+    if name == "bases-commute":
+        return alg.mul(w["b"], w["c"]) != alg.mul(w["c"], w["b"])
+    if name == "base-anti-isomorphisms":
+        b, c = graph.b_view.algebra, graph.c_view.algebra
+        m, source, target = {"S_B": (graph.s_b, b, c), "S_C": (graph.s_c, c, b)}[w["map"]]
+        if "rank" in w:
+            return not m.is_bijective() and m.rank() == w["rank"]
+        i, j = (source.labels.index(label) for label in w["pair"])
+        return (m.apply(source.mul_basis(i, j))
+                != target.mul(m.apply(unit_vec(j)), m.apply(unit_vec(i))))
+    return None
+
+
+def _algebroid_law_fails(alg, name, w):
+    """As ``_base_law_fails``, for the algebroid records; a quotient is
+    compared through its relation space.  A base-behavior or module-law
+    witness names a and the side or law, and the law fails at some
+    element of that base."""
+    graph, t2, mul = alg.graph, alg.t2, alg.algebra.mul
+    xs, ys = graph.b_elements(), graph.c_elements()
+    a = alg.algebra.labels.index(w["basis"]) if "basis" in w else None
+    ea = a is not None and unit_vec(a)
+    if name == "left-coproduct-regular":
+        i, z = w["b_index"], alg.delta_b[a]
+        return not _balanced_equal(graph, "l", t2.mul_right_leg1(z, xs[i]),
+                                   t2.mul_right_leg2(z, graph.s_b_element(i)))
+    if name == "right-coproduct-regular":
+        i, z = w["c_index"], alg.delta_c[a]
+        return not _balanced_equal(graph, "r", t2.mul_left_leg2(ys[i], z),
+                                   t2.mul_left_leg1(graph.s_c_element(i), z))
+    if name == "left-coproduct-base-behavior":
+        z = alg.delta_b[a]
+        pairs = ([(lincomb(mul(x, ea), alg.delta_b), t2.mul_left_leg2(x, z)) for x in xs]
+                 if w["side"] == "B" else
+                 [(lincomb(mul(y, ea), alg.delta_b), t2.mul_left_leg1(y, z)) for y in ys])
+        return any(not _balanced_equal(graph, "l", *pair) for pair in pairs)
+    if name == "right-coproduct-base-behavior":
+        z = alg.delta_c[a]
+        pairs = ([(lincomb(mul(ea, x), alg.delta_c), t2.mul_right_leg2(z, x)) for x in xs]
+                 if w["side"] == "B" else
+                 [(lincomb(mul(ea, y), alg.delta_c), t2.mul_right_leg1(z, y)) for y in ys])
+        return any(not _balanced_equal(graph, "r", *pair) for pair in pairs)
+    if name in ("left-counital-module-law", "right-counital-module-law"):
+        eb, ec = alg.eps_b.apply, alg.eps_c.apply
+        pairs = {
+            "eps_B(xa)=x eps_B(a)": [(eb(mul(x, ea)), mul(x, eb(ea))) for x in xs],
+            "eps_B(S_B(x)a)=eps_B(a)x": [(eb(mul(graph.s_b_element(i), ea)), mul(eb(ea), x))
+                                         for i, x in enumerate(xs)],
+            "eps_C(ay)=eps_C(a)y": [(ec(mul(ea, y)), mul(ec(ea), y)) for y in ys],
+            "eps_C(a S_C(y))=y eps_C(a)": [(ec(mul(ea, graph.s_c_element(i))), mul(y, ec(ea)))
+                                           for i, y in enumerate(ys)]}[w["law"]]
+        counit = "eps_B" if name.startswith("left") else "eps_C"
+        return w["law"].startswith(counit) and any(lhs != rhs for lhs, rhs in pairs)
+    if name == "antipode-restriction":
+        i = w["index"]
+        x, image = ((xs[i], graph.s_b_element(i)) if w["side"] == "B"
+                    else (ys[i], graph.s_c_element(i)))
+        return alg.antipode.apply(x) != image
+    return _graph_law_fails(graph, name, w)
+
+
+def _graph_mutants(alg):
+    """alg's graph pair with one entry of S_B or S_C moved by +1 or -1,
+    and the pair with B = C = A and S_B = S_C = S, whose bases commute
+    only when A does."""
+    graph, a = alg.graph, alg.algebra
+    for s_b in _map_mutants(graph.s_b):
+        yield QuantumGraphPair(a, graph.b_view, graph.c_view, s_b, graph.s_c)
+    for s_c in _map_mutants(graph.s_c):
+        yield QuantumGraphPair(a, graph.b_view, graph.c_view, graph.s_b, s_c)
+    whole = [SubalgebraView(a, [unit_vec(k) for k in range(a.dim)], name) for name in "BC"]
+    yield QuantumGraphPair(a, *whole, alg.antipode, alg.antipode)
+
+
+def _twisted_restriction(alg):
+    """alg over a graph pair whose S_B and S_C are composed with the swap
+    of B's first two basis elements, which S does not restrict to."""
+    g, n = alg.graph, alg.graph.b_view.dim
+    swap = LinMap(n, n, [unit_vec(1), unit_vec(0), *[unit_vec(k) for k in range(2, n)]])
+    graph = QuantumGraphPair(g.algebra, g.b_view, g.c_view, g.s_b @ swap, swap @ g.s_c)
+    return MultiplierHopfAlgebroid(graph, alg.delta_b, alg.delta_c, alg.eps_b, alg.eps_c,
+                                   alg.antipode)
+
+
+def test_failed_records_name_a_failing_tuple(loaded_p2, counit_twist):
+    """Over the base-suite, graph-pair and algebroid mutants, every failed
+    record but ``ambient-local-units`` has a witness, and where the
+    witness names basis elements the record's law fails there."""
+    evaluated = set()
+
+    def check(records, law_fails):
+        for r in records:
+            if r.ok or r.name == "ambient-local-units":
+                continue
+            assert r.witness, r.name
+            fails = law_fails(r.name, r.witness)
+            assert fails in (True, None), (r.name, r.witness)
+            if fails:
+                evaluated.add(r.name)
+
+    for bundle in (as_wmha(pair_groupoid(2)), swap_crossed_setup()[0]):
+        for bad in _base_mutants(bundle):
+            check(run_base_suite(bad)[1].records, functools.partial(_base_law_fails, bad))
+    p2 = loaded_p2[0]
+    for alg, mutants in ((p2, itertools.chain(_algebroid_mutants(p2), [_twisted_restriction(p2)])),
+                         (counit_twist, _coproduct_mutants(counit_twist, random.Random(5), 8))):
+        for graph in _graph_mutants(alg):
+            check(graph.check_axioms().records, functools.partial(_graph_law_fails, graph))
+        for bad in mutants:
+            check(check_algebroid_axioms(bad).records,
+                  functools.partial(_algebroid_law_fails, bad))
+    assert evaluated == {
+        "base-algebras-commute", "idempotent-antipodal-maps", "idempotent-covered-integrals",
+        "source-target-module-relations", "bases-commute", "base-anti-isomorphisms",
+        "left-coproduct-regular", "right-coproduct-regular", "left-coproduct-base-behavior",
+        "right-coproduct-base-behavior", "left-counital-module-law", "right-counital-module-law",
+        "antipode-restriction"}

@@ -96,8 +96,7 @@ def test_synthetic_range_failure_revalidates(p2_setup):
     assert check_ranges_and_fullness(alg, cops, bundle.E, report) is False
     witness = report.records[-1].witness
     assert "witness_vector" in witness
-    obstruction = ObstructionReport(STAGE_RANGES, witness, "synthetic",
-                                    report, context={"e_elt": bundle.E})
+    obstruction = ObstructionReport(STAGE_RANGES, witness, "synthetic", report)
     # the original algebroid spans the full range, so the separating
     # vector lies in exactly one side
     assert revalidate(obstruction, _corrupted(alg, 0)) or revalidate(obstruction, alg)
@@ -119,8 +118,7 @@ def test_synthetic_kernel_failure_revalidates(p2_setup):
     assert check_kernels(bad, cops, report) is False
     witness = report.records[-1].witness
     assert "witness_vector" in witness
-    obstruction = ObstructionReport(STAGE_KERNELS, witness, "synthetic", report,
-                                    context={"e_elt": bundle.E})
+    obstruction = ObstructionReport(STAGE_KERNELS, witness, "synthetic", report)
     assert revalidate(obstruction, bad)
 
 
@@ -134,8 +132,7 @@ def test_kernel_revalidation_is_independent_of_the_projector_kernel(p2_setup, mo
     cops = rebuilt_coproducts(bad, bundle.E)
     assert check_kernels(bad, cops, report) is False
     witness = report.records[-1].witness
-    obstruction = ObstructionReport(STAGE_KERNELS, witness, "synthetic", report,
-                                    context={"e_elt": bundle.E})
+    obstruction = ObstructionReport(STAGE_KERNELS, witness, "synthetic", report)
 
     def refuse(*args, **kwargs):
         raise AssertionError("re-validation used the verdict's projector kernel")
