@@ -14,6 +14,14 @@ algebras that already hold them and inherit validity: ``direct_sum``,
 unital algebras only, where the multiplier algebra M(A) is A itself,
 so every multiplier the theory needs is an element.
 
+Products follow the sparsity of the table.  Each algebra derives from
+it, once, the partner rows ``partners[i] = {j: e_i e_j}`` holding only
+the nonzero products.  They are the one product path: ``mul`` skips
+every pair of basis indices whose product is zero, ``TensorSquare.mul``
+visits only the partners of each leg that occur in its second factor,
+and the leg images read a product by a basis vector straight off a
+row.  ``validate`` scans associativity row by row over basis pairs.
+
 ``first_failure`` is the one witness scan for identities indexed by
 basis tuples: the first tuple in lexicographic order, then the first
 law that fails there; ``by_side`` states a law over a side axis (B,
@@ -33,10 +41,14 @@ from __future__ import annotations
 import itertools
 import operator
 from functools import cached_property
+from types import MappingProxyType
 from typing import Callable
 
 from .linalg import (LinMap, Subspace, Vec, lincomb, rat, solve, unit_vec, vadd_at, vaxpy,
                      vsub, vtensor)
+
+
+_ZERO = MappingProxyType({})
 
 
 class AlgebraError(ValueError):
@@ -67,8 +79,10 @@ class FiniteAlgebra:
 
     ``table[i][j]`` is e_i e_j.  The table is shared with the caller and
     with every vector ``mul_basis`` returns, so it must stay immutable.
-    The constructor does not validate: ``make_algebra`` does, and the
-    constructors listed in the module docstring inherit validity.
+    The partner rows derived from it once, ``partners``, are the one
+    product path, read by ``mul``, ``TensorSquare.mul`` and the leg
+    images.  The constructor does not validate: ``make_algebra`` does,
+    and the constructors listed in the module docstring inherit validity.
     """
 
     def __init__(self, labels: list[str], table: list[list[Vec]]):
@@ -81,16 +95,38 @@ class FiniteAlgebra:
 
     # -- product ------------------------------------------------------
 
+    @cached_property
+    def partners(self) -> list[dict[int, Vec]]:
+        """partners[i] = {j: e_i e_j} over the nonzero products only,
+        sharing the table's vectors."""
+        return [{j: v for j, v in enumerate(row) if v} for row in self.table]
+
     def mul_basis(self, i: int, j: int) -> Vec:
         """e_i e_j, shared with the table: callers must not mutate it."""
         return self.table[i][j]
 
     def mul(self, x: Vec, y: Vec) -> Vec:
+        partners = self.partners
         out: Vec = {}
         for i, c in x.items():
+            row = partners[i]
             for j, d in y.items():
-                vaxpy(out, c * d, self.mul_basis(i, j))
+                v = row.get(j)
+                if v is not None:
+                    vaxpy(out, c * d, v)
         return out
+
+    def times_basis(self, w: Vec, left: bool) -> Callable[[int], Vec]:
+        """k -> w e_k when left, else k -> e_k w.  For w = e_b it is a
+        partner-row read: the shared product, or the read-only empty
+        ``_ZERO``, so callers must not mutate it."""
+        rows = self.partners
+        if len(w) == 1 and 1 in w.values():
+            b, = w
+            return (lambda k: rows[b].get(k, _ZERO)) if left else (lambda k: rows[k].get(b, _ZERO))
+        if left:
+            return lambda k: self.mul(w, unit_vec(k))
+        return lambda k: self.mul(unit_vec(k), w)
 
     def left_mult(self, x: Vec) -> LinMap:
         """The map y -> x*y."""
@@ -106,15 +142,36 @@ class FiniteAlgebra:
 
     def validate(self) -> None:
         """Raise the first structural failure.  A success is remembered
-        (the table is immutable); a failure raises again on every call."""
+        (the table is immutable); a failure raises again on every call.
+
+        Associativity is scanned row by row: the law at a basis pair
+        (i, j) compares the rows [(e_i e_j) e_k]_k and [e_i (e_j e_k)]_k,
+        each built from the nonzero structure constants only, and
+        ``NonAssociative`` names the first (i, j) and then the least k
+        at which they differ, the first failing triple in lexicographic
+        order.  Only the two rows of one pair are held at a time."""
         if self._valid:
             return
-        n, table = self.dim, self.table
-        bad = first_failure((n, n, n), [
-            (lambda i, j, k: self.mul(self.mul_basis(i, j), unit_vec(k)),
-             lambda i, j, k: self.mul(unit_vec(i), self.mul_basis(j, k)))])
+        n, table, partners = self.dim, self.table, self.partners
+
+        def left_row(i, j):             # (e_i e_j) e_k for every k
+            row: list[Vec] = [{} for _ in range(n)]
+            for m, c in table[i][j].items():
+                for k, v in partners[m].items():
+                    vaxpy(row[k], c, v)
+            return row
+
+        def right_row(i, j):            # e_i (e_j e_k) for every k
+            row: list[Vec] = [{} for _ in range(n)]
+            e_i = unit_vec(i)
+            for k, u in partners[j].items():
+                row[k] = self.mul(e_i, u)
+            return row
+
+        bad = first_failure((n, n), [(left_row, right_row)])
         if bad is not None:
-            raise NonAssociative(*bad[0])
+            (i, j), _, left, right = bad
+            raise NonAssociative(i, j, next(k for k in range(n) if left[k] != right[k]))
         # a annihilates from the left iff sum a_i e_i e_j = 0 for all j:
         # column i of the stacked structure tensor holds e_i e_j at rows
         # j*n .. j*n + n-1; from the right it holds e_j e_i there
@@ -305,27 +362,32 @@ class TensorSquare:
         return vtensor(x, y, self.dim)
 
     def mul(self, x: Vec, y: Vec) -> Vec:
-        """Componentwise product of elements of A (x) B."""
-        first, second = self.algebra, self.second
+        """Componentwise product of elements of A (x) B: y is grouped by
+        its first leg, and a term e_p1 (x) e_p2 of x visits only the
+        first-leg partners of p1 that occur in y, then in each such group
+        only the second-leg partners of p2."""
+        rows1, rows2 = self.algebra.partners, self.second.partners
         d = self.dim
+        groups: dict[int, Vec] = {}
+        for q, e in y.items():
+            q1, q2 = divmod(q, d)
+            groups.setdefault(q1, {})[q2] = e
         out: Vec = {}
         for p, c in x.items():
             p1, p2 = divmod(p, d)
-            for q, e in y.items():
-                q1, q2 = divmod(q, d)
-                left = first.mul_basis(p1, q1)
-                if not left:
-                    continue
-                right = second.mul_basis(p2, q2)
-                if not right:
-                    continue
-                vaxpy(out, c * e, vtensor(left, right, d))
+            row2 = rows2[p2]
+            for q1, left in rows1[p1].items():
+                group = groups.get(q1, _ZERO)
+                for q2, right in row2.items():
+                    if q2 in group:
+                        vaxpy(out, c * group[q2], vtensor(left, right, d))
         return out
 
     def _on_leg(self, x: Vec, leg: int, image: Callable[[int], Vec]) -> Vec:
         """x with the basis vector e_k in the given leg of every term
         replaced by image(k); the one kernel behind the leg products.
-        image(k) is computed once per distinct leg index k of x."""
+        image(k) is computed once per distinct leg index k of x and only
+        read, so it may be a shared vector."""
         d = self.dim
         stride = d if leg == 1 else 1
         out: Vec = {}
@@ -342,29 +404,29 @@ class TensorSquare:
 
     def mul_left_leg1(self, w: Vec, x: Vec) -> Vec:
         """(w (x) 1) * x for w in A (or a reified multiplier)."""
-        return self._on_leg(x, 1, lambda k: self.algebra.mul(w, unit_vec(k)))
+        return self._on_leg(x, 1, self.algebra.times_basis(w, left=True))
 
     def mul_right_leg1(self, x: Vec, w: Vec) -> Vec:
         """x * (w (x) 1)."""
-        return self._on_leg(x, 1, lambda k: self.algebra.mul(unit_vec(k), w))
+        return self._on_leg(x, 1, self.algebra.times_basis(w, left=False))
 
     def mul_left_leg2(self, w: Vec, x: Vec) -> Vec:
         """(1 (x) w) * x."""
-        return self._on_leg(x, 2, lambda k: self.second.mul(w, unit_vec(k)))
+        return self._on_leg(x, 2, self.second.times_basis(w, left=True))
 
     def mul_right_leg2(self, x: Vec, w: Vec) -> Vec:
         """x * (1 (x) w)."""
-        return self._on_leg(x, 2, lambda k: self.second.mul(unit_vec(k), w))
+        return self._on_leg(x, 2, self.second.times_basis(w, left=False))
 
     def sandwich(self, a: Vec, mid: Vec, b: Vec) -> Vec:
         """(a (x) 1) * mid * (1 (x) b)."""
         return self.mul_right_leg2(self.mul_left_leg1(a, mid), b)
 
     def map_leg1(self, m: LinMap, x: Vec) -> Vec:
-        return self._on_leg(x, 1, lambda k: m.apply(unit_vec(k)))
+        return self._on_leg(x, 1, m.cols.__getitem__)
 
     def map_leg2(self, m: LinMap, x: Vec) -> Vec:
-        return self._on_leg(x, 2, lambda k: m.apply(unit_vec(k)))
+        return self._on_leg(x, 2, m.cols.__getitem__)
 
     def flip(self, x: Vec) -> Vec:
         d = self.dim
@@ -372,11 +434,11 @@ class TensorSquare:
 
     def mul_map(self, x: Vec) -> Vec:
         """Multiplication map A (x) A -> A applied to an element."""
-        alg, d = self.algebra, self.dim
+        partners, d = self.algebra.partners, self.dim
         out: Vec = {}
         for p, c in x.items():
             p1, p2 = divmod(p, d)
-            vaxpy(out, c, alg.mul_basis(p1, p2))
+            vaxpy(out, c, partners[p1].get(p2, _ZERO))
         return out
 
     def functional_leg1(self, phi: Vec, x: Vec) -> Vec:
@@ -440,13 +502,13 @@ class TensorSquare:
     def cover(self, z: Vec, leg: int, left: bool, i: int) -> Vec:
         """z in A (x) A (x) A multiplied by e_i in the given leg, from
         the left when left is true, else from the right."""
-        alg, d = self.algebra, self.dim
+        partners, d = self.algebra.partners, self.dim
         stride = d ** (3 - leg)
         out: Vec = {}
         for p, c in z.items():
             x = p // stride % d
             rest = p - x * stride
-            prod = alg.mul_basis(i, x) if left else alg.mul_basis(x, i)
+            prod = partners[i].get(x, _ZERO) if left else partners[x].get(i, _ZERO)
             for k, e in prod.items():
                 vadd_at(out, rest + k * stride, c * e)
         return out
@@ -488,11 +550,11 @@ class TensorSquare:
         in the first leg and by e_b in the second, each from the left
         when its flag is set, else from the right.  Column (a, b) is
         sum x[u, v] L(a, u) (x) R(v, b), with L(a, u) = e_a e_u or
-        e_u e_a and R(v, b) = e_b e_v or e_v e_b, read straight off the
-        structure constants; the one kernel behind ``projection`` and
-        the balanced relators.  Not memoized: on the relation path only,
-        the relators build d * dim B throwaway maps per kind."""
-        first, second, d = self.algebra, self.second, self.dim
+        e_u e_a and R(v, b) = e_b e_v or e_v e_b, read off the partner
+        rows; the one kernel behind ``projection`` and the balanced
+        relators.  Not memoized: on the relation path only, the relators
+        build d * dim B throwaway maps per kind."""
+        rows1, rows2, d = self.algebra.partners, self.second.partners, self.dim
         # for each first-leg index u of x, sum_v x[u, v] R(v, b) for every b
         covered = []
         for u, row in self.leg_vectors(x, 2).items():
@@ -500,13 +562,13 @@ class TensorSquare:
             for b in range(d):
                 acc: Vec = {}
                 for v, c in row.items():
-                    vaxpy(acc, c, second.mul_basis(b, v) if left2 else second.mul_basis(v, b))
+                    vaxpy(acc, c, rows2[b].get(v, _ZERO) if left2 else rows2[v].get(b, _ZERO))
                 per_b.append(acc)
             covered.append((u, per_b))
         cols = []
-        for a in range(first.dim):
+        for a in range(self.algebra.dim):
             terms = [(lv, per_b) for u, per_b in covered
-                     if (lv := first.mul_basis(a, u) if left1 else first.mul_basis(u, a))]
+                     if (lv := rows1[a].get(u) if left1 else rows1[u].get(a)) is not None]
             for b in range(d):
                 col: Vec = {}
                 for lv, per_b in terms:

@@ -163,11 +163,14 @@ class QuantumGraphPair:
         return report
 
     def _anti_isomorphism_failure(self) -> dict | None:
-        """S_B, then S_C, not bijective (with its rank), else the first
-        basis pair where S_B, then S_C, is not anti-multiplicative."""
+        """S_B, then S_C, not a map between its bases (with its shape)
+        or not bijective (with its rank), else the first basis pair where
+        S_B, then S_C, is not anti-multiplicative."""
         b, c = self.b_view.algebra, self.c_view.algebra
         maps = {"S_B": (self.s_b, b, c), "S_C": (self.s_c, c, b)}
-        for name, (m, _, _) in maps.items():
+        for name, (m, source, target) in maps.items():
+            if (m.nrows, m.ncols) != (target.dim, source.dim):
+                return {"map": name, "shape": [m.nrows, m.ncols]}
             if not m.is_bijective():
                 return {"map": name, "rank": m.rank()}
         for name, (m, source, target) in maps.items():

@@ -28,16 +28,17 @@ def test_gen_and_check_pair_groupoid(tmp_path, capsys):
 def test_check_wmha_validates_the_algebra_once(tmp_path, capsys, monkeypatch):
     """Loading validates the algebra and the suite's algebra check finds
     that success remembered: one associativity scan over the pair-2
-    algebra (d = 4)."""
+    algebra (d = 4), row by row over its basis pairs."""
     path = tmp_path / "p2.json"
     run(capsys, "gen-example", "pair-groupoid", "--n", "2", "--out", str(path))
     scans = []
     first_failure = algebra.first_failure
     monkeypatch.setattr(algebra, "first_failure",
-                        lambda shape, laws: scans.append(shape) or first_failure(shape, laws))
+                        lambda shape, laws: scans.append((shape, laws[0][0].__qualname__))
+                        or first_failure(shape, laws))
     code, out = run(capsys, "check-wmha", str(path))
     assert code == 0 and "algebra-structure" in out
-    assert scans.count((4, 4, 4)) == 1
+    assert scans.count(((4, 4), "FiniteAlgebra.validate.<locals>.left_row")) == 1
 
 
 def test_reports_are_byte_identical(tmp_path, capsys):

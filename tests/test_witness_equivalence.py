@@ -27,7 +27,9 @@ from fractions import Fraction
 import pytest
 
 from weakhopf import algebroid, io
-from weakhopf.algebra import (AlgebraError, FiniteAlgebra, NonAssociative, matrix_algebra)
+from weakhopf.algebra import (AlgebraError, FiniteAlgebra, NonAssociative, TensorSquare,
+                              direct_sum, field_algebra, first_failure, matrix_algebra,
+                              tensor_algebra)
 from weakhopf.algebroid import (MultiplierHopfAlgebroid, NotBijective, QuantumGraphPair,
                                 algebroid_canonical_maps, check_algebroid_axioms,
                                 check_algebroid_coassociativity,
@@ -40,7 +42,7 @@ from weakhopf.base_algebras import (SubalgebraView, first_anti_homomorphism_fail
 from weakhopf.balanced import TripleQuotient, relation_space
 from weakhopf.examples import mixed_algebroid, scalar_extension_wmha, swap_crossed_setup
 from weakhopf.groupoids import as_wmha, pair_groupoid
-from weakhopf.linalg import LinMap, Subspace, lincomb, unit_vec, vdot, vsub, vtensor
+from weakhopf.linalg import LinMap, Subspace, lincomb, unit_vec, vaxpy, vdot, vsub, vtensor
 from weakhopf.reconstruction import (RebuiltCoproducts, build_counits, build_delta,
                                      check_E_comultiplicativity, check_mixed_coassociativity,
                                      check_separability_assumption, embed_idempotent,
@@ -1209,6 +1211,121 @@ def test_nonassociative_names_the_first_triple(alg):
     assert seen
 
 
+def _reference_mul(alg, x, y):
+    """x y summed over every pair of basis indices and every structure
+    constant, zeros included, in a dense accumulator."""
+    n = alg.dim
+    acc = [0] * n
+    for i in range(n):
+        for j in range(n):
+            c = x.get(i, 0) * y.get(j, 0)
+            for k in range(n):
+                acc[k] += c * alg.table[i][j].get(k, 0)
+    return {k: v for k, v in enumerate(acc) if v}
+
+
+def _reference_tensor_mul(t2, x, y):
+    """The componentwise product in A (x) B over every pair of indices of
+    each leg, zeros included, in a dense accumulator."""
+    a, b, d = t2.algebra, t2.second, t2.dim
+    acc = [0] * t2.size
+    for p in range(t2.size):
+        for q in range(t2.size):
+            c = x.get(p, 0) * y.get(q, 0)
+            (p1, p2), (q1, q2) = divmod(p, d), divmod(q, d)
+            for k in range(a.dim):
+                for m in range(d):
+                    acc[k * d + m] += (c * a.table[p1][q1].get(k, 0)
+                                       * b.table[p2][q2].get(m, 0))
+    return {k: v for k, v in enumerate(acc) if v}
+
+
+def _pairwise_mul(alg, x, y):
+    """x y summed over every pair of terms, read off the table."""
+    out = {}
+    for i, c in x.items():
+        for j, e in y.items():
+            vaxpy(out, c * e, alg.table[i][j])
+    return out
+
+
+def _random_sparse(rng, size, terms):
+    """Up to `terms` entries of +-1, +-2 and +-1/2, sometimes cancelling
+    to fewer."""
+    x = {}
+    for _ in range(terms):
+        i = rng.randrange(size)
+        c = x.get(i, 0) + rng.choice((1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2)))
+        if c:
+            x[i] = c
+        else:
+            del x[i]
+    return x
+
+
+def _tables_with_one_entry_moved(alg, rng, count):
+    """`count` seeded copies of alg with one structure constant moved by
+    +-1 or +-1/2."""
+    d = alg.dim
+    for _ in range(count):
+        i, j, k = rng.randrange(d), rng.randrange(d), rng.randrange(d)
+        mutant = [list(row) for row in alg.table]
+        mutant[i][j] = _shifted(alg.table[i][j], k,
+                                rng.choice((1, -1, Fraction(1, 2), Fraction(-1, 2))))
+        yield FiniteAlgebra(alg.labels, mutant)
+
+
+@pytest.mark.parametrize("alg", [as_wmha(pair_groupoid(3)).algebra,
+                                 tensor_algebra(matrix_algebra(2), matrix_algebra(2)),
+                                 _base_m2_weighted().algebra],
+                         ids=["pair-3", "m2(x)m2", "base-m2"])
+def test_rowwise_associativity_names_the_triple_scan_witness(alg):
+    """validate's row-by-row scan names the triple the scan over every
+    basis triple names, on random single-entry table mutants."""
+    seen = 0
+    for bad in _tables_with_one_entry_moved(alg, random.Random(21), 100):
+        d = bad.dim
+        scan = first_failure((d, d, d), [
+            (lambda i, j, k: _pairwise_mul(bad, bad.table[i][j], unit_vec(k)),
+             lambda i, j, k: _pairwise_mul(bad, unit_vec(i), bad.table[j][k]))])
+        try:
+            bad.validate()
+            got = None
+        except NonAssociative as exc:
+            got = exc.triple
+        except AlgebraError:
+            got = None
+        assert got == (None if scan is None else scan[0])
+        seen += got is not None
+    assert seen
+
+
+def test_products_match_dense_reference():
+    """FiniteAlgebra.mul and TensorSquare.mul equal the dense products on
+    random sparse vectors with Fraction coefficients, for A (x) A and for
+    a non-square B (x) C, and keep their results zero-free."""
+    rng = random.Random(8)
+    m2, crossed = matrix_algebra(2), swap_crossed_setup()[0].algebra
+    for alg in (m2, crossed, _base_m2_weighted().algebra):
+        for _ in range(25):
+            x, y = _random_sparse(rng, alg.dim, 5), _random_sparse(rng, alg.dim, 5)
+            got = alg.mul(x, y)
+            assert got == _reference_mul(alg, x, y) and all(got.values())
+    # e11 (e11 - e21) + e12 (e11 - e21) = e11 - e11: every term cancels
+    e11_e12, e11_e21 = {0: 1, 1: 1}, {0: 1, 2: -1}
+    assert m2.mul(e11_e12, e11_e21) == {} == _reference_mul(m2, e11_e12, e11_e21)
+    squares = [TensorSquare(m2), TensorSquare(m2, direct_sum(field_algebra(), m2)),
+               TensorSquare(crossed, m2)]
+    for t2 in squares:
+        for _ in range(12):
+            x, y = _random_sparse(rng, t2.size, 6), _random_sparse(rng, t2.size, 6)
+            got = t2.mul(x, y)
+            assert got == _reference_tensor_mul(t2, x, y) and all(got.values())
+    t2 = squares[1]
+    x, y = t2.tensor(e11_e12, {0: 1}), t2.tensor(e11_e21, {0: 1})
+    assert t2.mul(x, y) == {} == _reference_tensor_mul(t2, x, y)
+
+
 def test_is_anti_homomorphism_matches_nested_loop():
     """first_anti_homomorphism_failure names the pair the nested loop names."""
     bundle = swap_crossed_setup()[0]
@@ -1273,6 +1390,8 @@ def _graph_law_fails(graph, name, w):
     if name == "base-anti-isomorphisms":
         b, c = graph.b_view.algebra, graph.c_view.algebra
         m, source, target = {"S_B": (graph.s_b, b, c), "S_C": (graph.s_c, c, b)}[w["map"]]
+        if "shape" in w:
+            return [m.nrows, m.ncols] == w["shape"] != [target.dim, source.dim]
         if "rank" in w:
             return not m.is_bijective() and m.rank() == w["rank"]
         i, j = (source.labels.index(label) for label in w["pair"])
@@ -1350,6 +1469,21 @@ def _twisted_restriction(alg):
     graph = QuantumGraphPair(g.algebra, g.b_view, g.c_view, g.s_b @ swap, swap @ g.s_c)
     return MultiplierHopfAlgebroid(graph, alg.delta_b, alg.delta_c, alg.eps_b, alg.eps_c,
                                    alg.antipode)
+
+
+def test_anti_isomorphism_of_the_wrong_shape_fails_with_its_shape(loaded_p2):
+    """A graph pair whose C is all of A (d = 4) but whose S_B and S_C are
+    the file's 2 x 2 maps fails ``base-anti-isomorphisms`` naming S_B and
+    its shape, although S_B is square and bijective."""
+    alg = loaded_p2[0]
+    graph, a = alg.graph, alg.algebra
+    whole = SubalgebraView(a, [unit_vec(k) for k in range(a.dim)], "C")
+    pair = QuantumGraphPair(a, graph.b_view, whole, graph.s_b, graph.s_c)
+    assert graph.s_b.is_bijective() and (graph.s_b.nrows, graph.s_b.ncols) == (2, 2)
+    record = pair.check_axioms().records[-1]
+    assert record.to_dict() == {"check": "base-anti-isomorphisms", "status": "fail",
+                                "witness": {"map": "S_B", "shape": [2, 2]}}
+    assert _graph_law_fails(pair, record.name, record.witness)
 
 
 def test_failed_records_name_a_failing_tuple(loaded_p2, counit_twist):
