@@ -27,10 +27,15 @@ basis tuples: the first tuple in lexicographic order, then the first
 law that fails there; ``by_side`` states a law over a side axis (B,
 then C) from one law per side.  ``multiplicativity`` states the law
 f(e_i e_j) = f(e_i) f(e_j) (or its anti form) once for every map that
-must respect products.  ``TensorSquare`` holds the only leg-wise
-product code, for A (x) A and for B (x) C alike; its ``projection``
-is the one memoized home of the six maps that the canonical idempotent
-E and its twists F_1..F_4 cut out of A (x) A (``PROJECTION_FLAGS``).
+must respect products.  ``TensorSquare`` holds the leg-wise
+operations, for A (x) A and for B (x) C alike; its leg products, leg
+maps, functionals, expansions and triple covers are each one call of
+``linalg.on_leg``, the one kernel that replaces a tensor leg.
+``_covered_map`` keeps its own loop: it covers both legs for all d^2
+basis pairs and shares each second-leg sum across every first-leg
+cover, which a leg-at-a-time build would recompute.  ``projection`` is
+the one memoized home of the six maps that the canonical idempotent E
+and its twists F_1..F_4 cut out of A (x) A (``PROJECTION_FLAGS``).
 ``CoproductSlices`` is the one slice object: it multiplies a pair of
 coproduct families by basis covers, caches every slice per (kind, a, b),
 and assembles the canonical maps T_1..T_4 from those slices.
@@ -44,7 +49,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Callable
 
-from .linalg import (LinMap, Subspace, Vec, lincomb, rat, solve, unit_vec, vadd_at, vaxpy,
+from .linalg import (LinMap, Subspace, Vec, lincomb, on_leg, rat, solve, unit_vec, vaxpy,
                      vsub, vtensor)
 
 
@@ -383,50 +388,33 @@ class TensorSquare:
                         vaxpy(out, c * group[q2], vtensor(left, right, d))
         return out
 
-    def _on_leg(self, x: Vec, leg: int, image: Callable[[int], Vec]) -> Vec:
-        """x with the basis vector e_k in the given leg of every term
-        replaced by image(k); the one kernel behind the leg products.
-        image(k) is computed once per distinct leg index k of x and only
-        read, so it may be a shared vector."""
-        d = self.dim
-        stride = d if leg == 1 else 1
-        out: Vec = {}
-        images: dict[int, Vec] = {}
-        for p, c in x.items():
-            p1, p2 = divmod(p, d)
-            j, rest = (p1, p2) if leg == 1 else (p2, p1 * d)
-            img = images.get(j)
-            if img is None:
-                img = images[j] = image(j)
-            for k, e in img.items():
-                vadd_at(out, rest + k * stride, c * e)
-        return out
-
     def mul_left_leg1(self, w: Vec, x: Vec) -> Vec:
         """(w (x) 1) * x for w in A (or a reified multiplier)."""
-        return self._on_leg(x, 1, self.algebra.times_basis(w, left=True))
+        return on_leg(x, self.dim, self.algebra.dim, self.algebra.times_basis(w, True),
+                      self.algebra.dim)
 
     def mul_right_leg1(self, x: Vec, w: Vec) -> Vec:
         """x * (w (x) 1)."""
-        return self._on_leg(x, 1, self.algebra.times_basis(w, left=False))
+        return on_leg(x, self.dim, self.algebra.dim, self.algebra.times_basis(w, False),
+                      self.algebra.dim)
 
     def mul_left_leg2(self, w: Vec, x: Vec) -> Vec:
         """(1 (x) w) * x."""
-        return self._on_leg(x, 2, self.second.times_basis(w, left=True))
+        return on_leg(x, 1, self.dim, self.second.times_basis(w, True), self.dim)
 
     def mul_right_leg2(self, x: Vec, w: Vec) -> Vec:
         """x * (1 (x) w)."""
-        return self._on_leg(x, 2, self.second.times_basis(w, left=False))
+        return on_leg(x, 1, self.dim, self.second.times_basis(w, False), self.dim)
 
     def sandwich(self, a: Vec, mid: Vec, b: Vec) -> Vec:
         """(a (x) 1) * mid * (1 (x) b)."""
         return self.mul_right_leg2(self.mul_left_leg1(a, mid), b)
 
     def map_leg1(self, m: LinMap, x: Vec) -> Vec:
-        return self._on_leg(x, 1, m.cols.__getitem__)
+        return on_leg(x, self.dim, self.algebra.dim, m.cols.__getitem__, self.algebra.dim)
 
     def map_leg2(self, m: LinMap, x: Vec) -> Vec:
-        return self._on_leg(x, 2, m.cols.__getitem__)
+        return on_leg(x, 1, self.dim, m.cols.__getitem__, self.dim)
 
     def flip(self, x: Vec) -> Vec:
         d = self.dim
@@ -443,25 +431,12 @@ class TensorSquare:
 
     def functional_leg1(self, phi: Vec, x: Vec) -> Vec:
         """(phi (x) id) applied to an element; phi is a row vector on A."""
-        d = self.dim
-        out: Vec = {}
-        for p, c in x.items():
-            p1, p2 = divmod(p, d)
-            w = phi.get(p1)
-            if w:
-                vadd_at(out, p2, c * w)
-        return out
+        return on_leg(x, self.dim, self.algebra.dim,
+                      lambda j: {0: w} if (w := phi.get(j)) else _ZERO, 1)
 
     def functional_leg2(self, phi: Vec, x: Vec) -> Vec:
         """(id (x) phi) applied to an element; phi is a row vector on B."""
-        d = self.dim
-        out: Vec = {}
-        for p, c in x.items():
-            p1, p2 = divmod(p, d)
-            w = phi.get(p2)
-            if w:
-                vadd_at(out, p1, c * w)
-        return out
+        return on_leg(x, 1, self.dim, lambda j: {0: w} if (w := phi.get(j)) else _ZERO, 1)
 
     def leg_vectors(self, x: Vec, leg: int) -> dict[int, Vec]:
         """x grouped by its other leg: for leg 1 the first-leg vectors
@@ -479,39 +454,20 @@ class TensorSquare:
         return out
 
     def expand_leg1(self, x: Vec, f: Callable[[int], Vec]) -> Vec:
-        """sum x[u, v] f(u) (x) e_v in A (x) A (x) A, for f(u) in A (x) A:
-        the first-leg kernel with images in A (x) A, so f(u) is computed
-        once per distinct u."""
-        return self._on_leg(x, 1, f)
+        """sum x[u, v] f(u) (x) e_v in A (x) A (x) A, for f(u) in A (x) A;
+        f(u) is computed once per distinct u."""
+        return on_leg(x, self.dim, self.algebra.dim, f, self.dim ** 2)
 
     def expand_leg2(self, x: Vec, g: Callable[[int], Vec]) -> Vec:
         """sum x[u, v] e_u (x) g(v) in A (x) A (x) A, for g(v) in A (x) A;
         g(v) is computed once per distinct v."""
-        d = self.dim
-        out: Vec = {}
-        images: dict[int, Vec] = {}
-        for p, c in x.items():
-            u, v = divmod(p, d)
-            img = images.get(v)
-            if img is None:
-                img = images[v] = g(v)
-            for j, e in img.items():
-                vadd_at(out, u * d * d + j, c * e)
-        return out
+        return on_leg(x, 1, self.dim, g, self.dim ** 2)
 
     def cover(self, z: Vec, leg: int, left: bool, i: int) -> Vec:
         """z in A (x) A (x) A multiplied by e_i in the given leg, from
         the left when left is true, else from the right."""
-        partners, d = self.algebra.partners, self.dim
-        stride = d ** (3 - leg)
-        out: Vec = {}
-        for p, c in z.items():
-            x = p // stride % d
-            rest = p - x * stride
-            prod = partners[i].get(x, _ZERO) if left else partners[x].get(i, _ZERO)
-            for k, e in prod.items():
-                vadd_at(out, rest + k * stride, c * e)
-        return out
+        d = self.dim
+        return on_leg(z, d ** (3 - leg), d, self.algebra.times_basis(unit_vec(i), left), d)
 
     def first_nonzero_cover(self, diffs) -> tuple[tuple[int, ...], int]:
         """Witness locator for a failed identity of elements of

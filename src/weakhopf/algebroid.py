@@ -30,7 +30,7 @@ from .algebra import (AlgebraError, CoproductSlices, FiniteAlgebra, TensorSquare
 from .balanced import BalancedTensorSpace, TripleQuotient, build_balanced
 from .base_algebras import (SubalgebraView, action_span_dim, first_anti_homomorphism_failure,
                             first_noncommuting_pair, run_base_suite)
-from .linalg import LinMap, Subspace, Vec, lincomb, unit_vec, vsub
+from .linalg import LinMap, Subspace, Vec, apply_legs, lincomb, unit_vec, vsub
 from .reporting import CheckRecord, Report, failed, passed
 from .separability import SeparabilityIdempotent, find_separating_functional, trace_form_radical
 from .wmha import WeakMultiplierHopfAlgebra
@@ -115,7 +115,7 @@ class QuantumGraphPair:
 
     def embed(self, e_coords: Vec) -> Vec:
         """An element of B (x) C, given in coordinates, realized in A (x) A."""
-        return self.b_view.basis_map.tensor(self.c_view.basis_map).apply(e_coords)
+        return apply_legs(self.b_view.basis_map, self.c_view.basis_map, e_coords)
 
     def f_element(self, which: int) -> Vec:
         """The pair's idempotent E with one leg twisted by the matching
@@ -126,7 +126,7 @@ class QuantumGraphPair:
         left, right = {1: (b, b @ self.s_c), 2: (c @ self.s_b, c),
                        3: (b, b @ self.s_b.inverse()),
                        4: (c @ self.s_c.inverse(), c)}[which]
-        return left.tensor(right).apply(self.e_coords)
+        return apply_legs(left, right, self.e_coords)
 
     def balanced(self, kind: str) -> BalancedTensorSpace:
         if kind not in self._bal_cache:

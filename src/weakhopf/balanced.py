@@ -73,7 +73,7 @@ dimension d^3 is row-reduced.
 from __future__ import annotations
 
 from .algebra import PROJECTION_FLAGS, Projection, TensorSquare
-from .linalg import LinMap, Subspace, Vec, unit_vec, vsub, vtensor
+from .linalg import LinMap, Subspace, Vec, on_leg, unit_vec, vsub, vtensor
 
 # kind -> (base, which): the relators and the section are columns of
 # ``TensorSquare._covered_map`` under the flags PROJECTION_FLAGS[which];
@@ -198,16 +198,7 @@ class TripleQuotient:
         """A map on legs (1,2) applied blockwise over leg 3 (legs 12), or
         on legs (2,3) blockwise over leg 1 (legs 23)."""
         d = self.d
-        blocks: dict[int, Vec] = {}
-        for p, c in x.items():
-            hi, lo = divmod(p, d if legs == 12 else d * d)
-            pair, other = (hi, lo) if legs == 12 else (lo, hi)
-            blocks.setdefault(other, {})[pair] = c
-        out: Vec = {}
-        for other, block in blocks.items():
-            for pair, c in m.apply(block).items():
-                out[pair * d + other if legs == 12 else other * d * d + pair] = c
-        return out
+        return on_leg(x, d if legs == 12 else 1, d * d, m.cols.__getitem__, m.nrows)
 
     def contains(self, x: Vec) -> bool:
         """Is x in the triple relation space?

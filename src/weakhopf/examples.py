@@ -20,7 +20,7 @@ from .algebra import (AlgebraError, FiniteAlgebra, TensorSquare, first_failure,
                       multiplicativity, tensor_algebra)
 from .algebroid import MultiplierHopfAlgebroid, QuantumGraphPair, forward_construct
 from .base_algebras import SubalgebraView
-from .linalg import LinMap, Vec, solve, unit_vec, vdot, vtensor
+from .linalg import LinMap, Vec, apply_legs, solve, unit_vec, vdot, vtensor
 from .reconstruction import STAGE_MODULAR_MISMATCH, STAGE_NOT_SEPARABLE
 from .separability import SeparabilityIdempotent, build_E_from_functional
 from .wmha import WeakMultiplierHopfAlgebra
@@ -55,7 +55,7 @@ class ScalarExtension:
         d = self.algebra.dim
         b_map = LinMap(d, self.nb, [self.embed_b(unit_vec(i)) for i in range(self.nb)])
         c_map = LinMap(d, self.nc, [self.embed_c(unit_vec(j)) for j in range(self.nc)])
-        return b_map.tensor(c_map).apply(self.idem.e)
+        return apply_legs(b_map, c_map, self.idem.e)
 
 
 def scalar_extension_wmha(idem: SeparabilityIdempotent) -> WeakMultiplierHopfAlgebra:

@@ -13,6 +13,12 @@ says how reduction and coordinates follow from that form.  ``solve`` and
 vector, in one such echelon form.
 Everything is exact: no floats, no tolerances.
 
+``on_leg`` is the one loop that replaces a tensor leg, behind every leg
+operation of ``algebra.TensorSquare`` and ``balanced.TripleQuotient``;
+a map on two legs is two calls (``apply_legs``), never a Kronecker
+matrix.  Only ``TensorSquare._covered_map`` keeps its own loop (see the
+``algebra`` docstring for why).
+
 The zero-free invariant matters: a dict never holds a zero entry, hence
 ``u == v`` on raw dicts is exact vector equality.
 """
@@ -118,6 +124,37 @@ def vtensor(u: Vec, v: Vec, dim2: int) -> Vec:
     return out
 
 
+def on_leg(x: Vec, stride: int, n: int, image, width: int) -> Vec:
+    """x with one tensor leg replaced: the one leg kernel.
+
+    An index p of x is read as digits (hi, j, lo), p = (hi*n + j)*stride
+    + lo, with the leg's basis index j of range n and lo of range stride.
+    Each term's e_j becomes image(j), a vector on a slot of size width,
+    so entry k of the image lands at (hi*width + k)*stride + lo.
+    image(j) is computed once per distinct j and only read, so it may
+    be a shared vector."""
+    out: Vec = {}
+    images: dict[int, Vec] = {}
+    for p, c in x.items():
+        q, lo = divmod(p, stride)
+        hi, j = divmod(q, n)
+        img = images.get(j)
+        if img is None:
+            img = images[j] = image(j)
+        base = hi * width
+        for k, e in img.items():
+            vadd_at(out, (base + k) * stride + lo, c * e)
+    return out
+
+
+def apply_legs(left: "LinMap", right: "LinMap", x: Vec) -> Vec:
+    """(left (x) right)(x) for x on the index (i, j) -> i*right.ncols + j,
+    landing on (k, m) -> k*right.nrows + m: one leg, then the other,
+    with no Kronecker matrix."""
+    y = on_leg(x, right.ncols, left.ncols, left.cols.__getitem__, left.nrows)
+    return on_leg(y, 1, right.ncols, right.cols.__getitem__, right.nrows)
+
+
 class LinMap:
     """Linear map Q^ncols -> Q^nrows stored column-sparse."""
 
@@ -208,15 +245,6 @@ class LinMap:
 
     def transpose(self) -> "LinMap":
         return LinMap.from_rows(self.nrows, [dict(c) for c in self.cols])
-
-    def tensor(self, other: "LinMap") -> "LinMap":
-        """Kronecker product; index (i, j) -> i * other.dim + j on both sides."""
-        cols = []
-        for j1 in range(self.ncols):
-            c1 = self.cols[j1]
-            for j2 in range(other.ncols):
-                cols.append(vtensor(c1, other.cols[j2], other.nrows))
-        return LinMap(self.nrows * other.nrows, self.ncols * other.ncols, cols)
 
     def image(self) -> "Subspace":
         return Subspace.from_vectors(self.nrows, self.cols)

@@ -30,7 +30,7 @@ from __future__ import annotations
 from .algebra import CoproductSlices, first_failure, multiplicativity
 from .algebroid import MultiplierHopfAlgebroid, QuantumGraphPair
 from .io import encode_matrix
-from .linalg import Subspace, Vec, unit_vec, vdot, vec_from, vsub
+from .linalg import Vec, unit_vec, vdot, vec_from, vsub
 from .reporting import Report, failed, passed
 # find_separating_functional is only bound here: the benchmark's tracer
 # (perfbench/tracing.py) times it as reconstruction.find_separating_functional
@@ -197,8 +197,19 @@ def check_ranges_and_fullness(alg: MultiplierHopfAlgebroid, cops: CoproductSlice
                               e_elt: Vec, report: Report) -> bool:
     """The slice spans Delta(A)(1 (x) A) = im T_1, Delta(A)(A (x) 1) =
     im T_4, (1 (x) A)Delta'(A) = im T_3 and (A (x) 1)Delta'(A) = im T_2
-    against the ranges of E, then fullness of the legs."""
-    t2, d = alg.t2, alg.dim
+    against the ranges of E.
+
+    Once they hold, the legs are full: both leg spans of the slices
+    r2(a, b), which span im T_1, are A, so fullness is not checked
+    again.  Write E = sum x_i (x) y_i with x_i in B and y_i in C; the
+    graph pair holds E only when the invariants in the ``balanced``
+    docstring hold, and there 1_B = 1_C = 1_A.  im T_1 = E(A (x) A)
+    contains E(a (x) 1) and E(1 (x) b).  For any functional f on A
+    extending phi_C, integral-C gives (id (x) f)(E(a (x) 1)) =
+    sum x_i a phi_C(y_i) = a, so every a lies in the first leg span; for
+    any f extending phi_B, integral-B gives (f (x) id)(E(1 (x) b)) = b,
+    so every b lies in the second."""
+    t2 = alg.t2
     left_range = t2.projection(e_elt, "EL").image
     right_range = t2.projection(e_elt, "ER").image
     spans = {name: cops.canonical_image(which)
@@ -214,21 +225,6 @@ def check_ranges_and_fullness(alg: MultiplierHopfAlgebroid, cops: CoproductSlice
                        "expected_dim": want.dim, "witness_vector": sep}
             report.add(failed("rebuilt-range-conditions", witness))
             return False
-    legs1 = Subspace(d)
-    legs2 = Subspace(d)
-    for a in range(d):
-        for b in range(d):
-            x = cops.r2(a, b)
-            for vec1 in t2.leg_vectors(x, 1).values():
-                legs1.insert(vec1)
-            for vec2 in t2.leg_vectors(x, 2).values():
-                legs2.insert(vec2)
-        if legs1.dim == d and legs2.dim == d:
-            break
-    if legs1.dim != d or legs2.dim != d:
-        report.add(failed("rebuilt-range-conditions",
-                          {"space": "fullness", "legs": [legs1.dim, legs2.dim]}))
-        return False
     report.add(passed("rebuilt-range-conditions",
                       detail=f"ranges dim {left_range.dim}/{right_range.dim}"))
     return True
@@ -312,15 +308,11 @@ def counit_antipode_meta(alg: MultiplierHopfAlgebroid, eps: Vec, eps_prime: Vec,
         report.add(failed("counit-antipode-transport",
                           {"eps_after_S": eps_s, "eps_prime": eps_prime}))
         return False
+    # eps o S = eps' now, so eps = eps' and eps o S = eps are one comparison
     equal = eps == eps_prime
-    invariant = eps_s == eps
-    if equal == invariant:
-        report.add(passed("counit-antipode-invariance-meta",
-                          detail=f"equal={equal}, invariant={invariant}"))
-        return True
-    report.add(failed("counit-antipode-invariance-meta",
-                      {"counits_equal": equal, "antipode_invariant": invariant}))
-    return False
+    report.add(passed("counit-antipode-invariance-meta",
+                      detail=f"equal={equal}, invariant={equal}"))
+    return True
 
 
 def reconstruction_pipeline(alg: MultiplierHopfAlgebroid):

@@ -31,6 +31,11 @@ class AntipodeNotBijective(AlgebraError):
     pass
 
 
+# which -> (leg, inverted, partner): R_which = L T_partner L^-1 and
+# F_which = (L on the leg) E, with L = S on that leg, or S^-1 when inverted
+TWISTS = {1: (2, False, 3), 2: (1, False, 4), 3: (2, True, 1), 4: (1, True, 2)}
+
+
 class WeakMultiplierHopfAlgebra:
     """Bundle (A, Delta, counit, S, E) with cached derived maps.  Shared
     slices bring their tensor square, and with it every map it holds."""
@@ -90,24 +95,25 @@ class WeakMultiplierHopfAlgebra:
         """T_1..T_4 on the tensor square, assembled from slices."""
         return self.slices.canonical_map(which)
 
+    def _twist(self, which: int):
+        """The leg map of ``TWISTS[which]``, its L and L^-1, and the
+        partner index."""
+        if which not in TWISTS:
+            raise ValueError(which)
+        leg, inverted, partner = TWISTS[which]
+        s, si = self.antipode, self.antipode_inv()
+        l, l_inv = (si, s) if inverted else (s, si)
+        return (self.t2.map_leg1 if leg == 1 else self.t2.map_leg2), l, l_inv, partner
+
     def generalized_inverse(self, which: int) -> LinMap:
-        """R_1..R_4, realized as slice compositions with S."""
+        """R_1..R_4: column p of R_which is L T_partner L^-1 e_p, the
+        partner's slice map conjugated by L on one leg (``TWISTS``)."""
         if which in self._inverses:
             return self._inverses[which]
-        s = self.antipode
-        si = self.antipode_inv()
-        ident = LinMap.identity(self.dim)
-        if which == 1:
-            m = ident.tensor(s) @ self.canonical_map(3) @ ident.tensor(si)
-        elif which == 2:
-            m = s.tensor(ident) @ self.canonical_map(4) @ si.tensor(ident)
-        elif which == 3:
-            m = ident.tensor(si) @ self.canonical_map(1) @ ident.tensor(s)
-        elif which == 4:
-            m = si.tensor(ident) @ self.canonical_map(2) @ s.tensor(ident)
-        else:
-            raise ValueError(which)
-        self._inverses[which] = m
+        leg_map, l, l_inv, partner = self._twist(which)
+        t, size = self.canonical_map(partner), self.t2.size
+        m = self._inverses[which] = LinMap(size, size, [
+            leg_map(l, t.apply(leg_map(l_inv, unit_vec(p)))) for p in range(size)])
         return m
 
     def composite(self, which: int, order: str) -> LinMap:
@@ -120,18 +126,10 @@ class WeakMultiplierHopfAlgebra:
         return self._composites[key]
 
     def kernel_idempotent(self, which: int) -> Vec:
-        """F_1..F_4: the canonical idempotent with S moved through a leg."""
-        s = self.antipode
-        si = self.antipode_inv()
-        if which == 1:
-            return self.t2.map_leg2(s, self.E)
-        if which == 2:
-            return self.t2.map_leg1(s, self.E)
-        if which == 3:
-            return self.t2.map_leg2(si, self.E)
-        if which == 4:
-            return self.t2.map_leg1(si, self.E)
-        raise ValueError(which)
+        """F_1..F_4: the canonical idempotent with L moved through its
+        leg (``TWISTS``)."""
+        leg_map, l, _, _ = self._twist(which)
+        return leg_map(l, self.E)
 
     def projection(self, which) -> Projection:
         """The map E ("EL", "ER") or F_which (1..4) cuts out of A (x) A,

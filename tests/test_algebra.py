@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import weakhopf.algebra
 from weakhopf.algebra import (CoproductSlices, DegenerateProduct, FiniteAlgebra,
                               NonAssociative, NotIdempotent, Projection, TensorSquare,
                               direct_sum, field_algebra, make_algebra, matrix_algebra,
@@ -11,7 +12,7 @@ from weakhopf.algebroid import forward_construct
 from weakhopf.base_algebras import run_base_suite
 from weakhopf.examples import scalar_extension_wmha, swap_crossed_setup
 from weakhopf.groupoids import as_wmha, pair_groupoid
-from weakhopf.linalg import LinMap, Subspace, unit_vec, vaxpy, vtensor
+from weakhopf.linalg import LinMap, Subspace, apply_legs, on_leg, unit_vec, vaxpy, vtensor
 from weakhopf.reconstruction import reconstruction_pipeline
 from weakhopf.separability import build_E_from_functional
 from weakhopf.wmha import check_E_identities, run_suite
@@ -297,6 +298,7 @@ def test_leg_kernels_match_unit_vector_formulas(bundle):
     t2, alg, d = bundle.t2, bundle.algebra, bundle.dim
     rng = random.Random(11)
     elements = [bundle.E, *bundle.delta, _random_vec(rng, t2.size, 10)]
+    t3, unit, probes = TensorSquare(tensor_algebra(alg, alg), alg), alg.unit(), (0, 1, d - 1)
     ws = [_random_vec(rng, d, 3), unit_vec(1)]
     for x in elements:
         for w in ws:
@@ -328,28 +330,139 @@ def test_leg_kernels_match_unit_vector_formulas(bundle):
                     for i in range(d):
                         assert _same(t2.cover(z, leg, left, i),
                                      _reference_cover(t2, z, leg, left, i))
+                    # against the componentwise product in A (x) A (x) A
+                    for i in probes:
+                        legs = [unit] * 3
+                        legs[leg - 1] = unit_vec(i)
+                        m = vtensor(vtensor(legs[0], legs[1], d), legs[2], d)
+                        dense = t3.mul(m, z) if left else t3.mul(z, m)
+                        assert t2.cover(z, leg, left, i) == dense
+
+
+def _kronecker(left, right):
+    """The dense Kronecker matrix: index (i, j) -> i * right.ncols + j on
+    the columns and i * right.nrows + j on the rows."""
+    return LinMap(left.nrows * right.nrows, left.ncols * right.ncols,
+                  [vtensor(c1, c2, right.nrows) for c1 in left.cols for c2 in right.cols])
+
+
+def _random_map(rng, nrows, ncols):
+    return LinMap(nrows, ncols, [_random_vec(rng, nrows, 3) for _ in range(ncols)])
+
+
+@pytest.mark.parametrize("first, second", [(4, 5), (5, 4)])
+def test_leg_kernels_on_unequal_legs(first, second):
+    """On M_2 (x) (Q + M_2) and (Q + M_2) (x) M_2, where the two legs
+    have different dimensions, the leg products, leg maps, functionals
+    and expansions write the entries the unit-vector formulas write."""
+    m2, q_m2 = matrix_algebra(2), direct_sum(field_algebra(), matrix_algebra(2))
+    a, b = (m2, q_m2) if first == 4 else (q_m2, m2)
+    t2 = TensorSquare(a, b)
+    rng = random.Random(5)
+    for x in (_random_vec(rng, t2.size, 12), {t2.size - 1: 1, 0: 2}):
+        for w in (_random_vec(rng, first, 3), unit_vec(first - 1)):
+            assert _same(t2.mul_left_leg1(w, x),
+                         _reference_on_leg(t2, x, 1, lambda k: a.mul(w, unit_vec(k))))
+            assert _same(t2.mul_right_leg1(x, w),
+                         _reference_on_leg(t2, x, 1, lambda k: a.mul(unit_vec(k), w)))
+        for w in (_random_vec(rng, second, 3), unit_vec(second - 1)):
+            assert _same(t2.mul_left_leg2(w, x),
+                         _reference_on_leg(t2, x, 2, lambda k: b.mul(w, unit_vec(k))))
+            assert _same(t2.mul_right_leg2(x, w),
+                         _reference_on_leg(t2, x, 2, lambda k: b.mul(unit_vec(k), w)))
+        m1, m2_ = _random_map(rng, first, first), _random_map(rng, second, second)
+        assert _same(t2.map_leg1(m1, x), _reference_on_leg(t2, x, 1, m1.cols.__getitem__))
+        assert _same(t2.map_leg2(m2_, x), _reference_on_leg(t2, x, 2, m2_.cols.__getitem__))
+        phi1, phi2 = _random_vec(rng, first, 3), _random_vec(rng, second, 3)
+        assert _same(t2.functional_leg1(phi1, x), _reference_functional(t2, phi1, x, 1))
+        assert _same(t2.functional_leg2(phi2, x), _reference_functional(t2, phi2, x, 2))
+        # f(u) fills the first slot, g(v) a slot of size second^2
+        f = [_random_vec(rng, second * second, 4) for _ in range(first)]
+        g = [_random_vec(rng, second * second, 4) for _ in range(second)]
+        ref1, ref2 = {}, {}
+        for p, c in x.items():
+            u, v = divmod(p, second)
+            vaxpy(ref1, c, vtensor(f[u], unit_vec(v), second))
+            vaxpy(ref2, c, vtensor(unit_vec(u), g[v], second * second))
+        assert _same(t2.expand_leg1(x, f.__getitem__), ref1)
+        assert _same(t2.expand_leg2(x, g.__getitem__), ref2)
+
+
+def test_apply_legs_matches_the_kronecker_matrix():
+    """(L (x) R)(x) leg by leg equals the dense Kronecker matrix applied
+    to x, for rectangular maps of four different shapes."""
+    rng = random.Random(3)
+    for shape in ((3, 2, 4, 5), (2, 3, 5, 4), (1, 4, 3, 1)):
+        left, right = _random_map(rng, *shape[:2]), _random_map(rng, *shape[2:])
+        kron = _kronecker(left, right)
+        for x in (_random_vec(rng, kron.ncols, 6), {kron.ncols - 1: 1}):
+            assert apply_legs(left, right, x) == kron.apply(x)
+
+
+def test_triple_leg_maps_match_blockwise_application():
+    """TripleQuotient._apply equals LinMap.apply on each block: on legs
+    (1,2) with leg 3 fixed, on legs (2,3) with leg 1 fixed, for a
+    projector, the quotient map pi (fewer rows than d^2) and a seeded
+    map with more rows."""
+    alg, report = forward_construct(as_wmha(pair_groupoid(2)))
+    assert report.ok
+    tq = alg.graph.triple("l", "r")
+    d, rng = tq.d, random.Random(9)
+    maps = [tq.space12.projector, tq.space12.pi, _random_map(rng, d * d + 3, d * d)]
+    for m in maps:
+        for x in (_random_vec(rng, d ** 3, 20), {d ** 3 - 1: 1}):
+            ref12, ref23 = {}, {}
+            for other in range(d):
+                block12 = {pair: x[pair * d + other] for pair in range(d * d)
+                           if pair * d + other in x}
+                for pair, c in m.apply(block12).items():
+                    ref12[pair * d + other] = c
+                block23 = {pair: x[other * d * d + pair] for pair in range(d * d)
+                           if other * d * d + pair in x}
+                for pair, c in m.apply(block23).items():
+                    ref23[other * m.nrows + pair] = c
+            assert tq._apply(m, x, 12) == ref12
+            assert tq._apply(m, x, 23) == ref23
+
+
+@pytest.mark.parametrize("bundle", _kernel_bundles(),
+                         ids=["pair-3", "crossed-swap", "base-m2-weighted"])
+def test_generalized_inverses_match_the_kronecker_formula(bundle):
+    """R_i = L T_partner L^-1 column by column equals the product of
+    Kronecker matrices it replaced, for each i.  On base-m2-weighted
+    S^2 is not the identity, so S and S^-1 are told apart."""
+    s, si, ident = bundle.antipode, bundle.antipode_inv(), LinMap.identity(bundle.dim)
+    want = {1: _kronecker(ident, s) @ bundle.canonical_map(3) @ _kronecker(ident, si),
+            2: _kronecker(s, ident) @ bundle.canonical_map(4) @ _kronecker(si, ident),
+            3: _kronecker(ident, si) @ bundle.canonical_map(1) @ _kronecker(ident, s),
+            4: _kronecker(si, ident) @ bundle.canonical_map(2) @ _kronecker(s, ident)}
+    for i, m in want.items():
+        assert bundle.generalized_inverse(i) == m
+        assert bundle.kernel_idempotent(i) == _kronecker(*[(ident, s), (s, ident), (ident, si),
+                                                            (si, ident)][i - 1]).apply(bundle.E)
+    with pytest.raises(ValueError):
+        bundle.generalized_inverse(5)
 
 
 def test_leg_products_compute_each_image_once(monkeypatch):
     """A leg product computes w e_k (or e_k w, or m(e_k)) once per distinct
     leg index k of its argument, not once per term."""
     calls = terms = 0
-    on_leg = TensorSquare._on_leg
 
-    def counting(self, x, leg, image):
+    def counting(x, stride, n, image, width):
         nonlocal calls, terms
         asked: list[int] = []
 
         def counted(k):
             asked.append(k)
             return image(k)
-        out = on_leg(self, x, leg, counted)
+        out = on_leg(x, stride, n, counted, width)
         assert len(asked) == len(set(asked))
         calls += len(asked)
         terms += len(x)
         return out
 
-    monkeypatch.setattr(TensorSquare, "_on_leg", counting)
+    monkeypatch.setattr(weakhopf.algebra, "on_leg", counting)
     bundle = as_wmha(pair_groupoid(4))
     run_suite(bundle)
     run_base_suite(bundle)

@@ -12,12 +12,15 @@ from weakhopf.examples import (identity_twist, mixed_algebroid,
                                swap_crossed_setup, weighted_m2_twist_setup)
 from weakhopf.groupoids import (action_groupoid, as_wmha, cyclic_group,
                                 group_groupoid, pair_groupoid)
-from weakhopf.linalg import LinMap, unit_vec
+from weakhopf.linalg import LinMap, Subspace, unit_vec
 from weakhopf.reconstruction import (ObstructionReport, PipelineResult,
                                      STAGE_COUNITS_DIFFER,
                                      STAGE_MODULAR_MISMATCH,
-                                     STAGE_NOT_SEPARABLE, rebuilt_coproducts,
-                                     reconstruction_pipeline)
+                                     STAGE_NOT_SEPARABLE, build_counits, build_delta,
+                                     check_ranges_and_fullness,
+                                     check_separability_assumption, embed_idempotent,
+                                     rebuilt_coproducts, reconstruction_pipeline)
+from weakhopf.reporting import Report
 from weakhopf.separability import build_E_from_functional
 from weakhopf.cli import main
 
@@ -142,6 +145,36 @@ def test_meta_identity_recorded_on_every_run():
                    if r.name == "counit-antipode-invariance-meta")
         assert rec.ok
 
+
+
+@pytest.mark.parametrize("name", ["pair-2", "pair-3", "pair-4", "base-m2-weighted",
+                                  "counit-twist"])
+def test_passed_ranges_imply_full_legs(name, tmp_path, capsys):
+    """Once the range stage has passed, both leg spans of the r2 slices
+    are A, as the proof in ``check_ranges_and_fullness`` says: the
+    fullness check it no longer runs could not fail.  counit-twist is
+    read from its file and ends at CounitsDiffer, after the range stage."""
+    if name == "counit-twist":
+        path = tmp_path / "twist.json"
+        assert main(["gen-example", "counit-twist", "--out", str(path)]) == 0
+        capsys.readouterr()
+        alg = io.parse_document(io.load(str(path)))
+    else:
+        bundle = (scalar_extension_wmha(build_E_from_functional(
+            matrix_algebra(2), {0: Fraction(3, 2), 3: Fraction(3)}))
+                  if name == "base-m2-weighted" else as_wmha(pair_groupoid(int(name[-1]))))
+        alg = forward_construct(bundle)[0]
+    report = Report("reconstruction")
+    idem = check_separability_assumption(alg, report)
+    e_elt = embed_idempotent(alg.graph, idem)
+    cops = build_delta(alg, e_elt, report)
+    assert build_counits(alg, idem, cops, report) is not None
+    assert check_ranges_and_fullness(alg, cops, e_elt, report)
+    t2, d = alg.t2, alg.dim
+    for leg in (1, 2):
+        span = Subspace.from_vectors(d, (v for a in range(d) for b in range(d)
+                                         for v in t2.leg_vectors(cops.r2(a, b), leg).values()))
+        assert span.dim == d
 
 def test_cached_slices_match_leg_products():
     """Every cached slice of the bundle, its forward algebroid and the

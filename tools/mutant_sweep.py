@@ -15,6 +15,11 @@ and then `algebroid-to-wmha` on it through `weakhopf.cli.main` in
 process, under `--format json`.  Each run keeps its exit code (or the
 exception it raised), stdout and stderr: 5,824 runs in all.
 
+After the exit counts, `record` prints for each command how many runs
+end in each report and summary (or exit code), and then how many runs
+fail each record, named `<report>/<check>`; a run that fails several
+records counts once for each.
+
 `diff` is `tools/byte_sweep.py diff`: it lists the runs that differ and
 exits 1 if any do, else 0.
 """
@@ -94,6 +99,23 @@ def record(checkout: Path) -> dict:
     return {"inputs": inputs, "runs": runs}
 
 
+def tallies(runs: list[dict]) -> dict[str, tuple[collections.Counter, collections.Counter]]:
+    """command -> (runs per outcome, runs failing each record).  The
+    outcome is "<report> <summary>" for a run that exits 0 or 1, else
+    its exit; a record is named "<report>/<check>"."""
+    out = {command: (collections.Counter(), collections.Counter()) for command in COMMANDS}
+    for run in runs:
+        outcomes, failures = out[run["argv"][2]]
+        if run["exit"] not in (0, 1):
+            outcomes[f"exit {run['exit']}"] += 1
+            continue
+        report = json.loads(run["stdout"])
+        outcomes[f"{report['report']} {report['summary']}"] += 1
+        failures.update(f"{report['report']}/{rec['check']}"
+                        for rec in report["checks"] if rec["status"] == "fail")
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -111,6 +133,10 @@ def main(argv=None) -> int:
     exits = collections.Counter(str(r["exit"]) for r in doc["runs"])
     print(f"{len(doc['runs'])} runs -> {args.out}; exits: "
           + ", ".join(f"{code}: {n}" for code, n in sorted(exits.items())))
+    for command, (outcomes, failures) in tallies(doc["runs"]).items():
+        print(f"{command}: " + ", ".join(f"{name}: {n}" for name, n in sorted(outcomes.items())))
+        for name, n in sorted(failures.items(), key=lambda item: (-item[1], item[0])):
+            print(f"  {n:6d}  {name}")
     return 0
 
 
