@@ -280,9 +280,10 @@ def check_base_behavior(alg: MultiplierHopfAlgebroid) -> CheckRecord:
                  lambda a, i: t2.mul_right_leg1(dc[a], ys[i]))]], axis=1))
     if bad is None:
         return passed("coproduct-base-behavior")
-    (a, side, _), k, _, _ = bad
+    (a, side, i), k, _, _ = bad
     return failed(("left-coproduct-base-behavior", "right-coproduct-base-behavior")[k],
-                  {"basis": alg.algebra.labels[a], "side": "BC"[side]})
+                  {"basis": alg.algebra.labels[a], "side": "BC"[side],
+                   ("b_index", "c_index")[side]: i})
 
 
 def check_algebroid_coassociativity(alg: MultiplierHopfAlgebroid) -> CheckRecord:
@@ -401,9 +402,9 @@ def check_counital_maps(alg: MultiplierHopfAlgebroid) -> CheckRecord:
          (lambda a, i: alg.eps_c.apply(mul(unit_vec(a), graph.s_c_element(i))),
           lambda a, i: mul(ys[i], eps_c[a]))]], axis=1))
     if bad is not None:
-        (a, side, _), k, _, _ = bad
+        (a, side, i), k, _, _ = bad
         return failed(("left-counital-module-law", "right-counital-module-law")[side],
-                      {"basis": alg_a.labels[a],
+                      {"basis": alg_a.labels[a], ("b_index", "c_index")[side]: i,
                        "law": (("eps_B(xa)=x eps_B(a)", "eps_B(S_B(x)a)=eps_B(a)x"),
                                ("eps_C(ay)=eps_C(a)y", "eps_C(a S_C(y))=y eps_C(a)"))[side][k]})
     s_b_eps_b = LinMap(d, d, [graph.apply_s_b(col) for col in alg.eps_b.cols])

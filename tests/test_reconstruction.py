@@ -1,9 +1,10 @@
+import json
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from weakhopf import algebroid, io, wmha
+from weakhopf import algebroid, io, reconstruction, wmha
 from weakhopf.algebra import (PROJECTION_FLAGS, CoproductSlices, Projection, TensorSquare,
                               matrix_algebra)
 from weakhopf.algebroid import check_algebroid_axioms, forward_construct
@@ -13,13 +14,13 @@ from weakhopf.examples import (identity_twist, mixed_algebroid,
 from weakhopf.groupoids import (action_groupoid, as_wmha, cyclic_group,
                                 group_groupoid, pair_groupoid)
 from weakhopf.linalg import LinMap, Subspace, unit_vec
-from weakhopf.reconstruction import (ObstructionReport, PipelineResult,
+from weakhopf.reconstruction import (ObstructionReport, PipelineResult, ReconstructionError,
                                      STAGE_COUNITS_DIFFER,
                                      STAGE_MODULAR_MISMATCH,
                                      STAGE_NOT_SEPARABLE, build_counits, build_delta,
                                      check_ranges_and_fullness,
                                      check_separability_assumption, embed_idempotent,
-                                     rebuilt_coproducts, reconstruction_pipeline)
+                                     reconstruction_pipeline)
 from weakhopf.reporting import Report
 from weakhopf.separability import build_E_from_functional
 from weakhopf.cli import main
@@ -167,8 +168,7 @@ def test_passed_ranges_imply_full_legs(name, tmp_path, capsys):
     report = Report("reconstruction")
     idem = check_separability_assumption(alg, report)
     e_elt = embed_idempotent(alg.graph, idem)
-    cops = build_delta(alg, e_elt, report)
-    assert build_counits(alg, idem, cops, report) is not None
+    cops = build_delta(alg, e_elt)
     assert check_ranges_and_fullness(alg, cops, e_elt, report)
     t2, d = alg.t2, alg.dim
     for leg in (1, 2):
@@ -185,7 +185,7 @@ def test_cached_slices_match_leg_products():
     assert report.ok
     t2, d = bundle.t2, bundle.dim
     sides_differ = False
-    for slices in (bundle.slices, alg.slices, rebuilt_coproducts(alg, bundle.E)):
+    for slices in (bundle.slices, alg.slices, build_delta(alg, bundle.E)):
         for a in range(d):
             for b in range(d):
                 eb = unit_vec(b)
@@ -205,7 +205,7 @@ def test_pipeline_leaves_its_input_untouched(tmp_path, capsys):
     and writes nothing into the caller's algebroid: its tensors and its
     algebroid report are the same before and after the pipeline, and the
     same as for a fresh read of its file."""
-    alg_path = _base_m2_weighted_file(tmp_path, capsys)
+    alg_path = _algebroid_file(tmp_path, capsys)
     alg = io.parse_document(io.load(alg_path))
     tensors = io.algebroid_to_dict(alg)
     report = check_algebroid_axioms(alg).to_json()
@@ -216,10 +216,11 @@ def test_pipeline_leaves_its_input_untouched(tmp_path, capsys):
     assert check_algebroid_axioms(io.parse_document(io.load(alg_path))).to_json() == report
 
 
-def _base_m2_weighted_file(tmp_path, capsys) -> str:
-    """The base-m2-weighted algebroid written by wmha-to-algebroid."""
-    wmha_path, alg_path = tmp_path / "m2.json", tmp_path / "m2-algebroid.json"
-    assert main(["gen-example", "base-m2", "--variant", "weighted",
+def _algebroid_file(tmp_path, capsys, *example) -> str:
+    """The algebroid that wmha-to-algebroid writes for a gen-example
+    bundle, by default base-m2-weighted."""
+    wmha_path, alg_path = tmp_path / "wmha.json", tmp_path / "algebroid.json"
+    assert main(["gen-example", *(example or ("base-m2", "--variant", "weighted")),
                  "--out", str(wmha_path)]) == 0
     assert main(["wmha-to-algebroid", str(wmha_path), "--out", str(alg_path)]) == 0
     capsys.readouterr()
@@ -356,7 +357,7 @@ def test_file_loaded_pipeline_reuses_the_prechecked_maps(tmp_path, capsys, monke
     six sections out of A (x) A with the idempotent the graph pair found,
     and reconstruction's range and kernel stages, and its final suite,
     find every map they ask for there."""
-    alg = io.parse_document(io.load(_base_m2_weighted_file(tmp_path, capsys)))
+    alg = io.parse_document(io.load(_algebroid_file(tmp_path, capsys)))
     assert check_algebroid_axioms(alg).ok
     asked, built = _counting_builds(monkeypatch)
     got = reconstruction_pipeline(alg)
@@ -381,3 +382,51 @@ def test_mixed_algebroid_searches_its_base_once(monkeypatch):
     got = reconstruction_pipeline(alg)
     assert isinstance(got, ObstructionReport) and got.stage == STAGE_COUNITS_DIFFER
     assert len(calls) == 1
+
+
+def test_counits_outside_their_base_fail_the_precheck(tmp_path, capsys):
+    """``build_counits`` raises only where eps_B(A) leaves B, which
+    ``check-algebroid`` refuses first at ``left-counital-image``."""
+    alg = io.parse_document(io.load(_algebroid_file(tmp_path, capsys, "pair-groupoid")))
+    idem = check_separability_assumption(alg)
+    outside = next(k for k in range(alg.dim) if alg.graph.b_view.to_coords(unit_vec(k)) is None)
+    cols = [dict(alg.eps_b.cols[0]), *alg.eps_b.cols[1:]]
+    cols[0][outside] = cols[0].get(outside, 0) + 1
+    bad = algebroid.MultiplierHopfAlgebroid(alg.graph, alg.delta_b, alg.delta_c,
+                                            LinMap(alg.dim, alg.dim, cols), alg.eps_c,
+                                            alg.antipode)
+    assert "left-counital-image" in {r.name for r in check_algebroid_axioms(bad).failures()}
+    with pytest.raises(ReconstructionError, match="eps_B outside B"):
+        build_counits(bad, idem)
+
+
+def test_corrupted_rebuilt_coproducts_never_certify(tmp_path, capsys, monkeypatch):
+    """With one entry of E Delta_B or Delta_C E raised by 1, the pipeline
+    never certifies: it ends in an obstruction whose witness does not
+    re-validate, or in ``internal-inconsistency``, both exit 1."""
+    path = _algebroid_file(tmp_path, capsys, "pair-groupoid")
+    d = io.parse_document(io.load(path)).dim
+    honest = reconstruction.build_delta
+    endings = Counter()
+    for side in ("left", "right"):
+        for a in range(d):
+            for p in range(d * d):
+                def corrupted(alg, e_elt, side=side, a=a, p=p):
+                    cops = honest(alg, e_elt)
+                    family = list(getattr(cops, side))
+                    family[a] = {**family[a], p: family[a].get(p, 0) + 1}
+                    family[a] = {k: c for k, c in family[a].items() if c}
+                    return CoproductSlices(cops.t2, *((family, cops.right) if side == "left"
+                                                      else (cops.left, family)))
+
+                monkeypatch.setattr(reconstruction, "build_delta", corrupted)
+                code = main(["--format", "json", "algebroid-to-wmha", path])
+                report = json.loads(capsys.readouterr().out)
+                assert code == 1 and report["summary"] == "fail"
+                failures = [r["check"] for r in report["checks"] if r["status"] == "fail"]
+                assert failures in (["internal-inconsistency"],
+                                    ["rebuilt-range-conditions",
+                                     "obstruction-RangeConditionFailed",
+                                     "witness-revalidation"]), failures
+                endings[failures[-1]] += 1
+    assert set(endings) == {"internal-inconsistency", "witness-revalidation"}

@@ -9,11 +9,12 @@ fails here instead of only in the benchmark's own smoke test.
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from weakhopf import algebroid, io
+from weakhopf import algebroid, io, reconstruction
 from weakhopf.algebroid import forward_construct
 from weakhopf.balanced import KINDS
 from weakhopf.groupoids import as_wmha, pair_groupoid
@@ -73,3 +74,28 @@ def test_tracer_hooks_read_the_balanced_paths(path, monkeypatch):
         triple_equivalent((quotient, x, y), quotient.equivalent(x, y))
     assert dict(tracer.extra) == {f"balanced.{path}_path": len(KINDS),
                                   f"balanced.triple_{path}_path": len(pairs)}
+
+
+def test_certifying_pipeline_calls_every_traced_stage(monkeypatch):
+    """The tracer times each of ``RECONSTRUCTION_STAGES`` and counts the
+    four slice kinds of ``RebuiltCoproducts`` by name, so each must still
+    run in a certifying pipeline: a stage kept only for its name would
+    read as zero time."""
+    tracing = _tracing()
+    alg, report = forward_construct(as_wmha(pair_groupoid(2)))
+    assert report.ok
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for stage in tracing.RECONSTRUCTION_STAGES:
+        monkeypatch.setattr(reconstruction, stage, counted(stage, getattr(reconstruction, stage)))
+    slices = reconstruction.RebuiltCoproducts
+    for kind in ("r1", "r2", "l1", "l2"):
+        monkeypatch.setattr(slices, kind, counted(kind, vars(slices)[kind]))
+    assert isinstance(reconstruction.reconstruction_pipeline(alg), reconstruction.PipelineResult)
+    assert set(calls) == {*tracing.RECONSTRUCTION_STAGES, "r1", "r2", "l1", "l2"}

@@ -42,13 +42,14 @@ from weakhopf.base_algebras import (SubalgebraView, first_anti_homomorphism_fail
 from weakhopf.balanced import TripleQuotient, relation_space
 from weakhopf.examples import mixed_algebroid, scalar_extension_wmha, swap_crossed_setup
 from weakhopf.groupoids import as_wmha, pair_groupoid
-from weakhopf.linalg import LinMap, Subspace, lincomb, unit_vec, vaxpy, vdot, vsub, vtensor
-from weakhopf.reconstruction import (RebuiltCoproducts, build_counits, build_delta,
-                                     check_E_comultiplicativity, check_mixed_coassociativity,
-                                     check_separability_assumption, embed_idempotent,
-                                     rebuilt_coproducts)
+from weakhopf.linalg import LinMap, Subspace, lincomb, unit_vec, vaxpy, vsub, vtensor
+from weakhopf.reconstruction import (STAGE_COUNITS_DIFFER, PipelineResult, RebuiltCoproducts,
+                                     build_delta, check_E_comultiplicativity,
+                                     check_mixed_coassociativity, check_separability_assumption,
+                                     embed_idempotent, reconstruction_pipeline)
 from weakhopf.reporting import CheckRecord, Report, failed, passed
 from weakhopf.separability import build_E_from_functional
+from weakhopf.witnesses import revalidate
 from weakhopf.wmha import (WeakMultiplierHopfAlgebra, check_antipode_antihom,
                            check_antipode_flips_coproduct, check_antipode_identities,
                            check_coassociativity, check_counit, check_E_identities,
@@ -134,13 +135,9 @@ def reference_coassociativity_failure(cops, equations):
     return None
 
 
-def reference_rebuilt_E(cops, e):
-    """(id (x) Delta)E against (E (x) 1)(1 (x) E) and (1 (x) E)(E (x) 1)
-    covered on the right, then (id (x) Delta')E against the same two
-    covered on the left, for every basis triple."""
-    t2, d = cops.t2, cops.t2.dim
-    mid = t2.expand_leg2(e, lambda k: cops.left[k])
-    mid_prime = t2.expand_leg2(e, lambda k: cops.right[k])
+def _e_products(t2, e):
+    """(E (x) 1)(1 (x) E) and (1 (x) E)(E (x) 1), summed term by term."""
+    d = t2.dim
     e_then_e, e_after_e = {}, {}
     for p, c in e.items():
         for q, x in e.items():
@@ -153,16 +150,24 @@ def reference_rebuilt_E(cops, e):
             for r, y in t2.algebra.mul_basis(j, n).items():
                 key = (m * d + r) * d + k
                 e_after_e[key] = e_after_e.get(key, Fraction(0)) + c * x * y
+    return {k: v for k, v in e_then_e.items() if v}, {k: v for k, v in e_after_e.items() if v}
+
+
+def reference_rebuilt_E(cops, e):
+    """(id (x) Delta)E against (E (x) 1)(1 (x) E) covered on the right,
+    then (id (x) Delta')E against the same covered on the left, for
+    every basis triple."""
+    t2, d = cops.t2, cops.t2.dim
+    mid = t2.expand_leg2(e, lambda k: cops.left[k])
+    mid_prime = t2.expand_leg2(e, lambda k: cops.right[k])
+    e_then_e = _e_products(t2, e)[0]
     for u in range(d):
         for v in range(d):
             for w in range(d):
                 eu, ev, ew = unit_vec(u), unit_vec(v), unit_vec(w)
                 for left, side, x in ((False, "left-covered", mid),
                                       (True, "right-covered", mid_prime)):
-                    first = _cover(t2, x, eu, ev, ew, left)
-                    second = _cover(t2, e_then_e, eu, ev, ew, left)
-                    third = _cover(t2, e_after_e, eu, ev, ew, left)
-                    if first != second or second != third:
+                    if _cover(t2, x, eu, ev, ew, left) != _cover(t2, e_then_e, eu, ev, ew, left):
                         return {"triple": [u, v, w], "side": side}
     return None
 
@@ -236,7 +241,7 @@ def rebuilt(request):
         bundle = swap_crossed_setup()[0]
     alg, report = forward_construct(bundle)
     assert report.ok
-    return alg, bundle.E, rebuilt_coproducts(alg, bundle.E)
+    return alg, bundle.E, build_delta(alg, bundle.E)
 
 
 def _corrupted(alg, honest, count):
@@ -258,8 +263,7 @@ def _corrupted(alg, honest, count):
 
 def test_rebuilt_E_comultiplicativity_witness_matches_covered_scan(rebuilt):
     """Corrupted coproducts with the honest E, then the honest coproducts
-    with one entry of E raised, which also breaks the order identity
-    (E (x) 1)(1 (x) E) = (1 (x) E)(E (x) 1)."""
+    with one entry of E raised."""
     alg, e, honest = rebuilt
     d = alg.dim
     cases = [(cops, e) for cops in _corrupted(alg, honest, 3)]
@@ -693,28 +697,28 @@ def ref_base_behavior(alg: MultiplierHopfAlgebroid) -> CheckRecord:
     bal_r = graph.balanced("r")
     for a in range(d):
         ea = unit_vec(a)
-        for x in graph.b_elements():
+        for i, x in enumerate(graph.b_elements()):
             lhs = lincomb(alg_a.mul(x, ea), alg.delta_b)
             rhs = t2.mul_left_leg2(x, alg.delta_b[a])
             if not bal_l.equivalent(lhs, rhs):
                 return failed("left-coproduct-base-behavior",
-                              {"basis": alg_a.labels[a], "side": "B"})
+                              {"basis": alg_a.labels[a], "side": "B", "b_index": i})
             lhs = lincomb(alg_a.mul(ea, x), alg.delta_c)
             rhs = t2.mul_right_leg2(alg.delta_c[a], x)
             if not bal_r.equivalent(lhs, rhs):
                 return failed("right-coproduct-base-behavior",
-                              {"basis": alg_a.labels[a], "side": "B"})
-        for y in graph.c_elements():
+                              {"basis": alg_a.labels[a], "side": "B", "b_index": i})
+        for j, y in enumerate(graph.c_elements()):
             lhs = lincomb(alg_a.mul(y, ea), alg.delta_b)
             rhs = t2.mul_left_leg1(y, alg.delta_b[a])
             if not bal_l.equivalent(lhs, rhs):
                 return failed("left-coproduct-base-behavior",
-                              {"basis": alg_a.labels[a], "side": "C"})
+                              {"basis": alg_a.labels[a], "side": "C", "c_index": j})
             lhs = lincomb(alg_a.mul(ea, y), alg.delta_c)
             rhs = t2.mul_right_leg1(alg.delta_c[a], y)
             if not bal_r.equivalent(lhs, rhs):
                 return failed("right-coproduct-base-behavior",
-                              {"basis": alg_a.labels[a], "side": "C"})
+                              {"basis": alg_a.labels[a], "side": "C", "c_index": j})
     return passed("coproduct-base-behavior")
 
 
@@ -810,20 +814,22 @@ def ref_counital_maps(alg: MultiplierHopfAlgebroid) -> CheckRecord:
         for i, x in enumerate(graph.b_elements()):
             if alg.eps_b.apply(alg_a.mul(x, ea)) != alg_a.mul(x, alg.eps_b.apply(ea)):
                 return failed("left-counital-module-law",
-                              {"basis": alg_a.labels[a], "law": "eps_B(xa)=x eps_B(a)"})
+                              {"basis": alg_a.labels[a], "b_index": i,
+                               "law": "eps_B(xa)=x eps_B(a)"})
             sx = graph.s_b_element(i)
             if alg.eps_b.apply(alg_a.mul(sx, ea)) != alg_a.mul(alg.eps_b.apply(ea), x):
                 return failed("left-counital-module-law",
-                              {"basis": alg_a.labels[a],
+                              {"basis": alg_a.labels[a], "b_index": i,
                                "law": "eps_B(S_B(x)a)=eps_B(a)x"})
         for j, y in enumerate(graph.c_elements()):
             if alg.eps_c.apply(alg_a.mul(ea, y)) != alg_a.mul(alg.eps_c.apply(ea), y):
                 return failed("right-counital-module-law",
-                              {"basis": alg_a.labels[a], "law": "eps_C(ay)=eps_C(a)y"})
+                              {"basis": alg_a.labels[a], "c_index": j,
+                               "law": "eps_C(ay)=eps_C(a)y"})
             sy = graph.s_c_element(j)
             if alg.eps_c.apply(alg_a.mul(ea, sy)) != alg_a.mul(y, alg.eps_c.apply(ea)):
                 return failed("right-counital-module-law",
-                              {"basis": alg_a.labels[a],
+                              {"basis": alg_a.labels[a], "c_index": j,
                                "law": "eps_C(a S_C(y))=y eps_C(a)"})
     s_b_eps_b = LinMap(d, d, [graph.apply_s_b(col) for col in alg.eps_b.cols])
     for a in range(d):
@@ -900,91 +906,6 @@ def ref_antipode_structure(alg: MultiplierHopfAlgebroid) -> CheckRecord:
     return passed("algebroid-antipode-structure")
 
 
-def ref_build_delta(alg: MultiplierHopfAlgebroid, e_elt: Vec,
-                report: Report) -> CoproductSlices | None:
-    """Sections of the balanced coproducts, with homomorphism,
-    idempotent absorption and coassociativity verified for each."""
-    cops = rebuilt_coproducts(alg, e_elt)
-    t2, d = alg.t2, alg.dim
-    alg_a = alg.algebra
-    for i in range(d):
-        for j in range(d):
-            prod = alg_a.mul_basis(i, j)
-            if lincomb(prod, cops.left) != t2.mul(cops.left[i], cops.left[j]):
-                report.add(failed("rebuilt-coproduct-homomorphism",
-                                  {"side": "left", "pair": [i, j]}))
-                return None
-            if lincomb(prod, cops.right) != t2.mul(cops.right[i], cops.right[j]):
-                report.add(failed("rebuilt-coproduct-homomorphism",
-                                  {"side": "right", "pair": [i, j]}))
-                return None
-    for a in range(d):
-        da = cops.left[a]
-        dpa = cops.right[a]
-        if t2.mul(e_elt, da) != da or t2.mul(da, e_elt) != da:
-            report.add(failed("rebuilt-coproduct-absorption", {"side": "left", "a": a}))
-            return None
-        if t2.mul(e_elt, dpa) != dpa or t2.mul(dpa, e_elt) != dpa:
-            report.add(failed("rebuilt-coproduct-absorption", {"side": "right", "a": a}))
-            return None
-    bad = cops.first_coassociativity_failure([("r2", "r1"), ("l2", "l1")])
-    if bad is not None:
-        a, b, c, k = bad
-        report.add(failed("rebuilt-coassociativity",
-                          {"side": ("left", "right")[k], "triple": [a, b, c]}))
-        return None
-    report.add(passed("rebuilt-coproducts"))
-    return cops
-
-
-def ref_build_counits(alg: MultiplierHopfAlgebroid, idem: SeparabilityIdempotent,
-                  cops: CoproductSlices, report: Report) -> tuple[Vec, Vec] | None:
-    """eps = phi_B o eps_B and eps' = phi_C o eps_C, with the one-sided
-    counit laws available before the coproducts merge."""
-    graph, d = alg.graph, alg.dim
-    alg_a = alg.algebra
-    eps: Vec = {}
-    eps_prime: Vec = {}
-    for a in range(d):
-        coords = graph.b_view.to_coords(alg.eps_b.apply(unit_vec(a)))
-        if coords is None:
-            report.add(failed("rebuilt-counits", {"reason": "eps_B outside B"}))
-            return None
-        val = vdot(idem.phi_b, coords)
-        if val:
-            eps[a] = val
-        coords_c = graph.c_view.to_coords(alg.eps_c.apply(unit_vec(a)))
-        if coords_c is None:
-            report.add(failed("rebuilt-counits", {"reason": "eps_C outside C"}))
-            return None
-        val2 = vdot(idem.phi_c, coords_c)
-        if val2:
-            eps_prime[a] = val2
-    t2 = alg.t2
-    for a in range(d):
-        for b in range(d):
-            if t2.functional_leg1(eps, cops.r2(a, b)) != alg_a.mul_basis(a, b):
-                report.add(failed("rebuilt-counit-laws",
-                                  {"functional": "eps", "law": "left", "pair": [a, b]}))
-                return None
-            if t2.functional_leg2(eps, cops.r1(a, b)) != alg_a.mul_basis(a, b):
-                report.add(failed("rebuilt-counit-laws",
-                                  {"functional": "eps", "law": "right", "pair": [a, b]}))
-                return None
-            if t2.functional_leg2(eps_prime, cops.l1(a, b)) != alg_a.mul_basis(b, a):
-                report.add(failed("rebuilt-counit-laws",
-                                  {"functional": "eps-prime", "law": "right",
-                                   "pair": [a, b]}))
-                return None
-            if t2.functional_leg1(eps_prime, cops.l2(a, b)) != alg_a.mul_basis(b, a):
-                report.add(failed("rebuilt-counit-laws",
-                                  {"functional": "eps-prime", "law": "left",
-                                   "pair": [a, b]}))
-                return None
-    report.add(passed("rebuilt-counits"))
-    return eps, eps_prime
-
-
 ALGEBROID_PAIRS = [(check_regularity, ref_regularity),
                    (check_algebroid_homomorphism, ref_algebroid_homomorphism),
                    (check_base_behavior, ref_base_behavior),
@@ -1044,7 +965,7 @@ def _algebroid_mutants(alg):
 
 
 def test_algebroid_scans_match_nested_loops(loaded_p2):
-    alg, idem, e_elt = loaded_p2
+    alg = loaded_p2[0]
     failures = Counter()
     for bad in _algebroid_mutants(alg):
         for check, reference in ALGEBROID_PAIRS:
@@ -1052,14 +973,6 @@ def test_algebroid_scans_match_nested_loops(loaded_p2):
             assert got == _outcome(reference, bad)
             if isinstance(got, dict) and got["status"] != "pass":
                 failures[got["check"]] += 1
-        got, expected = Report("engine"), Report("reference")
-        cops = build_delta(bad, e_elt, got)
-        assert (cops is None) == (ref_build_delta(bad, e_elt, expected) is None)
-        if cops is not None:
-            assert (build_counits(bad, idem, cops, got) is None) == (
-                ref_build_counits(bad, idem, cops, expected) is None)
-        assert got.to_dict()["checks"] == expected.to_dict()["checks"]
-        failures.update(r.name for r in got.failures())
     assert {"left-coproduct-homomorphism", "right-coproduct-homomorphism",
             "left-coproduct-base-behavior", "right-coproduct-base-behavior",
             "left-counital-module-law", "right-counital-module-law",
@@ -1067,8 +980,61 @@ def test_algebroid_scans_match_nested_loops(loaded_p2):
             "joint-coassociativity-first", "joint-coassociativity-second",
             "left-counit-diagram", "right-counit-diagram",
             "algebroid-antipode-antihomomorphism",
-            "antipode-diagram-left", "antipode-diagram-right",
-            "rebuilt-coproduct-homomorphism", "rebuilt-counit-laws"} <= set(failures)
+            "antipode-diagram-left", "antipode-diagram-right"} <= set(failures)
+
+
+@pytest.fixture(scope="module")
+def accepted_mutants(loaded_p2, counit_twist):
+    """The mutants of ``_algebroid_mutants`` of the pair-2 file and the
+    seeded coproduct mutants of the counit-twist file that pass
+    ``check_algebroid_axioms``."""
+    mutants = itertools.chain(_algebroid_mutants(loaded_p2[0]),
+                              _coproduct_mutants(counit_twist, random.Random(5), 8))
+    return [bad for bad in mutants if check_algebroid_axioms(bad).ok]
+
+
+def _order_identity_holds(alg):
+    """(E (x) 1)(1 (x) E) = (1 (x) E)(E (x) 1) for the idempotent that
+    reconstruction embeds, summed term by term."""
+    e_then_e, e_after_e = _e_products(
+        alg.t2, embed_idempotent(alg.graph, check_separability_assumption(alg)))
+    return e_then_e == e_after_e
+
+
+@pytest.mark.parametrize("name", ["pair-2", "pair-3", "pair-4", "base-m2-weighted"])
+def test_order_identity_holds_on_forward_algebroids(name):
+    """``check_E_comultiplicativity`` does not compare the order identity;
+    its docstring proves it from E in B (x) C and ``bases-commute``."""
+    bundle = _base_m2_weighted() if name == "base-m2-weighted" else \
+        as_wmha(pair_groupoid(int(name[-1])))
+    alg, report = forward_construct(bundle)
+    assert report.ok and check_algebroid_axioms(alg).ok
+    assert _order_identity_holds(alg)
+
+
+def test_order_identity_holds_on_accepted_files(counit_twist, accepted_mutants):
+    assert check_algebroid_axioms(counit_twist).ok
+    assert _order_identity_holds(counit_twist)
+    assert accepted_mutants
+    for bad in accepted_mutants:
+        assert _order_identity_holds(bad)
+
+
+def test_accepted_mutants_certify_or_obstruct(accepted_mutants):
+    """Reconstruction builds its coproducts and counits without checking
+    them, leaving those laws to the final suite.  Every accepted mutant
+    still certifies with a passing suite or ends in an obstruction whose
+    witness re-validates; none raises ``ReconstructionError``."""
+    outcomes = Counter()
+    for bad in accepted_mutants:
+        got = reconstruction_pipeline(bad)
+        if isinstance(got, PipelineResult):
+            assert got.report.ok
+            outcomes["certified"] += 1
+        else:
+            assert revalidate(got, bad), got.stage
+            outcomes[got.stage] += 1
+    assert set(outcomes) == {"certified", STAGE_COUNITS_DIFFER}
 
 
 def test_sided_scans_match_nested_loops(counit_twist):
@@ -1402,9 +1368,9 @@ def _graph_law_fails(graph, name, w):
 
 def _algebroid_law_fails(alg, name, w):
     """As ``_base_law_fails``, for the algebroid records; a quotient is
-    compared through its relation space.  A base-behavior or module-law
-    witness names a and the side or law, and the law fails at some
-    element of that base."""
+    compared through its relation space.  A regularity, base-behavior or
+    module-law witness names a and the index of the base element (its
+    ``b_index`` or ``c_index``) at which the law fails."""
     graph, t2, mul = alg.graph, alg.t2, alg.algebra.mul
     xs, ys = graph.b_elements(), graph.c_elements()
     a = alg.algebra.labels.index(w["basis"]) if "basis" in w else None
@@ -1417,29 +1383,27 @@ def _algebroid_law_fails(alg, name, w):
         i, z = w["c_index"], alg.delta_c[a]
         return not _balanced_equal(graph, "r", t2.mul_left_leg2(ys[i], z),
                                    t2.mul_left_leg1(graph.s_c_element(i), z))
-    if name == "left-coproduct-base-behavior":
-        z = alg.delta_b[a]
-        pairs = ([(lincomb(mul(x, ea), alg.delta_b), t2.mul_left_leg2(x, z)) for x in xs]
-                 if w["side"] == "B" else
-                 [(lincomb(mul(y, ea), alg.delta_b), t2.mul_left_leg1(y, z)) for y in ys])
-        return any(not _balanced_equal(graph, "l", *pair) for pair in pairs)
-    if name == "right-coproduct-base-behavior":
-        z = alg.delta_c[a]
-        pairs = ([(lincomb(mul(ea, x), alg.delta_c), t2.mul_right_leg2(z, x)) for x in xs]
-                 if w["side"] == "B" else
-                 [(lincomb(mul(ea, y), alg.delta_c), t2.mul_right_leg1(z, y)) for y in ys])
-        return any(not _balanced_equal(graph, "r", *pair) for pair in pairs)
-    if name in ("left-counital-module-law", "right-counital-module-law"):
-        eb, ec = alg.eps_b.apply, alg.eps_c.apply
-        pairs = {
-            "eps_B(xa)=x eps_B(a)": [(eb(mul(x, ea)), mul(x, eb(ea))) for x in xs],
-            "eps_B(S_B(x)a)=eps_B(a)x": [(eb(mul(graph.s_b_element(i), ea)), mul(eb(ea), x))
-                                         for i, x in enumerate(xs)],
-            "eps_C(ay)=eps_C(a)y": [(ec(mul(ea, y)), mul(ec(ea), y)) for y in ys],
-            "eps_C(a S_C(y))=y eps_C(a)": [(ec(mul(ea, graph.s_c_element(i))), mul(y, ec(ea)))
-                                           for i, y in enumerate(ys)]}[w["law"]]
-        counit = "eps_B" if name.startswith("left") else "eps_C"
-        return w["law"].startswith(counit) and any(lhs != rhs for lhs, rhs in pairs)
+    if name.endswith("coproduct-base-behavior"):
+        x = xs[w["b_index"]] if w["side"] == "B" else ys[w["c_index"]]
+        if name.startswith("left"):
+            leg = t2.mul_left_leg2 if w["side"] == "B" else t2.mul_left_leg1
+            return not _balanced_equal(graph, "l", lincomb(mul(x, ea), alg.delta_b),
+                                       leg(x, alg.delta_b[a]))
+        leg = t2.mul_right_leg2 if w["side"] == "B" else t2.mul_right_leg1
+        return not _balanced_equal(graph, "r", lincomb(mul(ea, x), alg.delta_c),
+                                   leg(alg.delta_c[a], x))
+    if name == "left-counital-module-law":
+        i, eb = w["b_index"], alg.eps_b.apply
+        lhs, rhs = {"eps_B(xa)=x eps_B(a)": (eb(mul(xs[i], ea)), mul(xs[i], eb(ea))),
+                    "eps_B(S_B(x)a)=eps_B(a)x": (eb(mul(graph.s_b_element(i), ea)),
+                                                 mul(eb(ea), xs[i]))}[w["law"]]
+        return lhs != rhs
+    if name == "right-counital-module-law":
+        i, ec = w["c_index"], alg.eps_c.apply
+        lhs, rhs = {"eps_C(ay)=eps_C(a)y": (ec(mul(ea, ys[i])), mul(ec(ea), ys[i])),
+                    "eps_C(a S_C(y))=y eps_C(a)": (ec(mul(ea, graph.s_c_element(i))),
+                                                   mul(ys[i], ec(ea)))}[w["law"]]
+        return lhs != rhs
     if name == "antipode-restriction":
         i = w["index"]
         x, image = ((xs[i], graph.s_b_element(i)) if w["side"] == "B"

@@ -13,8 +13,8 @@ from weakhopf.reconstruction import (ObstructionReport, RebuiltCoproducts,
                                      STAGE_KERNELS, STAGE_MODULAR_MISMATCH,
                                      STAGE_RANGES,
                                      check_kernels,
-                                     check_ranges_and_fullness,
-                                     rebuilt_coproducts, reconstruction_pipeline)
+                                     build_delta, check_ranges_and_fullness,
+                                     reconstruction_pipeline)
 from weakhopf.reporting import Report
 from weakhopf.witnesses import revalidate
 
@@ -88,7 +88,7 @@ def p2_setup():
 def test_synthetic_range_failure_revalidates(p2_setup):
     bundle, alg = p2_setup
     report = Report("synthetic")
-    honest = rebuilt_coproducts(alg, bundle.E)
+    honest = build_delta(alg, bundle.E)
     # corrupt one rebuilt coproduct value so the range shrinks
     left = list(honest.left)
     left[0] = {}
@@ -114,7 +114,7 @@ def test_synthetic_kernel_failure_revalidates(p2_setup):
     bundle, alg = p2_setup
     bad = _corrupted(alg, 0)
     report = Report("synthetic")
-    cops = rebuilt_coproducts(bad, bundle.E)
+    cops = build_delta(bad, bundle.E)
     assert check_kernels(bad, cops, report) is False
     witness = report.records[-1].witness
     assert "witness_vector" in witness
@@ -129,7 +129,7 @@ def test_kernel_revalidation_is_independent_of_the_projector_kernel(p2_setup, mo
     bundle, alg = p2_setup
     bad = _corrupted(alg, 0)
     report = Report("synthetic")
-    cops = rebuilt_coproducts(bad, bundle.E)
+    cops = build_delta(bad, bundle.E)
     assert check_kernels(bad, cops, report) is False
     witness = report.records[-1].witness
     obstruction = ObstructionReport(STAGE_KERNELS, witness, "synthetic", report)
