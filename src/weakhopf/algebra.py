@@ -334,7 +334,7 @@ class Projection:
     im(id - map), each echelonized on first use; for an idempotent map
     the latter is its kernel.  The kernel conditions build im(id - map)
     only when ``CoproductSlices.kernel_is_complement`` cannot certify
-    it by a trace and two map products."""
+    it, by R T or by a trace and two map products."""
 
     def __init__(self, m: LinMap):
         self.map = m
@@ -626,7 +626,8 @@ class CoproductSlices:
         """ker T_which, computed once."""
         return self._space("kernel", which)
 
-    def kernel_is_complement(self, which: int, proj: Projection) -> bool:
+    def kernel_is_complement(self, which: int, proj: Projection,
+                             rt: LinMap | None = None) -> bool:
         """Whether im(id - P) = ker T for P = proj.map, T = T_which.
 
         Certified with no new echelon form by (1) tr P = rank T,
@@ -634,15 +635,19 @@ class CoproductSlices:
         idempotent, so im(id - P) = ker P has dimension d^2 - rank P =
         d^2 - tr P over Q; by (2) T(id - P) = 0, so im(id - P) lies in
         ker T; by (1) both have dimension d^2 - rank T, so they are
-        equal.  The certificate is sufficient, not necessary (P need not
-        be idempotent), so when it fails the two subspaces are compared.
-        A success is remembered with its projection and served again
-        only for that same object."""
+        equal.  A caller that has proved TRT = T for some R may hand in
+        rt = RT; then P == rt alone certifies, with no product: PP =
+        R(TRT) = P, TP = TRT = T, and T = TP, P = RT bound each rank by
+        the other.  The certificate is sufficient, not necessary (P need
+        not be idempotent), so when it fails the two subspaces are
+        compared.  A success is remembered with its projection and
+        served again only for that same object."""
         if self._complements.get(which) is proj:
             return True
         p, t = proj.map, self.canonical_map(which)
-        holds = ((sum(col.get(j, 0) for j, col in enumerate(p.cols))
-                  == self.canonical_image(which).dim and t @ p == t and p @ p == p)
+        holds = ((rt is not None and p == rt)
+                 or (p.trace() == self.canonical_image(which).dim
+                     and t @ p == t and p @ p == p)
                  or proj.complement == self.canonical_kernel(which))
         if holds:
             self._complements[which] = proj

@@ -7,7 +7,9 @@ input cannot be parsed or violates the schema, or ``--out`` cannot be
 opened for writing; the conversions refuse such an ``--out`` before any
 suite runs.  A reconstruction that breaks down after its
 preconditions held is reported as a failed ``internal-inconsistency``
-record (exit 1), never as a traceback.
+record (exit 1), never as a traceback.  A round trip whose rebuilt
+tensors differ from its input runs the axiom suite on that input and
+names its first failed record in ``input-wmha-suite``.
 """
 
 from __future__ import annotations
@@ -172,8 +174,15 @@ def cmd_roundtrip(args) -> int:
     differ = [name for name, attr in (("delta", "delta"), ("counit", "counit"),
                                       ("antipode", "antipode"), ("idempotent", "E"))
               if getattr(got.bundle, attr) != getattr(bundle, attr)]
-    report.add(failed("roundtrip-tensors-identical", {"tensors": differ}) if differ else
-               passed("roundtrip-tensors-identical"))
+    if differ:
+        report.add(failed("roundtrip-tensors-identical", {"tensors": differ}))
+        # the forward construction does not read every law of the input
+        # (the counit laws, say), so name the input's first failing law
+        bad = run_suite(bundle).failures()
+        report.add(failed("input-wmha-suite", {"check": bad[0].name, "witness": bad[0].witness})
+                   if bad else passed("input-wmha-suite"))
+    else:
+        report.add(passed("roundtrip-tensors-identical"))
     _emit(report, args.format)
     return 0 if report.ok else 1
 

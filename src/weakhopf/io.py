@@ -2,7 +2,9 @@
 
 Rationals are encoded as strings "p/q" so no float ever enters a file,
 and every entry read back goes through ``_dec``, which also takes JSON
-integers and refuses floats, booleans and zero denominators;
+integers and refuses floats, booleans and zero denominators; the
+readers skip the literal string "0", most entries of a file, before
+decoding (any other spelling of zero is decoded, and dropped);
 matrices are dense nested arrays (rows), tensor-square elements are
 dim x dim arrays with the first leg indexing rows.  Every document
 carries schema 1 and a "kind".
@@ -58,7 +60,7 @@ def _require_shape(xs, *shape: int) -> None:
 
 def _vec_from_list(xs, n: int) -> Vec:
     _require_shape(xs, n)
-    return vec_from((i, _dec(x)) for i, x in enumerate(xs))
+    return vec_from((i, _dec(x)) for i, x in enumerate(xs) if x != "0")
 
 
 def encode_matrix(m: LinMap) -> list[list[str]]:
@@ -67,7 +69,7 @@ def encode_matrix(m: LinMap) -> list[list[str]]:
 
 def _matrix_from(rows, nrows: int, ncols: int) -> LinMap:
     _require_shape(rows, nrows, ncols)
-    return LinMap.from_dense([[_dec(x) for x in row] for row in rows])
+    return LinMap.from_dense([[0 if x == "0" else _dec(x) for x in row] for row in rows])
 
 
 def _square(v: Vec, d: int) -> list[list[str]]:
@@ -83,8 +85,7 @@ def _square_from(rows, d: int) -> Vec:
     out: Vec = {}
     for i, row in enumerate(rows):
         for j, x in enumerate(row):
-            c = _dec(x)
-            if c:
+            if x != "0" and (c := _dec(x)):
                 out[i * d + j] = c
     return out
 
@@ -105,7 +106,8 @@ def algebra_from_dict(doc: dict) -> FiniteAlgebra:
     labels, structure = list(doc["labels"]), doc["structure"]
     _require_shape(structure, len(labels), len(labels), len(labels))
     return make_algebra(labels, {(i, j, k): _dec(x) for i, plane in enumerate(structure)
-                                 for j, row in enumerate(plane) for k, x in enumerate(row)})
+                                 for j, row in enumerate(plane) for k, x in enumerate(row)
+                                 if x != "0"})
 
 
 def wmha_to_dict(bundle: WeakMultiplierHopfAlgebra) -> dict:

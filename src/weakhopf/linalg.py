@@ -205,6 +205,9 @@ class LinMap:
     def entry(self, i: int, j: int) -> int | Fraction:
         return self.cols[j].get(i, 0)
 
+    def trace(self) -> int | Fraction:
+        return sum(col.get(j, 0) for j, col in enumerate(self.cols))
+
     def apply(self, v: Vec) -> Vec:
         if self.ncols == 0:
             return {}

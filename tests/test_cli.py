@@ -142,6 +142,38 @@ def test_roundtrip_names_the_tensors_that_differ(tmp_path, capsys, monkeypatch):
         "witness": {"tensors": ["counit", "idempotent"]}}
 
 
+def test_failed_roundtrip_names_the_inputs_failing_law(tmp_path, capsys):
+    """Every +-1 counit mutant of pair-2 rebuilds the honest counit, so
+    the round trip fails on the counit alone; the input's own suite then
+    names the counit law it breaks."""
+    path = tmp_path / "p2.json"
+    run(capsys, "gen-example", "pair-groupoid", "--n", "2", "--out", str(path))
+    honest = json.loads(path.read_text())
+    for a in range(4):
+        for shift in (1, -1):
+            doc = json.loads(json.dumps(honest))
+            doc["counit"][a] = str(Fraction(doc["counit"][a]) + shift)
+            path.write_text(json.dumps(doc))
+            code, out = run(capsys, "--format", "json", "roundtrip", str(path))
+            records = {r["check"]: r for r in json.loads(out)["checks"]}
+            assert code == 1
+            assert records["roundtrip-tensors-identical"]["witness"] == {"tensors": ["counit"]}
+            named = records["input-wmha-suite"]
+            assert named["status"] == "fail"
+            assert named["witness"]["check"] in ("counit-left-law", "counit-right-law")
+            if (a, shift) == (1, 1):
+                assert named["witness"]["check"] == "counit-right-law"
+                assert named["witness"]["witness"]["pair"] == ["(1,1)", "(1,2)"]
+
+
+def test_passing_roundtrip_runs_no_input_suite(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "p2.json"
+    run(capsys, "gen-example", "pair-groupoid", "--n", "2", "--out", str(path))
+    monkeypatch.setattr(cli, "run_suite", lambda bundle: pytest.fail("input suite ran"))
+    code, out = run(capsys, "roundtrip", str(path))
+    assert code == 0 and "input-wmha-suite" not in out
+
+
 def test_obstructed_examples_via_cli(tmp_path, capsys):
     for scenario, stage in (("radical", "NotSeparableFrobenius"),
                             ("auto-swap", "ModularAutomorphismMismatch")):

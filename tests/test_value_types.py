@@ -146,3 +146,56 @@ def test_reports_print_int_coefficients_as_strings():
                     "phi_B": {k: Fraction(v) for k, v in witness["phi_B"].items()}}
     assert (Report("value-types", [failed("counit-equality", as_fractions)]).to_json()
             == Report("value-types", [failed("counit-equality", witness)]).to_json())
+
+
+# Each reader of rational entries: (entry count, nest a flat entry list
+# into the reader's input, read it, the stored coefficients).  The honest
+# flat list has "1" at the first and last entry and zero elsewhere, which
+# for the algebra reader is the table of Q + Q.
+READERS = {
+    "vector": (4, lambda xs: xs, lambda doc: io._vec_from_list(doc, 4), lambda v: v),
+    "square": (4, lambda xs: [xs[:2], xs[2:]], lambda doc: io._square_from(doc, 2),
+               lambda v: v),
+    "matrix": (4, lambda xs: [xs[:2], xs[2:]], lambda doc: io._matrix_from(doc, 2, 2),
+               lambda m: m.cols),
+    "algebra": (8, lambda xs: {"labels": ["a", "b"],
+                               "structure": [[xs[0:2], xs[2:4]], [xs[4:6], xs[6:8]]]},
+                io.algebra_from_dict, lambda alg: alg.table),
+}
+
+
+def _flat(n, zero):
+    return ["1"] + [zero] * (n - 2) + ["1"]
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_readers_skip_literal_zeros_before_decoding(reader, monkeypatch):
+    """The literal "0" never reaches ``_dec``; any other spelling of zero
+    is decoded and stored as nothing, like "0"."""
+    n, nest, read, stored = READERS[reader]
+    want = stored(read(nest(_flat(n, "0"))))
+    decoded = []
+    dec = io._dec
+    monkeypatch.setattr(io, "_dec", lambda x: decoded.append(x) or dec(x))
+    assert stored(read(nest(_flat(n, "0")))) == want
+    assert decoded == ["1", "1"]
+    for zero in ("0/5", "-0", "00", 0):
+        assert stored(read(nest(_flat(n, zero)))) == want, zero
+    assert all(type(c) is int and c for c in _coefficients(want, set()))
+
+
+@pytest.mark.parametrize("bad", [1.5, 0.0, True, False, "x", "1/0", "0/0"])
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_readers_refuse_bad_entries_at_any_position(reader, bad):
+    """A bad entry raises what ``_dec`` raises for it (a SchemaError, or
+    a ValueError that ``parse_document`` reports as one) wherever it
+    stands, among zeros or not."""
+    n, nest, read, _ = READERS[reader]
+    with pytest.raises(ValueError) as refused:
+        io._dec(bad)
+    for position in range(n):
+        xs = _flat(n, "0")
+        xs[position] = bad
+        with pytest.raises(ValueError) as got:
+            read(nest(xs))
+        assert got.type is refused.type, position

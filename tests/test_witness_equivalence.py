@@ -27,9 +27,9 @@ from fractions import Fraction
 import pytest
 
 from weakhopf import algebroid, io
-from weakhopf.algebra import (AlgebraError, FiniteAlgebra, NonAssociative, TensorSquare,
-                              direct_sum, field_algebra, first_failure, matrix_algebra,
-                              tensor_algebra)
+from weakhopf.algebra import (AlgebraError, CoproductSlices, FiniteAlgebra, NonAssociative,
+                              Projection, TensorSquare, direct_sum, field_algebra,
+                              first_failure, matrix_algebra, tensor_algebra)
 from weakhopf.algebroid import (MultiplierHopfAlgebroid, NotBijective, QuantumGraphPair,
                                 algebroid_canonical_maps, check_algebroid_axioms,
                                 check_algebroid_coassociativity,
@@ -41,7 +41,8 @@ from weakhopf.base_algebras import (SubalgebraView, first_anti_homomorphism_fail
                                     run_base_suite)
 from weakhopf.balanced import TripleQuotient, relation_space
 from weakhopf.examples import mixed_algebroid, scalar_extension_wmha, swap_crossed_setup
-from weakhopf.groupoids import as_wmha, pair_groupoid
+from weakhopf.groupoids import (action_groupoid, as_wmha, cyclic_group, group_groupoid,
+                                pair_groupoid)
 from weakhopf.linalg import LinMap, Subspace, lincomb, unit_vec, vaxpy, vsub, vtensor
 from weakhopf.reconstruction import (STAGE_COUNITS_DIFFER, PipelineResult, RebuiltCoproducts,
                                      build_delta, check_E_comultiplicativity,
@@ -53,7 +54,8 @@ from weakhopf.witnesses import revalidate
 from weakhopf.wmha import (WeakMultiplierHopfAlgebra, check_antipode_antihom,
                            check_antipode_flips_coproduct, check_antipode_identities,
                            check_coassociativity, check_counit, check_E_identities,
-                           check_homomorphism, check_kernel_subspaces)
+                           check_generalized_inverses, check_homomorphism,
+                           check_kernel_subspaces, check_range_conditions, run_suite)
 
 
 # -- covered reference loops -----------------------------------------------
@@ -634,6 +636,127 @@ def test_kernel_certificate_matches_echelon_comparison(name):
             if branch == "fallback-unequal":
                 break
     assert set(branches) == {"certified", "fallback-equal", "fallback-unequal"}
+
+
+# -- the projector certificate -------------------------------------------
+
+def ref_range_conditions(bundle):
+    """The range check without the certificate: im T_i and the ranges
+    of E, each echelonized."""
+    left_range = bundle.projection("EL").image
+    right_range = bundle.projection("ER").image
+    images = bundle.slices.canonical_image
+    for name, got, want in (("T1", images(1), left_range), ("T2", images(2), right_range),
+                            ("T3", images(3), right_range), ("T4", images(4), left_range)):
+        if got != want:
+            return failed("range-conditions",
+                          {"map": name, "range_dim": got.dim, "expected_dim": want.dim})
+    return passed("range-conditions",
+                  detail=f"E(AxA) dim {left_range.dim}, (AxA)E dim {right_range.dim}")
+
+
+def ref_generalized_inverses(bundle):
+    """The generalized-inverse check without the certificate: TRT and
+    RTR multiplied out."""
+    for i in (1, 2, 3, 4):
+        t, r = bundle.canonical_map(i), bundle.generalized_inverse(i)
+        if bundle.composite(i, "TR") @ t != t:
+            return failed("generalized-inverse-TRT", {"map": f"T{i}"})
+        if bundle.composite(i, "RT") @ r != r:
+            return failed("generalized-inverse-RTR", {"map": f"R{i}"})
+    return passed("generalized-inverses")
+
+
+def ref_kernel_by_trace(bundle):
+    """The kernel check without the certificate: each T_i by the trace
+    and two products, else by echelon forms."""
+    for i in (1, 2, 3, 4):
+        proj = bundle.projection(i)
+        if not bundle.slices.kernel_is_complement(i, proj):
+            return failed("kernel-subspaces",
+                          {"map": f"T{i}", "described_dim": proj.complement.dim,
+                           "kernel_dim": bundle.slices.canonical_kernel(i).dim})
+    return passed("kernel-subspaces")
+
+
+CERTIFIED = [(check_range_conditions, ref_range_conditions),
+             (check_generalized_inverses, ref_generalized_inverses),
+             (check_kernel_subspaces, ref_kernel_by_trace)]
+
+
+def _premise(bundle):
+    """The first premise of the certificate that fails, in the order it
+    is tried, or "holds"."""
+    if bundle.certificate is not None:
+        return "holds"
+    if bundle.e_law_failure is not None:
+        return bundle.e_law_failure[0]
+    return "T_iR_i-differs" if bundle.antipode_bijective else "antipode-singular"
+
+
+def _certified_records_match(bundle):
+    """The three records, on a fresh copy of bundle each side, against
+    their references; returns the premise that decided the engine's."""
+    def fresh():
+        return WeakMultiplierHopfAlgebra(bundle.algebra, bundle.delta, bundle.counit,
+                                         bundle.antipode, bundle.E)
+
+    engine, reference = fresh(), fresh()
+    got = [_outcome(check, engine) for check, _ in CERTIFIED]
+    assert got == [_outcome(ref, reference) for _, ref in CERTIFIED]
+    return _premise(engine)
+
+
+def _wmha_corpus():
+    z2 = cyclic_group(2)
+    swap = {("g0", "1"): "1", ("g0", "2"): "2", ("g1", "1"): "2", ("g1", "2"): "1"}
+    return {**{f"pair-{n}": (lambda n=n: as_wmha(pair_groupoid(n))) for n in (2, 3, 4)},
+            "cyclic-6": lambda: as_wmha(group_groupoid(cyclic_group(6))),
+            "action-swap": lambda: as_wmha(action_groupoid(z2, ["1", "2"], swap)),
+            "crossed-swap": lambda: swap_crossed_setup()[0],
+            "base-m2-weighted": lambda: _base_m2_weighted()}
+
+
+@pytest.mark.parametrize("name", sorted(_wmha_corpus()))
+def test_certificate_gives_the_records_of_the_echelon_paths(name):
+    assert _certified_records_match(_wmha_corpus()[name]()) == "holds"
+
+
+@pytest.mark.parametrize("name", ["pair-2", "crossed-swap"])
+def test_certificate_matches_references_on_every_mutant(name):
+    """The honest bundle and every single-entry +1 / -1 mutant of Delta,
+    S and E give the records of the paths without the certificate; the
+    sweep reaches the certificate holding and each of its premises
+    failing first."""
+    bundle = as_wmha(pair_groupoid(2)) if name == "pair-2" else swap_crossed_setup()[0]
+    premises = Counter(_certified_records_match(bad)
+                       for bad in itertools.chain([bundle], _base_mutants(bundle)))
+    assert set(premises) == {"holds", "canonical-idempotent-squared",
+                             "canonical-idempotent-absorbs-coproduct", "antipode-singular",
+                             "T_iR_i-differs"}, premises
+
+
+@pytest.mark.parametrize("name", ["pair-3", "base-m2-weighted"])
+def test_certified_suite_forms_no_extra_product_or_image(name, monkeypatch):
+    """check-wmha on a passing bundle echelonizes no image of T_i or of
+    an E-map, and multiplies only T_i R_i and R_i T_i: no TRT, RTR, TP
+    or PP product."""
+    bundle = _wmha_corpus()[name]()
+    images, products = [], []
+    image, matmul = Projection.image.func, LinMap.__matmul__
+    canonical_image = CoproductSlices.canonical_image
+    monkeypatch.setattr(Projection, "image",
+                        property(lambda self: images.append(self.map) or image(self)))
+    monkeypatch.setattr(CoproductSlices, "canonical_image",
+                        lambda self, which: images.append(which) or canonical_image(self, which))
+    monkeypatch.setattr(LinMap, "__matmul__",
+                        lambda self, other: products.append((self, other)) or matmul(self, other))
+    assert run_suite(bundle).ok and run_base_suite(bundle)[1].ok
+    assert images == []
+    pairs = [(bundle.canonical_map(i), bundle.generalized_inverse(i)) for i in (1, 2, 3, 4)]
+    expected = pairs + [(r, t) for t, r in pairs]
+    assert len(products) == len(expected)
+    assert all(any(x is a and y is b for a, b in expected) for x, y in products)
 
 
 def _base_mutants(bundle):

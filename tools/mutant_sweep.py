@@ -1,5 +1,5 @@
-"""Run every single-entry mutant of two algebroid files through the CLI,
-and compare two recordings.
+"""Run every single-entry mutant of two algebroid files and two wmha
+files through the CLI, and compare two recordings.
 
     python3 tools/mutant_sweep.py record <checkout> <out.json>
     python3 tools/mutant_sweep.py diff <a.json> <b.json>
@@ -8,12 +8,18 @@ and compare two recordings.
 `tools/byte_sweep.py` does, without writing into the checkout) and
 writes, in a fresh directory, the pair-2 algebroid (`wmha-to-algebroid`
 of `gen-example pair-groupoid --n 2`) and the counit-twist algebroid
-(`gen-example counit-twist`).  For every entry of delta_b, delta_c,
-eps_b, eps_c, antipode, s_b, s_c, b_basis and c_basis, zero or not, and
-each shift +1 and -1, it writes the mutant file and runs `check-algebroid`
-and then `algebroid-to-wmha` on it through `weakhopf.cli.main` in
-process, under `--format json`.  Each run keeps its exit code (or the
-exception it raised), stdout and stderr: 5,824 runs in all.
+(`gen-example counit-twist`), and then two wmha files: pair-2 itself
+and crossed-swap (`io.wmha_to_dict(examples.swap_crossed_setup()[0])`).
+For every entry of delta_b, delta_c, eps_b, eps_c, antipode, s_b, s_c,
+b_basis and c_basis of an algebroid file, or of delta, counit, antipode
+and idempotent of a wmha file, zero or not, and each shift +1 and -1, it
+writes the mutant file and runs `check-algebroid` and then
+`algebroid-to-wmha` (algebroid files) or `check-wmha` and then
+`roundtrip` (wmha files) on it through `weakhopf.cli.main` in process,
+under `--format json`.  Each run keeps its exit code (or the exception
+it raised), stdout and stderr: 5,824 algebroid runs and 2,992 wmha
+runs, 8,816 in all.  The wmha runs are the byte oracle for the paths of
+the wmha suite that its projector certificate does not take.
 
 After the exit counts, `record` prints for each command how many runs
 end in each report and summary (or exit code), and then how many runs
@@ -39,21 +45,28 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import byte_sweep  # noqa: E402
 
-TENSORS = ("delta_b", "delta_c", "eps_b", "eps_c", "antipode", "s_b", "s_c",
-           "b_basis", "c_basis")
-COMMANDS = ("check-algebroid", "algebroid-to-wmha")
+ALGEBROID = (("delta_b", "delta_c", "eps_b", "eps_c", "antipode", "s_b", "s_c",
+              "b_basis", "c_basis"), ("check-algebroid", "algebroid-to-wmha"))
+WMHA = (("delta", "counit", "antipode", "idempotent"), ("check-wmha", "roundtrip"))
+COMMANDS = ALGEBROID[1] + WMHA[1]
 MUTANT = "mutant.json"
 
 
-def _sources(engine) -> dict[str, str]:
-    """Source name -> algebroid file written in the current directory."""
+def _sources(engine) -> list[tuple[str, str, tuple]]:
+    """(source name, file written in the current directory, (tensors,
+    commands)) of each source, in sweep order."""
     for argv in (["gen-example", "pair-groupoid", "--n", "2", "--out", "pair-2.json"],
                  ["wmha-to-algebroid", "pair-2.json", "--out", "pair-2.algebroid"],
                  ["gen-example", "counit-twist", "--out", "counit-twist.algebroid"]):
         run = byte_sweep._run(engine, argv, [])
         if run["exit"] != 0:
             sys.exit(f"{' '.join(argv)}: {run}")
-    return {"pair-2": "pair-2.algebroid", "counit-twist": "counit-twist.algebroid"}
+    engine.io.dump(engine.io.wmha_to_dict(engine.examples.swap_crossed_setup()[0]),
+                   "crossed-swap.json")
+    return [("pair-2", "pair-2.algebroid", ALGEBROID),
+            ("counit-twist", "counit-twist.algebroid", ALGEBROID),
+            ("pair-2-wmha", "pair-2.json", WMHA),
+            ("crossed-swap-wmha", "crossed-swap.json", WMHA)]
 
 
 def _entries(node, where: str):
@@ -73,18 +86,18 @@ def record(checkout: Path) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            for name, path in _sources(engine).items():
+            for name, path, (tensors, commands) in _sources(engine):
                 inputs[name] = {path: byte_sweep._sha256(path)}
                 with open(path, encoding="utf-8") as fh:
                     doc = json.load(fh)
                 index = 0
-                for tensor in TENSORS:
+                for tensor in tensors:
                     for where, container, key in _entries(doc[tensor], tensor):
                         original = container[key]
                         for shift in (1, -1):
                             container[key] = str(Fraction(original) + shift)
                             engine.io.dump(doc, MUTANT)
-                            for command in COMMANDS:
+                            for command in commands:
                                 argv = ["--format", "json", command, MUTANT]
                                 # one exhaustive sweep: no seed, one format
                                 runs.append({"workload": name, "seed": 0, "format": "json",
