@@ -10,9 +10,11 @@ idempotency (A*A = A).  The other constructors build their tables from
 algebras that already hold them and inherit validity: ``direct_sum``,
 ``tensor_algebra``, ``opposite_algebra``,
 ``groupoids.function_algebra``, ``base_algebras.SubalgebraView`` and
-``examples.crossed_scalar_extension_wmha``.  The engine works with
-unital algebras only, where the multiplier algebra M(A) is A itself,
-so every multiplier the theory needs is an element.
+``examples.crossed_scalar_extension_wmha``.  They pass on the flag
+``FiniteAlgebra.associative``, which a passing associativity scan of
+``validate`` sets; a bare ``FiniteAlgebra`` starts without it.  The
+engine works with unital algebras only, where the multiplier algebra
+M(A) is A itself, so every multiplier the theory needs is an element.
 
 Products follow the sparsity of the table.  Each algebra derives from
 it, once, the partner rows ``partners[i] = {j: e_i e_j}`` holding only
@@ -35,10 +37,51 @@ maps, functionals, expansions and triple covers are each one call of
 basis pairs and shares each second-leg sum across every first-leg
 cover, which a leg-at-a-time build would recompute.  ``projection`` is
 the one memoized home of the six maps that the canonical idempotent E
-and its twists F_1..F_4 cut out of A (x) A (``PROJECTION_FLAGS``).
-``CoproductSlices`` is the one slice object: it multiplies a pair of
-coproduct families by basis covers, caches every slice per (kind, a, b),
-and assembles the canonical maps T_1..T_4 from those slices.
+and its twists F_1..F_4 cut out of A (x) A (``PROJECTION_FLAGS``), each
+a ``Projection`` built on first use.  ``CoproductSlices`` is the one
+slice object: it multiplies a pair of coproduct families by basis
+covers, caches every slice per (kind, a, b), and assembles the
+canonical maps T_1..T_4 from those slices.  Both classes live in
+``weakhopf.slices`` and are imported here: the engine is often compiled
+from source, and compiling the largest module sets that step's memory
+peak, so no module is allowed to grow large.
+
+Lemma (module maps on A (x) A).  Let T_1..T_4 be the canonical maps
+(T_1(a (x) b) = Delta(a)(1 (x) b), T_2(a (x) b) = (a (x) 1)Delta(b),
+T_3(a (x) b) = (1 (x) b)Delta(a), T_4(a (x) b) = Delta(b)(a (x) 1)),
+R_1..R_4 their generalized inverses, Q_1 = Q_4 = EL (y -> Ey),
+Q_2 = Q_3 = ER (y -> yE), and P_i the map cut out by an element x under
+``PROJECTION_FLAGS``.
+
+* Associativity makes T_i, Q_i and P_i module maps.  T_1 and P_1 are
+  right-linear on leg 2, T_3 and P_3 left-linear on leg 2, T_2 and P_2
+  left-linear on leg 1, and T_4 and P_4 right-linear on leg 1
+  (``T_COVERS``): T_1(y(1 (x) c)) = T_1(y)(1 (x) c), and so on.  A cut
+  map is linear on both legs, each from the side of its flag, so Q_i
+  is of T_i's kind too.
+* If S is a bijective anti-homomorphism, then S(1) = 1, because S(1)
+  is a unit of S(A) = A, and R_i = L T_p L^-1 (``wmha.TWISTS``), with L
+  the map S or S^-1 on the leg T_i is linear on, is a module map of T_i's
+  kind: L^-1 turns a cover c there into one by S^-1(c) on the other
+  side, T_p is linear for that one, and L turns it back.
+* Generators.  g_a = e_a (x) 1 for i = 1, 3 and g_a = 1 (x) e_a for
+  i = 2, 4.  A is unital, so every y in A (x) A is a sum of the g_a
+  covered on the other leg (y = sum g_a (1 (x) y_a) for i = 1), and two
+  module maps of one kind are equal exactly when they agree on every g_a.
+
+The values on the generators are read off the coproduct and x; the
+vector g_a is never built, since the unit of K(G) has d terms.
+T_i(g_a) = Delta(e_a) (``CoproductSlices.on_generators``).  L^-1 g_a =
+g_a, so R_i(g_a) = L(Delta(e_a)).  P(g_a) and Q(g_a) are x covered by
+e_a on the generator leg (``Projection.on_generators``, one pass over x
+for every a).  PP = P holds iff P(x) = x: P commutes with that cover, so
+PP(g_a) is P(x) covered by e_a, and summing with the unit's coefficients
+gives P(x) = x.  tr P = sum x_uv t1(u) t2(v) from the one-sided traces of
+the table (``FiniteAlgebra.traces``).  T_i is applied to a vector from
+the cached slices of its support only (``CoproductSlices.apply``).  The
+premises are read as flags: ``TensorSquare.generated`` asks both
+factors for the associativity flag and a unit; without them the maps
+are multiplied out.
 """
 
 from __future__ import annotations
@@ -49,8 +92,9 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Callable
 
-from .linalg import (LinMap, Subspace, Vec, lincomb, on_leg, rat, solve, unit_vec, vaxpy,
-                     vsub, vtensor)
+from .linalg import LinMap, Subspace, Vec, lincomb, on_leg, rat, solve, unit_vec, vaxpy, vtensor
+# part of this module's interface, kept in their own module (see above)
+from .slices import PROJECTION_FLAGS, T_COVERS, CoproductSlices, Projection  # noqa: F401
 
 
 _ZERO = MappingProxyType({})
@@ -90,10 +134,13 @@ class FiniteAlgebra:
     and the constructors listed in the module docstring inherit validity.
     """
 
-    def __init__(self, labels: list[str], table: list[list[Vec]]):
+    def __init__(self, labels: list[str], table: list[list[Vec]], associative: bool = False):
         self.dim = len(labels)
         self.labels = list(labels)
         self.table = table
+        # set by a passing associativity scan, or by a constructor that
+        # inherits validity; read by ``TensorSquare.generated``
+        self.associative = associative
         self._unit: Vec | None = None
         self._unit_known = False
         self._valid = False
@@ -132,6 +179,17 @@ class FiniteAlgebra:
         if left:
             return lambda k: self.mul(w, unit_vec(k))
         return lambda k: self.mul(unit_vec(k), w)
+
+    @cached_property
+    def traces(self) -> tuple[list, list]:
+        """The one-sided traces of the basis: tr(y -> e_u y) and
+        tr(y -> y e_u) for every u, read off the partner rows."""
+        left, right = [0] * self.dim, [0] * self.dim
+        for a, row in enumerate(self.partners):
+            for u, v in row.items():
+                left[a] += v.get(u, 0)
+                right[u] += v.get(a, 0)
+        return left, right
 
     def left_mult(self, x: Vec) -> LinMap:
         """The map y -> x*y."""
@@ -177,6 +235,7 @@ class FiniteAlgebra:
         if bad is not None:
             (i, j), _, left, right = bad
             raise NonAssociative(i, j, next(k for k in range(n) if left[k] != right[k]))
+        self.associative = True
         # a annihilates from the left iff sum a_i e_i e_j = 0 for all j:
         # column i of the stacked structure tensor holds e_i e_j at rows
         # j*n .. j*n + n-1; from the right it holds e_j e_i there
@@ -260,7 +319,7 @@ def direct_sum(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
     table = [row + [{} for _ in range(b.dim)] for row in a.table]
     table += [[{} for _ in range(off)] + [{k + off: c for k, c in v.items()} for v in row]
               for row in b.table]
-    return FiniteAlgebra(labels, table)
+    return FiniteAlgebra(labels, table, a.associative and b.associative)
 
 
 def tensor_algebra(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
@@ -268,12 +327,12 @@ def tensor_algebra(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
     labels = [f"{p}(x){q}" for p in a.labels for q in b.labels]
     table = [[vtensor(u, v, b.dim) for u in row_a for v in row_b]
              for row_a in a.table for row_b in b.table]
-    return FiniteAlgebra(labels, table)
+    return FiniteAlgebra(labels, table, a.associative and b.associative)
 
 
 def opposite_algebra(a: FiniteAlgebra) -> FiniteAlgebra:
     """Same space, transposed table; validity is inherited."""
-    return FiniteAlgebra(list(a.labels), [list(col) for col in zip(*a.table)])
+    return FiniteAlgebra(list(a.labels), [list(col) for col in zip(*a.table)], a.associative)
 
 
 # -- witness scans over basis tuples ---------------------------------------
@@ -318,35 +377,7 @@ def multiplicativity(alg: FiniteAlgebra, images, product, anti: bool = False):
     return (lambda i, j: lincomb(alg.mul_basis(i, j), images)), rhs
 
 
-# -- tensor products and slices used throughout the Hopf machinery -------
-
-# The six maps E and its twists F_i cut out of A (x) A, as the flags
-# (left1, left2) of ``TensorSquare._covered_map``: "EL" is y -> Ey, "ER"
-# is y -> yE, and which = 1..4 the twisted projector of F_which, whose
-# column (a, b) is (e_a (x) 1) F (1 (x) e_b) for F_1, F_2 and
-# (1 (x) e_b) F (e_a (x) 1) for F_3, F_4.
-PROJECTION_FLAGS = {"EL": (False, False), "ER": (True, True),
-                    1: (True, False), 2: (True, False), 3: (False, True), 4: (False, True)}
-
-
-class Projection:
-    """A map cut out by an element of A (x) A, with its image and
-    im(id - map), each echelonized on first use; for an idempotent map
-    the latter is its kernel.  The kernel conditions build im(id - map)
-    only when ``CoproductSlices.kernel_is_complement`` cannot certify
-    it, by R T or by a trace and two map products."""
-
-    def __init__(self, m: LinMap):
-        self.map = m
-
-    @cached_property
-    def image(self) -> Subspace:
-        return self.map.image()
-
-    @cached_property
-    def complement(self) -> Subspace:
-        return (LinMap.identity(self.map.nrows) - self.map).image()
-
+# -- the tensor square, used throughout the Hopf machinery ---------------
 
 class TensorSquare:
     """A (x) B with leg-wise products; index (i, j) -> i*dim + j.
@@ -365,6 +396,13 @@ class TensorSquare:
 
     def tensor(self, x: Vec, y: Vec) -> Vec:
         return vtensor(x, y, self.dim)
+
+    def generated(self) -> bool:
+        """Whether both factors carry the associativity flag and have a
+        unit: then a map that commutes with the covers on one leg is
+        fixed by its values on the generators (module docstring)."""
+        return all(alg.associative and alg.unit() is not None
+                   for alg in (self.algebra, self.second))
 
     def mul(self, x: Vec, y: Vec) -> Vec:
         """Componentwise product of elements of A (x) B: y is grouped by
@@ -537,163 +575,17 @@ class TensorSquare:
 
     def projection(self, x: Vec, which) -> Projection:
         """The map x cuts out under ``PROJECTION_FLAGS[which]``, with its
-        image and im(id - map), built once per flags and exact entries of
-        x: a hit means x equals the element the map was built from.  The
-        bundle, the balanced sections and reconstruction holding one t2
-        share each map this way, so callers must not mutate it."""
+        image and im(id - map), held once per flags and exact entries of
+        x: a hit means x equals the element the map is cut by.  The map is
+        built on first use.  The bundle, the balanced sections and
+        reconstruction holding one t2 share each map this way, so callers
+        must not mutate it."""
         flags = PROJECTION_FLAGS[which]
         key = (flags, frozenset(x.items()))
         got = self._projections.get(key)
         if got is None:
-            got = self._projections[key] = Projection(self._covered_map(x, *flags))
+            # cut from a square of its own: holding self would make a cycle
+            # that keeps every square and its maps until a collection
+            got = self._projections[key] = Projection(
+                cut=(TensorSquare(self.algebra, self.second), dict(x), flags))
         return got
-
-
-class CoproductSlices:
-    """Slices of a left family Delta(e_a) and a right family Delta'(e_a)
-    in A (x) A by basis covers e_b, e_c:
-
-        r1(a, c) = Delta(e_a)(e_c (x) 1)    l1(a, c) = (e_c (x) 1)Delta'(e_a)
-        r2(a, b) = Delta(e_a)(1 (x) e_b)    l2(a, b) = (1 (x) e_b)Delta'(e_a)
-
-    Each slice is computed once and cached per (kind, a, b), because the
-    pair- and triple-indexed checks revisit them; the canonical maps
-    T_1..T_4 are assembled from the cached slices once, and their images
-    and kernels are echelonized once, kernels only when
-    ``kernel_is_complement`` cannot certify them.  Cached values are
-    shared, so callers must not mutate them.  A bundle slices (Delta, Delta), an
-    algebroid (Delta_B, Delta_C), reconstruction the rebuilt
-    (E Delta_B, Delta_C E); a bundle rebuilt by reconstruction keeps the
-    rebuilt slices, since there Delta = Delta'.
-    """
-
-    def __init__(self, t2: TensorSquare, left: list[Vec], right: list[Vec]):
-        self.t2 = t2
-        self.left = left
-        self.right = right
-        self._slices: dict[tuple[str, int, int], Vec] = {}
-        self._maps: dict[int, LinMap] = {}
-        self._spaces: dict[tuple[str, int], Subspace] = {}
-        self._complements: dict[int, Projection] = {}
-
-    def r1(self, a: int, c: int) -> Vec:
-        return self._slice("r1", a, c)
-
-    def r2(self, a: int, b: int) -> Vec:
-        return self._slice("r2", a, b)
-
-    def l1(self, a: int, c: int) -> Vec:
-        return self._slice("l1", a, c)
-
-    def l2(self, a: int, b: int) -> Vec:
-        return self._slice("l2", a, b)
-
-    def _slice(self, kind: str, a: int, b: int) -> Vec:
-        key = (kind, a, b)
-        got = self._slices.get(key)
-        if got is None:
-            t2, cover = self.t2, unit_vec(b)
-            if kind == "r1":
-                got = t2.mul_right_leg1(self.left[a], cover)
-            elif kind == "r2":
-                got = t2.mul_right_leg2(self.left[a], cover)
-            elif kind == "l1":
-                got = t2.mul_left_leg1(cover, self.right[a])
-            else:
-                got = t2.mul_left_leg2(cover, self.right[a])
-            self._slices[key] = got
-        return got
-
-    def canonical_map(self, which: int) -> LinMap:
-        """T_1..T_4 on A (x) A; column (a, b) is r2(a, b), l1(b, a),
-        l2(a, b) resp. r1(b, a)."""
-        if which not in (1, 2, 3, 4):
-            raise ValueError(which)
-        m = self._maps.get(which)
-        if m is None:
-            d = self.t2.dim
-            column = {1: lambda a, b: self.r2(a, b), 2: lambda a, b: self.l1(b, a),
-                      3: lambda a, b: self.l2(a, b), 4: lambda a, b: self.r1(b, a)}[which]
-            m = self._maps[which] = LinMap(self.t2.size, self.t2.size,
-                                           [column(a, b) for a in range(d) for b in range(d)])
-        return m
-
-    def canonical_image(self, which: int) -> Subspace:
-        """im T_which, computed once."""
-        return self._space("image", which)
-
-    def canonical_kernel(self, which: int) -> Subspace:
-        """ker T_which, computed once."""
-        return self._space("kernel", which)
-
-    def kernel_is_complement(self, which: int, proj: Projection,
-                             rt: LinMap | None = None) -> bool:
-        """Whether im(id - P) = ker T for P = proj.map, T = T_which.
-
-        Certified with no new echelon form by (1) tr P = rank T,
-        (2) TP = T and (3) PP = P, cheapest first: by (3) P is
-        idempotent, so im(id - P) = ker P has dimension d^2 - rank P =
-        d^2 - tr P over Q; by (2) T(id - P) = 0, so im(id - P) lies in
-        ker T; by (1) both have dimension d^2 - rank T, so they are
-        equal.  A caller that has proved TRT = T for some R may hand in
-        rt = RT; then P == rt alone certifies, with no product: PP =
-        R(TRT) = P, TP = TRT = T, and T = TP, P = RT bound each rank by
-        the other.  The certificate is sufficient, not necessary (P need
-        not be idempotent), so when it fails the two subspaces are
-        compared.  A success is remembered with its projection and
-        served again only for that same object."""
-        if self._complements.get(which) is proj:
-            return True
-        p, t = proj.map, self.canonical_map(which)
-        holds = ((rt is not None and p == rt)
-                 or (p.trace() == self.canonical_image(which).dim
-                     and t @ p == t and p @ p == p)
-                 or proj.complement == self.canonical_kernel(which))
-        if holds:
-            self._complements[which] = proj
-        return holds
-
-    def _space(self, kind: str, which: int) -> Subspace:
-        key = (kind, which)
-        got = self._spaces.get(key)
-        if got is None:
-            m = self.canonical_map(which)
-            got = self._spaces[key] = m.image() if kind == "image" else m.kernel()
-        return got
-
-    def first_coassociativity_failure(self, equations) -> tuple[int, int, int, int] | None:
-        """The first (a, b, c, k), in the order of a covered loop over a,
-        b, c and then k, at which equation k fails; None when all hold.
-
-        Equation k is (outer, inner[, same]): slice kinds outer "r2" or
-        "l2" and inner "r1" or "l1", and a comparison (== by default).
-        Its covered form compares sum outer(a, b)[u, v] inner(u, c) (x) e_v
-        with sum inner(a, c)[u, v] e_u (x) outer(v, b).  With O and I the
-        coproduct families behind the two kinds, these are
-        (I (x) id)O(e_a) and (id (x) O)I(e_a) in A (x) A (x) A, covered by
-        e_c on the first leg and e_b on the third, each on the side its
-        slice covers.  If same is closed under those covers, as == is,
-        comparing the two elements decides every b, c at once: closure
-        carries a pass to each cover, and conversely, A being unital, the
-        covers weighted by the unit's coefficients sum to the elements.
-        same must be linear, same(x, y) holding as same(x - y, 0) does.
-        Covers are scanned only at the first failing a, to name (b, c) and
-        k, by ``first_nonzero_cover`` with the covered differences trivial
-        under same against zero.
-        """
-        t2, d = self.t2, self.t2.dim
-        family = {"r2": self.left, "r1": self.left, "l2": self.right, "l1": self.right}
-        for a in range(d):
-            sides = [(t2.expand_leg1(family[outer][a], family[inner].__getitem__),
-                      t2.expand_leg2(family[inner][a], family[outer].__getitem__))
-                     for outer, inner, *_ in equations]
-            if all(same[0](x, y) if same else x == y
-                   for (x, y), (_, _, *same) in zip(sides, equations)):
-                continue
-            # an l-kind slice covers from the left, an r-kind from the right
-            (b, c), k = t2.first_nonzero_cover(
-                [(vsub(x, y), ((3, outer[0] == "l"), (1, inner[0] == "l")),
-                  *[lambda z, same=f: same(z, {}) for f in same])
-                 for (x, y), (outer, inner, *same) in zip(sides, equations)])
-            return a, b, c, k
-        return None

@@ -43,7 +43,8 @@ class SubalgebraView:
                 if coords is None:
                     raise AlgebraError(f"{name} is not closed under the product")
                 table[-1].append(coords)
-        self.algebra = FiniteAlgebra([f"{name}{k}" for k in range(len(self.basis))], table)
+        self.algebra = FiniteAlgebra([f"{name}{k}" for k in range(len(self.basis))], table,
+                                     parent.associative)
 
     @property
     def dim(self) -> int:

@@ -7,9 +7,10 @@ input cannot be parsed or violates the schema, or ``--out`` cannot be
 opened for writing; the conversions refuse such an ``--out`` before any
 suite runs.  A reconstruction that breaks down after its
 preconditions held is reported as a failed ``internal-inconsistency``
-record (exit 1), never as a traceback.  A round trip whose rebuilt
-tensors differ from its input runs the axiom suite on that input and
-names its first failed record in ``input-wmha-suite``.
+record (exit 1), never as a traceback; a round trip keeps its forward
+records before that one.  A round trip whose rebuilt tensors differ from
+its input, or whose reconstruction breaks down, runs the axiom suite on
+that input and names its first failed record in ``input-wmha-suite``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .groupoids import Groupoid, as_wmha
 from .lazy import check_lazy_groupoid, lazy_pair_groupoid
 from .reconstruction import (ObstructionReport, PipelineResult, ReconstructionError,
                              reconstruction_pipeline)
-from .reporting import Report, failed, jsonable, passed
+from .reporting import CheckRecord, Report, failed, jsonable, passed
 from .wmha import WeakMultiplierHopfAlgebra, run_suite
 from .witnesses import revalidate
 
@@ -153,6 +154,14 @@ def cmd_algebroid_to_wmha(args) -> int:
     return 1
 
 
+def _input_suite(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
+    """The record ``input-wmha-suite``: the first failed record of the
+    axiom suite on a round trip's input, with its witness."""
+    bad = run_suite(bundle).failures()
+    return (failed("input-wmha-suite", {"check": bad[0].name, "witness": bad[0].witness})
+            if bad else passed("input-wmha-suite"))
+
+
 def cmd_roundtrip(args) -> int:
     doc = io.load(args.file)
     bundle, lazy_g = _bundle_from_doc(doc, None)
@@ -164,7 +173,16 @@ def cmd_roundtrip(args) -> int:
     if alg is None:
         _emit(report, args.format)
         return 1
-    got = reconstruction_pipeline(alg)
+    try:
+        got = reconstruction_pipeline(alg)
+    except ReconstructionError as exc:
+        # the forward construction does not check the algebroid it builds
+        # from an input that fails the suite, and the pipeline can break
+        # down on it: keep the forward records and name the input's law
+        report.add(failed("internal-inconsistency", {"error": str(exc)}))
+        report.add(_input_suite(bundle))
+        _emit(report, args.format)
+        return 1
     if isinstance(got, ObstructionReport):
         report.extend(got.report.records)
         report.add(failed("roundtrip-obstructed", got.witness, detail=got.stage))
@@ -178,9 +196,7 @@ def cmd_roundtrip(args) -> int:
         report.add(failed("roundtrip-tensors-identical", {"tensors": differ}))
         # the forward construction does not read every law of the input
         # (the counit laws, say), so name the input's first failing law
-        bad = run_suite(bundle).failures()
-        report.add(failed("input-wmha-suite", {"check": bad[0].name, "witness": bad[0].witness})
-                   if bad else passed("input-wmha-suite"))
+        report.add(_input_suite(bundle))
     else:
         report.add(passed("roundtrip-tensors-identical"))
     _emit(report, args.format)

@@ -295,7 +295,7 @@ def crossed_scalar_extension_wmha(idem: SeparabilityIdempotent, group,
         [{k0 * nh + h_index[group.mul[(g, h)]]: cf for k0, cf in
           ext.algebra.mul(unit_vec(i0), gamma[g].apply(unit_vec(j0))).items()}
          for j0 in range(n0) for h in elems]
-        for i0 in range(n0) for g in elems])
+        for i0 in range(n0) for g in elems], ext.algebra.associative)
     base = scalar_extension_wmha(idem)
 
     def lift(x0: Vec, t: int) -> Vec:

@@ -181,7 +181,7 @@ def function_algebra(g: Groupoid) -> FiniteAlgebra:
     """Pointwise algebra on the arrow basis."""
     n = len(g.arrows)
     return FiniteAlgebra(list(g.arrows), [[{i: 1} if i == j else {} for j in range(n)]
-                                          for i in range(n)])
+                                          for i in range(n)], associative=True)
 
 
 def coproduct_element(g: Groupoid, f: Vec) -> Vec:

@@ -62,15 +62,26 @@ def unit_vec(i: int) -> Vec:
 
 
 def vaxpy(acc: Vec, coeff, v: Vec) -> Vec:
-    """In place: acc += coeff * v.  Returns acc."""
+    """In place: acc += coeff * v.  Returns acc.  A product by the int
+    1 or -1, on either side, is skipped: a Fraction product costs far
+    more than a sign.  The type is checked first, so a Fraction never
+    pays for ``__eq__``."""
     if not coeff:
         return acc
     for i, c in v.items():
+        # an int product is cheap; by 1 or -1 a Fraction is kept or negated
+        if type(coeff) is int:
+            t = coeff * c if type(c) is int or (coeff != 1 and coeff != -1) else (
+                c if coeff == 1 else -c)
+        elif type(c) is int and (c == 1 or c == -1):
+            t = coeff if c == 1 else -coeff
+        else:
+            t = coeff * c
         w = acc.get(i)
         if w is None:
-            acc[i] = coeff * c
+            acc[i] = t
         else:
-            w = w + coeff * c
+            w = w + t
             if w:
                 acc[i] = w
             else:
@@ -132,7 +143,8 @@ def on_leg(x: Vec, stride: int, n: int, image, width: int) -> Vec:
     Each term's e_j becomes image(j), a vector on a slot of size width,
     so entry k of the image lands at (hi*width + k)*stride + lo.
     image(j) is computed once per distinct j and only read, so it may
-    be a shared vector."""
+    be a shared vector.  As in ``vaxpy``, a product by the int 1 or -1
+    is skipped."""
     out: Vec = {}
     images: dict[int, Vec] = {}
     for p, c in x.items():
@@ -143,7 +155,22 @@ def on_leg(x: Vec, stride: int, n: int, image, width: int) -> Vec:
             img = images[j] = image(j)
         base = hi * width
         for k, e in img.items():
-            vadd_at(out, (base + k) * stride + lo, c * e)
+            if type(c) is int:
+                t = c * e if type(e) is int or (c != 1 and c != -1) else (e if c == 1 else -e)
+            elif type(e) is int and (e == 1 or e == -1):
+                t = c if e == 1 else -c
+            else:
+                t = c * e
+            i = (base + k) * stride + lo
+            w = out.get(i)
+            if w is None:
+                out[i] = t
+            else:
+                w = w + t
+                if w:
+                    out[i] = w
+                else:
+                    del out[i]
     return out
 
 

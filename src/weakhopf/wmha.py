@@ -17,15 +17,25 @@ an equal element (the forward construction's sections, reconstruction's
 range and kernel stages) shares the same map.
 
 One memoized certificate H, ``certificate``, decides the
-generalized-inverse, range and kernel records without their own map
-products and echelon forms.  H holds when S is bijective, E^2 = E,
-E Delta(e_a) = Delta(e_a) = Delta(e_a) E for every basis index a, and
-T_i R_i = Q_i for i = 1..4, where Q_1 = Q_4 = EL (y -> Ey) and
-Q_2 = Q_3 = ER (y -> yE).  Its premises are tried cheapest first: the
-E laws come from the memo ``check_E_identities`` reads, bijectivity of
-S is memoized for the ``antipode-bijective`` record, and the products
-T_i R_i are the ones ``check_projection_formulas`` forms anyway, in the
-same order and up to the same first mismatch.  Under H:
+generalized-inverse, range, projection and kernel records with no map
+product, no R_i and no map cut out of A (x) A.  Its premises are tried
+cheapest first:
+
+* E^2 = E and E Delta(e_a) = Delta(e_a) = Delta(e_a) E for every basis
+  index a, the memo ``check_E_identities`` reads;
+* S is bijective, memoized for the ``antipode-bijective`` record;
+* S is anti-multiplicative, the memo ``antihom_failure`` that
+  ``antipode-antihomomorphism`` reads;
+* the algebra carries the associativity flag and has a unit
+  (``TensorSquare.generated``);
+* T_i(L(Delta(e_a))) == Q_i(g_a) for every a (``tr_holds``), for
+  i = 1..4 up to the first that differs, where Q_1 = Q_4 = EL
+  (y -> Ey), Q_2 = Q_3 = ER (y -> yE) and g_a, L are those of the
+  lemma in the ``algebra`` docstring.
+
+By that lemma the premises before the last make T_i, R_i, Q_i and P_i
+module maps of one kind with R_i(g_a) = L(Delta(e_a)), so the last one
+is T_i R_i = Q_i.  Under H:
 
 * ``generalized-inverses`` passes.  T_i R_i T_i = Q_i T_i = T_i column
   by column: a column of T_1 or T_4 is Delta(a) times a cover, which E
@@ -37,11 +47,14 @@ same order and up to the same first mismatch.  Under H:
 * ``range-conditions`` passes.  im T_i contains im T_i R_i, which
   contains im T_i R_i T_i = im T_i, so im T_i = im T_i R_i = im Q_i.
   E^2 = E makes EL and ER idempotent, so their ranks are their traces,
-  and the detail reads tr EL and tr ER.
-* ``kernel-subspaces`` certifies each i by the one comparison
-  R_i T_i == P_i.  Then P_i^2 = R_i (T_i R_i T_i) = P_i, T_i P_i = T_i,
-  and rank P_i = rank T_i, the premises of
-  ``CoproductSlices.kernel_is_complement``, which takes R_i T_i for it.
+  and the detail reads tr EL and tr ER, computed from E.
+* ``projection-formulas`` passes when R_i T_i == P_i on the generators,
+  R_i(Delta(e_a)) = L T_p L^-1 Delta(e_a) against P_i(g_a)
+  (``rt_holds``); T_i R_i = Q_i is H itself.
+* ``kernel-subspaces`` certifies each i for which R_i T_i == P_i.  Then
+  P_i^2 = R_i (T_i R_i T_i) = P_i and T_i P_i = T_i, and T_i = T_i P_i,
+  P_i = R_i T_i bound each rank by the other, the premises of
+  ``CoproductSlices.kernel_is_complement``.
 
 When a premise fails, each record computes as it did before H existed,
 so verdicts, witnesses and report bytes are the same on either path.
@@ -52,7 +65,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .algebra import (AlgebraError, CoproductSlices, FiniteAlgebra, Projection,
+from .algebra import (T_COVERS, AlgebraError, CoproductSlices, FiniteAlgebra, Projection,
                       TensorSquare, first_failure, multiplicativity)
 from .linalg import LinMap, Subspace, Vec, lincomb, solve, unit_vec, vdot, vsub
 from .reporting import SKIP, CheckRecord, Report, failed, passed
@@ -93,6 +106,7 @@ class WeakMultiplierHopfAlgebra:
         self._antipode_inv: LinMap | None = None
         self._inverses: dict[int, LinMap] = {}
         self._composites: dict[tuple[int, str], LinMap] = {}
+        self._rt_holds: dict[int, bool] = {}
 
     # -- basic derived data --------------------------------------------
 
@@ -191,16 +205,53 @@ class WeakMultiplierHopfAlgebra:
         return None
 
     @cached_property
-    def certificate(self) -> tuple[LinMap, LinMap] | None:
-        """The maps EL and ER when H of the module docstring holds, else
-        None.  Each E-map is asked for once; T_i R_i is formed for
-        i = 1, 2, ... only up to the first that differs from Q_i."""
-        if self.e_law_failure is not None or not self.antipode_bijective:
+    def antihom_failure(self) -> tuple | None:
+        """The first basis pair (i, j), as ``first_failure`` names it, at
+        which S(e_i e_j) != S(e_j) S(e_i); None when S is
+        anti-multiplicative."""
+        alg = self.algebra
+        return first_failure((alg.dim, alg.dim),
+                             [multiplicativity(alg, self.antipode.cols, alg.mul, anti=True)])
+
+    @staticmethod
+    def _agree(which: int, images, proj: Projection) -> bool:
+        """Whether images, the values of a map of T_which's kind on the
+        generators g_a, are those of proj."""
+        return all(y == want for y, want in
+                   zip(images, proj.on_generators(3 - T_COVERS[which][0])))
+
+    @cached_property
+    def certificate(self) -> tuple | None:
+        """(tr EL, tr ER) when H of the module docstring holds, else
+        None.  ``tr_holds`` is asked for i = 1, 2, ... only up to the
+        first i that fails."""
+        if (self.e_law_failure is not None or not self.antipode_bijective
+                or self.antihom_failure is not None or not self.t2.generated()
+                or not all(self.tr_holds(i) for i in (1, 2, 3, 4))):
             return None
-        el, er = self.projection("EL").map, self.projection("ER").map
-        if all(self.composite(i, "TR") == q for i, q in ((1, el), (2, er), (3, er), (4, el))):
-            return el, er
-        return None
+        return self.projection("EL").trace, self.projection("ER").trace
+
+    def tr_holds(self, which: int) -> bool:
+        """T_which R_which == Q_which compared on the generators, which
+        decides it once the premises of H before it hold (module
+        docstring): T_which(L(Delta(e_a))) against Q_which(g_a)."""
+        leg_map, l, _, partner = self._twist(which)
+        return self._agree(which, (self.slices.apply(which, leg_map(l, t))
+                                   for t in self.slices.on_generators(partner)),
+                           self.projection("EL" if which in (1, 4) else "ER"))
+
+    def rt_holds(self, which: int) -> bool:
+        """R_which T_which == P_which compared on the generators, as
+        ``tr_holds``: R_which(Delta(e_a)) = L T_partner L^-1 Delta(e_a)
+        against P_which(g_a), with no R_which built.  Memoized per
+        which."""
+        got = self._rt_holds.get(which)
+        if got is None:
+            leg_map, l, l_inv, partner = self._twist(which)
+            got = self._rt_holds[which] = self._agree(which, (
+                leg_map(l, self.slices.apply(partner, leg_map(l_inv, t)))
+                for t in self.slices.on_generators(which)), self.projection(which))
+        return got
 
 
 # -- individual checks --------------------------------------------------
@@ -331,9 +382,7 @@ def check_range_conditions(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
     echelonized and compared."""
     held = bundle.certificate
     if held is not None:
-        el, er = held
-        return passed("range-conditions",
-                      detail=f"E(AxA) dim {el.trace()}, (AxA)E dim {er.trace()}")
+        return passed("range-conditions", detail=f"E(AxA) dim {held[0]}, (AxA)E dim {held[1]}")
     left_range = bundle.projection("EL").image
     right_range = bundle.projection("ER").image
     images = bundle.slices.canonical_image
@@ -374,12 +423,10 @@ def check_antipode_identities(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
 
 
 def check_antipode_antihom(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
-    alg = bundle.algebra
-    bad = first_failure((alg.dim, alg.dim),
-                        [multiplicativity(alg, bundle.antipode.cols, alg.mul, anti=True)])
+    bad = bundle.antihom_failure
     if bad is not None:
         return failed("antipode-antihomomorphism",
-                      {"pair": [alg.labels[i] for i in bad[0]]})
+                      {"pair": [bundle.algebra.labels[i] for i in bad[0]]})
     return passed("antipode-antihomomorphism")
 
 
@@ -411,7 +458,13 @@ def check_generalized_inverses(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord
 
 def check_projection_formulas(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
     """TR is multiplication by E on the matching side; RT is the
-    twisted F-idempotent projector."""
+    twisted F-idempotent projector.  Under the certificate TR holds and
+    RT is compared on the generators (module docstring); where that
+    comparison fails, or without it, the maps are multiplied out, and
+    the first differing column names the witness."""
+    if bundle.certificate is not None and all(
+            bundle.rt_holds(i) for i in (1, 2, 3, 4)):
+        return passed("projection-formulas")
     el, er = bundle.projection("EL").map, bundle.projection("ER").map
     d = bundle.dim
     for i, want in ((1, el), (2, er), (3, er), (4, el)):
@@ -428,16 +481,17 @@ def check_projection_formulas(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
 
 
 def check_kernel_subspaces(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
-    """ker T_i = im(id - P_i), decided by
-    ``CoproductSlices.kernel_is_complement``: under the certificate it
-    is handed R_i T_i and certifies T_i by R_i T_i == P_i (module
-    docstring); otherwise, or where that comparison fails, by the trace
-    and two products, and failing those by echelon forms."""
+    """ker T_i = im(id - P_i).  Under the certificate, R_i T_i == P_i on
+    the generators proves it (module docstring); otherwise, or where
+    that comparison fails, ``CoproductSlices.kernel_is_complement``
+    decides it by the trace and TP = T, PP = P, and failing those by
+    echelon forms."""
     certified = bundle.certificate is not None
     for i in (1, 2, 3, 4):
+        if certified and bundle.rt_holds(i):
+            continue
         proj = bundle.projection(i)
-        rt = bundle.composite(i, "RT") if certified else None
-        if not bundle.slices.kernel_is_complement(i, proj, rt):
+        if not bundle.slices.kernel_is_complement(i, proj):
             described, kernel = proj.complement, bundle.slices.canonical_kernel(i)
             return failed("kernel-subspaces",
                           {"map": f"T{i}", "described_dim": described.dim,

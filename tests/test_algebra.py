@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,7 @@ from weakhopf.algebra import (CoproductSlices, DegenerateProduct, FiniteAlgebra,
                               direct_sum, field_algebra, make_algebra, matrix_algebra,
                               opposite_algebra, tensor_algebra)
 from weakhopf.algebroid import forward_construct
-from weakhopf.base_algebras import run_base_suite
+from weakhopf.base_algebras import SubalgebraView, run_base_suite
 from weakhopf.examples import scalar_extension_wmha, swap_crossed_setup
 from weakhopf.groupoids import as_wmha, pair_groupoid
 from weakhopf.linalg import LinMap, Subspace, apply_legs, on_leg, unit_vec, vaxpy, vtensor
@@ -56,6 +58,50 @@ def test_failed_validation_is_not_remembered():
     for _ in range(2):
         with pytest.raises(NonAssociative):
             bad.validate()
+
+
+def test_associativity_flag_is_set_by_validation_and_inherited():
+    """A passing associativity scan sets the flag, a failing one does
+    not; the constructors that inherit validity pass it on, and only
+    when every input carries it."""
+    table = [[{0: 1}, {1: 1}], [{1: 1}, {0: 1}]]    # Q[Z2]
+    bare = FiniteAlgebra(["u", "x"], table)
+    assert not bare.associative
+    bad = FiniteAlgebra(["u", "x"], [[{0: 1}, {1: 2}], [{1: 1}, {0: 1, 1: 1}]])
+    with pytest.raises(NonAssociative):
+        bad.validate()
+    assert not bad.associative
+    m2 = matrix_algebra(2)
+    assert m2.associative and as_wmha(pair_groupoid(2)).algebra.associative
+    assert swap_crossed_setup()[0].algebra.associative
+    builds = (lambda a: direct_sum(a, m2), lambda a: direct_sum(m2, a),
+              lambda a: tensor_algebra(a, m2), lambda a: tensor_algebra(m2, a),
+              opposite_algebra, lambda a: SubalgebraView(a, [unit_vec(0)]).algebra)
+    assert not any(build(bare).associative for build in builds)
+    bare.validate()
+    assert bare.associative
+    assert all(build(bare).associative for build in builds)
+
+
+def test_projections_do_not_keep_their_square_alive():
+    """A tensor square memoizes its projections, which do not refer back
+    to it: once the last outside reference goes, the square and its maps
+    are freed without waiting for the cycle collector, while a projection
+    held elsewhere can still build its map."""
+    m2 = matrix_algebra(2)
+    t2 = TensorSquare(m2)
+    unit = m2.unit()
+    proj = t2.projection(t2.tensor(unit, unit), "EL")
+    assert proj.fixes_element
+    square = weakref.ref(t2)
+    gc.disable()
+    try:
+        del t2
+        assert square() is None
+        assert proj.map == LinMap.identity(16)
+        del proj
+    finally:
+        gc.enable()
 
 
 def test_not_idempotent_detected():

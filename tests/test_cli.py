@@ -166,6 +166,37 @@ def test_failed_roundtrip_names_the_inputs_failing_law(tmp_path, capsys):
                 assert named["witness"]["witness"]["pair"] == ["(1,1)", "(1,2)"]
 
 
+@pytest.mark.parametrize("tensor, index, stage", [
+    ("delta", (1, 0, 5), "mixed-coassociativity"),
+    ("antipode", (0, 3), "counit-antipode-transport")])
+def test_roundtrip_breakdown_keeps_the_forward_records(tmp_path, capsys, tensor, index, stage):
+    """A crossed-swap mutant whose forward algebroid breaks
+    reconstruction down: the report keeps the forward construction's
+    records, then fails internal-inconsistency with the reconstruction
+    report, then names the input's first failing law; exit 1."""
+    from weakhopf import io
+    from weakhopf.examples import swap_crossed_setup
+
+    bundle = swap_crossed_setup()[0]
+    doc = io.wmha_to_dict(bundle)
+    *outer, last = index
+    entry = doc[tensor]
+    for k in outer:
+        entry = entry[k]
+    entry[last] = str(Fraction(entry[last]) + 1)
+    path = tmp_path / "mutant.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "--format", "json", "roundtrip", str(path))
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    names = [r["check"] for r in checks]
+    assert names[0] == "base-subalgebras" and names[-2:] == ["internal-inconsistency",
+                                                             "input-wmha-suite"]
+    assert f"[fail] {stage}" in checks[-2]["witness"]["error"]
+    assert checks[-1]["status"] == "fail" and checks[-1]["witness"]["check"]
+    assert all(r["status"] == "pass" for r in checks[:-2])
+
+
 def test_passing_roundtrip_runs_no_input_suite(tmp_path, capsys, monkeypatch):
     path = tmp_path / "p2.json"
     run(capsys, "gen-example", "pair-groupoid", "--n", "2", "--out", str(path))

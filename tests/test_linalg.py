@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weakhopf.linalg import (DimensionMismatch, LinMap, Subspace, rat, solve,
+from weakhopf.linalg import (DimensionMismatch, LinMap, Subspace, on_leg, rat, solve,
                              unit_vec, vaxpy, vec_from, vsub, vtensor)
 
 
@@ -21,6 +21,32 @@ def test_vec_ops_keep_zero_free_invariant():
     assert 0 not in w and w == {1: Fraction(3), 2: Fraction(1, 2)}
     assert vsub(u, u) == {}
     assert vaxpy({}, Fraction(0), u) == {}
+
+
+_UNIT_MIX = [1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2)]
+
+
+def test_unit_factors_skip_fraction_products(monkeypatch):
+    """vaxpy and on_leg give the plain products for every mix of ints
+    and Fractions, and form no Fraction product where one factor is the
+    int 1 or -1."""
+    v = dict(enumerate(_UNIT_MIX))
+    want = {(coeff, k): coeff * c for coeff in _UNIT_MIX for k, c in v.items()}
+    products = []
+    mul, rmul = Fraction.__mul__, Fraction.__rmul__
+    monkeypatch.setattr(Fraction, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    monkeypatch.setattr(Fraction, "__rmul__", lambda a, b: products.append(1) or rmul(a, b))
+    for coeff in _UNIT_MIX:
+        products.clear()
+        assert vaxpy({}, coeff, v) == {k: want[coeff, k] for k in v}
+        # coeff * e_1 with its one leg replaced by v
+        assert on_leg({1: coeff}, 1, 2, lambda j: v, len(v)) == {
+            k: want[coeff, k] for k in v}
+        fraction_products = sum(type(coeff) is not int and type(c) is not int
+                                or type(c) is not int and coeff not in (1, -1)
+                                or type(coeff) is not int and c not in (1, -1)
+                                for c in v.values())
+        assert len(products) == 2 * fraction_products
 
 
 def test_tensor_indexing():

@@ -27,9 +27,10 @@ from fractions import Fraction
 import pytest
 
 from weakhopf import algebroid, io
-from weakhopf.algebra import (AlgebraError, CoproductSlices, FiniteAlgebra, NonAssociative,
-                              Projection, TensorSquare, direct_sum, field_algebra,
-                              first_failure, matrix_algebra, tensor_algebra)
+from weakhopf.algebra import (PROJECTION_FLAGS, T_COVERS, AlgebraError, CoproductSlices,
+                              FiniteAlgebra, NonAssociative, Projection, TensorSquare,
+                              direct_sum, field_algebra, first_failure, matrix_algebra,
+                              tensor_algebra)
 from weakhopf.algebroid import (MultiplierHopfAlgebroid, NotBijective, QuantumGraphPair,
                                 algebroid_canonical_maps, check_algebroid_axioms,
                                 check_algebroid_coassociativity,
@@ -55,7 +56,8 @@ from weakhopf.wmha import (WeakMultiplierHopfAlgebra, check_antipode_antihom,
                            check_antipode_flips_coproduct, check_antipode_identities,
                            check_coassociativity, check_counit, check_E_identities,
                            check_generalized_inverses, check_homomorphism,
-                           check_kernel_subspaces, check_range_conditions, run_suite)
+                           check_kernel_subspaces, check_projection_formulas,
+                           check_range_conditions, run_suite)
 
 
 # -- covered reference loops -----------------------------------------------
@@ -738,25 +740,196 @@ def test_certificate_matches_references_on_every_mutant(name):
 
 @pytest.mark.parametrize("name", ["pair-3", "base-m2-weighted"])
 def test_certified_suite_forms_no_extra_product_or_image(name, monkeypatch):
-    """check-wmha on a passing bundle echelonizes no image of T_i or of
-    an E-map, and multiplies only T_i R_i and R_i T_i: no TRT, RTR, TP
-    or PP product."""
+    """check-wmha on a passing bundle forms no LinMap product at all,
+    builds no R_i and no map cut out of A (x) A, and echelonizes no
+    image of T_i or of an E-map: the certificate and the records it
+    decides read everything off the generators."""
     bundle = _wmha_corpus()[name]()
-    images, products = [], []
+    images, products, built = [], [], []
     image, matmul = Projection.image.func, LinMap.__matmul__
     canonical_image = CoproductSlices.canonical_image
+    inverse, covered = WeakMultiplierHopfAlgebra.generalized_inverse, TensorSquare._covered_map
     monkeypatch.setattr(Projection, "image",
-                        property(lambda self: images.append(self.map) or image(self)))
+                        property(lambda self: images.append(self) or image(self)))
     monkeypatch.setattr(CoproductSlices, "canonical_image",
                         lambda self, which: images.append(which) or canonical_image(self, which))
     monkeypatch.setattr(LinMap, "__matmul__",
                         lambda self, other: products.append((self, other)) or matmul(self, other))
+    monkeypatch.setattr(WeakMultiplierHopfAlgebra, "generalized_inverse",
+                        lambda self, which: built.append(which) or inverse(self, which))
+    monkeypatch.setattr(TensorSquare, "_covered_map",
+                        lambda self, x, *flags: built.append(flags) or covered(self, x, *flags))
     assert run_suite(bundle).ok and run_base_suite(bundle)[1].ok
-    assert images == []
-    pairs = [(bundle.canonical_map(i), bundle.generalized_inverse(i)) for i in (1, 2, 3, 4)]
-    expected = pairs + [(r, t) for t, r in pairs]
-    assert len(products) == len(expected)
-    assert all(any(x is a and y is b for a, b in expected) for x, y in products)
+    assert bundle.certificate is not None
+    assert images == [] and products == [] and built == []
+
+
+# -- generator decisions against today's map products ----------------------
+
+def _cut_map(bundle, which):
+    """The map E ("EL", "ER") or F_which cuts out of A (x) A, built
+    afresh."""
+    elt = bundle.E if which in ("EL", "ER") else bundle.kernel_idempotent(which)
+    return bundle.t2._covered_map(elt, *PROJECTION_FLAGS[which])
+
+
+def ref_projection_formulas(bundle):
+    """The projection check by map products: T_i R_i against EL or ER,
+    then R_i T_i against P_i column by column."""
+    d = bundle.dim
+    for i, which in ((1, "EL"), (2, "ER"), (3, "ER"), (4, "EL")):
+        if bundle.composite(i, "TR") != _cut_map(bundle, which):
+            return failed("projection-formula-TR", {"map": f"T{i}R{i}"})
+    for i in (1, 2, 3, 4):
+        rt, want = bundle.composite(i, "RT"), _cut_map(bundle, i)
+        bad = first_failure((d, d), [(lambda a, b: rt.cols[a * d + b],
+                                      lambda a, b: want.cols[a * d + b])])
+        if bad is not None:
+            return failed("projection-formula-RT", {
+                "map": f"R{i}T{i}", "pair": [bundle.algebra.labels[a] for a in bad[0]]})
+    return passed("projection-formulas")
+
+
+def ref_kernel_by_products(bundle):
+    """The kernel check by map products: tr P_i = rank T_i, T_i P_i = T_i
+    and P_i P_i = P_i multiplied out, else both subspaces echelonized."""
+    for i in (1, 2, 3, 4):
+        p, t = _cut_map(bundle, i), bundle.canonical_map(i)
+        described = (LinMap.identity(p.nrows) - p).image()
+        if not ((p.trace() == t.rank() and t @ p == t and p @ p == p)
+                or described == t.kernel()):
+            return failed("kernel-subspaces", {"map": f"T{i}", "described_dim": described.dim,
+                                               "kernel_dim": t.kernel().dim})
+    return passed("kernel-subspaces")
+
+
+PRODUCT_REFERENCES = [(check_range_conditions, ref_range_conditions),
+                      (check_generalized_inverses, ref_generalized_inverses),
+                      (check_projection_formulas, ref_projection_formulas),
+                      (check_kernel_subspaces, ref_kernel_by_products)]
+
+
+def _generator_premise(bundle):
+    """The first premise of the generator certificate that fails, in
+    the order it is tried, or "holds"; under it, whether every
+    R_i T_i == P_i."""
+    if bundle.certificate is not None:
+        return "holds" if all(bundle.rt_holds(i) for i in (1, 2, 3, 4)) else "R_iT_i-differs"
+    if bundle.e_law_failure is not None:
+        return bundle.e_law_failure[0]
+    if not bundle.antipode_bijective:
+        return "antipode-singular"
+    if bundle.antihom_failure is not None:
+        return "antipode-not-antihomomorphism"
+    return "T_iR_i-differs" if bundle.t2.generated() else "no-associativity-flag"
+
+
+def _product_records_match(bundle):
+    """The four records the certificate decides, on a fresh copy of
+    bundle each side, against their map-product references; returns the
+    premise that decided the engine's."""
+    def fresh():
+        return WeakMultiplierHopfAlgebra(bundle.algebra, bundle.delta, bundle.counit,
+                                         bundle.antipode, bundle.E)
+
+    engine, reference = fresh(), fresh()
+    got = [_outcome(check, engine) for check, _ in PRODUCT_REFERENCES]
+    assert got == [_outcome(ref, reference) for _, ref in PRODUCT_REFERENCES]
+    return _generator_premise(engine)
+
+
+@pytest.mark.parametrize("name", sorted(_wmha_corpus()))
+def test_generator_records_match_map_products(name):
+    assert _product_records_match(_wmha_corpus()[name]()) == "holds"
+
+
+@pytest.mark.parametrize("name", ["pair-2", "crossed-swap"])
+def test_generator_records_match_map_products_on_every_mutant(name):
+    """The honest bundle and every single-entry +1 / -1 mutant of Delta,
+    S and E give the records of today's map products; the sweep reaches
+    the certificate holding and each of its premises failing first."""
+    bundle = as_wmha(pair_groupoid(2)) if name == "pair-2" else swap_crossed_setup()[0]
+    premises = Counter(_product_records_match(bad)
+                       for bad in itertools.chain([bundle], _base_mutants(bundle)))
+    assert set(premises) == {"holds", "canonical-idempotent-squared",
+                             "canonical-idempotent-absorbs-coproduct", "antipode-singular",
+                             "antipode-not-antihomomorphism", "T_iR_i-differs"}, premises
+
+
+@pytest.mark.parametrize("name", ["pair-2", "crossed-swap"])
+def test_generator_decisions_equal_map_products(name):
+    """Wherever S is a bijective anti-homomorphism, each identity the
+    lemma in the ``algebra`` docstring reduces to the generators is
+    decided as the map products decide it, true or false: T_i R_i = Q_i,
+    R_i T_i = P_i, T_i P_i = T_i and P_i P_i = P_i, and tr P_i read off
+    F_i, over the honest bundle and every +1 / -1 mutant of Delta, S
+    and E."""
+    bundle = as_wmha(pair_groupoid(2)) if name == "pair-2" else swap_crossed_setup()[0]
+    seen = Counter()
+    for bad in itertools.chain([bundle], _base_mutants(bundle)):
+        if not bad.antipode_bijective or bad.antihom_failure is not None:
+            continue
+        assert bad.t2.generated()
+        for i in (1, 2, 3, 4):
+            p, t, proj = _cut_map(bad, i), bad.canonical_map(i), bad.projection(i)
+            q = _cut_map(bad, "EL" if i in (1, 4) else "ER")
+            tp = all(bad.slices.apply(i, y) == want for y, want in
+                     zip(proj.on_generators(3 - T_COVERS[i][0]), bad.slices.on_generators(i)))
+            got = (bad.tr_holds(i), bad.rt_holds(i), tp, proj.fixes_element)
+            assert got == (bad.composite(i, "TR") == q, bad.composite(i, "RT") == p,
+                           t @ p == t, p @ p == p)
+            assert proj.trace == p.trace()
+            seen.update(zip(("TR", "RT", "TP", "PP"), got))
+    assert set(seen) == {(law, held) for law in ("TR", "RT", "TP", "PP")
+                         for held in (True, False)}, seen
+
+
+def test_projection_reads_the_covered_map_off_its_element():
+    """On M2 (x) (Q + M2), for each of the six flag pairs and a few
+    elements x: the trace, the values on the generators e_a (x) 1 and
+    1 (x) e_b, and whether x is fixed, each read off x, are those of the
+    map ``TensorSquare._covered_map`` builds."""
+    a, b = matrix_algebra(2), direct_sum(field_algebra(), matrix_algebra(2))
+    t2, rng = TensorSquare(a, b), random.Random(11)
+    unit_a, unit_b = a.unit(), b.unit()
+    values = [1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]
+    elements = [t2.tensor(unit_a, unit_b), t2.tensor(unit_vec(0), unit_b)] + [
+        {p: rng.choice(values) for p in rng.sample(range(t2.size), 6)} for _ in range(4)]
+    fixed = Counter()
+    for flags in set(PROJECTION_FLAGS.values()):
+        for x in elements:
+            proj, m = Projection(cut=(t2, x, flags)), t2._covered_map(x, *flags)
+            assert proj.trace == m.trace()
+            assert proj.on_generators(1) == [m.apply(t2.tensor(unit_vec(i), unit_b))
+                                             for i in range(a.dim)]
+            assert proj.on_generators(2) == [m.apply(t2.tensor(unit_a, unit_vec(j)))
+                                             for j in range(b.dim)]
+            assert proj.fixes_element == (m.apply(x) == x)
+            fixed[proj.fixes_element] += 1
+    assert set(fixed) == {True, False}
+
+
+def test_kernel_laws_need_the_associativity_flag(monkeypatch):
+    """A bare ``FiniteAlgebra`` carries no associativity flag: the
+    certificate does not hold and the kernel check multiplies T P and
+    P P out.  Once ``validate`` has scanned associativity, the same
+    table gives the same record from the generators, with no product."""
+    honest = as_wmha(pair_groupoid(3))
+    bare = FiniteAlgebra(honest.algebra.labels, honest.algebra.table)
+    assert honest.algebra.associative and not bare.associative
+    products, records = [], []
+    matmul = LinMap.__matmul__
+    monkeypatch.setattr(LinMap, "__matmul__",
+                        lambda self, other: products.append(1) or matmul(self, other))
+    for _ in range(2):
+        bundle = WeakMultiplierHopfAlgebra(bare, honest.delta, honest.counit, honest.antipode,
+                                           honest.E)
+        records.append((check_kernel_subspaces(bundle).to_dict(),
+                        bundle.certificate is not None, len(products)))
+        products.clear()
+        bare.validate()
+    assert records == [(passed("kernel-subspaces").to_dict(), False, 8),
+                       (passed("kernel-subspaces").to_dict(), True, 0)]
 
 
 def _base_mutants(bundle):
