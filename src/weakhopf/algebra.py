@@ -46,12 +46,13 @@ canonical maps T_1..T_4 from those slices.  Both classes live in
 from source, and compiling the largest module sets that step's memory
 peak, so no module is allowed to grow large.
 
-Lemma (module maps on A (x) A).  Let T_1..T_4 be the canonical maps
-(T_1(a (x) b) = Delta(a)(1 (x) b), T_2(a (x) b) = (a (x) 1)Delta(b),
-T_3(a (x) b) = (1 (x) b)Delta(a), T_4(a (x) b) = Delta(b)(a (x) 1)),
-R_1..R_4 their generalized inverses, Q_1 = Q_4 = EL (y -> Ey),
-Q_2 = Q_3 = ER (y -> yE), and P_i the map cut out by an element x under
-``PROJECTION_FLAGS``.
+Lemma (module maps on A (x) A).  Its premises are associativity and a
+bijective anti-multiplicative S; it needs no E law.  Let T_1..T_4 be the
+canonical maps (T_1(a (x) b) = Delta(a)(1 (x) b), T_2(a (x) b) =
+(a (x) 1)Delta(b), T_3(a (x) b) = (1 (x) b)Delta(a), T_4(a (x) b) =
+Delta(b)(a (x) 1)), R_1..R_4 their generalized inverses,
+Q_1 = Q_4 = EL (y -> Ey), Q_2 = Q_3 = ER (y -> yE), and P_i the map
+cut out by an element x under ``PROJECTION_FLAGS``.
 
 * Associativity makes T_i, Q_i and P_i module maps.  T_1 and P_1 are
   right-linear on leg 2, T_3 and P_3 left-linear on leg 2, T_2 and P_2
@@ -80,8 +81,8 @@ gives P(x) = x.  tr P = sum x_uv t1(u) t2(v) from the one-sided traces of
 the table (``FiniteAlgebra.traces``).  T_i is applied to a vector from
 the cached slices of its support only (``CoproductSlices.apply``).  The
 premises are read as flags: ``TensorSquare.generated`` asks both
-factors for the associativity flag and a unit; without them the maps
-are multiplied out.
+factors for the associativity flag and a unit; without them the
+identities are compared on the basis vectors (``first_difference``).
 """
 
 from __future__ import annotations

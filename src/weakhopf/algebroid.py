@@ -368,10 +368,10 @@ def check_canonical_maps(alg: MultiplierHopfAlgebroid) -> CheckRecord:
         return failed("algebroid-canonical-maps-bijective", {"error": str(exc)})
     detail = ", ".join(f"{k}: {m.nrows}x{m.ncols}" for k, m in sorted(maps.items()))
     if alg.source_bundle is not None:
-        t1, d = alg.source_bundle.canonical_map(1), alg.dim
+        slices, d = alg.source_bundle.slices, alg.dim
         bal_l, bal_s = alg.graph.balanced("l"), alg.graph.balanced("s")
         bad = first_failure((d, d), [
-            (lambda a, b: bal_l.project(t1.apply(unit_vec(a * d + b))),
+            (lambda a, b: bal_l.project(slices.column(1, a, b)),
              lambda a, b: maps["T_rho"].apply(bal_s.project(unit_vec(a * d + b))))])
         if bad is not None:
             return failed("canonical-map-commuting-square",

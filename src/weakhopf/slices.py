@@ -8,15 +8,15 @@ and assembles T_1..T_4 from those slices; ``apply`` sums T_i(v) from the
 slices of v's support alone.  ``Projection`` holds one map cut out by an
 element x (``algebra.TensorSquare.projection``, its one home) and builds
 it only on first use: its trace, its values on the module generators and
-its value at x are read off x.  Both serve the identities between these
-one-sided module maps that the ``algebra`` docstring reduces to the
-module generators.
+its value at any vector are read off x.  ``first_difference`` compares
+two composites of such maps with no map product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
+from typing import Callable, Iterable, NamedTuple
 
 from .linalg import LinMap, Subspace, Vec, unit_vec, vaxpy, vsub, vtensor
 
@@ -30,14 +30,35 @@ PROJECTION_FLAGS = {"EL": (False, False), "ER": (True, True),
                     1: (True, False), 2: (True, False), 3: (False, True), 4: (False, True)}
 
 
+class Applied(NamedTuple):
+    """A map as a function, and a thunk of its values on the g_a."""
+    apply: Callable[[Vec], Vec]
+    generators: Callable[[], Iterable[Vec]]
+
+
+def first_difference(lhs: list[Applied], rhs: list[Applied],
+                     size: int | None = None) -> int | None:
+    """The index of the first test vector at which the composites lhs
+    and rhs (maps in the order they apply) differ, None if none: the g_a,
+    which decide two module maps of one kind (``algebra`` lemma), with
+    size None, else e_0, ..., e_(size-1).  It stops at a difference."""
+    def values(side):
+        got = (side[0].generators() if size is None
+               else (side[0].apply(unit_vec(p)) for p in range(size)))
+        for f in side[1:]:
+            got = map(f.apply, got)
+        return got
+    return next((k for k, (x, y) in enumerate(zip(values(lhs), values(rhs))) if x != y), None)
+
+
 class Projection:
     """A map on A (x) B, with its image and im(id - map), each
     echelonized on first use; for an idempotent map the latter is its
     kernel.  Given as a map m, or as cut = (t2, x, flags), the map
     ``PROJECTION_FLAGS`` says x cuts out of t2, which is built only on
-    first use of ``map``: its trace, its values on the module generators
-    and its value at x are read off x (``algebra`` docstring).  The kernel
-    conditions build im(id - map) only when
+    first use of ``map``: its trace and its values, on the module
+    generators or at any vector, are read off x (``algebra`` docstring).
+    The kernel conditions build im(id - map) only when
     ``CoproductSlices.kernel_is_complement`` cannot certify it."""
 
     def __init__(self, m: LinMap | None = None, cut: tuple | None = None):
@@ -84,25 +105,29 @@ class Projection:
                       else vtensor(groups[u], e, t2.dim))
         return got
 
-    @cached_property
-    def fixes_element(self) -> bool:
-        """P(x) == x, where P(y) = sum y[a, b] x[u, v] L(a, u) (x) R(v, b)
+    def apply(self, v: Vec) -> Vec:
+        """P(v) = sum v[a, b] x[u, w] L(a, u) (x) R(w, b)
         (``TensorSquare._covered_map``), with x grouped by its first leg
-        and each product read off a partner row."""
+        and each product read off a partner row; m(v) for a given map."""
+        if self.cut is None:
+            return self.map.apply(v)
         t2, x, (left1, left2) = self.cut
         rows1, rows2, d = t2.algebra.partners, t2.second.partners, t2.dim
-        groups = t2.leg_vectors(x, 2)
         out: Vec = {}
-        for p, c in x.items():
+        for p, c in v.items():
             a, b = divmod(p, d)
-            for u, row in groups.items():
+            for u, row in self._groups.items():
                 lv = rows1[a].get(u) if left1 else rows1[u].get(a)
                 if lv is not None:
-                    for v, e in row.items():
-                        rv = rows2[b].get(v) if left2 else rows2[v].get(b)
+                    for w, e in row.items():
+                        rv = rows2[b].get(w) if left2 else rows2[w].get(b)
                         if rv is not None:
                             vaxpy(out, c * e, vtensor(lv, rv, d))
-        return out == x
+        return out
+
+    @cached_property
+    def _groups(self) -> dict[int, Vec]:
+        return self.cut[0].leg_vectors(self.cut[1], 2)
 
     @cached_property
     def image(self) -> Subspace:
@@ -210,6 +235,10 @@ class CoproductSlices:
         T_2(1 (x) e_a) = T_3(e_a (x) 1) = right[a]."""
         return self.left if which in (1, 4) else self.right
 
+    def applied(self, which: int) -> Applied:
+        """T_which as a function, with its values on the generators."""
+        return Applied(partial(self.apply, which), partial(self.on_generators, which))
+
     def canonical_image(self, which: int) -> Subspace:
         """im T_which, computed once."""
         return self._space("image", which)
@@ -219,7 +248,7 @@ class CoproductSlices:
         return self._space("kernel", which)
 
     def kernel_is_complement(self, which: int, proj: Projection) -> bool:
-        """Whether im(id - P) = ker T for P = proj.map, T = T_which.
+        """Whether im(id - P) = ker T for P = proj's map, T = T_which.
 
         Certified with no new echelon form by (1) tr P = rank T,
         (2) TP = T and (3) PP = P, cheapest first: by (3) P is
@@ -228,27 +257,24 @@ class CoproductSlices:
         ker T; by (1) both have dimension d^2 - rank T, so they are
         equal.  When P is cut out by an element x, commutes with the
         covers T commutes with, and ``TensorSquare.generated`` holds,
-        (2) and (3) are decided on the module generators g_a (the lemma
-        in the ``algebra`` docstring): T(P(g_a)) == T(g_a) for every a,
-        and P(x) == x.
-        Otherwise both products are multiplied out.  The certificate is
-        sufficient, not necessary (P need not be idempotent), so when it
-        fails the two subspaces are compared.  A success is remembered
-        with its projection and served again only for that same
-        object."""
+        (2) and (3) are decided on the module generators g_a (``algebra``
+        lemma): T(P(g_a)) == T(g_a) for every a, and P(x) == x.
+        Otherwise each is one ``first_difference`` on the basis vectors.
+        The certificate is sufficient, not necessary (P need not be
+        idempotent), so when it fails the two subspaces are compared.  A
+        success is remembered with its projection and served again only
+        for that same object."""
         if self._complements.get(which) is proj:
             return True
         leg, left = T_COVERS[which]
-        if proj.cut is not None and proj.cut[2][leg - 1] == left and self.t2.generated():
-            def fixes():
-                return (all(self.apply(which, y) == t for y, t in
-                            zip(proj.on_generators(3 - leg), self.on_generators(which)))
-                        and proj.fixes_element)
-        else:
-            def fixes():
-                p, t = proj.map, self.canonical_map(which)
-                return t @ p == t and p @ p == p
-        holds = ((proj.trace == self.canonical_image(which).dim and fixes())
+        generated = (proj.cut is not None and proj.cut[2][leg - 1] == left
+                     and self.t2.generated())
+        size = None if generated else self.t2.size
+        p, t = Applied(proj.apply, partial(proj.on_generators, 3 - leg)), self.applied(which)
+        holds = ((proj.trace == self.canonical_image(which).dim
+                  and first_difference([p, t], [t], size) is None
+                  and (proj.apply(proj.cut[1]) == proj.cut[1] if generated
+                       else first_difference([p, p], [p], size) is None))
                  or proj.complement == self.canonical_kernel(which))
         if holds:
             self._complements[which] = proj

@@ -16,26 +16,22 @@ memoized on the bundle's tensor square; whoever holds that square with
 an equal element (the forward construction's sections, reconstruction's
 range and kernel stages) shares the same map.
 
-One memoized certificate H, ``certificate``, decides the
-generalized-inverse, range, projection and kernel records with no map
-product, no R_i and no map cut out of A (x) A.  Its premises are tried
-cheapest first:
+Each identity between T_i, R_i, Q_i (Q_1 = Q_4 = EL, y -> Ey,
+Q_2 = Q_3 = ER, y -> yE) and P_i (the map F_i cuts out) is one
+comparison, ``first_difference``: both sides are applied as functions
+(``maps``) to a test set, and no map product and no R_i is formed.  The
+test set is the d module generators g_a when M holds: S is bijective
+(memoized for ``antipode-bijective``) and anti-multiplicative (the memo
+``antihom_failure``), and ``TensorSquare.generated``.  By the lemma in
+the ``algebra`` docstring, which needs no E law, M makes the four maps
+module maps of one kind.  Otherwise it is the d^2 basis vectors e_p, in
+order.  ``agrees`` memoizes each comparison.
 
-* E^2 = E and E Delta(e_a) = Delta(e_a) = Delta(e_a) E for every basis
-  index a, the memo ``check_E_identities`` reads;
-* S is bijective, memoized for the ``antipode-bijective`` record;
-* S is anti-multiplicative, the memo ``antihom_failure`` that
-  ``antipode-antihomomorphism`` reads;
-* the algebra carries the associativity flag and has a unit
-  (``TensorSquare.generated``);
-* T_i(L(Delta(e_a))) == Q_i(g_a) for every a (``tr_holds``), for
-  i = 1..4 up to the first that differs, where Q_1 = Q_4 = EL
-  (y -> Ey), Q_2 = Q_3 = ER (y -> yE) and g_a, L are those of the
-  lemma in the ``algebra`` docstring.
-
-By that lemma the premises before the last make T_i, R_i, Q_i and P_i
-module maps of one kind with R_i(g_a) = L(Delta(e_a)), so the last one
-is T_i R_i = Q_i.  Under H:
+The memoized certificate H, ``certificate``, passes the
+generalized-inverse and range records with no comparison of their own.
+Its premises, cheapest first, are E^2 = E and E Delta(e_a) = Delta(e_a)
+= Delta(e_a) E for every a (the memo ``check_E_identities`` reads), M,
+and T_i R_i == Q_i for i = 1..4 up to the first that differs.  Under H:
 
 * ``generalized-inverses`` passes.  T_i R_i T_i = Q_i T_i = T_i column
   by column: a column of T_1 or T_4 is Delta(a) times a cover, which E
@@ -48,25 +44,26 @@ is T_i R_i = Q_i.  Under H:
   contains im T_i R_i T_i = im T_i, so im T_i = im T_i R_i = im Q_i.
   E^2 = E makes EL and ER idempotent, so their ranks are their traces,
   and the detail reads tr EL and tr ER, computed from E.
-* ``projection-formulas`` passes when R_i T_i == P_i on the generators,
-  R_i(Delta(e_a)) = L T_p L^-1 Delta(e_a) against P_i(g_a)
-  (``rt_holds``); T_i R_i = Q_i is H itself.
-* ``kernel-subspaces`` certifies each i for which R_i T_i == P_i.  Then
-  P_i^2 = R_i (T_i R_i T_i) = P_i and T_i P_i = T_i, and T_i = T_i P_i,
-  P_i = R_i T_i bound each rank by the other, the premises of
-  ``CoproductSlices.kernel_is_complement``.
 
-When a premise fails, each record computes as it did before H existed,
-so verdicts, witnesses and report bytes are the same on either path.
+Without H, R_i T_i R_i = R_i is T_p R_p T_p = T_p by the first bullet,
+which needs only S bijective.  ``projection-formulas`` compares T_i R_i
+with Q_i, then R_i T_i with P_i; where R_i T_i differs, e_p, p = a d + b,
+are scanned in order for the first differing column (a, b).
+``kernel-subspaces`` certifies T_i when T_i R_i T_i = T_i and
+R_i T_i = P_i: then P_i^2 = R_i (T_i R_i T_i) = P_i, T_i (id - P_i) = 0
+and rank P_i <= rank T_i = rank T_i P_i <= rank P_i, so im(id - P_i) =
+ker P_i lies in ker T_i and has its dimension, with no trace or rank.
+Otherwise ``CoproductSlices.kernel_is_complement`` decides.  Every
+comparison is exact, so reports do not depend on the path taken.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
-from .algebra import (T_COVERS, AlgebraError, CoproductSlices, FiniteAlgebra, Projection,
-                      TensorSquare, first_failure, multiplicativity)
+from .algebra import AlgebraError, FiniteAlgebra, TensorSquare, first_failure, multiplicativity
+from .slices import T_COVERS, Applied, CoproductSlices, Projection, first_difference
 from .linalg import LinMap, Subspace, Vec, lincomb, solve, unit_vec, vdot, vsub
 from .reporting import SKIP, CheckRecord, Report, failed, passed
 
@@ -104,9 +101,7 @@ class WeakMultiplierHopfAlgebra:
             raise AlgebraError("shared slices belong to another coproduct")
         self.slices = slices
         self._antipode_inv: LinMap | None = None
-        self._inverses: dict[int, LinMap] = {}
-        self._composites: dict[tuple[int, str], LinMap] = {}
-        self._rt_holds: dict[int, bool] = {}
+        self._agrees: dict[tuple[int, str, str], bool] = {}
 
     # -- basic derived data --------------------------------------------
 
@@ -140,10 +135,6 @@ class WeakMultiplierHopfAlgebra:
 
     # -- canonical maps -------------------------------------------------
 
-    def canonical_map(self, which: int) -> LinMap:
-        """T_1..T_4 on the tensor square, assembled from slices."""
-        return self.slices.canonical_map(which)
-
     def _twist(self, which: int):
         """The leg map of ``TWISTS[which]``, its L and L^-1, and the
         partner index."""
@@ -154,25 +145,24 @@ class WeakMultiplierHopfAlgebra:
         l, l_inv = (si, s) if inverted else (s, si)
         return (self.t2.map_leg1 if leg == 1 else self.t2.map_leg2), l, l_inv, partner
 
-    def generalized_inverse(self, which: int) -> LinMap:
-        """R_1..R_4: column p of R_which is L T_partner L^-1 e_p, the
-        partner's slice map conjugated by L on one leg (``TWISTS``)."""
-        if which in self._inverses:
-            return self._inverses[which]
-        leg_map, l, l_inv, partner = self._twist(which)
-        t, size = self.canonical_map(partner), self.t2.size
-        m = self._inverses[which] = LinMap(size, size, [
-            leg_map(l, t.apply(leg_map(l_inv, unit_vec(p)))) for p in range(size)])
-        return m
-
-    def composite(self, which: int, order: str) -> LinMap:
-        """T_which R_which (order "TR") or R_which T_which ("RT"), formed
-        once for the generalized-inverse and projection checks."""
-        key = (which, order)
-        if key not in self._composites:
-            t, r = self.canonical_map(which), self.generalized_inverse(which)
-            self._composites[key] = t @ r if order == "TR" else r @ t
-        return self._composites[key]
+    @cached_property
+    def maps(self) -> dict[tuple[int, str], Applied]:
+        """T_i, R_i, P_i and Q_i (names "T", "R", "P", "Q"), i = 1..4, as
+        functions with their values on the g_a of T_i's kind.  R_i =
+        L T_p L^-1 (``TWISTS``) is applied leg by leg, never built;
+        R_i(g_a) = L(T_p(g_a)), as L^-1 fixes g_a."""
+        def twisted(which):
+            leg_map, l, l_inv, partner = self._twist(which)
+            t = self.slices.applied(partner)
+            return Applied(lambda v: leg_map(l, t.apply(leg_map(l_inv, v))),
+                           lambda: (leg_map(l, y) for y in t.generators()))
+        out = {}
+        for i in (1, 2, 3, 4):
+            out[i, "T"], out[i, "R"] = self.slices.applied(i), twisted(i)
+            for name, which in (("P", i), ("Q", "EL" if i in (1, 4) else "ER")):
+                proj = self.projection(which)
+                out[i, name] = Applied(proj.apply, partial(proj.on_generators, 3 - T_COVERS[i][0]))
+        return out
 
     def kernel_idempotent(self, which: int) -> Vec:
         """F_1..F_4: the canonical idempotent with L moved through its
@@ -213,45 +203,37 @@ class WeakMultiplierHopfAlgebra:
         return first_failure((alg.dim, alg.dim),
                              [multiplicativity(alg, self.antipode.cols, alg.mul, anti=True)])
 
-    @staticmethod
-    def _agree(which: int, images, proj: Projection) -> bool:
-        """Whether images, the values of a map of T_which's kind on the
-        generators g_a, are those of proj."""
-        return all(y == want for y, want in
-                   zip(images, proj.on_generators(3 - T_COVERS[which][0])))
+    @property
+    def module_premise(self) -> bool:
+        """M of the module docstring."""
+        return (self.antipode_bijective and self.antihom_failure is None
+                and self.t2.generated())
 
     @cached_property
     def certificate(self) -> tuple | None:
         """(tr EL, tr ER) when H of the module docstring holds, else
-        None.  ``tr_holds`` is asked for i = 1, 2, ... only up to the
+        None.  T_i R_i == Q_i is asked for i = 1, 2, ... only up to the
         first i that fails."""
-        if (self.e_law_failure is not None or not self.antipode_bijective
-                or self.antihom_failure is not None or not self.t2.generated()
-                or not all(self.tr_holds(i) for i in (1, 2, 3, 4))):
+        if (self.e_law_failure is not None or not self.module_premise
+                or not all(self.agrees(i, "TR", "Q") for i in (1, 2, 3, 4))):
             return None
         return self.projection("EL").trace, self.projection("ER").trace
 
-    def tr_holds(self, which: int) -> bool:
-        """T_which R_which == Q_which compared on the generators, which
-        decides it once the premises of H before it hold (module
-        docstring): T_which(L(Delta(e_a))) against Q_which(g_a)."""
-        leg_map, l, _, partner = self._twist(which)
-        return self._agree(which, (self.slices.apply(which, leg_map(l, t))
-                                   for t in self.slices.on_generators(partner)),
-                           self.projection("EL" if which in (1, 4) else "ER"))
+    def first_difference(self, which: int, lhs: str, rhs: str,
+                         basis: bool = False) -> int | None:
+        """``slices.first_difference`` of the words lhs and rhs over "T",
+        "R", "P", "Q" of index which ("RT" is R_which T_which), on the
+        basis vectors when basis is set or M fails."""
+        size = None if self.module_premise and not basis else self.t2.size
+        return first_difference(*([self.maps[which, name] for name in reversed(word)]
+                                  for word in (lhs, rhs)), size=size)
 
-    def rt_holds(self, which: int) -> bool:
-        """R_which T_which == P_which compared on the generators, as
-        ``tr_holds``: R_which(Delta(e_a)) = L T_partner L^-1 Delta(e_a)
-        against P_which(g_a), with no R_which built.  Memoized per
-        which."""
-        got = self._rt_holds.get(which)
-        if got is None:
-            leg_map, l, l_inv, partner = self._twist(which)
-            got = self._rt_holds[which] = self._agree(which, (
-                leg_map(l, self.slices.apply(partner, leg_map(l_inv, t)))
-                for t in self.slices.on_generators(which)), self.projection(which))
-        return got
+    def agrees(self, which: int, lhs: str, rhs: str) -> bool:
+        """Whether ``first_difference`` finds none; memoized."""
+        key = (which, lhs, rhs)
+        if key not in self._agrees:
+            self._agrees[key] = self.first_difference(which, lhs, rhs) is None
+        return self._agrees[key]
 
 
 # -- individual checks --------------------------------------------------
@@ -444,51 +426,40 @@ def check_antipode_flips_coproduct(bundle: WeakMultiplierHopfAlgebra) -> CheckRe
 
 def check_generalized_inverses(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
     """T_i R_i T_i = T_i and R_i T_i R_i = R_i.  The certificate proves
-    both (module docstring); without it both products are formed."""
+    both (module docstring); without it T_i R_i T_i = T_i is compared,
+    and R_i T_i R_i = R_i is T_p R_p T_p = T_p for the partner p."""
     if bundle.certificate is not None:
         return passed("generalized-inverses")
     for i in (1, 2, 3, 4):
-        t, r = bundle.canonical_map(i), bundle.generalized_inverse(i)
-        if bundle.composite(i, "TR") @ t != t:
+        if not bundle.agrees(i, "TRT", "T"):
             return failed("generalized-inverse-TRT", {"map": f"T{i}"})
-        if bundle.composite(i, "RT") @ r != r:
+        if not bundle.agrees(TWISTS[i][2], "TRT", "T"):     # R_i T_i R_i = R_i
             return failed("generalized-inverse-RTR", {"map": f"R{i}"})
     return passed("generalized-inverses")
 
 
 def check_projection_formulas(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
     """TR is multiplication by E on the matching side; RT is the
-    twisted F-idempotent projector.  Under the certificate TR holds and
-    RT is compared on the generators (module docstring); where that
-    comparison fails, or without it, the maps are multiplied out, and
-    the first differing column names the witness."""
-    if bundle.certificate is not None and all(
-            bundle.rt_holds(i) for i in (1, 2, 3, 4)):
-        return passed("projection-formulas")
-    el, er = bundle.projection("EL").map, bundle.projection("ER").map
-    d = bundle.dim
-    for i, want in ((1, el), (2, er), (3, er), (4, el)):
-        if bundle.composite(i, "TR") != want:
+    twisted F-idempotent projector.  Where RT differs, the basis vectors
+    are scanned for the first differing column (a, b), the witness."""
+    for i in (1, 2, 3, 4):
+        if not bundle.agrees(i, "TR", "Q"):
             return failed("projection-formula-TR", {"map": f"T{i}R{i}"})
     for i in (1, 2, 3, 4):
-        rt, want = bundle.composite(i, "RT"), bundle.projection(i).map
-        bad = first_failure((d, d), [(lambda a, b: rt.cols[a * d + b],
-                                      lambda a, b: want.cols[a * d + b])])
-        if bad is not None:
+        if not bundle.agrees(i, "RT", "P"):
+            pair = divmod(bundle.first_difference(i, "RT", "P", basis=True), bundle.dim)
             return failed("projection-formula-RT", {
-                "map": f"R{i}T{i}", "pair": [bundle.algebra.labels[a] for a in bad[0]]})
+                "map": f"R{i}T{i}", "pair": [bundle.algebra.labels[a] for a in pair]})
     return passed("projection-formulas")
 
 
 def check_kernel_subspaces(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
-    """ker T_i = im(id - P_i).  Under the certificate, R_i T_i == P_i on
-    the generators proves it (module docstring); otherwise, or where
-    that comparison fails, ``CoproductSlices.kernel_is_complement``
-    decides it by the trace and TP = T, PP = P, and failing those by
-    echelon forms."""
+    """ker T_i = im(id - P_i), proved by T_i R_i T_i = T_i (or the
+    certificate) and R_i T_i = P_i (module docstring); where either
+    fails, ``CoproductSlices.kernel_is_complement`` decides it."""
     certified = bundle.certificate is not None
     for i in (1, 2, 3, 4):
-        if certified and bundle.rt_holds(i):
+        if (certified or bundle.agrees(i, "TRT", "T")) and bundle.agrees(i, "RT", "P"):
             continue
         proj = bundle.projection(i)
         if not bundle.slices.kernel_is_complement(i, proj):

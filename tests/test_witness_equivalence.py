@@ -52,7 +52,7 @@ from weakhopf.reconstruction import (STAGE_COUNITS_DIFFER, PipelineResult, Rebui
 from weakhopf.reporting import CheckRecord, Report, failed, passed
 from weakhopf.separability import build_E_from_functional
 from weakhopf.witnesses import revalidate
-from weakhopf.wmha import (WeakMultiplierHopfAlgebra, check_antipode_antihom,
+from weakhopf.wmha import (TWISTS, WeakMultiplierHopfAlgebra, check_antipode_antihom,
                            check_antipode_flips_coproduct, check_antipode_identities,
                            check_coassociativity, check_counit, check_E_identities,
                            check_generalized_inverses, check_homomorphism,
@@ -599,7 +599,7 @@ def ref_kernel_subspaces(bundle):
     n = bundle.t2.size
     for i in (1, 2, 3, 4):
         described = (LinMap.identity(n) - bundle.projection(i).map).image()
-        kernel = bundle.canonical_map(i).kernel()
+        kernel = bundle.slices.canonical_map(i).kernel()
         if described != kernel:
             return failed("kernel-subspaces",
                           {"map": f"T{i}", "described_dim": described.dim,
@@ -610,7 +610,7 @@ def ref_kernel_subspaces(bundle):
 def _kernel_branch(bundle, i):
     """Which way ``kernel_is_complement`` decides T_i: by the trace and
     the two products, or by the echelon comparison, and its answer."""
-    p, t = bundle.projection(i).map, bundle.canonical_map(i)
+    p, t = bundle.projection(i).map, bundle.slices.canonical_map(i)
     if (sum(p.entry(j, j) for j in range(p.ncols)) == t.rank()
             and t @ p == t and p @ p == p):
         return "certified"
@@ -657,14 +657,35 @@ def ref_range_conditions(bundle):
                   detail=f"E(AxA) dim {left_range.dim}, (AxA)E dim {right_range.dim}")
 
 
+@functools.lru_cache(maxsize=8)
+def generalized_inverse(bundle, which):
+    """R_which as a d^2 x d^2 map: column p is L T_partner L^-1 e_p, the
+    partner's slice map conjugated by L on one leg (``TWISTS``)."""
+    leg, inverted, partner = TWISTS[which]
+    s, si = bundle.antipode, bundle.antipode_inv()
+    l, l_inv = (si, s) if inverted else (s, si)
+    leg_map = bundle.t2.map_leg1 if leg == 1 else bundle.t2.map_leg2
+    t, size = bundle.slices.canonical_map(partner), bundle.t2.size
+    return LinMap(size, size, [leg_map(l, t.apply(leg_map(l_inv, unit_vec(p))))
+                               for p in range(size)])
+
+
+@functools.lru_cache(maxsize=16)
+def composite(bundle, which, order):
+    """T_which R_which (order "TR") or R_which T_which ("RT"),
+    multiplied out."""
+    t, r = bundle.slices.canonical_map(which), generalized_inverse(bundle, which)
+    return t @ r if order == "TR" else r @ t
+
+
 def ref_generalized_inverses(bundle):
-    """The generalized-inverse check without the certificate: TRT and
-    RTR multiplied out."""
+    """The generalized-inverse check by map products: TRT and RTR
+    multiplied out."""
     for i in (1, 2, 3, 4):
-        t, r = bundle.canonical_map(i), bundle.generalized_inverse(i)
-        if bundle.composite(i, "TR") @ t != t:
+        t, r = bundle.slices.canonical_map(i), generalized_inverse(bundle, i)
+        if composite(bundle, i, "TR") @ t != t:
             return failed("generalized-inverse-TRT", {"map": f"T{i}"})
-        if bundle.composite(i, "RT") @ r != r:
+        if composite(bundle, i, "RT") @ r != r:
             return failed("generalized-inverse-RTR", {"map": f"R{i}"})
     return passed("generalized-inverses")
 
@@ -741,22 +762,20 @@ def test_certificate_matches_references_on_every_mutant(name):
 @pytest.mark.parametrize("name", ["pair-3", "base-m2-weighted"])
 def test_certified_suite_forms_no_extra_product_or_image(name, monkeypatch):
     """check-wmha on a passing bundle forms no LinMap product at all,
-    builds no R_i and no map cut out of A (x) A, and echelonizes no
-    image of T_i or of an E-map: the certificate and the records it
-    decides read everything off the generators."""
+    builds no map cut out of A (x) A, and echelonizes no image of T_i
+    or of an E-map: the certificate and the records it decides read
+    everything off the generators."""
     bundle = _wmha_corpus()[name]()
     images, products, built = [], [], []
     image, matmul = Projection.image.func, LinMap.__matmul__
     canonical_image = CoproductSlices.canonical_image
-    inverse, covered = WeakMultiplierHopfAlgebra.generalized_inverse, TensorSquare._covered_map
+    covered = TensorSquare._covered_map
     monkeypatch.setattr(Projection, "image",
                         property(lambda self: images.append(self) or image(self)))
     monkeypatch.setattr(CoproductSlices, "canonical_image",
                         lambda self, which: images.append(which) or canonical_image(self, which))
     monkeypatch.setattr(LinMap, "__matmul__",
                         lambda self, other: products.append((self, other)) or matmul(self, other))
-    monkeypatch.setattr(WeakMultiplierHopfAlgebra, "generalized_inverse",
-                        lambda self, which: built.append(which) or inverse(self, which))
     monkeypatch.setattr(TensorSquare, "_covered_map",
                         lambda self, x, *flags: built.append(flags) or covered(self, x, *flags))
     assert run_suite(bundle).ok and run_base_suite(bundle)[1].ok
@@ -778,10 +797,10 @@ def ref_projection_formulas(bundle):
     then R_i T_i against P_i column by column."""
     d = bundle.dim
     for i, which in ((1, "EL"), (2, "ER"), (3, "ER"), (4, "EL")):
-        if bundle.composite(i, "TR") != _cut_map(bundle, which):
+        if composite(bundle, i, "TR") != _cut_map(bundle, which):
             return failed("projection-formula-TR", {"map": f"T{i}R{i}"})
     for i in (1, 2, 3, 4):
-        rt, want = bundle.composite(i, "RT"), _cut_map(bundle, i)
+        rt, want = composite(bundle, i, "RT"), _cut_map(bundle, i)
         bad = first_failure((d, d), [(lambda a, b: rt.cols[a * d + b],
                                       lambda a, b: want.cols[a * d + b])])
         if bad is not None:
@@ -794,7 +813,7 @@ def ref_kernel_by_products(bundle):
     """The kernel check by map products: tr P_i = rank T_i, T_i P_i = T_i
     and P_i P_i = P_i multiplied out, else both subspaces echelonized."""
     for i in (1, 2, 3, 4):
-        p, t = _cut_map(bundle, i), bundle.canonical_map(i)
+        p, t = _cut_map(bundle, i), bundle.slices.canonical_map(i)
         described = (LinMap.identity(p.nrows) - p).image()
         if not ((p.trace() == t.rank() and t @ p == t and p @ p == p)
                 or described == t.kernel()):
@@ -814,7 +833,8 @@ def _generator_premise(bundle):
     the order it is tried, or "holds"; under it, whether every
     R_i T_i == P_i."""
     if bundle.certificate is not None:
-        return "holds" if all(bundle.rt_holds(i) for i in (1, 2, 3, 4)) else "R_iT_i-differs"
+        return ("holds" if all(bundle.agrees(i, "RT", "P") for i in (1, 2, 3, 4))
+                else "R_iT_i-differs")
     if bundle.e_law_failure is not None:
         return bundle.e_law_failure[0]
     if not bundle.antipode_bijective:
@@ -856,39 +876,46 @@ def test_generator_records_match_map_products_on_every_mutant(name):
                              "antipode-not-antihomomorphism", "T_iR_i-differs"}, premises
 
 
+LAWS = ("TR", "RT", "TRT", "RTR", "TP", "PP")
+
+
 @pytest.mark.parametrize("name", ["pair-2", "crossed-swap"])
 def test_generator_decisions_equal_map_products(name):
     """Wherever S is a bijective anti-homomorphism, each identity the
     lemma in the ``algebra`` docstring reduces to the generators is
     decided as the map products decide it, true or false: T_i R_i = Q_i,
-    R_i T_i = P_i, T_i P_i = T_i and P_i P_i = P_i, and tr P_i read off
-    F_i, over the honest bundle and every +1 / -1 mutant of Delta, S
-    and E."""
+    R_i T_i = P_i, T_i R_i T_i = T_i, R_i T_i R_i = R_i, T_i P_i = T_i
+    and P_i P_i = P_i, and tr P_i read off F_i, over the honest bundle
+    and every +1 / -1 mutant of Delta, S and E; R_i T_i R_i = R_i is
+    decided as T_p R_p T_p = T_p for the partner p."""
     bundle = as_wmha(pair_groupoid(2)) if name == "pair-2" else swap_crossed_setup()[0]
     seen = Counter()
     for bad in itertools.chain([bundle], _base_mutants(bundle)):
         if not bad.antipode_bijective or bad.antihom_failure is not None:
             continue
-        assert bad.t2.generated()
+        assert bad.module_premise
         for i in (1, 2, 3, 4):
-            p, t, proj = _cut_map(bad, i), bad.canonical_map(i), bad.projection(i)
-            q = _cut_map(bad, "EL" if i in (1, 4) else "ER")
+            p, t, proj = _cut_map(bad, i), bad.slices.canonical_map(i), bad.projection(i)
+            q, r = _cut_map(bad, "EL" if i in (1, 4) else "ER"), generalized_inverse(bad, i)
             tp = all(bad.slices.apply(i, y) == want for y, want in
                      zip(proj.on_generators(3 - T_COVERS[i][0]), bad.slices.on_generators(i)))
-            got = (bad.tr_holds(i), bad.rt_holds(i), tp, proj.fixes_element)
-            assert got == (bad.composite(i, "TR") == q, bad.composite(i, "RT") == p,
-                           t @ p == t, p @ p == p)
+            got = (bad.agrees(i, "TR", "Q"), bad.agrees(i, "RT", "P"), bad.agrees(i, "TRT", "T"),
+                   bad.agrees(i, "RTR", "R"), tp, proj.apply(proj.cut[1]) == proj.cut[1])
+            tr, rt = composite(bad, i, "TR"), composite(bad, i, "RT")
+            assert got == (tr == q, rt == p, tr @ t == t, rt @ r == r, t @ p == t, p @ p == p)
+            # the generalized-inverse check decides R_i T_i R_i = R_i by the partner's TRT
+            assert got[3] == bad.agrees(TWISTS[i][2], "TRT", "T")
             assert proj.trace == p.trace()
-            seen.update(zip(("TR", "RT", "TP", "PP"), got))
-    assert set(seen) == {(law, held) for law in ("TR", "RT", "TP", "PP")
-                         for held in (True, False)}, seen
+            seen.update(zip(LAWS, got))
+    assert set(seen) == {(law, held) for law in LAWS for held in (True, False)}, seen
 
 
 def test_projection_reads_the_covered_map_off_its_element():
     """On M2 (x) (Q + M2), for each of the six flag pairs and a few
     elements x: the trace, the values on the generators e_a (x) 1 and
-    1 (x) e_b, and whether x is fixed, each read off x, are those of the
-    map ``TensorSquare._covered_map`` builds."""
+    1 (x) e_b, and the values at each element, x itself among them (so
+    both outcomes of P(x) == x), each read off x, are those of the map
+    ``TensorSquare._covered_map`` builds."""
     a, b = matrix_algebra(2), direct_sum(field_algebra(), matrix_algebra(2))
     t2, rng = TensorSquare(a, b), random.Random(11)
     unit_a, unit_b = a.unit(), b.unit()
@@ -904,16 +931,17 @@ def test_projection_reads_the_covered_map_off_its_element():
                                              for i in range(a.dim)]
             assert proj.on_generators(2) == [m.apply(t2.tensor(unit_a, unit_vec(j)))
                                              for j in range(b.dim)]
-            assert proj.fixes_element == (m.apply(x) == x)
-            fixed[proj.fixes_element] += 1
+            assert [proj.apply(y) for y in elements] == [m.apply(y) for y in elements]
+            fixed[proj.apply(x) == x] += 1
     assert set(fixed) == {True, False}
 
 
 def test_kernel_laws_need_the_associativity_flag(monkeypatch):
     """A bare ``FiniteAlgebra`` carries no associativity flag: the
-    certificate does not hold and the kernel check multiplies T P and
-    P P out.  Once ``validate`` has scanned associativity, the same
-    table gives the same record from the generators, with no product."""
+    certificate does not hold and the kernel check compares T R T with
+    T and R T with P on the basis vectors.  Once ``validate`` has
+    scanned associativity, the same table gives the same record from the
+    generators.  Neither forms a product."""
     honest = as_wmha(pair_groupoid(3))
     bare = FiniteAlgebra(honest.algebra.labels, honest.algebra.table)
     assert honest.algebra.associative and not bare.associative
@@ -928,8 +956,47 @@ def test_kernel_laws_need_the_associativity_flag(monkeypatch):
                         bundle.certificate is not None, len(products)))
         products.clear()
         bare.validate()
-    assert records == [(passed("kernel-subspaces").to_dict(), False, 8),
+    assert records == [(passed("kernel-subspaces").to_dict(), False, 0),
                        (passed("kernel-subspaces").to_dict(), True, 0)]
+
+
+def _product_free_bundles():
+    """Every ``_wmha_corpus`` bundle, every +1 / -1 mutant of Delta, S
+    and E of pair-2 and crossed-swap, and pair-3 on a bare algebra
+    without the associativity flag."""
+    yield from (build() for build in _wmha_corpus().values())
+    for honest in (as_wmha(pair_groupoid(2)), swap_crossed_setup()[0]):
+        yield from _base_mutants(honest)
+    honest = as_wmha(pair_groupoid(3))
+    yield WeakMultiplierHopfAlgebra(FiniteAlgebra(honest.algebra.labels, honest.algebra.table),
+                                    honest.delta, honest.counit, honest.antipode, honest.E)
+
+
+def test_suite_forms_no_map_product(monkeypatch):
+    """The wmha suite decides every record without a LinMap product,
+    whether it passes, fails, takes the certificate, the generators or
+    the basis vectors."""
+    products, paths = [], Counter()
+    matmul = LinMap.__matmul__
+    monkeypatch.setattr(LinMap, "__matmul__",
+                        lambda self, other: products.append(1) or matmul(self, other))
+    for bundle in _product_free_bundles():
+        products.clear()            # building an example may form products
+        run_suite(bundle)
+        assert products == []
+        paths[_test_set(bundle)] += 1
+    assert set(paths) == {"certificate", "generators", "basis", "not-reached"}, paths
+
+
+def _test_set(bundle):
+    """Where the suite decided the projector records: by the
+    certificate, on the generators, on the basis vectors, or not at all
+    (S singular stops the suite first)."""
+    if not bundle.antipode_bijective:
+        return "not-reached"
+    if bundle.certificate is not None:
+        return "certificate"
+    return "generators" if bundle.module_premise else "basis"
 
 
 def _base_mutants(bundle):
@@ -1082,7 +1149,7 @@ def ref_canonical_maps(alg: MultiplierHopfAlgebroid) -> CheckRecord:
         for a in range(d):
             for b in range(d):
                 via_t1 = bal_l.project(
-                    bundle.canonical_map(1).apply(vtensor(unit_vec(a), unit_vec(b), d)))
+                    bundle.slices.canonical_map(1).apply(vtensor(unit_vec(a), unit_vec(b), d)))
                 via_quotient = t_rho.apply(bal_s.project(vtensor(unit_vec(a), unit_vec(b), d)))
                 if via_t1 != via_quotient:
                     return failed("canonical-map-commuting-square",

@@ -24,7 +24,14 @@ the wmha suite that its projector certificate does not take.
 After the exit counts, `record` prints for each command how many runs
 end in each report and summary (or exit code), and then how many runs
 fail each record, named `<report>/<check>`; a run that fails several
-records counts once for each.
+records counts once for each.  Last, for each wmha source, it prints
+how many mutants the wmha suite decides the projector records of
+(generalized inverses, projection formulas, kernel subspaces) for
+under the certificate H, on the module generators, or on the basis
+vectors, and how many it stops before them (S singular) or rejects on
+input (`decided`).  It reads this in process off the mutant's bundle,
+loaded and run through `wmha.run_suite` once more, from the premises
+the `wmha` docstring names.
 
 `diff` is `tools/byte_sweep.py diff`: it lists the runs that differ and
 exits 1 if any do, else 0.
@@ -34,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import importlib
 import json
 import os
 import sys
@@ -78,10 +86,31 @@ def _entries(node, where: str):
             yield f"{where}[{i}]", node, i
 
 
+def decided_by(engine, doc: dict) -> str:
+    """Where the wmha suite decides the projector records of the bundle
+    doc describes: "certificate" (H holds), "generators" (S bijective
+    and anti-multiplicative, the square generated), "basis", "not
+    reached" (S singular ends the suite first) or "rejected"."""
+    wmha = importlib.import_module("weakhopf.wmha")
+    try:
+        bundle = engine.io.wmha_from_dict(doc)
+    except ValueError:
+        return "rejected"
+    wmha.run_suite(bundle)
+    if not bundle.antipode_bijective:
+        return "not reached"
+    if bundle.certificate is not None:
+        return "certificate"
+    if bundle.antihom_failure is None and bundle.t2.generated():
+        return "generators"
+    return "basis"
+
+
 def record(checkout: Path) -> dict:
     engine, _ = byte_sweep._load(checkout.resolve())
     inputs: dict[str, dict[str, str]] = {}
     runs: list[dict] = []
+    decided: dict[str, collections.Counter] = {}
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -97,6 +126,9 @@ def record(checkout: Path) -> dict:
                         for shift in (1, -1):
                             container[key] = str(Fraction(original) + shift)
                             engine.io.dump(doc, MUTANT)
+                            if tensors == WMHA[0]:
+                                decided.setdefault(name, collections.Counter())[
+                                    decided_by(engine, doc)] += 1
                             for command in commands:
                                 argv = ["--format", "json", command, MUTANT]
                                 # one exhaustive sweep: no seed, one format
@@ -109,7 +141,8 @@ def record(checkout: Path) -> dict:
                         container[key] = original
         finally:
             os.chdir(home)
-    return {"inputs": inputs, "runs": runs}
+    return {"inputs": inputs, "runs": runs,
+            "decided": {name: dict(counts) for name, counts in decided.items()}}
 
 
 def tallies(runs: list[dict]) -> dict[str, tuple[collections.Counter, collections.Counter]]:
@@ -150,6 +183,9 @@ def main(argv=None) -> int:
         print(f"{command}: " + ", ".join(f"{name}: {n}" for name, n in sorted(outcomes.items())))
         for name, n in sorted(failures.items(), key=lambda item: (-item[1], item[0])):
             print(f"  {n:6d}  {name}")
+    for name, counts in doc["decided"].items():
+        print(f"{name} projector records: "
+              + ", ".join(f"{where}: {n}" for where, n in sorted(counts.items())))
     return 0
 
 
