@@ -9,16 +9,18 @@ compared modulo the balanced relations.  For bundles arriving through
 the forward construction the representatives are the original coproduct
 values, which are already section images.  The basis-covered products
 come from one ``algebra.CoproductSlices`` over (Delta_B, Delta_C), which
-caches each slice once; the canonical maps between balanced quotients
-are its maps T_1..T_4 followed by the quotient map of the codomain.
+caches each slice once.  Each balanced quotient is one idempotent P on
+A (x) A with ker P = R (``balanced``), and a law modulo relations
+compares P(lhs - rhs) with 0.  The canonical maps between quotients are
+decided column by column through their P, with no map product
+(``algebroid_canonical_maps``).
 Every basis-indexed check is a list of laws for ``algebra.first_failure``:
 the witness is the first basis tuple in lexicographic order, then the
 first law failing there.  A check over both bases scans (a, side, i),
 side B then C (``algebra.by_side``); dim B = dim C, as the graph pair's
-``base-anti-isomorphisms`` precedes it.  A law modulo relations compares
-the class of lhs - rhs in its balanced quotient with 0.  The
-triple-indexed checks compare one element of the triple balanced space
-per basis element and scan covers only to name the witness.
+``base-anti-isomorphisms`` precedes it.  The triple-indexed checks
+compare one element of the triple balanced space per basis element and
+scan covers only to name the witness.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .algebra import (AlgebraError, CoproductSlices, FiniteAlgebra, TensorSquare
 from .balanced import BalancedTensorSpace, TripleQuotient, build_balanced
 from .base_algebras import (SubalgebraView, action_span_dim, first_anti_homomorphism_failure,
                             first_noncommuting_pair, run_base_suite)
-from .linalg import LinMap, Subspace, Vec, apply_legs, lincomb, unit_vec, vsub
+from .linalg import LinMap, Subspace, Vec, apply_legs, lincomb, on_leg, unit_vec, vsub
 from .reporting import CheckRecord, Report, failed, passed
 from .separability import SeparabilityIdempotent, find_separating_functional, trace_form_radical
 from .wmha import WeakMultiplierHopfAlgebra
@@ -119,14 +121,16 @@ class QuantumGraphPair:
 
     def f_element(self, which: int) -> Vec:
         """The pair's idempotent E with one leg twisted by the matching
-        anti-isomorphism (F_which), realized in A (x) A."""
+        anti-isomorphism (F_which), realized in A (x) A: the twist applied
+        to E's coordinates, then both legs embedded from the base it maps to."""
         if which not in (1, 2, 3, 4):
             raise ValueError(which)
-        b, c = self.b_view.basis_map, self.c_view.basis_map
-        left, right = {1: (b, b @ self.s_c), 2: (c @ self.s_b, c),
-                       3: (b, b @ self.s_b.inverse()),
-                       4: (c @ self.s_c.inverse(), c)}[which]
-        return apply_legs(left, right, self.e_coords)
+        leg, twist, view = {1: (2, self.s_c, self.b_view), 2: (1, self.s_b, self.c_view),
+                            3: (2, self.s_b.inverse(), self.b_view),
+                            4: (1, self.s_c.inverse(), self.c_view)}[which]
+        twisted = on_leg(self.e_coords, self.c_view.dim if leg == 1 else 1, twist.ncols,
+                         twist.cols.__getitem__, twist.nrows)
+        return apply_legs(view.basis_map, view.basis_map, twisted)
 
     def balanced(self, kind: str) -> BalancedTensorSpace:
         if kind not in self._bal_cache:
@@ -185,7 +189,7 @@ class MultiplierHopfAlgebroid:
 
     def __init__(self, graph: QuantumGraphPair, delta_b: list[Vec],
                  delta_c: list[Vec], eps_b: LinMap, eps_c: LinMap,
-                 antipode: LinMap, source_bundle: WeakMultiplierHopfAlgebra | None = None):
+                 antipode: LinMap):
         self.graph = graph
         self.algebra = graph.algebra
         self.t2 = graph.t2
@@ -194,7 +198,6 @@ class MultiplierHopfAlgebroid:
         self.eps_b = eps_b
         self.eps_c = eps_c
         self.antipode = antipode
-        self.source_bundle = source_bundle
         # representative slices: r* of Delta_B, l* of Delta_C
         self.slices = CoproductSlices(self.t2, self.delta_b, self.delta_c)
 
@@ -222,15 +225,14 @@ def forward_construct(bundle: WeakMultiplierHopfAlgebra) -> tuple[MultiplierHopf
         delta_b=[dict(v) for v in bundle.delta],
         delta_c=[dict(v) for v in bundle.delta],
         eps_b=eps_b, eps_c=eps_c,
-        antipode=bundle.antipode,
-        source_bundle=bundle)
+        antipode=bundle.antipode)
     return alg, report
 
 
 # -- checks ---------------------------------------------------------------
 
 def _modulo(bal: BalancedTensorSpace, lhs, rhs):
-    """The law lhs = rhs in a balanced quotient: the class of lhs - rhs against 0."""
+    """The law lhs = rhs in a balanced quotient: P(lhs - rhs) against 0."""
     return (lambda *index: bal.project(vsub(lhs(*index), rhs(*index))), lambda *index: {})
 
 
@@ -329,53 +331,52 @@ def check_compatibility(alg: MultiplierHopfAlgebroid) -> CheckRecord:
                   {"triple": [alg.algebra.labels[i] for i in triple]})
 
 
-def algebroid_canonical_maps(alg: MultiplierHopfAlgebroid) -> dict[str, LinMap]:
-    """The four maps between balanced quotients, in quotient coordinates.
+# name -> (domain kind, codomain kind, which) of T_which between quotients
+CANONICAL_MAPS = {"T_lambda": ("t-up", "l", 4), "T_rho": ("s", "l", 1),
+                  "lambda_T": ("t", "r", 2), "rho_T": ("s-up", "r", 3)}
 
-    Raises NotBijective with a kernel witness when one is singular.
-    """
-    graph = alg.graph
-    bal_l = graph.balanced("l")
-    bal_r = graph.balanced("r")
-    specs = {
-        "T_lambda": ("t-up", bal_l, 4),
-        "T_rho": ("s", bal_l, 1),
-        "lambda_T": ("t", bal_r, 2),
-        "rho_T": ("s-up", bal_r, 3),
-    }
-    out = {}
-    for name, (dom_kind, codomain, which) in specs.items():
-        dom = graph.balanced(dom_kind)
-        full = codomain.pi @ alg.slices.canonical_map(which)
-        induced = full @ dom.theta
-        # full kills ker dom.pi exactly when it factors through dom.pi
-        if induced @ dom.pi != full:
+
+def algebroid_canonical_maps(alg: MultiplierHopfAlgebroid) -> dict[str, tuple[int, int]]:
+    """name -> (dim codomain, dim domain) of the four canonical maps, or
+    NotBijective.  With full_p = P_cod(T(e_p)), read off slice column p,
+    T induces a map of quotients iff P_cod T kills ker P_dom =
+    im(1 - P_dom), i.e. sum_j P_dom(e_p)[j] full_j == full_p for every p.
+    Its image is then span{full_p}, so it is bijective iff
+    q_dom == q_cod == dim span{full_p}.  No map product is formed; only a
+    rank failure builds the induced matrix, for its message: column k is
+    sum_j theta_k[j] full_j, theta_k the k-th echelon row of im P_dom, in
+    coordinates over the echelon rows of im P_cod."""
+    graph, d, out = alg.graph, alg.dim, {}
+    for name, (dom_kind, cod_kind, which) in CANONICAL_MAPS.items():
+        dom, cod = graph.balanced(dom_kind), graph.balanced(cod_kind)
+        full = [cod.project(alg.slices.column(which, a, b)) for a in range(d) for b in range(d)]
+        if any(lincomb(dom.column(p), full) != col for p, col in enumerate(full)):
             raise NotBijective(f"{name} is not well-defined on its quotient")
-        if induced.nrows != induced.ncols or not induced.is_bijective():
+        if not dom.q_dim == cod.q_dim == Subspace.from_vectors(d * d, full).dim:
+            induced = LinMap(cod.q_dim, dom.q_dim, [cod.image.coords(lincomb(theta, full))
+                                                    for theta in dom.image.rows])
             ker = induced.kernel()
             raise NotBijective(
                 f"{name}: rank {induced.rank()} on quotients of dims "
                 f"{induced.ncols} -> {induced.nrows}"
                 + (f"; kernel witness {ker.rows[0]}" if ker.dim else ""))
-        out[name] = induced
+        out[name] = (cod.q_dim, dom.q_dim)
     return out
 
 
 def check_canonical_maps(alg: MultiplierHopfAlgebroid) -> CheckRecord:
+    """The record of ``algebroid_canonical_maps``.  On a forward-built
+    algebroid it also gives the square T_rho pi_s = pi_l T_1 with the
+    source bundle's T_1 (pi the class maps): ``forward_construct`` sets
+    Delta_B = Delta_C = Delta on the bundle's tensor square, so column
+    (a, b) of T_rho, Delta(e_a)(1 (x) e_b), is that of T_1, and the square
+    says P_l T_1 P_s = P_l T_1, the well-definedness of T_rho just
+    decided."""
     try:
-        maps = algebroid_canonical_maps(alg)
+        shapes = algebroid_canonical_maps(alg)
     except NotBijective as exc:
         return failed("algebroid-canonical-maps-bijective", {"error": str(exc)})
-    detail = ", ".join(f"{k}: {m.nrows}x{m.ncols}" for k, m in sorted(maps.items()))
-    if alg.source_bundle is not None:
-        slices, d = alg.source_bundle.slices, alg.dim
-        bal_l, bal_s = alg.graph.balanced("l"), alg.graph.balanced("s")
-        bad = first_failure((d, d), [
-            (lambda a, b: bal_l.project(slices.column(1, a, b)),
-             lambda a, b: maps["T_rho"].apply(bal_s.project(unit_vec(a * d + b))))])
-        if bad is not None:
-            return failed("canonical-map-commuting-square",
-                          {"pair": [alg.algebra.labels[i] for i in bad[0]]})
+    detail = ", ".join(f"{k}: {rows}x{cols}" for k, (rows, cols) in sorted(shapes.items()))
     return passed("algebroid-canonical-maps-bijective", detail=detail)
 
 

@@ -10,23 +10,29 @@ Six quotients of A (x) A are supported, keyed "l", "r", "s", "t",
     s-up:  xa (x) b  =  a (x) bx
     t-up:  a (x) by  =  ya (x) b
 
-When B has a separating functional with modular automorphism
-(S_C S_B)^-1, the graph pair finds its idempotent itself, from a file as
-in memory (``QuantumGraphPair.separability``), and each quotient splits
-concretely inside A (x) A: for "l"/"r" by one-sided multiplication with
-the idempotent, for the other four by the twisted projectors of its
-antipodal twists.  The six sections and their images come from
-``TensorSquare.projection``, so a graph pair holding the tensor square of
-the bundle it was built from shares that bundle's maps.  A balanced
-product is then its section P alone: theta is a basis of im P, pi the
-coordinates of P in it, and the relation space R is never built.
-Without a separating functional the quotient coordinates are the
-non-pivot coordinates of R's echelon form: pi reduces modulo R and
-theta picks the unit vectors there.  On both paths ker pi = R.
+A balanced product is one idempotent P on A (x) A with ker P = R, the
+relation space, held by its columns P(e_j), each computed on first use:
+x and y are equal in the quotient when P(x - y) = 0, and the quotient
+has dimension rank P.  When B has a separating functional with modular
+automorphism (S_C S_B)^-1, the graph pair finds its idempotent itself,
+from a file as in memory (``QuantumGraphPair.separability``), and P is
+the section it cuts out: for "l"/"r" one-sided multiplication with the
+idempotent, for the other four the twisted projectors of its antipodal
+twists, applied off the element (``Projection.apply``), with
+rank P = tr P; no d^2 x d^2 map is built and R is never generated.
+Otherwise P is reduction modulo R (``Subspace.reduce``): linear, zero
+exactly on R, and fixing the unit vectors at the non-pivots of R's
+reduced echelon form, so rank P = d^2 - dim R.
 
-Why ker P = R.  Write E = sum f_i (x) g_i in B (x) C.  The pair holds E
-only when every invariant of ``SeparabilityIdempotent.check_invariants``
-holds with the pair's S_C:
+Quotient coordinates, read only to name a failing canonical map, are
+those of P(x) over the reduced echelon basis of im P
+(``BalancedTensorSpace.image``).  That form is canonical: it is the
+echelon form of the section's image, or the unit vectors at the
+non-pivots of R in order, where P(x) has its entries there as coordinates.
+
+Why ker P = R on the section path.  Write E = sum f_i (x) g_i in B (x) C.
+The pair holds E only when every invariant of
+``SeparabilityIdempotent.check_invariants`` holds with the pair's S_C:
 
     E^2 = E;
     antipodal-B:  E(x (x) 1) = E(1 (x) S_B x);
@@ -57,27 +63,28 @@ relation and collapse the sum by UB or UC.
     t-up  F_4 = (S_C^-1 (x) id)E  antipodal-C through S_C^-1  S_C^-1 of UC
 
 So y - Py lies in R, which lies in ker P: P^2 = P, im(1-P) = ker P, and
-ker P is contained in R, hence equal to it.
+ker P is contained in R, hence equal to it.  In particular tr P = rank P.
 
-Triple quotients appear in coassociativity checks: a difference x in
-A (x) A (x) A is trivial when it lies in R12 (x) A + A (x) R23, with R12
-and R23 the relation spaces on legs (1,2) and (2,3).  With sections,
-membership is decided exactly by one composition of the leg-pair
-projectors (``TripleQuotient.contains``).  Without them,
-N = pi12 (x) id has kernel exactly R12 (x) A, so x is trivial exactly
-when N(x) lies in W = N(A (x) R23) inside Q12 (x) A.  Only W is
-echelonized, spanned by N(e_i (x) r) for the rows r of R23; nothing of
-dimension d^3 is row-reduced.
+Triple quotients appear in coassociativity checks: x in A (x) A (x) A is
+trivial when it lies in R12 (x) A + A (x) R23.  N = P12 (x) id has kernel
+R12 (x) A, so x is trivial exactly when N(x) lies in W = N(A (x) R23)
+(x = u + v with N(u) = 0 gives N(x) = N(v), and N(x) = N(v) gives
+x - v in ker N).  With sections membership is one composition of the
+leg-pair projectors (``TripleQuotient.contains``); without them only W
+is echelonized, inside A (x) A (x) A, spanned by the N(e_i (x) r) for the
+rows r of R23, and nothing of dimension d^3 is row-reduced.
 """
 
 from __future__ import annotations
 
-from .algebra import PROJECTION_FLAGS, Projection, TensorSquare
-from .linalg import LinMap, Subspace, Vec, on_leg, unit_vec, vsub, vtensor
+from functools import cached_property
 
-# kind -> (base, which): the relators and the section are columns of
-# ``TensorSquare._covered_map`` under the flags PROJECTION_FLAGS[which];
-# the section is the map E ("EL", "ER") or F_which cuts out
+from .algebra import PROJECTION_FLAGS, Projection, TensorSquare
+from .linalg import Subspace, Vec, on_leg, unit_vec, vaxpy, vsub, vtensor
+
+# kind -> (base, which): the relators are columns of
+# ``TensorSquare._covered_map`` under the flags PROJECTION_FLAGS[which],
+# and the section is the map E ("EL", "ER") or F_which cuts out under them
 SIDES = {"l": ("B", "EL"), "r": ("C", "ER"), "s": ("B", 1), "t": ("C", 2),
          "s-up": ("B", 3), "t-up": ("C", 4)}
 KINDS = tuple(SIDES)
@@ -88,38 +95,47 @@ class BalancedTensorError(ValueError):
 
 
 class BalancedTensorSpace:
-    """One balanced tensor product with quotient map pi and section theta,
-    read off the section P (``relations`` None) or else the relation
-    space; either way ker pi = R, which ``equivalent`` reads."""
+    """One balanced tensor product: the idempotent P with ker P = R, the
+    section ``projector`` (then ``relations`` is None) or else reduction
+    modulo ``relations`` (then ``projector`` is None)."""
 
     def __init__(self, kind: str, t2: TensorSquare, relations: Subspace | None,
                  section: Projection | None):
         self.kind = kind
         self.t2 = t2
         self.relations = relations
-        if section is not None:
-            self.projector = projector = section.map
-            self.image = image = section.image
-            self.q_dim = image.dim
-            self.theta = LinMap(t2.size, self.q_dim, [dict(r) for r in image.rows])
-            self.pi = LinMap(self.q_dim, t2.size, [image.coords(col) for col in projector.cols])
+        self.projector = section
+        if section is not None:         # rank P = tr P, as an int
+            self.q_dim, self._p = int(section.trace), section.apply
         else:
-            self.projector = self.image = None
-            self.q_dim = t2.size - relations.dim
-            pivots = set(relations.pivots)
-            self.theta = LinMap(t2.size, self.q_dim,
-                                [unit_vec(f) for f in range(t2.size) if f not in pivots])
-            self.pi = relations.quotient_map()
+            self.q_dim, self._p = t2.size - relations.dim, relations.reduce
+        self._columns: dict[int, Vec] = {}
+
+    def column(self, j: int) -> Vec:
+        """P(e_j), computed once."""
+        got = self._columns.get(j)
+        if got is None:
+            got = self._columns[j] = self._p(unit_vec(j))
+        return got
 
     def project(self, x: Vec) -> Vec:
-        """Coordinates of the class of x in the quotient."""
-        return self.pi.apply(x)
+        """P(x) in A (x) A, summed from the columns of x's support."""
+        out: Vec = {}
+        for j, c in x.items():
+            vaxpy(out, c, self.column(j))
+        return out
 
     def equivalent(self, x: Vec, y: Vec) -> bool:
-        return not self.pi.apply(vsub(x, y))
+        return not self.project(vsub(x, y))
 
-    def __repr__(self):
-        return f"BalancedTensorSpace({self.kind}, dim {self.q_dim})"
+    @cached_property
+    def image(self) -> Subspace:
+        """im P in reduced echelon form (module docstring)."""
+        size = self.t2.size
+        if self.relations is None:
+            return Subspace.from_vectors(size, map(self.column, range(size)))
+        pivots = set(self.relations.pivots)
+        return Subspace.from_vectors(size, (unit_vec(f) for f in range(size) if f not in pivots))
 
 
 def relation_generators(kind: str, graph) -> list[Vec]:
@@ -144,7 +160,7 @@ def relation_generators(kind: str, graph) -> list[Vec]:
 
 
 def section_projector(kind: str, graph) -> Projection | None:
-    """theta o pi on A (x) A: the map the idempotent ("l", "r") or its
+    """The section P on A (x) A: the map the idempotent ("l", "r") or its
     twist F_which cuts out (``SIDES``), or None without an idempotent."""
     if graph.e_element is None:
         return None
@@ -175,8 +191,6 @@ class TripleQuotient:
 
     def __init__(self, graph, kind12: str, kind23: str):
         self.d = graph.algebra.dim
-        self.kind12 = kind12
-        self.kind23 = kind23
         self.space12 = graph.balanced(kind12)
         self.space23 = graph.balanced(kind23)
         self._small = self.space12.projector is None or self.space23.projector is None
@@ -184,21 +198,20 @@ class TripleQuotient:
             self._relations = self._relation_subspace()
 
     def _relation_subspace(self) -> Subspace:
-        """W = (pi12 (x) id)(A (x) R23) inside Q12 (x) A."""
+        """W = (P12 (x) id)(A (x) R23) inside A (x) A (x) A."""
         d = self.d
-        sub = Subspace(self.space12.q_dim * d)
+        sub = Subspace(d ** 3)
         for rel in self.space23.relations.rows:
             for i in range(d):
-                base = i * d * d
-                sub.insert(self._apply(self.space12.pi,
-                                       {base + p: c for p, c in rel.items()}, 12))
+                sub.insert(self._apply(self.space12.column,
+                                       {i * d * d + p: c for p, c in rel.items()}, 12))
         return sub
 
-    def _apply(self, m: LinMap, x: Vec, legs: int) -> Vec:
-        """A map on legs (1,2) applied blockwise over leg 3 (legs 12), or
-        on legs (2,3) blockwise over leg 1 (legs 23)."""
+    def _apply(self, column, x: Vec, legs: int) -> Vec:
+        """The map with columns column(j) on legs (1,2) blockwise over
+        leg 3 (legs 12), or on legs (2,3) blockwise over leg 1 (legs 23)."""
         d = self.d
-        return on_leg(x, d if legs == 12 else 1, d * d, m.cols.__getitem__, m.nrows)
+        return on_leg(x, d if legs == 12 else 1, d * d, column, d * d)
 
     def contains(self, x: Vec) -> bool:
         """Is x in the triple relation space?
@@ -211,14 +224,13 @@ class TripleQuotient:
         so do two on one side, as (E (x) 1)(1 (x) E) = (1 (x) E)(E (x) 1):
         E lies in B (x) C, and B and C commute (the algebroid suite's
         ``bases-commute`` precedes every triple check).  Without
-        sections: x is trivial exactly when (pi12 (x) id)(x) lies in W.
+        sections: x is trivial exactly when (P12 (x) id)(x) lies in W.
         """
         if not x:
             return True
         if self._small:
-            return self._relations.contains(self._apply(self.space12.pi, x, 12))
-        p12, p23 = self.space12.projector, self.space23.projector
-        return not self._apply(p23, self._apply(p12, x, 12), 23)
+            return self._relations.contains(self._apply(self.space12.column, x, 12))
+        return not self._apply(self.space23.column, self._apply(self.space12.column, x, 12), 23)
 
     def equivalent(self, x: Vec, y: Vec) -> bool:
         return self.contains(vsub(x, y))

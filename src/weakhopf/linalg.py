@@ -404,21 +404,6 @@ class Subspace:
     def __hash__(self):
         raise TypeError("Subspace is not hashable")
 
-    def quotient_map(self) -> LinMap:
-        """Projection onto the non-pivot coordinates of the residual.
-
-        The kernel of the returned map is exactly this subspace, so it
-        models the quotient Q^ambient / U with dim = ambient - dim U.
-        """
-        pivots = set(self.pivots)
-        free = [i for i in range(self.ambient) if i not in pivots]
-        lookup = {f: k for k, f in enumerate(free)}
-        cols = []
-        for j in range(self.ambient):
-            r = self.reduce(unit_vec(j))
-            cols.append({lookup[i]: c for i, c in r.items()})
-        return LinMap(len(free), self.ambient, cols)
-
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient})"
 

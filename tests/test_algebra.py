@@ -12,6 +12,7 @@ from weakhopf.algebra import (CoproductSlices, DegenerateProduct, FiniteAlgebra,
                               direct_sum, field_algebra, make_algebra, matrix_algebra,
                               opposite_algebra, tensor_algebra)
 from weakhopf.algebroid import forward_construct
+from weakhopf.balanced import relation_space
 from weakhopf.base_algebras import SubalgebraView, run_base_suite
 from weakhopf.examples import scalar_extension_wmha, swap_crossed_setup
 from weakhopf.groupoids import as_wmha, pair_groupoid
@@ -448,16 +449,19 @@ def test_apply_legs_matches_the_kronecker_matrix():
 
 
 def test_triple_leg_maps_match_blockwise_application():
-    """TripleQuotient._apply equals LinMap.apply on each block: on legs
-    (1,2) with leg 3 fixed, on legs (2,3) with leg 1 fixed, for a
-    projector, the quotient map pi (fewer rows than d^2) and a seeded
-    map with more rows."""
+    """TripleQuotient._apply, given the columns of a map on A (x) A,
+    equals LinMap.apply on each block: on legs (1,2) with leg 3 fixed,
+    on legs (2,3) with leg 1 fixed, for a section, reduction modulo a
+    relation space and a seeded map."""
     alg, report = forward_construct(as_wmha(pair_groupoid(2)))
     assert report.ok
     tq = alg.graph.triple("l", "r")
     d, rng = tq.d, random.Random(9)
-    maps = [tq.space12.projector, tq.space12.pi, _random_map(rng, d * d + 3, d * d)]
-    for m in maps:
+    relations = relation_space("l", alg.graph)
+    columns = [tq.space12.column, lambda j: relations.reduce(unit_vec(j)),
+               _random_map(rng, d * d, d * d).cols.__getitem__]
+    for column in columns:
+        m = LinMap(d * d, d * d, [column(j) for j in range(d * d)])
         for x in (_random_vec(rng, d ** 3, 20), {d ** 3 - 1: 1}):
             ref12, ref23 = {}, {}
             for other in range(d):
@@ -468,9 +472,9 @@ def test_triple_leg_maps_match_blockwise_application():
                 block23 = {pair: x[other * d * d + pair] for pair in range(d * d)
                            if other * d * d + pair in x}
                 for pair, c in m.apply(block23).items():
-                    ref23[other * m.nrows + pair] = c
-            assert tq._apply(m, x, 12) == ref12
-            assert tq._apply(m, x, 23) == ref23
+                    ref23[other * d * d + pair] = c
+            assert tq._apply(column, x, 12) == ref12
+            assert tq._apply(column, x, 23) == ref23
 
 
 @pytest.mark.parametrize("bundle", _kernel_bundles(),

@@ -7,7 +7,7 @@ from test_functional_search import semisimple_bases
 
 from weakhopf import algebroid, balanced, io
 from weakhopf.algebroid import check_algebroid_axioms, forward_construct
-from weakhopf.algebra import matrix_algebra
+from weakhopf.algebra import TensorSquare, direct_sum, field_algebra, matrix_algebra
 from weakhopf.balanced import (KINDS, TripleQuotient, build_balanced, relation_generators,
                                relation_space)
 from weakhopf.cli import main
@@ -34,11 +34,14 @@ def hopf_graph():
 
 
 def test_all_kinds_split_p2(p2_graph, loaded_algebroids):
-    # with sections, and from the file-loaded pair-2 through its relations
+    # with sections, and from the file-loaded pair-2 through its relations:
+    # P is idempotent, and rank P = dim im P = 16 - dim R
     for graph in (p2_graph, loaded_algebroids["pair-2"].graph):
         for kind in KINDS:
             space = build_balanced(kind, graph)
-            assert space.pi @ space.theta == LinMap.identity(space.q_dim), kind
+            assert all(space.project(space.column(j)) == space.column(j)
+                       for j in range(16)), kind
+            assert space.q_dim == space.image.dim, kind
             assert space.q_dim + relation_space(kind, graph).dim == 16
 
 
@@ -71,6 +74,33 @@ def test_projector_kills_relations_and_fixes_image(p2_graph):
         assert space.projector.apply(rel) == {}
     for img in space.image.rows:
         assert space.projector.apply(img) == img
+
+
+def _tensor_square_of_dim(n):
+    """The tensor square of the n-dimensional algebra Q^n."""
+    alg = field_algebra()
+    for _ in range(n - 1):
+        alg = direct_sum(alg, field_algebra())
+    return TensorSquare(alg)
+
+
+def test_quotient_dimension_rank_nullity(loaded_algebroids):
+    """On the relation path the quotient coordinates, those of P(x) over
+    the echelon basis of im P, are a map onto Q^q_dim whose kernel is
+    exactly R: for a relation space given directly, and for every kind
+    of the file-loaded algebroids."""
+    sub = Subspace.from_vectors(4, [{0: Fraction(1), 1: Fraction(1)}, {2: Fraction(1)}])
+    spaces = [balanced.BalancedTensorSpace("l", _tensor_square_of_dim(2), sub, None)]
+    spaces += [alg.graph.balanced(kind) for alg in loaded_algebroids.values() for kind in KINDS]
+    for space in spaces:
+        size = space.t2.size
+        assert space.image.rows == [unit_vec(f) for f in range(size)
+                                    if f not in space.relations.pivots]
+        coords = LinMap(space.image.dim, size, [space.image.coords(space.project(unit_vec(j)))
+                                                for j in range(size)])
+        assert coords.nrows == space.q_dim == size - space.relations.dim
+        assert coords.kernel() == space.relations
+    assert spaces[0].q_dim == 2
 
 
 def test_quotient_classes(p2_graph):
@@ -366,14 +396,17 @@ def section_path_algebroids(tmp_path_factory):
 
 
 def _assert_section_is_the_relation_quotient(graph):
-    """The checks the section path no longer runs, as a reference: R is
+    """The checks the section path no longer runs, as a reference: the
+    columns the space applies are those of the cut map P, R is
     im(1 - P), the quotient has dimension d^2 - dim R, P is idempotent
     and kills R, and ``equivalent`` decides membership in R."""
     size = graph.t2.size
     for kind in KINDS:
         space, section = graph.balanced(kind), balanced.section_projector(kind, graph)
         relations, p = relation_space(kind, graph), section.map
-        assert space.relations is None and space.projector is p, kind
+        assert space.relations is None and space.projector is section, kind
+        assert [space.column(j) for j in range(size)] == p.cols, kind
+        assert space.image == section.image, kind
         assert relations == section.complement, kind
         assert space.q_dim == size - relations.dim, kind
         assert p @ p == p, kind

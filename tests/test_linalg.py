@@ -83,14 +83,6 @@ def test_rank_one_idempotent_splits():
     assert both.dim == image.dim + kernel.dim
 
 
-def test_quotient_dimension_rank_nullity():
-    sub = Subspace.from_vectors(4, [{0: Fraction(1), 1: Fraction(1)},
-                                    {2: Fraction(1)}])
-    q = sub.quotient_map()
-    assert q.nrows == 2
-    assert q.kernel() == sub
-
-
 def test_subspace_canonical_equality():
     a = Subspace.from_vectors(3, [{0: Fraction(1), 1: Fraction(1)},
                                   {1: Fraction(1), 2: Fraction(1)}])

@@ -316,11 +316,12 @@ def test_passing_pipeline_certifies_kernels_without_echelons(make, monkeypatch):
 
 
 def test_forward_path_builds_each_cut_map_once(tmp_path, capsys, monkeypatch):
-    """wmha-to-algebroid on base-m2-weighted builds each of the six maps
-    E and F_i cut out once: the wmha suite asks for them and reads them
-    off their elements, and the forward graph pair, holding the bundle's
-    tensor square, builds its l, r, s, t, s-up and t-up sections from
-    the same memoized projections."""
+    """wmha-to-algebroid on base-m2-weighted builds none of the six maps
+    E and F_i cut out, nor any other covered map: the wmha suite asks for
+    them and reads them off their elements, and the forward graph pair,
+    holding the bundle's tensor square, applies its l, r, s, t, s-up and
+    t-up sections through the same memoized projections without building
+    them."""
     path = tmp_path / "m2.json"
     assert main(["gen-example", "base-m2", "--variant", "weighted", "--out", str(path)]) == 0
     six = _cut_by_e(io.parse_document(io.load(str(path))))
@@ -328,7 +329,7 @@ def test_forward_path_builds_each_cut_map_once(tmp_path, capsys, monkeypatch):
     asked, built = _counting_builds(monkeypatch)
     assert main(["wmha-to-algebroid", str(path)]) == 0
     capsys.readouterr()
-    assert Counter(b for b in built if b in six) == {b: 1 for b in six}
+    assert built == []
     assert Counter(asked)["EL"] > 1 and all(Counter(asked)[w] > 1 for w in (1, 2, 3, 4))
 
 
@@ -355,17 +356,21 @@ def test_projections_are_shared_by_equal_elements_only():
 
 
 def test_file_loaded_pipeline_reuses_the_prechecked_maps(tmp_path, capsys, monkeypatch):
-    """algebroid-to-wmha's order on a file: the algebroid suite cuts the
-    six sections out of A (x) A with the idempotent the graph pair found,
-    and reconstruction's range and kernel stages, and its final suite,
-    find every map they ask for there."""
+    """algebroid-to-wmha's order on a file: the algebroid suite applies
+    the six sections the graph pair's idempotent cuts out of A (x) A
+    without building any of them, reconstruction's range stage builds
+    the two E-maps once for their images, and its kernel stage and its
+    final suite find every map they ask for among the same memoized
+    projections and build none."""
     alg = io.parse_document(io.load(_algebroid_file(tmp_path, capsys)))
-    assert check_algebroid_axioms(alg).ok
     asked, built = _counting_builds(monkeypatch)
+    assert check_algebroid_axioms(alg).ok
+    assert built == []
     got = reconstruction_pipeline(alg)
     assert isinstance(got, PipelineResult) and got.report.ok
     assert set(asked) == set(PROJECTION_FLAGS)
-    assert built == []
+    e_maps = (PROJECTION_FLAGS["EL"], PROJECTION_FLAGS["ER"])
+    assert Counter(built) == {b: 1 for b in _cut_by_e(got.bundle) if b[0] in e_maps}
 
 
 def test_mixed_algebroid_searches_its_base_once(monkeypatch):

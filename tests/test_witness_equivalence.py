@@ -25,6 +25,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from test_balanced import _path_rule_algebroids, _section_path_algebroids
 
 from weakhopf import algebroid, io
 from weakhopf.algebra import (PROJECTION_FLAGS, T_COVERS, AlgebraError, CoproductSlices,
@@ -32,8 +33,7 @@ from weakhopf.algebra import (PROJECTION_FLAGS, T_COVERS, AlgebraError, Coproduc
                               direct_sum, field_algebra, first_failure, matrix_algebra,
                               tensor_algebra)
 from weakhopf.algebroid import (MultiplierHopfAlgebroid, NotBijective, QuantumGraphPair,
-                                algebroid_canonical_maps, check_algebroid_axioms,
-                                check_algebroid_coassociativity,
+                                check_algebroid_axioms, check_algebroid_coassociativity,
                                 check_algebroid_homomorphism, check_antipode_diagrams,
                                 check_antipode_structure, check_base_behavior,
                                 check_canonical_maps, check_compatibility, check_counital_maps,
@@ -1133,28 +1133,59 @@ def ref_compatibility(alg):
                         "joint-coassociativity")
 
 
+@functools.cache
+def _ref_quotient_maps(space) -> tuple[LinMap, LinMap]:
+    """The quotient map pi and the section theta of a balanced space as
+    matrices, as the algebroid suite once built them.  With a section P:
+    theta is the echelon basis of im P and pi the coordinates of P's
+    columns over it.  Without one: pi reduces modulo R onto the
+    non-pivot coordinates and theta picks the unit vectors there."""
+    size = space.t2.size
+    if space.projector is not None:
+        p, image = space.projector.map, space.projector.image
+        return (LinMap(image.dim, size, [image.coords(col) for col in p.cols]),
+                LinMap(size, image.dim, [dict(r) for r in image.rows]))
+    pivots = set(space.relations.pivots)
+    free = [f for f in range(size) if f not in pivots]
+    lookup = {f: k for k, f in enumerate(free)}
+    pi = LinMap(len(free), size, [{lookup[i]: c for i, c in
+                                   space.relations.reduce(unit_vec(j)).items()}
+                                  for j in range(size)])
+    return pi, LinMap(size, len(free), [unit_vec(f) for f in free])
+
+
+def ref_algebroid_canonical_maps(alg: MultiplierHopfAlgebroid) -> dict[str, LinMap]:
+    """The four induced maps pi_cod T theta_dom in quotient coordinates,
+    from matrix products: well defined when pi_cod T factors through
+    pi_dom, bijective when square of full rank."""
+    graph = alg.graph
+    specs = {"T_lambda": ("t-up", "l", 4), "T_rho": ("s", "l", 1),
+             "lambda_T": ("t", "r", 2), "rho_T": ("s-up", "r", 3)}
+    out = {}
+    for name, (dom_kind, cod_kind, which) in specs.items():
+        dom_pi, dom_theta = _ref_quotient_maps(graph.balanced(dom_kind))
+        cod_pi = _ref_quotient_maps(graph.balanced(cod_kind))[0]
+        full = cod_pi @ alg.slices.canonical_map(which)
+        induced = full @ dom_theta
+        if induced @ dom_pi != full:
+            raise NotBijective(f"{name} is not well-defined on its quotient")
+        if induced.nrows != induced.ncols or not induced.is_bijective():
+            ker = induced.kernel()
+            raise NotBijective(
+                f"{name}: rank {induced.rank()} on quotients of dims "
+                f"{induced.ncols} -> {induced.nrows}"
+                + (f"; kernel witness {ker.rows[0]}" if ker.dim else ""))
+        out[name] = induced
+    return out
+
+
 def ref_canonical_maps(alg: MultiplierHopfAlgebroid) -> CheckRecord:
     try:
-        maps = algebroid_canonical_maps(alg)
+        maps = ref_algebroid_canonical_maps(alg)
     except NotBijective as exc:
         return failed("algebroid-canonical-maps-bijective", {"error": str(exc)})
     detail = ", ".join(f"{k}: {m.nrows}x{m.ncols}" for k, m in sorted(maps.items()))
-    rec = passed("algebroid-canonical-maps-bijective", detail=detail)
-    if alg.source_bundle is not None:
-        bundle = alg.source_bundle
-        graph, d = alg.graph, alg.dim
-        bal_l = graph.balanced("l")
-        bal_s = graph.balanced("s")
-        t_rho = maps["T_rho"]
-        for a in range(d):
-            for b in range(d):
-                via_t1 = bal_l.project(
-                    bundle.slices.canonical_map(1).apply(vtensor(unit_vec(a), unit_vec(b), d)))
-                via_quotient = t_rho.apply(bal_s.project(vtensor(unit_vec(a), unit_vec(b), d)))
-                if via_t1 != via_quotient:
-                    return failed("canonical-map-commuting-square",
-                                  {"pair": [alg.algebra.labels[a], alg.algebra.labels[b]]})
-    return rec
+    return passed("algebroid-canonical-maps-bijective", detail=detail)
 
 
 def ref_counital_maps(alg: MultiplierHopfAlgebroid) -> CheckRecord:
@@ -1417,20 +1448,81 @@ def test_sided_scans_match_nested_loops(counit_twist):
         "left-coproduct-base-behavior", "right-coproduct-base-behavior")), failures
 
 
-@pytest.mark.parametrize("name", ["pair-2", "crossed-swap"])
-def test_commuting_square_matches_nested_loop(name):
-    """check_canonical_maps on the forward algebroid, its source bundle
-    replaced by each single-entry mutant of Delta."""
-    bundle = as_wmha(pair_groupoid(2)) if name == "pair-2" else swap_crossed_setup()[0]
-    alg, report = forward_construct(bundle)
-    assert report.ok
-    seen = 0
-    for bad in _delta_mutants(bundle):
-        alg.source_bundle = bad
+def _canonical_corpus():
+    """(name, path) -> algebroid: the in-memory algebroids of
+    ``test_balanced``, with sections where the base has a separating
+    functional and relations otherwise, each also read back from its
+    file, and read back with the relation path forced."""
+    algs = {name: alg for name, (alg, _) in _path_rule_algebroids().items()}
+    algs.update(_section_path_algebroids())
+    out = {}
+    for name, alg in algs.items():
+        doc = io.algebroid_to_dict(alg)
+        out[name, "memory"], out[name, "file"] = alg, io.parse_document(doc)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(algebroid, "find_separating_functional", lambda *args: None)
+            out[name, "relations"] = io.parse_document(doc)
+            assert out[name, "relations"].graph.e_element is None
+    return out
+
+
+def _canonical_ending(record: dict) -> str:
+    if record["status"] == "pass":
+        return "pass"
+    return "not well-defined" if "not well-defined" in record["witness"]["error"] else "rank"
+
+
+def test_canonical_maps_match_matrix_products_on_the_corpus():
+    """The column comparison of ``algebroid_canonical_maps`` gives the
+    record that the products pi_cod T theta_dom give, on both paths."""
+    paths = Counter()
+    for key, alg in _canonical_corpus().items():
         got = check_canonical_maps(alg).to_dict()
-        assert got == ref_canonical_maps(alg).to_dict()
-        seen += got["status"] != "pass"
-    assert seen
+        assert got == ref_canonical_maps(alg).to_dict(), key
+        paths[alg.graph.e_element is not None, _canonical_ending(got)] += 1
+    assert paths[True, "pass"] and paths[False, "pass"], paths
+
+
+def test_canonical_maps_match_matrix_products_on_mutants(loaded_p2, counit_twist):
+    """The same over every +1 / -1 mutant of the pair-2 and counit-twist
+    files, on their sections, and of pair-2 with the relation path
+    forced; both failure messages are reached on both paths."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algebroid, "find_separating_functional", lambda *args: None)
+        relations = io.parse_document(io.algebroid_to_dict(loaded_p2[0]))
+        assert relations.graph.e_element is None
+    endings = Counter()
+    for alg in (loaded_p2[0], counit_twist, relations):
+        for bad in _algebroid_mutants(alg):
+            got = _outcome(check_canonical_maps, bad)
+            assert got == _outcome(ref_canonical_maps, bad)
+            endings[alg.graph.e_element is not None, _canonical_ending(got)] += 1
+    assert {(path, end) for path in (True, False) for end in ("not well-defined", "rank")} \
+        <= set(endings), endings
+
+
+@pytest.mark.parametrize("name", ["pair-3", "base-m2-weighted-file"])
+def test_algebroid_suite_builds_no_cut_map_and_forms_no_product(name):
+    """On the section path the algebroid suite applies the sections and
+    the canonical maps to vectors: it builds no covered map and forms no
+    LinMap product.  The graph pair's one search for its idempotent,
+    which composes maps on the base (``QuantumGraphPair.separability``),
+    runs before the count starts."""
+    alg, report = forward_construct(
+        as_wmha(pair_groupoid(3)) if name == "pair-3" else _base_m2_weighted())
+    assert report.ok
+    if name == "base-m2-weighted-file":
+        alg = io.parse_document(io.algebroid_to_dict(alg))
+    assert alg.graph.e_element is not None
+    calls = Counter()
+    covered, matmul = TensorSquare._covered_map, LinMap.__matmul__
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TensorSquare, "_covered_map",
+                      lambda *args: calls.update(["covered"]) or covered(*args))
+        patch.setattr(LinMap, "__matmul__",
+                      lambda *args: calls.update(["product"]) or matmul(*args))
+        assert check_algebroid_axioms(alg).ok
+    assert calls == Counter()
 
 
 def _base_m2_weighted():

@@ -31,7 +31,13 @@ under the certificate H, on the module generators, or on the basis
 vectors, and how many it stops before them (S singular) or rejects on
 input (`decided`).  It reads this in process off the mutant's bundle,
 loaded and run through `wmha.run_suite` once more, from the premises
-the `wmha` docstring names.
+the `wmha` docstring names.  For each algebroid source it prints, per
+command, how the record `algebroid-canonical-maps-bijective` ends:
+pass, not well-defined or rank, with the path its balanced spaces take
+(section when the mutant's graph pair finds an idempotent, read in
+process off the loaded file, else relation), or not reached
+(`canonical`).  A reconstruction report counts as pass, since
+`algebroid-to-wmha` reconstructs only after the algebroid suite passes.
 
 `diff` is `tools/byte_sweep.py diff`: it lists the runs that differ and
 exits 1 if any do, else 0.
@@ -106,11 +112,36 @@ def decided_by(engine, doc: dict) -> str:
     return "basis"
 
 
+def canonical_ending(run: dict) -> str:
+    """How `algebroid-canonical-maps-bijective` ends in an algebroid run:
+    "pass", "not well-defined", "rank" or "not reached"."""
+    if run["exit"] not in (0, 1):
+        return "not reached"
+    report = json.loads(run["stdout"])
+    if report["report"] == "reconstruction":
+        return "pass"
+    rec = next((r for r in report["checks"]
+                if r["check"] == "algebroid-canonical-maps-bijective"), None)
+    if rec is None:
+        return "not reached"
+    if rec["status"] == "pass":
+        return "pass"
+    return "not well-defined" if "not well-defined" in rec["witness"]["error"] else "rank"
+
+
+def balanced_path(engine, path: str) -> str:
+    """"section" when the graph pair of the algebroid file at path finds
+    its idempotent, else "relation"."""
+    alg = engine.io.parse_document(engine.io.load(path))
+    return "relation" if alg.graph.e_element is None else "section"
+
+
 def record(checkout: Path) -> dict:
     engine, _ = byte_sweep._load(checkout.resolve())
     inputs: dict[str, dict[str, str]] = {}
     runs: list[dict] = []
     decided: dict[str, collections.Counter] = {}
+    canonical: dict[str, collections.Counter] = {}
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -129,6 +160,7 @@ def record(checkout: Path) -> dict:
                             if tensors == WMHA[0]:
                                 decided.setdefault(name, collections.Counter())[
                                     decided_by(engine, doc)] += 1
+                            path_taken = None
                             for command in commands:
                                 argv = ["--format", "json", command, MUTANT]
                                 # one exhaustive sweep: no seed, one format
@@ -138,11 +170,19 @@ def record(checkout: Path) -> dict:
                                              "argv": argv,
                                              **byte_sweep._run(engine, argv, [])})
                                 index += 1
+                                if tensors == ALGEBROID[0]:
+                                    ending = canonical_ending(runs[-1])
+                                    if ending != "not reached":
+                                        path_taken = path_taken or balanced_path(engine, MUTANT)
+                                        ending = f"{ending} ({path_taken})"
+                                    canonical.setdefault(name, collections.Counter())[
+                                        f"{command} {ending}"] += 1
                         container[key] = original
         finally:
             os.chdir(home)
     return {"inputs": inputs, "runs": runs,
-            "decided": {name: dict(counts) for name, counts in decided.items()}}
+            "decided": {name: dict(counts) for name, counts in decided.items()},
+            "canonical": {name: dict(counts) for name, counts in canonical.items()}}
 
 
 def tallies(runs: list[dict]) -> dict[str, tuple[collections.Counter, collections.Counter]]:
@@ -186,6 +226,10 @@ def main(argv=None) -> int:
     for name, counts in doc["decided"].items():
         print(f"{name} projector records: "
               + ", ".join(f"{where}: {n}" for where, n in sorted(counts.items())))
+    for name, counts in doc["canonical"].items():
+        print(f"{name} canonical maps:")
+        for ending, n in sorted(counts.items()):
+            print(f"  {n:6d}  {ending}")
     return 0
 
 
