@@ -61,7 +61,7 @@ cut out by an element x under ``PROJECTION_FLAGS``.
   map is linear on both legs, each from the side of its flag, so Q_i
   is of T_i's kind too.
 * If S is a bijective anti-homomorphism, then S(1) = 1, because S(1)
-  is a unit of S(A) = A, and R_i = L T_p L^-1 (``wmha.TWISTS``), with L
+  is a unit of S(A) = A, and R_i = L T_p L^-1 (``slices.TWISTS``), with L
   the map S or S^-1 on the leg T_i is linear on, is a module map of T_i's
   kind: L^-1 turns a cover c there into one by S^-1(c) on the other
   side, T_p is linear for that one, and L turns it back.

@@ -11,9 +11,14 @@ values, which are already section images.  The basis-covered products
 come from one ``algebra.CoproductSlices`` over (Delta_B, Delta_C), which
 caches each slice once.  Each balanced quotient is one idempotent P on
 A (x) A with ker P = R (``balanced``), and a law modulo relations
-compares P(lhs - rhs) with 0.  The canonical maps between quotients are
-decided column by column through their P, with no map product
-(``algebroid_canonical_maps``).
+compares P(lhs - rhs) with 0.
+
+The four canonical maps between balanced quotients are decided on the
+d module generators where the ``algebra`` lemma applies; the proof and
+the code are in ``weakhopf.canonical``.  ``antipode_premise`` holds
+whether S is a bijective anti-homomorphism, and S^-1, once for the
+canonical maps, ``check_antipode_structure`` and reconstruction.
+
 Every basis-indexed check is a list of laws for ``algebra.first_failure``:
 the witness is the first basis tuple in lexicographic order, then the
 first law failing there.  A check over both bases scans (a, side, i),
@@ -30,16 +35,15 @@ from functools import cached_property
 from .algebra import (AlgebraError, CoproductSlices, FiniteAlgebra, TensorSquare, by_side,
                       first_failure, multiplicativity)
 from .balanced import BalancedTensorSpace, TripleQuotient, build_balanced
+# part of this module's interface, kept in their own module
+from .canonical import CANONICAL_MAPS, NotBijective, algebroid_canonical_maps  # noqa: F401
 from .base_algebras import (SubalgebraView, action_span_dim, first_anti_homomorphism_failure,
                             first_noncommuting_pair, run_base_suite)
 from .linalg import LinMap, Subspace, Vec, apply_legs, lincomb, on_leg, unit_vec, vsub
 from .reporting import CheckRecord, Report, failed, passed
 from .separability import SeparabilityIdempotent, find_separating_functional, trace_form_radical
+from .slices import Applied
 from .wmha import WeakMultiplierHopfAlgebra
-
-
-class NotBijective(AlgebraError):
-    pass
 
 
 class QuantumGraphPair:
@@ -200,10 +204,37 @@ class MultiplierHopfAlgebroid:
         self.antipode = antipode
         # representative slices: r* of Delta_B, l* of Delta_C
         self.slices = CoproductSlices(self.t2, self.delta_b, self.delta_c)
+        # name -> "generators", "rank" or "columns": how
+        # ``algebroid_canonical_maps`` decided each map it reached
+        self.canonical_paths: dict[str, str] = {}
 
     @property
     def dim(self) -> int:
         return self.algebra.dim
+
+    @cached_property
+    def antipode_premise(self) -> tuple[LinMap | None, tuple | None]:
+        """(S^-1, the first basis pair at which S is not
+        anti-multiplicative, as ``first_failure`` names it), the scan of
+        ``wmha.WeakMultiplierHopfAlgebra.antihom_failure``.  S^-1 is None
+        when S is singular, and then no pair is sought; the pair is None
+        when S is anti-multiplicative."""
+        s, alg = self.antipode, self.algebra
+        try:
+            s_inv = s.inverse()
+        except ValueError:              # not square, or singular
+            return None, None
+        return s_inv, first_failure((alg.dim, alg.dim),
+                                    [multiplicativity(alg, s.cols, alg.mul, anti=True)])
+
+    def twisted(self, slices: CoproductSlices, which: int) -> Applied | None:
+        """R_which of ``slices`` under this antipode, when the ``algebra``
+        lemma makes it a module map of T_which's kind: S a bijective
+        anti-homomorphism and the square generated; else None."""
+        s_inv, bad = self.antipode_premise
+        if s_inv is None or bad is not None or not self.t2.generated():
+            return None
+        return slices.twisted(which, self.antipode, s_inv)
 
 
 def forward_construct(bundle: WeakMultiplierHopfAlgebra) -> tuple[MultiplierHopfAlgebroid | None, Report]:
@@ -331,39 +362,6 @@ def check_compatibility(alg: MultiplierHopfAlgebroid) -> CheckRecord:
                   {"triple": [alg.algebra.labels[i] for i in triple]})
 
 
-# name -> (domain kind, codomain kind, which) of T_which between quotients
-CANONICAL_MAPS = {"T_lambda": ("t-up", "l", 4), "T_rho": ("s", "l", 1),
-                  "lambda_T": ("t", "r", 2), "rho_T": ("s-up", "r", 3)}
-
-
-def algebroid_canonical_maps(alg: MultiplierHopfAlgebroid) -> dict[str, tuple[int, int]]:
-    """name -> (dim codomain, dim domain) of the four canonical maps, or
-    NotBijective.  With full_p = P_cod(T(e_p)), read off slice column p,
-    T induces a map of quotients iff P_cod T kills ker P_dom =
-    im(1 - P_dom), i.e. sum_j P_dom(e_p)[j] full_j == full_p for every p.
-    Its image is then span{full_p}, so it is bijective iff
-    q_dom == q_cod == dim span{full_p}.  No map product is formed; only a
-    rank failure builds the induced matrix, for its message: column k is
-    sum_j theta_k[j] full_j, theta_k the k-th echelon row of im P_dom, in
-    coordinates over the echelon rows of im P_cod."""
-    graph, d, out = alg.graph, alg.dim, {}
-    for name, (dom_kind, cod_kind, which) in CANONICAL_MAPS.items():
-        dom, cod = graph.balanced(dom_kind), graph.balanced(cod_kind)
-        full = [cod.project(alg.slices.column(which, a, b)) for a in range(d) for b in range(d)]
-        if any(lincomb(dom.column(p), full) != col for p, col in enumerate(full)):
-            raise NotBijective(f"{name} is not well-defined on its quotient")
-        if not dom.q_dim == cod.q_dim == Subspace.from_vectors(d * d, full).dim:
-            induced = LinMap(cod.q_dim, dom.q_dim, [cod.image.coords(lincomb(theta, full))
-                                                    for theta in dom.image.rows])
-            ker = induced.kernel()
-            raise NotBijective(
-                f"{name}: rank {induced.rank()} on quotients of dims "
-                f"{induced.ncols} -> {induced.nrows}"
-                + (f"; kernel witness {ker.rows[0]}" if ker.dim else ""))
-        out[name] = (cod.q_dim, dom.q_dim)
-    return out
-
-
 def check_canonical_maps(alg: MultiplierHopfAlgebroid) -> CheckRecord:
     """The record of ``algebroid_canonical_maps``.  On a forward-built
     algebroid it also gives the square T_rho pi_s = pi_l T_1 with the
@@ -458,11 +456,10 @@ def check_antipode_diagrams(alg: MultiplierHopfAlgebroid) -> CheckRecord:
 
 def check_antipode_structure(alg: MultiplierHopfAlgebroid) -> CheckRecord:
     """S is a bijective anti-homomorphism restricting to S_B and S_C."""
-    s, d = alg.antipode, alg.dim
-    alg_a = alg.algebra
-    if not s.is_bijective():
+    s, alg_a = alg.antipode, alg.algebra
+    s_inv, bad = alg.antipode_premise
+    if s_inv is None:
         return failed("algebroid-antipode-bijective", {"rank": s.rank()})
-    bad = first_failure((d, d), [multiplicativity(alg_a, s.cols, alg_a.mul, anti=True)])
     if bad is not None:
         return failed("algebroid-antipode-antihomomorphism",
                       {"pair": [alg_a.labels[i] for i in bad[0]]})

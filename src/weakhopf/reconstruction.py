@@ -19,10 +19,33 @@ among it ``coproduct-homomorphism``, ``canonical-idempotent-identities``,
 ``check-algebroid``, any other failure is a ``ReconstructionError``.
 
 The slices are held by ``algebra.CoproductSlices``, which caches each
-once; the range and kernel stages read them and the canonical maps built
-from them, and take the maps E and F_i cut out of A (x) A from
-``TensorSquare.projection`` on the algebroid's tensor square, where the
-rebuilt bundle's final suite finds them again.  A is unital, so
+once.  The range and kernel stages take the maps E and F_i cut out of
+A (x) A from ``TensorSquare.projection`` on the algebroid's tensor
+square, where the rebuilt bundle's final suite finds them again.  They
+decide on the d module generators g_a of the ``algebra`` lemma, with
+T_i the canonical maps of the rebuilt slices, Q_1 = Q_4 = EL (y -> Ey),
+Q_2 = Q_3 = ER (y -> yE), P_i the map F_i cuts out and R_i = L T_p L^-1
+under the algebroid's antipode (``MultiplierHopfAlgebroid.twisted``).
+When S is a bijective anti-homomorphism and the square is generated,
+all four are module maps of T_i's kind, so an identity between them
+holds iff it holds on the g_a.
+
+* Ranges.  If Q_i T_i = T_i and T_i R_i = Q_i, then im T_i =
+  im Q_i T_i lies in im Q_i = im T_i R_i, which lies in im T_i, so
+  im T_i = im Q_i.  E^2 = E (an invariant the graph pair holds E to,
+  carried into A (x) A by the multiplicative embedding), so EL and ER
+  are idempotent and their ranks are their traces.
+* Kernels.  If R_i T_i = P_i and T_i R_i T_i = T_i (compared as
+  T_i P_i = T_i, which it equals once R_i T_i = P_i, so that R_i is
+  applied once), then P_i^2 = R_i (T_i R_i T_i) = P_i,
+  T_i (1 - P_i) = 0 and rank P_i <= rank T_i = rank T_i P_i <=
+  rank P_i.  So im(1 - P_i) = ker P_i lies in ker T_i and has its
+  dimension: the two are equal, with no rank computed.
+
+Where S or an identity fails, the stage falls back to echelon forms:
+the images of T_i and Q_i, resp. ``CoproductSlices.kernel_is_complement``.
+Only these name witnesses, so the reports do not depend on the path.
+A is unital, so
 Delta(a), Delta'(a) and E are honest elements: the comultiplicativity
 of E, mixed coassociativity and the merge are each decided by comparing
 two elements, and a failure is named by the first basis triple (or
@@ -36,6 +59,7 @@ from .algebroid import MultiplierHopfAlgebroid, QuantumGraphPair
 from .io import encode_matrix
 from .linalg import Vec, unit_vec, vdot, vec_from, vsub
 from .reporting import Report, failed, passed
+from .slices import first_difference
 # find_separating_functional is only bound here: the benchmark's tracer
 # (perfbench/tracing.py) times it as reconstruction.find_separating_functional
 from .separability import (SeparabilityIdempotent, find_separating_functional,  # noqa: F401
@@ -168,10 +192,25 @@ def check_ranges_and_fullness(alg: MultiplierHopfAlgebroid, cops: CoproductSlice
     extending phi_C, integral-C gives (id (x) f)(E(a (x) 1)) =
     sum x_i a phi_C(y_i) = a, so every a lies in the first leg span; for
     any f extending phi_B, integral-B gives (f (x) id)(E(1 (x) b)) = b,
-    so every b lies in the second."""
+    so every b lies in the second.
+
+    Decided on the generators when that proves im T_i = im Q_i (module
+    docstring), with dimensions tr EL and tr ER; else by echelon forms,
+    which name the witness."""
     t2 = alg.t2
-    left_range = t2.projection(e_elt, "EL").image
-    right_range = t2.projection(e_elt, "ER").image
+    q = {i: t2.projection(e_elt, "EL" if i in (1, 4) else "ER") for i in (1, 2, 3, 4)}
+
+    def on_generators(i):
+        """Q_i T_i = T_i and T_i R_i = Q_i on the g_a."""
+        t, r, qi = cops.applied(i), alg.twisted(cops, i), q[i].applied(i)
+        return (r is not None and first_difference([t, qi], [t]) is None
+                and first_difference([r, t], [qi]) is None)
+
+    if all(on_generators(i) for i in (1, 4, 3, 2)):
+        report.add(passed("rebuilt-range-conditions",
+                          detail=f"ranges dim {int(q[1].trace)}/{int(q[2].trace)}"))
+        return True
+    left_range, right_range = q[1].image, q[2].image
     spans = {name: cops.canonical_image(which)
              for name, which in (("Delta(A)(1xA)", 1), ("Delta(A)(Ax1)", 4),
                                  ("(1xA)Delta'(A)", 3), ("(Ax1)Delta'(A)", 2))}
@@ -223,12 +262,17 @@ def check_E_comultiplicativity(alg: MultiplierHopfAlgebroid, cops: CoproductSlic
 def check_kernels(alg: MultiplierHopfAlgebroid, cops: CoproductSlices,
                   report: Report) -> bool:
     """ker T_i is the image of id - (twisted F_i projector), with F_i
-    built from the graph pair's idempotent E; decided by
-    ``CoproductSlices.kernel_is_complement``, whose success the final
-    suite finds again for the same projector."""
+    built from the graph pair's idempotent E: on the generators when
+    R_i T_i = P_i and T_i R_i T_i = T_i there (module docstring), else
+    by ``CoproductSlices.kernel_is_complement``, whose echelon forms name
+    the witness."""
     for i in (1, 2, 3, 4):
         name = f"T{i}"
         proj = alg.t2.projection(alg.graph.f_element(i), i)
+        t, inverse, p = cops.applied(i), alg.twisted(cops, i), proj.applied(i)
+        if (inverse is not None and first_difference([t, inverse], [p]) is None
+                and first_difference([p, t], [t]) is None):
+            continue
         if not cops.kernel_is_complement(i, proj):
             described, kernel = proj.complement, cops.canonical_kernel(i)
             sep = next((r for r in described.rows if not kernel.contains(r)), None)

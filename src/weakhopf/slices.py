@@ -5,7 +5,9 @@ A (x) A.
 ``CoproductSlices`` is the one slice object: it multiplies a pair of
 coproduct families by basis covers, caches every slice per (kind, a, b),
 and assembles T_1..T_4 from those slices; ``apply`` sums T_i(v) from the
-slices of v's support alone.  ``Projection`` holds one map cut out by an
+slices of v's support alone, and ``twisted`` applies the generalized
+inverse R_i = L T_p L^-1 (``TWISTS``) for the wmha suite, the
+algebroid's canonical maps and reconstruction alike.  ``Projection`` holds one map cut out by an
 element x (``algebra.TensorSquare.projection``, its one home) and builds
 it only on first use: its trace, its values on the module generators and
 its value at any vector are read off x.  ``first_difference`` compares
@@ -28,6 +30,17 @@ from .linalg import LinMap, Subspace, Vec, unit_vec, vaxpy, vsub, vtensor
 # (1 (x) e_b) F (e_a (x) 1) for F_3, F_4.
 PROJECTION_FLAGS = {"EL": (False, False), "ER": (True, True),
                     1: (True, False), 2: (True, False), 3: (False, True), 4: (False, True)}
+
+
+# which -> (leg, left): T_which, and every P_which and Q_which, commutes
+# with the basis covers on that leg from the left when left, else from
+# the right; its module generators are e_a on the other leg, and its
+# value there is Delta(e_a) from ``CoproductSlices.on_generators``
+T_COVERS = {1: (2, False), 2: (1, True), 3: (2, True), 4: (1, False)}
+
+# which -> (leg, inverted, partner): R_which = L T_partner L^-1 and
+# F_which = (L on the leg) E, with L = S on that leg, or S^-1 when inverted
+TWISTS = {1: (2, False, 3), 2: (1, False, 4), 3: (2, True, 1), 4: (1, True, 2)}
 
 
 class Applied(NamedTuple):
@@ -105,6 +118,16 @@ class Projection:
                       else vtensor(groups[u], e, t2.dim))
         return got
 
+    def applied(self, which: int) -> Applied:
+        """P as a function, with its values on T_which's generators."""
+        return Applied(self.apply, partial(self.on_generators, 3 - T_COVERS[which][0]))
+
+    def commutes_with(self, which: int) -> bool:
+        """Whether P is cut out by an element and commutes with the
+        covers T_which commutes with (``T_COVERS``)."""
+        leg, left = T_COVERS[which]
+        return self.cut is not None and self.cut[2][leg - 1] == left
+
     def apply(self, v: Vec) -> Vec:
         """P(v) = sum v[a, b] x[u, w] L(a, u) (x) R(w, b)
         (``TensorSquare._covered_map``), with x grouped by its first leg
@@ -136,13 +159,6 @@ class Projection:
     @cached_property
     def complement(self) -> Subspace:
         return (LinMap.identity(self.map.nrows) - self.map).image()
-
-
-# which -> (leg, left): T_which, and every P_which and Q_which, commutes
-# with the basis covers on that leg from the left when left, else from
-# the right; its module generators are e_a on the other leg, and its
-# value there is Delta(e_a) from ``CoproductSlices.on_generators``
-T_COVERS = {1: (2, False), 2: (1, True), 3: (2, True), 4: (1, False)}
 
 
 class CoproductSlices:
@@ -239,6 +255,18 @@ class CoproductSlices:
         """T_which as a function, with its values on the generators."""
         return Applied(partial(self.apply, which), partial(self.on_generators, which))
 
+    def twisted(self, which: int, s: LinMap, s_inv: LinMap) -> Applied:
+        """R_which = L T_p L^-1 (``TWISTS``) as a function, never built,
+        with L = s or s_inv on its leg.  On T_which's generators, which
+        are T_p's, R_which(g_a) = L(T_p(g_a)), as L^-1 fixes g_a when
+        S(1) = 1 (``algebra`` lemma)."""
+        leg, inverted, partner = TWISTS[which]
+        l, l_inv = (s_inv, s) if inverted else (s, s_inv)
+        leg_map = self.t2.map_leg1 if leg == 1 else self.t2.map_leg2
+        t = self.applied(partner)
+        return Applied(lambda v: leg_map(l, t.apply(leg_map(l_inv, v))),
+                       lambda: (leg_map(l, y) for y in t.generators()))
+
     def canonical_image(self, which: int) -> Subspace:
         """im T_which, computed once."""
         return self._space("image", which)
@@ -266,11 +294,9 @@ class CoproductSlices:
         for that same object."""
         if self._complements.get(which) is proj:
             return True
-        leg, left = T_COVERS[which]
-        generated = (proj.cut is not None and proj.cut[2][leg - 1] == left
-                     and self.t2.generated())
+        generated = proj.commutes_with(which) and self.t2.generated()
         size = None if generated else self.t2.size
-        p, t = Applied(proj.apply, partial(proj.on_generators, 3 - leg)), self.applied(which)
+        p, t = proj.applied(which), self.applied(which)
         holds = ((proj.trace == self.canonical_image(which).dim
                   and first_difference([p, t], [t], size) is None
                   and (proj.apply(proj.cut[1]) == proj.cut[1] if generated

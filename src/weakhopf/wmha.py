@@ -60,21 +60,16 @@ comparison is exact, so reports do not depend on the path taken.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 
 from .algebra import AlgebraError, FiniteAlgebra, TensorSquare, first_failure, multiplicativity
-from .slices import T_COVERS, Applied, CoproductSlices, Projection, first_difference
+from .slices import TWISTS, Applied, CoproductSlices, Projection, first_difference
 from .linalg import LinMap, Subspace, Vec, lincomb, solve, unit_vec, vdot, vsub
 from .reporting import SKIP, CheckRecord, Report, failed, passed
 
 
 class AntipodeNotBijective(AlgebraError):
     pass
-
-
-# which -> (leg, inverted, partner): R_which = L T_partner L^-1 and
-# F_which = (L on the leg) E, with L = S on that leg, or S^-1 when inverted
-TWISTS = {1: (2, False, 3), 2: (1, False, 4), 3: (2, True, 1), 4: (1, True, 2)}
 
 
 class WeakMultiplierHopfAlgebra:
@@ -135,40 +130,27 @@ class WeakMultiplierHopfAlgebra:
 
     # -- canonical maps -------------------------------------------------
 
-    def _twist(self, which: int):
-        """The leg map of ``TWISTS[which]``, its L and L^-1, and the
-        partner index."""
-        if which not in TWISTS:
-            raise ValueError(which)
-        leg, inverted, partner = TWISTS[which]
-        s, si = self.antipode, self.antipode_inv()
-        l, l_inv = (si, s) if inverted else (s, si)
-        return (self.t2.map_leg1 if leg == 1 else self.t2.map_leg2), l, l_inv, partner
-
     @cached_property
     def maps(self) -> dict[tuple[int, str], Applied]:
         """T_i, R_i, P_i and Q_i (names "T", "R", "P", "Q"), i = 1..4, as
-        functions with their values on the g_a of T_i's kind.  R_i =
-        L T_p L^-1 (``TWISTS``) is applied leg by leg, never built;
-        R_i(g_a) = L(T_p(g_a)), as L^-1 fixes g_a."""
-        def twisted(which):
-            leg_map, l, l_inv, partner = self._twist(which)
-            t = self.slices.applied(partner)
-            return Applied(lambda v: leg_map(l, t.apply(leg_map(l_inv, v))),
-                           lambda: (leg_map(l, y) for y in t.generators()))
+        functions with their values on the g_a of T_i's kind; R_i =
+        L T_p L^-1 is ``CoproductSlices.twisted``."""
+        s, si = self.antipode, self.antipode_inv()
         out = {}
         for i in (1, 2, 3, 4):
-            out[i, "T"], out[i, "R"] = self.slices.applied(i), twisted(i)
+            out[i, "T"], out[i, "R"] = self.slices.applied(i), self.slices.twisted(i, s, si)
             for name, which in (("P", i), ("Q", "EL" if i in (1, 4) else "ER")):
-                proj = self.projection(which)
-                out[i, name] = Applied(proj.apply, partial(proj.on_generators, 3 - T_COVERS[i][0]))
+                out[i, name] = self.projection(which).applied(i)
         return out
 
     def kernel_idempotent(self, which: int) -> Vec:
         """F_1..F_4: the canonical idempotent with L moved through its
-        leg (``TWISTS``)."""
-        leg_map, l, _, _ = self._twist(which)
-        return leg_map(l, self.E)
+        leg (``TWISTS``); like R_which, it needs S bijective."""
+        if which not in TWISTS:
+            raise ValueError(which)
+        leg, inverted, _ = TWISTS[which]
+        s, si = self.antipode, self.antipode_inv()
+        return (self.t2.map_leg1 if leg == 1 else self.t2.map_leg2)(si if inverted else s, self.E)
 
     def projection(self, which) -> Projection:
         """The map E ("EL", "ER") or F_which (1..4) cuts out of A (x) A,

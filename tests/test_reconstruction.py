@@ -8,6 +8,7 @@ from weakhopf import algebroid, io, reconstruction, wmha
 from weakhopf.algebra import (PROJECTION_FLAGS, CoproductSlices, Projection, TensorSquare,
                               matrix_algebra)
 from weakhopf.algebroid import check_algebroid_axioms, forward_construct
+from weakhopf.balanced import BalancedTensorSpace
 from weakhopf.examples import (identity_twist, mixed_algebroid,
                                obstruction_scenario, scalar_extension_wmha,
                                swap_crossed_setup, weighted_m2_twist_setup)
@@ -257,11 +258,10 @@ def _cut_by_e(bundle):
                                   lambda: swap_crossed_setup()[0]],
                          ids=["pair-3", "crossed-swap"])
 def test_final_suite_shares_the_kernel_certificate(make, monkeypatch):
-    """A passing pipeline builds each map E and F_i cut out at most
-    once: the range stage builds the two E-maps for their images on the
-    algebroid's tensor square, and the kernel stage and the final suite,
-    whose bundle holds that square, ask for all six and read each off
-    its element, so no F_i map is built."""
+    """A passing pipeline builds none of the maps E and F_i cut out:
+    the range and kernel stages decide on the module generators, and
+    the final suite, whose bundle holds the algebroid's tensor square,
+    asks for all six and reads each off its element."""
     alg, report = forward_construct(make())
     assert report.ok
     asked, built = _counting_builds(monkeypatch)
@@ -269,8 +269,7 @@ def test_final_suite_shares_the_kernel_certificate(make, monkeypatch):
     assert isinstance(got, PipelineResult) and got.report.ok
     assert got.bundle.t2 is alg.t2
     assert set(asked) == set(PROJECTION_FLAGS)
-    e_maps = (PROJECTION_FLAGS["EL"], PROJECTION_FLAGS["ER"])
-    assert Counter(built) == {b: 1 for b in _cut_by_e(got.bundle) if b[0] in e_maps}
+    assert Counter(built) == {}
     names = [r.name for r in got.report.records]
     assert "kernel-subspaces" in names and "range-conditions" in names
 
@@ -358,19 +357,51 @@ def test_projections_are_shared_by_equal_elements_only():
 def test_file_loaded_pipeline_reuses_the_prechecked_maps(tmp_path, capsys, monkeypatch):
     """algebroid-to-wmha's order on a file: the algebroid suite applies
     the six sections the graph pair's idempotent cuts out of A (x) A
-    without building any of them, reconstruction's range stage builds
-    the two E-maps once for their images, and its kernel stage and its
-    final suite find every map they ask for among the same memoized
-    projections and build none."""
+    without building any of them, and reconstruction's range and kernel
+    stages and its final suite find every map they ask for among the
+    same memoized projections and build none.  Neither echelonizes the
+    image or kernel of a canonical map or a cut map."""
     alg = io.parse_document(io.load(_algebroid_file(tmp_path, capsys)))
     asked, built = _counting_builds(monkeypatch)
+    echelons = []
+    space = CoproductSlices._space
+    monkeypatch.setattr(CoproductSlices, "_space", lambda self, kind, which:
+                        echelons.append((kind, which)) or space(self, kind, which))
+    for name in ("image", "complement"):
+        echelon = getattr(Projection, name).func
+        monkeypatch.setattr(Projection, name, property(
+            lambda self, name=name, echelon=echelon: echelons.append(name) or echelon(self)))
     assert check_algebroid_axioms(alg).ok
     assert built == []
     got = reconstruction_pipeline(alg)
     assert isinstance(got, PipelineResult) and got.report.ok
     assert set(asked) == set(PROJECTION_FLAGS)
-    e_maps = (PROJECTION_FLAGS["EL"], PROJECTION_FLAGS["ER"])
-    assert Counter(built) == {b: 1 for b in _cut_by_e(got.bundle) if b[0] in e_maps}
+    assert Counter(built) == {} and echelons == []
+
+
+@pytest.mark.parametrize("source", ["pair-3", "base-m2-weighted-file"])
+def test_passing_canonical_maps_form_no_echelon_and_no_column(source, tmp_path, capsys,
+                                                              monkeypatch):
+    """On sections the canonical maps are decided on the module
+    generators: a passing ``check_canonical_maps`` echelonizes nothing
+    (no ``Subspace.from_vectors``) and reads no column P(e_j) of a
+    balanced space.  The graph pair's search for its idempotent runs
+    before the count starts."""
+    if source == "pair-3":
+        alg, report = forward_construct(as_wmha(pair_groupoid(3)))
+        assert report.ok
+    else:
+        alg = io.parse_document(io.load(_algebroid_file(tmp_path, capsys)))
+    assert alg.graph.e_element is not None
+    calls = Counter()
+    from_vectors, column = Subspace.from_vectors, BalancedTensorSpace.column
+    monkeypatch.setattr(Subspace, "from_vectors", staticmethod(
+        lambda *args: calls.update(["from_vectors"]) or from_vectors(*args)))
+    monkeypatch.setattr(BalancedTensorSpace, "column",
+                        lambda *args: calls.update(["column"]) or column(*args))
+    assert algebroid.check_canonical_maps(alg).status == "pass"
+    assert calls == Counter()
+    assert set(alg.canonical_paths.values()) == {"generators"}
 
 
 def test_mixed_algebroid_searches_its_base_once(monkeypatch):

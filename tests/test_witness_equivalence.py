@@ -45,9 +45,10 @@ from weakhopf.examples import mixed_algebroid, scalar_extension_wmha, swap_cross
 from weakhopf.groupoids import (action_groupoid, as_wmha, cyclic_group, group_groupoid,
                                 pair_groupoid)
 from weakhopf.linalg import LinMap, Subspace, lincomb, unit_vec, vaxpy, vsub, vtensor
-from weakhopf.reconstruction import (STAGE_COUNITS_DIFFER, PipelineResult, RebuiltCoproducts,
-                                     build_delta, check_E_comultiplicativity,
-                                     check_mixed_coassociativity, check_separability_assumption,
+from weakhopf.reconstruction import (STAGE_COUNITS_DIFFER, ObstructionReport, PipelineResult,
+                                     RebuiltCoproducts, build_delta, check_E_comultiplicativity,
+                                     check_kernels, check_mixed_coassociativity,
+                                     check_ranges_and_fullness, check_separability_assumption,
                                      embed_idempotent, reconstruction_pipeline)
 from weakhopf.reporting import CheckRecord, Report, failed, passed
 from weakhopf.separability import build_E_from_functional
@@ -1188,6 +1189,38 @@ def ref_canonical_maps(alg: MultiplierHopfAlgebroid) -> CheckRecord:
     return passed("algebroid-canonical-maps-bijective", detail=detail)
 
 
+def ref_column_canonical_maps(alg: MultiplierHopfAlgebroid) -> dict[str, tuple[int, int]]:
+    """The column decision the canonical maps were made by before the
+    module generators: with full_p = P_cod(T(e_p)) for every p, well
+    defined iff sum_j P_dom(e_p)[j] full_j == full_p for every p, and
+    bijective iff q_dom == q_cod == dim span{full_p}."""
+    graph, d, out = alg.graph, alg.dim, {}
+    for name, (dom_kind, cod_kind, which) in algebroid.CANONICAL_MAPS.items():
+        dom, cod = graph.balanced(dom_kind), graph.balanced(cod_kind)
+        full = [cod.project(alg.slices.column(which, a, b)) for a in range(d) for b in range(d)]
+        if any(lincomb(dom.column(p), full) != col for p, col in enumerate(full)):
+            raise NotBijective(f"{name} is not well-defined on its quotient")
+        if not dom.q_dim == cod.q_dim == Subspace.from_vectors(d * d, full).dim:
+            induced = LinMap(cod.q_dim, dom.q_dim, [cod.image.coords(lincomb(theta, full))
+                                                    for theta in dom.image.rows])
+            ker = induced.kernel()
+            raise NotBijective(
+                f"{name}: rank {induced.rank()} on quotients of dims "
+                f"{induced.ncols} -> {induced.nrows}"
+                + (f"; kernel witness {ker.rows[0]}" if ker.dim else ""))
+        out[name] = (cod.q_dim, dom.q_dim)
+    return out
+
+
+def ref_column_canonical_record(alg: MultiplierHopfAlgebroid) -> CheckRecord:
+    try:
+        shapes = ref_column_canonical_maps(alg)
+    except NotBijective as exc:
+        return failed("algebroid-canonical-maps-bijective", {"error": str(exc)})
+    detail = ", ".join(f"{k}: {rows}x{cols}" for k, (rows, cols) in sorted(shapes.items()))
+    return passed("algebroid-canonical-maps-bijective", detail=detail)
+
+
 def ref_counital_maps(alg: MultiplierHopfAlgebroid) -> CheckRecord:
     """Module relations and both counit diagrams for eps_B and eps_C."""
     graph, t2, d = alg.graph, alg.t2, alg.dim
@@ -1472,21 +1505,37 @@ def _canonical_ending(record: dict) -> str:
     return "not well-defined" if "not well-defined" in record["witness"]["error"] else "rank"
 
 
+def _canonical_decision(alg) -> tuple[str, str]:
+    """(path, ending) of ``check_canonical_maps`` on alg, checked against
+    the matrix products and the column decision.  The path is that of
+    the failing map, or on a pass "columns" or "rank" if some map took
+    it, else "generators"."""
+    got = _outcome(check_canonical_maps, alg)
+    assert got == _outcome(ref_canonical_maps, alg)
+    assert got == _outcome(ref_column_canonical_record, alg)
+    ending, paths = _canonical_ending(got), list(alg.canonical_paths.values())
+    if ending != "pass":
+        return paths[-1], ending
+    return next((p for p in ("columns", "rank") if p in paths), "generators"), ending
+
+
 def test_canonical_maps_match_matrix_products_on_the_corpus():
-    """The column comparison of ``algebroid_canonical_maps`` gives the
-    record that the products pi_cod T theta_dom give, on both paths."""
+    """The decision of ``algebroid_canonical_maps`` gives the record that
+    the products pi_cod T theta_dom and the column comparison give, on
+    the generators with sections and on columns without them."""
     paths = Counter()
     for key, alg in _canonical_corpus().items():
-        got = check_canonical_maps(alg).to_dict()
-        assert got == ref_canonical_maps(alg).to_dict(), key
-        paths[alg.graph.e_element is not None, _canonical_ending(got)] += 1
-    assert paths[True, "pass"] and paths[False, "pass"], paths
+        paths[_canonical_decision(alg)] += 1
+    assert paths["generators", "pass"] and paths["columns", "pass"], paths
 
 
 def test_canonical_maps_match_matrix_products_on_mutants(loaded_p2, counit_twist):
     """The same over every +1 / -1 mutant of the pair-2 and counit-twist
     files, on their sections, and of pair-2 with the relation path
-    forced; both failure messages are reached on both paths."""
+    forced.  Reached: a well-definedness failure on the generators, a
+    pass on them, the rank fallback (S not anti-multiplicative or
+    P_cod T R differing) passing and failing, and both failures on
+    columns."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(algebroid, "find_separating_functional", lambda *args: None)
         relations = io.parse_document(io.algebroid_to_dict(loaded_p2[0]))
@@ -1494,11 +1543,112 @@ def test_canonical_maps_match_matrix_products_on_mutants(loaded_p2, counit_twist
     endings = Counter()
     for alg in (loaded_p2[0], counit_twist, relations):
         for bad in _algebroid_mutants(alg):
-            got = _outcome(check_canonical_maps, bad)
-            assert got == _outcome(ref_canonical_maps, bad)
-            endings[alg.graph.e_element is not None, _canonical_ending(got)] += 1
-    assert {(path, end) for path in (True, False) for end in ("not well-defined", "rank")} \
+            endings[_canonical_decision(bad)] += 1
+    assert {("generators", "pass"), ("generators", "not well-defined"), ("rank", "pass"),
+            ("rank", "rank"), ("columns", "not well-defined"), ("columns", "rank")} \
         <= set(endings), endings
+
+
+def ref_echelon_ranges(alg, cops, e_elt, report) -> bool:
+    """Reconstruction's range stage by echelon forms, as it was decided
+    before the module generators: im T_i against im EL or im ER."""
+    left_range = alg.t2.projection(e_elt, "EL").image
+    right_range = alg.t2.projection(e_elt, "ER").image
+    for name, which, want in (("Delta(A)(1xA)", 1, left_range), ("Delta(A)(Ax1)", 4, left_range),
+                              ("(1xA)Delta'(A)", 3, right_range),
+                              ("(Ax1)Delta'(A)", 2, right_range)):
+        got = cops.canonical_image(which)
+        if got != want:
+            sep = next((r for r in got.rows if not want.contains(r)), None)
+            if sep is None:
+                sep = next(r for r in want.rows if not got.contains(r))
+            report.add(failed("rebuilt-range-conditions",
+                              {"space": name, "dim": got.dim, "expected_dim": want.dim,
+                               "witness_vector": sep}))
+            return False
+    report.add(passed("rebuilt-range-conditions",
+                      detail=f"ranges dim {left_range.dim}/{right_range.dim}"))
+    return True
+
+
+def ref_echelon_kernels(alg, cops, e_elt, report) -> bool:
+    """Reconstruction's kernel stage by echelon forms alone: im(id - P_i)
+    against ker T_i, for the map F_i cuts out."""
+    for i in (1, 2, 3, 4):
+        described = alg.t2.projection(alg.graph.f_element(i), i).complement
+        kernel = cops.canonical_kernel(i)
+        if described != kernel:
+            sep = next((r for r in described.rows if not kernel.contains(r)), None)
+            membership = sep is not None
+            if sep is None:
+                sep = next(r for r in kernel.rows if not described.contains(r))
+            report.add(failed("rebuilt-kernel-conditions",
+                              {"map": f"T{i}", "described_dim": described.dim,
+                               "kernel_dim": kernel.dim, "witness_vector": sep,
+                               "described_membership": membership}))
+            return False
+    report.add(passed("rebuilt-kernel-conditions"))
+    return True
+
+
+def _stages_match(alg) -> list[tuple[str, str, bool]]:
+    """Reconstruction's range and kernel stages on alg against their
+    echelon references, each side on rebuilt slices of its own, in
+    pipeline order while the stages pass; (stage, path, passed) for each
+    stage reached, the path "generators" when the engine formed no
+    echelon form of a T_i, else "echelon"."""
+    idem = check_separability_assumption(alg)
+    if isinstance(idem, ObstructionReport):
+        return []
+    e_elt = embed_idempotent(alg.graph, idem)
+    engine, reference = build_delta(alg, e_elt), build_delta(alg, e_elt)
+    got, want = Report("reconstruction"), Report("reconstruction")
+    reached = []
+    for stage, check, ref in (("ranges", check_ranges_and_fullness, ref_echelon_ranges),
+                              ("kernels", lambda a, c, e, r: check_kernels(a, c, r),
+                               ref_echelon_kernels)):
+        echelons = len(engine._spaces)
+        ok = check(alg, engine, e_elt, got)
+        assert ok == ref(alg, reference, e_elt, want)
+        assert got.records[-1].to_dict() == want.records[-1].to_dict()
+        reached.append((stage, "echelon" if len(engine._spaces) > echelons else "generators", ok))
+        if not ok or not check_E_comultiplicativity(alg, engine, e_elt, got):
+            break
+    return reached
+
+
+def _forward_corpus():
+    """Forward-built algebroids of the wmha corpus, in memory and read
+    back from their files."""
+    out = {}
+    for name, make in _wmha_corpus().items():
+        alg, report = forward_construct(make())
+        assert report.ok
+        out[name, "memory"] = alg
+        out[name, "file"] = io.parse_document(io.algebroid_to_dict(alg))
+    return out
+
+
+def test_range_and_kernel_stages_match_echelon_forms_on_the_corpus():
+    """Every forward-built algebroid passes both stages on the module
+    generators, with the records of the echelon comparisons."""
+    for key, alg in _forward_corpus().items():
+        assert _stages_match(alg) == [("ranges", "generators", True),
+                                      ("kernels", "generators", True)], key
+
+
+def test_range_and_kernel_stages_match_echelon_forms_on_mutants(loaded_p2, counit_twist):
+    """The same over every +1 / -1 mutant of the pair-2 and counit-twist
+    files that reaches the stages.  Reached: each stage passing on the
+    generators, the range stage passing and failing after its fallback,
+    and the kernel stage failing after its fallback."""
+    reached = Counter()
+    for alg in (loaded_p2[0], counit_twist):
+        for bad in _algebroid_mutants(alg):
+            reached.update(_stages_match(bad))
+    assert {("ranges", "generators", True), ("ranges", "echelon", True),
+            ("ranges", "echelon", False), ("kernels", "generators", True),
+            ("kernels", "echelon", False)} <= set(reached), reached
 
 
 @pytest.mark.parametrize("name", ["pair-3", "base-m2-weighted-file"])

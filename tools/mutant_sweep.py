@@ -34,9 +34,10 @@ loaded and run through `wmha.run_suite` once more, from the premises
 the `wmha` docstring names.  For each algebroid source it prints, per
 command, how the record `algebroid-canonical-maps-bijective` ends:
 pass, not well-defined or rank, with the path its balanced spaces take
-(section when the mutant's graph pair finds an idempotent, read in
-process off the loaded file, else relation), or not reached
-(`canonical`).  A reconstruction report counts as pass, since
+(section when the mutant's graph pair finds an idempotent, else
+relation) and where the maps are decided (on the module generators, by
+the rank after them, or on the basis columns), both read in process off
+the loaded file, or not reached (`canonical`).  A reconstruction report counts as pass, since
 `algebroid-to-wmha` reconstructs only after the algebroid suite passes.
 
 `diff` is `tools/byte_sweep.py diff`: it lists the runs that differ and
@@ -129,11 +130,24 @@ def canonical_ending(run: dict) -> str:
     return "not well-defined" if "not well-defined" in rec["witness"]["error"] else "rank"
 
 
-def balanced_path(engine, path: str) -> str:
-    """"section" when the graph pair of the algebroid file at path finds
-    its idempotent, else "relation"."""
+def canonical_path(engine, path: str) -> str:
+    """"<balanced>, <decided>" for the algebroid file at path: balanced
+    is "section" when its graph pair finds its idempotent, else
+    "relation"; decided is where ``check_canonical_maps``, run on it
+    once more, decides the failing map, or every map of a pass
+    (``canonical_paths``): "generators" when on the module generators
+    alone, "rank fallback" when one needs the rank after them, else
+    "columns" (on the d^2 basis columns, the only path of an engine
+    without the record)."""
     alg = engine.io.parse_document(engine.io.load(path))
-    return "relation" if alg.graph.e_element is None else "section"
+    balanced = "relation" if alg.graph.e_element is None else "section"
+    record = importlib.import_module("weakhopf.algebroid").check_canonical_maps(alg)
+    paths = list(getattr(alg, "canonical_paths", {None: "columns"}).values())
+    if record.status != "pass":
+        paths = paths[-1:]
+    decided = ("columns" if "columns" in paths else "rank fallback" if "rank" in paths
+               else "generators")
+    return f"{balanced}, {decided}"
 
 
 def record(checkout: Path) -> dict:
@@ -173,7 +187,7 @@ def record(checkout: Path) -> dict:
                                 if tensors == ALGEBROID[0]:
                                     ending = canonical_ending(runs[-1])
                                     if ending != "not reached":
-                                        path_taken = path_taken or balanced_path(engine, MUTANT)
+                                        path_taken = path_taken or canonical_path(engine, MUTANT)
                                         ending = f"{ending} ({path_taken})"
                                     canonical.setdefault(name, collections.Counter())[
                                         f"{command} {ending}"] += 1
