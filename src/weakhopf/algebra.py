@@ -38,11 +38,9 @@ basis pairs and shares each second-leg sum across every first-leg
 cover, which a leg-at-a-time build would recompute.  ``projection`` is
 the one memoized home of the six maps that the canonical idempotent E
 and its twists F_1..F_4 cut out of A (x) A (``PROJECTION_FLAGS``), each
-a ``Projection`` built on first use.  ``CoproductSlices`` is the one
-slice object: it multiplies a pair of coproduct families by basis
-covers, caches every slice per (kind, a, b), and assembles the
-canonical maps T_1..T_4 from those slices.  Both classes live in
-``weakhopf.slices`` and are imported here: the engine is often compiled
+a ``Projection`` built on first use.  ``PROJECTION_FLAGS`` and
+``Projection`` live in ``weakhopf.slices``, with ``CoproductSlices``,
+the one slice object, and ``T_COVERS``: the engine is often compiled
 from source, and compiling the largest module sets that step's memory
 peak, so no module is allowed to grow large.
 
@@ -57,9 +55,9 @@ cut out by an element x under ``PROJECTION_FLAGS``.
 * Associativity makes T_i, Q_i and P_i module maps.  T_1 and P_1 are
   right-linear on leg 2, T_3 and P_3 left-linear on leg 2, T_2 and P_2
   left-linear on leg 1, and T_4 and P_4 right-linear on leg 1
-  (``T_COVERS``): T_1(y(1 (x) c)) = T_1(y)(1 (x) c), and so on.  A cut
-  map is linear on both legs, each from the side of its flag, so Q_i
-  is of T_i's kind too.
+  (``slices.T_COVERS``): T_1(y(1 (x) c)) = T_1(y)(1 (x) c), and so on.
+  A cut map is linear on both legs, each from the side of its flag, so
+  Q_i is of T_i's kind too.
 * If S is a bijective anti-homomorphism, then S(1) = 1, because S(1)
   is a unit of S(A) = A, and R_i = L T_p L^-1 (``slices.TWISTS``), with L
   the map S or S^-1 on the leg T_i is linear on, is a module map of T_i's
@@ -94,8 +92,7 @@ from types import MappingProxyType
 from typing import Callable
 
 from .linalg import LinMap, Subspace, Vec, lincomb, on_leg, rat, solve, unit_vec, vaxpy, vtensor
-# part of this module's interface, kept in their own module (see above)
-from .slices import PROJECTION_FLAGS, T_COVERS, CoproductSlices, Projection  # noqa: F401
+from .slices import PROJECTION_FLAGS, Projection
 
 
 _ZERO = MappingProxyType({})

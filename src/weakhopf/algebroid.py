@@ -8,16 +8,17 @@ unital); its products with covering elements are formed first and
 compared modulo the balanced relations.  For bundles arriving through
 the forward construction the representatives are the original coproduct
 values, which are already section images.  The basis-covered products
-come from one ``algebra.CoproductSlices`` over (Delta_B, Delta_C), which
+come from one ``slices.CoproductSlices`` over (Delta_B, Delta_C), which
 caches each slice once.  Each balanced quotient is one idempotent P on
 A (x) A with ker P = R (``balanced``), and a law modulo relations
 compares P(lhs - rhs) with 0.
 
 The four canonical maps between balanced quotients are decided on the
 d module generators where the ``algebra`` lemma applies; the proof and
-the code are in ``weakhopf.canonical``.  ``antipode_premise`` holds
-whether S is a bijective anti-homomorphism, and S^-1, once for the
-canonical maps, ``check_antipode_structure`` and reconstruction.
+the code are in ``weakhopf.canonical``.  ``maps``, a
+``wmha.CanonicalMaps`` of the slices under S without E, holds S^-1 and
+whether S is anti-multiplicative, once for the canonical maps and
+``check_antipode_structure``.
 
 Every basis-indexed check is a list of laws for ``algebra.first_failure``:
 the witness is the first basis tuple in lexicographic order, then the
@@ -32,8 +33,8 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .algebra import (AlgebraError, CoproductSlices, FiniteAlgebra, TensorSquare, by_side,
-                      first_failure, multiplicativity)
+from .algebra import (AlgebraError, FiniteAlgebra, TensorSquare, by_side, first_failure,
+                      multiplicativity)
 from .balanced import BalancedTensorSpace, TripleQuotient, build_balanced
 # part of this module's interface, kept in their own module
 from .canonical import CANONICAL_MAPS, NotBijective, algebroid_canonical_maps  # noqa: F401
@@ -42,8 +43,8 @@ from .base_algebras import (SubalgebraView, action_span_dim, first_anti_homomorp
 from .linalg import LinMap, Subspace, Vec, apply_legs, lincomb, on_leg, unit_vec, vsub
 from .reporting import CheckRecord, Report, failed, passed
 from .separability import SeparabilityIdempotent, find_separating_functional, trace_form_radical
-from .slices import Applied
-from .wmha import WeakMultiplierHopfAlgebra
+from .slices import CoproductSlices
+from .wmha import CanonicalMaps, WeakMultiplierHopfAlgebra
 
 
 class QuantumGraphPair:
@@ -204,6 +205,7 @@ class MultiplierHopfAlgebroid:
         self.antipode = antipode
         # representative slices: r* of Delta_B, l* of Delta_C
         self.slices = CoproductSlices(self.t2, self.delta_b, self.delta_c)
+        self.maps = CanonicalMaps(self.slices, antipode)
         # name -> "generators", "rank" or "columns": how
         # ``algebroid_canonical_maps`` decided each map it reached
         self.canonical_paths: dict[str, str] = {}
@@ -211,30 +213,6 @@ class MultiplierHopfAlgebroid:
     @property
     def dim(self) -> int:
         return self.algebra.dim
-
-    @cached_property
-    def antipode_premise(self) -> tuple[LinMap | None, tuple | None]:
-        """(S^-1, the first basis pair at which S is not
-        anti-multiplicative, as ``first_failure`` names it), the scan of
-        ``wmha.WeakMultiplierHopfAlgebra.antihom_failure``.  S^-1 is None
-        when S is singular, and then no pair is sought; the pair is None
-        when S is anti-multiplicative."""
-        s, alg = self.antipode, self.algebra
-        try:
-            s_inv = s.inverse()
-        except ValueError:              # not square, or singular
-            return None, None
-        return s_inv, first_failure((alg.dim, alg.dim),
-                                    [multiplicativity(alg, s.cols, alg.mul, anti=True)])
-
-    def twisted(self, slices: CoproductSlices, which: int) -> Applied | None:
-        """R_which of ``slices`` under this antipode, when the ``algebra``
-        lemma makes it a module map of T_which's kind: S a bijective
-        anti-homomorphism and the square generated; else None."""
-        s_inv, bad = self.antipode_premise
-        if s_inv is None or bad is not None or not self.t2.generated():
-            return None
-        return slices.twisted(which, self.antipode, s_inv)
 
 
 def forward_construct(bundle: WeakMultiplierHopfAlgebra) -> tuple[MultiplierHopfAlgebroid | None, Report]:
@@ -247,7 +225,7 @@ def forward_construct(bundle: WeakMultiplierHopfAlgebra) -> tuple[MultiplierHopf
         return None, report
     graph = QuantumGraphPair(bundle.algebra, data.b_view, data.c_view, data.s_b, data.s_c,
                              t2=bundle.t2)
-    si = bundle.antipode_inv()
+    si = bundle.maps.antipode_pair()[1]
     d = bundle.dim
     eps_b = LinMap(d, d, [si.apply(bundle.target_value(i)) for i in range(d)])
     eps_c = LinMap(d, d, [si.apply(bundle.source_value(i)) for i in range(d)])
@@ -456,13 +434,12 @@ def check_antipode_diagrams(alg: MultiplierHopfAlgebroid) -> CheckRecord:
 
 def check_antipode_structure(alg: MultiplierHopfAlgebroid) -> CheckRecord:
     """S is a bijective anti-homomorphism restricting to S_B and S_C."""
-    s, alg_a = alg.antipode, alg.algebra
-    s_inv, bad = alg.antipode_premise
-    if s_inv is None:
+    s, maps = alg.antipode, alg.maps
+    if maps.antipode_inv is None:
         return failed("algebroid-antipode-bijective", {"rank": s.rank()})
-    if bad is not None:
+    if maps.antihom_failure is not None:
         return failed("algebroid-antipode-antihomomorphism",
-                      {"pair": [alg_a.labels[i] for i in bad[0]]})
+                      {"pair": [alg.algebra.labels[i] for i in maps.antihom_failure[0]]})
     graph = alg.graph
     xs, ys = graph.b_elements(), graph.c_elements()
     bad = first_failure((2, len(xs)), by_side([

@@ -79,8 +79,9 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .algebra import PROJECTION_FLAGS, Projection, TensorSquare
+from .algebra import TensorSquare
 from .linalg import Subspace, Vec, on_leg, unit_vec, vaxpy, vsub, vtensor
+from .slices import PROJECTION_FLAGS, Projection
 
 # kind -> (base, which): the relators are columns of
 # ``TensorSquare._covered_map`` under the flags PROJECTION_FLAGS[which],

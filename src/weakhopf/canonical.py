@@ -15,7 +15,7 @@ one.
   P_cod(T(g_a) - T(P_dom(g_a))) = 0 for every a.  This is exact.
 * Bijective.  Let R = L T_p L^-1 (``slices.TWISTS``), with the
   algebroid's antipode S.  When S is a bijective anti-homomorphism
-  (``MultiplierHopfAlgebroid.antipode_premise``), R is of T's kind.  If
+  (``wmha.CanonicalMaps.twisted`` of ``alg.maps``), R is of T's kind.  If
   P_cod T R = P_cod on the g_a, the two maps are equal, so the class of
   any y is the image of the class of R(y): the induced map is onto, and
   with q_dom = q_cod it is bijective.  When S fails or P_cod T R differs,
@@ -76,7 +76,7 @@ def algebroid_canonical_maps(alg: MultiplierHopfAlgebroid) -> dict[str, tuple[in
             paths[name] = "generators"
             if any(p_cod.apply(vsub(x, t.apply(y))) for x, y in zip(t.generators(), dom_g)):
                 raise NotBijective(f"{name} is not well-defined on its quotient")
-            r = alg.twisted(alg.slices, which)
+            r = alg.maps.twisted(which)
             if (r is not None and dom.q_dim == cod.q_dim
                     and first_difference([r, t, p_cod], [p_cod]) is None):
                 out[name] = (cod.q_dim, dom.q_dim)

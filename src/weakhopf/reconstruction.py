@@ -18,17 +18,30 @@ among it ``coproduct-homomorphism``, ``canonical-idempotent-identities``,
 ``coproduct-coassociativity`` and ``counit-laws``.  After a passing
 ``check-algebroid``, any other failure is a ``ReconstructionError``.
 
-The slices are held by ``algebra.CoproductSlices``, which caches each
-once.  The range and kernel stages take the maps E and F_i cut out of
-A (x) A from ``TensorSquare.projection`` on the algebroid's tensor
-square, where the rebuilt bundle's final suite finds them again.  They
+The slices are held by ``slices.CoproductSlices``, which caches each
+once.  ``reconstruction_pipeline`` builds one ``wmha.CanonicalMaps`` of
+the rebuilt slices under the algebroid's antipode S and E, and hands it
+to the range stage, the kernel stage and the rebuilt bundle: it is the
+one memo of S^-1, of the scan of S's anti-multiplicativity and of every
+comparison, so the final suite's certificate, ``projection-formulas``
+and ``kernel-subspaces`` read what the stages decided.  The stages
 decide on the d module generators g_a of the ``algebra`` lemma, with
 T_i the canonical maps of the rebuilt slices, Q_1 = Q_4 = EL (y -> Ey),
-Q_2 = Q_3 = ER (y -> yE), P_i the map F_i cuts out and R_i = L T_p L^-1
-under the algebroid's antipode (``MultiplierHopfAlgebroid.twisted``).
-When S is a bijective anti-homomorphism and the square is generated,
+Q_2 = Q_3 = ER (y -> yE), P_i the map F_i cuts out and R_i = L T_p L^-1.
+When M holds (S a bijective anti-homomorphism, the square generated),
 all four are module maps of T_i's kind, so an identity between them
 holds iff it holds on the g_a.
+
+The kernel stage cuts P_i out by the graph pair's F_i (``f_element``:
+S_B, S_C or an inverse moved through E's coordinates in B (x) C), the
+maps by S or S^-1 moved through a leg of E.  On an accepted input the
+two are equal, so they cut out one memoized map and the stage compares
+through the shared memo: E = ``graph.embed(idem.e)`` lies in B (x) C,
+and S restricts to S_B on B and to S_C on C, by ``antipode-restriction``
+after ``check-algebroid`` and, on a round trip, because the base suite
+takes S_B and S_C as S restricted (``b_view.restrict(s, c_view)``);
+S_B and S_C being bijective, S^-1 restricts to S_B^-1 on C and S_C^-1
+on B.  Where they differ, the stage decides by echelon forms.
 
 * Ranges.  If Q_i T_i = T_i and T_i R_i = Q_i, then im T_i =
   im Q_i T_i lies in im Q_i = im T_i R_i, which lies in im T_i, so
@@ -54,17 +67,17 @@ pair) at which the covered form of the identity fails.
 
 from __future__ import annotations
 
-from .algebra import CoproductSlices, first_failure
+from .algebra import first_failure
 from .algebroid import MultiplierHopfAlgebroid, QuantumGraphPair
 from .io import encode_matrix
 from .linalg import Vec, unit_vec, vdot, vec_from, vsub
 from .reporting import Report, failed, passed
-from .slices import first_difference
+from .slices import CoproductSlices
 # find_separating_functional is only bound here: the benchmark's tracer
 # (perfbench/tracing.py) times it as reconstruction.find_separating_functional
 from .separability import (SeparabilityIdempotent, find_separating_functional,  # noqa: F401
                            modular_automorphism, regular_trace, sigma_center)
-from .wmha import WeakMultiplierHopfAlgebra, run_suite
+from .wmha import CanonicalMaps, WeakMultiplierHopfAlgebra, run_suite
 
 STAGE_NOT_SEPARABLE = "NotSeparableFrobenius"
 STAGE_MODULAR_MISMATCH = "ModularAutomorphismMismatch"
@@ -177,8 +190,7 @@ def build_counits(alg: MultiplierHopfAlgebroid, idem: SeparabilityIdempotent) ->
     return tuple(counits)
 
 
-def check_ranges_and_fullness(alg: MultiplierHopfAlgebroid, cops: CoproductSlices,
-                              e_elt: Vec, report: Report) -> bool:
+def check_ranges_and_fullness(maps: CanonicalMaps, report: Report) -> bool:
     """The slice spans Delta(A)(1 (x) A) = im T_1, Delta(A)(A (x) 1) =
     im T_4, (1 (x) A)Delta'(A) = im T_3 and (A (x) 1)Delta'(A) = im T_2
     against the ranges of E.
@@ -194,23 +206,16 @@ def check_ranges_and_fullness(alg: MultiplierHopfAlgebroid, cops: CoproductSlice
     any f extending phi_B, integral-B gives (f (x) id)(E(1 (x) b)) = b,
     so every b lies in the second.
 
-    Decided on the generators when that proves im T_i = im Q_i (module
-    docstring), with dimensions tr EL and tr ER; else by echelon forms,
-    which name the witness."""
-    t2 = alg.t2
-    q = {i: t2.projection(e_elt, "EL" if i in (1, 4) else "ER") for i in (1, 2, 3, 4)}
-
-    def on_generators(i):
-        """Q_i T_i = T_i and T_i R_i = Q_i on the g_a."""
-        t, r, qi = cops.applied(i), alg.twisted(cops, i), q[i].applied(i)
-        return (r is not None and first_difference([t, qi], [t]) is None
-                and first_difference([r, t], [qi]) is None)
-
-    if all(on_generators(i) for i in (1, 4, 3, 2)):
+    Decided on the generators when M holds, Q_i T_i = T_i and
+    T_i R_i = Q_i (module docstring), with dimensions tr EL and tr ER;
+    else by echelon forms, which name the witness."""
+    cops, left, right = maps.slices, maps.projection("EL"), maps.projection("ER")
+    if maps.module_premise and all(maps.agrees(i, "QT", "T") and maps.agrees(i, "TR", "Q")
+                                   for i in (1, 4, 3, 2)):
         report.add(passed("rebuilt-range-conditions",
-                          detail=f"ranges dim {int(q[1].trace)}/{int(q[2].trace)}"))
+                          detail=f"ranges dim {int(left.trace)}/{int(right.trace)}"))
         return True
-    left_range, right_range = q[1].image, q[2].image
+    left_range, right_range = left.image, right.image
     spans = {name: cops.canonical_image(which)
              for name, which in (("Delta(A)(1xA)", 1), ("Delta(A)(Ax1)", 4),
                                  ("(1xA)Delta'(A)", 3), ("(Ax1)Delta'(A)", 2))}
@@ -259,19 +264,16 @@ def check_E_comultiplicativity(alg: MultiplierHopfAlgebroid, cops: CoproductSlic
     return True
 
 
-def check_kernels(alg: MultiplierHopfAlgebroid, cops: CoproductSlices,
-                  report: Report) -> bool:
-    """ker T_i is the image of id - (twisted F_i projector), with F_i
-    built from the graph pair's idempotent E: on the generators when
-    R_i T_i = P_i and T_i R_i T_i = T_i there (module docstring), else
-    by ``CoproductSlices.kernel_is_complement``, whose echelon forms name
-    the witness."""
+def check_kernels(alg: MultiplierHopfAlgebroid, maps: CanonicalMaps, report: Report) -> bool:
+    """ker T_i is the image of id - P_i, P_i cut out by the graph pair's
+    F_i: on the generators when M holds, P_i is the maps' and
+    R_i T_i = P_i and T_i P_i = T_i there (module docstring), else by
+    ``CoproductSlices.kernel_is_complement``, which names the witness."""
+    cops = maps.slices
     for i in (1, 2, 3, 4):
-        name = f"T{i}"
-        proj = alg.t2.projection(alg.graph.f_element(i), i)
-        t, inverse, p = cops.applied(i), alg.twisted(cops, i), proj.applied(i)
-        if (inverse is not None and first_difference([t, inverse], [p]) is None
-                and first_difference([p, t], [t]) is None):
+        proj = cops.t2.projection(alg.graph.f_element(i), i)
+        if (maps.module_premise and maps.projection(i) is proj
+                and maps.agrees(i, "RT", "P") and maps.agrees(i, "TP", "T")):
             continue
         if not cops.kernel_is_complement(i, proj):
             described, kernel = proj.complement, cops.canonical_kernel(i)
@@ -281,7 +283,7 @@ def check_kernels(alg: MultiplierHopfAlgebroid, cops: CoproductSlices,
                 sep = next(r for r in kernel.rows if not described.contains(r))
                 membership = False
             report.add(failed("rebuilt-kernel-conditions",
-                              {"map": name, "described_dim": described.dim,
+                              {"map": f"T{i}", "described_dim": described.dim,
                                "kernel_dim": kernel.dim, "witness_vector": sep,
                                "described_membership": membership}))
             return False
@@ -332,12 +334,13 @@ def reconstruction_pipeline(alg: MultiplierHopfAlgebroid):
     e_elt = embed_idempotent(alg.graph, idem)
     cops = build_delta(alg, e_elt)
     eps, eps_prime = build_counits(alg, idem)
-    if not check_ranges_and_fullness(alg, cops, e_elt, report):
+    maps = CanonicalMaps(cops, alg.antipode, e_elt)
+    if not check_ranges_and_fullness(maps, report):
         return ObstructionReport(STAGE_RANGES, report.records[-1].witness,
                                  "a range condition failed", report)
     if not check_E_comultiplicativity(alg, cops, e_elt, report):
         raise ReconstructionError(report.to_text())
-    if not check_kernels(alg, cops, report):
+    if not check_kernels(alg, maps, report):
         return ObstructionReport(STAGE_KERNELS, report.records[-1].witness,
                                  "a kernel condition failed", report)
     if not check_mixed_coassociativity(alg, cops, report):
@@ -358,12 +361,11 @@ def reconstruction_pipeline(alg: MultiplierHopfAlgebroid):
     if cops.left != cops.right:
         raise ReconstructionError("counits agree but the coproducts do not merge")
     report.add(passed("coproducts-merge"))
-    # Delta = Delta', so the bundle's slices are those already cut, with
-    # their canonical maps, images and kernels, and their tensor square
-    # holds the maps the range and kernel stages cut out by E and F_i
+    # Delta = Delta', so the bundle's maps are the stages': its final
+    # suite reads their comparisons, slices, images and cut maps
     bundle = WeakMultiplierHopfAlgebra(algebra=alg.algebra, delta=cops.left, counit=eps,
                                        antipode=alg.antipode, canonical_idempotent=e_elt,
-                                       slices=cops)
+                                       maps=maps)
     suite = run_suite(bundle)
     report.extend(suite.records)
     if not suite.ok:

@@ -11,21 +11,23 @@ by basis elements or pairs are stated as laws for the one scanner,
 order and then the first law failing there; the multiplicativity of
 Delta and S is the one law of ``algebra.multiplicativity``.  The maps
 that E and its twists F_i cut out of A (x) A, their images and the
-kernel descriptions im(id - P_i) come from ``bundle.projection``,
-memoized on the bundle's tensor square; whoever holds that square with
-an equal element (the forward construction's sections, reconstruction's
-range and kernel stages) shares the same map.
+kernel descriptions im(id - P_i) come from ``maps.projection``, memoized
+on the tensor square; whoever holds that square with an equal element
+(the forward construction's sections, reconstruction's range and kernel
+stages) shares the same map.
 
-Each identity between T_i, R_i, Q_i (Q_1 = Q_4 = EL, y -> Ey,
-Q_2 = Q_3 = ER, y -> yE) and P_i (the map F_i cuts out) is one
-comparison, ``first_difference``: both sides are applied as functions
-(``maps``) to a test set, and no map product and no R_i is formed.  The
-test set is the d module generators g_a when M holds: S is bijective
-(memoized for ``antipode-bijective``) and anti-multiplicative (the memo
-``antihom_failure``), and ``TensorSquare.generated``.  By the lemma in
-the ``algebra`` docstring, which needs no E law, M makes the four maps
-module maps of one kind.  Otherwise it is the d^2 basis vectors e_p, in
-order.  ``agrees`` memoizes each comparison.
+``CanonicalMaps`` is the one home of T_i, R_i, Q_i (Q_1 = Q_4 = EL,
+y -> Ey, Q_2 = Q_3 = ER, y -> yE) and P_i (the map F_i cuts out), with
+S^-1, the scan ``antihom_failure`` and the memo ``agrees``.  The bundle, the
+algebroid (without E) and reconstruction each hold one; the bundle
+reconstruction rebuilds holds the stages' own, and so reads their
+comparisons.  Each identity is one comparison, ``first_difference``:
+both sides are applied as functions (``maps[i, name]``) to a test set,
+and no map product and no R_i is formed.  The test set is the d module
+generators g_a when M holds: S is bijective and anti-multiplicative, and
+``TensorSquare.generated``.  By the lemma in the ``algebra`` docstring,
+which needs no E law, M makes the four maps module maps of one kind.
+Otherwise it is the d^2 basis vectors e_p, in order.
 
 The memoized certificate H, ``certificate``, passes the
 generalized-inverse and range records with no comparison of their own.
@@ -68,19 +70,109 @@ from .linalg import LinMap, Subspace, Vec, lincomb, solve, unit_vec, vdot, vsub
 from .reporting import SKIP, CheckRecord, Report, failed, passed
 
 
-class AntipodeNotBijective(AlgebraError):
-    pass
+class CanonicalMaps:
+    """T_i, R_i, P_i and Q_i of one set of slices under one antipode S,
+    with E, which P_i and Q_i need: S^-1, the premise M and the memo of
+    every comparison between them (module docstring)."""
+
+    def __init__(self, slices: CoproductSlices, antipode: LinMap, e: Vec | None = None):
+        self.slices = slices
+        self.t2 = slices.t2
+        self.antipode = antipode
+        self.E = e
+        self._applied: dict[tuple[int, str], Applied] = {}
+        self._agrees: dict[tuple[int, str, str], bool] = {}
+
+    @cached_property
+    def antipode_inv(self) -> LinMap | None:
+        """S^-1, or None when S is not square or singular."""
+        try:
+            return self.antipode.inverse()
+        except ValueError:
+            return None
+
+    @cached_property
+    def antihom_failure(self) -> tuple | None:
+        """The first basis pair (i, j), as ``first_failure`` names it, at
+        which S(e_i e_j) != S(e_j) S(e_i); None when S is
+        anti-multiplicative."""
+        alg = self.t2.algebra
+        return first_failure((alg.dim, alg.dim),
+                             [multiplicativity(alg, self.antipode.cols, alg.mul, anti=True)])
+
+    def antipode_pair(self) -> tuple[LinMap, LinMap]:
+        """(S, S^-1), which R_i, F_i and the antipode identities need;
+        ``AlgebraError`` when S is singular."""
+        if self.antipode_inv is None:
+            raise AlgebraError("antipode matrix is singular")
+        return self.antipode, self.antipode_inv
+
+    @property
+    def module_premise(self) -> bool:
+        """M of the module docstring."""
+        return (self.antipode_inv is not None and self.antihom_failure is None
+                and self.t2.generated())
+
+    def __getitem__(self, key: tuple[int, str]) -> Applied:
+        """T_i, R_i, P_i or Q_i for key (i, "T"), (i, "R"), (i, "P") or
+        (i, "Q"), as a function with its values on the g_a of T_i's kind;
+        R_i = L T_p L^-1 is ``CoproductSlices.twisted``."""
+        if key not in self._applied:
+            which, name = key
+            self._applied[key] = (
+                self.slices.applied(which) if name == "T" else
+                self.slices.twisted(which, *self.antipode_pair()) if name == "R" else
+                self.projection(which if name == "P" else "EL" if which in (1, 4) else "ER")
+                .applied(which))
+        return self._applied[key]
+
+    def twisted(self, which: int) -> Applied | None:
+        """R_which when M makes it a module map of T_which's kind, else
+        None."""
+        return self[which, "R"] if self.module_premise else None
+
+    def kernel_idempotent(self, which: int) -> Vec:
+        """F_1..F_4: E with L moved through its leg (``TWISTS``); like
+        R_which, it needs S bijective."""
+        if which not in TWISTS:
+            raise ValueError(which)
+        leg, inverted, _ = TWISTS[which]
+        lmap = self.antipode_pair()[inverted]
+        return (self.t2.map_leg1 if leg == 1 else self.t2.map_leg2)(lmap, self.E)
+
+    def projection(self, which) -> Projection:
+        """The map E ("EL", "ER") or F_which (1..4) cuts out of A (x) A,
+        under ``slices.PROJECTION_FLAGS``: P_which is expected to equal
+        R_which T_which, its complement im(id - P_which) ker T_which."""
+        elt = self.E if which in ("EL", "ER") else self.kernel_idempotent(which)
+        return self.t2.projection(elt, which)
+
+    def first_difference(self, which: int, lhs: str, rhs: str,
+                         basis: bool = False) -> int | None:
+        """``slices.first_difference`` of the words lhs and rhs over "T",
+        "R", "P", "Q" of index which ("RT" is R_which T_which), on the
+        basis vectors when basis is set or M fails."""
+        size = None if self.module_premise and not basis else self.t2.size
+        return first_difference(*([self[which, name] for name in reversed(word)]
+                                  for word in (lhs, rhs)), size=size)
+
+    def agrees(self, which: int, lhs: str, rhs: str) -> bool:
+        """Whether ``first_difference`` finds none; memoized."""
+        key = (which, lhs, rhs)
+        if key not in self._agrees:
+            self._agrees[key] = self.first_difference(which, lhs, rhs) is None
+        return self._agrees[key]
 
 
 class WeakMultiplierHopfAlgebra:
-    """Bundle (A, Delta, counit, S, E) with cached derived maps.  Shared
-    slices bring their tensor square, and with it every map it holds."""
+    """Bundle (A, Delta, counit, S, E) with its ``CanonicalMaps``.
+    Shared maps bring their slices and tensor square, and with them
+    every map and comparison they hold."""
 
     def __init__(self, algebra: FiniteAlgebra, delta: list[Vec], counit: Vec,
                  antipode: LinMap, canonical_idempotent: Vec,
-                 slices: CoproductSlices | None = None):
+                 maps: CanonicalMaps | None = None):
         self.algebra = algebra
-        self.t2 = TensorSquare(algebra) if slices is None else slices.t2
         self.delta = [dict(v) for v in delta]
         self.counit = dict(counit)
         self.antipode = antipode
@@ -89,31 +181,20 @@ class WeakMultiplierHopfAlgebra:
             raise AlgebraError("coproduct needs one element per basis vector")
         if algebra.unit() is None:
             raise AlgebraError("finite engine requires a unital algebra")
-        if slices is None:
-            slices = CoproductSlices(self.t2, self.delta, self.delta)
-        elif (slices.t2.algebra is not algebra
-              or slices.left != self.delta or slices.right != self.delta):
-            raise AlgebraError("shared slices belong to another coproduct")
-        self.slices = slices
-        self._antipode_inv: LinMap | None = None
-        self._agrees: dict[tuple[int, str, str], bool] = {}
-
-    # -- basic derived data --------------------------------------------
+        if maps is None:
+            maps = CanonicalMaps(CoproductSlices(TensorSquare(algebra), self.delta, self.delta),
+                                 antipode, self.E)
+        elif (maps.t2.algebra is not algebra or maps.slices.left != self.delta
+              or maps.slices.right != self.delta or maps.antipode != antipode
+              or maps.E != self.E):
+            raise AlgebraError("shared maps belong to another coproduct, antipode or idempotent")
+        self.maps = maps
+        self.slices = maps.slices
+        self.t2 = maps.t2
 
     @property
     def dim(self) -> int:
         return self.algebra.dim
-
-    @cached_property
-    def antipode_bijective(self) -> bool:
-        return self.antipode.is_bijective()
-
-    def antipode_inv(self) -> LinMap:
-        if self._antipode_inv is None:
-            if not self.antipode_bijective:
-                raise AntipodeNotBijective("antipode matrix is singular")
-            self._antipode_inv = self.antipode.inverse()
-        return self._antipode_inv
 
     def delta_of(self, x: Vec) -> Vec:
         return lincomb(x, self.delta)
@@ -127,37 +208,6 @@ class WeakMultiplierHopfAlgebra:
 
     def target_value(self, a: int) -> Vec:
         return self.t2.mul_map(self.t2.map_leg2(self.antipode, self.delta[a]))
-
-    # -- canonical maps -------------------------------------------------
-
-    @cached_property
-    def maps(self) -> dict[tuple[int, str], Applied]:
-        """T_i, R_i, P_i and Q_i (names "T", "R", "P", "Q"), i = 1..4, as
-        functions with their values on the g_a of T_i's kind; R_i =
-        L T_p L^-1 is ``CoproductSlices.twisted``."""
-        s, si = self.antipode, self.antipode_inv()
-        out = {}
-        for i in (1, 2, 3, 4):
-            out[i, "T"], out[i, "R"] = self.slices.applied(i), self.slices.twisted(i, s, si)
-            for name, which in (("P", i), ("Q", "EL" if i in (1, 4) else "ER")):
-                out[i, name] = self.projection(which).applied(i)
-        return out
-
-    def kernel_idempotent(self, which: int) -> Vec:
-        """F_1..F_4: the canonical idempotent with L moved through its
-        leg (``TWISTS``); like R_which, it needs S bijective."""
-        if which not in TWISTS:
-            raise ValueError(which)
-        leg, inverted, _ = TWISTS[which]
-        s, si = self.antipode, self.antipode_inv()
-        return (self.t2.map_leg1 if leg == 1 else self.t2.map_leg2)(si if inverted else s, self.E)
-
-    def projection(self, which) -> Projection:
-        """The map E ("EL", "ER") or F_which (1..4) cuts out of A (x) A,
-        under ``algebra.PROJECTION_FLAGS``: P_which is expected to equal
-        R_which T_which, its complement im(id - P_which) ker T_which."""
-        elt = self.E if which in ("EL", "ER") else self.kernel_idempotent(which)
-        return self.t2.projection(elt, which)
 
     @cached_property
     def e_law_failure(self) -> tuple[str, dict] | None:
@@ -177,45 +227,15 @@ class WeakMultiplierHopfAlgebra:
         return None
 
     @cached_property
-    def antihom_failure(self) -> tuple | None:
-        """The first basis pair (i, j), as ``first_failure`` names it, at
-        which S(e_i e_j) != S(e_j) S(e_i); None when S is
-        anti-multiplicative."""
-        alg = self.algebra
-        return first_failure((alg.dim, alg.dim),
-                             [multiplicativity(alg, self.antipode.cols, alg.mul, anti=True)])
-
-    @property
-    def module_premise(self) -> bool:
-        """M of the module docstring."""
-        return (self.antipode_bijective and self.antihom_failure is None
-                and self.t2.generated())
-
-    @cached_property
     def certificate(self) -> tuple | None:
         """(tr EL, tr ER) when H of the module docstring holds, else
         None.  T_i R_i == Q_i is asked for i = 1, 2, ... only up to the
         first i that fails."""
-        if (self.e_law_failure is not None or not self.module_premise
-                or not all(self.agrees(i, "TR", "Q") for i in (1, 2, 3, 4))):
+        maps = self.maps
+        if (self.e_law_failure is not None or not maps.module_premise
+                or not all(maps.agrees(i, "TR", "Q") for i in (1, 2, 3, 4))):
             return None
-        return self.projection("EL").trace, self.projection("ER").trace
-
-    def first_difference(self, which: int, lhs: str, rhs: str,
-                         basis: bool = False) -> int | None:
-        """``slices.first_difference`` of the words lhs and rhs over "T",
-        "R", "P", "Q" of index which ("RT" is R_which T_which), on the
-        basis vectors when basis is set or M fails."""
-        size = None if self.module_premise and not basis else self.t2.size
-        return first_difference(*([self.maps[which, name] for name in reversed(word)]
-                                  for word in (lhs, rhs)), size=size)
-
-    def agrees(self, which: int, lhs: str, rhs: str) -> bool:
-        """Whether ``first_difference`` finds none; memoized."""
-        key = (which, lhs, rhs)
-        if key not in self._agrees:
-            self._agrees[key] = self.first_difference(which, lhs, rhs) is None
-        return self._agrees[key]
+        return maps.projection("EL").trace, maps.projection("ER").trace
 
 
 # -- individual checks --------------------------------------------------
@@ -347,8 +367,8 @@ def check_range_conditions(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
     held = bundle.certificate
     if held is not None:
         return passed("range-conditions", detail=f"E(AxA) dim {held[0]}, (AxA)E dim {held[1]}")
-    left_range = bundle.projection("EL").image
-    right_range = bundle.projection("ER").image
+    left_range = bundle.maps.projection("EL").image
+    right_range = bundle.maps.projection("ER").image
     images = bundle.slices.canonical_image
     claims = [
         ("T1", images(1), left_range),
@@ -366,8 +386,7 @@ def check_range_conditions(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
 
 def check_antipode_identities(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
     alg, t2, d = bundle.algebra, bundle.t2, bundle.dim
-    s = bundle.antipode
-    si = bundle.antipode_inv()
+    s, si = bundle.maps.antipode_pair()
     target_map = LinMap(d, d, [bundle.target_value(j) for j in range(d)])
     source_map = LinMap(d, d, [bundle.source_value(j) for j in range(d)])
 
@@ -387,7 +406,7 @@ def check_antipode_identities(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
 
 
 def check_antipode_antihom(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
-    bad = bundle.antihom_failure
+    bad = bundle.maps.antihom_failure
     if bad is not None:
         return failed("antipode-antihomomorphism",
                       {"pair": [bundle.algebra.labels[i] for i in bad[0]]})
@@ -412,10 +431,11 @@ def check_generalized_inverses(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord
     and R_i T_i R_i = R_i is T_p R_p T_p = T_p for the partner p."""
     if bundle.certificate is not None:
         return passed("generalized-inverses")
+    maps = bundle.maps
     for i in (1, 2, 3, 4):
-        if not bundle.agrees(i, "TRT", "T"):
+        if not maps.agrees(i, "TRT", "T"):
             return failed("generalized-inverse-TRT", {"map": f"T{i}"})
-        if not bundle.agrees(TWISTS[i][2], "TRT", "T"):     # R_i T_i R_i = R_i
+        if not maps.agrees(TWISTS[i][2], "TRT", "T"):     # R_i T_i R_i = R_i
             return failed("generalized-inverse-RTR", {"map": f"R{i}"})
     return passed("generalized-inverses")
 
@@ -424,12 +444,13 @@ def check_projection_formulas(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
     """TR is multiplication by E on the matching side; RT is the
     twisted F-idempotent projector.  Where RT differs, the basis vectors
     are scanned for the first differing column (a, b), the witness."""
+    maps = bundle.maps
     for i in (1, 2, 3, 4):
-        if not bundle.agrees(i, "TR", "Q"):
+        if not maps.agrees(i, "TR", "Q"):
             return failed("projection-formula-TR", {"map": f"T{i}R{i}"})
     for i in (1, 2, 3, 4):
-        if not bundle.agrees(i, "RT", "P"):
-            pair = divmod(bundle.first_difference(i, "RT", "P", basis=True), bundle.dim)
+        if not maps.agrees(i, "RT", "P"):
+            pair = divmod(maps.first_difference(i, "RT", "P", basis=True), bundle.dim)
             return failed("projection-formula-RT", {
                 "map": f"R{i}T{i}", "pair": [bundle.algebra.labels[a] for a in pair]})
     return passed("projection-formulas")
@@ -439,11 +460,11 @@ def check_kernel_subspaces(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
     """ker T_i = im(id - P_i), proved by T_i R_i T_i = T_i (or the
     certificate) and R_i T_i = P_i (module docstring); where either
     fails, ``CoproductSlices.kernel_is_complement`` decides it."""
-    certified = bundle.certificate is not None
+    certified, maps = bundle.certificate is not None, bundle.maps
     for i in (1, 2, 3, 4):
-        if (certified or bundle.agrees(i, "TRT", "T")) and bundle.agrees(i, "RT", "P"):
+        if (certified or maps.agrees(i, "TRT", "T")) and maps.agrees(i, "RT", "P"):
             continue
-        proj = bundle.projection(i)
+        proj = maps.projection(i)
         if not bundle.slices.kernel_is_complement(i, proj):
             described, kernel = proj.complement, bundle.slices.canonical_kernel(i)
             return failed("kernel-subspaces",
@@ -463,12 +484,10 @@ def run_suite(bundle: WeakMultiplierHopfAlgebra) -> Report:
     report.add(check_counit_uniqueness(bundle))
     report.add(check_E_identities(bundle))
     report.add(check_range_conditions(bundle))
-    try:
-        bundle.antipode_inv()
-        report.add(passed("antipode-bijective"))
-    except AntipodeNotBijective:
+    if bundle.maps.antipode_inv is None:
         report.add(failed("antipode-bijective", {"rank": bundle.antipode.rank()}))
         return report
+    report.add(passed("antipode-bijective"))
     report.add(check_antipode_antihom(bundle))
     report.add(check_antipode_flips_coproduct(bundle))
     report.add(check_antipode_identities(bundle))

@@ -7,10 +7,10 @@ import pytest
 
 import weakhopf.algebra
 import weakhopf.slices
-from weakhopf.algebra import (CoproductSlices, DegenerateProduct, FiniteAlgebra,
-                              NonAssociative, NotIdempotent, Projection, TensorSquare,
-                              direct_sum, field_algebra, make_algebra, matrix_algebra,
-                              opposite_algebra, tensor_algebra)
+from weakhopf.algebra import (DegenerateProduct, FiniteAlgebra, NonAssociative,
+                              NotIdempotent, Projection, TensorSquare, direct_sum,
+                              field_algebra, make_algebra, matrix_algebra, opposite_algebra,
+                              tensor_algebra)
 from weakhopf.algebroid import forward_construct
 from weakhopf.balanced import relation_space
 from weakhopf.base_algebras import SubalgebraView, run_base_suite
@@ -19,6 +19,7 @@ from weakhopf.groupoids import as_wmha, pair_groupoid
 from weakhopf.linalg import LinMap, Subspace, apply_legs, on_leg, unit_vec, vaxpy, vtensor
 from weakhopf.reconstruction import reconstruction_pipeline
 from weakhopf.separability import build_E_from_functional
+from weakhopf.slices import CoproductSlices
 from weakhopf.wmha import check_E_identities, run_suite
 
 
@@ -277,7 +278,7 @@ def test_structure_constant_maps_match_leg_products(bundle):
         if c:
             x[rng.randrange(t2.size)] = c
     assert t2.mul(x, x) != x
-    for elt in [bundle.kernel_idempotent(i) for i in (1, 2, 3, 4)] + [bundle.E, x]:
+    for elt in [bundle.maps.kernel_idempotent(i) for i in (1, 2, 3, 4)] + [bundle.E, x]:
         for which in (1, 2, 3, 4):
             assert t2.projection(elt, which).map == _reference_projector(t2, elt, which)
         assert t2.projection(elt, "EL").map == LinMap(
@@ -484,7 +485,7 @@ def test_generalized_inverses_match_the_kronecker_formula(bundle):
     by column the product of Kronecker matrices it replaced, for each i.
     On base-m2-weighted S^2 is not the identity, so S and S^-1 are told
     apart."""
-    s, si, ident = bundle.antipode, bundle.antipode_inv(), LinMap.identity(bundle.dim)
+    s, si, ident = bundle.antipode, bundle.maps.antipode_inv, LinMap.identity(bundle.dim)
     t = bundle.slices.canonical_map
     want = {1: _kronecker(ident, s) @ t(3) @ _kronecker(ident, si),
             2: _kronecker(s, ident) @ t(4) @ _kronecker(si, ident),
@@ -493,10 +494,10 @@ def test_generalized_inverses_match_the_kronecker_formula(bundle):
     for i, m in want.items():
         r = bundle.maps[i, "R"]
         assert [r.apply(unit_vec(p)) for p in range(m.ncols)] == m.cols
-        assert bundle.kernel_idempotent(i) == _kronecker(*[(ident, s), (s, ident), (ident, si),
-                                                            (si, ident)][i - 1]).apply(bundle.E)
+        assert bundle.maps.kernel_idempotent(i) == _kronecker(
+            *[(ident, s), (s, ident), (ident, si), (si, ident)][i - 1]).apply(bundle.E)
     with pytest.raises(ValueError):
-        bundle.kernel_idempotent(5)
+        bundle.maps.kernel_idempotent(5)
 
 
 def test_leg_products_compute_each_image_once(monkeypatch):

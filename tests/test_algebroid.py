@@ -68,7 +68,7 @@ def test_counital_image_spans_base(p2_algebroid):
 
 def test_counital_maps_from_source_target(p2_bundle, p2_algebroid):
     # eps_B = S^{-1} o target map, eps_C = S^{-1} o source map, elementwise
-    si = p2_bundle.antipode_inv()
+    si = p2_bundle.maps.antipode_inv
     for i in range(p2_bundle.dim):
         assert p2_algebroid.eps_b.apply(unit_vec(i)) == si.apply(
             p2_bundle.target_value(i))

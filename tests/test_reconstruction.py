@@ -1,12 +1,13 @@
 import json
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from weakhopf import algebroid, io, reconstruction, wmha
-from weakhopf.algebra import (PROJECTION_FLAGS, CoproductSlices, Projection, TensorSquare,
-                              matrix_algebra)
+from weakhopf.algebra import (PROJECTION_FLAGS, Projection, TensorSquare, matrix_algebra,
+                              multiplicativity)
 from weakhopf.algebroid import check_algebroid_axioms, forward_construct
 from weakhopf.balanced import BalancedTensorSpace
 from weakhopf.examples import (identity_twist, mixed_algebroid,
@@ -24,6 +25,8 @@ from weakhopf.reconstruction import (ObstructionReport, PipelineResult, Reconstr
                                      reconstruction_pipeline)
 from weakhopf.reporting import Report
 from weakhopf.separability import build_E_from_functional
+from weakhopf.slices import CoproductSlices, first_difference
+from weakhopf.wmha import CanonicalMaps
 from weakhopf.cli import main
 
 
@@ -170,7 +173,7 @@ def test_passed_ranges_imply_full_legs(name, tmp_path, capsys):
     idem = check_separability_assumption(alg, report)
     e_elt = embed_idempotent(alg.graph, idem)
     cops = build_delta(alg, e_elt)
-    assert check_ranges_and_fullness(alg, cops, e_elt, report)
+    assert check_ranges_and_fullness(CanonicalMaps(cops, alg.antipode, e_elt), report)
     t2, d = alg.t2, alg.dim
     for leg in (1, 2):
         span = Subspace.from_vectors(d, (v for a in range(d) for b in range(d)
@@ -250,7 +253,7 @@ def _counting_builds(monkeypatch):
 def _cut_by_e(bundle):
     """(flags, element) of the six maps E and F_1..F_4 cut out."""
     return {(PROJECTION_FLAGS[w], frozenset(
-        (bundle.E if w in ("EL", "ER") else bundle.kernel_idempotent(w)).items()))
+        (bundle.E if w in ("EL", "ER") else bundle.maps.kernel_idempotent(w)).items()))
             for w in PROJECTION_FLAGS}
 
 
@@ -342,9 +345,9 @@ def test_projections_are_shared_by_equal_elements_only():
     first, again = t2.projection(dict(e), "EL"), t2.projection(dict(e), "EL")
     assert first is again
     assert first.image is again.image and first.complement is again.complement
-    assert bundle.projection("EL") is bundle.t2.projection(dict(e), "EL")
-    assert bundle.projection("EL") is not first  # another tensor square
-    f1, f2 = bundle.kernel_idempotent(1), bundle.kernel_idempotent(2)
+    assert bundle.maps.projection("EL") is bundle.t2.projection(dict(e), "EL")
+    assert bundle.maps.projection("EL") is not first  # another tensor square
+    f1, f2 = bundle.maps.kernel_idempotent(1), bundle.maps.kernel_idempotent(2)
     assert f1 != f2 and PROJECTION_FLAGS[1] == PROJECTION_FLAGS[2]
     assert t2.projection(f1, 1).map != t2.projection(f2, 2).map
     changed = dict(e)
@@ -468,3 +471,70 @@ def test_corrupted_rebuilt_coproducts_never_certify(tmp_path, capsys, monkeypatc
                                      "witness-revalidation"]), failures
                 endings[failures[-1]] += 1
     assert set(endings) == {"internal-inconsistency", "witness-revalidation"}
+
+
+def _rebind(monkeypatch, original, replacement):
+    """Replace every binding of original in the engine's modules."""
+    for module in [m for n, m in list(sys.modules.items()) if n.startswith("weakhopf.")]:
+        for name, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, name, replacement)
+
+
+def _pipeline_input(name, tmp_path, capsys):
+    """(command, path): algebroid-to-wmha of the base-m2-weighted
+    algebroid file, or roundtrip of the pair-3 wmha file."""
+    if name == "base-m2-weighted-file":
+        return "algebroid-to-wmha", _algebroid_file(tmp_path, capsys)
+    path = str(tmp_path / "pair-3.json")
+    assert main(["gen-example", "pair-groupoid", "--n", "3", "--out", path]) == 0
+    capsys.readouterr()
+    return "roundtrip", path
+
+
+@pytest.mark.parametrize("name", ["base-m2-weighted-file", "pair-3"])
+def test_final_suite_reads_the_stages_comparisons(name, tmp_path, capsys, monkeypatch):
+    """The final suite of a passing pipeline makes no comparison: its
+    certificate, projection-formulas and kernel-subspaces read the
+    comparisons the range and kernel stages left in the maps they hand
+    to the rebuilt bundle."""
+    command, path = _pipeline_input(name, tmp_path, capsys)
+    inside, calls, suites = [], [], []
+    suite = reconstruction.run_suite
+
+    def counted(*args, **kwargs):
+        calls.extend(inside)
+        return first_difference(*args, **kwargs)
+
+    def watched(bundle):
+        suites.append(bundle)
+        inside.append(True)
+        try:
+            return suite(bundle)
+        finally:
+            inside.pop()
+
+    _rebind(monkeypatch, first_difference, counted)
+    monkeypatch.setattr(reconstruction, "run_suite", watched)
+    assert main([command, path]) == 0
+    capsys.readouterr()
+    assert len(suites) == 1 and suites[0].certificate is not None
+    assert calls == []
+
+
+def test_roundtrip_scans_antipode_antimultiplicativity_once(tmp_path, capsys, monkeypatch):
+    """A passing roundtrip scans S(e_i e_j) = S(e_j) S(e_i) over the
+    basis pairs of A once: the range stage's premise, which the final
+    suite's antipode-antihomomorphism record reads."""
+    command, path = _pipeline_input("pair-3", tmp_path, capsys)
+    scans = []
+
+    def counted(alg, images, product, anti=False):
+        if anti and alg.dim == 9:
+            scans.append(alg)
+        return multiplicativity(alg, images, product, anti)
+
+    _rebind(monkeypatch, multiplicativity, counted)
+    assert main([command, path]) == 0
+    capsys.readouterr()
+    assert len(scans) == 1

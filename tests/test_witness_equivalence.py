@@ -28,10 +28,9 @@ import pytest
 from test_balanced import _path_rule_algebroids, _section_path_algebroids
 
 from weakhopf import algebroid, io
-from weakhopf.algebra import (PROJECTION_FLAGS, T_COVERS, AlgebraError, CoproductSlices,
-                              FiniteAlgebra, NonAssociative, Projection, TensorSquare,
-                              direct_sum, field_algebra, first_failure, matrix_algebra,
-                              tensor_algebra)
+from weakhopf.algebra import (PROJECTION_FLAGS, AlgebraError, FiniteAlgebra, NonAssociative,
+                              Projection, TensorSquare, direct_sum, field_algebra, first_failure,
+                              matrix_algebra, tensor_algebra)
 from weakhopf.algebroid import (MultiplierHopfAlgebroid, NotBijective, QuantumGraphPair,
                                 check_algebroid_axioms, check_algebroid_coassociativity,
                                 check_algebroid_homomorphism, check_antipode_diagrams,
@@ -52,9 +51,11 @@ from weakhopf.reconstruction import (STAGE_COUNITS_DIFFER, ObstructionReport, Pi
                                      embed_idempotent, reconstruction_pipeline)
 from weakhopf.reporting import CheckRecord, Report, failed, passed
 from weakhopf.separability import build_E_from_functional
+from weakhopf.slices import T_COVERS, CoproductSlices
 from weakhopf.witnesses import revalidate
-from weakhopf.wmha import (TWISTS, WeakMultiplierHopfAlgebra, check_antipode_antihom,
-                           check_antipode_flips_coproduct, check_antipode_identities,
+from weakhopf.wmha import (TWISTS, CanonicalMaps, WeakMultiplierHopfAlgebra,
+                           check_antipode_antihom, check_antipode_flips_coproduct,
+                           check_antipode_identities,
                            check_coassociativity, check_counit, check_E_identities,
                            check_generalized_inverses, check_homomorphism,
                            check_kernel_subspaces, check_projection_formulas,
@@ -344,8 +345,7 @@ def ref_counit(bundle):
 
 def ref_antipode_identities(bundle):
     alg, t2, d = bundle.algebra, bundle.t2, bundle.dim
-    s = bundle.antipode
-    si = bundle.antipode_inv()
+    s, si = bundle.maps.antipode_pair()
     target_map = LinMap(d, d, [bundle.target_value(j) for j in range(d)])
     source_map = LinMap(d, d, [bundle.source_value(j) for j in range(d)])
     for a in range(d):
@@ -599,7 +599,7 @@ def ref_kernel_subspaces(bundle):
     comparison the kernel check made before its certificate."""
     n = bundle.t2.size
     for i in (1, 2, 3, 4):
-        described = (LinMap.identity(n) - bundle.projection(i).map).image()
+        described = (LinMap.identity(n) - bundle.maps.projection(i).map).image()
         kernel = bundle.slices.canonical_map(i).kernel()
         if described != kernel:
             return failed("kernel-subspaces",
@@ -611,7 +611,7 @@ def ref_kernel_subspaces(bundle):
 def _kernel_branch(bundle, i):
     """Which way ``kernel_is_complement`` decides T_i: by the trace and
     the two products, or by the echelon comparison, and its answer."""
-    p, t = bundle.projection(i).map, bundle.slices.canonical_map(i)
+    p, t = bundle.maps.projection(i).map, bundle.slices.canonical_map(i)
     if (sum(p.entry(j, j) for j in range(p.ncols)) == t.rank()
             and t @ p == t and p @ p == p):
         return "certified"
@@ -646,8 +646,8 @@ def test_kernel_certificate_matches_echelon_comparison(name):
 def ref_range_conditions(bundle):
     """The range check without the certificate: im T_i and the ranges
     of E, each echelonized."""
-    left_range = bundle.projection("EL").image
-    right_range = bundle.projection("ER").image
+    left_range = bundle.maps.projection("EL").image
+    right_range = bundle.maps.projection("ER").image
     images = bundle.slices.canonical_image
     for name, got, want in (("T1", images(1), left_range), ("T2", images(2), right_range),
                             ("T3", images(3), right_range), ("T4", images(4), left_range)):
@@ -663,7 +663,7 @@ def generalized_inverse(bundle, which):
     """R_which as a d^2 x d^2 map: column p is L T_partner L^-1 e_p, the
     partner's slice map conjugated by L on one leg (``TWISTS``)."""
     leg, inverted, partner = TWISTS[which]
-    s, si = bundle.antipode, bundle.antipode_inv()
+    s, si = bundle.maps.antipode_pair()
     l, l_inv = (si, s) if inverted else (s, si)
     leg_map = bundle.t2.map_leg1 if leg == 1 else bundle.t2.map_leg2
     t, size = bundle.slices.canonical_map(partner), bundle.t2.size
@@ -695,7 +695,7 @@ def ref_kernel_by_trace(bundle):
     """The kernel check without the certificate: each T_i by the trace
     and two products, else by echelon forms."""
     for i in (1, 2, 3, 4):
-        proj = bundle.projection(i)
+        proj = bundle.maps.projection(i)
         if not bundle.slices.kernel_is_complement(i, proj):
             return failed("kernel-subspaces",
                           {"map": f"T{i}", "described_dim": proj.complement.dim,
@@ -715,7 +715,7 @@ def _premise(bundle):
         return "holds"
     if bundle.e_law_failure is not None:
         return bundle.e_law_failure[0]
-    return "T_iR_i-differs" if bundle.antipode_bijective else "antipode-singular"
+    return "T_iR_i-differs" if bundle.maps.antipode_inv is not None else "antipode-singular"
 
 
 def _certified_records_match(bundle):
@@ -789,7 +789,7 @@ def test_certified_suite_forms_no_extra_product_or_image(name, monkeypatch):
 def _cut_map(bundle, which):
     """The map E ("EL", "ER") or F_which cuts out of A (x) A, built
     afresh."""
-    elt = bundle.E if which in ("EL", "ER") else bundle.kernel_idempotent(which)
+    elt = bundle.E if which in ("EL", "ER") else bundle.maps.kernel_idempotent(which)
     return bundle.t2._covered_map(elt, *PROJECTION_FLAGS[which])
 
 
@@ -834,13 +834,13 @@ def _generator_premise(bundle):
     the order it is tried, or "holds"; under it, whether every
     R_i T_i == P_i."""
     if bundle.certificate is not None:
-        return ("holds" if all(bundle.agrees(i, "RT", "P") for i in (1, 2, 3, 4))
+        return ("holds" if all(bundle.maps.agrees(i, "RT", "P") for i in (1, 2, 3, 4))
                 else "R_iT_i-differs")
     if bundle.e_law_failure is not None:
         return bundle.e_law_failure[0]
-    if not bundle.antipode_bijective:
+    if bundle.maps.antipode_inv is None:
         return "antipode-singular"
-    if bundle.antihom_failure is not None:
+    if bundle.maps.antihom_failure is not None:
         return "antipode-not-antihomomorphism"
     return "T_iR_i-differs" if bundle.t2.generated() else "no-associativity-flag"
 
@@ -892,20 +892,21 @@ def test_generator_decisions_equal_map_products(name):
     bundle = as_wmha(pair_groupoid(2)) if name == "pair-2" else swap_crossed_setup()[0]
     seen = Counter()
     for bad in itertools.chain([bundle], _base_mutants(bundle)):
-        if not bad.antipode_bijective or bad.antihom_failure is not None:
+        if bad.maps.antipode_inv is None or bad.maps.antihom_failure is not None:
             continue
-        assert bad.module_premise
+        assert bad.maps.module_premise
         for i in (1, 2, 3, 4):
-            p, t, proj = _cut_map(bad, i), bad.slices.canonical_map(i), bad.projection(i)
+            p, t, proj = _cut_map(bad, i), bad.slices.canonical_map(i), bad.maps.projection(i)
             q, r = _cut_map(bad, "EL" if i in (1, 4) else "ER"), generalized_inverse(bad, i)
             tp = all(bad.slices.apply(i, y) == want for y, want in
                      zip(proj.on_generators(3 - T_COVERS[i][0]), bad.slices.on_generators(i)))
-            got = (bad.agrees(i, "TR", "Q"), bad.agrees(i, "RT", "P"), bad.agrees(i, "TRT", "T"),
-                   bad.agrees(i, "RTR", "R"), tp, proj.apply(proj.cut[1]) == proj.cut[1])
+            agrees = bad.maps.agrees
+            got = (agrees(i, "TR", "Q"), agrees(i, "RT", "P"), agrees(i, "TRT", "T"),
+                   agrees(i, "RTR", "R"), tp, proj.apply(proj.cut[1]) == proj.cut[1])
             tr, rt = composite(bad, i, "TR"), composite(bad, i, "RT")
             assert got == (tr == q, rt == p, tr @ t == t, rt @ r == r, t @ p == t, p @ p == p)
             # the generalized-inverse check decides R_i T_i R_i = R_i by the partner's TRT
-            assert got[3] == bad.agrees(TWISTS[i][2], "TRT", "T")
+            assert got[3] == bad.maps.agrees(TWISTS[i][2], "TRT", "T")
             assert proj.trace == p.trace()
             seen.update(zip(LAWS, got))
     assert set(seen) == {(law, held) for law in LAWS for held in (True, False)}, seen
@@ -993,11 +994,11 @@ def _test_set(bundle):
     """Where the suite decided the projector records: by the
     certificate, on the generators, on the basis vectors, or not at all
     (S singular stops the suite first)."""
-    if not bundle.antipode_bijective:
+    if bundle.maps.antipode_inv is None:
         return "not-reached"
     if bundle.certificate is not None:
         return "certificate"
-    return "generators" if bundle.module_premise else "basis"
+    return "generators" if bundle.maps.module_premise else "basis"
 
 
 def _base_mutants(bundle):
@@ -1603,12 +1604,12 @@ def _stages_match(alg) -> list[tuple[str, str, bool]]:
     e_elt = embed_idempotent(alg.graph, idem)
     engine, reference = build_delta(alg, e_elt), build_delta(alg, e_elt)
     got, want = Report("reconstruction"), Report("reconstruction")
-    reached = []
+    reached, maps = [], CanonicalMaps(engine, alg.antipode, e_elt)
     for stage, check, ref in (("ranges", check_ranges_and_fullness, ref_echelon_ranges),
-                              ("kernels", lambda a, c, e, r: check_kernels(a, c, r),
+                              ("kernels", lambda m, r: check_kernels(alg, m, r),
                                ref_echelon_kernels)):
         echelons = len(engine._spaces)
-        ok = check(alg, engine, e_elt, got)
+        ok = check(maps, got)
         assert ok == ref(alg, reference, e_elt, want)
         assert got.records[-1].to_dict() == want.records[-1].to_dict()
         reached.append((stage, "echelon" if len(engine._spaces) > echelons else "generators", ok))

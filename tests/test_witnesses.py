@@ -17,6 +17,7 @@ from weakhopf.reconstruction import (ObstructionReport, RebuiltCoproducts,
                                      reconstruction_pipeline)
 from weakhopf.reporting import Report
 from weakhopf.witnesses import revalidate
+from weakhopf.wmha import CanonicalMaps
 
 
 def test_radical_witness_revalidates():
@@ -93,7 +94,7 @@ def test_synthetic_range_failure_revalidates(p2_setup):
     left = list(honest.left)
     left[0] = {}
     cops = RebuiltCoproducts(alg.t2, left, honest.right)
-    assert check_ranges_and_fullness(alg, cops, bundle.E, report) is False
+    assert check_ranges_and_fullness(CanonicalMaps(cops, alg.antipode, bundle.E), report) is False
     witness = report.records[-1].witness
     assert "witness_vector" in witness
     obstruction = ObstructionReport(STAGE_RANGES, witness, "synthetic", report)
@@ -115,7 +116,7 @@ def test_synthetic_kernel_failure_revalidates(p2_setup):
     bad = _corrupted(alg, 0)
     report = Report("synthetic")
     cops = build_delta(bad, bundle.E)
-    assert check_kernels(bad, cops, report) is False
+    assert check_kernels(bad, CanonicalMaps(cops, bad.antipode, bundle.E), report) is False
     witness = report.records[-1].witness
     assert "witness_vector" in witness
     obstruction = ObstructionReport(STAGE_KERNELS, witness, "synthetic", report)
@@ -130,7 +131,7 @@ def test_kernel_revalidation_is_independent_of_the_projector_kernel(p2_setup, mo
     bad = _corrupted(alg, 0)
     report = Report("synthetic")
     cops = build_delta(bad, bundle.E)
-    assert check_kernels(bad, cops, report) is False
+    assert check_kernels(bad, CanonicalMaps(cops, bad.antipode, bundle.E), report) is False
     witness = report.records[-1].witness
     obstruction = ObstructionReport(STAGE_KERNELS, witness, "synthetic", report)
 

@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from weakhopf.algebra import AlgebraError
 from weakhopf.groupoids import (action_groupoid, as_wmha,
                                 cyclic_group, group_groupoid, pair_groupoid)
-from weakhopf.linalg import unit_vec, vtensor
-from weakhopf.wmha import (WeakMultiplierHopfAlgebra,
+from weakhopf.linalg import LinMap, unit_vec, vtensor
+from weakhopf.slices import CoproductSlices
+from weakhopf.wmha import (CanonicalMaps, WeakMultiplierHopfAlgebra,
                            check_counit, check_E_identities,
                            check_generalized_inverses, run_suite)
 
@@ -71,7 +73,7 @@ def test_canonical_map_values(p2, p2_bundle):
 def test_kernel_idempotent_is_source_indicator(p2, p2_bundle):
     # with S applied to its second leg, the composability indicator
     # becomes the equal-source indicator
-    f1 = p2_bundle.kernel_idempotent(1)
+    f1 = p2_bundle.maps.kernel_idempotent(1)
     n = p2.size
     expected = {}
     for p in range(n):
@@ -156,3 +158,22 @@ def test_suite_flags_unreproduced_axioms_as_skipped(p2_bundle):
                if r.name == "axioms-outside-reproduced-list")
     assert rec.status == "skipped-not-applicable"
     assert report.ok
+
+
+def test_bundle_refuses_maps_of_another_structure(p2_bundle):
+    """A bundle shares maps only when their slices, antipode and E are
+    its own; maps of another antipode, another E or other slices are
+    refused, so no comparison of another structure is read."""
+    b = p2_bundle
+    args = (b.algebra, b.delta, b.counit, b.antipode, b.E)
+    assert WeakMultiplierHopfAlgebra(*args, maps=b.maps).maps is b.maps
+    cols = list(b.antipode.cols)
+    cols[0] = {**cols[0], 1: cols[0].get(1, 0) + 1}
+    other_e = dict(b.E)
+    other_e[next(iter(other_e))] += 1
+    other_delta = [{}] + b.delta[1:]
+    for maps in (CanonicalMaps(b.slices, LinMap(b.dim, b.dim, cols), b.E),
+                 CanonicalMaps(b.slices, b.antipode, other_e),
+                 CanonicalMaps(CoproductSlices(b.t2, other_delta, other_delta), b.antipode, b.E)):
+        with pytest.raises(AlgebraError):
+            WeakMultiplierHopfAlgebra(*args, maps=maps)

@@ -104,13 +104,11 @@ def decided_by(engine, doc: dict) -> str:
     except ValueError:
         return "rejected"
     wmha.run_suite(bundle)
-    if not bundle.antipode_bijective:
+    if bundle.maps.antipode_inv is None:
         return "not reached"
     if bundle.certificate is not None:
         return "certificate"
-    if bundle.antihom_failure is None and bundle.t2.generated():
-        return "generators"
-    return "basis"
+    return "generators" if bundle.maps.module_premise else "basis"
 
 
 def canonical_ending(run: dict) -> str:
