@@ -127,12 +127,13 @@ class QuantumGraphPair:
     def f_element(self, which: int) -> Vec:
         """The pair's idempotent E with one leg twisted by the matching
         anti-isomorphism (F_which), realized in A (x) A: the twist applied
-        to E's coordinates, then both legs embedded from the base it maps to."""
+        to E's coordinates, then both legs embedded from the base it maps
+        to; F_3 and F_4 invert S_B resp. S_C."""
         if which not in (1, 2, 3, 4):
             raise ValueError(which)
         leg, twist, view = {1: (2, self.s_c, self.b_view), 2: (1, self.s_b, self.c_view),
-                            3: (2, self.s_b.inverse(), self.b_view),
-                            4: (1, self.s_c.inverse(), self.c_view)}[which]
+                            3: (2, self.s_b, self.b_view), 4: (1, self.s_c, self.c_view)}[which]
+        twist = twist.inverse() if which > 2 else twist
         twisted = on_leg(self.e_coords, self.c_view.dim if leg == 1 else 1, twist.ncols,
                          twist.cols.__getitem__, twist.nrows)
         return apply_legs(view.basis_map, view.basis_map, twisted)
@@ -235,6 +236,7 @@ def forward_construct(bundle: WeakMultiplierHopfAlgebra) -> tuple[MultiplierHopf
         delta_c=[dict(v) for v in bundle.delta],
         eps_b=eps_b, eps_c=eps_c,
         antipode=bundle.antipode)
+    alg.maps = bundle.maps.over(alg.slices)
     return alg, report
 
 

@@ -50,10 +50,10 @@ def _vec_list(v: Vec, n: int) -> list[str]:
 
 
 def _require_shape(xs, *shape: int) -> None:
-    """Nested lists xs must have exactly these lengths, outermost first."""
+    """Nested lists xs, not strings or objects, of these lengths, outermost first."""
     level = [xs]
     for n in shape:
-        if any(len(x) != n for x in level):
+        if any(type(x) is not list or len(x) != n for x in level):
             raise SchemaError(f"expected a {' x '.join(map(str, shape))} array")
         level = [y for x in level for y in x]
 

@@ -19,50 +19,32 @@ among it ``coproduct-homomorphism``, ``canonical-idempotent-identities``,
 ``check-algebroid``, any other failure is a ``ReconstructionError``.
 
 The slices are held by ``slices.CoproductSlices``, which caches each
-once.  ``reconstruction_pipeline`` builds one ``wmha.CanonicalMaps`` of
-the rebuilt slices under the algebroid's antipode S and E, and hands it
-to the range stage, the kernel stage and the rebuilt bundle: it is the
-one memo of S^-1, of the scan of S's anti-multiplicativity and of every
-comparison, so the final suite's certificate, ``projection-formulas``
-and ``kernel-subspaces`` read what the stages decided.  The stages
-decide on the d module generators g_a of the ``algebra`` lemma, with
-T_i the canonical maps of the rebuilt slices, Q_1 = Q_4 = EL (y -> Ey),
-Q_2 = Q_3 = ER (y -> yE), P_i the map F_i cuts out and R_i = L T_p L^-1.
-When M holds (S a bijective anti-homomorphism, the square generated),
-all four are module maps of T_i's kind, so an identity between them
-holds iff it holds on the g_a.
+once.  ``reconstruction_pipeline`` builds the ``wmha.CanonicalMaps`` of
+the rebuilt slices and E ``over`` the algebroid's maps, so S is inverted
+and its anti-multiplicativity scanned once, and hands it to the range
+stage, the kernel stage and the rebuilt bundle.  The stages take the
+range and kernel decisions from it, proved in the ``wmha`` docstring,
+and only format their records; the final suite's certificate,
+``canonical-idempotent-identities``, ``projection-formulas`` and
+``kernel-subspaces`` read what the stages computed.  Only echelon
+forms name witnesses, so the reports do not depend on the path.
 
 The kernel stage cuts P_i out by the graph pair's F_i (``f_element``:
 S_B, S_C or an inverse moved through E's coordinates in B (x) C), the
 maps by S or S^-1 moved through a leg of E.  On an accepted input the
-two are equal, so they cut out one memoized map and the stage compares
-through the shared memo: E = ``graph.embed(idem.e)`` lies in B (x) C,
-and S restricts to S_B on B and to S_C on C, by ``antipode-restriction``
-after ``check-algebroid`` and, on a round trip, because the base suite
-takes S_B and S_C as S restricted (``b_view.restrict(s, c_view)``);
-S_B and S_C being bijective, S^-1 restricts to S_B^-1 on C and S_C^-1
-on B.  Where they differ, the stage decides by echelon forms.
+two are equal, so they cut out one memoized map and the decision
+certifies it with the maps' comparisons: E = ``graph.embed(idem.e)``
+lies in B (x) C, and S restricts to S_B on B and to S_C on C, by
+``antipode-restriction`` after ``check-algebroid`` and, on a round trip,
+because the base suite takes S_B and S_C as S restricted
+(``b_view.restrict(s, c_view)``); S_B and S_C being bijective, S^-1
+restricts to S_B^-1 on C and S_C^-1 on B.  Where they differ,
+``CoproductSlices.kernel_is_complement`` decides.
 
-* Ranges.  If Q_i T_i = T_i and T_i R_i = Q_i, then im T_i =
-  im Q_i T_i lies in im Q_i = im T_i R_i, which lies in im T_i, so
-  im T_i = im Q_i.  E^2 = E (an invariant the graph pair holds E to,
-  carried into A (x) A by the multiplicative embedding), so EL and ER
-  are idempotent and their ranks are their traces.
-* Kernels.  If R_i T_i = P_i and T_i R_i T_i = T_i (compared as
-  T_i P_i = T_i, which it equals once R_i T_i = P_i, so that R_i is
-  applied once), then P_i^2 = R_i (T_i R_i T_i) = P_i,
-  T_i (1 - P_i) = 0 and rank P_i <= rank T_i = rank T_i P_i <=
-  rank P_i.  So im(1 - P_i) = ker P_i lies in ker T_i and has its
-  dimension: the two are equal, with no rank computed.
-
-Where S or an identity fails, the stage falls back to echelon forms:
-the images of T_i and Q_i, resp. ``CoproductSlices.kernel_is_complement``.
-Only these name witnesses, so the reports do not depend on the path.
-A is unital, so
-Delta(a), Delta'(a) and E are honest elements: the comultiplicativity
-of E, mixed coassociativity and the merge are each decided by comparing
-two elements, and a failure is named by the first basis triple (or
-pair) at which the covered form of the identity fails.
+A is unital, so Delta(a), Delta'(a) and E are honest elements: the
+comultiplicativity of E, mixed coassociativity and the merge are each
+decided by comparing two elements, and a failure is named by the first
+basis triple (or pair) at which the covered form of the identity fails.
 """
 
 from __future__ import annotations
@@ -84,6 +66,10 @@ STAGE_MODULAR_MISMATCH = "ModularAutomorphismMismatch"
 STAGE_COUNITS_DIFFER = "CounitsDiffer"
 STAGE_RANGES = "RangeConditionFailed"
 STAGE_KERNELS = "KernelConditionFailed"
+
+# which -> the slice span im T_which, in the order the range stage asks
+RANGE_SPACES = {1: "Delta(A)(1xA)", 4: "Delta(A)(Ax1)", 3: "(1xA)Delta'(A)",
+                2: "(Ax1)Delta'(A)"}
 
 
 class ReconstructionError(ValueError):
@@ -206,32 +192,27 @@ def check_ranges_and_fullness(maps: CanonicalMaps, report: Report) -> bool:
     any f extending phi_B, integral-B gives (f (x) id)(E(1 (x) b)) = b,
     so every b lies in the second.
 
-    Decided on the generators when M holds, Q_i T_i = T_i and
-    T_i R_i = Q_i (module docstring), with dimensions tr EL and tr ER;
-    else by echelon forms, which name the witness."""
-    cops, left, right = maps.slices, maps.projection("EL"), maps.projection("ER")
-    if maps.module_premise and all(maps.agrees(i, "QT", "T") and maps.agrees(i, "TR", "Q")
-                                   for i in (1, 4, 3, 2)):
-        report.add(passed("rebuilt-range-conditions",
-                          detail=f"ranges dim {int(left.trace)}/{int(right.trace)}"))
-        return True
-    left_range, right_range = left.image, right.image
-    spans = {name: cops.canonical_image(which)
-             for name, which in (("Delta(A)(1xA)", 1), ("Delta(A)(Ax1)", 4),
-                                 ("(1xA)Delta'(A)", 3), ("(Ax1)Delta'(A)", 2))}
-    for name, want in (("Delta(A)(1xA)", left_range), ("Delta(A)(Ax1)", left_range),
-                       ("(1xA)Delta'(A)", right_range), ("(Ax1)Delta'(A)", right_range)):
-        if spans[name] != want:
-            sep = next((r for r in spans[name].rows if not want.contains(r)), None)
-            if sep is None:
-                sep = next(r for r in want.rows if not spans[name].contains(r))
-            witness = {"space": name, "dim": spans[name].dim,
-                       "expected_dim": want.dim, "witness_vector": sep}
-            report.add(failed("rebuilt-range-conditions", witness))
-            return False
+    Decided by ``CanonicalMaps.range_failure``; a failure is named by a
+    vector of one subspace outside the other."""
+    bad = maps.range_failure(RANGE_SPACES)
+    if bad is not None:
+        which, got, want = bad
+        report.add(failed("rebuilt-range-conditions",
+                          {"space": RANGE_SPACES[which], "dim": got.dim,
+                           "expected_dim": want.dim, "witness_vector": _separating(got, want)[0]}))
+        return False
     report.add(passed("rebuilt-range-conditions",
-                      detail=f"ranges dim {left_range.dim}/{right_range.dim}"))
+                      detail="ranges dim {}/{}".format(*maps.range_dims)))
     return True
+
+
+def _separating(first, second) -> tuple[Vec, bool]:
+    """A row of first's echelon basis outside second, with True, else
+    one of second's outside first, with False."""
+    sep = next((r for r in first.rows if not second.contains(r)), None)
+    if sep is not None:
+        return sep, True
+    return next(r for r in second.rows if not first.contains(r)), False
 
 
 def check_E_comultiplicativity(alg: MultiplierHopfAlgebroid, cops: CoproductSlices,
@@ -266,22 +247,12 @@ def check_E_comultiplicativity(alg: MultiplierHopfAlgebroid, cops: CoproductSlic
 
 def check_kernels(alg: MultiplierHopfAlgebroid, maps: CanonicalMaps, report: Report) -> bool:
     """ker T_i is the image of id - P_i, P_i cut out by the graph pair's
-    F_i: on the generators when M holds, P_i is the maps' and
-    R_i T_i = P_i and T_i P_i = T_i there (module docstring), else by
-    ``CoproductSlices.kernel_is_complement``, which names the witness."""
-    cops = maps.slices
+    F_i, by ``CanonicalMaps.kernel_is_complement``."""
     for i in (1, 2, 3, 4):
-        proj = cops.t2.projection(alg.graph.f_element(i), i)
-        if (maps.module_premise and maps.projection(i) is proj
-                and maps.agrees(i, "RT", "P") and maps.agrees(i, "TP", "T")):
-            continue
-        if not cops.kernel_is_complement(i, proj):
-            described, kernel = proj.complement, cops.canonical_kernel(i)
-            sep = next((r for r in described.rows if not kernel.contains(r)), None)
-            membership = True
-            if sep is None:
-                sep = next(r for r in kernel.rows if not described.contains(r))
-                membership = False
+        proj = maps.t2.projection(alg.graph.f_element(i), i)
+        if not maps.kernel_is_complement(i, proj):
+            described, kernel = proj.complement, maps.slices.canonical_kernel(i)
+            sep, membership = _separating(described, kernel)
             report.add(failed("rebuilt-kernel-conditions",
                               {"map": f"T{i}", "described_dim": described.dim,
                                "kernel_dim": kernel.dim, "witness_vector": sep,
@@ -334,7 +305,7 @@ def reconstruction_pipeline(alg: MultiplierHopfAlgebroid):
     e_elt = embed_idempotent(alg.graph, idem)
     cops = build_delta(alg, e_elt)
     eps, eps_prime = build_counits(alg, idem)
-    maps = CanonicalMaps(cops, alg.antipode, e_elt)
+    maps = alg.maps.over(cops, e_elt)
     if not check_ranges_and_fullness(maps, report):
         return ObstructionReport(STAGE_RANGES, report.records[-1].witness,
                                  "a range condition failed", report)

@@ -18,45 +18,50 @@ stages) shares the same map.
 
 ``CanonicalMaps`` is the one home of T_i, R_i, Q_i (Q_1 = Q_4 = EL,
 y -> Ey, Q_2 = Q_3 = ER, y -> yE) and P_i (the map F_i cuts out), with
-S^-1, the scan ``antihom_failure`` and the memo ``agrees``.  The bundle, the
-algebroid (without E) and reconstruction each hold one; the bundle
-reconstruction rebuilds holds the stages' own, and so reads their
-comparisons.  Each identity is one comparison, ``first_difference``:
-both sides are applied as functions (``maps[i, name]``) to a test set,
-and no map product and no R_i is formed.  The test set is the d module
-generators g_a when M holds: S is bijective and anti-multiplicative, and
+S^-1, the scan ``antihom_failure``, the memo ``agrees``, the certificate
+H and the range and kernel decisions.  The bundle holds one; the
+forward algebroid's and reconstruction's are ``over`` the maps they come
+from, so S is inverted and scanned once.  The bundle reconstruction
+rebuilds holds the stages' own, and so reads their decisions.  Each
+identity is one comparison, ``first_difference``: both sides are
+applied as functions (``maps[i, name]``) to a test set, and no map
+product and no R_i is formed.  The test set is the d module generators
+g_a when M holds: S is bijective and anti-multiplicative, and
 ``TensorSquare.generated``.  By the lemma in the ``algebra`` docstring,
 which needs no E law, M makes the four maps module maps of one kind.
 Otherwise it is the d^2 basis vectors e_p, in order.
 
-The memoized certificate H, ``certificate``, passes the
-generalized-inverse and range records with no comparison of their own.
-Its premises, cheapest first, are E^2 = E and E Delta(e_a) = Delta(e_a)
-= Delta(e_a) E for every a (the memo ``check_E_identities`` reads), M,
-and T_i R_i == Q_i for i = 1..4 up to the first that differs.  Under H:
+The memoized certificate H, ``certificate``, asks, cheapest first: the
+E laws on the two slice families, E^2 = E, E left[a] = left[a] and
+right[a] E = right[a] for every a (``e_law_failure``, which
+``check_E_identities`` reads; a bundle has Delta for both), M, and
+T_i R_i == Q_i for i = 1..4 up to the first that differs.  Under H:
 
-* ``generalized-inverses`` passes.  T_i R_i T_i = Q_i T_i = T_i column
-  by column: a column of T_1 or T_4 is Delta(a) times a cover, which E
-  absorbs from the left, and one of T_2 or T_3 is a cover times
-  Delta(a), which E absorbs from the right.  By ``TWISTS``,
+* T_i R_i T_i = Q_i T_i = T_i column by column: a column of T_1 or T_4
+  is left[a] times a cover, which E absorbs from the left, and one of
+  T_2 or T_3 is a cover times right[a], which E absorbs from the right.
+  So ``generalized-inverses`` passes: by ``TWISTS``,
   R_i = L_i T_p L_i^-1 for the partner p, and L_p = L_i^-1, so
   T_i = L_i R_p L_i^-1 and R_i T_i R_i = L_i (T_p R_p T_p) L_i^-1 =
   L_i T_p L_i^-1 = R_i.
-* ``range-conditions`` passes.  im T_i contains im T_i R_i, which
-  contains im T_i R_i T_i = im T_i, so im T_i = im T_i R_i = im Q_i.
-  E^2 = E makes EL and ER idempotent, so their ranks are their traces,
-  and the detail reads tr EL and tr ER, computed from E.
+* The ranges hold (``range_failure``).  im T_i contains im T_i R_i,
+  which contains im T_i R_i T_i = im T_i, so im T_i = im T_i R_i =
+  im Q_i.  E^2 = E makes EL and ER idempotent, so their ranks are
+  their traces, read off E.  Without H, im T_i and im Q_i are
+  echelonized in the caller's order up to the first that differ.
 
 Without H, R_i T_i R_i = R_i is T_p R_p T_p = T_p by the first bullet,
 which needs only S bijective.  ``projection-formulas`` compares T_i R_i
 with Q_i, then R_i T_i with P_i; where R_i T_i differs, e_p, p = a d + b,
-are scanned in order for the first differing column (a, b).
-``kernel-subspaces`` certifies T_i when T_i R_i T_i = T_i and
-R_i T_i = P_i: then P_i^2 = R_i (T_i R_i T_i) = P_i, T_i (id - P_i) = 0
-and rank P_i <= rank T_i = rank T_i P_i <= rank P_i, so im(id - P_i) =
-ker P_i lies in ker T_i and has its dimension, with no trace or rank.
-Otherwise ``CoproductSlices.kernel_is_complement`` decides.  Every
-comparison is exact, so reports do not depend on the path taken.
+are scanned in order for the first differing column (a, b).  The
+kernel decision, ``kernel_is_complement``, certifies ker T_i =
+im(id - P) for P the maps' own P_i when T_i R_i T_i = T_i (under H, or
+compared) and R_i T_i = P_i: then P_i^2 = R_i (T_i R_i T_i) = P_i,
+T_i (id - P_i) = 0 and rank P_i <= rank T_i = rank T_i P_i <= rank P_i,
+so im(id - P_i) = ker P_i lies in ker T_i and has its dimension, with
+no trace or rank.  For another P, or where either fails,
+``CoproductSlices.kernel_is_complement`` decides.  Every comparison is
+exact, so reports do not depend on the path taken.
 """
 
 from __future__ import annotations
@@ -69,11 +74,14 @@ from .slices import TWISTS, Applied, CoproductSlices, Projection, first_differen
 from .linalg import LinMap, Subspace, Vec, lincomb, solve, unit_vec, vdot, vsub
 from .reporting import SKIP, CheckRecord, Report, failed, passed
 
+# which -> the map Q_which is, cut out by E
+Q_CUTS = {1: "EL", 2: "ER", 3: "ER", 4: "EL"}
+
 
 class CanonicalMaps:
     """T_i, R_i, P_i and Q_i of one set of slices under one antipode S,
-    with E, which P_i and Q_i need: S^-1, the premise M and the memo of
-    every comparison between them (module docstring)."""
+    with E: S^-1, M, the comparison memo, H and the range and kernel
+    decisions (module docstring)."""
 
     def __init__(self, slices: CoproductSlices, antipode: LinMap, e: Vec | None = None):
         self.slices = slices
@@ -82,6 +90,12 @@ class CanonicalMaps:
         self.E = e
         self._applied: dict[tuple[int, str], Applied] = {}
         self._agrees: dict[tuple[int, str, str], bool] = {}
+
+    def over(self, slices: CoproductSlices, e: Vec | None = None) -> CanonicalMaps:
+        """The maps of other slices of A under S, with this S^-1 and scan."""
+        maps = CanonicalMaps(slices, self.antipode, e)
+        maps.antipode_inv, maps.antihom_failure = self.antipode_inv, self.antihom_failure
+        return maps
 
     @cached_property
     def antipode_inv(self) -> LinMap | None:
@@ -122,7 +136,7 @@ class CanonicalMaps:
             self._applied[key] = (
                 self.slices.applied(which) if name == "T" else
                 self.slices.twisted(which, *self.antipode_pair()) if name == "R" else
-                self.projection(which if name == "P" else "EL" if which in (1, 4) else "ER")
+                self.projection(which if name == "P" else Q_CUTS[which])
                 .applied(which))
         return self._applied[key]
 
@@ -162,6 +176,60 @@ class CanonicalMaps:
         if key not in self._agrees:
             self._agrees[key] = self.first_difference(which, lhs, rhs) is None
         return self._agrees[key]
+
+    @cached_property
+    def e_law_failure(self) -> tuple[str, dict] | None:
+        """The first of E^2 = E, E left[a] = left[a] and right[a] E =
+        right[a] (first a, then the family) that fails, as the record
+        name and witness ``check_E_identities`` reports; None when all
+        hold."""
+        t2, e, left, right = self.t2, self.E, self.slices.left, self.slices.right
+        ee = t2.mul(e, e)
+        if ee != e:
+            return "canonical-idempotent-squared", {"EE": ee, "E": e}
+        bad = first_failure((len(left),), [(lambda a: t2.mul(e, left[a]), left.__getitem__),
+                                           (lambda a: t2.mul(right[a], e), right.__getitem__)])
+        if bad is not None:
+            return ("canonical-idempotent-absorbs-coproduct",
+                    {"basis": t2.algebra.labels[bad[0][0]]})
+        return None
+
+    @cached_property
+    def certificate(self) -> tuple | None:
+        """(tr EL, tr ER) when H holds, else None.  T_i R_i == Q_i is
+        asked for i = 1, 2, ... only up to the first i that fails."""
+        if (self.e_law_failure is not None or not self.module_premise
+                or not all(self.agrees(i, "TR", "Q") for i in (1, 2, 3, 4))):
+            return None
+        return self.projection("EL").trace, self.projection("ER").trace
+
+    def range_failure(self, order) -> tuple[int, Subspace, Subspace] | None:
+        """The first i in order with im T_i != im Q_i, with the two
+        images; None under H, else when the echelon forms agree."""
+        if self.certificate is None:
+            for i in order:
+                got = self.slices.canonical_image(i)
+                want = self.projection(Q_CUTS[i]).image
+                if got != want:
+                    return i, got, want
+        return None
+
+    @property
+    def range_dims(self) -> tuple:
+        """(dim E(A (x) A), dim (A (x) A)E) once the ranges hold: the
+        traces under H, else the echelon forms' dimensions."""
+        return self.certificate or (self.projection("EL").image.dim,
+                                    self.projection("ER").image.dim)
+
+    def kernel_is_complement(self, which: int, proj: Projection) -> bool:
+        """Whether ker T_which = im(id - P) for proj's map P: certified
+        when proj is the maps' own P_which, by H or T R T = T and by
+        R T = P, else ``CoproductSlices.kernel_is_complement``."""
+        if (self.antipode_inv is not None and proj is self.projection(which)
+                and (self.certificate is not None or self.agrees(which, "TRT", "T"))
+                and self.agrees(which, "RT", "P")):
+            return True
+        return self.slices.kernel_is_complement(which, proj)
 
 
 class WeakMultiplierHopfAlgebra:
@@ -208,34 +276,6 @@ class WeakMultiplierHopfAlgebra:
 
     def target_value(self, a: int) -> Vec:
         return self.t2.mul_map(self.t2.map_leg2(self.antipode, self.delta[a]))
-
-    @cached_property
-    def e_law_failure(self) -> tuple[str, dict] | None:
-        """The first of E^2 = E and E Delta(e_a) = Delta(e_a) =
-        Delta(e_a) E (first a, then the side) that fails, as the record
-        name and witness ``check_E_identities`` reports; None when all
-        hold."""
-        t2, e, delta = self.t2, self.E, self.delta
-        ee = t2.mul(e, e)
-        if ee != e:
-            return "canonical-idempotent-squared", {"EE": ee, "E": e}
-        bad = first_failure((self.dim,), [(lambda a: t2.mul(e, delta[a]), delta.__getitem__),
-                                          (lambda a: t2.mul(delta[a], e), delta.__getitem__)])
-        if bad is not None:
-            return ("canonical-idempotent-absorbs-coproduct",
-                    {"basis": self.algebra.labels[bad[0][0]]})
-        return None
-
-    @cached_property
-    def certificate(self) -> tuple | None:
-        """(tr EL, tr ER) when H of the module docstring holds, else
-        None.  T_i R_i == Q_i is asked for i = 1, 2, ... only up to the
-        first i that fails."""
-        maps = self.maps
-        if (self.e_law_failure is not None or not maps.module_premise
-                or not all(maps.agrees(i, "TR", "Q") for i in (1, 2, 3, 4))):
-            return None
-        return maps.projection("EL").trace, maps.projection("ER").trace
 
 
 # -- individual checks --------------------------------------------------
@@ -343,7 +383,7 @@ def check_E_identities(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
     (Delta (x) id)E and (id (x) Delta)E equal (E (x) 1)(1 (x) E).  The
     three sides are compared as elements of A (x) A (x) A; a failure is
     named by the first basis triple covering it on the right."""
-    bad = bundle.e_law_failure
+    bad = bundle.maps.e_law_failure
     if bad is not None:
         return failed(*bad)
     t2, e = bundle.t2, bundle.E
@@ -360,28 +400,16 @@ def check_E_identities(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
 
 
 def check_range_conditions(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
-    """im T_1 = im T_4 = E(A (x) A) and im T_2 = im T_3 = (A (x) A)E.
-    Under the certificate they hold and the dimensions are the traces
-    of EL and ER (module docstring); otherwise both sides of each are
-    echelonized and compared."""
-    held = bundle.certificate
-    if held is not None:
-        return passed("range-conditions", detail=f"E(AxA) dim {held[0]}, (AxA)E dim {held[1]}")
-    left_range = bundle.maps.projection("EL").image
-    right_range = bundle.maps.projection("ER").image
-    images = bundle.slices.canonical_image
-    claims = [
-        ("T1", images(1), left_range),
-        ("T2", images(2), right_range),
-        ("T3", images(3), right_range),
-        ("T4", images(4), left_range),
-    ]
-    for name, got, want in claims:
-        if got != want:
-            return failed("range-conditions",
-                          {"map": name, "range_dim": got.dim, "expected_dim": want.dim})
+    """im T_1 = im T_4 = E(A (x) A) and im T_2 = im T_3 = (A (x) A)E, by
+    ``CanonicalMaps.range_failure``."""
+    maps = bundle.maps
+    bad = maps.range_failure((1, 2, 3, 4))
+    if bad is not None:
+        which, got, want = bad
+        return failed("range-conditions",
+                      {"map": f"T{which}", "range_dim": got.dim, "expected_dim": want.dim})
     return passed("range-conditions",
-                  detail=f"E(AxA) dim {left_range.dim}, (AxA)E dim {right_range.dim}")
+                  detail="E(AxA) dim {}, (AxA)E dim {}".format(*maps.range_dims))
 
 
 def check_antipode_identities(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
@@ -429,9 +457,9 @@ def check_generalized_inverses(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord
     """T_i R_i T_i = T_i and R_i T_i R_i = R_i.  The certificate proves
     both (module docstring); without it T_i R_i T_i = T_i is compared,
     and R_i T_i R_i = R_i is T_p R_p T_p = T_p for the partner p."""
-    if bundle.certificate is not None:
-        return passed("generalized-inverses")
     maps = bundle.maps
+    if maps.certificate is not None:
+        return passed("generalized-inverses")
     for i in (1, 2, 3, 4):
         if not maps.agrees(i, "TRT", "T"):
             return failed("generalized-inverse-TRT", {"map": f"T{i}"})
@@ -457,15 +485,11 @@ def check_projection_formulas(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
 
 
 def check_kernel_subspaces(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
-    """ker T_i = im(id - P_i), proved by T_i R_i T_i = T_i (or the
-    certificate) and R_i T_i = P_i (module docstring); where either
-    fails, ``CoproductSlices.kernel_is_complement`` decides it."""
-    certified, maps = bundle.certificate is not None, bundle.maps
+    """ker T_i = im(id - P_i), by ``CanonicalMaps.kernel_is_complement``."""
+    maps = bundle.maps
     for i in (1, 2, 3, 4):
-        if (certified or maps.agrees(i, "TRT", "T")) and maps.agrees(i, "RT", "P"):
-            continue
         proj = maps.projection(i)
-        if not bundle.slices.kernel_is_complement(i, proj):
+        if not maps.kernel_is_complement(i, proj):
             described, kernel = proj.complement, bundle.slices.canonical_kernel(i)
             return failed("kernel-subspaces",
                           {"map": f"T{i}", "described_dim": described.dim,

@@ -90,6 +90,29 @@ def test_misshapen_tensor_exits_2(tmp_path, capsys, tensor):
     assert captured.err.startswith("input error: ")
 
 
+@pytest.mark.parametrize("tensor", ["counit", "delta[0][0] row", "antipode"])
+def test_array_given_as_string_or_object_exits_2(tmp_path, capsys, tensor):
+    """Where the schema asks for an array, a string or an object of the
+    right length is malformed input, not read entry by entry: the counit
+    "1001", a coproduct row "0100", an antipode whose keys are its rows."""
+    path = tmp_path / "p2.json"
+    run(capsys, "gen-example", "pair-groupoid", "--n", "2", "--out", str(path))
+    doc = json.loads(path.read_text())
+    if tensor == "counit":
+        doc["counit"] = "".join(doc["counit"])
+    elif tensor == "antipode":
+        doc["antipode"] = {"".join(row): row for row in doc["antipode"]}
+    else:
+        doc["delta"][0][0] = "".join(doc["delta"][0][0])
+    assert len(doc["counit"]) == len(doc["antipode"]) == 4
+    path.write_text(json.dumps(doc))
+    code = main(["check-wmha", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+
+
 def test_forward_and_back_via_cli(tmp_path, capsys):
     wmha_path = tmp_path / "p2.json"
     alg_path = tmp_path / "p2-algebroid.json"

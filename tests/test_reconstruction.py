@@ -483,9 +483,13 @@ def _rebind(monkeypatch, original, replacement):
 
 def _pipeline_input(name, tmp_path, capsys):
     """(command, path): algebroid-to-wmha of the base-m2-weighted
-    algebroid file, or roundtrip of the pair-3 wmha file."""
+    algebroid file, wmha-to-algebroid of the base-m2-weighted wmha file,
+    or roundtrip of the pair-3 wmha file."""
     if name == "base-m2-weighted-file":
         return "algebroid-to-wmha", _algebroid_file(tmp_path, capsys)
+    if name == "base-m2-weighted-wmha":
+        _algebroid_file(tmp_path, capsys)
+        return "wmha-to-algebroid", str(tmp_path / "wmha.json")
     path = str(tmp_path / "pair-3.json")
     assert main(["gen-example", "pair-groupoid", "--n", "3", "--out", path]) == 0
     capsys.readouterr()
@@ -518,23 +522,103 @@ def test_final_suite_reads_the_stages_comparisons(name, tmp_path, capsys, monkey
     monkeypatch.setattr(reconstruction, "run_suite", watched)
     assert main([command, path]) == 0
     capsys.readouterr()
-    assert len(suites) == 1 and suites[0].certificate is not None
+    assert len(suites) == 1 and suites[0].maps.certificate is not None
     assert calls == []
 
 
 def test_roundtrip_scans_antipode_antimultiplicativity_once(tmp_path, capsys, monkeypatch):
-    """A passing roundtrip scans S(e_i e_j) = S(e_j) S(e_i) over the
-    basis pairs of A once: the range stage's premise, which the final
-    suite's antipode-antihomomorphism record reads."""
-    command, path = _pipeline_input("pair-3", tmp_path, capsys)
-    scans = []
+    """A passing roundtrip (pair-3), algebroid-to-wmha or
+    wmha-to-algebroid (base-m2-weighted) inverts S once and scans
+    S(e_i e_j) = S(e_j) S(e_i) over the basis pairs of A once: the maps
+    of the algebroid and of the rebuilt bundle are ``over`` the maps
+    that first held S, so every later record reads that inverse and
+    that scan."""
+    scans, inversions = [], []
+    inverse = LinMap.inverse
 
     def counted(alg, images, product, anti=False):
-        if anti and alg.dim == 9:
-            scans.append(alg)
+        if anti:
+            scans.append(alg.dim)
         return multiplicativity(alg, images, product, anti)
 
     _rebind(monkeypatch, multiplicativity, counted)
+    monkeypatch.setattr(LinMap, "inverse",
+                        lambda self: inversions.append(self.nrows) or inverse(self))
+    for name in ("pair-3", "base-m2-weighted-file", "base-m2-weighted-wmha"):
+        command, path = _pipeline_input(name, tmp_path, capsys)
+        d = io.parse_document(io.load(path)).dim
+        scans.clear()
+        inversions.clear()
+        assert main([command, path]) == 0
+        capsys.readouterr()
+        assert scans.count(d) == 1, name
+        assert inversions.count(d) == 1, name
+
+
+@pytest.mark.parametrize("name", ["base-m2-weighted-file", "pair-3"])
+def test_passing_pipeline_compares_only_the_suites_identities(name, tmp_path, capsys,
+                                                              monkeypatch):
+    """A passing algebroid-to-wmha or roundtrip makes the comparisons
+    check-wmha makes, T_iR_i = Q_i and R_iT_i = P_i once each for
+    i = 1..4: the range stage decides under H, the kernel stage adds
+    R_iT_i = P_i, and the final suite reads both."""
+    command, path = _pipeline_input(name, tmp_path, capsys)
+    calls = Counter()
+    compare = CanonicalMaps.first_difference
+
+    def counted(self, which, lhs, rhs, basis=False):
+        calls[lhs, rhs] += 1
+        return compare(self, which, lhs, rhs, basis)
+
+    monkeypatch.setattr(CanonicalMaps, "first_difference", counted)
     assert main([command, path]) == 0
     capsys.readouterr()
-    assert len(scans) == 1
+    assert calls == {("TR", "Q"): 4, ("RT", "P"): 4}
+
+
+def test_e_laws_name_the_first_basis_element_of_either_family():
+    """On slices whose left and right families differ, the E laws are
+    E left[a] = left[a] and right[a] E = right[a]; the failure names the
+    first a, here one where only the right family fails, before a later
+    a where the left one does."""
+    bundle = as_wmha(pair_groupoid(2))
+    t2, e, d = bundle.t2, bundle.E, bundle.dim
+    assert CanonicalMaps(bundle.slices, bundle.antipode, e).e_law_failure is None
+    left_bad = next(unit_vec(p) for p in range(d * d) if t2.mul(e, unit_vec(p)) != unit_vec(p))
+    right_bad = next(unit_vec(p) for p in range(d * d) if t2.mul(unit_vec(p), e) != unit_vec(p))
+    left, right = list(bundle.delta), list(bundle.delta)
+    left[3] = {**left[3], **left_bad}
+    right[1] = {**right[1], **right_bad}
+    maps = CanonicalMaps(CoproductSlices(t2, left, right), bundle.antipode, e)
+    assert t2.mul(e, left[3]) != left[3] and t2.mul(right[1], e) != right[1]
+    assert maps.e_law_failure == ("canonical-idempotent-absorbs-coproduct",
+                                  {"basis": bundle.algebra.labels[1]})
+
+
+def test_kernel_decision_keeps_the_echelon_verdict_when_s_is_singular():
+    """With S singular there is no P_i of the maps' own and no R_i: the
+    kernel decision raises nothing and gives the verdict of
+    ``CoproductSlices.kernel_is_complement`` for the given P."""
+    bundle = as_wmha(pair_groupoid(2))
+    d = bundle.dim
+    singular = LinMap(d, d, [bundle.antipode.cols[0], *bundle.antipode.cols[:-1]])
+    assert singular.rank() < d
+    maps = CanonicalMaps(bundle.slices, singular, bundle.E)
+    for i in (1, 2, 3, 4):
+        proj = bundle.maps.projection(i)
+        assert maps.kernel_is_complement(i, proj) == bundle.slices.kernel_is_complement(i, proj)
+    assert maps.antipode_inv is None
+
+
+def test_kernel_decision_certifies_only_the_maps_own_projection():
+    """H and R_iT_i = P_i prove ker T_i = im(id - P_i) for the maps' own
+    P_i only: another map, here the one E cuts out, is decided by the
+    echelon comparison, which refuses it."""
+    bundle = as_wmha(pair_groupoid(2))
+    maps = bundle.maps
+    assert maps.certificate is not None
+    other = maps.projection("EL")
+    assert other is not maps.projection(1)
+    assert not maps.kernel_is_complement(1, other)
+    assert other.complement != bundle.slices.canonical_kernel(1)
+    assert maps.kernel_is_complement(1, maps.projection(1))

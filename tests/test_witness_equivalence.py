@@ -711,10 +711,10 @@ CERTIFIED = [(check_range_conditions, ref_range_conditions),
 def _premise(bundle):
     """The first premise of the certificate that fails, in the order it
     is tried, or "holds"."""
-    if bundle.certificate is not None:
+    if bundle.maps.certificate is not None:
         return "holds"
-    if bundle.e_law_failure is not None:
-        return bundle.e_law_failure[0]
+    if bundle.maps.e_law_failure is not None:
+        return bundle.maps.e_law_failure[0]
     return "T_iR_i-differs" if bundle.maps.antipode_inv is not None else "antipode-singular"
 
 
@@ -780,7 +780,7 @@ def test_certified_suite_forms_no_extra_product_or_image(name, monkeypatch):
     monkeypatch.setattr(TensorSquare, "_covered_map",
                         lambda self, x, *flags: built.append(flags) or covered(self, x, *flags))
     assert run_suite(bundle).ok and run_base_suite(bundle)[1].ok
-    assert bundle.certificate is not None
+    assert bundle.maps.certificate is not None
     assert images == [] and products == [] and built == []
 
 
@@ -833,11 +833,11 @@ def _generator_premise(bundle):
     """The first premise of the generator certificate that fails, in
     the order it is tried, or "holds"; under it, whether every
     R_i T_i == P_i."""
-    if bundle.certificate is not None:
+    if bundle.maps.certificate is not None:
         return ("holds" if all(bundle.maps.agrees(i, "RT", "P") for i in (1, 2, 3, 4))
                 else "R_iT_i-differs")
-    if bundle.e_law_failure is not None:
-        return bundle.e_law_failure[0]
+    if bundle.maps.e_law_failure is not None:
+        return bundle.maps.e_law_failure[0]
     if bundle.maps.antipode_inv is None:
         return "antipode-singular"
     if bundle.maps.antihom_failure is not None:
@@ -955,7 +955,7 @@ def test_kernel_laws_need_the_associativity_flag(monkeypatch):
         bundle = WeakMultiplierHopfAlgebra(bare, honest.delta, honest.counit, honest.antipode,
                                            honest.E)
         records.append((check_kernel_subspaces(bundle).to_dict(),
-                        bundle.certificate is not None, len(products)))
+                        bundle.maps.certificate is not None, len(products)))
         products.clear()
         bare.validate()
     assert records == [(passed("kernel-subspaces").to_dict(), False, 0),
@@ -996,7 +996,7 @@ def _test_set(bundle):
     (S singular stops the suite first)."""
     if bundle.maps.antipode_inv is None:
         return "not-reached"
-    if bundle.certificate is not None:
+    if bundle.maps.certificate is not None:
         return "certificate"
     return "generators" if bundle.maps.module_premise else "basis"
 

@@ -39,6 +39,12 @@ relation) and where the maps are decided (on the module generators, by
 the rank after them, or on the basis columns), both read in process off
 the loaded file, or not reached (`canonical`).  A reconstruction report counts as pass, since
 `algebroid-to-wmha` reconstructs only after the algebroid suite passes.
+Finally, for each algebroid source, it prints how the
+`algebroid-to-wmha` runs that reach `rebuilt-range-conditions` and
+`rebuilt-kernel-conditions` decide each: under the certificate H of the
+rebuilt maps, or without it, the range stage by echelon forms.  It
+reads this off the mutant's reconstruction, run once more in process.
+These tallies are printed only, so the recording keeps its bytes.
 
 `diff` is `tools/byte_sweep.py diff`: it lists the runs that differ and
 exits 1 if any do, else 0.
@@ -106,7 +112,7 @@ def decided_by(engine, doc: dict) -> str:
     wmha.run_suite(bundle)
     if bundle.maps.antipode_inv is None:
         return "not reached"
-    if bundle.certificate is not None:
+    if bundle.maps.certificate is not None:
         return "certificate"
     return "generators" if bundle.maps.module_premise else "basis"
 
@@ -148,12 +154,51 @@ def canonical_path(engine, path: str) -> str:
     return f"{balanced}, {decided}"
 
 
-def record(checkout: Path) -> dict:
+def stage_decisions(engine, path: str) -> list[str]:
+    """"<record> <how>" for each of reconstruction's range and kernel
+    stages that the pipeline, run in process on the algebroid file at
+    path, reaches: how is "under H" when the rebuilt maps hold the
+    certificate, else "by echelon forms" for the range stage and
+    "without H" for the kernel stage."""
+    recon = importlib.import_module("weakhopf.reconstruction")
+    out: list[str] = []
+
+    def watched(stage, without):
+        def run(*args):
+            ok = stage(*args)
+            maps, report = args[-2:]
+            out.append(f"{report.records[-1].name} "
+                       + ("under H" if maps.certificate is not None else without))
+            return ok
+        return run
+
+    saved = recon.check_ranges_and_fullness, recon.check_kernels
+    recon.check_ranges_and_fullness = watched(saved[0], "by echelon forms")
+    recon.check_kernels = watched(saved[1], "without H")
+    try:
+        recon.reconstruction_pipeline(engine.io.parse_document(engine.io.load(path)))
+    except recon.ReconstructionError:
+        pass
+    finally:
+        recon.check_ranges_and_fullness, recon.check_kernels = saved
+    return out
+
+
+def reaches_stages(run: dict) -> bool:
+    """Whether an algebroid-to-wmha run reports the range stage."""
+    return run["exit"] in (0, 1) and any(
+        rec["check"] == "rebuilt-range-conditions"
+        for rec in json.loads(run["stdout"])["checks"])
+
+
+def record(checkout: Path) -> tuple[dict, dict[str, collections.Counter]]:
+    """The recording, and the stage tallies, which are printed only."""
     engine, _ = byte_sweep._load(checkout.resolve())
     inputs: dict[str, dict[str, str]] = {}
     runs: list[dict] = []
     decided: dict[str, collections.Counter] = {}
     canonical: dict[str, collections.Counter] = {}
+    stages: dict[str, collections.Counter] = {}
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -189,12 +234,15 @@ def record(checkout: Path) -> dict:
                                         ending = f"{ending} ({path_taken})"
                                     canonical.setdefault(name, collections.Counter())[
                                         f"{command} {ending}"] += 1
+                                    if command == "algebroid-to-wmha" and reaches_stages(runs[-1]):
+                                        stages.setdefault(name, collections.Counter()).update(
+                                            stage_decisions(engine, MUTANT))
                         container[key] = original
         finally:
             os.chdir(home)
     return {"inputs": inputs, "runs": runs,
             "decided": {name: dict(counts) for name, counts in decided.items()},
-            "canonical": {name: dict(counts) for name, counts in canonical.items()}}
+            "canonical": {name: dict(counts) for name, counts in canonical.items()}}, stages
 
 
 def tallies(runs: list[dict]) -> dict[str, tuple[collections.Counter, collections.Counter]]:
@@ -226,7 +274,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "diff":
         return byte_sweep.main(["diff", str(args.a), str(args.b)])
-    doc = record(args.checkout)
+    doc, stages = record(args.checkout)
     args.out.write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
     exits = collections.Counter(str(r["exit"]) for r in doc["runs"])
     print(f"{len(doc['runs'])} runs -> {args.out}; exits: "
@@ -242,6 +290,10 @@ def main(argv=None) -> int:
         print(f"{name} canonical maps:")
         for ending, n in sorted(counts.items()):
             print(f"  {n:6d}  {ending}")
+    for name, counts in stages.items():
+        print(f"{name} algebroid-to-wmha range and kernel stages:")
+        for how, n in sorted(counts.items()):
+            print(f"  {n:6d}  {how}")
     return 0
 
 
