@@ -27,7 +27,10 @@ row.  ``validate`` scans associativity row by row over basis pairs.
 ``first_failure`` is the one witness scan for identities indexed by
 basis tuples: the first tuple in lexicographic order, then the first
 law that fails there; ``by_side`` states a law over a side axis (B,
-then C) from one law per side.  ``multiplicativity`` states the law
+then C) from one law per side.  A law that is a module map in one
+index is first decided on the generators, and ``live_at`` passes the
+indices where that fails, the only ones the scan then visits for it.
+``multiplicativity`` states the law
 f(e_i e_j) = f(e_i) f(e_j) (or its anti form) once for every map that
 must respect products.  ``TensorSquare`` holds the leg-wise
 operations, for A (x) A and for B (x) C alike; its leg products, leg
@@ -335,7 +338,8 @@ def opposite_algebra(a: FiniteAlgebra) -> FiniteAlgebra:
 
 # -- witness scans over basis tuples ---------------------------------------
 
-def first_failure(shape: tuple[int, ...], laws) -> tuple[tuple[int, ...], int, object, object] | None:
+def first_failure(shape: tuple[int, ...], laws,
+                  live=None) -> tuple[tuple[int, ...], int, object, object] | None:
     """The witness of a family of basis-indexed identities.
 
     Walks the index tuples of range(shape[0]) x range(shape[1]) x ... in
@@ -344,13 +348,37 @@ def first_failure(shape: tuple[int, ...], laws) -> tuple[tuple[int, ...], int, o
     as arguments, and same compares their values (== by default).
     Returns (index tuple, k, lhs value, rhs value) at the first tuple
     and then the first law k that fails there; None when all hold.
+
+    live, when given, has one entry per law: None, or (axis, indices)
+    from ``live_at`` when law k is known to hold at every tuple whose
+    index on axis is not in indices.  Law k is then tried only at the
+    other tuples, and a tuple where no law is tried is not visited.  The
+    skipped evaluations all hold, so the witness is the full scan's.
     """
-    for index in itertools.product(*map(range, shape)):
-        for k, (lhs, rhs, *same) in enumerate(laws):
+    spans = [range(n) for n in shape]
+    if live is None or None in live:
+        tuples = itertools.product(*spans)
+    else:
+        tuples = sorted({index for axis, indices in live for index in itertools.product(
+            *(indices if n == axis else span for n, span in enumerate(spans)))})
+    tried = list(zip(laws, live or [None] * len(laws)))
+    for index in tuples:
+        for k, ((lhs, rhs, *same), where) in enumerate(tried):
+            if where is not None and index[where[0]] not in where[1]:
+                continue
             left, right = lhs(*index), rhs(*index)
             if not (same[0](left, right) if same else left == right):
                 return index, k, left, right
     return None
+
+
+def live_at(axis: int, n: int, lhs, rhs) -> tuple[int, set[int]]:
+    """The entry of ``first_failure``'s live for a law that is a module
+    map in every index but one: (axis, the i < n with lhs(i) != rhs(i)),
+    where lhs(i) = rhs(i) is the law on the generators at index i on
+    axis, which the caller has proved gives the law at every tuple with
+    that index (the ``wmha`` docstring)."""
+    return axis, {i for i in range(n) if lhs(i) != rhs(i)}
 
 
 def by_side(laws, axis: int = 0) -> list:

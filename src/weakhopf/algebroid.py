@@ -27,6 +27,33 @@ side B then C (``algebra.by_side``); dim B = dim C, as the graph pair's
 ``base-anti-isomorphisms`` precedes it.  The triple-indexed checks
 compare one element of the triple balanced space per basis element and
 scan covers only to name the witness.
+
+The counit and antipode diagrams are unital reductions, as in the
+``wmha`` docstring: each is a module map in one index, so when the
+square is generated (A associative and unital) it is decided on the
+generators, and pairs are scanned only at the indices where that fails
+(``algebra.live_at``), which name the same witness.  Associativity moves
+the cover out of m: m(y (1 (x) e_b)) = m(y) e_b,
+m(flip((1 (x) e_b) y)) = e_b m(flip(y)) and m((e_a (x) 1) y) = e_a m(y),
+and a map on the other leg commutes with the cover.  The unit gives the converse, so a passing
+check forms no pair-indexed value.
+
+* ``left-counit-diagram``: m((S_B eps_B (x) id)Delta_B(e_a)) e_b =
+  e_a e_b for every b iff m((S_B eps_B (x) id)Delta_B(e_a)) = e_a.
+* ``right-counit-diagram``: the slice (1 (x) e_b)Delta_C(e_a) gives
+  e_b m(flip((eps_C (x) id)Delta_C(e_a))) = e_b e_a for every b iff
+  m(flip((eps_C (x) id)Delta_C(e_a))) = e_a.
+* ``antipode-diagram-left``: m((S (x) id)Delta_B(e_a)) e_b =
+  S_C(eps_C(e_a)) e_b for every b iff m((S (x) id)Delta_B(e_a)) =
+  S_C(eps_C(e_a)).  The module index is b.
+* ``antipode-diagram-right``: e_a m((id (x) S)Delta_C(e_b)) =
+  e_a S_B(eps_B(e_b)) for every a iff m((id (x) S)Delta_C(e_b)) =
+  S_B(eps_B(e_b)).  The module index is a, the outer one.
+
+Where eps_C(e_a) or eps_B(e_b) leaves its base, the right-hand side is
+undefined (None) for every pair with that index, and the index fails
+on the generators too.  None of these needs S to be anti-multiplicative:
+S acts on one leg only.
 """
 
 from __future__ import annotations
@@ -34,7 +61,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .algebra import (AlgebraError, FiniteAlgebra, TensorSquare, by_side, first_failure,
-                      multiplicativity)
+                      live_at, multiplicativity)
 from .balanced import BalancedTensorSpace, TripleQuotient, build_balanced
 # part of this module's interface, kept in their own module
 from .canonical import CANONICAL_MAPS, NotBijective, algebroid_canonical_maps  # noqa: F401
@@ -53,7 +80,10 @@ class QuantumGraphPair:
     idempotent from B, C, S_B and S_C (``separability``), whether it was
     built in memory or read from a file.  A pair built from a bundle
     holds the bundle's tensor square ``t2``, and so shares with the
-    bundle the maps its idempotent cuts out."""
+    bundle the maps its idempotent cuts out.  S_B, S_C (each a
+    ``LinMap``, which keeps its inverse) and S_C S_B (``sigma``) are
+    inverted once, for the search, the twisted idempotents and
+    reconstruction."""
 
     def __init__(self, algebra: FiniteAlgebra, b_view: SubalgebraView,
                  c_view: SubalgebraView, s_b: LinMap, s_c: LinMap,
@@ -77,8 +107,12 @@ class QuantumGraphPair:
         radical = trace_form_radical(b)
         if radical.dim:
             return radical, None
-        sigma = (self.s_c @ self.s_b).inverse()
-        return radical, find_separating_functional(b, sigma, self.s_b, self.c_view.algebra)
+        return radical, find_separating_functional(b, self.sigma, self.s_b, self.c_view.algebra)
+
+    @cached_property
+    def sigma(self) -> LinMap:
+        """(S_C S_B)^-1, the separating functional's modular automorphism."""
+        return (self.s_c @ self.s_b).inverse()
 
     @cached_property
     def e_coords(self) -> Vec | None:
@@ -359,7 +393,9 @@ def check_canonical_maps(alg: MultiplierHopfAlgebroid) -> CheckRecord:
 
 
 def check_counital_maps(alg: MultiplierHopfAlgebroid) -> CheckRecord:
-    """Module relations and both counit diagrams for eps_B and eps_C."""
+    """Module relations and both counit diagrams for eps_B and eps_C; the
+    diagrams are scanned only at the a whose law on the generators fails
+    (module docstring)."""
     graph, t2, d = alg.graph, alg.t2, alg.dim
     alg_a = alg.algebra
     b_sub = graph.b_view.subspace
@@ -387,12 +423,20 @@ def check_counital_maps(alg: MultiplierHopfAlgebroid) -> CheckRecord:
                        "law": (("eps_B(xa)=x eps_B(a)", "eps_B(S_B(x)a)=eps_B(a)x"),
                                ("eps_C(ay)=eps_C(a)y", "eps_C(a S_C(y))=y eps_C(a)"))[side][k]})
     s_b_eps_b = LinMap(d, d, [graph.apply_s_b(col) for col in alg.eps_b.cols])
+
+    def left(y):
+        return t2.mul_map(t2.map_leg1(s_b_eps_b, y))
+
+    def right(y):
+        # sum e_v eps_C(e_u) over the terms e_u (x) e_v of y
+        return t2.mul_map(t2.flip(t2.map_leg1(alg.eps_c, y)))
+
     bad = first_failure((d, d), [
-        (lambda a, b: t2.mul_map(t2.map_leg1(s_b_eps_b, alg.slices.r2(a, b))),
-         alg_a.mul_basis),
-        # sum e_v eps_C(e_u) over the terms e_u (x) e_v of the slice
-        (lambda a, b: t2.mul_map(t2.flip(t2.map_leg1(alg.eps_c, alg.slices.l2(a, b)))),
-         lambda a, b: alg_a.mul_basis(b, a))])
+        (lambda a, b: left(alg.slices.r2(a, b)), alg_a.mul_basis),
+        (lambda a, b: right(alg.slices.l2(a, b)), lambda a, b: alg_a.mul_basis(b, a))],
+        live=[live_at(0, d, lambda a: left(alg.delta_b[a]), unit_vec),
+              live_at(0, d, lambda a: right(alg.delta_c[a]), unit_vec)]
+        if t2.generated() else None)
     if bad is not None:
         pair, k, lhs, rhs = bad
         return failed(("left-counit-diagram", "right-counit-diagram")[k],
@@ -404,7 +448,8 @@ def check_antipode_diagrams(alg: MultiplierHopfAlgebroid) -> CheckRecord:
     """mu(S (x) id)T_rho(a (x) b) = S_C(eps_C(a)) b and
     mu(id (x) S) lambda_T(a (x) b) = a S_B(eps_B(b)).  Where eps_C(a) or
     eps_B(b) leaves its base the right-hand side is undefined, and the
-    diagram fails at the first pair that needs it."""
+    diagram fails at the first pair that needs it.  Only the a, resp. b,
+    whose law on the generators fails are scanned (module docstring)."""
     graph, t2, d = alg.graph, alg.t2, alg.dim
     alg_a, s = alg.algebra, alg.antipode
 
@@ -420,11 +465,21 @@ def check_antipode_diagrams(alg: MultiplierHopfAlgebroid) -> CheckRecord:
 
     s_c_eps_c = through(graph.apply_s_c, alg.eps_c)
     s_b_eps_b = through(graph.apply_s_b, alg.eps_b)
+
+    def left(y):
+        return t2.mul_map(t2.map_leg1(s, y))
+
+    def right(y):
+        return t2.mul_map(t2.map_leg2(s, y))
+
     bad = first_failure((d, d), [
-        (lambda a, b: t2.mul_map(t2.map_leg1(s, alg.slices.r2(a, b))),
+        (lambda a, b: left(alg.slices.r2(a, b)),
          lambda a, b: None if s_c_eps_c[a] is None else alg_a.mul(s_c_eps_c[a], unit_vec(b))),
-        (lambda a, b: t2.mul_map(t2.map_leg2(s, alg.slices.l1(b, a))),
-         lambda a, b: None if s_b_eps_b[b] is None else alg_a.mul(unit_vec(a), s_b_eps_b[b]))])
+        (lambda a, b: right(alg.slices.l1(b, a)),
+         lambda a, b: None if s_b_eps_b[b] is None else alg_a.mul(unit_vec(a), s_b_eps_b[b]))],
+        live=[live_at(0, d, lambda a: left(alg.delta_b[a]), s_c_eps_c.__getitem__),
+              live_at(1, d, lambda b: right(alg.delta_c[b]), s_b_eps_b.__getitem__)]
+        if t2.generated() else None)
     if bad is not None:
         pair, k, lhs, rhs = bad
         why = ({"rhs": rhs} if rhs is not None

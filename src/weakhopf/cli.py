@@ -16,6 +16,7 @@ that input and names its first failed record in ``input-wmha-suite``.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -254,7 +255,11 @@ def cmd_gen_example(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing does not change
+    it, and each subcommand's handler looks up what it calls at call
+    time."""
     parser = argparse.ArgumentParser(
         prog="weakhopf",
         description="exact verification of weak multiplier Hopf algebras "

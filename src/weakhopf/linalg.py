@@ -183,14 +183,16 @@ def apply_legs(left: "LinMap", right: "LinMap", x: Vec) -> Vec:
 
 
 class LinMap:
-    """Linear map Q^ncols -> Q^nrows stored column-sparse."""
+    """Linear map Q^ncols -> Q^nrows stored column-sparse.  A map is not
+    mutated once built, so it keeps its inverse once computed."""
 
-    __slots__ = ("nrows", "ncols", "cols")
+    __slots__ = ("nrows", "ncols", "cols", "_inverse")
 
     def __init__(self, nrows: int, ncols: int, cols: list[Vec] | None = None):
         self.nrows = nrows
         self.ncols = ncols
         self.cols = [{} for _ in range(ncols)] if cols is None else cols
+        self._inverse = None
         if len(self.cols) != ncols:
             raise DimensionMismatch("column count mismatch")
 
@@ -302,15 +304,19 @@ class LinMap:
         return self.nrows == self.ncols and self.rank() == self.ncols
 
     def inverse(self) -> "LinMap":
-        if self.nrows != self.ncols:
-            raise DimensionMismatch("only square maps invert")
-        n = self.nrows
-        tagged = _tagged_columns(self)
-        if tagged.dim < n:
-            raise ValueError("map is singular")
-        # full rank: row i is e_i followed by column i of the inverse
-        return LinMap(n, n, [{j - n: c for j, c in row.items() if j >= n}
-                             for row in tagged.rows])
+        """The inverse, computed on the first call; shared with the caller,
+        who must not mutate it."""
+        if self._inverse is None:
+            if self.nrows != self.ncols:
+                raise DimensionMismatch("only square maps invert")
+            n = self.nrows
+            tagged = _tagged_columns(self)
+            if tagged.dim < n:
+                raise ValueError("map is singular")
+            # full rank: row i is e_i followed by column i of the inverse
+            self._inverse = LinMap(n, n, [{j - n: c for j, c in row.items() if j >= n}
+                                          for row in tagged.rows])
+        return self._inverse
 
     def __repr__(self):
         return f"LinMap({self.nrows}x{self.ncols})"

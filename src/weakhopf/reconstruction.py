@@ -105,7 +105,7 @@ def check_separability_assumption(alg: MultiplierHopfAlgebroid,
     report = report if report is not None else Report("reconstruction")
     graph = alg.graph
     b = graph.b_view.algebra
-    sigma_target = (graph.s_c @ graph.s_b).inverse()
+    sigma_target = graph.sigma
     rad, found = graph.separability
     if rad.dim:
         stage, witness = STAGE_NOT_SEPARABLE, {"radical_element": rad.rows[0]}

@@ -126,7 +126,8 @@ class SeparabilityIdempotent:
             bad.append("integral-B")
         if bc.functional_leg2(self.phi_c, self.e) != self.b.unit():
             bad.append("integral-C")
-        if self.s_c != self.sigma_b.inverse() @ self.s_b.inverse():
+        # S_C = sigma_B^-1 S_B^-1, as both are bijective
+        if self.s_b @ self.sigma_b @ self.s_c != LinMap.identity(self.c.dim):
             bad.append("S_C-formula")
         if self.sigma_c != self.s_b @ self.s_c:
             bad.append("sigma_C-formula")
@@ -141,8 +142,9 @@ def build_E_from_functional(b: FiniteAlgebra, phi: Vec,
     The slice property (phi(. x) (x) id)E = S_B(x) holds by construction;
     idempotency is checked and NotIdempotentE raised with the defect and
     the rejected idempotent when it fails.  Defaults: C = B^op and S_B
-    the identity map.  Sigma and the dual basis share one pairing matrix
-    and its inverse.
+    the identity map.  Sigma, its inverse and the dual basis share one
+    pairing matrix P and its inverse: sigma = P^-1 P^T, so sigma^-1 =
+    (P^-1)^T P.
     """
     if c is None:
         c = opposite_algebra(b)
@@ -150,13 +152,13 @@ def build_E_from_functional(b: FiniteAlgebra, phi: Vec,
         s_b = LinMap.identity(b.dim)
     if b.unit() is None or c.unit() is None:
         raise SeparabilityError("separability engine requires unital B and C")
-    pairing = _pairing(b, phi)
-    sigma_b = _modular(b, phi, *pairing)
-    duals = pairing[1].rows()
+    p, pinv = _pairing(b, phi)
+    sigma_b = _modular(b, phi, p, pinv)
+    duals = pinv.rows()
     e: Vec = {}
     for i in range(b.dim):
         vaxpy(e, 1, vtensor(duals[i], s_b.apply(unit_vec(i)), c.dim))
-    s_c = sigma_b.inverse() @ s_b.inverse()
+    s_c = pinv.transpose() @ p @ s_b.inverse()
     phi_c = _pushforward(phi, s_b)
     sigma_c = s_b @ s_c
     idem = SeparabilityIdempotent(b, c, e, s_b, s_c, phi_b=dict(phi),

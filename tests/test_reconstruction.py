@@ -1,5 +1,7 @@
+import gc
 import json
 import sys
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ from weakhopf import algebroid, io, reconstruction, wmha
 from weakhopf.algebra import (PROJECTION_FLAGS, Projection, TensorSquare, matrix_algebra,
                               multiplicativity)
 from weakhopf.algebroid import check_algebroid_axioms, forward_construct
+from weakhopf.base_algebras import run_base_suite
 from weakhopf.balanced import BalancedTensorSpace
 from weakhopf.examples import (identity_twist, mixed_algebroid,
                                obstruction_scenario, scalar_extension_wmha,
@@ -26,7 +29,7 @@ from weakhopf.reconstruction import (ObstructionReport, PipelineResult, Reconstr
 from weakhopf.reporting import Report
 from weakhopf.separability import build_E_from_functional
 from weakhopf.slices import CoproductSlices, first_difference
-from weakhopf.wmha import CanonicalMaps
+from weakhopf.wmha import CanonicalMaps, run_suite
 from weakhopf.cli import main
 
 
@@ -622,3 +625,33 @@ def test_kernel_decision_certifies_only_the_maps_own_projection():
     assert not maps.kernel_is_complement(1, other)
     assert other.complement != bundle.slices.canonical_kernel(1)
     assert maps.kernel_is_complement(1, maps.projection(1))
+
+
+def test_engine_objects_die_with_their_last_reference():
+    """With the cycle collector off, a bundle and its ``CanonicalMaps``
+    after both suites, a forward-built algebroid after its suite, and a
+    reconstruction's result and rebuilt bundle are freed as soon as
+    their last reference goes.  An engine object in a reference cycle
+    would keep its memory until a collection."""
+    def suites():
+        bundle = as_wmha(pair_groupoid(2))
+        assert run_suite(bundle).ok and run_base_suite(bundle)[1].ok
+        return bundle, bundle.maps
+
+    def forward():
+        alg = forward_construct(as_wmha(pair_groupoid(2)))[0]
+        assert check_algebroid_axioms(alg).ok
+        return alg, alg.maps, alg.graph
+
+    def rebuilt():
+        got = roundtrip(as_wmha(pair_groupoid(2)))
+        return got, got.bundle, got.bundle.maps
+
+    gc.collect()
+    gc.disable()
+    try:
+        for make in (suites, forward, rebuilt):
+            refs = [weakref.ref(obj) for obj in make()]
+            assert [ref() for ref in refs] == [None] * len(refs), make.__name__
+    finally:
+        gc.enable()

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -43,7 +44,7 @@ from weakhopf.balanced import TripleQuotient, relation_space
 from weakhopf.examples import mixed_algebroid, scalar_extension_wmha, swap_crossed_setup
 from weakhopf.groupoids import (action_groupoid, as_wmha, cyclic_group, group_groupoid,
                                 pair_groupoid)
-from weakhopf.linalg import LinMap, Subspace, lincomb, unit_vec, vaxpy, vsub, vtensor
+from weakhopf.linalg import LinMap, Subspace, lincomb, solve, unit_vec, vaxpy, vsub, vtensor
 from weakhopf.reconstruction import (STAGE_COUNITS_DIFFER, ObstructionReport, PipelineResult,
                                      RebuiltCoproducts, build_delta, check_E_comultiplicativity,
                                      check_kernels, check_mixed_coassociativity,
@@ -57,6 +58,7 @@ from weakhopf.wmha import (TWISTS, CanonicalMaps, WeakMultiplierHopfAlgebra,
                            check_antipode_antihom, check_antipode_flips_coproduct,
                            check_antipode_identities,
                            check_coassociativity, check_counit, check_E_identities,
+                           check_fullness,
                            check_generalized_inverses, check_homomorphism,
                            check_kernel_subspaces, check_projection_formulas,
                            check_range_conditions, run_suite)
@@ -515,6 +517,170 @@ def test_pair_comes_before_law():
                 assert rec.name == "counit-right-law"
                 assert rec.witness["pair"] == _labels(alg, *right[0])
     assert seen
+
+
+# -- unital reductions ------------------------------------------------------
+# The counit, antipode, counit-uniqueness and fullness laws are decided on
+# the d generators, and the E laws by E = Delta(1); pairs are scanned only
+# where the generators fail.  The references are today's scans over every
+# basis pair.
+
+def ref_fullness(bundle):
+    """Both leg spans over every cover Delta(a)(1 (x) b), resp.
+    (a (x) 1)Delta(b)."""
+    t2, d = bundle.t2, bundle.dim
+    left, right = Subspace(d), Subspace(d)
+    for a in range(d):
+        for b in range(d):
+            for vec in t2.leg_vectors(t2.mul_right_leg2(bundle.delta[a], unit_vec(b)), 1).values():
+                left.insert(vec)
+            for vec in t2.leg_vectors(t2.mul_left_leg1(unit_vec(a), bundle.delta[b]), 2).values():
+                right.insert(vec)
+    if left.dim != d:
+        return failed("coproduct-fullness", {"leg": "first", "span_dim": left.dim})
+    if right.dim != d:
+        return failed("coproduct-fullness", {"leg": "second", "span_dim": right.dim})
+    return passed("coproduct-fullness")
+
+
+def ref_counit_uniqueness(bundle):
+    """The functionals f with (f (x) id)(Delta(a)(1 (x) b)) = ab and
+    (id (x) f)((a (x) 1)Delta(b)) = ab: 2 d^2 vector equations."""
+    alg, t2, d = bundle.algebra, bundle.t2, bundle.dim
+    rows, rhs = [], {}
+    for a in range(d):
+        for b in range(d):
+            ab = alg.mul_basis(a, b)
+            for x, leg in ((t2.mul_right_leg2(bundle.delta[a], unit_vec(b)), 1),
+                           (t2.mul_left_leg1(unit_vec(a), bundle.delta[b]), 2)):
+                coeffs = t2.leg_vectors(x, leg)
+                for k in range(d):
+                    rows.append(coeffs.get(k, {}))
+                    if ab.get(k):
+                        rhs[len(rows) - 1] = ab[k]
+    system = LinMap.from_rows(d, rows)
+    sol = solve(system, rhs)
+    if sol is None:
+        return failed("counit-uniqueness", {"error": "no functional satisfies the laws"})
+    hom = system.kernel()
+    if hom.dim:
+        return failed("counit-uniqueness",
+                      {"degrees_of_freedom": hom.dim, "direction": hom.rows[0]})
+    if sol != bundle.counit:
+        return failed("counit-uniqueness", {"solved": sol, "stored": bundle.counit})
+    return passed("counit-uniqueness")
+
+
+def ref_E_identities(bundle):
+    """The E record with E^2 = E and the absorption laws scanned."""
+    return ref_E_absorption(bundle) or check_E_identities(bundle)
+
+
+# report position -> the reference of that record in ``run_suite``
+REDUCED_RECORDS = {3: ref_fullness, 4: ref_counit, 5: ref_counit_uniqueness,
+                   6: ref_E_identities, 11: ref_antipode_identities}
+
+
+def _wmha_reduction_mutants(bundle):
+    """The honest bundle and every single-entry +1 / -1 mutant of Delta,
+    the counit, S and E."""
+    yield bundle
+    yield from _base_mutants(bundle)
+    for a in range(bundle.dim):
+        for shift in (1, -1):
+            yield WeakMultiplierHopfAlgebra(bundle.algebra, bundle.delta,
+                                            _shifted(bundle.counit, a, shift),
+                                            bundle.antipode, bundle.E)
+
+
+@pytest.mark.parametrize("name", ["pair-2", "crossed-swap"])
+def test_unital_reductions_match_pair_scans_on_every_mutant(name):
+    """Over every +1 / -1 mutant of Delta, eps, S and E, the five reduced
+    records of ``run_suite`` equal today's pair scans, status and
+    witness.  The sweep fails each record, reaches the second
+    triple-product law with S not anti-multiplicative, and takes
+    E = Delta(1)."""
+    bundle = as_wmha(pair_groupoid(2)) if name == "pair-2" else swap_crossed_setup()[0]
+    failures, paths = Counter(), Counter()
+    for bad in _wmha_reduction_mutants(bundle):
+        records = run_suite(bad).records
+        fresh = WeakMultiplierHopfAlgebra(bad.algebra, bad.delta, bad.counit, bad.antipode,
+                                          bad.E)
+        for at, reference in REDUCED_RECORDS.items():
+            if at < len(records):
+                assert records[at].to_dict() == reference(fresh).to_dict(), records[at].name
+                if records[at].status != "pass":
+                    failures[records[at].name] += 1
+        if len(records) > 11 and bad.maps.antihom_failure is not None:
+            paths["second law scanned in full"] += 1
+        if records[1].status == "pass" and bad.delta_of(bad.algebra.unit()) == bad.E:
+            paths["E = Delta(1)"] += 1
+    assert {"counit-left-law", "counit-right-law", "counit-uniqueness",
+            "canonical-idempotent-squared", "canonical-idempotent-absorbs-coproduct",
+            "antipode-triple-product-first", "antipode-triple-product-second"} <= set(failures)
+    assert set(paths) == {"second law scanned in full", "E = Delta(1)"}, paths
+
+
+def test_fullness_fails_where_a_leg_span_is_short():
+    """A coproduct whose first legs span a proper subspace fails fullness
+    with the span dimension of every cover."""
+    bundle = as_wmha(pair_groupoid(2))
+    # project the second basis element out of every first leg
+    d = bundle.dim
+    short = [{p: c for p, c in v.items() if p // d != 1} for v in bundle.delta]
+    bad = _with_delta(bundle, short)
+    assert check_fullness(bad).to_dict() == ref_fullness(bad).to_dict()
+    assert check_fullness(bad).witness == {"leg": "first", "span_dim": d - 1}
+
+
+def _counted_pair_laws(module, monkeypatch, counts):
+    """Wrap module's ``first_failure`` so that counts[caller] gains one
+    for each law evaluated at a basis pair."""
+    scan = module.first_failure
+
+    def counting(shape, laws, live=None):
+        caller = sys._getframe(1).f_code.co_name
+        if len(shape) == 2:
+            laws = [(lambda *index, lhs=lhs: counts.update([caller]) or lhs(*index), *rest)
+                    for lhs, *rest in laws]
+        return scan(shape, laws, live)
+
+    monkeypatch.setattr(module, "first_failure", counting)
+
+
+def test_passing_suites_form_no_pair_indexed_value(monkeypatch):
+    """check-wmha on pair-3 forms no slice and evaluates no law at a
+    basis pair for fullness, the counit laws, counit uniqueness and the
+    triple products, and no E-law product; the forward-built algebroid's
+    counit and antipode diagrams evaluate none either."""
+    from weakhopf import wmha
+    counts, slices, products = Counter(), Counter(), Counter()
+    current = [None]
+    cut, mul = CoproductSlices._slice, TensorSquare.mul
+    monkeypatch.setattr(CoproductSlices, "_slice", lambda self, *key: (
+        slices.update([current[0]]), cut(self, *key))[1])
+    monkeypatch.setattr(TensorSquare, "mul", lambda self, x, y: (
+        products.update([current[0]]), mul(self, x, y))[1])
+    _counted_pair_laws(wmha, monkeypatch, counts)
+    _counted_pair_laws(algebroid, monkeypatch, counts)
+    reduced = {"check_fullness", "check_counit", "check_counit_uniqueness",
+               "check_E_identities", "check_antipode_identities",
+               "check_counital_maps", "check_antipode_diagrams"}
+    for module in (wmha, algebroid):
+        for name in reduced & set(vars(module)):
+            def watched(*args, check=getattr(module, name), name=name):
+                current[0] = name
+                try:
+                    return check(*args)
+                finally:
+                    current[0] = None
+            monkeypatch.setattr(module, name, watched)
+    bundle = as_wmha(pair_groupoid(3))
+    assert run_suite(bundle).ok
+    assert check_algebroid_axioms(forward_construct(bundle)[0]).ok
+    assert {name: counts[name] + slices[name] + products[name] for name in reduced} == \
+        dict.fromkeys(reduced, 0)
+    assert counts["check_homomorphism"] == bundle.dim ** 2      # the counter counts
 
 
 # -- base suite -------------------------------------------------------------
@@ -1409,6 +1575,25 @@ def test_algebroid_scans_match_nested_loops(loaded_p2):
             "left-counit-diagram", "right-counit-diagram",
             "algebroid-antipode-antihomomorphism",
             "antipode-diagram-left", "antipode-diagram-right"} <= set(failures)
+
+
+def test_algebroid_diagrams_match_pair_scans_on_every_mutant(counit_twist):
+    """The counit and antipode diagrams of every +1 / -1 mutant of
+    Delta_B, Delta_C, eps_B, eps_C and S of the counit-twist file equal
+    today's pair scans (``test_algebroid_scans_match_nested_loops`` does
+    so for pair-2).  Each diagram fails, and each antipode diagram fails
+    where its counit value leaves the base, the rhs None."""
+    failures = Counter()
+    for bad in _algebroid_mutants(counit_twist):
+        for check, reference in ((check_counital_maps, ref_counital_maps),
+                                 (check_antipode_diagrams, ref_antipode_diagrams)):
+            got = _outcome(check, bad)
+            assert got == _outcome(reference, bad)
+            if got["status"] != "pass":
+                failures[got["check"], "error" in got["witness"]] += 1
+    assert {("left-counit-diagram", False), ("right-counit-diagram", False),
+            ("antipode-diagram-left", False), ("antipode-diagram-right", False),
+            ("antipode-diagram-left", True), ("antipode-diagram-right", True)} <= set(failures)
 
 
 @pytest.fixture(scope="module")

@@ -44,6 +44,19 @@ Finally, for each algebroid source, it prints how the
 `rebuilt-kernel-conditions` decide each: under the certificate H of the
 rebuilt maps, or without it, the range stage by echelon forms.  It
 reads this off the mutant's reconstruction, run once more in process.
+Then, for each wmha source under `check-wmha` and each algebroid source
+under `check-algebroid`, it prints how each law of a unital reduction
+(the `wmha` and `algebroid` docstrings) was decided: on the generators
+alone, by a witness scan of the pairs at the indices where the
+generators fail, by the full pair scan with S not anti-multiplicative
+(the second triple-product law), or by the full pair scan with the
+square not generated.  The laws are those of `counit-laws`,
+`antipode-triple-products`, `counital-maps` and `antipode-diagrams`;
+`counit-uniqueness` and `coproduct-fullness` have no pair scan left.
+It also prints how often `check-wmha` takes E = Delta(1) for the E laws
+rather than forming their products.  It reads this off the CLI runs
+themselves, by watching the engine's scans (`watch_reductions`), and
+prints nothing for an engine without `algebra.live_at`.
 These tallies are printed only, so the recording keeps its bytes.
 
 `diff` is `tools/byte_sweep.py diff`: it lists the runs that differ and
@@ -184,6 +197,50 @@ def stage_decisions(engine, path: str) -> list[str]:
     return out
 
 
+# check whose scan is a unital reduction -> the record name of each law
+REDUCED = {"check_counit": ("counit-left-law", "counit-right-law"),
+           "check_antipode_identities": ("antipode-triple-product-first",
+                                         "antipode-triple-product-second"),
+           "check_counital_maps": ("left-counit-diagram", "right-counit-diagram"),
+           "check_antipode_diagrams": ("antipode-diagram-left", "antipode-diagram-right")}
+
+
+def watch_reductions(counts: dict):
+    """Wrap the engine's ``first_failure`` in ``wmha`` and ``algebroid``
+    and its ``check_E_identities``; while counts["at"] names a tally, each
+    reduced law's scan adds "<law> <how>" to it and each E record
+    "E laws <how>".  The wrappers only observe."""
+    wmha = importlib.import_module("weakhopf.wmha")
+    algebroid = importlib.import_module("weakhopf.algebroid")
+
+    def watched_scan(scan):
+        def run(shape, laws, live=None):
+            caller = sys._getframe(1).f_code.co_name
+            tally = counts.get(counts.get("at"))
+            if tally is not None and caller in REDUCED and len(shape) == 2:
+                for k, name in enumerate(REDUCED[caller]):
+                    where = None if live is None else live[k]
+                    tally[f"{name} " + (
+                        "full pair scan, square not generated" if live is None else
+                        "full pair scan, S not anti-multiplicative" if where is None else
+                        "witness scan" if where[1] else "generators")] += 1
+            return scan(shape, laws, live)
+        return run
+
+    check_e = wmha.check_E_identities
+
+    def watched_e(bundle):
+        tally = counts.get(counts.get("at"))
+        if tally is not None:
+            tally["E laws " + ("E = Delta(1)" if "e_law_failure" in vars(bundle.maps)
+                               else "products")] += 1
+        return check_e(bundle)
+
+    for module in (wmha, algebroid):
+        module.first_failure = watched_scan(module.first_failure)
+    wmha.check_E_identities = watched_e
+
+
 def reaches_stages(run: dict) -> bool:
     """Whether an algebroid-to-wmha run reports the range stage."""
     return run["exit"] in (0, 1) and any(
@@ -191,14 +248,18 @@ def reaches_stages(run: dict) -> bool:
         for rec in json.loads(run["stdout"])["checks"])
 
 
-def record(checkout: Path) -> tuple[dict, dict[str, collections.Counter]]:
-    """The recording, and the stage tallies, which are printed only."""
+def record(checkout: Path) -> tuple[dict, dict[str, dict[str, collections.Counter]]]:
+    """The recording, and the stage and reduction tallies, which are
+    printed only."""
     engine, _ = byte_sweep._load(checkout.resolve())
     inputs: dict[str, dict[str, str]] = {}
     runs: list[dict] = []
     decided: dict[str, collections.Counter] = {}
     canonical: dict[str, collections.Counter] = {}
     stages: dict[str, collections.Counter] = {}
+    reductions: dict = {"at": None}
+    if hasattr(engine.algebra, "live_at"):
+        watch_reductions(reductions)
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -219,6 +280,9 @@ def record(checkout: Path) -> tuple[dict, dict[str, collections.Counter]]:
                                     decided_by(engine, doc)] += 1
                             path_taken = None
                             for command in commands:
+                                if command in ("check-wmha", "check-algebroid"):
+                                    reductions["at"] = name
+                                    reductions.setdefault(name, collections.Counter())
                                 argv = ["--format", "json", command, MUTANT]
                                 # one exhaustive sweep: no seed, one format
                                 runs.append({"workload": name, "seed": 0, "format": "json",
@@ -226,6 +290,7 @@ def record(checkout: Path) -> tuple[dict, dict[str, collections.Counter]]:
                                              "op": f"{command} {where}{shift:+d}",
                                              "argv": argv,
                                              **byte_sweep._run(engine, argv, [])})
+                                reductions["at"] = None
                                 index += 1
                                 if tensors == ALGEBROID[0]:
                                     ending = canonical_ending(runs[-1])
@@ -242,7 +307,10 @@ def record(checkout: Path) -> tuple[dict, dict[str, collections.Counter]]:
             os.chdir(home)
     return {"inputs": inputs, "runs": runs,
             "decided": {name: dict(counts) for name, counts in decided.items()},
-            "canonical": {name: dict(counts) for name, counts in canonical.items()}}, stages
+            "canonical": {name: dict(counts) for name, counts in canonical.items()}}, {
+                "stages": stages,
+                "reductions": {name: counts for name, counts in reductions.items()
+                               if name != "at"}}
 
 
 def tallies(runs: list[dict]) -> dict[str, tuple[collections.Counter, collections.Counter]]:
@@ -274,7 +342,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "diff":
         return byte_sweep.main(["diff", str(args.a), str(args.b)])
-    doc, stages = record(args.checkout)
+    doc, printed = record(args.checkout)
     args.out.write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
     exits = collections.Counter(str(r["exit"]) for r in doc["runs"])
     print(f"{len(doc['runs'])} runs -> {args.out}; exits: "
@@ -290,8 +358,12 @@ def main(argv=None) -> int:
         print(f"{name} canonical maps:")
         for ending, n in sorted(counts.items()):
             print(f"  {n:6d}  {ending}")
-    for name, counts in stages.items():
+    for name, counts in printed["stages"].items():
         print(f"{name} algebroid-to-wmha range and kernel stages:")
+        for how, n in sorted(counts.items()):
+            print(f"  {n:6d}  {how}")
+    for name, counts in printed["reductions"].items():
+        print(f"{name} unital reductions:")
         for how, n in sorted(counts.items()):
             print(f"  {n:6d}  {how}")
     return 0
