@@ -96,6 +96,7 @@ class QuantumGraphPair:
         self.s_c = s_c              # C-coords -> B-coords
         self._bal_cache: dict[str, BalancedTensorSpace] = {}
         self._triple_cache: dict[tuple[str, str], TripleQuotient] = {}
+        self._f_elements: dict[int, Vec] = {}
 
     @cached_property
     def separability(self) -> tuple[Subspace, tuple[Vec, SeparabilityIdempotent] | None]:
@@ -162,15 +163,16 @@ class QuantumGraphPair:
         """The pair's idempotent E with one leg twisted by the matching
         anti-isomorphism (F_which), realized in A (x) A: the twist applied
         to E's coordinates, then both legs embedded from the base it maps
-        to; F_3 and F_4 invert S_B resp. S_C."""
-        if which not in (1, 2, 3, 4):
-            raise ValueError(which)
+        to; F_3 and F_4 invert S_B resp. S_C.  Built once per which."""
+        if which in self._f_elements:
+            return self._f_elements[which]
         leg, twist, view = {1: (2, self.s_c, self.b_view), 2: (1, self.s_b, self.c_view),
                             3: (2, self.s_b, self.b_view), 4: (1, self.s_c, self.c_view)}[which]
         twist = twist.inverse() if which > 2 else twist
         twisted = on_leg(self.e_coords, self.c_view.dim if leg == 1 else 1, twist.ncols,
                          twist.cols.__getitem__, twist.nrows)
-        return apply_legs(view.basis_map, view.basis_map, twisted)
+        got = self._f_elements[which] = apply_legs(view.basis_map, view.basis_map, twisted)
+        return got
 
     def balanced(self, kind: str) -> BalancedTensorSpace:
         if kind not in self._bal_cache:
@@ -264,12 +266,8 @@ def forward_construct(bundle: WeakMultiplierHopfAlgebra) -> tuple[MultiplierHopf
     d = bundle.dim
     eps_b = LinMap(d, d, [si.apply(bundle.target_value(i)) for i in range(d)])
     eps_c = LinMap(d, d, [si.apply(bundle.source_value(i)) for i in range(d)])
-    alg = MultiplierHopfAlgebroid(
-        graph,
-        delta_b=[dict(v) for v in bundle.delta],
-        delta_c=[dict(v) for v in bundle.delta],
-        eps_b=eps_b, eps_c=eps_c,
-        antipode=bundle.antipode)
+    # the algebroid copies delta_b and delta_c
+    alg = MultiplierHopfAlgebroid(graph, bundle.delta, bundle.delta, eps_b, eps_c, bundle.antipode)
     alg.maps = bundle.maps.over(alg.slices)
     return alg, report
 

@@ -26,20 +26,15 @@ stage, the kernel stage and the rebuilt bundle.  The stages take the
 range and kernel decisions from it, proved in the ``wmha`` docstring,
 and only format their records; the final suite's certificate,
 ``canonical-idempotent-identities``, ``projection-formulas`` and
-``kernel-subspaces`` read what the stages computed.  Only echelon
-forms name witnesses, so the reports do not depend on the path.
+``kernel-subspaces`` read what the stages computed.  Every decision is
+exact, so the reports do not depend on the path.
 
 The kernel stage cuts P_i out by the graph pair's F_i (``f_element``:
 S_B, S_C or an inverse moved through E's coordinates in B (x) C), the
-maps by S or S^-1 moved through a leg of E.  On an accepted input the
-two are equal, so they cut out one memoized map and the decision
-certifies it with the maps' comparisons: E = ``graph.embed(idem.e)``
-lies in B (x) C, and S restricts to S_B on B and to S_C on C, by
-``antipode-restriction`` after ``check-algebroid`` and, on a round trip,
-because the base suite takes S_B and S_C as S restricted
-(``b_view.restrict(s, c_view)``); S_B and S_C being bijective, S^-1
-restricts to S_B^-1 on C and S_C^-1 on B.  Where they differ,
-``CoproductSlices.kernel_is_complement`` decides.
+maps by S or S^-1 moved through a leg of E.  Any P is decided exactly;
+where the two are equal, as on an accepted input, they cut out one
+memoized map, and the shortcut for the maps' own P_i applies.  Only a
+failing stage echelonizes im(id - P_i) and ker T_i, for its witness.
 
 A is unital, so Delta(a), Delta'(a) and E are honest elements: the
 comultiplicativity of E, mixed coassociativity and the merge are each
@@ -247,16 +242,15 @@ def check_E_comultiplicativity(alg: MultiplierHopfAlgebroid, cops: CoproductSlic
 
 def check_kernels(alg: MultiplierHopfAlgebroid, maps: CanonicalMaps, report: Report) -> bool:
     """ker T_i is the image of id - P_i, P_i cut out by the graph pair's
-    F_i, by ``CanonicalMaps.kernel_is_complement``."""
+    F_i, by ``CanonicalMaps.kernel_failure``."""
     for i in (1, 2, 3, 4):
         proj = maps.t2.projection(alg.graph.f_element(i), i)
-        if not maps.kernel_is_complement(i, proj):
-            described, kernel = proj.complement, maps.slices.canonical_kernel(i)
-            sep, membership = _separating(described, kernel)
+        bad = maps.kernel_failure(i, proj)
+        if bad is not None:
+            sep, membership = _separating(proj.complement, maps.slices.canonical_kernel(i))
             report.add(failed("rebuilt-kernel-conditions",
-                              {"map": f"T{i}", "described_dim": described.dim,
-                               "kernel_dim": kernel.dim, "witness_vector": sep,
-                               "described_membership": membership}))
+                              {"map": f"T{i}", "described_dim": bad[0], "kernel_dim": bad[1],
+                               "witness_vector": sep, "described_membership": membership}))
             return False
     report.add(passed("rebuilt-kernel-conditions"))
     return True

@@ -11,7 +11,9 @@ algebroid's canonical maps and reconstruction alike.  ``Projection`` holds one m
 element x (``algebra.TensorSquare.projection``, its one home) and builds
 it only on first use: its trace, its values on the module generators and
 its value at any vector are read off x.  ``first_difference`` compares
-two composites of such maps with no map product.
+two composites of such maps with no map product.  Whether ker T =
+im(id - P) for such a P is decided by one exact rule, T P = T and
+rank(id - P) = d^2 - rank T (``wmha.CanonicalMaps.kernel_failure``).
 """
 
 from __future__ import annotations
@@ -65,18 +67,14 @@ def first_difference(lhs: list[Applied], rhs: list[Applied],
 
 
 class Projection:
-    """A map on A (x) B, with its image and im(id - map), each
-    echelonized on first use; for an idempotent map the latter is its
-    kernel.  Given as a map m, or as cut = (t2, x, flags), the map
-    ``PROJECTION_FLAGS`` says x cuts out of t2, which is built only on
-    first use of ``map``: its trace and its values, on the module
-    generators or at any vector, are read off x (``algebra`` docstring).
-    The kernel conditions build im(id - map) only when
-    ``CoproductSlices.kernel_is_complement`` cannot certify it."""
+    """The map P that x cuts out of t2, cut = (t2, x, flags) under
+    ``PROJECTION_FLAGS``, built on first use of ``map``: its trace and
+    its values, on the module generators or at any vector, are read off x
+    (``algebra`` docstring).  Its image and im(id - P) are echelonized on
+    first use; the kernel rule needs im(id - P) only where P(x) != x or
+    the square is not generated (``wmha.CanonicalMaps.kernel_failure``)."""
 
-    def __init__(self, m: LinMap | None = None, cut: tuple | None = None):
-        if m is not None:
-            self.map = m
+    def __init__(self, cut: tuple):
         self.cut = cut
         self._generators: dict[int, list[Vec]] = {}
 
@@ -91,8 +89,6 @@ class Projection:
         R(v, b), so tr P = sum x[u, v] t1(u) t2(v), where t1(u) sums the
         a-th entries of L(a, u) over a, a one-sided trace of e_u, and
         t2(v) likewise for R(v, b)."""
-        if self.cut is None:
-            return self.map.trace()
         t2, x, (left1, left2) = self.cut
         tr1, tr2, d = t2.algebra.traces[left1], t2.second.traces[left2], t2.dim
         return sum(c * tr1[p // d] * tr2[p % d] for p, c in x.items())
@@ -123,17 +119,14 @@ class Projection:
         return Applied(self.apply, partial(self.on_generators, 3 - T_COVERS[which][0]))
 
     def commutes_with(self, which: int) -> bool:
-        """Whether P is cut out by an element and commutes with the
-        covers T_which commutes with (``T_COVERS``)."""
+        """Whether P commutes with T_which's covers (``T_COVERS``)."""
         leg, left = T_COVERS[which]
-        return self.cut is not None and self.cut[2][leg - 1] == left
+        return self.cut[2][leg - 1] == left
 
     def apply(self, v: Vec) -> Vec:
         """P(v) = sum v[a, b] x[u, w] L(a, u) (x) R(w, b)
         (``TensorSquare._covered_map``), with x grouped by its first leg
-        and each product read off a partner row; m(v) for a given map."""
-        if self.cut is None:
-            return self.map.apply(v)
+        and each product read off a partner row."""
         t2, x, (left1, left2) = self.cut
         rows1, rows2, d = t2.algebra.partners, t2.second.partners, t2.dim
         out: Vec = {}
@@ -171,12 +164,13 @@ class CoproductSlices:
     Each slice is computed once and cached per (kind, a, b), because the
     pair- and triple-indexed checks revisit them; the canonical maps
     T_1..T_4 are assembled from the cached slices once, and their images
-    and kernels are echelonized once, kernels only when
-    ``kernel_is_complement`` cannot certify them.  Cached values are
-    shared, so callers must not mutate them.  A bundle slices (Delta, Delta), an
-    algebroid (Delta_B, Delta_C), reconstruction the rebuilt
-    (E Delta_B, Delta_C E); a bundle rebuilt by reconstruction keeps the
-    rebuilt slices, since there Delta = Delta'.
+    and kernels are echelonized once, on first use: the kernel rule reads
+    rank T off the image, and only a failing reconstruction kernel stage
+    builds ker T.  Cached values are shared, so callers must not mutate
+    them.  A bundle slices (Delta, Delta), an algebroid (Delta_B,
+    Delta_C), reconstruction the rebuilt (E Delta_B, Delta_C E); a bundle
+    rebuilt by reconstruction keeps the rebuilt slices, since there
+    Delta = Delta'.
     """
 
     def __init__(self, t2: TensorSquare, left: list[Vec], right: list[Vec]):
@@ -186,7 +180,6 @@ class CoproductSlices:
         self._slices: dict[tuple[str, int, int], Vec] = {}
         self._maps: dict[int, LinMap] = {}
         self._spaces: dict[tuple[str, int], Subspace] = {}
-        self._complements: dict[int, Projection] = {}
 
     def r1(self, a: int, c: int) -> Vec:
         return self._slice("r1", a, c)
@@ -274,37 +267,6 @@ class CoproductSlices:
     def canonical_kernel(self, which: int) -> Subspace:
         """ker T_which, computed once."""
         return self._space("kernel", which)
-
-    def kernel_is_complement(self, which: int, proj: Projection) -> bool:
-        """Whether im(id - P) = ker T for P = proj's map, T = T_which.
-
-        Certified with no new echelon form by (1) tr P = rank T,
-        (2) TP = T and (3) PP = P, cheapest first: by (3) P is
-        idempotent, so im(id - P) = ker P has dimension d^2 - rank P =
-        d^2 - tr P over Q; by (2) T(id - P) = 0, so im(id - P) lies in
-        ker T; by (1) both have dimension d^2 - rank T, so they are
-        equal.  When P is cut out by an element x, commutes with the
-        covers T commutes with, and ``TensorSquare.generated`` holds,
-        (2) and (3) are decided on the module generators g_a (``algebra``
-        lemma): T(P(g_a)) == T(g_a) for every a, and P(x) == x.
-        Otherwise each is one ``first_difference`` on the basis vectors.
-        The certificate is sufficient, not necessary (P need not be
-        idempotent), so when it fails the two subspaces are compared.  A
-        success is remembered with its projection and served again only
-        for that same object."""
-        if self._complements.get(which) is proj:
-            return True
-        generated = proj.commutes_with(which) and self.t2.generated()
-        size = None if generated else self.t2.size
-        p, t = proj.applied(which), self.applied(which)
-        holds = ((proj.trace == self.canonical_image(which).dim
-                  and first_difference([p, t], [t], size) is None
-                  and (proj.apply(proj.cut[1]) == proj.cut[1] if generated
-                       else first_difference([p, p], [p], size) is None))
-                 or proj.complement == self.canonical_kernel(which))
-        if holds:
-            self._complements[which] = proj
-        return holds
 
     def _space(self, kind: str, which: int) -> Subspace:
         key = (kind, which)

@@ -11,10 +11,10 @@ by basis elements or pairs are stated as laws for the one scanner,
 order and then the first law failing there; the multiplicativity of
 Delta and S is the one law of ``algebra.multiplicativity``.  The maps
 that E and its twists F_i cut out of A (x) A, their images and the
-kernel descriptions im(id - P_i) come from ``maps.projection``, memoized
-on the tensor square; whoever holds that square with an equal element
-(the forward construction's sections, reconstruction's range and kernel
-stages) shares the same map.
+kernel descriptions im(id - P_i) come from ``maps.projection``, held
+per which and memoized on the tensor square; whoever holds that square
+with an equal element (the forward construction's sections,
+reconstruction's range and kernel stages) shares the same map.
 
 ``CanonicalMaps`` is the one home of T_i, R_i, Q_i (Q_1 = Q_4 = EL,
 y -> Ey, Q_2 = Q_3 = ER, y -> yE) and P_i (the map F_i cuts out), with
@@ -53,15 +53,21 @@ T_i R_i == Q_i for i = 1..4 up to the first that differs.  Under H:
 Without H, R_i T_i R_i = R_i is T_p R_p T_p = T_p by the first bullet,
 which needs only S bijective.  ``projection-formulas`` compares T_i R_i
 with Q_i, then R_i T_i with P_i; where R_i T_i differs, e_p, p = a d + b,
-are scanned in order for the first differing column (a, b).  The
-kernel decision, ``kernel_is_complement``, certifies ker T_i =
-im(id - P) for P the maps' own P_i when T_i R_i T_i = T_i (under H, or
-compared) and R_i T_i = P_i: then P_i^2 = R_i (T_i R_i T_i) = P_i,
-T_i (id - P_i) = 0 and rank P_i <= rank T_i = rank T_i P_i <= rank P_i,
-so im(id - P_i) = ker P_i lies in ker T_i and has its dimension, with
-no trace or rank.  For another P, or where either fails,
-``CoproductSlices.kernel_is_complement`` decides.  Every comparison is
-exact, so reports do not depend on the path taken.
+are scanned in order for the first differing column (a, b).
+
+``kernel_failure`` decides ker T_i = im(id - P), P cut out by x, by the
+rule: ker T = im(id - P) iff T P = T and rank(id - P) = d^2 - rank T.
+(<=) T P = T puts im(id - P) inside ker T, and equal dimensions make the
+two equal; (=>) T (id - P) = 0, and rank-nullity gives the dimension.
+T P = T is compared on the g_a when P commutes with T_i's covers on a
+generated square, else on the e_p.  rank T_i is tr Q_i under H, else
+read off im T_i's echelon form; rank(id - P) is d^2 - tr P when P(x) = x
+on a generated square (then P^2 = P, ``algebra`` lemma), else read off
+im(id - P)'s; the witness is (dim im(id - P), dim ker T_i).  For the
+maps' own P_i, T_i R_i T_i = T_i (H, or compared) and R_i T_i = P_i
+decide first, from comparisons already made: T_i P_i = T_i, P_i^2 = P_i,
+and rank P_i = rank T_i as each factors through the other.  Every
+decision is exact, so reports do not depend on the path.
 
 Unital reductions.  The paper states the counit and antipode laws with
 covering elements, (eps (x) id)(Delta(a)(1 (x) b)) = ab, because for an
@@ -142,6 +148,7 @@ class CanonicalMaps:
         self.E = e
         self._applied: dict[tuple[int, str], Applied] = {}
         self._agrees: dict[tuple[int, str, str], bool] = {}
+        self._projections: dict = {}
 
     def over(self, slices: CoproductSlices, e: Vec | None = None) -> CanonicalMaps:
         """The maps of other slices of A under S, with this S^-1 and scan."""
@@ -208,10 +215,13 @@ class CanonicalMaps:
 
     def projection(self, which) -> Projection:
         """The map E ("EL", "ER") or F_which (1..4) cuts out of A (x) A,
-        under ``slices.PROJECTION_FLAGS``: P_which is expected to equal
-        R_which T_which, its complement im(id - P_which) ker T_which."""
-        elt = self.E if which in ("EL", "ER") else self.kernel_idempotent(which)
-        return self.t2.projection(elt, which)
+        under ``slices.PROJECTION_FLAGS``, held once per which: P_which is
+        expected to equal R_which T_which, its complement ker T_which."""
+        got = self._projections.get(which)
+        if got is None:
+            elt = self.E if which in ("EL", "ER") else self.kernel_idempotent(which)
+            got = self._projections[which] = self.t2.projection(elt, which)
+        return got
 
     def first_difference(self, which: int, lhs: str, rhs: str,
                          basis: bool = False) -> int | None:
@@ -274,15 +284,26 @@ class CanonicalMaps:
         return self.certificate or (self.projection("EL").image.dim,
                                     self.projection("ER").image.dim)
 
-    def kernel_is_complement(self, which: int, proj: Projection) -> bool:
-        """Whether ker T_which = im(id - P) for proj's map P: certified
-        when proj is the maps' own P_which, by H or T R T = T and by
-        R T = P, else ``CoproductSlices.kernel_is_complement``."""
-        if (self.antipode_inv is not None and proj is self.projection(which)
+    def kernel_shortcut(self, which: int, proj: Projection) -> bool:
+        """Whether proj is the maps' own P_which, with T R T = T (H, or
+        compared) and R T = P (module docstring)."""
+        return (self.antipode_inv is not None and proj is self.projection(which)
                 and (self.certificate is not None or self.agrees(which, "TRT", "T"))
-                and self.agrees(which, "RT", "P")):
-            return True
-        return self.slices.kernel_is_complement(which, proj)
+                and self.agrees(which, "RT", "P"))
+
+    def kernel_failure(self, which: int, proj: Projection) -> tuple[int, int] | None:
+        """None when ker T_which = im(id - P) for proj's map P, else
+        (dim im(id - P), dim ker T_which), by the shortcut or the rule."""
+        if self.kernel_shortcut(which, proj):
+            return None
+        size, x, generated = self.t2.size, proj.cut[1], self.t2.generated()
+        kernel = size - (self.certificate[Q_CUTS[which] == "ER"] if self.certificate
+                         else self.slices.canonical_image(which).dim)
+        described = size - proj.trace if generated and proj.apply(x) == x else proj.complement.dim
+        t, on = self[which, "T"], None if generated and proj.commutes_with(which) else size
+        if described == kernel and first_difference([proj.applied(which), t], [t], on) is None:
+            return None
+        return int(described), int(kernel)
 
 
 class WeakMultiplierHopfAlgebra:
@@ -560,15 +581,13 @@ def check_projection_formulas(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
 
 
 def check_kernel_subspaces(bundle: WeakMultiplierHopfAlgebra) -> CheckRecord:
-    """ker T_i = im(id - P_i), by ``CanonicalMaps.kernel_is_complement``."""
+    """ker T_i = im(id - P_i), by ``CanonicalMaps.kernel_failure``."""
     maps = bundle.maps
     for i in (1, 2, 3, 4):
-        proj = maps.projection(i)
-        if not maps.kernel_is_complement(i, proj):
-            described, kernel = proj.complement, bundle.slices.canonical_kernel(i)
+        bad = maps.kernel_failure(i, maps.projection(i))
+        if bad is not None:
             return failed("kernel-subspaces",
-                          {"map": f"T{i}", "described_dim": described.dim,
-                           "kernel_dim": kernel.dim})
+                          {"map": f"T{i}", "described_dim": bad[0], "kernel_dim": bad[1]})
     return passed("kernel-subspaces")
 
 

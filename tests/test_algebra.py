@@ -6,9 +6,8 @@ from fractions import Fraction
 import pytest
 
 import weakhopf.algebra
-import weakhopf.slices
 from weakhopf.algebra import (DegenerateProduct, FiniteAlgebra, NonAssociative,
-                              NotIdempotent, Projection, TensorSquare, direct_sum,
+                              NotIdempotent, TensorSquare, direct_sum,
                               field_algebra, make_algebra, matrix_algebra, opposite_algebra,
                               tensor_algebra)
 from weakhopf.algebroid import forward_construct
@@ -20,7 +19,7 @@ from weakhopf.linalg import LinMap, Subspace, apply_legs, on_leg, unit_vec, vaxp
 from weakhopf.reconstruction import reconstruction_pipeline
 from weakhopf.separability import build_E_from_functional
 from weakhopf.slices import CoproductSlices
-from weakhopf.wmha import check_E_identities, run_suite
+from weakhopf.wmha import CanonicalMaps, check_E_identities, run_suite
 
 
 def test_field_is_valid():
@@ -557,63 +556,46 @@ def test_expansions_compute_each_image_once(monkeypatch):
     assert calls < terms
 
 
-# -- the kernel certificate -----------------------------------------------
+# -- the kernel rule ------------------------------------------------------
 
 # On A = Q + Q, T_1 column (a, b) keeps the terms of Delta(e_a) whose
 # second leg is b, so Delta(e_0) = e_0 (x) e_1, Delta(e_1) = e_1 (x) e_1
 # gives T_1 = 0 on the block b = 0 (coordinates 0, 2) and the identity on
-# b = 1 (coordinates 1, 3): rank 2, kernel span(e_0, e_2).  P = id - N,
-# N given by its columns.
+# b = 1 (coordinates 1, 3): rank 2, kernel span(e_0, e_2).  x cuts out
+# P = diag(x) under T_1's flags, as A is commutative with idempotent basis.
 _KERNEL_CASES = {
-    # (1) tr P = rank T, (2) TP = T, (3) PP = P, im(id - P) = ker T
-    "certified": ({0: {0: 1}, 2: {2: 1}}, (True, True, True, True)),
-    "trace": ({}, (False, True, True, False)),
-    "product": ({0: {0: 1}, 1: {1: 1}}, (True, False, True, False)),
-    "idempotent-equal": ({0: {0: 1, 2: -1}, 2: {0: 1, 2: 1}}, (True, True, False, True)),
-    "idempotent-unequal": ({0: {0: 2}}, (True, True, False, False)),
-    "trace-and-idempotent-equal": ({0: {0: 2}, 2: {2: 2}}, (False, True, False, True)),
+    # tr P = rank T, TP = T, PP = P, rank(id - P) = 4 - rank T, im(id - P) = ker T
+    "certified": ({1: 1, 3: 1}, (True, True, True, True, True)),
+    "trace": ({0: 1, 1: 1, 2: 1, 3: 1}, (False, True, True, False, False)),
+    "product": ({0: 1, 1: 1}, (True, False, True, True, False)),
+    "idempotent-equal": ({0: 2, 1: 1, 2: -2, 3: 1}, (True, True, False, True, True)),
+    "idempotent-unequal": ({0: 1, 1: 1, 2: -1, 3: 1}, (True, True, False, False, False)),
+    "trace-and-idempotent-equal": ({0: 2, 1: 1, 2: 3, 3: 1}, (False, True, False, True, True)),
 }
 
 
-def _t1_slices():
+def _t1_maps():
     q2 = direct_sum(field_algebra(), field_algebra())
     family = [{1: 1}, {3: 1}]
     slices = CoproductSlices(TensorSquare(q2), family, family)
     assert slices.canonical_map(1) == LinMap(4, 4, [{}, {1: 1}, {}, {3: 1}])
-    return slices
-
-
-def _id_minus(n_cols):
-    return LinMap.identity(4) - LinMap(4, 4, [n_cols.get(j, {}) for j in range(4)])
+    return CanonicalMaps(slices, LinMap.identity(2), {})
 
 
 @pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
 def test_kernel_certificate_agrees_with_echelon_equality(case):
-    """Each condition of the certificate broken in turn, and a P that is
-    not idempotent yet has im(id - P) = ker T: the answer is always the
-    echelon comparison's."""
-    n_cols, expected = _KERNEL_CASES[case]
-    slices, p = _t1_slices(), _id_minus(n_cols)
-    t = slices.canonical_map(1)
+    """Each condition of the rule T P = T and rank(id - P) = d^2 -
+    rank T broken in turn, P idempotent or not, with tr P = rank T or
+    not: ``kernel_failure`` gives the echelon comparison's verdict, and
+    the two dimensions when it fails."""
+    x, expected = _KERNEL_CASES[case]
+    maps = _t1_maps()
+    proj = maps.t2.projection(x, 1)
+    p, t, n = proj.map, maps.slices.canonical_map(1), LinMap.identity(4)
+    assert p == LinMap(4, 4, [{j: x[j]} if j in x else {} for j in range(4)])
+    described, kernel = (n - p).image(), t.kernel()
     conditions = (sum(p.entry(j, j) for j in range(4)) == t.rank(), t @ p == t, p @ p == p,
-                  (LinMap.identity(4) - p).image() == t.kernel())
+                  described.dim == 4 - t.rank(), described == kernel)
     assert conditions == expected
-    assert slices.kernel_is_complement(1, Projection(p)) is expected[3]
-
-
-def test_kernel_certificate_is_remembered_per_projection(monkeypatch):
-    """A success is served again only for the Projection it was proved
-    for; an equal map in another Projection is certified afresh."""
-    slices = _t1_slices()
-    p = _id_minus(_KERNEL_CASES["certified"][0])
-    proj = Projection(p)
-    calls = []
-    compare = weakhopf.slices.first_difference
-    monkeypatch.setattr(weakhopf.slices, "first_difference",
-                        lambda *args, **kw: calls.append(1) or compare(*args, **kw))
-    assert slices.kernel_is_complement(1, proj)
-    assert len(calls) == 2
-    assert slices.kernel_is_complement(1, proj)
-    assert len(calls) == 2
-    assert slices.kernel_is_complement(1, Projection(LinMap(4, 4, [dict(c) for c in p.cols])))
-    assert len(calls) == 4
+    assert not maps.kernel_shortcut(1, proj)
+    assert maps.kernel_failure(1, proj) == (None if expected[4] else (described.dim, kernel.dim))

@@ -285,7 +285,7 @@ def test_final_suite_shares_the_kernel_certificate(make, monkeypatch):
                          ids=["pair-3", "crossed-swap"])
 def test_passing_pipeline_certifies_kernels_without_echelons(make, monkeypatch):
     """The kernel stage and the final suite decide ker T_i = im(id - P_i)
-    by certificates: no complement and no kernel of T_i is echelonized,
+    by the shortcut: no complement and no kernel of T_i is echelonized,
     and the final suite's kernel check, decided by its projector
     certificate, computes no map product."""
     alg, report = forward_construct(make())
@@ -336,6 +336,33 @@ def test_forward_path_builds_each_cut_map_once(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert built == []
     assert Counter(asked)["EL"] > 1 and all(Counter(asked)[w] > 1 for w in (1, 2, 3, 4))
+
+
+def test_each_twisted_idempotent_is_built_once(tmp_path, capsys, monkeypatch):
+    """check-wmha, roundtrip and algebroid-to-wmha on pair-3 each build
+    F_1..F_4 once: the maps build them on the first ``projection`` call
+    per which, and the graph pair's ``f_element`` returns the value it
+    built first, however often it is asked."""
+    alg_path = _algebroid_file(tmp_path, capsys, "pair-groupoid", "--n", "3")
+    wmha_path = str(tmp_path / "wmha.json")
+    built = {"maps": [], "graph": []}
+    kernel_idempotent = CanonicalMaps.kernel_idempotent
+    f_element = algebroid.QuantumGraphPair.f_element
+    monkeypatch.setattr(CanonicalMaps, "kernel_idempotent", lambda self, which: built[
+        "maps"].append(kernel_idempotent(self, which)) or built["maps"][-1])
+    monkeypatch.setattr(algebroid.QuantumGraphPair, "f_element", lambda self, which: built[
+        "graph"].append(f_element(self, which)) or built["graph"][-1])
+    counts = []
+    for argv in (["check-wmha", wmha_path], ["roundtrip", wmha_path],
+                 ["algebroid-to-wmha", alg_path]):
+        assert main(argv) == 0
+        capsys.readouterr()
+        counts.append({key: (len(got), len({id(v) for v in got}))
+                       for key, got in built.items()})
+        for got in built.values():
+            got.clear()
+    assert counts == [{"maps": (4, 4), "graph": (0, 0)}, {"maps": (4, 4), "graph": (4, 4)},
+                      {"maps": (4, 4), "graph": (8, 4)}]
 
 
 def test_projections_are_shared_by_equal_elements_only():
@@ -598,33 +625,51 @@ def test_e_laws_name_the_first_basis_element_of_either_family():
                                   {"basis": bundle.algebra.labels[1]})
 
 
+def _echelon_kernel_failure(slices, which, proj):
+    """None when im(id - P) = ker T_which, both echelonized afresh, else
+    their dimensions."""
+    n = slices.t2.size
+    described = (LinMap.identity(n) - proj.map).image()
+    kernel = slices.canonical_map(which).kernel()
+    return None if described == kernel else (described.dim, kernel.dim)
+
+
 def test_kernel_decision_keeps_the_echelon_verdict_when_s_is_singular():
     """With S singular there is no P_i of the maps' own and no R_i: the
-    kernel decision raises nothing and gives the verdict of
-    ``CoproductSlices.kernel_is_complement`` for the given P."""
+    kernel decision raises nothing, takes the rule for P_i and for the
+    map E cuts out, and gives the echelon comparison's verdict and
+    dimensions."""
     bundle = as_wmha(pair_groupoid(2))
     d = bundle.dim
     singular = LinMap(d, d, [bundle.antipode.cols[0], *bundle.antipode.cols[:-1]])
     assert singular.rank() < d
     maps = CanonicalMaps(bundle.slices, singular, bundle.E)
+    verdicts = []
     for i in (1, 2, 3, 4):
-        proj = bundle.maps.projection(i)
-        assert maps.kernel_is_complement(i, proj) == bundle.slices.kernel_is_complement(i, proj)
+        for proj in (bundle.maps.projection(i), bundle.maps.projection("EL")):
+            assert not maps.kernel_shortcut(i, proj)
+            got = maps.kernel_failure(i, proj)
+            assert got == _echelon_kernel_failure(bundle.slices, i, proj)
+            verdicts.append(got is None)
     assert maps.antipode_inv is None
+    assert set(verdicts) == {True, False}
 
 
 def test_kernel_decision_certifies_only_the_maps_own_projection():
-    """H and R_iT_i = P_i prove ker T_i = im(id - P_i) for the maps' own
-    P_i only: another map, here the one E cuts out, is decided by the
-    echelon comparison, which refuses it."""
+    """H and R_iT_i = P_i decide ker T_i = im(id - P_i) by the shortcut
+    for the maps' own P_i only: another map, here the one E cuts out,
+    is decided by the rule, which refuses it with the echelon
+    comparison's dimensions."""
     bundle = as_wmha(pair_groupoid(2))
     maps = bundle.maps
     assert maps.certificate is not None
     other = maps.projection("EL")
     assert other is not maps.projection(1)
-    assert not maps.kernel_is_complement(1, other)
-    assert other.complement != bundle.slices.canonical_kernel(1)
-    assert maps.kernel_is_complement(1, maps.projection(1))
+    assert not maps.kernel_shortcut(1, other)
+    got = maps.kernel_failure(1, other)
+    assert got is not None and got == _echelon_kernel_failure(bundle.slices, 1, other)
+    assert maps.kernel_shortcut(1, maps.projection(1))
+    assert maps.kernel_failure(1, maps.projection(1)) is None
 
 
 def test_engine_objects_die_with_their_last_reference():

@@ -762,7 +762,7 @@ def ref_base_records(bundle) -> dict[str, dict]:
 
 def ref_kernel_subspaces(bundle):
     """im(id - P_i) against ker T_i, both echelonized afresh: the
-    comparison the kernel check made before its certificate."""
+    subspace comparison no kernel decision makes any more."""
     n = bundle.t2.size
     for i in (1, 2, 3, 4):
         described = (LinMap.identity(n) - bundle.maps.projection(i).map).image()
@@ -774,37 +774,45 @@ def ref_kernel_subspaces(bundle):
     return passed("kernel-subspaces")
 
 
-def _kernel_branch(bundle, i):
-    """Which way ``kernel_is_complement`` decides T_i: by the trace and
-    the two products, or by the echelon comparison, and its answer."""
-    p, t = bundle.maps.projection(i).map, bundle.slices.canonical_map(i)
-    if (sum(p.entry(j, j) for j in range(p.ncols)) == t.rank()
-            and t @ p == t and p @ p == p):
-        return "certified"
-    equal = (LinMap.identity(p.nrows) - p).image() == t.kernel()
-    return "fallback-equal" if equal else "fallback-unequal"
+def _kernel_routes(bundle):
+    """How ``CanonicalMaps.kernel_failure`` decides each T_i that
+    ``check_kernel_subspaces`` reaches: "shortcut", "rule passes" or the
+    rule failing "on T P" (equal dimensions) or "on dimension", with
+    "complement" added where P(x) != x, so rank(id - P) is read off the
+    echelon form of im(id - P)."""
+    maps, routes = bundle.maps, []
+    for i in (1, 2, 3, 4):
+        proj = maps.projection(i)
+        if maps.kernel_shortcut(i, proj):
+            routes.append("shortcut")
+            continue
+        bad = maps.kernel_failure(i, proj)
+        routes.append("rule passes" if bad is None else
+                      "rule fails on T P" if bad[0] == bad[1] else "rule fails on dimension")
+        if proj.apply(proj.cut[1]) != proj.cut[1]:
+            routes.append("complement")
+        if bad is not None:
+            break
+    return routes
 
 
 @pytest.mark.parametrize("name", ["pair-2", "crossed-swap"])
 def test_kernel_certificate_matches_echelon_comparison(name):
-    """Over every single-entry +1 / -1 mutant of Delta and of E (S kept,
-    so F_1..F_4 exist), the kernel check gives the record of the echelon
-    comparison; the sweep reaches the certificate and both outcomes of
-    its fallback."""
+    """Over the honest bundle and every single-entry +1 / -1 mutant of
+    Delta, S and E, the kernel check gives the record of the echelon
+    comparison, witness dimensions included, or raises as it does when
+    S is singular; the sweep reaches the shortcut, the rule passing,
+    failing on T P = T and failing on dimension, and the complement's
+    echelon form."""
     bundle = as_wmha(pair_groupoid(2)) if name == "pair-2" else swap_crossed_setup()[0]
-    e_mutants = (WeakMultiplierHopfAlgebra(bundle.algebra, bundle.delta, bundle.counit,
-                                           bundle.antipode, _shifted(bundle.E, p, shift))
-                 for p in range(bundle.dim ** 2) for shift in (1, -1))
-    branches = Counter()
-    for bad in itertools.chain(_delta_mutants(bundle), e_mutants):
-        got = check_kernel_subspaces(bad).to_dict()
-        assert got == ref_kernel_subspaces(bad).to_dict()
-        for i in (1, 2, 3, 4):
-            branch = _kernel_branch(bad, i)
-            branches[branch] += 1
-            if branch == "fallback-unequal":
-                break
-    assert set(branches) == {"certified", "fallback-equal", "fallback-unequal"}
+    routes = Counter()
+    for bad in itertools.chain([bundle], _base_mutants(bundle)):
+        got = _outcome(check_kernel_subspaces, bad)
+        assert got == _outcome(ref_kernel_subspaces, bad)
+        if bad.maps.antipode_inv is not None:
+            routes.update(_kernel_routes(bad))
+    assert set(routes) == {"shortcut", "rule passes", "rule fails on T P",
+                           "rule fails on dimension", "complement"}, routes
 
 
 # -- the projector certificate -------------------------------------------
@@ -857,21 +865,9 @@ def ref_generalized_inverses(bundle):
     return passed("generalized-inverses")
 
 
-def ref_kernel_by_trace(bundle):
-    """The kernel check without the certificate: each T_i by the trace
-    and two products, else by echelon forms."""
-    for i in (1, 2, 3, 4):
-        proj = bundle.maps.projection(i)
-        if not bundle.slices.kernel_is_complement(i, proj):
-            return failed("kernel-subspaces",
-                          {"map": f"T{i}", "described_dim": proj.complement.dim,
-                           "kernel_dim": bundle.slices.canonical_kernel(i).dim})
-    return passed("kernel-subspaces")
-
-
 CERTIFIED = [(check_range_conditions, ref_range_conditions),
              (check_generalized_inverses, ref_generalized_inverses),
-             (check_kernel_subspaces, ref_kernel_by_trace)]
+             (check_kernel_subspaces, ref_kernel_subspaces)]
 
 
 def _premise(bundle):
@@ -952,6 +948,11 @@ def test_certified_suite_forms_no_extra_product_or_image(name, monkeypatch):
 
 # -- generator decisions against today's map products ----------------------
 
+def _trace(m):
+    """tr m, summed along its diagonal."""
+    return sum(m.entry(j, j) for j in range(m.ncols))
+
+
 def _cut_map(bundle, which):
     """The map E ("EL", "ER") or F_which cuts out of A (x) A, built
     afresh."""
@@ -982,7 +983,7 @@ def ref_kernel_by_products(bundle):
     for i in (1, 2, 3, 4):
         p, t = _cut_map(bundle, i), bundle.slices.canonical_map(i)
         described = (LinMap.identity(p.nrows) - p).image()
-        if not ((p.trace() == t.rank() and t @ p == t and p @ p == p)
+        if not ((_trace(p) == t.rank() and t @ p == t and p @ p == p)
                 or described == t.kernel()):
             return failed("kernel-subspaces", {"map": f"T{i}", "described_dim": described.dim,
                                                "kernel_dim": t.kernel().dim})
@@ -1073,7 +1074,7 @@ def test_generator_decisions_equal_map_products(name):
             assert got == (tr == q, rt == p, tr @ t == t, rt @ r == r, t @ p == t, p @ p == p)
             # the generalized-inverse check decides R_i T_i R_i = R_i by the partner's TRT
             assert got[3] == bad.maps.agrees(TWISTS[i][2], "TRT", "T")
-            assert proj.trace == p.trace()
+            assert proj.trace == _trace(p)
             seen.update(zip(LAWS, got))
     assert set(seen) == {(law, held) for law in LAWS for held in (True, False)}, seen
 
@@ -1094,7 +1095,7 @@ def test_projection_reads_the_covered_map_off_its_element():
     for flags in set(PROJECTION_FLAGS.values()):
         for x in elements:
             proj, m = Projection(cut=(t2, x, flags)), t2._covered_map(x, *flags)
-            assert proj.trace == m.trace()
+            assert proj.trace == _trace(m)
             assert proj.on_generators(1) == [m.apply(t2.tensor(unit_vec(i), unit_b))
                                              for i in range(a.dim)]
             assert proj.on_generators(2) == [m.apply(t2.tensor(unit_a, unit_vec(j)))

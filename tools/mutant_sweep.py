@@ -57,6 +57,14 @@ It also prints how often `check-wmha` takes E = Delta(1) for the E laws
 rather than forming their products.  It reads this off the CLI runs
 themselves, by watching the engine's scans (`watch_reductions`), and
 prints nothing for an engine without `algebra.live_at`.
+Last, it prints how `CanonicalMaps.kernel_failure` decided each kernel
+record: `kernel-subspaces` in the suite run for each wmha mutant, and
+`rebuilt-kernel-conditions` in the reconstruction run for each algebroid
+mutant.  A record is decided by the shortcut when each of its calls
+took it, else by the rule passing, or by the rule failing on T P = T
+(its witness dimensions equal) or on dimension.  It reads this off the
+maps of those in-process runs (`watch_kernels`), and prints nothing for
+an engine without `kernel_failure`.
 These tallies are printed only, so the recording keeps its bytes.
 
 `diff` is `tools/byte_sweep.py diff`: it lists the runs that differ and
@@ -112,17 +120,23 @@ def _entries(node, where: str):
             yield f"{where}[{i}]", node, i
 
 
-def decided_by(engine, doc: dict) -> str:
+def decided_by(engine, doc: dict, kernels: dict) -> str:
     """Where the wmha suite decides the projector records of the bundle
     doc describes: "certificate" (H holds), "generators" (S bijective
     and anti-multiplicative, the square generated), "basis", "not
-    reached" (S singular ends the suite first) or "rejected"."""
+    reached" (S singular ends the suite first) or "rejected".  A
+    kernel-subspaces record reached adds its ``kernel_route`` to
+    kernels["tally"]."""
     wmha = importlib.import_module("weakhopf.wmha")
     try:
         bundle = engine.io.wmha_from_dict(doc)
     except ValueError:
         return "rejected"
+    kernels["calls"] = []
     wmha.run_suite(bundle)
+    calls, kernels["calls"] = kernels["calls"], None
+    if calls:
+        kernels["tally"][kernel_route(calls)] += 1
     if bundle.maps.antipode_inv is None:
         return "not reached"
     if bundle.maps.certificate is not None:
@@ -167,21 +181,26 @@ def canonical_path(engine, path: str) -> str:
     return f"{balanced}, {decided}"
 
 
-def stage_decisions(engine, path: str) -> list[str]:
+def stage_decisions(engine, path: str, kernels: dict) -> list[str]:
     """"<record> <how>" for each of reconstruction's range and kernel
     stages that the pipeline, run in process on the algebroid file at
     path, reaches: how is "under H" when the rebuilt maps hold the
     certificate, else "by echelon forms" for the range stage and
-    "without H" for the kernel stage."""
+    "without H" for the kernel stage.  The kernel stage adds a second
+    entry with its ``kernel_route`` when ``watch_kernels`` observes."""
     recon = importlib.import_module("weakhopf.reconstruction")
     out: list[str] = []
 
     def watched(stage, without):
         def run(*args):
+            kernels["calls"] = [] if stage is saved[1] else None
             ok = stage(*args)
+            calls, kernels["calls"] = kernels["calls"], None
             maps, report = args[-2:]
             out.append(f"{report.records[-1].name} "
                        + ("under H" if maps.certificate is not None else without))
+            if calls:
+                out.append(f"{report.records[-1].name} by {kernel_route(calls)}")
             return ok
         return run
 
@@ -241,6 +260,33 @@ def watch_reductions(counts: dict):
     wmha.check_E_identities = watched_e
 
 
+def kernel_route(calls: list) -> str:
+    """How one kernel record was decided, from the (maps, which, proj,
+    result) of its ``kernel_failure`` calls: "the shortcut" when each
+    call took it, else "the rule passing", or the rule failing on
+    T P = T (equal witness dimensions) or on dimension."""
+    bad = calls[-1][3]
+    if bad is not None:
+        return "the rule failing on " + ("T P = T" if bad[0] == bad[1] else "dimension")
+    return ("the shortcut" if all(maps.kernel_shortcut(which, proj)
+                                  for maps, which, proj, _ in calls) else "the rule passing")
+
+
+def watch_kernels(kernels: dict):
+    """Wrap the engine's ``CanonicalMaps.kernel_failure``: while
+    kernels["calls"] is a list, each call adds (maps, which, proj,
+    result) to it.  The wrapper only observes."""
+    maps_class = importlib.import_module("weakhopf.wmha").CanonicalMaps
+    decide = maps_class.kernel_failure
+
+    def run(maps, which, proj):
+        got = decide(maps, which, proj)
+        if kernels["calls"] is not None:
+            kernels["calls"].append((maps, which, proj, got))
+        return got
+    maps_class.kernel_failure = run
+
+
 def reaches_stages(run: dict) -> bool:
     """Whether an algebroid-to-wmha run reports the range stage."""
     return run["exit"] in (0, 1) and any(
@@ -257,9 +303,13 @@ def record(checkout: Path) -> tuple[dict, dict[str, dict[str, collections.Counte
     decided: dict[str, collections.Counter] = {}
     canonical: dict[str, collections.Counter] = {}
     stages: dict[str, collections.Counter] = {}
+    kernel_tally: dict[str, collections.Counter] = {}
     reductions: dict = {"at": None}
     if hasattr(engine.algebra, "live_at"):
         watch_reductions(reductions)
+    kernels: dict = {"calls": None, "tally": {}}
+    if hasattr(importlib.import_module("weakhopf.wmha").CanonicalMaps, "kernel_failure"):
+        watch_kernels(kernels)
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -276,8 +326,10 @@ def record(checkout: Path) -> tuple[dict, dict[str, dict[str, collections.Counte
                             container[key] = str(Fraction(original) + shift)
                             engine.io.dump(doc, MUTANT)
                             if tensors == WMHA[0]:
+                                kernels["tally"] = kernel_tally.setdefault(
+                                    name, collections.Counter())
                                 decided.setdefault(name, collections.Counter())[
-                                    decided_by(engine, doc)] += 1
+                                    decided_by(engine, doc, kernels)] += 1
                             path_taken = None
                             for command in commands:
                                 if command in ("check-wmha", "check-algebroid"):
@@ -301,7 +353,7 @@ def record(checkout: Path) -> tuple[dict, dict[str, dict[str, collections.Counte
                                         f"{command} {ending}"] += 1
                                     if command == "algebroid-to-wmha" and reaches_stages(runs[-1]):
                                         stages.setdefault(name, collections.Counter()).update(
-                                            stage_decisions(engine, MUTANT))
+                                            stage_decisions(engine, MUTANT, kernels))
                         container[key] = original
         finally:
             os.chdir(home)
@@ -309,6 +361,7 @@ def record(checkout: Path) -> tuple[dict, dict[str, dict[str, collections.Counte
             "decided": {name: dict(counts) for name, counts in decided.items()},
             "canonical": {name: dict(counts) for name, counts in canonical.items()}}, {
                 "stages": stages,
+                "kernels": {name: counts for name, counts in kernel_tally.items() if counts},
                 "reductions": {name: counts for name, counts in reductions.items()
                                if name != "at"}}
 
@@ -364,6 +417,10 @@ def main(argv=None) -> int:
             print(f"  {n:6d}  {how}")
     for name, counts in printed["reductions"].items():
         print(f"{name} unital reductions:")
+        for how, n in sorted(counts.items()):
+            print(f"  {n:6d}  {how}")
+    for name, counts in printed["kernels"].items():
+        print(f"{name} check-wmha kernel-subspaces decided by:")
         for how, n in sorted(counts.items()):
             print(f"  {n:6d}  {how}")
     return 0
